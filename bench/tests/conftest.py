@@ -1,0 +1,13 @@
+"""Tests of the benchmark harness; run with ``pytest bench/tests``.
+
+Outside tier-1 ``testpaths`` on purpose: the smoke subprocesses take a
+few seconds each.
+"""
+
+import pathlib
+import sys
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent
+for path in (BENCH, BENCH.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
