@@ -22,9 +22,17 @@ import enum
 import typing as t
 from dataclasses import dataclass
 
-from .tokenizer import Token, is_capitalized, is_number_token, tokenize
+from .stopwords import STOPWORDS
+from .tokenizer import Token, is_capitalized_text, is_number_text, tokenize
 
-__all__ = ["EntityType", "Entity", "Gazetteer", "EntityRecognizer"]
+__all__ = [
+    "EntityType",
+    "Entity",
+    "Gazetteer",
+    "EntityRecognizer",
+    "Span",
+    "matching_types",
+]
 
 
 class EntityType(enum.Enum):
@@ -61,6 +69,48 @@ class Entity:
     token_start: int
     token_end: int
 
+    @classmethod
+    def from_tokens(
+        cls,
+        text: str,
+        tokens: t.Sequence[Token],
+        i: int,
+        j: int,
+        etype: EntityType,
+    ) -> "Entity":
+        """The entity of ``etype`` covering ``tokens[i:j]`` of ``text``."""
+        start = tokens[i].start
+        end = tokens[j - 1].end
+        return cls(
+            text=text[start:end],
+            type=etype,
+            start=start,
+            end=end,
+            token_start=i,
+            token_end=j,
+        )
+
+
+#: A recognized span before any text is cut: ``(token_start, token_end,
+#: type)`` — everything about an entity that depends on the tokens alone.
+Span = tuple[int, int, EntityType]
+
+_PROPER_NAME_TYPES = frozenset(
+    (EntityType.PERSON, EntityType.LOCATION, EntityType.ORGANIZATION)
+)
+
+
+def matching_types(etype: EntityType) -> frozenset[EntityType]:
+    """Entity types that qualify as candidates of type ``etype``.
+
+    UNKNOWN capitalized sequences also qualify for PERSON / LOCATION /
+    ORGANIZATION (Falcon treats out-of-vocabulary proper names as weak
+    candidates).
+    """
+    if etype in _PROPER_NAME_TYPES:
+        return frozenset((etype, EntityType.UNKNOWN))
+    return frozenset((etype,))
+
 
 _MONTHS = frozenset(
     "january february march april may june july august september october"
@@ -89,6 +139,10 @@ _HONORIFICS = frozenset(
 )
 
 
+def _looks_like_year(text: str) -> bool:
+    return len(text) == 4 and text.isdigit() and text[0] in "12"
+
+
 class Gazetteer:
     """Longest-match phrase dictionary mapping surface forms to types."""
 
@@ -114,8 +168,23 @@ class Gazetteer:
     def lookup(self, words: t.Sequence[str]) -> EntityType | None:
         return self._entries.get(tuple(w.lower() for w in words))
 
-    def may_start(self, word: str) -> bool:
-        return word.lower() in self._starts
+    def longest_match(
+        self, lowered: t.Sequence[str], i: int
+    ) -> tuple[int, EntityType] | None:
+        """Longest phrase starting at ``lowered[i]``: ``(end, type)``.
+
+        ``lowered`` is a whole token sequence already lower-cased, so the
+        scanner lower-cases each token once however many phrase lengths
+        and start positions try it.
+        """
+        if lowered[i] not in self._starts:
+            return None
+        entries = self._entries
+        for j in range(min(len(lowered), i + self._max_len), i, -1):
+            etype = entries.get(tuple(lowered[i:j]))
+            if etype is not None:
+                return j, etype
+        return None
 
     @property
     def max_phrase_len(self) -> int:
@@ -150,139 +219,127 @@ class EntityRecognizer:
         }
 
     # -- public API -----------------------------------------------------------
+    def spans(self, texts: t.Sequence[str]) -> list[Span]:
+        """All entity spans over a token sequence's surface forms
+        (longest-match, left to right).
+
+        Recognition reads the surface forms alone — no offsets, and no
+        question — which is what lets AP run it once per paragraph,
+        straight off the index's packed token layer, and keep the result.
+        """
+        lowered = [text.lower() for text in texts]
+        spans: list[Span] = []
+        i = 0
+        n = len(texts)
+        while i < n:
+            hit = self._match_at(texts, lowered, i)
+            if hit is not None:
+                spans.append((i, hit[0], hit[1]))
+                i = hit[0]
+            else:
+                i += 1
+        return spans
+
     def recognize(self, text: str, tokens: t.Sequence[Token] | None = None) -> list[Entity]:
         """Find all entities in ``text`` (longest-match, left to right)."""
         if tokens is None:
             tokens = tokenize(text)
-        entities: list[Entity] = []
-        i = 0
-        n = len(tokens)
-        while i < n:
-            ent = self._match_at(text, tokens, i)
-            if ent is not None:
-                entities.append(ent)
-                i = ent.token_end
-            else:
-                i += 1
-        return entities
+        return [
+            Entity.from_tokens(text, tokens, i, j, etype)
+            for i, j, etype in self.spans([tok.text for tok in tokens])
+        ]
 
     def recognize_typed(
         self, text: str, etype: EntityType, tokens: t.Sequence[Token] | None = None
     ) -> list[Entity]:
-        """Entities of one type — what AP candidate detection needs.
-
-        UNKNOWN capitalized sequences are also returned for PERSON /
-        LOCATION / ORGANIZATION queries (Falcon treats out-of-vocabulary
-        proper names as weak candidates).
-        """
-        fuzzy = etype in (
-            EntityType.PERSON,
-            EntityType.LOCATION,
-            EntityType.ORGANIZATION,
-        )
-        out = []
-        for ent in self.recognize(text, tokens):
-            if ent.type is etype or (fuzzy and ent.type is EntityType.UNKNOWN):
-                out.append(ent)
-        return out
+        """Entities qualifying as ``etype`` — what AP candidate detection
+        needs (see :func:`matching_types`)."""
+        wanted = matching_types(etype)
+        return [ent for ent in self.recognize(text, tokens) if ent.type in wanted]
 
     # -- matching internals -------------------------------------------------------
-    def _match_at(self, text: str, tokens: t.Sequence[Token], i: int) -> Entity | None:
-        tok = tokens[i]
+    def _match_at(
+        self, texts: t.Sequence[str], lowered: t.Sequence[str], i: int
+    ) -> tuple[int, EntityType] | None:
+        """The entity starting at token ``i``, as ``(token_end, type)``.
 
+        Runs once per token of every paragraph's first visit, so it looks
+        at each token once: ``lowered`` carries the lower-cased forms and
+        the first character decides word vs. number before any pattern
+        is tried (a word cannot be numeric; a non-word cannot be a month,
+        an honorific or capitalized).
+        """
         # 1. Gazetteer longest match.
-        if self.gazetteer.may_start(tok.text):
-            limit = min(len(tokens), i + self.gazetteer.max_phrase_len)
-            for j in range(limit, i, -1):
-                words = [tk.text for tk in tokens[i:j]]
-                etype = self.gazetteer.lookup(words)
-                if etype is not None:
-                    return self._make(text, tokens, i, j, etype)
+        hit = self.gazetteer.longest_match(lowered, i)
+        if hit is not None:
+            return hit
 
         # 2. Nationality adjectives.
-        if tok.lower in self._nationalities:
-            return self._make(text, tokens, i, i + 1, EntityType.NATIONALITY)
+        low = lowered[i]
+        if low in self._nationalities:
+            return i + 1, EntityType.NATIONALITY
 
-        # 3. Dates: "<month> <num>(, <year>)" | "<month> <year>" | bare year.
-        if tok.lower in _MONTHS:
+        text = texts[i]
+        first = text[0]
+        n = len(texts)
+        if not first.isalpha():
+            # Only a numeric token can still start an entity.
+            if not is_number_text(text):
+                return None
+            # 3a. Dates: a bare year.
+            if _looks_like_year(text):
+                return i + 1, EntityType.DATE
+            # 4. Money / percent / quantity+unit / plain numbers.
+            if text.startswith("$"):
+                j = i + 1
+                if j < n and lowered[j] in ("million", "billion"):
+                    j += 1
+                return j, EntityType.MONEY
+            if text.endswith("%"):
+                return i + 1, EntityType.PERCENT
+            if i + 1 < n:
+                nxt = lowered[i + 1]
+                if nxt in _DISTANCE_UNITS:
+                    return i + 2, EntityType.DISTANCE
+                if nxt in _DURATION_UNITS:
+                    return i + 2, EntityType.DURATION
+                if nxt == "percent":
+                    return i + 2, EntityType.PERCENT
+            return i + 1, EntityType.NUMBER
+
+        # 3b. Dates: "<month> <num>(, <year>)" | "<month> <year>".
+        if low in _MONTHS:
             j = i + 1
-            if j < len(tokens) and is_number_token(tokens[j]):
+            if j < n and is_number_text(texts[j]):
                 j += 1
                 if (
-                    j + 1 < len(tokens)
-                    and tokens[j].text == ","
-                    and is_number_token(tokens[j + 1])
+                    j + 1 < n
+                    and texts[j] == ","
+                    and is_number_text(texts[j + 1])
                 ):
                     j += 2
-            return self._make(text, tokens, i, j, EntityType.DATE)
-        if is_number_token(tok) and self._looks_like_year(tok.text):
-            return self._make(text, tokens, i, i + 1, EntityType.DATE)
-
-        # 4. Money / percent / quantity+unit / plain numbers.
-        if is_number_token(tok):
-            if tok.text.startswith("$"):
-                j = i + 1
-                if j < len(tokens) and tokens[j].lower in ("million", "billion"):
-                    j += 1
-                return self._make(text, tokens, i, j, EntityType.MONEY)
-            if tok.text.endswith("%"):
-                return self._make(text, tokens, i, i + 1, EntityType.PERCENT)
-            if i + 1 < len(tokens):
-                nxt = tokens[i + 1].lower
-                if nxt in _DISTANCE_UNITS:
-                    return self._make(text, tokens, i, i + 2, EntityType.DISTANCE)
-                if nxt in _DURATION_UNITS:
-                    return self._make(text, tokens, i, i + 2, EntityType.DURATION)
-                if nxt == "percent":
-                    return self._make(text, tokens, i, i + 2, EntityType.PERCENT)
-            return self._make(text, tokens, i, i + 1, EntityType.NUMBER)
+            return j, EntityType.DATE
 
         # 5. Honorific-marked person names: "Dr. Jane Doe" (the tokenizer
         # splits the period off the honorific, so skip over it).
-        if tok.lower in _HONORIFICS and i + 1 < len(tokens):
+        if low in _HONORIFICS and i + 1 < n:
             j = i + 1
-            if j < len(tokens) and tokens[j].text == ".":
+            if texts[j] == ".":
                 j += 1
             name_start = j
-            while j < len(tokens) and is_capitalized(tokens[j]):
+            while j < n and is_capitalized_text(texts[j]):
                 j += 1
             if j > name_start:
-                return self._make(text, tokens, i, j, EntityType.PERSON)
+                return j, EntityType.PERSON
 
-        # 6. Unknown capitalized run (not sentence-initial single stopword).
-        if is_capitalized(tok) and not self._sentence_initial_common(tokens, i):
+        # 6. Unknown capitalized run.  A capitalized common word right
+        # after start/period is not a name.
+        if first.isupper() and not (
+            low in STOPWORDS and (i == 0 or texts[i - 1] in ".!?")
+        ):
             j = i + 1
-            while j < len(tokens) and is_capitalized(tokens[j]):
-                # Stop if the extension is itself a gazetteer start that
-                # would be split off as its own entity anyway.
+            while j < n and is_capitalized_text(texts[j]):
                 j += 1
-            return self._make(text, tokens, i, j, EntityType.UNKNOWN)
+            return j, EntityType.UNKNOWN
 
         return None
-
-    @staticmethod
-    def _looks_like_year(text: str) -> bool:
-        return len(text) == 4 and text.isdigit() and text[0] in "12"
-
-    @staticmethod
-    def _sentence_initial_common(tokens: t.Sequence[Token], i: int) -> bool:
-        """A capitalized common word right after start/period is not a name."""
-        from .stopwords import is_stopword
-
-        at_start = i == 0 or tokens[i - 1].text in ".!?"
-        return at_start and is_stopword(tokens[i].text)
-
-    @staticmethod
-    def _make(
-        text: str, tokens: t.Sequence[Token], i: int, j: int, etype: EntityType
-    ) -> Entity:
-        start = tokens[i].start
-        end = tokens[j - 1].end
-        return Entity(
-            text=text[start:end],
-            type=etype,
-            start=start,
-            end=end,
-            token_start=i,
-            token_end=j,
-        )

@@ -13,7 +13,15 @@ import re
 import typing as t
 from dataclasses import dataclass
 
-__all__ = ["Token", "tokenize", "sentences", "is_capitalized", "is_number_token"]
+__all__ = [
+    "Token",
+    "tokenize",
+    "sentences",
+    "is_capitalized",
+    "is_capitalized_text",
+    "is_number_token",
+    "is_number_text",
+]
 
 # Words (incl. internal apostrophes/hyphens), numbers (incl. decimals and
 # thousands separators), and single punctuation marks.
@@ -78,12 +86,22 @@ def sentences(text: str) -> list[tuple[int, int]]:
     return spans
 
 
+def is_capitalized_text(text: str) -> bool:
+    """True for a word's surface form beginning with an upper-case letter."""
+    return text[0].isalpha() and text[0].isupper()
+
+
+def is_number_text(text: str) -> bool:
+    """True for a numeric surface form (possibly with $, %, separators)."""
+    stripped = text.lstrip("$").rstrip("%")
+    return bool(stripped) and stripped[0].isdigit()
+
+
 def is_capitalized(token: Token) -> bool:
     """True for word tokens beginning with an upper-case letter."""
-    return token.is_word and token.text[0].isupper()
+    return is_capitalized_text(token.text)
 
 
 def is_number_token(token: Token) -> bool:
     """True for numeric tokens (possibly with $, %, separators)."""
-    stripped = token.text.lstrip("$").rstrip("%")
-    return bool(stripped) and stripped[0].isdigit()
+    return is_number_text(token.text)

@@ -14,6 +14,9 @@ lower case.  Histograms carry a unit suffix (``_s`` seconds, ``_bytes``).
 from __future__ import annotations
 
 __all__ = [
+    "AP_ENTITY_LAYER_HITS",
+    "AP_ENTITY_LAYER_MISSES",
+    "AP_ENTITY_LAYER_PARAGRAPHS",
     "AP_PARAGRAPH_BYTES",
     "CONJUNCTION_CACHE_HITS",
     "CONJUNCTION_CACHE_MISSES",
@@ -113,6 +116,12 @@ SELECTOR_SKETCH_BYTES = "retrieval.selector.sketch_bytes"
 #: Paragraph bytes flowing through PS and AP (pipeline work counters).
 PS_PARAGRAPH_BYTES = "qa.ps.paragraph_bytes"
 AP_PARAGRAPH_BYTES = "qa.ap.paragraph_bytes"
+#: AP's per-paragraph entity layer (PR 13): paragraph visits served from
+#: kept spans vs visits that ran the recognizer, and paragraphs held
+#: (cumulative on the ``AnswerProcessor`` -> gauges, like the caches).
+AP_ENTITY_LAYER_HITS = "qa.ap.entity_layer.hits"
+AP_ENTITY_LAYER_MISSES = "qa.ap.entity_layer.misses"
+AP_ENTITY_LAYER_PARAGRAPHS = "qa.ap.entity_layer.paragraphs"
 #: Keywords selected by QP.
 N_KEYWORDS = "qa.qp.n_keywords"
 

@@ -20,10 +20,13 @@ merges local results into the global order (Fig 3).
 from __future__ import annotations
 
 import typing as t
+from array import array
 
-from ..nlp.entities import Entity, EntityRecognizer, EntityType
+from ..nlp.entities import Entity, EntityRecognizer, EntityType, matching_types
 from ..nlp.stemming import cached_stem as stem
 from ..nlp.tokenizer import Token, tokenize
+from ..retrieval.inverted_index import ParagraphTerms
+from ..retrieval.paragraphs import Paragraph
 from .paragraph_scoring import (
     KeywordIdResolver,
     TermLookup,
@@ -50,17 +53,56 @@ _WINDOW_RADIUS = 12  # tokens either side of the candidate
 _SHORT_BYTES = 50
 _LONG_BYTES = 250
 
+# Entity-layer packing: a paragraph's spans are one flat ``array("H")`` of
+# (type code, token start, token end) triples — the width the index's own
+# paragraph-local token positions use.
+_TYPES = tuple(EntityType)
+_TYPE_CODE = {etype: code for code, etype in enumerate(_TYPES)}
+#: Type codes that qualify as candidates, per expected answer type.  For
+#: DEFINITION/UNKNOWN questions any entity qualifies (Falcon falls back to
+#: its full entity inventory there).
+_WANTED_CODES = {
+    atype: frozenset(
+        _TYPE_CODE.values()
+        if atype in (EntityType.DEFINITION, EntityType.UNKNOWN)
+        else (_TYPE_CODE[etype] for etype in matching_types(atype))
+    )
+    for atype in EntityType
+}
+
 
 class AnswerProcessor:
     """The AP module.
 
     With a ``term_lookup`` (the indexed corpus'
-    :meth:`~repro.retrieval.collection.IndexedCorpus.term_lookup`), the
-    paragraph's tokens, stemmed token sequence and keyword positions come
-    from the index's precomputed term layer instead of a per-question
-    tokenize + Porter-stem pass — AP is the CPU bottleneck (Table 3), so
-    this is the single hottest saving in the pipeline.  Unresolvable
-    paragraphs fall back to the re-tokenize reference path.
+    :meth:`~repro.retrieval.collection.IndexedCorpus.term_lookup`) AP runs
+    on two per-paragraph layers, because everything it does before it
+    scores a window depends on the paragraph alone:
+
+    * the index's **term layer** (:class:`ParagraphTerms`) supplies
+      surface forms, character offsets and keyword positions straight
+      from its packed arrays — no tokenize + Porter-stem pass per
+      question, and no token objects;
+    * AP's own **entity layer** keeps the recognizer's spans.  The first
+      question to visit a paragraph runs the recognizer over it once;
+      every later question filters the kept spans by its answer type and
+      builds :class:`Entity` objects only for the survivors.
+
+    The entity layer is the larger saving by far.  On the benchmark's
+    447-question stream (15 384 paragraph visits over 4 578 distinct
+    paragraphs, of 10 585 in the corpus) AP was 4.9 ms of a 5.7 ms
+    question, 3.2 ms of it re-recognizing paragraphs an earlier question
+    had already scanned and 1.0 ms building token objects; with the
+    layers it is 1.1-1.2 ms while they fill and 0.7 ms once they have
+    (EXPERIMENTS.md, "Paragraph entity layer").
+
+    The layer is built lazily, owned by this object — spans depend on the
+    recognizer's gazetteer, so they cannot live on the shared index — and
+    keyed by ``paragraph.key``.  It never evicts: it is bounded by the
+    corpus' paragraph count, and a paragraph's spans are one flat
+    ``array("H")`` of (type code, token start, token end).  Paragraphs the
+    index cannot resolve (and every paragraph when ``term_lookup`` is
+    ``None``) take the re-tokenize, re-recognize reference path.
     """
 
     def __init__(
@@ -74,6 +116,9 @@ class AnswerProcessor:
         self.recognizer = recognizer
         self.n_answers = n_answers
         self.term_lookup = term_lookup
+        self._entity_layer: dict[tuple[int, int], array] = {}
+        self._layer_hits = 0
+        self._layer_misses = 0
 
     # -- public API --------------------------------------------------------------
     def extract(
@@ -96,6 +141,28 @@ class AnswerProcessor:
             )
         return merge_answers([answers], self.n_answers)
 
+    def candidates(
+        self, processed: ProcessedQuestion, paragraph: Paragraph
+    ) -> list[Entity]:
+        """Typed entities of ``paragraph`` matching the expected answer type.
+
+        Candidates that merely repeat a question keyword are discarded —
+        the question's own words cannot answer it.
+        """
+        terms = self.term_lookup(paragraph) if self.term_lookup else None
+        tokens = None if terms is not None else tokenize(paragraph.text)
+        return self._candidates(processed, paragraph, terms, tokens)
+
+    @property
+    def entity_layer_stats(self) -> dict[str, int]:
+        """Cumulative entity-layer visits (hits reused kept spans, misses
+        ran the recognizer) and the paragraphs it now holds."""
+        return {
+            "hits": self._layer_hits,
+            "misses": self._layer_misses,
+            "paragraphs": len(self._entity_layer),
+        }
+
     # -- internals ---------------------------------------------------------------
     def _process_paragraph(
         self,
@@ -106,24 +173,26 @@ class AnswerProcessor:
     ) -> list[Answer]:
         text = sp.paragraph.text
         terms = self.term_lookup(sp.paragraph) if self.term_lookup else None
-        tokens: t.Sequence[Token]
-        if terms is not None:
-            tokens = terms.tokens
-        else:
-            tokens = tokenize(text)
-        candidates = self._candidates(processed, text, tokens)
+        tokens = None if terms is not None else tokenize(text)
+        candidates = self._candidates(processed, sp.paragraph, terms, tokens)
         if not candidates:
             return []
 
         # Token positions of each keyword (stem match, phrases in order).
         kstems = [kw.stems for kw in processed.keywords]
-        if terms is not None and resolver is not None:
-            kw_positions = keyword_positions_from_ids(
-                terms, resolver.resolve(terms.vocab)
-            )
-        elif terms is not None:
-            kw_positions = keyword_positions_from_terms(terms, kstems)
+        token_text: t.Callable[[int], str]
+        if terms is not None:
+            n_tokens = terms.n_tokens
+            token_text = terms.token_text
+            if resolver is not None:
+                kw_positions = keyword_positions_from_ids(
+                    terms, resolver.resolve(terms.vocab)
+                )
+            else:
+                kw_positions = keyword_positions_from_terms(terms, kstems)
         else:
+            n_tokens = len(tokens)
+            token_text = [tok.text for tok in tokens].__getitem__
             stems_at = [
                 stem(tok.text) if tok.is_word else tok.text for tok in tokens
             ]
@@ -145,8 +214,8 @@ class AnswerProcessor:
         out: list[Answer] = []
         for cand in candidates:
             score = self._score_window(
-                cand, tokens, kw_positions, present_keywords, n_keywords,
-                sp.score, max_rank,
+                cand, n_tokens, token_text, kw_positions, present_keywords,
+                n_keywords, sp.score, max_rank,
             )
             if score <= 0.0:
                 continue
@@ -165,26 +234,28 @@ class AnswerProcessor:
     def _candidates(
         self,
         processed: ProcessedQuestion,
-        text: str,
-        tokens: t.Sequence[Token],
+        paragraph: Paragraph,
+        terms: ParagraphTerms | None,
+        tokens: t.Sequence[Token] | None,
     ) -> list[Entity]:
-        """Typed entities matching the expected answer type.
-
-        For DEFINITION/UNKNOWN questions any entity qualifies (Falcon falls
-        back to its full entity inventory there).  Candidates that merely
-        repeat a question keyword are discarded — the question's own words
-        cannot answer it.
-        """
+        """:meth:`candidates` through the entity layer when the paragraph
+        has ``terms``; otherwise the reference path, which runs the
+        recognizer anew over ``tokens``."""
         atype = processed.answer_type
-        if atype in (EntityType.DEFINITION, EntityType.UNKNOWN):
-            cands = self.recognizer.recognize(text, tokens)
+        if terms is not None:
+            found = self._layered_entities(atype, paragraph, terms)
+        elif atype in (EntityType.DEFINITION, EntityType.UNKNOWN):
+            found = self.recognizer.recognize(paragraph.text, tokens)
         else:
-            cands = self.recognizer.recognize_typed(text, atype, tokens)
+            found = self.recognizer.recognize_typed(
+                paragraph.text, atype, tokens
+            )
+        # The question's own words cannot answer it.
         question_stems = {
             s for kw in processed.keywords for s in kw.stems
         }
         out = []
-        for c in cands:
+        for c in found:
             cand_stems = {
                 stem(w) for w in c.text.split() if w and w[0].isalpha()
             }
@@ -193,10 +264,40 @@ class AnswerProcessor:
             out.append(c)
         return out
 
+    def _layered_entities(
+        self, atype: EntityType, paragraph: Paragraph, terms: ParagraphTerms
+    ) -> list[Entity]:
+        """Entities of ``paragraph`` qualifying as ``atype``, through the
+        entity layer: recognized on the first visit, filtered ever after.
+        Nothing here builds a token object; offsets come off the term layer.
+        """
+        key = paragraph.key
+        packed = self._entity_layer.get(key)
+        if packed is None:
+            self._layer_misses += 1
+            packed = array("H")
+            for i, j, etype in self.recognizer.spans(terms.token_texts()):
+                packed.extend((_TYPE_CODE[etype], i, j))
+            self._entity_layer[key] = packed
+        else:
+            self._layer_hits += 1
+        wanted = _WANTED_CODES[atype]
+        text = paragraph.text
+        found = []
+        for k in range(0, len(packed), 3):
+            if packed[k] in wanted:
+                i, j = packed[k + 1], packed[k + 2]
+                start, end = terms.char_span(i, j)
+                found.append(
+                    Entity(text[start:end], _TYPES[packed[k]], start, end, i, j)
+                )
+        return found
+
     def _score_window(
         self,
         cand: Entity,
-        tokens: t.Sequence[Token],
+        n_tokens: int,
+        token_text: t.Callable[[int], str],
         kw_positions: list[list[int]],
         present_keywords: int,
         n_keywords: int,
@@ -217,11 +318,14 @@ class AnswerProcessor:
            paragraph;
         7. *paragraph_rank*: the PS rank, normalised — answers from better
            paragraphs win ties.
+
+        ``token_text(i)`` is the surface form of the paragraph's token
+        ``i`` of ``n_tokens``.
         """
         c_lo = cand.token_start
         c_hi = cand.token_end - 1
         w_lo = max(0, c_lo - _WINDOW_RADIUS)
-        w_hi = min(len(tokens) - 1, c_hi + _WINDOW_RADIUS)
+        w_hi = min(n_tokens - 1, c_hi + _WINDOW_RADIUS)
 
         in_window = 0
         distances: list[int] = []
@@ -248,9 +352,9 @@ class AnswerProcessor:
         nearest = min(distances)
         mean_d = sum(distances) / len(distances)
         apposition = 0.0
-        if c_lo > 0 and tokens[c_lo - 1].text in (",", "(", "-"):
+        if c_lo > 0 and token_text(c_lo - 1) in (",", "(", "-"):
             apposition += 1.0
-        if c_hi + 1 < len(tokens) and tokens[c_hi + 1].text in (",", ")", "-"):
+        if c_hi + 1 < n_tokens and token_text(c_hi + 1) in (",", ")", "-"):
             apposition += 1.0
 
         return (

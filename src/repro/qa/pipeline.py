@@ -16,6 +16,9 @@ from ..nlp.entities import EntityRecognizer
 from ..nlp.stemming import SHARED_STEM_CACHE
 from ..observability.metrics import MetricsRegistry
 from ..observability.names import (
+    AP_ENTITY_LAYER_HITS,
+    AP_ENTITY_LAYER_MISSES,
+    AP_ENTITY_LAYER_PARAGRAPHS,
     AP_PARAGRAPH_BYTES,
     CONJUNCTION_CACHE_HITS,
     CONJUNCTION_CACHE_MISSES,
@@ -68,7 +71,8 @@ class QAPipeline:
         PO acceptance policy.
     use_term_index:
         Route PS and AP through the index's precomputed paragraph term
-        layer (the fast path).  ``False`` forces the re-tokenize reference
+        layer, and AP through its per-paragraph entity layer (the fast
+        path).  ``False`` forces the re-tokenize, re-recognize reference
         path — used by the perf-regression harness as its baseline.
     metrics:
         Optional registry receiving the work counters under their
@@ -220,6 +224,12 @@ class QAPipeline:
         self.metrics.gauge(STEM_CACHE_HITS).set(float(SHARED_STEM_CACHE.hits))
         self.metrics.gauge(STEM_CACHE_MISSES).set(
             float(SHARED_STEM_CACHE.misses)
+        )
+        layer = self.ap.entity_layer_stats
+        self.metrics.gauge(AP_ENTITY_LAYER_HITS).set(float(layer["hits"]))
+        self.metrics.gauge(AP_ENTITY_LAYER_MISSES).set(float(layer["misses"]))
+        self.metrics.gauge(AP_ENTITY_LAYER_PARAGRAPHS).set(
+            float(layer["paragraphs"])
         )
         # Packed-index residency: structural bytes of the array-backed
         # layers plus the size of the vocabulary coding their ids.

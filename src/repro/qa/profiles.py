@@ -191,11 +191,7 @@ def profile_question(
 
     paragraphs: list[ParagraphProfile] = []
     for sp in accepted:
-        n_cands = len(
-            pipeline.ap._candidates(  # noqa: SLF001 - deliberate reuse
-                processed, sp.paragraph.text, None
-            )
-        )
+        n_cands = len(pipeline.ap.candidates(processed, sp.paragraph))
         cost = model.ap_paragraph_cost(sp.paragraph.size_bytes, n_cands)
         paragraphs.append(
             ParagraphProfile(

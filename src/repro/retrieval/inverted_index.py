@@ -140,20 +140,21 @@ class ParagraphTerms:
     The API mirrors the old tuple/dict-based layer — ``stems_at[i]`` is
     the Porter stem of token ``i`` for word tokens and the raw surface
     form otherwise, exactly the sequence the naive re-tokenize path
-    computes — but tokens and string views are materialized lazily from
-    the packed arrays.  ``tokens`` is cached once built (AP revisits
-    accepted paragraphs across questions); the string-keyed views are
-    compatibility/debug surfaces and are rebuilt per call.
+    computes — but nothing is materialized until asked for.  The hot
+    paths read the packed arrays directly (``ids_at`` / ``positions_of_id``
+    for PS and AP keyword positions, ``token_texts`` / ``token_text`` /
+    ``char_span`` for AP's entity layer and answer windows); ``tokens``
+    and the string-keyed views are compatibility/debug surfaces, rebuilt
+    per call and kept by nobody.
     """
 
-    __slots__ = ("text", "_lo", "_hi", "_views", "_tokens")
+    __slots__ = ("text", "_lo", "_hi", "_views")
 
     def __init__(self, text: str, lo: int, hi: int, views: _TermViews) -> None:
         self.text = text
         self._lo = lo
         self._hi = hi
         self._views = views
-        self._tokens: tuple[Token, ...] | None = None
 
     @property
     def vocab(self) -> Vocabulary:
@@ -165,16 +166,30 @@ class ParagraphTerms:
 
     @property
     def tokens(self) -> tuple[Token, ...]:
-        """Token objects with character spans (lazy; cached)."""
-        toks = self._tokens
-        if toks is None:
-            v, text, lo, hi = self._views, self.text, self._lo, self._hi
-            toks = tuple(
-                Token(text[s : s + ln], s, s + ln)
-                for s, ln in zip(v.starts[lo:hi], v.lengths[lo:hi])
-            )
-            self._tokens = toks
-        return toks
+        """Token objects with character spans (built per call)."""
+        v, text, lo, hi = self._views, self.text, self._lo, self._hi
+        return tuple(
+            Token(text[s : s + ln], s, s + ln)
+            for s, ln in zip(v.starts[lo:hi], v.lengths[lo:hi])
+        )
+
+    def token_texts(self) -> list[str]:
+        """Surface form of every token, in order (built per call)."""
+        v, text, lo, hi = self._views, self.text, self._lo, self._hi
+        return [
+            text[s : s + ln] for s, ln in zip(v.starts[lo:hi], v.lengths[lo:hi])
+        ]
+
+    def token_text(self, i: int) -> str:
+        """Surface form of token ``i``."""
+        v, k = self._views, self._lo + i
+        start = v.starts[k]
+        return self.text[start : start + v.lengths[k]]
+
+    def char_span(self, i: int, j: int) -> tuple[int, int]:
+        """Character span ``(start, end)`` covered by tokens ``[i, j)``."""
+        v, last = self._views, self._lo + j - 1
+        return v.starts[self._lo + i], v.starts[last] + v.lengths[last]
 
     @property
     def stems_at(self) -> tuple[str, ...]:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.nlp import Entity, EntityRecognizer, EntityType, Gazetteer
+from repro.nlp import Entity, EntityRecognizer, EntityType, Gazetteer, tokenize
 
 
 @pytest.fixture()
@@ -36,6 +36,16 @@ class TestGazetteer:
         g.add("A", EntityType.PERSON)
         g.add("One Two Three Four", EntityType.ORGANIZATION)
         assert g.max_phrase_len == 4
+
+    def test_longest_match_prefers_the_longer_phrase(self):
+        g = Gazetteer()
+        g.add("New York", EntityType.LOCATION)
+        g.add("New York Times", EntityType.ORGANIZATION)
+        lowered = ["the", "new", "york", "times", "new", "york"]
+        assert g.longest_match(lowered, 0) is None
+        assert g.longest_match(lowered, 1) == (4, EntityType.ORGANIZATION)
+        assert g.longest_match(lowered, 2) is None  # not a phrase start
+        assert g.longest_match(lowered, 4) == (6, EntityType.LOCATION)
 
     def test_empty_phrase_rejected(self):
         with pytest.raises(ValueError):
@@ -138,6 +148,23 @@ class TestRecognizer:
         text = "Smithers Malone walked in"
         dates = recognizer.recognize_typed(text, EntityType.DATE)
         assert dates == []
+
+    def test_spans_are_recognize_without_the_text(self, recognizer):
+        text = (
+            "The Polish Pope John Paul II met Dr. Alan Smith on January 5, "
+            "1999 , paid $3 million ( 15% ) and walked 300 meters in 3 days."
+        )
+        tokens = tokenize(text)
+        spans = recognizer.spans([tok.text for tok in tokens])
+        assert [etype for _, _, etype in spans] == [
+            EntityType.NATIONALITY, EntityType.PERSON, EntityType.PERSON,
+            EntityType.DATE, EntityType.MONEY, EntityType.PERCENT,
+            EntityType.DISTANCE, EntityType.DURATION,
+        ]
+        assert recognizer.recognize(text, tokens) == [
+            Entity.from_tokens(text, tokens, i, j, etype)
+            for i, j, etype in spans
+        ]
 
     def test_empty_text(self, recognizer):
         assert recognizer.recognize("") == []

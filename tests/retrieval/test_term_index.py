@@ -46,6 +46,12 @@ def test_paragraph_terms_cover_every_token():
             assert terms is not None
             tokens = tokenize(para.text)
             assert list(terms.tokens) == tokens
+            # the packed accessors AP reads instead of token objects
+            assert terms.token_texts() == [tok.text for tok in tokens]
+            for i, tok in enumerate(tokens):
+                assert terms.token_text(i) == tok.text
+                for j in range(i + 1, len(tokens) + 1):
+                    assert terms.char_span(i, j) == (tok.start, tokens[j - 1].end)
             assert len(terms.stems_at) == len(tokens)
             # positions map is exactly the inverse of stems_at
             for i, s in enumerate(terms.stems_at):

@@ -16,6 +16,9 @@ from repro.nlp import EntityRecognizer
 from repro.observability.attribution import attribute_question
 from repro.observability.metrics import MetricsRegistry, gauge_label
 from repro.observability.names import (
+    AP_ENTITY_LAYER_HITS,
+    AP_ENTITY_LAYER_MISSES,
+    AP_ENTITY_LAYER_PARAGRAPHS,
     CONJUNCTION_CACHE_HITS,
     POSTINGS_SCANNED,
     SERVING_ANSWERED,
@@ -327,3 +330,12 @@ class TestMergedWorkerMetrics:
         labeled = gauge_label(CONJUNCTION_CACHE_HITS, "worker=0")
         assert labeled in agg
         assert CONJUNCTION_CACHE_HITS not in agg
+        # AP's entity layer rides the same snapshot, as it stands now.
+        layer = metrics_pipeline.ap.entity_layer_stats
+        assert layer["misses"] == layer["paragraphs"] > 0
+        for name, key in (
+            (AP_ENTITY_LAYER_HITS, "hits"),
+            (AP_ENTITY_LAYER_MISSES, "misses"),
+            (AP_ENTITY_LAYER_PARAGRAPHS, "paragraphs"),
+        ):
+            assert agg.value(gauge_label(name, "worker=0")) == layer[key]
