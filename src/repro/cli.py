@@ -816,14 +816,15 @@ def main(argv: t.Sequence[str] | None = None) -> None:
     loadgen.add_argument("--drain-timeout", type=float, default=60.0)
     loadgen.add_argument(
         "--batch", type=int, default=1,
-        help="serving micro-batch size: accepted questions are grouped up "
-        "to B per answer_batch worker request (1 = unbatched; admission "
-        "decisions and their digest are unchanged)",
+        help="serving micro-batch size: while every worker is busy, "
+        "accepted questions are grouped up to B per answer_batch worker "
+        "request (1 = unbatched; admission decisions and their digest "
+        "are unchanged)",
     )
     loadgen.add_argument(
         "--batch-wait", type=float, default=0.005,
         help="seconds the oldest buffered request may wait before a "
-        "partial micro-batch is flushed",
+        "partial micro-batch is queued behind the busy workers",
     )
     loadgen.add_argument(
         "--decisions-out", default=None,

@@ -53,6 +53,8 @@ __all__ = [
     "PS_PARAGRAPH_BYTES",
     "SERVING_ADMISSION_WAIT_S",
     "SERVING_ANSWERED",
+    "SERVING_BATCH_BUFFER_WAIT_S",
+    "SERVING_BATCH_SIZE",
     "SERVING_DEADLINE_VIOLATIONS",
     "SERVING_DRAINED",
     "SERVING_LATENCY_S",
@@ -65,6 +67,7 @@ __all__ = [
     "SERVING_SUBMITTED",
     "SERVING_TRACES_SAMPLED",
     "SERVING_TRACE_SPANS",
+    "SERVING_WORKER_ERRORS",
     "STEM_CACHE_HITS",
     "STEM_CACHE_MISSES",
     "TASK_RETRIES",
@@ -168,6 +171,14 @@ SERVING_ADMISSION_WAIT_S = "serving.admission_wait_s"
 SERVING_LATENCY_S = "serving.latency_s"
 #: Pipeline execution time inside the worker (histogram, seconds).
 SERVING_SERVICE_S = "serving.service_s"
+#: Answered questions whose worker pipeline raised (counted inside
+#: ``serving.answered``; the error text is on the ``ServeResponse``).
+SERVING_WORKER_ERRORS = "serving.worker_errors"
+#: The micro-batcher's line in the ledger, observed once per flushed
+#: unit: questions in the unit, and how long its oldest request sat in
+#: the buffer (histograms; that wait is part of ``admission_wait_s``).
+SERVING_BATCH_SIZE = "serving.batch.size"
+SERVING_BATCH_BUFFER_WAIT_S = "serving.batch.buffer_wait_s"
 
 # -- cross-process telemetry plane (PR 8) -------------------------------------
 #: Questions whose worker-side detail trace was head-sampled.

@@ -41,6 +41,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ..corpus import CorpusConfig, TrecQuestion
+from ..observability.names import SERVING_BATCH_SIZE
 from ..workload.arrivals import poisson_arrivals
 from ..workload.metrics import summarize_samples
 from .admission import AdmissionConfig
@@ -94,12 +95,15 @@ class LoadgenConfig:
     drain_timeout_s: float = 60.0
     #: Keep the full per-question decision list in each run record.
     record_decisions: bool = False
-    #: Serving-side micro-batch size (PR 7): accepted questions are
-    #: grouped up to this many per ``answer_batch`` call.  ``1`` keeps
-    #: the unbatched request-per-question path.  Admission decisions are
-    #: made before batching, so the decision digest is unchanged.
+    #: Serving-side micro-batch size: while every worker is busy,
+    #: accepted questions are grouped up to this many per
+    #: ``answer_batch`` call (an idle worker gets a question at once,
+    #: alone).  ``1`` keeps the unbatched request-per-question path.
+    #: Admission decisions are made before batching, so the decision
+    #: digest is unchanged.
     batch_max: int = 1
-    #: Oldest-request age that forces a partial micro-batch flush.
+    #: Oldest-request age at which a partial micro-batch is queued
+    #: behind the busy workers.
     batch_wait_s: float = 0.005
     #: Head-sampling rate for stitched worker traces (PR 8).  Sampling
     #: is decided after admission from ``(trace_seed, seq)`` alone, so
@@ -363,6 +367,11 @@ def _run_once(
             "batch_max": config.batch_max,
             "n_batched_questions": len(batch_spans),
         }
+        units = server.metrics.get(SERVING_BATCH_SIZE)
+        if units is not None:  # dispatched units, singles included
+            run["batch"]["units"] = units.count
+            run["batch"]["unit_size_mean"] = units.mean
+            run["batch"]["unit_size_max"] = units.max
         if batch_spans:
             run["batch"]["sharing_factor_mean"] = sum(
                 s.attrs["sharing_factor"] for s in batch_spans
@@ -630,7 +639,8 @@ def format_serving(summary: dict[str, t.Any]) -> str:
         )
         lines.append(
             f"micro-batching: up to {bat['batch_max']} questions per worker "
-            f"request (flush at {bat.get('batch_wait_s', 0.0) * 1e3:.1f} ms)"
+            f"request while every worker is busy (age bound "
+            f"{bat.get('batch_wait_s', 0.0) * 1e3:.1f} ms)"
             f"{mean_txt}"
         )
     tel = summary.get("telemetry") or {}

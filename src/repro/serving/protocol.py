@@ -117,7 +117,8 @@ class ServeResponse:
     answers: tuple[tuple[str, float], ...] = ()
     #: Measured seconds from submit to completion (ANSWERED only).
     latency_s: float = 0.0
-    #: Measured seconds the request waited before a worker picked it up.
+    #: Measured seconds the request waited before a worker picked it up,
+    #: time in the micro-batch buffer included.
     admission_wait_s: float = 0.0
     #: Measured seconds of pipeline execution.
     service_s: float = 0.0
@@ -129,6 +130,9 @@ class ServeResponse:
     #: True when the measured latency exceeded the question's sojourn
     #: budget (the admission deadline, judged retrospectively).
     deadline_violated: bool = False
+    #: The worker's exception, when its pipeline raised on this question:
+    #: the outcome is still ANSWERED, with no answers.
+    error: str = ""
 
     @property
     def answered(self) -> bool:

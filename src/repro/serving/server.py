@@ -33,6 +33,15 @@ optional :class:`~repro.observability.telemetry.TelemetryWriter`
 streams sampled/forced per-question records plus SLO transitions to a
 ``telemetry.jsonl`` file.
 
+Dispatch is **work-conserving**: with ``batch_max > 1`` an accepted
+request goes to the pool at once whenever a worker is idle (the pool
+counts dispatched-and-unfinished units), as a plain single-question
+request.  Requests are buffered only while every worker is busy, and
+the buffer is flushed as one ``answer_batch`` unit when it reaches
+``batch_max``, when its oldest request has waited ``batch_wait_s``, or
+the moment a completion frees a worker — so batch size follows load
+(≈1 when idle, ``batch_max`` at saturation) instead of a timer.
+
 Lifecycle: ``start() -> submit()* / poll()* -> drain() -> stop()``.
 ``drain`` is graceful: admission flips to shedding ``DRAINING``,
 in-flight questions get ``drain_timeout_s`` to finish, and whatever is
@@ -51,6 +60,8 @@ from ..observability.metrics import MetricsRegistry
 from ..observability.names import (
     SERVING_ADMISSION_WAIT_S,
     SERVING_ANSWERED,
+    SERVING_BATCH_BUFFER_WAIT_S,
+    SERVING_BATCH_SIZE,
     SERVING_DEADLINE_VIOLATIONS,
     SERVING_DRAINED,
     SERVING_LATENCY_S,
@@ -63,6 +74,7 @@ from ..observability.names import (
     SERVING_SUBMITTED,
     SERVING_TRACES_SAMPLED,
     SERVING_TRACE_SPANS,
+    SERVING_WORKER_ERRORS,
 )
 from ..observability.spans import Span, SpanCategory, SpanStream
 from ..observability.telemetry import HeadSampler, TelemetryWriter, graft_spans
@@ -93,14 +105,17 @@ class ServerConfig:
     workers: int = 3
     #: Seconds in-flight questions get to finish at shutdown.
     drain_timeout_s: float = 60.0
-    #: Admission-side micro-batcher (PR 7): accepted questions are held
-    #: until ``batch_max`` accumulate or the oldest has waited
-    #: ``batch_wait_s``, then handed to one worker as a single
-    #: ``answer_batch`` request.  ``1`` disables batching.  Admission
+    #: Admission-side micro-batcher: the most accepted questions handed
+    #: to one worker as a single ``answer_batch`` unit.  A question is
+    #: buffered only while every worker is busy; while one is idle it is
+    #: dispatched at once, alone.  ``1`` bypasses the batcher.  Admission
     #: decisions are made *before* buffering, so the accept/shed decision
     #: sequence (and the loadgen's decision digest) is byte-identical to
     #: unbatched serving by construction.
     batch_max: int = 1
+    #: Age bound of the buffer: with every worker busy and fewer than
+    #: ``batch_max`` buffered, the unit is queued behind the busy workers
+    #: once its oldest request has waited this long.
     batch_wait_s: float = 0.005
     #: Observability switches (spans cost memory on long runs).
     metrics_enabled: bool = True
@@ -282,8 +297,7 @@ class QAServer:
                 )
             if self._batching:
                 self._batch_buf.append((seq, qid, text, submit_wall, trace))
-                if len(self._batch_buf) >= self.config.batch_max:
-                    self._flush_batch()
+                self._pump_batch()
             elif trace is not None:
                 self.pool.submit(seq, qid, text, submit_wall, trace)
             else:
@@ -329,16 +343,34 @@ class QAServer:
         return self.config.batch_max > 1 and hasattr(self.pool, "submit_batch")
 
     def _flush_batch(self) -> None:
-        """Hand the buffered accepted requests to one worker as a batch."""
-        if not self._batch_buf:
+        """Hand the buffered accepted requests to one worker as one unit."""
+        buf = self._batch_buf
+        if not buf:
             return
-        buf, self._batch_buf = self._batch_buf, []
-        self.pool.submit_batch(buf)
+        self._batch_buf = []
+        if self.metrics.enabled:
+            self.metrics.observe(SERVING_BATCH_SIZE, float(len(buf)))
+            self.metrics.observe(
+                SERVING_BATCH_BUFFER_WAIT_S, max(0.0, time.time() - buf[0][3])
+            )
+        if len(buf) == 1:
+            # A unit of one is a plain request: ``answer`` gives the same
+            # outputs as ``answer_batch`` of one without the planner pass.
+            self.pool.submit(*buf[0])
+        else:
+            self.pool.submit_batch(buf)
 
-    def _maybe_flush_batch(self) -> None:
-        """Flush on age: the oldest buffered request waited long enough."""
-        if self._batch_buf and (
-            time.time() - self._batch_buf[0][3] >= self.config.batch_wait_s
+    def _pump_batch(self) -> None:
+        """The flush rule: never hold a request while a worker is idle.
+
+        With every worker busy the buffer fills, and still goes out on
+        size or on the age of its oldest request.
+        """
+        buf = self._batch_buf
+        if buf and (
+            len(buf) >= self.config.batch_max
+            or self.pool.idle_workers > 0
+            or time.time() - buf[0][3] >= self.config.batch_wait_s
         ):
             self._flush_batch()
 
@@ -365,10 +397,13 @@ class QAServer:
             worker_pid=res.worker_pid,
             sampled=stitched,
             deadline_violated=violated,
+            error=res.error,
         )
         self.responses.append(response)
         self.ledger.record(Outcome.ANSWERED)
         self.metrics.inc(SERVING_ANSWERED)
+        if res.error:
+            self.metrics.inc(SERVING_WORKER_ERRORS)
         self.metrics.observe(SERVING_LATENCY_S, latency)
         self.metrics.observe(SERVING_ADMISSION_WAIT_S, res.wait_s)
         self.metrics.observe(SERVING_SERVICE_S, res.service_s)
@@ -475,8 +510,9 @@ class QAServer:
 
     def poll(self) -> int:
         """Fold any finished questions into the ledger; returns the count."""
-        self._maybe_flush_batch()
         results = self.pool.poll()
+        # A completion may have freed a worker, and the buffer ages.
+        self._pump_batch()
         for res in results:
             self._complete(res)
         return len(results)
@@ -551,7 +587,7 @@ class QAServer:
         Counters sum across processes; gauges keep one labeled value
         per worker (``name{worker=<pid>}``); histograms merge with
         deterministic decimation.  Worker snapshots arrive piggybacked
-        on the response queue, newest-wins per pid (they're cumulative).
+        on the reply pipes, newest-wins per pid (they're cumulative).
         """
         agg = MetricsRegistry()
         if self.metrics.enabled and len(self.metrics):

@@ -14,20 +14,36 @@ Two interchangeable executors sit behind
   tests and the ``workers=0`` debug mode; same result surface, no IPC.
 
 Both speak :class:`ExecutionResult`, the minimal completion record the
-server folds into ledger + metrics + spans.  Requests cross the process
-boundary as plain tuples ``(seq, qid, text, submit_wall, trace)`` — or,
-for the micro-batcher, as ``("batch", [tuples...])``, executed through
+server folds into ledger + metrics + spans, and both run a dispatched
+unit through the same :func:`_execute`.  A unit is what one worker takes
+in one piece: a plain request tuple ``(seq, qid, text, submit_wall,
+trace)``, run through ``QAPipeline.answer``, or — when the micro-batcher
+flushed more than one request — ``("batch", [tuples...])``, run through
 ``QAPipeline.answer_batch`` so duplicate questions replay and posting
-fetches are shared — and results come back as tagged tuples — tiny,
-picklable, and version-free.  ``trace`` is the optional
+fetches are shared.  ``trace`` is the optional
 :class:`~repro.observability.telemetry.TraceContext` wire pair: when
 present, the worker returns a packed span subtree built from its
 measured module timings with the reply, which the server grafts into
 its own stream to form one stitched tree per question.
 
+IPC: requests go out on one shared ``multiprocessing.Queue`` (FIFO
+hand-off to whichever worker is free); replies come back on one
+``Pipe(duplex=False)`` per worker, written synchronously by that worker
+— no feeder thread has to win the GIL from the pipeline — and collected
+in the parent with ``multiprocessing.connection.wait``.  Each unit is
+answered by exactly one ``("done", [records...])`` message, a record
+being a plain tuple in ``ExecutionResult`` field order — tiny,
+picklable, and version-free.  The pool therefore sees every dispatch
+and every completion and keeps the count of unfinished units
+(:attr:`ProcessWorkerPool.idle_workers`), which is what makes the
+server's micro-batcher work-conserving.  EOF on a reply pipe means the
+worker died: the pool records its pid in
+:attr:`ProcessWorkerPool.lost_workers` and stops waiting for it
+(detection only — its in-flight questions end up ``DRAINED``).
+
 Each worker also runs its pipeline against a private
 :class:`~repro.observability.metrics.MetricsRegistry` and piggybacks
-periodic snapshots on the response queue (plus a final one at drain);
+periodic snapshots on its reply pipe (plus a final one at drain);
 the pool keeps the latest snapshot per worker in
 :attr:`ProcessWorkerPool.worker_snapshots` for the server's aggregated
 registry — counters from all workers sum, gauges stay labeled per pid.
@@ -37,10 +53,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import queue as queue_mod
 import time
 import typing as t
 from dataclasses import dataclass
+from multiprocessing import connection
+from multiprocessing.connection import Connection
 
 from ..corpus import CorpusConfig
 from ..observability.metrics import MetricsRegistry
@@ -66,7 +83,8 @@ class ExecutionResult:
     seq: int
     qid: int
     answers: tuple[tuple[str, float], ...]
-    #: Seconds between submit and a worker picking the request up.
+    #: Seconds between submit and a worker picking the request up; this
+    #: includes any time the request sat in the server's micro-batch buffer.
     wait_s: float
     #: Seconds of pipeline execution.
     service_s: float
@@ -96,141 +114,128 @@ def _request_fields(
     return seq, qid, text, submit_wall, trace
 
 
+def _span_reply(
+    trace: tuple[str, int] | None,
+    timings: t.Any,
+    service_s: float,
+    batch: tuple[int, int, float, float] | None = None,
+) -> tuple[str, int, tuple["PackedSpan", ...]] | None:
+    """The packed worker subtree a traced request gets back with its reply."""
+    if trace is None:
+        return None
+    return trace[0], trace[1], worker_span_records(timings, service_s, batch=batch)
+
+
+def _execute(
+    pipeline: "QAPipeline", unit: tuple[t.Any, ...], pid: int
+) -> list[tuple[t.Any, ...]]:
+    """Run one dispatched unit: a plain request or ``("batch", [requests])``.
+
+    Returns one record per question, in :class:`ExecutionResult` field
+    order (the reply wire format).  A pipeline exception is caught here —
+    every question of the unit must still be accounted for — and reported
+    in the ``error`` field of each of its records.
+    """
+    picked_wall = time.time()
+    t0 = time.perf_counter()
+    if unit[0] == "batch":
+        entries: list[tuple[t.Any, ...]] = unit[1]
+        try:
+            results = pipeline.answer_batch(
+                [e[2] for e in entries], [e[1] for e in entries]
+            )
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            per_item = (time.perf_counter() - t0) / max(1, len(entries))
+            return [
+                (e[0], e[1], (), max(0.0, picked_wall - e[3]), per_item, pid, error)
+                for e in entries
+            ]
+        stats = pipeline.last_batch_stats
+        binfo = (
+            len(entries),
+            stats.n_distinct,
+            stats.sharing_factor,
+            stats.amortized_postings_scanned,
+        )
+        records = []
+        for entry, r in zip(entries, results):
+            seq, qid, _text, submit_wall, trace = _request_fields(entry)
+            records.append(
+                (
+                    seq,
+                    qid,
+                    _digest_answers(r.answers),
+                    max(0.0, picked_wall - submit_wall),
+                    r.timings.total,
+                    pid,
+                    "",
+                    r.timings.pr,
+                    binfo,
+                    _span_reply(trace, r.timings, r.timings.total, binfo),
+                )
+            )
+        return records
+    seq, qid, text, submit_wall, trace = _request_fields(unit)
+    wait_s = max(0.0, picked_wall - submit_wall)
+    try:
+        result = pipeline.answer(text, qid=qid)
+    except Exception as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        return [(seq, qid, (), wait_s, time.perf_counter() - t0, pid, error)]
+    service_s = time.perf_counter() - t0
+    return [
+        (
+            seq,
+            qid,
+            _digest_answers(result.answers),
+            wait_s,
+            service_s,
+            pid,
+            "",
+            result.timings.pr,
+            None,
+            _span_reply(trace, result.timings, service_s),
+        )
+    ]
+
+
 def _worker_main(
     config: CorpusConfig,
     requests: "multiprocessing.queues.Queue[t.Any]",
-    responses: "multiprocessing.queues.Queue[t.Any]",
+    replies: Connection,
     snapshot_every: int = _SNAPSHOT_EVERY,
 ) -> None:
-    """Worker process body: attach, announce readiness, serve until sentinel."""
+    """Worker process body: attach, announce readiness, serve until sentinel.
+
+    This process is the only writer of ``replies``, and writes it
+    synchronously: one ``("done", records)`` message per dispatched unit.
+    """
     from ..experiments.context import build_serving_context
 
     metrics = MetricsRegistry()
     ctx = build_serving_context(config, metrics=metrics)
     pid = os.getpid()
-    responses.put(("ready", pid, ctx.index_source, ctx.index_seconds))
+    replies.send(("ready", pid, ctx.index_source, ctx.index_seconds))
     completed = 0
     last_snapshot_at = 0
-
-    def maybe_snapshot(force: bool = False) -> None:
-        nonlocal last_snapshot_at
-        due = (
+    while True:
+        unit = requests.get()
+        if unit is None:
+            if len(metrics):
+                replies.send(("metrics", pid, metrics.snapshot()))
+            replies.send(("bye", pid))
+            return
+        records = _execute(ctx.pipeline, unit, pid)
+        replies.send(("done", records))
+        completed += len(records)
+        if (
             snapshot_every > 0
             and completed - last_snapshot_at >= snapshot_every
-        )
-        if (due or force) and len(metrics):
+            and len(metrics)
+        ):
             last_snapshot_at = completed
-            responses.put(("metrics", pid, metrics.snapshot()))
-
-    while True:
-        item = requests.get()
-        if item is None:
-            maybe_snapshot(force=True)
-            responses.put(("bye", pid))
-            return
-        if isinstance(item, tuple) and item[0] == "batch":
-            entries: list[tuple[t.Any, ...]] = item[1]
-            picked_wall = time.time()
-            t0 = time.perf_counter()
-            try:
-                batch_results = ctx.pipeline.answer_batch(
-                    [e[2] for e in entries], [e[1] for e in entries]
-                )
-                stats = ctx.pipeline.last_batch_stats
-                binfo = (
-                    len(entries),
-                    stats.n_distinct,
-                    stats.sharing_factor,
-                    stats.amortized_postings_scanned,
-                )
-                for entry, r in zip(entries, batch_results):
-                    seq, qid, _text, submit_wall, trace = _request_fields(entry)
-                    spans_wire = None
-                    if trace is not None:
-                        spans_wire = (
-                            trace[0],
-                            trace[1],
-                            worker_span_records(
-                                r.timings, r.timings.total, batch=binfo
-                            ),
-                        )
-                    responses.put(
-                        (
-                            "done",
-                            seq,
-                            qid,
-                            _digest_answers(r.answers),
-                            max(0.0, picked_wall - submit_wall),
-                            r.timings.total,
-                            pid,
-                            "",
-                            r.timings.pr,
-                            binfo,
-                            spans_wire,
-                        )
-                    )
-            except Exception as exc:  # account every item of the batch
-                error = f"{type(exc).__name__}: {exc}"
-                service_s = time.perf_counter() - t0
-                per_item = service_s / max(1, len(entries))
-                for entry in entries:
-                    seq, qid, _text, submit_wall, _trace = _request_fields(entry)
-                    responses.put(
-                        (
-                            "done",
-                            seq,
-                            qid,
-                            (),
-                            max(0.0, picked_wall - submit_wall),
-                            per_item,
-                            pid,
-                            error,
-                            0.0,
-                            None,
-                            None,
-                        )
-                    )
-            completed += len(entries)
-            maybe_snapshot()
-            continue
-        seq, qid, text, submit_wall, trace = _request_fields(item)
-        picked_wall = time.time()
-        t0 = time.perf_counter()
-        spans_wire = None
-        try:
-            result = ctx.pipeline.answer(text, qid=qid)
-            answers = _digest_answers(result.answers)
-            pr_s = result.timings.pr
-            error = ""
-        except Exception as exc:  # the question must still be accounted for
-            result = None
-            answers = ()
-            pr_s = 0.0
-            error = f"{type(exc).__name__}: {exc}"
-        service_s = time.perf_counter() - t0
-        if trace is not None and result is not None:
-            spans_wire = (
-                trace[0],
-                trace[1],
-                worker_span_records(result.timings, service_s),
-            )
-        responses.put(
-            (
-                "done",
-                seq,
-                qid,
-                answers,
-                max(0.0, picked_wall - submit_wall),
-                service_s,
-                pid,
-                error,
-                pr_s,
-                None,
-                spans_wire,
-            )
-        )
-        completed += 1
-        maybe_snapshot()
+            replies.send(("metrics", pid, metrics.snapshot()))
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -242,7 +247,7 @@ def _pool_context() -> multiprocessing.context.BaseContext:
 
 
 class ProcessWorkerPool:
-    """N worker processes sharing one request queue (FIFO hand-off)."""
+    """N worker processes: one shared request queue, one reply pipe each."""
 
     def __init__(
         self,
@@ -257,11 +262,17 @@ class ProcessWorkerPool:
         self.workers = workers
         self.start_timeout_s = start_timeout_s
         self.snapshot_every = snapshot_every
-        ctx = _pool_context()
-        self._requests: multiprocessing.queues.Queue[t.Any] = ctx.Queue()
-        self._responses: multiprocessing.queues.Queue[t.Any] = ctx.Queue()
+        self._ctx = _pool_context()
+        self._requests: multiprocessing.queues.Queue[t.Any] = self._ctx.Queue()
         self._procs: list[multiprocessing.process.BaseProcess] = []
-        self._ctx = ctx
+        #: Read end of each live worker's reply pipe -> its pid.  A worker
+        #: leaves on ``bye`` or on EOF (a closed pipe is always "ready").
+        self._readers: dict[Connection, int] = {}
+        #: Units dispatched and not yet replied to.
+        self._outstanding = 0
+        #: Pids whose reply pipe hit EOF before ``bye``: the worker died.
+        #: Detection only; its in-flight questions never complete.
+        self.lost_workers: list[int] = []
         #: Per-worker index provenance, filled by the ready handshake:
         #: {pid: ("cache"|"built", seconds)}.
         self.attach_report: dict[int, tuple[str, float]] = {}
@@ -281,35 +292,31 @@ class ProcessWorkerPool:
         corpus = load_or_generate_corpus(self.config)
         load_or_build_indexes(corpus, self.config)
         for _ in range(self.workers):
+            reader, writer = self._ctx.Pipe(duplex=False)
             p = self._ctx.Process(
                 target=_worker_main,
-                args=(
-                    self.config,
-                    self._requests,
-                    self._responses,
-                    self.snapshot_every,
-                ),
+                args=(self.config, self._requests, writer, self.snapshot_every),
                 daemon=True,
             )
             p.start()
+            # The worker holds the only write end, so its death is an EOF.
+            writer.close()
             self._procs.append(p)
+            self._readers[reader] = p.pid
         deadline = time.monotonic() + self.start_timeout_s
         while len(self.attach_report) < self.workers:
             remaining = deadline - time.monotonic()
-            if remaining <= 0:
+            if remaining <= 0 or self.lost_workers:
                 raise TimeoutError(
                     f"only {len(self.attach_report)}/{self.workers} workers "
-                    "became ready"
+                    f"became ready (died: {self.lost_workers})"
                 )
-            try:
-                msg = self._responses.get(timeout=remaining)
-            except queue_mod.Empty:
-                continue
-            if msg[0] == "ready":
-                _, pid, source, seconds = msg
-                self.attach_report[pid] = (source, seconds)
-            elif msg[0] == "metrics":
-                self.worker_snapshots[msg[1]] = msg[2]
+            self._receive(remaining)
+
+    @property
+    def idle_workers(self) -> int:
+        """Live workers beyond the dispatched-and-unfinished units."""
+        return max(0, len(self._readers) - self._outstanding)
 
     def submit(
         self,
@@ -319,77 +326,58 @@ class ProcessWorkerPool:
         submit_wall: float,
         trace: tuple[str, int] | None = None,
     ) -> None:
+        self._outstanding += 1
         self._requests.put((seq, qid, text, submit_wall, trace))
 
     def submit_batch(self, items: t.Sequence[tuple[t.Any, ...]]) -> None:
         """Hand a micro-batch to one worker as a single request."""
+        self._outstanding += 1
         self._requests.put(("batch", list(items)))
 
-    def _to_result(self, msg: tuple[t.Any, ...]) -> ExecutionResult:
-        (
-            _,
-            seq,
-            qid,
-            answers,
-            wait_s,
-            service_s,
-            pid,
-            error,
-            pr_s,
-            batch,
-            spans,
-        ) = msg
-        return ExecutionResult(
-            seq=seq,
-            qid=qid,
-            answers=answers,
-            wait_s=wait_s,
-            service_s=service_s,
-            worker_pid=pid,
-            error=error,
-            pr_s=pr_s,
-            batch=batch,
-            spans=spans,
-        )
+    def _receive(self, timeout_s: float) -> list[ExecutionResult]:
+        """Read every reply pipe that becomes readable within ``timeout_s``."""
+        out: list[ExecutionResult] = []
+        for conn in connection.wait(list(self._readers), timeout_s):
+            try:
+                while conn.poll():
+                    msg = conn.recv()
+                    if msg[0] == "done":
+                        self._outstanding -= 1
+                        out.extend(ExecutionResult(*rec) for rec in msg[1])
+                    elif msg[0] == "metrics":
+                        self.worker_snapshots[msg[1]] = msg[2]
+                    elif msg[0] == "ready":
+                        self.attach_report[msg[1]] = (msg[2], msg[3])
+                    elif msg[0] == "bye":
+                        del self._readers[conn]
+                        conn.close()
+                        break
+            except (EOFError, OSError):
+                self.lost_workers.append(self._readers.pop(conn))
+                conn.close()
+        return out
 
     def poll(self) -> list[ExecutionResult]:
         """Collect any completions without blocking."""
-        out: list[ExecutionResult] = []
-        while True:
-            try:
-                msg = self._responses.get_nowait()
-            except queue_mod.Empty:
-                return out
-            if msg[0] == "done":
-                out.append(self._to_result(msg))
-            elif msg[0] == "metrics":
-                self.worker_snapshots[msg[1]] = msg[2]
+        return self._receive(0)
 
     def drain(self, timeout_s: float) -> list[ExecutionResult]:
-        """Send sentinels, then collect completions until every worker exits.
+        """Send sentinels, then collect completions until every worker left.
 
-        Returns the completions received within ``timeout_s``; anything
-        still in flight afterwards is the caller's ``DRAINED`` set.
+        A worker leaves by saying ``bye`` or by dying (EOF), so a lost
+        worker is not waited for.  Returns the completions received
+        within ``timeout_s``; anything still in flight afterwards is the
+        caller's ``DRAINED`` set.
         """
         for _ in self._procs:
             self._requests.put(None)
         out: list[ExecutionResult] = []
-        byes = 0
         deadline = time.monotonic() + timeout_s
-        while byes < len(self._procs):
+        while self._readers:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 break
-            try:
-                msg = self._responses.get(timeout=remaining)
-            except queue_mod.Empty:
-                break
-            if msg[0] == "done":
-                out.append(self._to_result(msg))
-            elif msg[0] == "metrics":
-                self.worker_snapshots[msg[1]] = msg[2]
-            elif msg[0] == "bye":
-                byes += 1
+            out.extend(self._receive(remaining))
         return out
 
     def stop(self) -> None:
@@ -400,10 +388,17 @@ class ProcessWorkerPool:
         for p in self._procs:
             p.join(timeout=5.0)
         self._procs.clear()
+        for conn in self._readers:
+            conn.close()
+        self._readers.clear()
 
 
 class InlineExecutor:
-    """Synchronous in-process execution (``workers=0`` / unit tests)."""
+    """Synchronous in-process execution (``workers=0`` / unit tests).
+
+    Counts as one worker, busy from a dispatch until its completions
+    are collected by ``poll``.
+    """
 
     workers = 0
 
@@ -416,6 +411,10 @@ class InlineExecutor:
     def start(self) -> None:  # nothing to spawn
         pass
 
+    @property
+    def idle_workers(self) -> int:
+        return 0 if self._completed else 1
+
     def submit(
         self,
         seq: int,
@@ -424,92 +423,16 @@ class InlineExecutor:
         submit_wall: float,
         trace: tuple[str, int] | None = None,
     ) -> None:
-        t0 = time.perf_counter()
-        spans_wire = None
-        try:
-            result = self.pipeline.answer(text, qid=qid)
-            answers = _digest_answers(result.answers)
-            pr_s = result.timings.pr
-            error = ""
-        except Exception as exc:
-            result = None
-            answers = ()
-            pr_s = 0.0
-            error = f"{type(exc).__name__}: {exc}"
-        service_s = time.perf_counter() - t0
-        if trace is not None and result is not None:
-            spans_wire = (
-                trace[0],
-                trace[1],
-                worker_span_records(result.timings, service_s),
-            )
-        self._completed.append(
-            ExecutionResult(
-                seq=seq,
-                qid=qid,
-                answers=answers,
-                wait_s=0.0,
-                service_s=service_s,
-                worker_pid=0,
-                error=error,
-                pr_s=pr_s,
-                spans=spans_wire,
-            )
-        )
+        self._run((seq, qid, text, submit_wall, trace))
 
     def submit_batch(self, items: t.Sequence[tuple[t.Any, ...]]) -> None:
         """Execute a micro-batch inline through ``answer_batch``."""
-        try:
-            results = self.pipeline.answer_batch(
-                [i[2] for i in items], [i[1] for i in items]
-            )
-            stats = self.pipeline.last_batch_stats
-            binfo = (
-                len(items),
-                stats.n_distinct,
-                stats.sharing_factor,
-                stats.amortized_postings_scanned,
-            )
-            for item, r in zip(items, results):
-                seq, qid, _text, _wall, trace = _request_fields(item)
-                spans_wire = None
-                if trace is not None:
-                    spans_wire = (
-                        trace[0],
-                        trace[1],
-                        worker_span_records(
-                            r.timings, r.timings.total, batch=binfo
-                        ),
-                    )
-                self._completed.append(
-                    ExecutionResult(
-                        seq=seq,
-                        qid=qid,
-                        answers=_digest_answers(r.answers),
-                        wait_s=0.0,
-                        service_s=r.timings.total,
-                        worker_pid=0,
-                        error="",
-                        pr_s=r.timings.pr,
-                        batch=binfo,
-                        spans=spans_wire,
-                    )
-                )
-        except Exception as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            for item in items:
-                seq, qid, _text, _wall, _trace = _request_fields(item)
-                self._completed.append(
-                    ExecutionResult(
-                        seq=seq,
-                        qid=qid,
-                        answers=(),
-                        wait_s=0.0,
-                        service_s=0.0,
-                        worker_pid=0,
-                        error=error,
-                    )
-                )
+        self._run(("batch", list(items)))
+
+    def _run(self, unit: tuple[t.Any, ...]) -> None:
+        self._completed.extend(
+            ExecutionResult(*rec) for rec in _execute(self.pipeline, unit, 0)
+        )
 
     def poll(self) -> list[ExecutionResult]:
         out, self._completed = self._completed, []

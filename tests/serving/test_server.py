@@ -6,6 +6,10 @@ bound), accepted-question p99 stays within 3x of the at-saturation p99,
 question conservation is exact, and the drain is clean.
 """
 
+import os
+import signal
+import time
+
 import pytest
 
 from repro.corpus import CorpusConfig
@@ -161,3 +165,65 @@ class TestServerSurface:
             server.submit("anything", qid=0, arrival_s=0.0)
         assert server.ledger.balanced
         assert server.ledger.submitted == 1
+
+    def test_worker_exception_reaches_the_response(self):
+        """A pipeline exception is an answered question that says so."""
+        from repro.observability.names import SERVING_WORKER_ERRORS
+        from repro.serving.workers import InlineExecutor
+
+        class Broken:
+            def answer(self, text, qid=0):
+                raise ValueError("poisoned question")
+
+        server = QAServer(
+            ServerConfig(corpus=CORPUS, workers=0),
+            pool=InlineExecutor(Broken()),
+        )
+        with server:
+            server.submit("q0", qid=0, arrival_s=0.0)
+        (response,) = server.responses
+        assert response.answered and response.answers == ()
+        assert response.error == "ValueError: poisoned question"
+        assert server.metrics.value(SERVING_WORKER_ERRORS) == 1
+        assert server.ledger.balanced and server.ledger.answered == 1
+
+
+class TestLostWorker:
+    def test_killed_worker_is_detected_and_not_waited_for(self, shared_questions):
+        """SIGKILL one of two workers mid-run: detection, no hang, balance."""
+        server = QAServer(
+            ServerConfig(
+                corpus=CORPUS,
+                admission=AdmissionConfig(
+                    max_concurrent=64, max_queue_depth=4096, est_service_s=1e-4
+                ),
+                workers=2,
+                batch_max=64,
+                drain_timeout_s=30.0,
+                spans_enabled=False,
+            )
+        )
+        n = 600
+        with server:
+            pids = list(server.pool.attach_report)
+            for i in range(n):
+                q = shared_questions[i % len(shared_questions)]
+                server.submit(q.text, qid=q.qid, arrival_s=1e-3 * i)
+            # Both workers are deep in a long unit now (neither is inside
+            # the request queue's read lock): kill one of them.
+            time.sleep(0.02)
+            os.kill(pids[0], signal.SIGKILL)
+            deadline = time.monotonic() + 20.0
+            while not server.pool.lost_workers and time.monotonic() < deadline:
+                server.poll()  # keeps returning; EOF is not a busy loop
+                time.sleep(0.001)
+            assert server.pool.lost_workers == [pids[0]]
+            server.poll()
+            t0 = time.monotonic()
+            ledger = server.drain()
+            drain_s = time.monotonic() - t0
+        assert drain_s < 15.0  # the survivor's work, not drain_timeout_s
+        assert ledger.submitted == n and ledger.shed == 0
+        assert ledger.balanced
+        assert ledger.drained >= 1  # the killed worker's unit
+        assert ledger.answered + ledger.drained == n

@@ -109,14 +109,15 @@ class TestStitchedTree:
     def test_batched_tree_has_exactly_one_stage_span(
         self, metrics_pipeline, shared_questions
     ):
-        server = _serve(
-            QAServer(
-                _config(batch_max=3, batch_wait_s=10.0),
-                pool=InlineExecutor(metrics_pipeline),
-            ),
-            shared_questions,
-            n=6,
+        server = QAServer(
+            _config(batch_max=3, batch_wait_s=10.0),
+            pool=InlineExecutor(metrics_pipeline),
         )
+        with server:
+            # No poll in between: the inline worker stays busy after the
+            # first question, so the next three leave as one unit.
+            for i, q in enumerate(shared_questions[:6]):
+                server.submit(q.text, qid=q.qid, arrival_s=0.02 * i)
         answered = [
             r for r in server.responses if r.outcome is Outcome.ANSWERED
         ]
