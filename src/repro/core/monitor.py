@@ -99,7 +99,8 @@ class LoadMonitor:
             # blends the window average with the instantaneous state so
             # that a node that just went idle (or just got busy) is not
             # misjudged for a whole broadcast interval.
-            yield from self.node.run_cpu(self.measure_cpu_s)
+            if self.measure_cpu_s > 0:
+                yield self.node.cpu.use(self.measure_cpu_s).event
             cpu_win, disk_win = self.node.loads_since(checkpoints)
             checkpoints = self.node.load_checkpoints()
             cpu_load = 0.5 * cpu_win + 0.5 * self.node.cpu.active_jobs.value

@@ -11,6 +11,7 @@ collapse (Section 4.2).
 from __future__ import annotations
 
 import typing as t
+from collections import deque
 from dataclasses import dataclass
 
 from ..qa.costs import ModuleCost, ReferenceHardware
@@ -100,7 +101,7 @@ class ClusterNode:
         self.active_questions = 0
         #: Q/A tasks currently *executing* (admission-controlled).
         self.running_questions = 0
-        self._admission_waiters: list[Event] = []
+        self._admission_waiters: deque[Event] = deque()
         self.up = True
 
     # -- question admission (FIFO, bounded concurrency) ---------------------------
@@ -126,13 +127,13 @@ class ClusterNode:
     def release_question(self) -> None:
         """Free an execution slot, admitting the next waiter if any."""
         if self._admission_waiters:
-            self._admission_waiters.pop(0).succeed()
+            self._admission_waiters.popleft().succeed()
         else:
             self.running_questions = max(0, self.running_questions - 1)
 
     def fail_admission_waiters(self) -> None:
         """Reject every queued question (the node just died)."""
-        waiters, self._admission_waiters = self._admission_waiters, []
+        waiters, self._admission_waiters = self._admission_waiters, deque()
         for event in waiters:
             event.fail(NodeDown(self.node_id))
 

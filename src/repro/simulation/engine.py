@@ -112,7 +112,7 @@ class Process(Event):
     # -- engine internals -----------------------------------------------------
     def _resume(self, trigger: Event) -> None:
         """Advance the generator with the trigger event's outcome."""
-        if not self.is_alive:
+        if self._value is not _PENDING:
             return  # e.g. interrupted after normal completion scheduling
         # Detach from the event we were waiting on (interrupt case).
         waiting = self._waiting_on
@@ -124,44 +124,47 @@ class Process(Event):
                     pass
         self._waiting_on = None
 
-        self.env._active_process = self
+        # Every exit below clears the active process itself; a
+        # try/finally here is paid on each of the simulator's resumes.
+        env = self.env
+        env._active_process = self
         try:
-            if trigger.ok:
-                target = self._generator.send(trigger.value)
+            if trigger._ok:
+                target = self._generator.send(trigger._value)
             else:
-                exc = t.cast(BaseException, trigger.value)
-                target = self._generator.throw(exc)
+                target = self._generator.throw(
+                    t.cast(BaseException, trigger._value)
+                )
         except StopIteration as stop:
-            self.env._active_process = None
+            env._active_process = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self.env._active_process = None
+            env._active_process = None
             if self.callbacks:
                 self.fail(exc)
                 return
             # Nobody is listening: crash the simulation loudly.
             self._ok = False
             self._value = exc
-            self.env._schedule(self, delay=0.0)
-            self.env._crashed = (self, exc)
+            env._schedule(self, delay=0.0)
+            env._crashed = (self, exc)
             return
-        finally:
-            self.env._active_process = None
+        env._active_process = None
 
         if not isinstance(target, Event):
             raise TypeError(
                 f"process {self.name!r} yielded a non-event: {target!r}"
             )
-        if target.env is not self.env:
+        if target.env is not env:
             raise SimulationError("cannot wait on an event from another environment")
         if target.callbacks is None:
             # Already processed: resume immediately (same timestamp).
-            hub = Event(self.env)
+            hub = Event(env)
             hub._ok = target._ok
             hub._value = target._value
             hub.callbacks.append(self._resume)  # type: ignore[union-attr]
-            self.env._schedule(hub, delay=0.0, priority=_URGENT)
+            env._schedule(hub, delay=0.0, priority=_URGENT)
             self._waiting_on = hub
         else:
             target.callbacks.append(self._resume)
@@ -258,6 +261,24 @@ class Environment:
             heapq.heappush(
                 q.entries, (self._now + delay, priority, next(q._seq), event)
             )
+
+    def schedule_at(self, event: Event, when: float) -> None:
+        """Trigger ``event`` (value ``None``) to fire at the absolute instant ``when``.
+
+        ``env.timeout(when - now)`` would fire at ``now + (when - now)``,
+        which is not always ``when`` in floats; a caller that has computed
+        the instant (the fair-share timers) schedules it exactly.
+        """
+        if when < self._now:
+            raise ValueError(f"negative timeout delay: {when - self._now!r}")
+        if event._value is not _PENDING:
+            raise SimulationError(f"{event!r} has already been triggered")
+        event._value = None
+        q = self._queue
+        if self._is_calendar:
+            q.push(event, when, _NORMAL)
+        else:
+            heapq.heappush(q.entries, (when, _NORMAL, next(q._seq), event))
 
     def peek(self) -> float:
         """Time of the next scheduled event (``inf`` when queue is empty)."""

@@ -136,8 +136,8 @@ class Timeout(Event):
     """An event that fires after a fixed simulated delay.
 
     Timeouts are the engine's hottest allocation: one per simulated
-    delay, resource completion, and monitor round.  The constructor is
-    therefore kept lean — in particular the diagnostic name is *lazy*
+    delay and monitor round.  The constructor is therefore kept lean —
+    in particular the diagnostic name is *lazy*
     (``name`` stays ``None`` unless a caller passes one); formatting a
     per-event label costs more than the rest of the scheduling combined.
     """

@@ -15,18 +15,44 @@ generalized processor sharing: virtual time advances at rate ``C/Σw``, a
 job with demand ``D`` and weight ``w`` finishes when virtual time has
 advanced by ``D/w`` since its arrival.  Membership changes and capacity
 changes are O(log n).
+
+Timer discipline
+----------------
+A job should cost one trip through the event queue, so the resource does
+not re-push a timer at every change and does not send completions through
+the queue a second time:
+
+* *Lazy timers.*  Every membership or capacity change recomputes
+  ``_wake_at``, the absolute instant the head job is due (``now + dt``),
+  but pushes a timer only if none of the resource's timers still in the
+  queue (``_timers``) fires at or before it.  A timer that fires before
+  ``_wake_at`` — the due instant moved later after it was pushed — re-arms
+  for the same ``_wake_at`` and touches nothing else: virtual time only
+  advances at the instants it always did (an extra step would change the
+  rounding of every later completion time).  A timer left behind fires as
+  a no-op only when the due instant moved *earlier*.
+* *Inline completion.*  When a wakeup completes exactly one job and nothing
+  already queued is due at ``now``, the job's event is the one the loop
+  would pop next; it is fired on the spot — after the re-arm, whose timer
+  would have been queued behind it, and still drawing a sequence number so
+  that ``env._seq`` counts events fired.  In every other case completions
+  go through ``succeed()`` before the re-arm, so same-instant firing order
+  is the queue's own.
 """
 
 from __future__ import annotations
 
 import typing as t
+from heapq import heappop
 
 from .engine import Environment
-from .events import Event, SimulationError
+from .events import _PENDING, Event, SimulationError
 from .schedkey import SeqHeap
 from .statistics import TimeWeightedSignal
 
 __all__ = ["FairShareResource", "Job", "MemoryResource"]
+
+_INF = float("inf")
 
 
 class Job:
@@ -71,13 +97,20 @@ class FairShareResource:
         self.env = env
         self.name = name
         self._capacity = float(capacity)
-        self._jobs: set[Job] = set()
+        #: Active jobs in submission order (a dict, not a set: the weight
+        #: resync in ``_remove`` sums over it, and a float sum must not
+        #: depend on object addresses).
+        self._jobs: dict[Job, None] = {}
         #: Completion order: (target_v, seq, job) via the shared tiebreak.
         self._sched = SeqHeap()
         self._vtime = 0.0
         self._t_last = env.now
         self._weight_sum = 0.0
-        self._wakeup: Event | None = None
+        #: Absolute instant the head job is due (inf when idle).
+        self._wake_at = _INF
+        #: Fire times of this resource's timers still in the event queue,
+        #: latest first — a new timer is only ever pushed ahead of them all.
+        self._timers: list[float] = []
         #: Number of active jobs over time — feeds load metrics.
         self.active_jobs = TimeWeightedSignal(0.0, env.now)
         #: Busy (≥1 job) indicator over time — feeds utilisation metrics.
@@ -107,7 +140,7 @@ class FairShareResource:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self._advance()
         self._capacity = float(capacity)
-        self._reschedule()
+        self._arm()
 
     def use(self, demand: float, weight: float = 1.0, tag: object = None) -> Job:
         """Submit a demand; the returned job's ``event`` fires on completion.
@@ -129,14 +162,14 @@ class FairShareResource:
             return job
         self._advance()
         job._target_v = self._vtime + demand / weight
-        self._jobs.add(job)
+        self._jobs[job] = None
         self._weight_sum += weight
         self._sched.push(job, job._target_v)
-        now = self.env.now
+        now = self._t_last
         self.active_jobs.add(now, 1.0)
         if len(self._jobs) == 1:
             self.busy.set(now, 1.0)
-        self._reschedule()
+        self._arm()
         return job
 
     def cancel(self, job: Job) -> float:
@@ -152,7 +185,7 @@ class FairShareResource:
         self.cancelled_units += job.demand - remaining
         job._cancelled = True
         self._remove(job)
-        self._reschedule()
+        self._arm()
         return remaining
 
     def utilization(self, checkpoint: tuple[float, float]) -> float:
@@ -161,63 +194,81 @@ class FairShareResource:
 
     # -- internals -------------------------------------------------------------
     def _advance(self) -> None:
-        now = self.env.now
+        now = self.env._now
         if self._weight_sum > 0:
             self._vtime += (now - self._t_last) * self._capacity / self._weight_sum
         self._t_last = now
 
     def _remove(self, job: Job) -> None:
-        self._jobs.discard(job)
+        """Drop ``job`` from the active set (virtual time already at now)."""
+        jobs = self._jobs
+        del jobs[job]
         self._weight_sum -= job.weight
         if self._weight_sum < 1e-12:
-            self._weight_sum = 0.0 if not self._jobs else sum(
-                j.weight for j in self._jobs
-            )
-        now = self.env.now
+            self._weight_sum = 0.0 if not jobs else sum(j.weight for j in jobs)
+        now = self._t_last
         self.active_jobs.add(now, -1.0)
-        if not self._jobs:
+        if not jobs:
             self.busy.set(now, 0.0)
 
-    def _reschedule(self) -> None:
-        """(Re)arm the completion timer for the earliest-finishing job."""
-        # A superseded timer is detected in _on_wakeup by identity check;
-        # simply forgetting it here is enough.
-        self._wakeup = None
+    def _arm(self) -> None:
+        """Recompute when the earliest-finishing job is due and push a timer
+        unless a pending one fires by then (virtual time already at now)."""
         # Drop cancelled/stale heap entries.
-        sched = self._sched
-        entries = sched.entries
-        while entries and (entries[0][-1].cancelled or entries[0][-1].done):
-            sched.pop()
+        entries = self._sched.entries
+        while entries and (
+            entries[0][-1]._cancelled or entries[0][-1].event._value is not _PENDING
+        ):
+            heappop(entries)
         if not entries:
+            self._wake_at = _INF
             return
-        target_v = entries[0][0]
-        dt = max(0.0, (target_v - self._vtime) * self._weight_sum / self._capacity)
-        wakeup = self.env.timeout(dt)
-        self._wakeup = wakeup
-        wakeup.callbacks.append(self._on_wakeup)  # type: ignore[union-attr]
+        dt = max(0.0, (entries[0][0] - self._vtime) * self._weight_sum / self._capacity)
+        self._wake_at = wake_at = self._t_last + dt
+        timers = self._timers
+        if not timers or timers[-1] > wake_at:
+            timers.append(wake_at)
+            timer = Event(self.env)
+            timer.callbacks.append(self._on_wakeup)  # type: ignore[union-attr]
+            self.env.schedule_at(timer, wake_at)
 
-    def _on_wakeup(self, evt: Event) -> None:
-        if self._wakeup is not evt:
-            return  # stale timer superseded by a membership change
-        self._wakeup = None
+    def _on_wakeup(self, _timer: Event) -> None:
+        self._timers.pop()
+        env = self.env
+        now = env._now
+        if now != self._wake_at:
+            # Early (the due instant moved later, or the resource went
+            # idle): no virtual-time step.  With the state untouched
+            # ``_arm`` recomputes the same ``_wake_at`` and pushes its timer.
+            self._arm()
+            return
         self._advance()
         # Complete every job whose virtual target has been reached (ties
         # complete together, e.g. equal demands started together).
-        eps = 1e-9 * max(1.0, abs(self._vtime))
-        sched = self._sched
-        entries = sched.entries
-        while entries and (
-            entries[0][-1].cancelled
-            or entries[0][-1].done
-            or entries[0][0] <= self._vtime + eps
-        ):
-            job = sched.pop()[-1]
-            if job.cancelled or job.done:
-                continue
-            self._remove(job)
-            self.completed_units += job.demand
+        limit = self._vtime + 1e-9 * max(1.0, abs(self._vtime))
+        entries = self._sched.entries
+        done: list[Job] = []
+        while entries:
+            job = entries[0][-1]
+            if not (job._cancelled or job.event._value is not _PENDING):
+                if entries[0][0] > limit:
+                    break
+                self._remove(job)
+                self.completed_units += job.demand
+                done.append(job)
+            heappop(entries)
+        if len(done) == 1 and env.peek() > now:
+            # Nothing queued is due at this instant: the lone completion is
+            # the event the loop would pop next (see "Inline completion").
+            self._arm()
+            event = done[0].event
+            event._value = done[0].demand
+            next(env._seq)
+            event._run_callbacks()
+            return
+        for job in done:
             job.event.succeed(job.demand)
-        self._reschedule()
+        self._arm()
 
 
 class MemoryResource:

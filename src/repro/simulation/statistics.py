@@ -34,22 +34,25 @@ class TimeWeightedSignal:
         """Current instantaneous value."""
         return self._value
 
-    def _advance(self, now: float) -> None:
-        if now < self._t_last:
-            raise ValueError(
-                f"time went backwards: {now} < {self._t_last}"
-            )
-        self._integral += self._value * (now - self._t_last)
-        self._t_last = now
-
     def set(self, now: float, value: float) -> None:
         """Record that the signal takes ``value`` from time ``now`` on."""
-        self._advance(now)
+        t_last = self._t_last
+        if now < t_last:
+            raise ValueError(f"time went backwards: {now} < {t_last}")
+        self._integral += self._value * (now - t_last)
+        self._t_last = now
         self._value = float(value)
 
     def add(self, now: float, delta: float) -> None:
         """Increment the signal by ``delta`` at time ``now``."""
-        self.set(now, self._value + delta)
+        # Same steps as ``set``, spelled out: every fair-share ``use`` and
+        # completion lands here, and a nested call costs as much as the body.
+        t_last = self._t_last
+        if now < t_last:
+            raise ValueError(f"time went backwards: {now} < {t_last}")
+        self._integral += self._value * (now - t_last)
+        self._t_last = now
+        self._value += delta
 
     def integral(self, now: float) -> float:
         """Integral of the signal from t0 up to ``now``."""
@@ -57,7 +60,7 @@ class TimeWeightedSignal:
 
     def checkpoint(self, now: float) -> tuple[float, float]:
         """Snapshot ``(now, integral)`` for later use with :meth:`average`."""
-        return (now, self.integral(now))
+        return (now, self._integral + self._value * (now - self._t_last))
 
     def average(self, checkpoint: tuple[float, float], now: float) -> float:
         """Mean signal value between ``checkpoint`` time and ``now``.
@@ -67,7 +70,8 @@ class TimeWeightedSignal:
         t0, i0 = checkpoint
         if now <= t0:
             return self._value
-        return (self.integral(now) - i0) / (now - t0)
+        integral = self._integral + self._value * (now - self._t_last)
+        return (integral - i0) / (now - t0)
 
 
 class RunningMean:

@@ -3,11 +3,17 @@
 Drives random sequences of job submissions, cancellations, capacity
 changes and time advances against :class:`FairShareResource`, checking
 the conservation laws a processor-sharing server must satisfy regardless
-of operation order.
+of operation order — and, since the resource keeps its timers lazily and
+fires lone completions without a queue round trip, that neither shortcut
+is observable: completion instants equal a queue-less reference exactly,
+same-instant firing order is the queue's own, and the timer count stays
+within its budget.
 """
 
+import math
+
 import pytest
-from hypothesis import settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -16,7 +22,41 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.simulation import Environment, FairShareResource
+from repro.simulation import Environment, Event, FairShareResource
+
+
+class CountingEnvironment(Environment):
+    """Counts the timers a resource pushes (it alone uses ``schedule_at``).
+
+    With ``sentinel=True`` every timer is followed by a no-op event at the
+    same instant, so when the timer fires something else is always due
+    "now" and no completion can take the inline path: the run shows the
+    order the queue alone gives.
+    """
+
+    def __init__(self, queue="heap", sentinel=False):
+        super().__init__(queue=queue)
+        self.pushed = 0
+        self.sentinel = sentinel
+
+    def schedule_at(self, event, when):
+        super().schedule_at(event, when)
+        self.pushed += 1
+        if self.sentinel:
+            super().schedule_at(Event(self), when)
+
+
+def count_wakeups(resource):
+    """Wrap the resource's timer callback; returns the live counter."""
+    fired = [0]
+    on_wakeup = resource._on_wakeup
+
+    def counting(event):
+        fired[0] += 1
+        on_wakeup(event)
+
+    resource._on_wakeup = counting
+    return fired
 
 
 class FairShareMachine(RuleBasedStateMachine):
@@ -24,15 +64,25 @@ class FairShareMachine(RuleBasedStateMachine):
 
     @initialize(capacity=st.floats(min_value=0.5, max_value=8.0))
     def setup(self, capacity):
-        self.env = Environment()
+        self.env = CountingEnvironment()
         self.resource = FairShareResource(self.env, capacity)
+        self.fired = count_wakeups(self.resource)
+        self.calls = 0
         self.submitted = 0.0
         self.cancelled_remaining = 0.0
         self.jobs = []  # live handles
 
+    def call(self, operation, *args):
+        """One public call: it may push at most one timer."""
+        pushed = self.env.pushed
+        result = operation(*args)
+        assert self.env.pushed - pushed <= 1
+        self.calls += 1
+        return result
+
     @rule(demand=st.floats(min_value=0.01, max_value=20.0))
     def submit(self, demand):
-        job = self.resource.use(demand)
+        job = self.call(self.resource.use, demand)
         self.submitted += demand
         self.jobs.append(job)
 
@@ -46,11 +96,16 @@ class FairShareMachine(RuleBasedStateMachine):
         if not live:
             return
         job = live[index % len(live)]
-        self.cancelled_remaining += self.resource.cancel(job)
+        self.cancelled_remaining += self.call(self.resource.cancel, job)
 
     @rule(capacity=st.floats(min_value=0.5, max_value=8.0))
     def change_capacity(self, capacity):
-        self.resource.set_capacity(capacity)
+        self.call(self.resource.set_capacity, capacity)
+
+    @invariant()
+    def timers_stay_within_budget(self):
+        """At most one timer per public call plus one per timer fired."""
+        assert self.env.pushed <= self.calls + self.fired[0]
 
     @invariant()
     def work_is_bounded(self):
@@ -100,3 +155,218 @@ TestFairShareStateful = FairShareMachine.TestCase
 TestFairShareStateful.settings = settings(
     max_examples=60, stateful_step_count=30, deadline=None
 )
+
+
+# -- scripted interleavings: exact instants, firing order ---------------------------
+#: Demands and weights come from small pools so that equal demands started
+#: together (completions sharing an instant) and the weight-resync branch
+#: are common; waits are multiples of an irrational step so that a scripted
+#: call practically never lands on a completion instant, where the outcome
+#: legitimately depends on which of the two the queue fires first.
+_DEMANDS = st.sampled_from([0.001, 0.5, 1.0, 1.0, 2.5]) | st.floats(0.01, 20.0)
+_WEIGHTS = st.sampled_from([1.0, 1.0, 1.0, 0.1, 0.2, 0.3, 2.0])
+_WAITS = st.integers(1, 4000).map(lambda n: n * math.sqrt(2.0) / 1000.0)
+_FOLLOW_UPS = st.none() | st.sampled_from([0.0, 0.25, 1.0])
+
+
+def scripts(follow_ups, waits=_WAITS):
+    """Lists of ``(op, *args)``; ``use`` carries a zero-delay chain length
+    and (optionally) the demand its completion callback submits next."""
+    use = st.tuples(
+        st.just("use"),
+        _DEMANDS,
+        _WEIGHTS,
+        st.integers(0, 3),
+        follow_ups,
+    )
+    return st.lists(
+        st.one_of(
+            use,
+            use,
+            st.tuples(st.just("wait"), waits),
+            st.tuples(st.just("cancel"), st.integers(0, 10**6)),
+            st.tuples(st.just("capacity"), st.floats(0.5, 8.0)),
+        ),
+        min_size=1,
+        max_size=25,
+    )
+
+
+def play(env, capacity, script):
+    """Run ``script`` against a fresh resource; return the firing log."""
+    resource = FairShareResource(env, capacity)
+    log = []
+    jobs = []
+
+    def chain(label, hops):
+        for hop in range(hops):
+            yield env.timeout(0.0)
+            log.append(("hop", label, hop, env.now))
+
+    def submit(label, demand, weight, hops, follow_up):
+        job = resource.use(demand, weight=weight)
+        jobs.append(job)
+
+        def completed(_event):
+            log.append(("done", label, env.now))
+            if hops:
+                env.process(chain(label, hops))
+            if follow_up is not None:
+                submit(label + ("next",), follow_up, weight, hops, None)
+
+        job.event.callbacks.append(completed)
+
+    def driver():
+        for index, (op, *args) in enumerate(script):
+            log.append(("op", (index,), env.now))
+            if op == "use":
+                submit((index,), *args)
+            elif op == "wait":
+                yield env.timeout(args[0])
+            elif op == "capacity":
+                resource.set_capacity(args[0])
+            elif jobs:
+                resource.cancel(jobs[args[0] % len(jobs)])
+
+    env.process(driver())
+    env.run()
+    assert resource.n_active == 0
+    return log
+
+
+class _Tie(Exception):
+    """A scripted call landed exactly on a completion instant."""
+
+
+def reference_completions(capacity, script):
+    """Completion instant of every ``use``, from the virtual-time definition.
+
+    Eager bookkeeping, no event queue: virtual time moves at ``C/Σw``
+    between the instants something changes, a job is due when it has moved
+    by ``D/w``, and the next due instant is recomputed at every change.
+    """
+    state = {"vtime": 0.0, "t_last": 0.0, "wsum": 0.0, "cap": capacity}
+    active = {}  # job index -> (target_v, weight), in submission order
+    order = []  # job indices by submission, cancelled ones included
+    done = {}
+
+    def advance(now):
+        if state["wsum"] > 0:
+            state["vtime"] += (now - state["t_last"]) * state["cap"] / state["wsum"]
+        state["t_last"] = now
+
+    def due():
+        if not active:
+            return math.inf
+        head = min(target for target, _ in active.values())
+        return state["t_last"] + max(
+            0.0, (head - state["vtime"]) * state["wsum"] / state["cap"]
+        )
+
+    def remove(index):
+        state["wsum"] -= active.pop(index)[1]
+        if state["wsum"] < 1e-12:
+            state["wsum"] = sum(w for _, w in active.values()) if active else 0.0
+
+    def run_to(now):
+        while (instant := due()) <= now and instant < math.inf:
+            if instant == now:
+                raise _Tie
+            advance(instant)
+            limit = state["vtime"] + 1e-9 * max(1.0, abs(state["vtime"]))
+            for index in sorted(active, key=lambda i: (active[i][0], i)):
+                if active[index][0] <= limit:
+                    remove(index)
+                    done[index] = instant
+
+    now = 0.0
+    for index, (op, *args) in enumerate(script):
+        if op == "wait":
+            now = now + args[0]
+            continue
+        run_to(now)
+        # Virtual time steps only when a call takes effect: cancelling a
+        # finished job is a no-op, and an extra step would round differently.
+        if op == "use":
+            advance(now)
+            demand, weight = args[0], args[1]
+            active[index] = (state["vtime"] + demand / weight, weight)
+            state["wsum"] += weight
+            order.append(index)
+        elif op == "capacity":
+            advance(now)
+            state["cap"] = args[0]
+        elif order and (victim := order[args[0] % len(order)]) in active:
+            advance(now)
+            remove(victim)
+    run_to(math.inf)
+    return done
+
+
+@pytest.mark.parametrize("queue", ["heap", "calendar"])
+@settings(max_examples=150, deadline=None)
+@given(capacity=st.floats(0.5, 8.0), script=scripts(st.none()))
+def test_completion_instants_equal_the_reference_exactly(queue, capacity, script):
+    try:
+        expected = reference_completions(capacity, script)
+    except _Tie:
+        assume(False)
+    log = play(Environment(queue=queue), capacity, script)
+    measured = {label[0]: when for kind, label, *_, when in log if kind == "done"}
+    assert measured == expected
+
+
+@pytest.mark.parametrize("queue", ["heap", "calendar"])
+@settings(max_examples=150, deadline=None)
+@given(
+    capacity=st.sampled_from([1.0, 2.0]) | st.floats(0.5, 8.0),
+    script=scripts(_FOLLOW_UPS, waits=st.sampled_from([0.25, 0.5, 1.0]) | _WAITS),
+)
+def test_inline_completion_keeps_the_queue_order(queue, capacity, script):
+    """Same script, once as is and once with a sentinel behind every timer
+    (so every completion goes through the queue): the logs must agree
+    entry for entry — completions, zero-delay chain hops, follow-up jobs
+    submitted from completion callbacks and the driver's own steps, which
+    here may land exactly on a completion instant."""
+    plain = CountingEnvironment(queue=queue)
+    queued = CountingEnvironment(queue=queue, sentinel=True)
+    assert play(plain, capacity, script) == play(queued, capacity, script)
+    assert plain.pushed == queued.pushed
+
+
+def monitor_pattern(env, rounds, long_demand, short_demand, interval):
+    """One long job; a short one joins it every ``interval``, ``rounds`` times."""
+    resource = FairShareResource(env, 1.0)
+    fired = count_wakeups(resource)
+
+    def driver():
+        resource.use(long_demand)
+        for _ in range(rounds):
+            yield env.timeout(interval)
+            yield resource.use(short_demand).event
+
+    env.process(driver())
+    env.run()
+    return fired[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rounds=st.integers(1, 40),
+    slack=st.floats(1.0, 50.0),
+    short_demand=st.sampled_from([0.001, 0.01]) | st.floats(1e-4, 0.1),
+    interval=st.just(1.0) | st.floats(0.2, 1.3),
+)
+def test_monitor_pattern_fires_one_timer_per_round(
+    rounds, slack, short_demand, interval
+):
+    """The load monitor's 1 ms job joining a CPU that runs an AP job used
+    to orphan the long job's timer every round (2k + 1 timers fired); the
+    long job's timer now survives the rounds: one timer per short job, the
+    long job's own, and at most one re-arm when float rounding moved its
+    due instant later by an ulp."""
+    long_demand = rounds * (interval + 0.2) + slack
+    fired = monitor_pattern(
+        CountingEnvironment(), rounds, long_demand, short_demand, interval
+    )
+    assert fired <= rounds + 2

@@ -10,7 +10,12 @@ import random
 
 import pytest
 
-from repro.simulation import EmptySchedule, Environment, Interrupt
+from repro.simulation import (
+    EmptySchedule,
+    Environment,
+    Interrupt,
+    SimulationError,
+)
 
 BACKENDS = ["heap", "calendar"]
 
@@ -105,6 +110,46 @@ class TestFarFutureTimeouts:
         env.process(spawner())
         env.run()
         assert fired == [("near", 1.0), ("far", 1000.0)]
+
+
+class TestScheduleAt:
+    def test_fires_at_the_exact_instant_in_push_order(self, env):
+        """``now + (when - now)`` is not always ``when``; ``schedule_at``
+        files the instant it is given, behind what is already due then."""
+        when = 0.7 + 0.1  # 0.7999999999999999
+        fired = []
+
+        def starter():
+            yield env.timeout(0.2)
+            assert env.now + (when - env.now) != when
+            env.timeout(when - env.now).callbacks.append(
+                lambda _: fired.append(("timeout", env.now))
+            )
+            for tag in ("first", "second"):
+                event = env.event()
+                event.callbacks.append(lambda e, tag=tag: fired.append((tag, env.now, e.value)))
+                env.schedule_at(event, when)
+                assert event.triggered and not event.processed
+
+        env.process(starter())
+        while env.peek() < float("inf"):
+            env.step()
+        assert fired[-2:] == [("first", when, None), ("second", when, None)]
+        assert fired[0][0] == "timeout" and fired[0][1] != when
+
+    def test_rejects_the_past_like_a_negative_timeout(self, env):
+        env.timeout(2.0)
+        env.run()
+        with pytest.raises(ValueError, match="negative timeout delay"):
+            env.schedule_at(env.event(), 1.0)
+        env.schedule_at(env.event(), 2.0)  # "now" is allowed
+        env.run()
+        assert env.now == 2.0
+
+    def test_rejects_an_event_already_triggered(self, env):
+        event = env.event().succeed()
+        with pytest.raises(SimulationError):
+            env.schedule_at(event, 1.0)
 
 
 class TestInterruptWhileScheduled:

@@ -1,5 +1,7 @@
 """Unit and property tests for fair-share resources and memory."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -181,6 +183,71 @@ class TestFairShare:
         r = FairShareResource(env, 1.0)
         done = run_jobs(env, r, [(0.0, 1.0)] * n)
         assert all(t == pytest.approx(float(n)) for _, t in done)
+
+    @pytest.mark.parametrize(
+        "light", list(itertools.permutations([0.1e-12, 0.2e-12, 0.3e-12]))
+    )
+    def test_weight_resync_sums_in_submission_order(self, light):
+        """When the heavy job leaves, ``1 + Σlight - 1`` falls under the
+        resync threshold and the weight sum is rebuilt from the active
+        jobs.  Float addition is order-sensitive (two of these six orders
+        give 6e-13, four give 6.000000000000001e-13), so the jobs must be
+        walked in submission order, not in a set's address order — else two
+        runs of one seed can finish at different instants."""
+
+        def run():
+            env = Environment()
+            r = FairShareResource(env, 1.0)
+            heavy = r.use(0.5)
+            finished = []
+            for weight in light:
+                r.use(1.0, weight=weight).event.callbacks.append(
+                    lambda _: finished.append(env.now)
+                )
+            env.run(until=heavy.event)
+            resynced = r._weight_sum
+            env.run()
+            assert len(finished) == 3
+            return resynced, finished
+
+        first, second = run(), run()
+        assert first == second
+        assert first[0] == (light[0] + light[1]) + light[2]
+
+    def test_completion_queues_behind_events_already_due(self, env):
+        """A lone completion may skip the queue only when nothing else is
+        due at that instant: an event already queued for it fires first."""
+        r = FairShareResource(env, 1.0)
+        order = []
+        r.use(1.0).event.callbacks.append(lambda _: order.append("done"))
+        env.timeout(1.0).callbacks.append(lambda _: order.append("earlier"))
+        env.run()
+        assert order == ["earlier", "done"]
+
+    def test_tied_completions_fire_before_what_their_callbacks_schedule(self, env):
+        """Two jobs due together both go through the queue: the second is
+        queued before the first one's callbacks run."""
+        r = FairShareResource(env, 1.0)
+        order = []
+
+        def first_done(_event):
+            order.append("a")
+            r.use(0.0).event.callbacks.append(lambda _: order.append("follow-up"))
+
+        r.use(1.0).event.callbacks.append(first_done)
+        r.use(1.0).event.callbacks.append(lambda _: order.append("b"))
+        env.run()
+        assert order == ["a", "b", "follow-up"]
+
+    def test_inline_completion_is_processed_like_a_queued_one(self, env):
+        r = FairShareResource(env, 1.0)
+        drawn_before = next(env._seq)
+        job = r.use(2.0)
+        assert env.run(until=job.event) == 2.0
+        assert job.done and job.event.processed and job.event.ok
+        # Timer and completion each drew a number: _seq counts events fired.
+        assert next(env._seq) - drawn_before - 1 == 2
+        assert env.peek() == float("inf")
 
     @given(
         demands=st.lists(
