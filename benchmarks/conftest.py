@@ -5,30 +5,15 @@ sections are printed (visible with ``pytest -s``) and collected into
 ``benchmarks/bench_report.txt`` at session end, so a single
 ``pytest benchmarks/ --benchmark-only`` run leaves the full
 paper-versus-measured report on disk.
-
-``--out DIR`` additionally writes each benchmark's JSON summary (the
-same payloads ``python -m repro bench`` / ``loadgen`` check in as
-``BENCH_*.json``) into ``DIR`` for artifact upload or trend tooling.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
-import typing as t
 
 import pytest
 
 _SECTIONS: list[tuple[str, str]] = []
-
-
-def pytest_addoption(parser):  # noqa: ANN001
-    parser.addoption(
-        "--out",
-        action="store",
-        default=None,
-        help="directory to write each benchmark's JSON summary into",
-    )
 
 
 @pytest.fixture()
@@ -40,23 +25,6 @@ def report():
         print(f"\n{text}\n")
 
     return add
-
-
-@pytest.fixture()
-def json_out(request):
-    """Writer: call ``json_out(name, summary)``; no-op without ``--out``."""
-    out = request.config.getoption("--out")
-
-    def write(name: str, summary: dict[str, t.Any]) -> None:
-        if out is None:
-            return
-        directory = pathlib.Path(out)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"{name}.json"
-        path.write_text(json.dumps(summary, indent=2) + "\n")
-        print(f"wrote {path}")
-
-    return write
 
 
 def pytest_sessionfinish(session, exitstatus):  # noqa: ANN001

@@ -6,49 +6,30 @@ ask         answer a free-form question over the generated corpus
 simulate    run a workload on the simulated distributed cluster
 chaos       randomized fault-injection campaign (fault rates x strategies)
 model       analytical capacity planning for given bandwidths
-bench       end-to-end throughput benchmark (re-tokenize baseline vs
-            optimized hot path vs payload-attached index, plus packed
-            index memory/serialize/attach columns); writes
-            BENCH_throughput.json and fails on any output-equivalence
-            mismatch
-experiments regenerate any of the paper's tables/figures (see
-            ``python -m repro.experiments.runner``)
+experiments regenerate any of the paper's tables/figures and the
+            extension experiments, e.g. ``ext-scale`` (weak-scaling sweep
+            with the Eq 23 cross-check) and ``ext-selection`` (collection-
+            selector quality); see ``python -m repro.experiments.runner``
 observe     traced SEND/ISEND/RECV workload with span export (Chrome
             trace + JSONL) and overhead attribution vs the Section 5
             model; fails if any export or the attribution sum invariant
             is invalid
-simbench    simulation-core benchmark: events/sec microbench (baseline
-            vs fast path, firing order asserted identical), serial vs
-            parallel runner/chaos wall-clock, and the packed-index cache
-            round trip (build/serialize/attach + memory footprint);
-            writes BENCH_simperf.json and fails on any determinism or
-            round-trip mismatch
-scale       weak-scaling sweep to the paper's 1000-node extrapolation
-            (calendar queue + sharded monitoring) with the Eq 23
-            cross-check at every decade, the heap-vs-calendar
-            firing-order gate, and the events/sec comparison against
-            the pre-sharding baseline; writes BENCH_scale.json and
-            fails if the backends' firing order ever diverges
-select      federated collection selection: exhaustive vs exact vs
-            predictive selector modes on the real pipeline (prune rate,
-            postings-scanned reduction, selector precision/recall) plus
-            the simulated 16->128 node sweep showing partition-comms
-            shrinking; writes BENCH_selection.json and fails if exact
-            mode ever diverges from exhaustive search
 serve       long-lived admission-controlled server over the real
             pipeline: worker processes attach to the shared packed-index
             artifact, questions arrive on stdin, overload is shed with a
             typed error; prints the conservation ledger on drain
 loadgen     drive the server through the Section 6.1 overload protocol
             (seeded Zipf stream at offered loads below/at/above measured
-            saturation); writes BENCH_serving.json and, with
-            ``--check-overload``, fails unless overload sheds load,
-            accepted-p99 stays bounded, and question conservation holds
+            saturation); with ``--check-overload``, fails unless overload
+            sheds load, accepted-p99 stays bounded, and question
+            conservation holds; ``--output`` writes the summary as JSON
+top         text dashboard over a telemetry JSONL file written by
+            ``serve``/``loadgen`` (live with ``--follow``)
 
-``chaos``, ``experiments`` (alias ``exp``), ``simbench``, ``scale`` and
-``select`` accept ``--jobs N`` (or ``auto``) to run independent
-experiment cells on a process pool; parallel output is byte-identical
-to serial.
+``chaos`` and ``experiments`` (alias ``exp``) accept ``--jobs N`` (or
+``auto``) to run independent experiment cells on a process pool;
+parallel output is byte-identical to serial.  Speed is measured by the
+benchmark of record, ``python3 bench/run.py``, not by a subcommand.
 """
 
 from __future__ import annotations
@@ -172,48 +153,6 @@ def _cmd_model(args: argparse.Namespace) -> None:
         print(f"  system efficiency at {n:5d}    : {system_efficiency(p, n):.3f}")
 
 
-def _cmd_bench(args: argparse.Namespace) -> None:
-    from .experiments.throughput_bench import (
-        BenchConfig,
-        format_throughput,
-        run_throughput_bench,
-        write_bench_json,
-    )
-
-    try:
-        batch_sizes = tuple(
-            int(b) for b in str(args.batch_sizes).split(",") if b.strip()
-        )
-    except ValueError:
-        raise SystemExit(
-            f"--batch-sizes must be comma-separated ints, got {args.batch_sizes!r}"
-        )
-    config = BenchConfig(
-        n_questions=args.questions,
-        n_unique=args.unique,
-        zipf_exponent=args.zipf,
-        corpus_seed=args.corpus_seed,
-        workload_seed=args.seed,
-        conjunction_cache=args.cache,
-        batch_sizes=batch_sizes,
-    )
-    summary = run_throughput_bench(config)
-    print(format_throughput(summary))
-    out = write_bench_json(summary, args.output)
-    print(f"wrote {out}")
-    if not summary["equivalence"]["equivalent"]:
-        eq = summary["equivalence"]
-        raise SystemExit(
-            "bench FAILED: optimized pipeline diverged from the reference "
-            f"path on questions {eq['mismatches']}"
-            + (
-                f"; batched mismatches {eq['batched_mismatches']}"
-                if eq["batched_mismatches"]
-                else ""
-            )
-        )
-
-
 def _cmd_observe(args: argparse.Namespace) -> None:
     from .observability import ObserveConfig, format_observe, run_observe
 
@@ -235,82 +174,6 @@ def _cmd_experiments(args: argparse.Namespace) -> None:
     from .experiments.runner import run_all
 
     run_all(args.names or None, jobs=args.jobs)
-
-
-def _cmd_simbench(args: argparse.Namespace) -> None:
-    from .experiments.simbench import (
-        format_simperf,
-        run_simbench,
-        write_simperf_json,
-    )
-
-    try:
-        summary = run_simbench(
-            n_chains=args.chains,
-            chain_len=args.chain_len,
-            seed=args.seed,
-            sections=args.sections,
-            jobs=args.jobs,
-        )
-    except RuntimeError as exc:  # ordering divergence: hard failure
-        raise SystemExit(f"simbench FAILED: {exc}") from exc
-    print(format_simperf(summary))
-    out = write_simperf_json(summary, args.output)
-    print(f"wrote {out}")
-    if not summary["ok"]:
-        raise SystemExit(
-            "simbench FAILED: parallel output diverged from serial, or the "
-            "packed-index payload failed its round trip"
-        )
-
-
-def _cmd_scale(args: argparse.Namespace) -> None:
-    from .experiments.scale import format_scale, run_scale, write_scale_json
-
-    summary = run_scale(
-        node_counts=tuple(args.nodes),
-        strategies=tuple(args.strategies),
-        questions_per_node=args.questions_per_node,
-        seed=args.seed,
-        baseline_at=tuple(args.baseline_at) if args.baseline_at else None,
-        jobs=args.jobs,
-    )
-    print(format_scale(summary))
-    out = write_scale_json(summary, args.output)
-    print(f"wrote {out}")
-    if not summary["ok"]:
-        raise SystemExit(
-            "scale FAILED: calendar and heap backends fired a seeded "
-            "workload in different orders"
-        )
-
-
-def _cmd_select(args: argparse.Namespace) -> None:
-    from .experiments.selection import (
-        SelectionConfig,
-        format_selection,
-        run_selection,
-        validate_bench_selection,
-        write_selection_json,
-    )
-
-    config = SelectionConfig(
-        n_questions=args.questions,
-        n_unique=args.unique,
-        predictive_top_k=args.top_k,
-        node_counts=tuple(args.nodes),
-        sim_questions_per_node=args.questions_per_node,
-        sim_seed=args.seed,
-        jobs=args.jobs,
-    )
-    summary = run_selection(config)
-    print(format_selection(summary))
-    out = write_selection_json(summary, args.output)
-    print(f"wrote {out}")
-    try:
-        validate_bench_selection(summary)
-    except ValueError as exc:
-        raise SystemExit(f"select FAILED: {exc}") from exc
 
 
 def _cmd_serve(args: argparse.Namespace) -> None:
@@ -413,7 +276,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> None:
         LoadgenConfig,
         format_serving,
         run_loadgen,
-        write_serving_json,
     )
 
     config = LoadgenConfig(
@@ -443,8 +305,11 @@ def _cmd_loadgen(args: argparse.Namespace) -> None:
     )
     summary = run_loadgen(config)
     print(format_serving(summary))
-    out = write_serving_json(summary, args.output)
-    print(f"wrote {out}")
+    if args.output:
+        with open(args.output, "w") as fh:
+            json.dump(summary, fh, indent=2)
+            fh.write("\n")
+        print(f"wrote {args.output}")
     if args.decisions_out:
         decisions = {
             run["label"]: run.get("decisions", []) for run in summary["runs"]
@@ -541,38 +406,6 @@ def main(argv: t.Sequence[str] | None = None) -> None:
     model.add_argument("--disk", default="250 Mbps", help='e.g. "250 Mbps"')
     model.set_defaults(func=_cmd_model)
 
-    bench = sub.add_parser(
-        "bench", help="end-to-end throughput benchmark (perf regression harness)"
-    )
-    bench.add_argument(
-        "--questions", type=int, default=120,
-        help="workload size (Zipf-repeated questions)",
-    )
-    bench.add_argument(
-        "--unique", type=int, default=60,
-        help="distinct questions the workload draws from",
-    )
-    bench.add_argument(
-        "--zipf", type=float, default=1.1,
-        help="Zipf popularity exponent of the question distribution",
-    )
-    bench.add_argument("--corpus-seed", type=int, default=42)
-    bench.add_argument("--seed", type=int, default=7, help="workload seed")
-    bench.add_argument(
-        "--cache", type=int, default=256,
-        help="conjunction-cache capacity of the optimized run",
-    )
-    bench.add_argument(
-        "--batch-sizes", default="1,4,8,16,32",
-        help="comma-separated answer_batch sizes for the batched columns "
-        "(empty string skips batched runs)",
-    )
-    bench.add_argument(
-        "--output", default="BENCH_throughput.json",
-        help="where to write the JSON summary",
-    )
-    bench.set_defaults(func=_cmd_bench)
-
     observe = sub.add_parser(
         "observe",
         help="traced workload with span export and overhead attribution",
@@ -610,105 +443,6 @@ def main(argv: t.Sequence[str] | None = None) -> None:
         help="parallel section workers (integer or 'auto'; default serial)",
     )
     exp.set_defaults(func=_cmd_experiments)
-
-    simbench = sub.add_parser(
-        "simbench",
-        help="simulation-core benchmark (event loop + parallel harness)",
-    )
-    simbench.add_argument(
-        "--chains", type=int, default=400,
-        help="microbench timeout-chain processes",
-    )
-    simbench.add_argument(
-        "--chain-len", type=int, default=50,
-        help="timeouts per chain",
-    )
-    simbench.add_argument("--seed", type=int, default=17)
-    simbench.add_argument(
-        "--sections", nargs="*",
-        default=["table4", "fig8", "fig9", "ablation-concurrency"],
-        help="runner sections for the wall-clock comparison",
-    )
-    simbench.add_argument(
-        "-j", "--jobs", default="auto",
-        help="parallel workers for the wall-clock runs (default: auto)",
-    )
-    simbench.add_argument(
-        "--output", default="BENCH_simperf.json",
-        help="where to write the JSON summary",
-    )
-    simbench.set_defaults(func=_cmd_simbench)
-
-    scale = sub.add_parser(
-        "scale",
-        help="weak-scaling sweep to 1000 nodes with the Eq 23 cross-check",
-    )
-    scale.add_argument(
-        "--nodes", nargs="*", type=int,
-        default=[16, 32, 64, 128, 256, 512, 1000],
-        help="cluster sizes to sweep (N=1 is always added as the "
-        "speedup anchor)",
-    )
-    scale.add_argument(
-        "--strategies", nargs="*", choices=["SEND", "ISEND", "RECV"],
-        default=["SEND", "ISEND", "RECV"],
-        help="AP partitioning strategies to sweep (PR always uses RECV)",
-    )
-    scale.add_argument(
-        "--questions-per-node", type=int, default=4,
-        help="weak-scaling offered load (Eq 23's q)",
-    )
-    scale.add_argument("--seed", type=int, default=11)
-    scale.add_argument(
-        "--baseline-at", nargs="*", type=int, default=None,
-        help="node counts that also run the pre-sharding O(N^2) baseline "
-        "(default: every swept N >= 256, else the largest N)",
-    )
-    scale.add_argument(
-        "-j", "--jobs", default=None,
-        help="parallel cell workers (integer or 'auto'; default serial)",
-    )
-    scale.add_argument(
-        "--output", default="BENCH_scale.json",
-        help="where to write the JSON summary",
-    )
-    scale.set_defaults(func=_cmd_scale)
-
-    select = sub.add_parser(
-        "select",
-        help="federated collection selection: exact/predictive selector "
-        "modes vs exhaustive broadcast",
-    )
-    select.add_argument(
-        "--questions", type=int, default=120,
-        help="Zipf workload length on the real pipeline",
-    )
-    select.add_argument(
-        "--unique", type=int, default=60,
-        help="distinct questions behind the Zipf draw",
-    )
-    select.add_argument(
-        "--top-k", type=int, default=4,
-        help="predictive mode keeps the k best-scoring collections",
-    )
-    select.add_argument(
-        "--nodes", nargs="*", type=int, default=[16, 32, 64, 128],
-        help="simulated cluster sizes for the off-vs-on comms sweep",
-    )
-    select.add_argument(
-        "--questions-per-node", type=int, default=2,
-        help="simulated weak-scaling offered load",
-    )
-    select.add_argument("--seed", type=int, default=11)
-    select.add_argument(
-        "-j", "--jobs", default=None,
-        help="parallel cell workers (integer or 'auto'; default serial)",
-    )
-    select.add_argument(
-        "--output", default="BENCH_selection.json",
-        help="where to write the JSON summary",
-    )
-    select.set_defaults(func=_cmd_select)
 
     serve = sub.add_parser(
         "serve",
@@ -831,8 +565,8 @@ def main(argv: t.Sequence[str] | None = None) -> None:
         help="also dump the per-run admission decision sequences as JSON",
     )
     loadgen.add_argument(
-        "--output", default="BENCH_serving.json",
-        help="where to write the JSON summary",
+        "--output", default=None,
+        help="also write the JSON summary to this path",
     )
     loadgen.add_argument(
         "--check-overload", action="store_true",

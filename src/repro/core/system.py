@@ -69,10 +69,6 @@ class SystemConfig:
     #: nodes upload deltas to k shard-local aggregators that publish
     #: merged tables (O(N) per interval; use ~sqrt(N) for large clusters).
     monitor_shards: int = 0
-    #: Event-queue backend for the simulation clock: "heap" or "calendar"
-    #: (identical firing order; the calendar queue is O(1) amortized and
-    #: pays off on large-N runs).
-    queue_impl: str = "heap"
     #: Federated collection selection: "off" = every question broadcasts
     #: PR to all sub-collections (the paper's protocol, bit-identical
     #: legacy); "sketch" = the mediator's routing decision (carried on
@@ -109,6 +105,12 @@ class SystemConfig:
     #: First front-end re-admission delay; doubles per attempt so a
     #: cluster-wide blackout does not burn the whole budget in an instant.
     question_retry_backoff_s: float = 1.0
+
+    @property
+    def queue_impl(self) -> str:
+        # Read by bench/tests/test_inputs.py:83, and bench/ changes only in
+        # a benchmark PR; goes when that read does.
+        return "heap"
 
     def effective_policy(self) -> TaskPolicy:
         """Derive the task policy from the strategy."""
@@ -227,7 +229,7 @@ class DistributedQASystem:
 
     def __init__(self, config: SystemConfig | None = None) -> None:
         self.config = config or SystemConfig()
-        self.env = Environment(queue=self.config.queue_impl)
+        self.env = Environment()
         #: One metrics registry per system: every subsystem records its
         #: counters/histograms here under the canonical names of
         #: :mod:`repro.observability.names`.

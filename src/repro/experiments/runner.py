@@ -83,6 +83,8 @@ EXPERIMENTS: dict[str, t.Callable[[], str]] = {
     "ext-model-validation": lambda: _ext_model_validation(),
     "ext-staleness": lambda: _ext_staleness(),
     "ext-stealing": lambda: _ext_stealing(),
+    "ext-scale": lambda: _ext_scale(),
+    "ext-selection": lambda: _ext_selection(),
 }
 
 
@@ -96,6 +98,18 @@ def _ext_stealing() -> str:
     from .stealing_exp import format_stealing, run_stealing
 
     return format_stealing(run_stealing())
+
+
+def _ext_scale() -> str:
+    from .scale import format_scale, run_scale
+
+    return format_scale(run_scale())
+
+
+def _ext_selection() -> str:
+    from .selection import format_selection, run_selection
+
+    return format_selection(run_selection())
 
 
 def _ext_model_validation() -> str:

@@ -1,34 +1,22 @@
 """Scale-out sweep: run the paper's 1000-node extrapolation for real.
 
 Section 5 stops at the 12-processor testbed and *extrapolates* Eq 9-23
-to 1000 processors (Figures 8-9).  With the calendar-queue scheduler
-(:mod:`repro.simulation.calendar`) and sharded load monitoring
-(``SystemConfig.monitor_shards``) the simulator executes those
-configurations directly: a weak-scaling sweep — ``q`` questions per
-processor, the regime Eq 23 assumes — over 16 → 32 → ... → 1000 nodes,
-under each AP partitioning strategy (SEND / ISEND / RECV; PR always uses
-RECV, as in the paper), cross-checking measured system speedup against
-Eq 23 at every decade and recording simulator throughput (events/sec)
-and wall clock per cell.
+to 1000 processors (Figures 8-9).  With sharded load monitoring
+(``SystemConfig.monitor_shards``, ~sqrt(N) shards) the simulator executes
+those configurations directly: a weak-scaling sweep — ``q`` questions per
+processor, the regime Eq 23 assumes — under each AP partitioning strategy
+(SEND / ISEND / RECV; PR always uses RECV, as in the paper), cross-checking
+measured system speedup against Eq 23 at every size.
 
-Three cell families feed one ``BENCH_scale.json``:
-
-* the **primary sweep** (calendar queue + ~sqrt(N) monitor shards) for
-  every (strategy, N) pair — speedup cross-check data;
-* a **queue-backend comparison** re-running the RECV column on the heap
-  backend with identical seeds — both backends must produce identical
-  event counts and workload reports (the firing-order gate at workload
-  scale), and their wall-clock ratio isolates the scheduler's cost;
-* a **pre-sharding baseline** (heap + full O(N^2) broadcast monitoring)
-  at selected node counts — the events/sec win the tentpole claims is
-  new-configuration vs this baseline on the same workload.
+The ``ext-scale`` section of ``repro experiments`` sweeps 16 -> 128 nodes;
+``run_scale(node_counts=DEFAULT_NODE_COUNTS)`` climbs to the paper's 1000
+(minutes of host time per strategy).  How fast the simulator gets through
+a cell is the benchmark's business (``bench/run.py``, ``sim_scale128``),
+not this experiment's.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
 import typing as t
 from dataclasses import asdict, dataclass
 
@@ -49,45 +37,36 @@ __all__ = [
     "ScaleCell",
     "run_scale",
     "format_scale",
-    "write_scale_json",
-    "validate_bench_scale",
     "DEFAULT_NODE_COUNTS",
 ]
 
-#: Weak-scaling ladder: every doubling from 16, plus the paper's 1000.
+#: The full weak-scaling ladder: every doubling from 16, plus the paper's 1000.
 DEFAULT_NODE_COUNTS = (16, 32, 64, 128, 256, 512, 1000)
 
 
 @dataclass(frozen=True, slots=True)
 class ScaleCell:
-    """One simulated (N, strategy, queue backend, monitoring) cell."""
+    """One simulated (N, strategy) cell."""
 
     n_nodes: int
     ap_strategy: str
-    queue_impl: str
     monitor_shards: int
     n_questions: int
     events: int
-    wall_s: float
-    events_per_s: float
     throughput_qpm: float
     mean_response_s: float
 
 
-def _scale_cell(
-    spec: tuple[int, str, str, int, int, int]
-) -> ScaleCell:
-    """Pool worker: simulate one cell and time it."""
-    n_nodes, ap_strategy, queue_impl, shards, seed, qpn = spec
+def _scale_cell(spec: tuple[int, str, int, int]) -> ScaleCell:
+    """Pool worker: simulate one cell."""
+    n_nodes, ap_strategy, seed, qpn = spec
     n_q = qpn * n_nodes
-    profiles = trec_mix_profiles(n_q, seed=seed)
-    arrivals = staggered_arrivals(n_q, 2.0, seed=seed)
+    shards = auto_shard_count(n_nodes)
     system = DistributedQASystem(
         SystemConfig(
             n_nodes=n_nodes,
             strategy=Strategy.DQA,
             seed=seed,
-            queue_impl=queue_impl,
             monitor_shards=shards,
             policy=TaskPolicy(
                 ap_strategy=PartitioningStrategy[ap_strategy]
@@ -95,98 +74,45 @@ def _scale_cell(
             collect_metrics=False,
         )
     )
-    t0 = time.perf_counter()
-    report = system.run_workload(profiles, arrivals)
-    wall = time.perf_counter() - t0
-    events = next(system.env._seq)
+    report = system.run_workload(
+        trec_mix_profiles(n_q, seed=seed), staggered_arrivals(n_q, 2.0, seed=seed)
+    )
     return ScaleCell(
         n_nodes=n_nodes,
         ap_strategy=ap_strategy,
-        queue_impl=queue_impl,
         monitor_shards=shards,
         n_questions=n_q,
-        events=events,
-        wall_s=wall,
-        events_per_s=events / wall if wall > 0 else 0.0,
+        events=next(system.env._seq),
         throughput_qpm=report.throughput_qpm,
         mean_response_s=report.mean_response_s,
     )
 
 
 def run_scale(
-    node_counts: t.Sequence[int] = DEFAULT_NODE_COUNTS,
+    node_counts: t.Sequence[int] = (16, 32, 64, 128),
     strategies: t.Sequence[str] = ("SEND", "ISEND", "RECV"),
     questions_per_node: int = 4,
     seed: int = 11,
-    baseline_at: t.Sequence[int] | None = None,
     params: ModelParameters | None = None,
     jobs: int | str | None = None,
 ) -> dict[str, t.Any]:
-    """Run the full sweep and assemble the ``BENCH_scale.json`` payload.
-
-    ``baseline_at`` selects the node counts that additionally run the
-    pre-sharding heap baseline; the default is every N >= 256 in
-    ``node_counts`` (falling back to the largest N for truncated smoke
-    sweeps).  The O(N^2) baseline at very large N is exactly the cost
-    this PR removes, so expect those cells to dominate the wall clock.
-    """
+    """Run the sweep; N=1 anchors each strategy's speedup ratio."""
     params = params or ModelParameters()
     node_counts = tuple(sorted(set(node_counts)))
-    if baseline_at is None:
-        baseline_at = tuple(n for n in node_counts if n >= 256) or (
-            max(node_counts),
-        )
-    baseline_at = tuple(sorted(set(baseline_at) & set(node_counts)))
-    gate_strategy = strategies[-1]
-
-    specs: list[tuple[int, str, str, int, int, int]] = []
-    # Primary sweep: the new configuration, every strategy and size.
-    # N=1 anchors the weak-scaling speedup ratio.
-    for strategy in strategies:
-        for n in (1,) + node_counts:
-            specs.append(
-                (
-                    n,
-                    strategy,
-                    "calendar",
-                    auto_shard_count(n),
-                    seed,
-                    questions_per_node,
-                )
-            )
-    # Queue-backend comparison: identical workload on the heap.
-    for n in node_counts:
-        specs.append(
-            (
-                n,
-                gate_strategy,
-                "heap",
-                auto_shard_count(n),
-                seed,
-                questions_per_node,
-            )
-        )
-    # Pre-sharding baseline: heap + full-broadcast monitoring.
-    for n in baseline_at:
-        specs.append((n, gate_strategy, "heap", 0, seed, questions_per_node))
-
+    specs = [
+        (n, strategy, seed, questions_per_node)
+        for strategy in strategies
+        for n in (1,) + node_counts
+    ]
     cells = run_cells(_scale_cell, specs, jobs=jobs)
-    by_key = {
-        (c.n_nodes, c.ap_strategy, c.queue_impl, c.monitor_shards): c
-        for c in cells
-    }
+    by_key = {(c.n_nodes, c.ap_strategy): c for c in cells}
 
-    def cell(n: int, strategy: str, queue: str, shards: int) -> ScaleCell:
-        return by_key[(n, strategy, queue, shards)]
-
-    # -- Eq 23 cross-check at every decade, per strategy -------------------
     crosscheck = []
     for strategy in strategies:
-        base = cell(1, strategy, "calendar", auto_shard_count(1))
+        base = by_key[(1, strategy)]
         for n in node_counts:
-            c = cell(n, strategy, "calendar", auto_shard_count(n))
             measured = (
-                c.throughput_qpm / base.throughput_qpm
+                by_key[(n, strategy)].throughput_qpm / base.throughput_qpm
                 if base.throughput_qpm
                 else 0.0
             )
@@ -201,74 +127,21 @@ def run_scale(
                 }
             )
 
-    # -- firing-order gate at workload scale --------------------------------
-    # The two backends simulate the identical seeded workload; equal event
-    # counts and bit-equal workload reports mean the schedules never
-    # diverged (the full per-event log diff runs in `repro simbench`).
-    order_checks = []
-    for n in node_counts:
-        cal = cell(n, gate_strategy, "calendar", auto_shard_count(n))
-        heap = cell(n, gate_strategy, "heap", auto_shard_count(n))
-        order_checks.append(
-            {
-                "n_nodes": n,
-                "identical": (
-                    cal.events == heap.events
-                    and cal.throughput_qpm == heap.throughput_qpm
-                    and cal.mean_response_s == heap.mean_response_s
-                ),
-                "calendar_events_per_s": cal.events_per_s,
-                "heap_events_per_s": heap.events_per_s,
-            }
-        )
-    order_identical = all(c["identical"] for c in order_checks)
-
-    # -- events/sec win vs the pre-sharding baseline -------------------------
-    wins = []
-    for n in baseline_at:
-        new = cell(n, gate_strategy, "calendar", auto_shard_count(n))
-        old = cell(n, gate_strategy, "heap", 0)
-        wins.append(
-            {
-                "n_nodes": n,
-                "new_events_per_s": new.events_per_s,
-                "baseline_events_per_s": old.events_per_s,
-                "new_wall_s": new.wall_s,
-                "baseline_wall_s": old.wall_s,
-                "events_per_s_ratio": (
-                    new.events_per_s / old.events_per_s
-                    if old.events_per_s
-                    else float("inf")
-                ),
-                "win": new.events_per_s > old.events_per_s,
-            }
-        )
-
     return {
-        "schema": "scale-v1",
-        "cpu_count": os.cpu_count(),
         "seed": seed,
         "questions_per_node": questions_per_node,
         "node_counts": list(node_counts),
         "strategies": list(strategies),
         "cells": [asdict(c) for c in cells],
         "crosscheck": crosscheck,
-        "order_checks": order_checks,
-        "order_identical": order_identical,
-        "baseline_wins": wins,
-        "ok": order_identical,
     }
 
 
 def format_scale(summary: dict[str, t.Any]) -> str:
     """Human-readable report of a scale sweep."""
-    lines = [
-        f"Scale-out sweep (cpu_count={summary['cpu_count']}, "
-        f"q/node={summary['questions_per_node']}, seed={summary['seed']})",
-        "",
-    ]
     table = TextTable(
-        "Eq 23 cross-check: measured vs analytical system speedup",
+        "Eq 23 cross-check: measured vs analytical system speedup "
+        f"(q/node={summary['questions_per_node']}, seed={summary['seed']})",
         ["N", "Strategy", "Measured", "Eq 23", "rel err"],
     )
     for row in summary["crosscheck"]:
@@ -279,91 +152,4 @@ def format_scale(summary: dict[str, t.Any]) -> str:
             row["analytical_speedup"],
             f"{row['rel_err'] * 100:.1f} %",
         )
-    lines.append(table.render())
-    lines.append("")
-
-    gate = TextTable(
-        "Queue backends on identical workloads (firing-order gate)",
-        ["N", "identical", "calendar ev/s", "heap ev/s"],
-    )
-    for row in summary["order_checks"]:
-        gate.add_row(
-            row["n_nodes"],
-            str(row["identical"]),
-            f"{row['calendar_events_per_s']:,.0f}",
-            f"{row['heap_events_per_s']:,.0f}",
-        )
-    lines.append(gate.render())
-    lines.append("")
-
-    if summary["baseline_wins"]:
-        wins = TextTable(
-            "New configuration vs pre-sharding baseline (heap + O(N^2) "
-            "monitoring)",
-            ["N", "new ev/s", "baseline ev/s", "ratio", "win"],
-        )
-        for row in summary["baseline_wins"]:
-            wins.add_row(
-                row["n_nodes"],
-                f"{row['new_events_per_s']:,.0f}",
-                f"{row['baseline_events_per_s']:,.0f}",
-                f"{row['events_per_s_ratio']:.2f}x",
-                str(row["win"]),
-            )
-        lines.append(wins.render())
-        lines.append("")
-
-    lines.append(
-        f"firing order identical across backends: "
-        f"{summary['order_identical']}"
-    )
-    return "\n".join(lines)
-
-
-def write_scale_json(
-    summary: dict[str, t.Any], path: str = "BENCH_scale.json"
-) -> str:
-    """Write the summary as JSON; returns the path written."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
-def validate_bench_scale(summary: dict[str, t.Any]) -> None:
-    """Schema contract for ``BENCH_scale.json`` (CI / trend tooling).
-
-    Raises :class:`ValueError` on the first violation.
-    """
-    if summary.get("schema") != "scale-v1":
-        raise ValueError(
-            f"unexpected schema {summary.get('schema')!r}, want 'scale-v1'"
-        )
-    for key in (
-        "cells",
-        "crosscheck",
-        "order_checks",
-        "order_identical",
-        "baseline_wins",
-        "node_counts",
-        "ok",
-    ):
-        if key not in summary:
-            raise ValueError(f"missing top-level key {key!r}")
-    cell_keys = {
-        "n_nodes", "ap_strategy", "queue_impl", "monitor_shards",
-        "events", "wall_s", "events_per_s", "throughput_qpm",
-    }
-    for cell in summary["cells"]:
-        missing = cell_keys - set(cell)
-        if missing:
-            raise ValueError(f"cell missing keys {sorted(missing)}")
-    for row in summary["crosscheck"]:
-        for key in ("n_nodes", "measured_speedup", "analytical_speedup",
-                    "rel_err"):
-            if key not in row:
-                raise ValueError(f"crosscheck row missing {key!r}")
-    if not summary["order_identical"]:
-        raise ValueError(
-            "artifact records a firing-order divergence between backends"
-        )
+    return table.render()

@@ -1,18 +1,18 @@
-"""Collection-selection experiment — ``repro select``.
+"""Collection-selection experiment — the ``ext-selection`` section.
 
-Measures the federated collection selector (:mod:`repro.retrieval.selection`)
-from both ends of the stack and emits ``BENCH_selection.json``:
+Measures the quality of the federated collection selector
+(:mod:`repro.retrieval.selection`) from both ends of the stack:
 
-* **Real pipeline** — the bench's Zipf workload runs three ways on fresh
-  retriever stacks: exhaustive broadcast, **exact** selection (must be
-  fingerprint-identical to exhaustive — answers, paragraph ranks, work
-  counters — and the summary's ``ok`` flag enforces it), and
+* **Real pipeline** — a Zipf workload is answered three ways on fresh
+  retriever stacks: exhaustive broadcast, **exact** selection (fingerprint-
+  compared with exhaustive — answers, paragraph ranks, work counters) and
   **predictive** selection (mediator-style scoring; may trade recall for
-  fan-out).  Per mode: q/s, prune rate, ``retrieval.postings_scanned``
+  fan-out).  Per mode: prune rate, ``retrieval.postings_scanned``
   reduction, and selector quality against ground truth — a collection is
   *useful* for a question iff exhaustive retrieval pulls at least one
   paragraph from it, so precision/recall of the selected set and
-  answer agreement are measured, not asserted.
+  answer agreement are measured, not asserted.  What selection does to
+  q/s and latency is the benchmark's business (``bench/run.py``).
 
 * **Simulated cluster** — a 16 -> 128 node sweep runs the same synthetic
   workload with ``collection_selection`` off and on (the on-profiles
@@ -25,13 +25,8 @@ from both ends of the stack and emits ``BENCH_selection.json``:
 
 from __future__ import annotations
 
-import json
-import os
-import pathlib
 import typing as t
 from dataclasses import asdict, dataclass
-
-import numpy as np
 
 from ..core import (
     DistributedQASystem,
@@ -40,39 +35,31 @@ from ..core import (
     SystemConfig,
     TaskPolicy,
 )
-from ..corpus import CorpusConfig, generate_corpus, generate_questions
-from ..nlp.entities import EntityRecognizer
+from ..corpus import CorpusConfig
 from ..observability.attribution import attribute_workload
 from ..observability.names import POSTINGS_SCANNED
-from ..qa import QAPipeline, Question
+from ..qa import QAPipeline, Question, result_fingerprint
 from ..qa.profiles import SyntheticProfileGenerator, SyntheticProfileParams
-from ..retrieval import IndexedCorpus
+from ..serving.loadgen import zipf_workload
 from ..workload import staggered_arrivals
+from .context import build_context
 from .parallel import run_cells
 from .report import TextTable
-from .throughput_bench import _fingerprint, _run_workload
 
-__all__ = [
-    "SelectionConfig",
-    "run_selection",
-    "format_selection",
-    "write_selection_json",
-    "validate_bench_selection",
-]
+__all__ = ["SelectionConfig", "run_selection", "format_selection"]
 
 
 @dataclass(frozen=True, slots=True)
 class SelectionConfig:
     """Knobs of the collection-selection experiment."""
 
-    #: Real-pipeline workload (same construction as ``repro bench``).
+    #: Real-pipeline workload (same construction as ``repro loadgen``).
     n_questions: int = 120
     n_unique: int = 60
     zipf_exponent: float = 1.1
     corpus_seed: int = 42
     workload_seed: int = 7
     conjunction_cache: int = 256
-    warmup: int = 3
     #: Predictive-mode cutoffs (see :class:`CollectionSelector`).
     predictive_top_k: int | None = 4
     predictive_threshold: float = 0.0
@@ -153,25 +140,22 @@ def _sim_cell(
 
 
 def run_selection(config: SelectionConfig | None = None) -> dict[str, t.Any]:
-    """Run the full experiment and assemble ``BENCH_selection.json``."""
+    """Run both halves of the experiment."""
     config = config or SelectionConfig()
-    corpus = generate_corpus(CorpusConfig(seed=config.corpus_seed))
-    indexed = IndexedCorpus(corpus, conjunction_cache=config.conjunction_cache)
-    recognizer = EntityRecognizer(
-        corpus.knowledge.gazetteer(),
-        extra_nationalities=corpus.knowledge.nationalities,
+    ctx = build_context(CorpusConfig(seed=config.corpus_seed))
+    workload = zipf_workload(
+        ctx.questions,
+        config.n_questions,
+        config.n_unique,
+        config.zipf_exponent,
+        config.workload_seed,
     )
 
-    questions = generate_questions(corpus)
-    unique = questions[: max(1, min(config.n_unique, len(questions)))]
-    rng = np.random.default_rng(config.workload_seed)
-    weights = 1.0 / np.arange(1, len(unique) + 1) ** config.zipf_exponent
-    weights /= weights.sum()
-    picks = rng.choice(len(unique), size=config.n_questions, p=weights)
-    workload = [(unique[i].qid, unique[i].text) for i in picks]
+    def answer_all(pipeline: QAPipeline) -> list[t.Any]:
+        return [pipeline.answer(text, qid=qid) for qid, text in workload]
 
     def fresh(selector_mode: str | None) -> QAPipeline:
-        stack = indexed.reconfigured(
+        stack = ctx.indexed.reconfigured(
             conjunction_cache=config.conjunction_cache
         )
         selector = (
@@ -192,18 +176,17 @@ def run_selection(config: SelectionConfig | None = None) -> dict[str, t.Any]:
             )
         )
         return QAPipeline(
-            stack, recognizer, use_term_index=True, selector=selector
+            stack, ctx.recognizer, use_term_index=True, selector=selector
         )
 
     # -- exhaustive broadcast: the reference column + ground truth ---------
     exhaustive = fresh(None)
-    exh_results, exh_stats = _run_workload(
-        exhaustive, workload, config.warmup
-    )
-    exh_fingerprints = [_fingerprint(r) for r in exh_results]
+    exh_results = answer_all(exhaustive)
+    exh_fingerprints = [result_fingerprint(r) for r in exh_results]
+    exh_postings = sum(r.work[POSTINGS_SCANNED] for r in exh_results)
 
     # Ground truth per workload item: which collections actually
-    # contribute paragraphs (recomputed outside the timed runs).
+    # contribute paragraphs.
     useful_sets: list[frozenset[int]] = []
     processed_cache: dict[str, t.Any] = {}
     for qid, text in workload:
@@ -218,17 +201,18 @@ def run_selection(config: SelectionConfig | None = None) -> dict[str, t.Any]:
             )
         )
 
-    runs: dict[str, dict[str, t.Any]] = {"exhaustive": exh_stats}
+    runs: dict[str, dict[str, t.Any]] = {
+        "exhaustive": {"postings_scanned_total": exh_postings}
+    }
     quality: dict[str, dict[str, t.Any]] = {}
     mismatches: dict[str, list[int]] = {}
-    keep_rates: dict[str, float] = {}
     for mode in ("exact", "predictive"):
         pipeline = fresh(mode)
-        results, stats = _run_workload(pipeline, workload, config.warmup)
+        results = answer_all(pipeline)
         bad = [
             i
             for i, r in enumerate(results)
-            if _fingerprint(r) != exh_fingerprints[i]
+            if result_fingerprint(r) != exh_fingerprints[i]
         ]
         if bad:
             mismatches[mode] = bad[:20]
@@ -248,31 +232,26 @@ def run_selection(config: SelectionConfig | None = None) -> dict[str, t.Any]:
             for a, b in zip(exh_results, results)
             if [str(ans) for ans in a.answers] == [str(ans) for ans in b.answers]
         )
-        exh_postings = sum(r.work[POSTINGS_SCANNED] for r in exh_results)
         mode_postings = sum(r.work[POSTINGS_SCANNED] for r in results)
-        stats["postings_scanned_total"] = mode_postings
-        stats["postings_scanned_reduction"] = (
-            1.0 - mode_postings / exh_postings if exh_postings else 0.0
-        )
-        stats["prune_rate_mean"] = (
-            sum(prune_rates) / len(prune_rates) if prune_rates else 0.0
-        )
-        runs[mode] = stats
-        keep_rates[mode] = 1.0 - stats["prune_rate_mean"]
+        prune_rate = sum(prune_rates) / len(prune_rates) if prune_rates else 0.0
+        runs[mode] = {
+            "postings_scanned_total": mode_postings,
+            "postings_scanned_reduction": (
+                1.0 - mode_postings / exh_postings if exh_postings else 0.0
+            ),
+            "prune_rate_mean": prune_rate,
+        }
         quality[mode] = {
             **_mode_quality(selected_sets, useful_sets),
             "answer_agreement": agreement / len(workload),
             "fallbacks": fallbacks,
             "sketch_bytes": selector.sketch_bytes(),
         }
-    runs["exhaustive"]["postings_scanned_total"] = sum(
-        r.work[POSTINGS_SCANNED] for r in exh_results
-    )
 
     # -- simulated sweep: partition-comms with selection off vs on ----------
     fraction = config.sim_selected_fraction
     if fraction is None:
-        fraction = round(keep_rates["predictive"], 2)
+        fraction = round(1.0 - runs["predictive"]["prune_rate_mean"], 2)
     specs: list[tuple[int, str, float | None, int, int, str]] = []
     for n in config.node_counts:
         specs.append((n, "off", fraction, config.sim_seed, config.sim_questions_per_node, "RECV"))
@@ -308,23 +287,20 @@ def run_selection(config: SelectionConfig | None = None) -> dict[str, t.Any]:
         row["partition_comms_reduction"] > 0.0 for row in sim_rows
     )
 
-    exact_identical = "exact" not in mismatches
     return {
-        "schema": "selection-v1",
-        "cpu_count": os.cpu_count(),
         "config": {
             **asdict(config),
             "sim_selected_fraction_effective": fraction,
         },
         "workload": {
             "n_questions": len(workload),
-            "n_unique": len(unique),
+            "n_unique": min(config.n_unique, len(ctx.questions)),
             "zipf_exponent": config.zipf_exponent,
         },
         "runs": runs,
         "quality": quality,
         "equivalence": {
-            "exact_identical": exact_identical,
+            "exact_identical": "exact" not in mismatches,
             "n_checked": len(workload),
             "mismatches": mismatches,
         },
@@ -334,7 +310,6 @@ def run_selection(config: SelectionConfig | None = None) -> dict[str, t.Any]:
             "comms_shrinks": comms_shrinks,
             "attribution_ok": attribution_ok,
         },
-        "ok": exact_identical and attribution_ok,
     }
 
 
@@ -350,14 +325,13 @@ def format_selection(summary: dict[str, t.Any]) -> str:
     ]
     table = TextTable(
         "Selector modes on the real pipeline",
-        ["Mode", "q/s", "prune %", "postings", "reduction"],
+        ["Mode", "prune %", "postings", "reduction"],
     )
     runs = summary["runs"]
     for mode in ("exhaustive", "exact", "predictive"):
         s = runs[mode]
         table.add_row(
             mode,
-            f"{s['questions_per_sec']:.2f}",
             f"{s.get('prune_rate_mean', 0.0) * 100:.1f}",
             f"{s['postings_scanned_total']:,.0f}",
             f"{s.get('postings_scanned_reduction', 0.0) * 100:.1f} %",
@@ -396,68 +370,6 @@ def format_selection(summary: dict[str, t.Any]) -> str:
     eq = summary["equivalence"]
     lines.append(
         f"exact mode bit-identical to exhaustive: {eq['exact_identical']}"
-        f" over {eq['n_checked']} questions; ok={summary['ok']}"
+        f" over {eq['n_checked']} questions"
     )
     return "\n".join(lines)
-
-
-def write_selection_json(
-    summary: dict[str, t.Any], path: str | pathlib.Path = "BENCH_selection.json"
-) -> pathlib.Path:
-    """Write the summary as JSON; returns the path written."""
-    out = pathlib.Path(path)
-    out.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return out
-
-
-def validate_bench_selection(summary: dict[str, t.Any]) -> None:
-    """Schema contract for ``BENCH_selection.json`` (CI / trend tooling).
-
-    Raises :class:`ValueError` on the first violation.
-    """
-    if summary.get("schema") != "selection-v1":
-        raise ValueError(
-            f"unexpected schema {summary.get('schema')!r}, want 'selection-v1'"
-        )
-    for key in ("config", "workload", "runs", "quality", "equivalence",
-                "simulated", "ok"):
-        if key not in summary:
-            raise ValueError(f"missing top-level key {key!r}")
-    runs = summary["runs"]
-    for mode in ("exhaustive", "exact", "predictive"):
-        if mode not in runs:
-            raise ValueError(f"runs missing mode {mode!r}")
-        for key in ("questions_per_sec", "wall_s", "postings_scanned_total"):
-            if key not in runs[mode]:
-                raise ValueError(f"runs[{mode}] missing {key!r}")
-    for mode in ("exact", "predictive"):
-        if "postings_scanned_reduction" not in runs[mode]:
-            raise ValueError(f"runs[{mode}] missing postings reduction")
-        q = summary["quality"].get(mode)
-        if q is None:
-            raise ValueError(f"quality missing mode {mode!r}")
-        for key in ("precision_mean", "recall_mean", "answer_agreement"):
-            if key not in q:
-                raise ValueError(f"quality[{mode}] missing {key!r}")
-    eq = summary["equivalence"]
-    if not eq.get("exact_identical", False):
-        raise ValueError(
-            "artifact records an exact-mode divergence from exhaustive search"
-        )
-    sim = summary["simulated"]
-    for key in ("cells", "rows", "comms_shrinks", "attribution_ok"):
-        if key not in sim:
-            raise ValueError(f"simulated missing {key!r}")
-    for row in sim["rows"]:
-        for key in (
-            "n_nodes",
-            "off_partition_comms_mean_s",
-            "on_partition_comms_mean_s",
-            "partition_comms_reduction",
-        ):
-            if key not in row:
-                raise ValueError(f"simulated row missing {key!r}")
-    if not sim["attribution_ok"]:
-        raise ValueError("attribution sum invariant violated in a sim cell")
-    if not summary["ok"]:
-        raise ValueError("summary records ok=false")

@@ -7,7 +7,7 @@ from .evaluation import EvaluationReport, QuestionOutcome, evaluate, score_resul
 from .paragraph_ordering import ParagraphOrderer
 from .paragraph_retrieval import CollectionWork, ParagraphRetriever, PRResult
 from .paragraph_scoring import ParagraphScorer
-from .pipeline import QAPipeline
+from .pipeline import QAPipeline, result_fingerprint
 from .profile_io import load_profiles, save_profiles
 from .profiles import (
     CollectionProfile,
@@ -57,6 +57,7 @@ __all__ = [
     "load_profiles",
     "merge_answers",
     "profile_question",
+    "result_fingerprint",
     "save_profiles",
     "score_result",
     "evaluate",

@@ -53,7 +53,28 @@ from .paragraph_scoring import ParagraphScorer
 from .question import ModuleTimings, ProcessedQuestion, QAResult, Question
 from .question_processing import QuestionProcessor
 
-__all__ = ["QAPipeline"]
+__all__ = ["QAPipeline", "result_fingerprint"]
+
+
+def result_fingerprint(result: QAResult) -> tuple[t.Any, ...]:
+    """Everything of a result that two equivalent execution paths must
+    reproduce bit for bit: the answers (text, clips, score, source
+    paragraph, entity type), the retrieved/accepted counts, the paragraph
+    ranks and the work counters.  Timings are left out.
+
+    The equivalence tests (fast path vs re-tokenize oracle, batched vs
+    serial, exact selection vs exhaustive) compare results through this.
+    """
+    return (
+        tuple(
+            (a.text, a.short, a.long, a.score, a.paragraph_key, a.entity_type.value)
+            for a in result.answers
+        ),
+        result.n_retrieved,
+        result.n_accepted,
+        result.paragraph_ranks,
+        tuple(sorted(result.work.items())),
+    )
 
 
 class QAPipeline:

@@ -10,7 +10,7 @@ from .inverted_index import (
     StemCache,
     StemSetView,
 )
-from .packing import attach_payload, indexes_to_payload, memory_footprint
+from .packing import attach_payload, indexes_to_payload
 from .paragraphs import Paragraph, split_paragraphs
 from .prediction import QueryCostEstimate, predict_pr_cost, predict_pr_cost_corpus
 from .selection import (
@@ -46,7 +46,6 @@ __all__ = [
     "attach_payload",
     "build_sketch",
     "indexes_to_payload",
-    "memory_footprint",
     "sketch_of",
     "split_paragraphs",
 ]

@@ -1,4 +1,4 @@
-"""Serialization and measurement of the packed index data plane.
+"""Serialization of the packed index data plane.
 
 Because a :class:`~repro.retrieval.inverted_index.CollectionIndex` is a
 handful of flat ``array`` buffers plus lookup tables derived from the
@@ -15,10 +15,7 @@ re-stemming the corpus.  This module defines that artifact:
   before interning anything else — ids are valid as-is and attach is a
   zero-rebuild reslice.  Otherwise every id array is remapped through a
   freshly interned translation table and the per-paragraph sorted runs
-  are re-derived (ids order differently under new numbering);
-* :func:`memory_footprint` — measured resident size of the packed layout
-  next to the dict-of-dicts layout it replaced, so the benchmark reports
-  the reduction instead of asserting it.
+  are re-derived (ids order differently under new numbering).
 
 Vocabulary ids are process-local, which is exactly why the payload
 carries the term table: correctness never depends on two processes
@@ -28,23 +25,18 @@ vocabulary.
 
 from __future__ import annotations
 
-import sys
 import typing as t
 from array import array
 
 from ..corpus.generator import Corpus
-from ..nlp.tokenizer import Token
 from ..nlp.vocabulary import SHARED_VOCABULARY, Vocabulary
 from .inverted_index import CollectionIndex, IndexBuffers
-from .paragraphs import Paragraph
 from .selection import CollectionSketch, sketch_of
 
 __all__ = [
     "PAYLOAD_SCHEMA",
     "indexes_to_payload",
     "attach_payload",
-    "memory_footprint",
-    "dict_layout_bytes",
 ]
 
 #: Bump when the buffer layout changes; mismatched payloads are rejected.
@@ -184,91 +176,3 @@ def attach_payload(
             )
         indexes.append(index)
     return indexes
-
-
-# -- memory measurement ----------------------------------------------------------
-def _deep_bytes(roots: t.Iterable[object], seen: set[int]) -> int:
-    """Recursive ``sys.getsizeof`` over containers, deduplicated by id.
-
-    Strings are skipped everywhere: stems and surface forms are interned
-    and shared by both layouts (vocabulary table vs. dict keys), so
-    counting them would only blur the structural comparison.  Paragraph
-    text is likewise owned by the corpus, not the index.
-    """
-    total = 0
-    stack = list(roots)
-    while stack:
-        obj = stack.pop()
-        oid = id(obj)
-        if oid in seen:
-            continue
-        seen.add(oid)
-        if isinstance(obj, str):
-            continue
-        total += sys.getsizeof(obj)
-        if isinstance(obj, dict):
-            stack.extend(obj.keys())
-            stack.extend(obj.values())
-        elif isinstance(obj, (list, tuple, set, frozenset)):
-            stack.extend(obj)
-        elif isinstance(obj, Token):
-            stack.extend((obj.start, obj.end))
-        elif isinstance(obj, Paragraph):
-            pass  # owned by the corpus; identical in both layouts
-    return total
-
-
-def dict_layout_bytes(index: CollectionIndex) -> int:
-    """Measured size of the dict-of-dicts layout this index replaced.
-
-    Materializes, per collection, the exact structures of the previous
-    implementation — ``{stem: {doc_id: tf}}`` postings with a parallel
-    sorted-doc-id dict, per-document ``(paragraph, frozenset[str])``
-    lists, and per-paragraph ``(tokens, stems_at, {stem: positions})``
-    views — measures them, and lets them go.  This keeps the benchmark's
-    "memory reduced Nx" column a measurement of real objects rather than
-    an estimate.
-    """
-    seen: set[int] = set()
-    total = 0
-    postings: dict[str, dict[int, int]] = {}
-    sorted_postings: dict[str, list[int]] = {}
-    for stem_, _df in index.iter_terms():
-        postings[stem_] = index.postings(stem_)
-        sorted_postings[stem_] = sorted(postings[stem_])
-    total += _deep_bytes((postings, sorted_postings), seen)
-    del postings, sorted_postings
-    for doc_id in index.doc_ids:
-        doc_paragraphs = [
-            (para, frozenset(stems))
-            for para, stems in index.paragraphs_of(doc_id)
-        ]
-        paragraph_terms = {}
-        for para, _ in doc_paragraphs:
-            terms = index.paragraph_terms(para.key)
-            assert terms is not None
-            tokens = tuple(terms.tokens)
-            paragraph_terms[para.key] = (tokens, terms.stems_at, terms.positions)
-        total += _deep_bytes((doc_paragraphs, paragraph_terms), seen)
-    return total
-
-
-def memory_footprint(
-    indexes: t.Sequence[CollectionIndex],
-    vocabulary: Vocabulary | None = None,
-    measure_dict_layout: bool = True,
-) -> dict[str, t.Any]:
-    """Resident-size report of the packed layout vs. the dict layout."""
-    vocab = vocabulary or SHARED_VOCABULARY
-    packed = sum(ix.stats.memory_bytes for ix in indexes)
-    # The shared vocabulary's containers are part of the packed design's
-    # cost; attribute them once (strings excluded on both sides).
-    packed += sys.getsizeof(vocab) + _deep_bytes(
-        (vocab.table(), dict.fromkeys(vocab.table(), 0)), set()
-    )
-    report: dict[str, t.Any] = {"packed_bytes": packed}
-    if measure_dict_layout:
-        legacy = sum(dict_layout_bytes(ix) for ix in indexes)
-        report["dict_layout_bytes"] = legacy
-        report["reduction"] = legacy / packed if packed else float("inf")
-    return report

@@ -32,15 +32,16 @@ This module is that mediator layer:
   skipped collection's logical work (``postings_scanned``,
   ``relaxation_rounds``) is computable from the sketch alone and is
   synthesized bit-identically — answers, paragraph ranks, and work
-  counters never change, which the throughput bench's equivalence gate
+  counters never change, which ``tests/retrieval/test_selection.py``
   enforces.
 
   **predictive** scores collections mediator-style — df-weighted
   keyword coverage with an idf-like rarity weight, zeroed when the
   sketch's paragraph-presence bound says no keyword occurs in any
   paragraph — and keeps the top-k / above-threshold collections.
-  Predictive selection may change answers; ``repro select`` reports its
-  precision/recall/answer-agreement against exhaustive search.
+  Predictive selection may change answers; ``repro experiments
+  ext-selection`` reports its precision/recall/answer-agreement against
+  exhaustive search.
 
 A selection that would come back empty in predictive mode falls back to
 exhaustive search (``fallback=True``): the selector may lose recall,

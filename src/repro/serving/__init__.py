@@ -16,7 +16,7 @@ overload protocol as the simulated cluster:
 * :mod:`repro.serving.slo` — the rolling-window SLO monitor
   (OK/WARN/BREACH) and the ``repro top`` text dashboard;
 * :mod:`repro.serving.loadgen` — the Section 6.1-style seeded workload
-  driver (``python -m repro loadgen``), emitting ``BENCH_serving.json``.
+  driver (``python -m repro loadgen``).
 
 CLI: ``python -m repro serve`` (interactive stdin server),
 ``python -m repro loadgen`` (offered-load sweep), and
@@ -33,8 +33,6 @@ from .loadgen import (
     LoadgenConfig,
     format_serving,
     run_loadgen,
-    validate_bench_serving,
-    write_serving_json,
     zipf_workload,
 )
 from .protocol import (
@@ -74,7 +72,5 @@ __all__ = [
     "format_top",
     "run_loadgen",
     "run_top",
-    "validate_bench_serving",
-    "write_serving_json",
     "zipf_workload",
 ]

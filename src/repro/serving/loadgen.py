@@ -3,7 +3,7 @@
 The simulator's evaluation (Section 6.1) brings the cluster to a high
 load state with a seeded question stream; the loadgen replays the *same
 protocol* against the real serving layer — the identical Zipf-popular
-question mix the throughput bench uses, Poisson arrivals at a controlled
+question mix the benchmark of record uses, Poisson arrivals at a controlled
 offered rate, one seed end to end — so real and simulated behaviour
 under overload can be compared number for number.
 
@@ -23,8 +23,8 @@ Protocol
    must shed rather than queue — its accepted-question p99 stays within
    ``3x`` of the at-saturation p99.
 
-``run_loadgen`` returns a JSON-ready summary (written to
-``BENCH_serving.json``); the accept/shed **decision digest** in each run
+``run_loadgen`` returns a JSON-ready summary (``repro loadgen --output``
+writes it); the accept/shed **decision digest** in each run
 is byte-identical across ``--workers`` counts for a fixed rate and
 service estimate, which the determinism regression test pins.
 """
@@ -32,7 +32,6 @@ service estimate, which the determinism regression test pins.
 from __future__ import annotations
 
 import hashlib
-import json
 import pathlib
 import time
 import typing as t
@@ -53,8 +52,6 @@ __all__ = [
     "LoadgenConfig",
     "format_serving",
     "run_loadgen",
-    "validate_bench_serving",
-    "write_serving_json",
     "zipf_workload",
 ]
 
@@ -139,11 +136,9 @@ def zipf_workload(
     zipf_exponent: float,
     seed: int,
 ) -> list[tuple[int, str]]:
-    """The bench/simulator question stream: Zipf-popular repeated picks.
-
-    Identical construction to the throughput bench (rank ``r`` drawn
-    with probability ∝ ``1/r^s``), so serving, bench, and simulator all
-    answer the same stream for the same seed.
+    """The question stream: Zipf-popular repeated picks (rank ``r`` drawn
+    with probability ∝ ``1/r^s``), so serving, the benchmark and the
+    selection experiment all answer the same stream for the same seed.
     """
     unique = list(questions[: max(1, min(n_unique, len(questions)))])
     rng = np.random.default_rng(seed)
@@ -675,67 +670,3 @@ def format_serving(summary: dict[str, t.Any]) -> str:
         )
     )
     return "\n".join(lines)
-
-
-def validate_bench_serving(summary: dict[str, t.Any]) -> None:
-    """Schema check for ``BENCH_serving.json`` — raises on drift.
-
-    v2 added the micro-batch block (top-level ``batch`` plus a per-run
-    ``batch`` record carrying the sharing stats from the
-    ``stage:PR-batch`` spans); v3 adds the telemetry plane: a top-level
-    ``telemetry`` block, the ``observability_overhead`` measurement
-    (or its explicit ``skipped`` marker), and per-run ``sampling``
-    accounting.
-    """
-    if summary.get("schema") != "bench_serving/v3":
-        raise ValueError(f"unexpected schema: {summary.get('schema')!r}")
-    for key in (
-        "config",
-        "workload",
-        "calibration",
-        "runs",
-        "overload",
-        "observability_overhead",
-        "ok",
-    ):
-        if key not in summary:
-            raise ValueError(f"missing top-level key: {key}")
-    batch = summary.get("batch")
-    if not isinstance(batch, dict) or "batch_max" not in batch:
-        raise ValueError("summary must carry a 'batch' block")
-    telemetry = summary.get("telemetry")
-    if not isinstance(telemetry, dict) or "trace_sample_rate" not in telemetry:
-        raise ValueError("v3 summary must carry a 'telemetry' block")
-    overhead = summary["observability_overhead"]
-    if not isinstance(overhead, dict) or (
-        not overhead.get("skipped") and "overhead_frac" not in overhead
-    ):
-        raise ValueError(
-            "observability_overhead must be measured or marked skipped"
-        )
-    for i, run in enumerate(summary["runs"]):
-        for key in (
-            "label",
-            "offered_qps",
-            "ledger",
-            "latency_s",
-            "decision_digest",
-            "conservation_ok",
-            "batch",
-            "sampling",
-        ):
-            if key not in run:
-                raise ValueError(f"runs[{i}] missing {key}")
-        led = run["ledger"]
-        for key in ("submitted", "answered", "shed", "drained"):
-            if key not in led:
-                raise ValueError(f"runs[{i}].ledger missing {key}")
-
-
-def write_serving_json(
-    summary: dict[str, t.Any], path: str | pathlib.Path
-) -> pathlib.Path:
-    """Write ``summary`` to ``path`` as pretty-printed JSON."""
-    out = pathlib.Path(path)
-    out.write_text(json.dumps(summary, indent=2, sort_keys=False) + "\n")
-    return out

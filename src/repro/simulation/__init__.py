@@ -14,7 +14,6 @@ Pentium III machines) with a deterministic discrete-event simulator:
 * :class:`~repro.simulation.failures.FailureInjector` — node crash/recovery.
 """
 
-from .calendar import CalendarQueue
 from .chaos import ChaosConfig, FaultInterval, generate_chaos_schedule
 from .engine import EmptySchedule, Environment, Process
 from .events import AllOf, AnyOf, Event, Interrupt, SimulationError, Timeout
@@ -27,7 +26,6 @@ from .statistics import RunningMean, TimeWeightedSignal
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarQueue",
     "ChaosConfig",
     "EmptySchedule",
     "Environment",

@@ -11,12 +11,8 @@ Design notes
 * The event queue orders events by ``(time, priority, seq)``.  ``seq`` is a
   monotonically increasing counter, so simulations are fully deterministic —
   two events scheduled for the same instant fire in the order they were
-  scheduled.  Two backends implement that contract behind the same API:
-  a binary heap (:class:`~repro.simulation.schedkey.SeqHeap`, the default)
-  and a calendar queue (:class:`~repro.simulation.calendar.CalendarQueue`,
-  O(1) amortized — pick it with ``Environment(queue="calendar")`` for
-  large-N runs).  Firing order is identical between the two; the simbench
-  equivalence gate replays a seeded run under both and diffs the full log.
+  scheduled.  The queue is a binary heap
+  (:class:`~repro.simulation.schedkey.SeqHeap`).
 * Processes are plain Python generators.  ``yield event`` suspends the
   process until the event fires; the event's value is returned by the
   ``yield`` expression (or its exception raised).
@@ -32,7 +28,6 @@ from __future__ import annotations
 import heapq
 import typing as t
 
-from .calendar import CalendarQueue
 from .schedkey import SeqHeap
 from .events import (
     _PENDING,
@@ -178,25 +173,13 @@ class Environment:
     ----------
     initial_time:
         Starting value of :attr:`now` (seconds).
-    queue:
-        Event-queue backend: ``"heap"`` (binary heap, the default) or
-        ``"calendar"`` (calendar queue, O(1) amortized — faster for the
-        large pending-event sets of 256+-node runs).  Firing order is
-        identical between the two.
     """
 
-    __slots__ = ("_now", "_queue", "_is_calendar", "_active_process", "_crashed")
+    __slots__ = ("_now", "_queue", "_active_process", "_crashed")
 
-    def __init__(self, initial_time: float = 0.0, queue: str = "heap") -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        if queue == "heap":
-            self._queue: SeqHeap | CalendarQueue = SeqHeap()
-            self._is_calendar = False
-        elif queue == "calendar":
-            self._queue = CalendarQueue()
-            self._is_calendar = True
-        else:
-            raise ValueError(f"unknown queue backend: {queue!r}")
+        self._queue = SeqHeap()
         self._active_process: Process | None = None
         self._crashed: tuple[Process, BaseException] | None = None
 
@@ -205,11 +188,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def queue_impl(self) -> str:
-        """Name of the active event-queue backend."""
-        return "calendar" if self._is_calendar else "heap"
 
     @property
     def _seq(self):
@@ -250,17 +228,11 @@ class Environment:
     def _schedule(
         self, event: Event, delay: float, priority: int = _NORMAL
     ) -> None:
-        # Both backends share the push(payload, when, prio) surface and the
-        # SeqHeap (when, prio, seq, payload) entry layout.  The heap push is
-        # inlined — one C call on the hottest path in the simulator — while
-        # the calendar's bucket logic stays behind its method.
+        # SeqHeap.push inlined: one C call on the simulator's hottest path.
         q = self._queue
-        if self._is_calendar:
-            q.push(event, self._now + delay, priority)
-        else:
-            heapq.heappush(
-                q.entries, (self._now + delay, priority, next(q._seq), event)
-            )
+        heapq.heappush(
+            q.entries, (self._now + delay, priority, next(q._seq), event)
+        )
 
     def schedule_at(self, event: Event, when: float) -> None:
         """Trigger ``event`` (value ``None``) to fire at the absolute instant ``when``.
@@ -275,10 +247,7 @@ class Environment:
             raise SimulationError(f"{event!r} has already been triggered")
         event._value = None
         q = self._queue
-        if self._is_calendar:
-            q.push(event, when, _NORMAL)
-        else:
-            heapq.heappush(q.entries, (when, _NORMAL, next(q._seq), event))
+        heapq.heappush(q.entries, (when, _NORMAL, next(q._seq), event))
 
     def peek(self) -> float:
         """Time of the next scheduled event (``inf`` when queue is empty)."""
@@ -311,8 +280,6 @@ class Environment:
         callback sequence as :meth:`step`; event firing order is
         identical to stepping manually.
         """
-        if self._is_calendar:
-            return self._run_calendar(until)
         queue = self._queue.entries
         heappop = heapq.heappop
         if until is None:
@@ -358,99 +325,6 @@ class Environment:
             raise ValueError(f"cannot run backwards to t={horizon} (now={self._now})")
         while queue and queue[0][0] <= horizon:
             when, _prio, _seq, event = heappop(queue)
-            self._now = when
-            event._run_callbacks()
-            if self._crashed is not None:
-                proc, exc = self._crashed
-                self._crashed = None
-                raise exc
-        self._now = horizon
-        return None
-
-    def _run_calendar(self, until: float | Event | None) -> object:
-        """The :meth:`run` loops for the calendar backend.
-
-        Same pop/clock/callback sequence, but with the calendar's pop fast
-        path (current-day bucket head under the day boundary) inlined so the
-        common case is one C ``heappop`` plus a couple of slot loads — the
-        same treatment the heap loops above get.  Callbacks may push (and
-        trigger a bucket resize) mid-drain, so the queue's fields are
-        re-read every iteration rather than cached across callbacks.
-        """
-        queue = self._queue
-        heappop = heapq.heappop
-        if until is None:
-            while True:
-                size = queue._size
-                if size == 0:
-                    if not queue._inf:
-                        return None
-                    when, _prio, _seq, event = heappop(queue._inf)
-                else:
-                    bucket = queue._curb
-                    if not bucket or bucket[0][0] >= queue._boundary:
-                        bucket = queue._scan()
-                    queue._size = size - 1
-                    when, _prio, _seq, event = heappop(bucket)
-                self._now = when
-                event._run_callbacks()
-                if self._crashed is not None:
-                    proc, exc = self._crashed
-                    self._crashed = None
-                    raise exc
-
-        if isinstance(until, Event):
-            target = until
-            sentinel: list[object] = []
-
-            def _done(evt: Event) -> None:
-                sentinel.append(evt)
-
-            if target.callbacks is None:
-                sentinel.append(target)
-            else:
-                target.callbacks.append(_done)
-            while not sentinel:
-                size = queue._size
-                if size == 0:
-                    if not queue._inf:
-                        raise SimulationError(
-                            f"simulation ran out of events before {target!r} fired"
-                        )
-                    when, _prio, _seq, event = heappop(queue._inf)
-                else:
-                    bucket = queue._curb
-                    if not bucket or bucket[0][0] >= queue._boundary:
-                        bucket = queue._scan()
-                    queue._size = size - 1
-                    when, _prio, _seq, event = heappop(bucket)
-                self._now = when
-                event._run_callbacks()
-                if self._crashed is not None:
-                    proc, exc = self._crashed
-                    self._crashed = None
-                    raise exc
-            if not target.ok:
-                raise t.cast(BaseException, target._value)
-            return target.value
-
-        horizon = float(until)
-        if horizon < self._now:
-            raise ValueError(f"cannot run backwards to t={horizon} (now={self._now})")
-        while True:
-            size = queue._size
-            if size == 0:
-                if not queue._inf or queue._inf[0][0] > horizon:
-                    break
-                when, _prio, _seq, event = heappop(queue._inf)
-            else:
-                bucket = queue._curb
-                if not bucket or bucket[0][0] >= queue._boundary:
-                    bucket = queue._scan()
-                if bucket[0][0] > horizon:
-                    break
-                queue._size = size - 1
-                when, _prio, _seq, event = heappop(bucket)
             self._now = when
             event._run_callbacks()
             if self._crashed is not None:

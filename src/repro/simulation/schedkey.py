@@ -10,10 +10,7 @@ a monotonically increasing sequence number appended as the tiebreak, so
 Historically the event queue in :mod:`repro.simulation.engine` and the
 fair-share completion heap in :mod:`repro.simulation.resources` each
 open-coded this idiom with their own ``itertools.count``.  :class:`SeqHeap`
-is now the single owner of the entry layout; the calendar backend in
-:mod:`repro.simulation.calendar` builds the identical ``(*key, seq,
-payload)`` tuples so both event-queue backends share one ordering
-semantics (which is what makes their firing order provably identical).
+is now the single owner of the entry layout.
 """
 
 from __future__ import annotations

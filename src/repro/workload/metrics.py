@@ -27,6 +27,12 @@ def percentile(samples: t.Sequence[float], q: float) -> float:
     The single percentile definition shared by every report writer
     (linearly interpolated, matching ``numpy.percentile``) — the
     experiments used to hand-roll their own nearest-rank variants.
+
+    Two other quantile routines remain and neither writes a report:
+    ``serving.slo._pct`` is nearest-rank inside the SLO state machine,
+    whose transitions ``tests/serving/test_slo.py`` pins, and
+    ``observability.metrics.Histogram.percentile`` interpolates bucket
+    bounds because a histogram keeps no samples.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must be in [0, 1]")
@@ -79,11 +85,11 @@ def summarize_samples(samples: t.Sequence[float]) -> LatencySummary:
     return LatencySummary(
         n=int(times.size),
         mean_s=float(times.mean()),
-        median_s=float(np.median(times)),
-        p95_s=float(np.percentile(times, 95)),
+        median_s=percentile(times, 0.50),
+        p95_s=percentile(times, 0.95),
         min_s=float(times.min()),
         max_s=float(times.max()),
-        p99_s=float(np.percentile(times, 99)),
+        p99_s=percentile(times, 0.99),
     )
 
 

@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.throughput_bench import _fingerprint
 from repro.nlp import EntityRecognizer
 from repro.nlp.stemming import SHARED_STEM_CACHE
 from repro.observability.metrics import MetricsRegistry
@@ -26,7 +25,7 @@ from repro.observability.names import (
     RETRIEVAL_BATCH_POSTINGS_SHARED,
     RETRIEVAL_BATCH_QUESTIONS,
 )
-from repro.qa import QAPipeline
+from repro.qa import QAPipeline, result_fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +69,7 @@ class TestBatchProperty:
 
         serial = _fresh(indexed, recognizer)
         h0, m0 = _stem_counters()
-        expected = [_fingerprint(serial.answer(q)) for q in batch]
+        expected = [result_fingerprint(serial.answer(q)) for q in batch]
         serial_stems = (
             SHARED_STEM_CACHE.hits - h0,
             SHARED_STEM_CACHE.misses - m0,
@@ -84,7 +83,7 @@ class TestBatchProperty:
             SHARED_STEM_CACHE.misses - m0,
         )
 
-        assert [_fingerprint(r) for r in results] == expected
+        assert [result_fingerprint(r) for r in results] == expected
         assert batched_stems == serial_stems
         assert [
             r.cache_stats for r in serial.indexed.retrievers
@@ -95,10 +94,10 @@ class TestBatchProperty:
     def test_batch_of_one_matches_serial(self, stack, i):
         indexed, recognizer, pool = stack
         serial = _fresh(indexed, recognizer)
-        expected = _fingerprint(serial.answer(pool[i]))
+        expected = result_fingerprint(serial.answer(pool[i]))
         batched = _fresh(indexed, recognizer)
         [result] = batched.answer_batch([pool[i]])
-        assert _fingerprint(result) == expected
+        assert result_fingerprint(result) == expected
         assert batched.last_batch_stats.n_questions == 1
         assert batched.last_batch_stats.n_distinct == 1
 
@@ -122,7 +121,7 @@ class TestBatchRegression:
 
         serial = _fresh(indexed, recognizer, cache=2)
         h0, m0 = _stem_counters()
-        expected = [_fingerprint(serial.answer(q)) for q in workload]
+        expected = [result_fingerprint(serial.answer(q)) for q in workload]
         serial_stems = (
             SHARED_STEM_CACHE.hits - h0,
             SHARED_STEM_CACHE.misses - m0,
@@ -136,7 +135,7 @@ class TestBatchRegression:
             SHARED_STEM_CACHE.misses - m0,
         )
 
-        assert [_fingerprint(r) for r in results] == expected
+        assert [result_fingerprint(r) for r in results] == expected
         assert batched_stems == serial_stems
         assert [
             r.cache_stats for r in serial.indexed.retrievers

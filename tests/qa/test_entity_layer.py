@@ -16,10 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.throughput_bench import _fingerprint
 from repro.nlp import EntityRecognizer, EntityType
 from repro.nlp.stemming import SHARED_STEM_CACHE
-from repro.qa import QAPipeline
+from repro.qa import QAPipeline, result_fingerprint
 from repro.qa.answer_processing import AnswerProcessor
 from repro.qa.question import ProcessedQuestion, Question
 
@@ -39,8 +38,8 @@ def stack(shared_corpus, shared_indexed_corpus, shared_questions):
     )
     expected = {}
     for text in pool:
-        fresh = _fingerprint(_fresh(shared_indexed_corpus, recognizer).answer(text))
-        assert fresh == _fingerprint(oracle.answer(text))
+        fresh = result_fingerprint(_fresh(shared_indexed_corpus, recognizer).answer(text))
+        assert fresh == result_fingerprint(oracle.answer(text))
         expected[text] = fresh
     return shared_indexed_corpus, recognizer, pool, expected
 
@@ -92,18 +91,18 @@ class TestLayerIsInvisible:
         want = [expected[text] for text in stream]
 
         serial = _fresh(indexed, recognizer)
-        assert [_fingerprint(serial.answer(text)) for text in stream] == want
+        assert [result_fingerprint(serial.answer(text)) for text in stream] == want
         # Again, batched, over the layer the serial pass left behind...
         got = []
         for i in range(0, len(stream), chunk):
             got += serial.answer_batch(stream[i : i + chunk])
-        assert [_fingerprint(r) for r in got] == want
+        assert [result_fingerprint(r) for r in got] == want
         # ...and batched from cold (KeywordIdResolver + a filling layer).
         batched = _fresh(indexed, recognizer)
         got = []
         for i in range(0, len(stream), chunk):
             got += batched.answer_batch(stream[i : i + chunk])
-        assert [_fingerprint(r) for r in got] == want
+        assert [result_fingerprint(r) for r in got] == want
 
         stats = serial.ap.entity_layer_stats
         assert stats["misses"] == stats["paragraphs"]

@@ -24,7 +24,6 @@ from repro.retrieval.packing import (
     PAYLOAD_SCHEMA,
     attach_payload,
     indexes_to_payload,
-    memory_footprint,
 )
 
 
@@ -195,18 +194,6 @@ def test_global_stems_alias_is_gone():
     import repro.retrieval.inverted_index as m
 
     assert not hasattr(m, "_GLOBAL_STEMS")
-
-
-# -- memory accounting ------------------------------------------------------------
-def test_memory_footprint_reports_reduction(small_stack):
-    _, index = small_stack
-    report = memory_footprint([index])
-    assert report["packed_bytes"] > 0
-    assert report["dict_layout_bytes"] > 0
-    assert report["reduction"] == pytest.approx(
-        report["dict_layout_bytes"] / report["packed_bytes"]
-    )
-    assert index.stats.memory_bytes > 0
 
 
 # -- the on-disk v2 artifact ------------------------------------------------------

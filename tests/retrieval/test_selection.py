@@ -18,7 +18,7 @@ import pytest
 
 from repro.corpus.generator import Document, SubCollection
 from repro.nlp.vocabulary import Vocabulary
-from repro.qa import QAPipeline, Question
+from repro.qa import QAPipeline, Question, result_fingerprint
 from repro.qa.paragraph_retrieval import resolve_collections
 from repro.retrieval import IndexedCorpus
 from repro.retrieval.inverted_index import CollectionIndex
@@ -29,19 +29,6 @@ from repro.retrieval.selection import (
     build_sketch,
     sketch_of,
 )
-
-
-def _fingerprint(result):
-    return (
-        tuple(
-            (a.text, a.short, a.long, a.score, a.paragraph_key)
-            for a in result.answers
-        ),
-        result.n_retrieved,
-        result.n_accepted,
-        result.paragraph_ranks,
-        tuple(sorted(result.work.items())),
-    )
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +63,7 @@ def test_exact_mode_bit_identical_and_actually_prunes(
     for qid, text in workload:
         a = plain.answer(text, qid=qid)
         b = routed.answer(text, qid=qid)
-        assert _fingerprint(a) == _fingerprint(b), text
+        assert result_fingerprint(a) == result_fingerprint(b), text
         assert routed.pr.last_decision is not None
         pruned_total += len(routed.pr.last_decision.pruned)
     # The equivalence must not be vacuous: the shared 3-collection corpus
@@ -103,7 +90,7 @@ def test_exact_batch_equals_serial_with_selector(
     ]
     batch_results = batched.answer_batch(texts, qids=qids)
     for a, b in zip(serial_results, batch_results):
-        assert _fingerprint(a) == _fingerprint(b)
+        assert result_fingerprint(a) == result_fingerprint(b)
 
 
 def test_exact_synthesized_work_matches_real_retrieval(

@@ -16,13 +16,21 @@ from repro.simulation.engine import EmptySchedule
 from repro.simulation.events import Timeout
 
 
-def _chain_workload(env, record, n_chains=20, chain_len=12, seed=7):
+#: Delay mixes: continuous draws never share an instant after t=0; the
+#: grid makes most hops tie, and same-instant FIFO is the only thing
+#: ``step()`` and the inlined loops could disagree on.
+MIXES = ("continuous", "grid")
+
+
+def _chain_workload(env, record, mix, n_chains=20, chain_len=12, seed=7):
     """Seeded timeout chains; each hop appends (cid, hop, now) to record."""
     rng = random.Random(seed)
-    delays = [
-        [rng.random() * 5.0 for _ in range(chain_len)]
-        for _ in range(n_chains)
-    ]
+    draw = (
+        (lambda: rng.random() * 5.0)
+        if mix == "continuous"
+        else (lambda: rng.choice((0.0, 0.5, 1.0)))
+    )
+    delays = [[draw() for _ in range(chain_len)] for _ in range(n_chains)]
 
     def chain(cid, ds):
         for hop, d in enumerate(ds):
@@ -43,15 +51,16 @@ def _step_all(env):
 
 class TestRunMatchesStepping:
     def test_drain_loop_fires_in_step_order(self):
-        stepped, ran = [], []
-        env_a = Environment()
-        _chain_workload(env_a, stepped)
-        _step_all(env_a)
-        env_b = Environment()
-        _chain_workload(env_b, ran)
-        env_b.run()
-        assert ran == stepped
-        assert env_b.now == env_a.now
+        for mix in MIXES:
+            stepped, ran = [], []
+            env_a = Environment()
+            _chain_workload(env_a, stepped, mix)
+            _step_all(env_a)
+            env_b = Environment()
+            _chain_workload(env_b, ran, mix)
+            env_b.run()
+            assert ran == stepped
+            assert env_b.now == env_a.now
 
     def test_until_event_loop_fires_in_step_order(self):
         def probe(env, record):
@@ -59,35 +68,38 @@ class TestRunMatchesStepping:
                 yield env.timeout(1.0)
                 record.append(("probe", hop, env.now))
 
-        stepped, ran = [], []
-        env_a = Environment()
-        _chain_workload(env_a, stepped, n_chains=6, chain_len=8)
-        target_a = env_a.process(probe(env_a, stepped))
-        while not target_a.processed:
-            env_a.step()
+        for mix in MIXES:
+            stepped, ran = [], []
+            env_a = Environment()
+            _chain_workload(env_a, stepped, mix, n_chains=6, chain_len=8)
+            target_a = env_a.process(probe(env_a, stepped))
+            while not target_a.processed:
+                env_a.step()
 
-        env_b = Environment()
-        _chain_workload(env_b, ran, n_chains=6, chain_len=8)
-        target_b = env_b.process(probe(env_b, ran))
-        env_b.run(until=target_b)
+            env_b = Environment()
+            _chain_workload(env_b, ran, mix, n_chains=6, chain_len=8)
+            target_b = env_b.process(probe(env_b, ran))
+            env_b.run(until=target_b)
 
-        assert ran == stepped
-        assert env_b.now == env_a.now
+            assert ran == stepped
+            assert env_b.now == env_a.now
 
     def test_horizon_loop_fires_in_step_order(self):
-        horizon = 20.0
-        stepped, ran = [], []
-        env_a = Environment()
-        _chain_workload(env_a, stepped)
-        while env_a.peek() <= horizon:
-            env_a.step()
+        # A horizon inside both populations; on the grid it is an instant
+        # events share, so "<= horizon" is exercised on a tie.
+        for mix, horizon in zip(MIXES, (20.0, 4.0)):
+            stepped, ran = [], []
+            env_a = Environment()
+            _chain_workload(env_a, stepped, mix)
+            while env_a.peek() <= horizon:
+                env_a.step()
 
-        env_b = Environment()
-        _chain_workload(env_b, ran)
-        env_b.run(until=horizon)
+            env_b = Environment()
+            _chain_workload(env_b, ran, mix)
+            env_b.run(until=horizon)
 
-        assert ran == stepped
-        assert env_b.now == horizon
+            assert ran == stepped and 0 < len(ran) < 20 * 12
+            assert env_b.now == horizon
 
     def test_crash_surfaces_from_both_drivers(self):
         def bomb(env):

@@ -34,8 +34,8 @@ class CountingEnvironment(Environment):
     order the queue alone gives.
     """
 
-    def __init__(self, queue="heap", sentinel=False):
-        super().__init__(queue=queue)
+    def __init__(self, sentinel=False):
+        super().__init__()
         self.pushed = 0
         self.sentinel = sentinel
 
@@ -303,33 +303,31 @@ def reference_completions(capacity, script):
     return done
 
 
-@pytest.mark.parametrize("queue", ["heap", "calendar"])
 @settings(max_examples=150, deadline=None)
 @given(capacity=st.floats(0.5, 8.0), script=scripts(st.none()))
-def test_completion_instants_equal_the_reference_exactly(queue, capacity, script):
+def test_completion_instants_equal_the_reference_exactly(capacity, script):
     try:
         expected = reference_completions(capacity, script)
     except _Tie:
         assume(False)
-    log = play(Environment(queue=queue), capacity, script)
+    log = play(Environment(), capacity, script)
     measured = {label[0]: when for kind, label, *_, when in log if kind == "done"}
     assert measured == expected
 
 
-@pytest.mark.parametrize("queue", ["heap", "calendar"])
 @settings(max_examples=150, deadline=None)
 @given(
     capacity=st.sampled_from([1.0, 2.0]) | st.floats(0.5, 8.0),
     script=scripts(_FOLLOW_UPS, waits=st.sampled_from([0.25, 0.5, 1.0]) | _WAITS),
 )
-def test_inline_completion_keeps_the_queue_order(queue, capacity, script):
+def test_inline_completion_keeps_the_queue_order(capacity, script):
     """Same script, once as is and once with a sentinel behind every timer
     (so every completion goes through the queue): the logs must agree
     entry for entry — completions, zero-delay chain hops, follow-up jobs
     submitted from completion callbacks and the driver's own steps, which
     here may land exactly on a completion instant."""
-    plain = CountingEnvironment(queue=queue)
-    queued = CountingEnvironment(queue=queue, sentinel=True)
+    plain = CountingEnvironment()
+    queued = CountingEnvironment(sentinel=True)
     assert play(plain, capacity, script) == play(queued, capacity, script)
     assert plain.pushed == queued.pushed
 

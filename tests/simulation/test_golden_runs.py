@@ -7,7 +7,7 @@ migrations, each question's response time, bytes on the wire, monitor
 rounds, the membership log — is hashed into one sha256.  The digests were
 recorded on the commit *before* PR 15 reworked the fair-share kernel (lazy
 timers, inline completions); a host-only optimisation must reproduce all
-of them under both queue backends.
+of them.
 
 To re-record after a change that is *meant* to move simulated numbers::
 
@@ -16,7 +16,6 @@ To re-record after a change that is *meant* to move simulated numbers::
 
 import hashlib
 import struct
-from dataclasses import replace
 
 import pytest
 
@@ -89,8 +88,7 @@ CASES = {
     "overcommit8-ISEND": _overcommit8,
 }
 
-#: Recorded on the parent of PR 15 (commit 934bf60), identical for both
-#: queue backends.
+#: Recorded on the parent of PR 15 (commit 934bf60).
 GOLDEN = {
     "dqa16-SEND-sharded": "370a5316c57ea868b0f9ef969838485492129ba245c5caf21b1f16a6619073d7",
     "dqa16-ISEND-sharded": "1dfdf1799775a1e422f2c4c2b31b84a50a3df3bd7ff06af6fd3e2a997672b62b",
@@ -103,9 +101,9 @@ GOLDEN = {
 }
 
 
-def run_digest(case: str, queue_impl: str) -> str:
+def run_digest(case: str) -> str:
     config, n_questions, schedule = CASES[case]()
-    system = DistributedQASystem(replace(config, queue_impl=queue_impl))
+    system = DistributedQASystem(config)
     if schedule is not None:
         system.failures.apply(schedule)
     report = system.run_workload(
@@ -133,10 +131,9 @@ def run_digest(case: str, queue_impl: str) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("queue_impl", ["heap", "calendar"])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_golden_run(case, queue_impl):
-    assert run_digest(case, queue_impl) == GOLDEN[case]
+def test_golden_run(case):
+    assert run_digest(case) == GOLDEN[case]
 
 
 def test_overcommit_case_changes_cpu_capacity():
@@ -176,6 +173,4 @@ def test_failure_case_kills_a_node_mid_question():
 
 if __name__ == "__main__":
     for name in CASES:
-        heap, calendar = run_digest(name, "heap"), run_digest(name, "calendar")
-        assert heap == calendar, name
-        print(f'    "{name}": "{heap}",')
+        print(f'    "{name}": "{run_digest(name)}",')

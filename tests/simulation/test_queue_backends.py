@@ -1,12 +1,7 @@
-"""Engine edge cases pinned identically across both queue backends.
-
-Every test runs under ``queue="heap"`` and ``queue="calendar"`` — the
-calendar queue is only a legal scheduler if the *observable* engine
-behavior (exceptions, peek values, interrupt semantics, firing order)
-is indistinguishable from the heap's.
+"""Event-queue edge cases: the observable engine behavior (exceptions,
+peek values, interrupt semantics, firing order) at the queue's corners —
+drained, far-future, exact instants, interrupts with a timer still queued.
 """
-
-import random
 
 import pytest
 
@@ -17,23 +12,9 @@ from repro.simulation import (
     SimulationError,
 )
 
-BACKENDS = ["heap", "calendar"]
-
-
-@pytest.fixture(params=BACKENDS)
-def env(request):
-    return Environment(queue=request.param)
-
-
-class TestBackendSelection:
-    def test_queue_impl_property(self):
-        assert Environment(queue="heap").queue_impl == "heap"
-        assert Environment(queue="calendar").queue_impl == "calendar"
-        assert Environment().queue_impl == "heap"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            Environment(queue="fibonacci")
+@pytest.fixture
+def env():
+    return Environment()
 
 
 class TestDrainedQueue:
@@ -68,12 +49,7 @@ class TestDrainedQueue:
 
 class TestFarFutureTimeouts:
     def test_bucket_wraparound_fires_in_order(self, env):
-        """Timeouts far beyond any calendar year must fire in order.
-
-        The initial ring is 8 buckets of 1 s — 8 s per lap — so these
-        horizons are thousands of laps apart and exercise the sparse
-        full-lap fallback (a plain no-op on the heap backend).
-        """
+        """Timeouts orders of magnitude apart must fire in order."""
         fired = []
 
         def waiter(tag, delay):
@@ -89,7 +65,7 @@ class TestFarFutureTimeouts:
 
     def test_near_event_scheduled_after_far_peek(self, env):
         """Peeking a far-future event then scheduling a near one must not
-        skip the near one (the calendar scan has to rewind)."""
+        skip the near one."""
         fired = []
 
         def far():
@@ -181,8 +157,7 @@ class TestInterruptWhileScheduled:
 
     def test_interrupt_then_far_future_reschedule(self, env):
         """The interrupted process immediately re-sleeps far in the
-        future — the calendar must file the new timeout correctly while
-        the orphaned one is still pending."""
+        future while the orphaned timeout is still pending."""
         fired = []
 
         def victim():
@@ -201,58 +176,3 @@ class TestInterruptWhileScheduled:
         env.process(killer())
         env.run()
         assert fired == [5001.0]
-
-
-class TestCrossBackendEquivalence:
-    def _chain_run(self, queue, seed, n_chains=60, chain_len=25):
-        rng = random.Random(seed)
-        delays = [
-            [rng.random() * rng.choice([0.01, 1.0, 50.0])
-             for _ in range(chain_len)]
-            for _ in range(n_chains)
-        ]
-        env = Environment(queue=queue)
-        record = []
-
-        def chain(cid, ds):
-            for hop, d in enumerate(ds):
-                yield env.timeout(d)
-                record.append((cid, hop, env.now))
-
-        for cid, ds in enumerate(delays):
-            env.process(chain(cid, ds))
-        env.run()
-        return record, next(env._seq), env.now
-
-    @pytest.mark.parametrize("seed", [1, 17, 99])
-    def test_firing_logs_byte_identical(self, seed):
-        heap = self._chain_run("heap", seed)
-        calendar = self._chain_run("calendar", seed)
-        assert heap == calendar
-
-    def test_step_driver_matches_run_driver_on_calendar(self):
-        """The public step() path and the inlined run() drain must agree
-        on the calendar backend just as they do on the heap."""
-
-        def collect(drive):
-            env = Environment(queue="calendar")
-            record = []
-
-            def chain(cid):
-                for hop in range(10):
-                    yield env.timeout(0.1 * ((cid + hop) % 7) + 0.01)
-                    record.append((cid, hop, env.now))
-
-            for cid in range(20):
-                env.process(chain(cid))
-            drive(env)
-            return record
-
-        def step_all(env):
-            while True:
-                try:
-                    env.step()
-                except EmptySchedule:
-                    break
-
-        assert collect(step_all) == collect(lambda env: env.run())
