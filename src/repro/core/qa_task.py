@@ -476,26 +476,22 @@ class DistributedQATask:
     ) -> t.Generator[Event, object, list[CollectionProfile]]:
         """Mediator routing before the PR fan-out (collection selection).
 
-        ``collection_selection="off"`` touches nothing — the legacy
-        broadcast, byte-identical to pre-selection builds.  When on, the
-        host charges one sketch probe per sub-collection, then the stage
-        iterates the profile's predicted collections only: the selected
-        count caps the Table 2 iterative granularity, so SEND/ISEND/RECV
-        partition over fewer sub-tasks and the Eq 14/15 partition-comms
-        and migration payloads shrink with it.  A profile predicting
-        nothing falls back to the full fan-out — selection may cost
-        recall, never the question.
+        A profile with no routing decision (``selected_collections is
+        None``) broadcasts: no probe, no span, no overhead key.  A routed
+        profile makes the host charge one sketch probe per
+        sub-collection, then the stage iterates the profile's predicted
+        collections only: the selected count caps the Table 2 iterative
+        granularity, so SEND/ISEND/RECV partition over fewer sub-tasks
+        and the Eq 14/15 partition-comms and migration payloads shrink
+        with it.  A profile predicting nothing falls back to the full
+        fan-out — selection may cost recall, never the question.
         """
         profile = self.profile
         collections = profile.collections
-        config = self.system.config
-        if config.collection_selection == "off":
+        keep = profile.selected_collections
+        if keep is None:
             return collections
-        if config.collection_selection != "sketch":
-            raise ValueError(
-                "unknown collection_selection "
-                f"{config.collection_selection!r}, want 'off' or 'sketch'"
-            )
+        config = self.system.config
         env = self.system.env
         t0 = env.now
         stage = self._spans.begin(
@@ -518,13 +514,10 @@ class DistributedQATask:
             config.selection_probe_cpu_s * len(collections)
         )
         self._spans.end(probe, env.now, probed=len(collections))
-        keep = profile.selected_collections
-        selected = collections
-        if keep is not None:
-            keep_set = set(keep)
-            selected = [
-                c for c in collections if c.collection_id in keep_set
-            ] or collections
+        keep_set = set(keep)
+        selected = [
+            c for c in collections if c.collection_id in keep_set
+        ] or collections
         self.result.overhead["pr_select"] = (
             self.result.overhead.get("pr_select", 0.0) + (env.now - t0)
         )

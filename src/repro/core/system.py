@@ -69,16 +69,9 @@ class SystemConfig:
     #: nodes upload deltas to k shard-local aggregators that publish
     #: merged tables (O(N) per interval; use ~sqrt(N) for large clusters).
     monitor_shards: int = 0
-    #: Federated collection selection: "off" = every question broadcasts
-    #: PR to all sub-collections (the paper's protocol, bit-identical
-    #: legacy); "sketch" = the mediator's routing decision (carried on
-    #: each question profile as ``selected_collections``) caps the Table 2
-    #: iterative granularity, so SEND/ISEND/RECV partition over the
-    #: predicted collections only — shrinking Eq 14/15 partition-comms
-    #: and migration payloads.
-    collection_selection: str = "off"
-    #: CPU seconds per sub-collection sketch probe when selection is on
-    #: (the mediator's routing cost — charged before the PR fan-out).
+    #: CPU seconds per sub-collection sketch probe, charged before the
+    #: PR fan-out of a question whose profile carries a mediator routing
+    #: decision (``QuestionProfile.selected_collections``).
     selection_probe_cpu_s: float = 2e-5
     dns_cache_skew: float = 0.0
     policy: TaskPolicy = field(default_factory=TaskPolicy)

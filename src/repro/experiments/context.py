@@ -287,7 +287,7 @@ def build_context(
 
 
 def build_serving_context(
-    config: CorpusConfig, metrics: t.Any = None, selection: str = "off"
+    config: CorpusConfig, metrics: t.Any = None
 ) -> ExperimentContext:
     """Worker-side context: attach to the cached artifacts, skip questions.
 
@@ -297,13 +297,6 @@ def build_serving_context(
     one corpus unpickle plus one packed-payload attach (both from the v2
     disk artifact its parent wrote), no tokenize/stem/intern rebuild.
     Not memoized: each worker process calls it exactly once.
-
-    ``selection`` routes the paragraph-retrieval fan-out: ``"off"``
-    broadcasts to every collection (legacy, bit-identical), ``"exact"``
-    prunes provably-empty collections, ``"predictive"`` keeps the
-    best-scoring ones mediator-style.  Exact/predictive sketches ride
-    the same v2 artifact the worker just attached, so no extra build
-    cost on a warm cache.
     """
     corpus = load_or_generate_corpus(config)
     indexes, index_source, index_seconds = load_or_build_indexes(
@@ -314,14 +307,11 @@ def build_serving_context(
         corpus.knowledge.gazetteer(),
         extra_nationalities=corpus.knowledge.nationalities,
     )
-    selector = None if selection == "off" else indexed.selector(mode=selection)
     return ExperimentContext(
         corpus=corpus,
         indexed=indexed,
         recognizer=recognizer,
-        pipeline=QAPipeline(
-            indexed, recognizer, metrics=metrics, selector=selector
-        ),
+        pipeline=QAPipeline(indexed, recognizer, metrics=metrics),
         questions=[],
         model=CostModel.default(),
         index_source=index_source,

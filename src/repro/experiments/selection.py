@@ -3,11 +3,10 @@
 Measures the quality of the federated collection selector
 (:mod:`repro.retrieval.selection`) from both ends of the stack:
 
-* **Real pipeline** — a Zipf workload is answered three ways on fresh
-  retriever stacks: exhaustive broadcast, **exact** selection (fingerprint-
-  compared with exhaustive — answers, paragraph ranks, work counters) and
-  **predictive** selection (mediator-style scoring; may trade recall for
-  fan-out).  Per mode: prune rate, ``retrieval.postings_scanned``
+* **Real pipeline** — a Zipf workload is answered twice on fresh
+  retriever stacks: exhaustive broadcast and **predictive** selection
+  (mediator-style scoring; may trade recall for fan-out).  Reported:
+  prune rate, ``retrieval.postings_scanned``
   reduction, and selector quality against ground truth — a collection is
   *useful* for a question iff exhaustive retrieval pulls at least one
   paragraph from it, so precision/recall of the selected set and
@@ -15,9 +14,10 @@ Measures the quality of the federated collection selector
   q/s and latency is the benchmark's business (``bench/run.py``).
 
 * **Simulated cluster** — a 16 -> 128 node sweep runs the same synthetic
-  workload with ``collection_selection`` off and on (the on-profiles
-  carry a top-k-by-share routing decision whose keep fraction defaults
-  to the *measured* predictive keep rate), attributing traced spans into
+  workload with unrouted and routed profiles (the routed ones carry a
+  top-k-by-share routing decision whose keep fraction defaults to the
+  *measured* predictive keep rate; they differ in nothing else),
+  attributing traced spans into
   the compute/dispatch/partition-comms categories: the partition-comms
   column must shrink with selection on, because SEND/ISEND/RECV now
   partition over the predicted collections only (Eq 14/15).
@@ -38,8 +38,9 @@ from ..core import (
 from ..corpus import CorpusConfig
 from ..observability.attribution import attribute_workload
 from ..observability.names import POSTINGS_SCANNED
-from ..qa import QAPipeline, Question, result_fingerprint
+from ..qa import QAPipeline, Question
 from ..qa.profiles import SyntheticProfileGenerator, SyntheticProfileParams
+from ..retrieval import IndexedCorpus
 from ..serving.loadgen import zipf_workload
 from ..workload import staggered_arrivals
 from .context import build_context
@@ -60,7 +61,7 @@ class SelectionConfig:
     corpus_seed: int = 42
     workload_seed: int = 7
     conjunction_cache: int = 256
-    #: Predictive-mode cutoffs (see :class:`CollectionSelector`).
+    #: Selector cutoffs (see :class:`CollectionSelector`).
     predictive_top_k: int | None = 4
     predictive_threshold: float = 0.0
     #: Simulated sweep: node counts, questions per node, seed.
@@ -100,10 +101,14 @@ def _mode_quality(
 
 
 def _sim_cell(
-    spec: tuple[int, str, float | None, int, int, str]
+    spec: tuple[int, float | None, int, int, str]
 ) -> dict[str, t.Any]:
-    """Pool worker: one traced simulated cell, attributed."""
-    n_nodes, selection, fraction, seed, qpn, ap_strategy = spec
+    """Pool worker: one traced simulated cell, attributed.
+
+    ``fraction`` is the profiles' routing keep fraction; ``None`` builds
+    unrouted profiles (the "off" cell), identical in every other field.
+    """
+    n_nodes, fraction, seed, qpn, ap_strategy = spec
     n_q = qpn * n_nodes
     params = SyntheticProfileParams(selected_fraction=fraction)
     profiles = SyntheticProfileGenerator(params=params, seed=seed).generate_many(
@@ -116,7 +121,6 @@ def _sim_cell(
             strategy=Strategy.DQA,
             seed=seed,
             trace=True,
-            collection_selection=selection,
             policy=TaskPolicy(
                 ap_strategy=PartitioningStrategy[ap_strategy]
             ),
@@ -127,7 +131,6 @@ def _sim_cell(
     means = att.category_means()
     return {
         "n_nodes": n_nodes,
-        "collection_selection": selection,
         "selected_fraction": fraction,
         "ap_strategy": ap_strategy,
         "n_questions": n_q,
@@ -154,35 +157,14 @@ def run_selection(config: SelectionConfig | None = None) -> dict[str, t.Any]:
     def answer_all(pipeline: QAPipeline) -> list[t.Any]:
         return [pipeline.answer(text, qid=qid) for qid, text in workload]
 
-    def fresh(selector_mode: str | None) -> QAPipeline:
-        stack = ctx.indexed.reconfigured(
+    def fresh_stack() -> IndexedCorpus:
+        return ctx.indexed.reconfigured(
             conjunction_cache=config.conjunction_cache
-        )
-        selector = (
-            None
-            if selector_mode is None
-            else stack.selector(
-                mode=selector_mode,
-                top_k=(
-                    config.predictive_top_k
-                    if selector_mode == "predictive"
-                    else None
-                ),
-                threshold=(
-                    config.predictive_threshold
-                    if selector_mode == "predictive"
-                    else 0.0
-                ),
-            )
-        )
-        return QAPipeline(
-            stack, ctx.recognizer, use_term_index=True, selector=selector
         )
 
     # -- exhaustive broadcast: the reference column + ground truth ---------
-    exhaustive = fresh(None)
+    exhaustive = QAPipeline(fresh_stack(), ctx.recognizer)
     exh_results = answer_all(exhaustive)
-    exh_fingerprints = [result_fingerprint(r) for r in exh_results]
     exh_postings = sum(r.work[POSTINGS_SCANNED] for r in exh_results)
 
     # Ground truth per workload item: which collections actually
@@ -201,69 +183,69 @@ def run_selection(config: SelectionConfig | None = None) -> dict[str, t.Any]:
             )
         )
 
+    # -- predictive selection ----------------------------------------------
+    stack = fresh_stack()
+    selector = stack.selector(
+        top_k=config.predictive_top_k, threshold=config.predictive_threshold
+    )
+    results = answer_all(QAPipeline(stack, ctx.recognizer, selector=selector))
+    selected_sets: list[frozenset[int]] = []
+    prune_rates: list[float] = []
+    fallbacks = 0
+    for _, text in workload:
+        decision = selector.select(list(processed_cache[text].keywords))
+        selected_sets.append(frozenset(decision.selected))
+        prune_rates.append(decision.prune_rate)
+        fallbacks += decision.fallback
+    agreement = sum(
+        1
+        for a, b in zip(exh_results, results)
+        if [str(ans) for ans in a.answers] == [str(ans) for ans in b.answers]
+    )
+    postings = sum(r.work[POSTINGS_SCANNED] for r in results)
     runs: dict[str, dict[str, t.Any]] = {
-        "exhaustive": {"postings_scanned_total": exh_postings}
-    }
-    quality: dict[str, dict[str, t.Any]] = {}
-    mismatches: dict[str, list[int]] = {}
-    for mode in ("exact", "predictive"):
-        pipeline = fresh(mode)
-        results = answer_all(pipeline)
-        bad = [
-            i
-            for i, r in enumerate(results)
-            if result_fingerprint(r) != exh_fingerprints[i]
-        ]
-        if bad:
-            mismatches[mode] = bad[:20]
-        selector = pipeline.pr.selector
-        selected_sets: list[frozenset[int]] = []
-        prune_rates: list[float] = []
-        fallbacks = 0
-        for _, text in workload:
-            decision = selector.select(
-                list(processed_cache[text].keywords)
-            )
-            selected_sets.append(frozenset(decision.selected))
-            prune_rates.append(decision.prune_rate)
-            fallbacks += decision.fallback
-        agreement = sum(
-            1
-            for a, b in zip(exh_results, results)
-            if [str(ans) for ans in a.answers] == [str(ans) for ans in b.answers]
-        )
-        mode_postings = sum(r.work[POSTINGS_SCANNED] for r in results)
-        prune_rate = sum(prune_rates) / len(prune_rates) if prune_rates else 0.0
-        runs[mode] = {
-            "postings_scanned_total": mode_postings,
+        "exhaustive": {"postings_scanned_total": exh_postings},
+        "predictive": {
+            "postings_scanned_total": postings,
             "postings_scanned_reduction": (
-                1.0 - mode_postings / exh_postings if exh_postings else 0.0
+                1.0 - postings / exh_postings if exh_postings else 0.0
             ),
-            "prune_rate_mean": prune_rate,
-        }
-        quality[mode] = {
+            "prune_rate_mean": (
+                sum(prune_rates) / len(prune_rates) if prune_rates else 0.0
+            ),
+        },
+    }
+    quality: dict[str, dict[str, t.Any]] = {
+        "predictive": {
             **_mode_quality(selected_sets, useful_sets),
             "answer_agreement": agreement / len(workload),
             "fallbacks": fallbacks,
             "sketch_bytes": selector.sketch_bytes(),
         }
+    }
 
     # -- simulated sweep: partition-comms with selection off vs on ----------
     fraction = config.sim_selected_fraction
     if fraction is None:
         fraction = round(1.0 - runs["predictive"]["prune_rate_mean"], 2)
-    specs: list[tuple[int, str, float | None, int, int, str]] = []
+    specs: list[tuple[int, float | None, int, int, str]] = []
     for n in config.node_counts:
-        specs.append((n, "off", fraction, config.sim_seed, config.sim_questions_per_node, "RECV"))
-        specs.append((n, "sketch", fraction, config.sim_seed, config.sim_questions_per_node, "RECV"))
+        for cell_fraction in (None, fraction):
+            specs.append(
+                (
+                    n,
+                    cell_fraction,
+                    config.sim_seed,
+                    config.sim_questions_per_node,
+                    "RECV",
+                )
+            )
     cells = run_cells(_sim_cell, specs, jobs=config.jobs)
-    by_key = {
-        (c["n_nodes"], c["collection_selection"]): c for c in cells
-    }
+    by_key = {(c["n_nodes"], c["selected_fraction"]): c for c in cells}
     sim_rows = []
     for n in config.node_counts:
-        off = by_key[(n, "off")]
-        on = by_key[(n, "sketch")]
+        off = by_key[(n, None)]
+        on = by_key[(n, fraction)]
         sim_rows.append(
             {
                 "n_nodes": n,
@@ -299,11 +281,6 @@ def run_selection(config: SelectionConfig | None = None) -> dict[str, t.Any]:
         },
         "runs": runs,
         "quality": quality,
-        "equivalence": {
-            "exact_identical": "exact" not in mismatches,
-            "n_checked": len(workload),
-            "mismatches": mismatches,
-        },
         "simulated": {
             "cells": cells,
             "rows": sim_rows,
@@ -324,11 +301,11 @@ def format_selection(summary: dict[str, t.Any]) -> str:
         "",
     ]
     table = TextTable(
-        "Selector modes on the real pipeline",
+        "Selection on the real pipeline",
         ["Mode", "prune %", "postings", "reduction"],
     )
     runs = summary["runs"]
-    for mode in ("exhaustive", "exact", "predictive"):
+    for mode in ("exhaustive", "predictive"):
         s = runs[mode]
         table.add_row(
             mode,
@@ -366,10 +343,4 @@ def format_selection(summary: dict[str, t.Any]) -> str:
             f"{row['partition_comms_reduction'] * 100:.1f} %",
         )
     lines.append(stable.render())
-    lines.append("")
-    eq = summary["equivalence"]
-    lines.append(
-        f"exact mode bit-identical to exhaustive: {eq['exact_identical']}"
-        f" over {eq['n_checked']} questions"
-    )
     return "\n".join(lines)

@@ -30,8 +30,8 @@ from ..retrieval.paragraphs import Paragraph
 from .paragraph_scoring import (
     KeywordIdResolver,
     TermLookup,
+    keyword_positions,
     keyword_positions_from_ids,
-    keyword_positions_from_terms,
 )
 from .question import Answer, ProcessedQuestion, ScoredParagraph
 
@@ -130,9 +130,12 @@ class AnswerProcessor:
         """Extract and rank answers from ``accepted`` paragraphs.
 
         Returns the local best ``n_answers`` in descending score order.
-        ``resolver`` (the batch path) hoists per-paragraph keyword-id
-        lookups exactly as in :meth:`ParagraphScorer.score`.
+        ``resolver`` is the question's keyword-id memo, as in
+        :meth:`ParagraphScorer.score`; one is built when none is passed.
         """
+        resolver = resolver or KeywordIdResolver(
+            [kw.stems for kw in processed.keywords]
+        )
         answers: list[Answer] = []
         max_rank = max((sp.score for sp in accepted), default=1.0) or 1.0
         for sp in accepted:
@@ -169,7 +172,7 @@ class AnswerProcessor:
         processed: ProcessedQuestion,
         sp: ScoredParagraph,
         max_rank: float,
-        resolver: KeywordIdResolver | None = None,
+        resolver: KeywordIdResolver,
     ) -> list[Answer]:
         text = sp.paragraph.text
         terms = self.term_lookup(sp.paragraph) if self.term_lookup else None
@@ -184,30 +187,13 @@ class AnswerProcessor:
         if terms is not None:
             n_tokens = terms.n_tokens
             token_text = terms.token_text
-            if resolver is not None:
-                kw_positions = keyword_positions_from_ids(
-                    terms, resolver.resolve(terms.vocab)
-                )
-            else:
-                kw_positions = keyword_positions_from_terms(terms, kstems)
+            kw_positions = keyword_positions_from_ids(
+                terms, resolver.resolve(terms.vocab)
+            )
         else:
             n_tokens = len(tokens)
             token_text = [tok.text for tok in tokens].__getitem__
-            stems_at = [
-                stem(tok.text) if tok.is_word else tok.text for tok in tokens
-            ]
-            kw_positions = []
-            for ks in kstems:
-                pos = [
-                    i
-                    for i in range(len(stems_at))
-                    if stems_at[i] == ks[0]
-                    and (
-                        len(ks) == 1
-                        or tuple(stems_at[i : i + len(ks)]) == tuple(ks)
-                    )
-                ]
-                kw_positions.append(pos)
+            kw_positions, _ = keyword_positions(text, kstems)
         n_keywords = len(kstems) or 1
         present_keywords = sum(1 for p in kw_positions if p)
 

@@ -1,17 +1,19 @@
-"""Batched cross-question execution — the PR 7 batch planner/executor.
+"""Batched cross-question execution — the batch planner/executor.
 
 A Zipf-popular question stream re-selects the same keywords, re-fetches
 the same posting lists and re-scores the same paragraphs question after
 question.  :func:`execute_batch` runs a batch of concurrent questions
-through the real pipeline with three amortizations, all of them
-**bit-identical** to serial execution (``[pipeline.answer(q) for q in
-batch]``), which the throughput bench's equivalence gate and the
-Hypothesis property tests enforce:
+through the pipeline's one walk (:meth:`QAPipeline.answer` — a first
+occurrence *is* that walk, there is no second copy of it here) with two
+amortizations, both **bit-identical** to serial execution
+(``[pipeline.answer(q) for q in batch]``), which
+``tests/qa/test_batch_equivalence.py`` and its Hypothesis properties
+enforce:
 
-1. **One keyword-selection pass per distinct question.**  Duplicate
-   questions in the batch reuse the first occurrence's
-   :class:`~repro.qa.question.ProcessedQuestion` (re-wrapped with their
-   own qid) instead of re-running QP.
+1. **One execution per distinct question.**  Duplicate questions in the
+   batch reuse the first occurrence's :class:`~repro.qa.question.QAResult`
+   (its :class:`~repro.qa.question.ProcessedQuestion` re-wrapped with
+   their own qid) instead of re-running the walk.
 
 2. **Shared posting fetches.**  While the batch is active every
    :class:`~repro.retrieval.boolean.BooleanRetriever` resolves posting
@@ -19,12 +21,6 @@ Hypothesis property tests enforce:
    map, so each collection fetches each distinct stem once per batch —
    the Zipf head makes cross-question sharing common.  The fetch count
    saved is the ``retrieval.batch.postings_shared`` metric.
-
-3. **Vectorized paragraph scoring.**  PS and AP resolve each keyword's
-   vocabulary ids once per question
-   (:class:`~repro.qa.paragraph_scoring.KeywordIdResolver`) and score
-   paragraphs with packed-array binary searches only — no per-paragraph
-   dict walks.
 
 Correctness under caching is the subtle part: serial execution of a
 duplicate question still *touches* the shared stem cache (QP keyword
@@ -45,20 +41,12 @@ from __future__ import annotations
 
 import time
 import typing as t
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..nlp.stemming import SHARED_STEM_CACHE
-from ..observability.names import (
-    AP_PARAGRAPH_BYTES,
-    DOC_BYTES_READ,
-    N_KEYWORDS,
-    POSTINGS_SCANNED,
-    PS_PARAGRAPH_BYTES,
-    RELAXATION_ROUNDS,
-)
+from ..observability.names import POSTINGS_SCANNED
 from ..retrieval.boolean import SharedPostings
-from .paragraph_retrieval import CollectionWork, PRResult
-from .paragraph_scoring import KeywordIdResolver
+from ..retrieval.selection import SelectionDecision
 from .question import ModuleTimings, ProcessedQuestion, QAResult, Question
 
 if t.TYPE_CHECKING:  # pragma: no cover
@@ -112,7 +100,8 @@ class BatchStats:
 class _QuestionRecord:
     """Everything a duplicate question needs from its first execution."""
 
-    processed: ProcessedQuestion
+    #: The first execution's result — the (deterministic) outputs to reuse.
+    result: QAResult
     #: Raw words passed through the shared stem cache (QP + AP).
     stem_trace: list[str]
     #: Conjunction keys per relaxation round, per collection — the
@@ -120,127 +109,30 @@ class _QuestionRecord:
     #: hold an empty list: their replay is a no-op, exactly matching
     #: serial execution under the same selector.
     rounds_per_collection: list[list[tuple[str, ...]]]
-    #: The collection selector's routing decision (None = broadcast).
-    decision: t.Any = None
-    #: The (deterministic) outputs to reuse.
-    answers: list[t.Any] = field(default_factory=list)
-    n_retrieved: int = 0
-    n_accepted: int = 0
-    work: dict[str, float] = field(default_factory=dict)
-    paragraph_ranks: tuple[t.Any, ...] = ()
+    #: The collection selector's routing decision (None = broadcast),
+    #: taken once per *distinct* question.
+    decision: SelectionDecision | None
 
 
 def _answer_first(
     pipeline: "QAPipeline", question: Question, stats: BatchStats
-) -> tuple[_QuestionRecord, QAResult]:
-    """Full pipeline execution with trace recording (first occurrence)."""
-    timings = ModuleTimings()
-    work: dict[str, float] = {}
+) -> _QuestionRecord:
+    """First occurrence: the pipeline's own walk, with trace recording."""
+    rounds_per_collection: list[list[tuple[str, ...]]] = [
+        [] for _ in pipeline.indexed.retrievers
+    ]
     SHARED_STEM_CACHE.start_trace()
     try:
-        t0 = time.perf_counter()
-        processed = pipeline.qp.process(question)
-        timings.qp = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        indexed = pipeline.indexed
-        pr_result = PRResult(paragraphs=[])
-        rounds_per_collection: list[list[tuple[str, ...]]] = []
-        keywords = list(processed.keywords)
-        # Collection selection runs once per *distinct* question; its
-        # decision (and synthesized work, in exact mode) is recorded so
-        # duplicates reuse it without re-scoring the sketches.
-        selector = pipeline.pr.selector
-        decision = selector.select(keywords) if selector is not None else None
-        selected = set(decision.selected) if decision is not None else None
-        synthesized = (
-            {w.collection_id: w for w in decision.synthesized}
-            if decision is not None
-            else {}
-        )
-        for cid in range(indexed.n_collections):
-            rounds: list[tuple[str, ...]] = []
-            rounds_per_collection.append(rounds)
-            if selected is not None and cid not in selected:
-                pruned = synthesized.get(cid)
-                if pruned is not None:
-                    pr_result.per_collection.append(
-                        CollectionWork(
-                            collection_id=cid,
-                            n_paragraphs=0,
-                            postings_scanned=pruned.postings_scanned,
-                            doc_bytes_read=0,
-                            relaxation_rounds=pruned.relaxation_rounds,
-                        )
-                    )
-                continue
-            r = indexed.retrievers[cid].retrieve(keywords, round_trace=rounds)
-            pr_result.paragraphs.extend(r.paragraphs)
-            pr_result.per_collection.append(
-                CollectionWork(
-                    collection_id=cid,
-                    n_paragraphs=len(r.paragraphs),
-                    postings_scanned=r.postings_scanned,
-                    doc_bytes_read=r.doc_bytes_read,
-                    relaxation_rounds=r.relaxation_rounds,
-                )
-            )
-        timings.pr = time.perf_counter() - t0
-        stats.pr_wall_s += timings.pr
-        work[POSTINGS_SCANNED] = float(pr_result.postings_scanned)
-        work[DOC_BYTES_READ] = float(pr_result.doc_bytes_read)
-        work[RELAXATION_ROUNDS] = float(
-            sum(w.relaxation_rounds for w in pr_result.per_collection)
-        )
-
-        resolver = KeywordIdResolver([kw.stems for kw in processed.keywords])
-        t0 = time.perf_counter()
-        scored = pipeline.ps.score(
-            processed, pr_result.paragraphs, resolver=resolver
-        )
-        timings.ps = time.perf_counter() - t0
-        work[PS_PARAGRAPH_BYTES] = float(
-            sum(p.size_bytes for p in pr_result.paragraphs)
-        )
-
-        t0 = time.perf_counter()
-        accepted = pipeline.po.order(scored)
-        timings.po = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        answers = pipeline.ap.extract(processed, accepted, resolver=resolver)
-        timings.ap = time.perf_counter() - t0
+        result = pipeline.answer(question, round_trace=rounds_per_collection)
     finally:
         stem_trace = SHARED_STEM_CACHE.stop_trace()
-    work[AP_PARAGRAPH_BYTES] = float(
-        sum(sp.paragraph.size_bytes for sp in accepted)
-    )
-    work[N_KEYWORDS] = float(len(processed.keywords))
-    if pipeline.metrics is not None:
-        pipeline._record(work)
-        pipeline._record_selection(decision)
-
-    result = QAResult(
-        processed=processed,
-        answers=answers,
-        n_retrieved=len(pr_result.paragraphs),
-        n_accepted=len(accepted),
-        timings=timings,
-        work=work,
-        paragraph_ranks=tuple(sp.paragraph.key for sp in accepted),
-    )
-    record = _QuestionRecord(
-        processed=processed,
+    stats.pr_wall_s += result.timings.pr
+    return _QuestionRecord(
+        result=result,
         stem_trace=stem_trace,
         rounds_per_collection=rounds_per_collection,
-        decision=decision,
-        answers=answers,
-        n_retrieved=result.n_retrieved,
-        n_accepted=result.n_accepted,
-        work=work,
-        paragraph_ranks=result.paragraph_ranks,
+        decision=pipeline.pr.last_decision,
     )
-    return record, result
 
 
 def _answer_repeat(
@@ -258,12 +150,13 @@ def _answer_repeat(
     per-question state transitions of serial execution are pure
     recomputations of these recorded outputs.
     """
+    first = record.result
     timings = ModuleTimings()
     t0 = time.perf_counter()
     processed = ProcessedQuestion(
         question=question,
-        answer_type=record.processed.answer_type,
-        keywords=record.processed.keywords,
+        answer_type=first.processed.answer_type,
+        keywords=first.processed.keywords,
     )
     SHARED_STEM_CACHE.replay(record.stem_trace)
     timings.qp = time.perf_counter() - t0
@@ -276,18 +169,18 @@ def _answer_repeat(
     timings.pr = pr
     stats.pr_wall_s += pr
 
-    work = dict(record.work)
+    work = dict(first.work)
     if pipeline.metrics is not None:
         pipeline._record(work)
         pipeline._record_selection(record.decision)
     return QAResult(
         processed=processed,
-        answers=list(record.answers),
-        n_retrieved=record.n_retrieved,
-        n_accepted=record.n_accepted,
+        answers=list(first.answers),
+        n_retrieved=first.n_retrieved,
+        n_accepted=first.n_accepted,
         timings=timings,
         work=work,
-        paragraph_ranks=record.paragraph_ranks,
+        paragraph_ranks=first.paragraph_ranks,
     )
 
 
@@ -296,8 +189,8 @@ def execute_batch(
 ) -> tuple[list[QAResult], BatchStats]:
     """Answer ``questions`` as one batch; results match serial bit-for-bit.
 
-    The contract — enforced by the bench equivalence gate and the batch
-    property tests — is ``execute_batch(p, qs)[0]`` fingerprint-equal to
+    The contract — enforced by ``tests/qa/test_batch_equivalence.py`` —
+    is ``execute_batch(p, qs)[0]`` fingerprint-equal to
     ``[p.answer(q) for q in qs]`` run from the same starting cache state,
     including conjunction/stem cache statistics afterwards.
     """
@@ -315,11 +208,13 @@ def execute_batch(
         for question in questions:
             record = records.get(question.text)
             if record is None:
-                record, result = _answer_first(pipeline, question, stats)
+                record = _answer_first(pipeline, question, stats)
                 records[question.text] = record
+                results.append(record.result)
             else:
-                result = _answer_repeat(pipeline, question, record, stats)
-            results.append(result)
+                results.append(
+                    _answer_repeat(pipeline, question, record, stats)
+                )
     finally:
         for r in retrievers:
             r.end_batch()

@@ -8,14 +8,10 @@ of collection ids, which is exactly the interface the distributed system's
 partitioners drive.
 
 When constructed with a :class:`~repro.retrieval.selection.CollectionSelector`,
-the fan-out is routed instead of broadcast: an **exact** selector prunes
-only provably-empty collections and synthesizes their logical work from
-the sketch (the :class:`PRResult` — paragraphs, per-collection work,
-counter totals — is bit-identical to exhaustive retrieval); a
-**predictive** selector visits only the collections it scored in, so its
-results may differ from exhaustive search.  Explicit ``collection_ids``
-always bypass the selector — a partitioner that asks for collection 3
-gets collection 3.
+the fan-out is routed instead of broadcast: only the collections the
+selector scored in are visited, so results may differ from exhaustive
+search.  Explicit ``collection_ids`` always bypass the selector — a
+partitioner that asks for collection 3 gets collection 3.
 """
 
 from __future__ import annotations
@@ -109,42 +105,31 @@ class ParagraphRetriever:
         self,
         processed: ProcessedQuestion,
         collection_ids: t.Sequence[int] | None = None,
+        round_trace: list[list[tuple[str, ...]]] | None = None,
     ) -> PRResult:
         """Retrieve paragraphs from the given sub-collections (default all).
 
         Collections are processed one at a time — the iterative structure
         the RECV partitioner exploits by letting under-loaded processors
         pull one collection at a time (Fig 7a).
+
+        ``round_trace``, when given, holds one list per collection (by
+        collection id); each visited collection appends the conjunction
+        key of every relaxation round it ran to its list — the batch
+        executor's conjunction-cache replay script.  Unvisited
+        collections' lists stay empty.
         """
         keywords = list(processed.keywords)
         ids, decision = resolve_collections(
             self.indexed.n_collections, collection_ids, self.selector, keywords
         )
         self.last_decision = decision
-        synthesized = (
-            {w.collection_id: w for w in decision.synthesized}
-            if decision is not None
-            else {}
-        )
-        # Exact-mode pruned collections report their (provably empty)
-        # work in collection order, interleaved with the visited ones, so
-        # per_collection reads identically to exhaustive retrieval.
-        visit = sorted({*ids, *synthesized}) if synthesized else ids
+        retrievers = self.indexed.retrievers
         result = PRResult(paragraphs=[])
-        for cid in visit:
-            work = synthesized.get(cid)
-            if work is not None:
-                result.per_collection.append(
-                    CollectionWork(
-                        collection_id=cid,
-                        n_paragraphs=0,
-                        postings_scanned=work.postings_scanned,
-                        doc_bytes_read=0,
-                        relaxation_rounds=work.relaxation_rounds,
-                    )
-                )
-                continue
-            r = self.indexed.retrieve_collection(cid, keywords)
+        for cid in ids:
+            r = retrievers[cid].retrieve(
+                keywords, None if round_trace is None else round_trace[cid]
+            )
             result.paragraphs.extend(r.paragraphs)
             result.per_collection.append(
                 CollectionWork(

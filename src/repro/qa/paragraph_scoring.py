@@ -43,7 +43,6 @@ __all__ = [
     "TermLookup",
     "keyword_positions",
     "keyword_positions_from_ids",
-    "keyword_positions_from_terms",
 ]
 
 #: Resolver from a paragraph to its precomputed term view (None = absent).
@@ -85,58 +84,15 @@ def keyword_positions(
     return positions, stems_at
 
 
-def keyword_positions_from_terms(
-    terms: ParagraphTerms, keyword_stems: t.Sequence[tuple[str, ...]]
-) -> list[list[int]]:
-    """Token positions of each keyword via the packed term layer.
-
-    Head-stem occurrences are a binary search over the paragraph's
-    id-sorted position run; phrase keywords verify their remaining stem
-    ids in order at each candidate position (an ``array`` slice compare,
-    no string materialization).  Produces exactly the positions
-    :func:`keyword_positions` derives from raw text: a stem the
-    vocabulary has never interned cannot occur in any paragraph, so it
-    matches nowhere on either path.
-    """
-    lookup = terms.vocab.lookup
-    n = terms.n_tokens
-    positions: list[list[int]] = []
-    for kstems in keyword_stems:
-        head = lookup(kstems[0])
-        if head < 0:
-            positions.append([])
-            continue
-        candidates = terms.positions_of_id(head)
-        if len(kstems) == 1:
-            positions.append(list(candidates))
-            continue
-        kids = array("i", (lookup(s) for s in kstems))
-        if min(kids) < 0:
-            positions.append([])
-            continue
-        klen = len(kids)
-        positions.append(
-            [
-                i
-                for i in candidates
-                if i + klen <= n and terms.ids_at(i, klen) == kids
-            ]
-        )
-    return positions
-
-
 class KeywordIdResolver:
     """Per-question memo of keyword-stem → vocabulary-id resolution.
 
-    :func:`keyword_positions_from_terms` resolves every keyword stem
-    against the vocabulary again for **every paragraph**; one question
-    scores hundreds of paragraphs against the same handful of keywords.
-    The resolver performs the lookups once per (vocabulary, question)
-    pair — one entry in practice, since all collections share the interned
-    vocabulary — and every paragraph after that runs only the packed-array
-    binary searches.  Shared by PS and AP within a question, it removes
-    the per-paragraph dict walks from both hot loops with bit-identical
-    positions (same lookups, hoisted).
+    One question scores hundreds of paragraphs against the same handful
+    of keywords, so the stem → id lookups happen once per (vocabulary,
+    question) pair — one entry in practice, since all collections share
+    the interned vocabulary — and every paragraph after that runs only
+    :func:`keyword_positions_from_ids`' packed-array binary searches.
+    The pipeline builds one per question and shares it between PS and AP.
     """
 
     __slots__ = ("kstems", "_by_vocab")
@@ -170,12 +126,16 @@ class KeywordIdResolver:
 def keyword_positions_from_ids(
     terms: ParagraphTerms, resolved: t.Sequence[tuple[int, t.Any, bool]]
 ) -> list[list[int]]:
-    """:func:`keyword_positions_from_terms` with the id lookups hoisted.
+    """Token positions of each keyword via the packed term layer.
 
     ``resolved`` comes from :meth:`KeywordIdResolver.resolve` on the
-    paragraph's vocabulary; only the per-paragraph binary searches remain,
-    so the output is exactly what :func:`keyword_positions_from_terms`
-    produces for the same keywords.
+    paragraph's vocabulary.  Head-stem occurrences are a binary search
+    over the paragraph's id-sorted position run; phrase keywords verify
+    their remaining stem ids in order at each candidate position (an
+    ``array`` slice compare, no string materialization).  Produces exactly
+    the positions :func:`keyword_positions` derives from raw text: a stem
+    the vocabulary has never interned cannot occur in any paragraph, so
+    it matches nowhere on either path.
     """
     n = terms.n_tokens
     positions: list[list[int]] = []
@@ -221,31 +181,25 @@ class ParagraphScorer:
     ) -> list[ScoredParagraph]:
         """Score every paragraph independently (embarrassingly parallel).
 
-        ``resolver`` (the batch path) hoists the per-paragraph keyword-id
-        lookups; scores are bit-identical with or without it.
+        ``resolver`` is the question's keyword-id memo (the pipeline
+        shares one between PS and AP); one is built when none is passed.
         """
         kstems = [kw.stems for kw in processed.keywords]
-        if resolver is None:
-            return [self.score_one(p, kstems) for p in paragraphs]
-        out: list[ScoredParagraph] = []
-        lookup = self.term_lookup
-        for p in paragraphs:
-            terms = lookup(p) if lookup else None
-            if terms is not None:
-                positions = keyword_positions_from_ids(
-                    terms, resolver.resolve(terms.vocab)
-                )
-            else:
-                positions, _ = keyword_positions(p.text, kstems)
-            out.append(self._score_positions(p, kstems, positions))
-        return out
+        resolver = resolver or KeywordIdResolver(kstems)
+        return [self.score_one(p, kstems, resolver) for p in paragraphs]
 
     def score_one(
-        self, paragraph: Paragraph, kstems: t.Sequence[tuple[str, ...]]
+        self,
+        paragraph: Paragraph,
+        kstems: t.Sequence[tuple[str, ...]],
+        resolver: KeywordIdResolver | None = None,
     ) -> ScoredParagraph:
         terms = self.term_lookup(paragraph) if self.term_lookup else None
         if terms is not None:
-            positions = keyword_positions_from_terms(terms, kstems)
+            resolver = resolver or KeywordIdResolver(kstems)
+            positions = keyword_positions_from_ids(
+                terms, resolver.resolve(terms.vocab)
+            )
         else:
             positions, _ = keyword_positions(paragraph.text, kstems)
         return self._score_positions(paragraph, kstems, positions)

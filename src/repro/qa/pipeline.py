@@ -49,7 +49,7 @@ from .answer_processing import AnswerProcessor
 from .batch import BatchStats, execute_batch
 from .paragraph_ordering import ParagraphOrderer
 from .paragraph_retrieval import ParagraphRetriever
-from .paragraph_scoring import ParagraphScorer
+from .paragraph_scoring import KeywordIdResolver, ParagraphScorer
 from .question import ModuleTimings, ProcessedQuestion, QAResult, Question
 from .question_processing import QuestionProcessor
 
@@ -63,7 +63,7 @@ def result_fingerprint(result: QAResult) -> tuple[t.Any, ...]:
     ranks and the work counters.  Timings are left out.
 
     The equivalence tests (fast path vs re-tokenize oracle, batched vs
-    serial, exact selection vs exhaustive) compare results through this.
+    serial) compare results through this.
     """
     return (
         tuple(
@@ -93,8 +93,9 @@ class QAPipeline:
     use_term_index:
         Route PS and AP through the index's precomputed paragraph term
         layer, and AP through its per-paragraph entity layer (the fast
-        path).  ``False`` forces the re-tokenize, re-recognize reference
-        path — used by the perf-regression harness as its baseline.
+        path).  ``False`` forces the re-tokenize, re-recognize path — the
+        reference implementation for ``tests/qa/test_scoring_equivalence.py``
+        and ``tests/qa/test_entity_layer.py``.
     metrics:
         Optional registry receiving the work counters under their
         canonical :mod:`repro.observability.names` — one vocabulary for
@@ -102,9 +103,9 @@ class QAPipeline:
     selector:
         Optional :class:`~repro.retrieval.selection.CollectionSelector`
         routing the PR fan-out through per-collection term sketches
-        instead of broadcasting (exact mode keeps results bit-identical;
-        predictive mode trades recall for pruned fan-out).  Decisions are
-        recorded under the ``retrieval.selector.*`` metric names.
+        instead of broadcasting (trades recall for pruned fan-out).
+        Decisions are recorded under the ``retrieval.selector.*`` metric
+        names.
     """
 
     def __init__(
@@ -133,8 +134,19 @@ class QAPipeline:
         #: Sharing/amortization stats of the most recent ``answer_batch``.
         self.last_batch_stats: BatchStats | None = None
 
-    def answer(self, question: Question | str, qid: int = 0) -> QAResult:
-        """Answer one question, timing each module."""
+    def answer(
+        self,
+        question: Question | str,
+        qid: int = 0,
+        round_trace: list[list[tuple[str, ...]]] | None = None,
+    ) -> QAResult:
+        """Answer one question, timing each module.
+
+        This is the only QP -> PR -> PS -> PO -> AP pass: the batch
+        executor runs it too, handing in ``round_trace`` (one empty list
+        per collection, see :meth:`ParagraphRetriever.retrieve`) to
+        collect the conjunction-cache replay script for duplicates.
+        """
         if isinstance(question, str):
             question = Question(qid=qid, text=question)
         timings = ModuleTimings()
@@ -145,7 +157,7 @@ class QAPipeline:
         timings.qp = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        pr_result = self.pr.retrieve(processed)
+        pr_result = self.pr.retrieve(processed, round_trace=round_trace)
         timings.pr = time.perf_counter() - t0
         work[POSTINGS_SCANNED] = float(pr_result.postings_scanned)
         work[DOC_BYTES_READ] = float(pr_result.doc_bytes_read)
@@ -153,8 +165,11 @@ class QAPipeline:
             sum(w.relaxation_rounds for w in pr_result.per_collection)
         )
 
+        # Keyword -> vocabulary-id resolution happens once per question
+        # and is shared by PS and AP.
+        resolver = KeywordIdResolver([kw.stems for kw in processed.keywords])
         t0 = time.perf_counter()
-        scored = self.ps.score(processed, pr_result.paragraphs)
+        scored = self.ps.score(processed, pr_result.paragraphs, resolver)
         timings.ps = time.perf_counter() - t0
         work[PS_PARAGRAPH_BYTES] = float(
             sum(p.size_bytes for p in pr_result.paragraphs)
@@ -165,7 +180,7 @@ class QAPipeline:
         timings.po = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        answers = self.ap.extract(processed, accepted)
+        answers = self.ap.extract(processed, accepted, resolver)
         timings.ap = time.perf_counter() - t0
         work[AP_PARAGRAPH_BYTES] = float(
             sum(sp.paragraph.size_bytes for sp in accepted)
@@ -194,10 +209,10 @@ class QAPipeline:
 
         Bit-identical to ``[self.answer(q) for q in questions]`` — same
         answers, paragraph ranks, work counters and cache statistics —
-        but duplicates replay their first execution instead of re-running
-        the pipeline, posting lists are fetched once per distinct stem
-        per collection, and PS/AP keyword-id resolution is hoisted out of
-        the per-paragraph loops (see :mod:`repro.qa.batch`).  Sharing
+        because a first occurrence *is* one :meth:`answer` walk; what the
+        batch adds is that duplicates replay their first execution
+        instead of re-running it and posting lists are fetched once per
+        distinct stem per collection (see :mod:`repro.qa.batch`).  Sharing
         accounting lands in :attr:`last_batch_stats` and, when a metrics
         registry is attached, under the ``retrieval.batch.*`` names.
         """

@@ -88,9 +88,9 @@ class QuestionProfile:
     n_answers: int
     answer_bytes: float
     memory_bytes: float
-    #: Mediator routing decision (collection ids the selector kept);
-    #: ``None`` = no selection ran — the PR fan-out broadcasts.  Only
-    #: honoured when ``SystemConfig.collection_selection`` is on.
+    #: Mediator routing decision (collection ids the selector kept): the
+    #: simulated PR stage fans out over these only.  ``None`` = no
+    #: selection ran — the PR fan-out broadcasts.
     selected_collections: tuple[int, ...] | None = None
 
     # -- aggregates used all over the experiments -------------------------------
@@ -154,8 +154,8 @@ def profile_question(
     capture per-collection and per-paragraph work detail.  When a
     ``selector`` is given, its routing decision for the question's
     keywords is carried on the profile as ``selected_collections`` (the
-    per-collection work detail stays exhaustive, so the same profile can
-    simulate selection on and off).
+    per-collection work detail stays exhaustive, so clearing the field
+    simulates the same question broadcast).
     """
     if isinstance(question, str):
         question = Question(qid=qid, text=question)

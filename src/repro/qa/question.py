@@ -116,8 +116,8 @@ class QAResult:
     timings: ModuleTimings = field(default_factory=ModuleTimings)
     #: Work counters for the simulation cost model.
     work: dict[str, float] = field(default_factory=dict)
-    #: Accepted paragraph keys in PO rank order (equivalence fingerprint
-    #: for the perf-regression harness).
+    #: Accepted paragraph keys in PO rank order (part of
+    #: :func:`repro.qa.result_fingerprint`).
     paragraph_ranks: tuple[tuple[int, int], ...] = ()
 
     @property

@@ -14,10 +14,8 @@ from .packing import attach_payload, indexes_to_payload
 from .paragraphs import Paragraph, split_paragraphs
 from .prediction import QueryCostEstimate, predict_pr_cost, predict_pr_cost_corpus
 from .selection import (
-    SELECTION_MODES,
     CollectionSelector,
     CollectionSketch,
-    PrunedWork,
     SelectionDecision,
     build_sketch,
     sketch_of,
@@ -27,7 +25,6 @@ __all__ = [
     "QueryCostEstimate",
     "predict_pr_cost",
     "predict_pr_cost_corpus",
-    "SELECTION_MODES",
     "BooleanRetriever",
     "CollectionIndex",
     "CollectionSelector",
@@ -37,7 +34,6 @@ __all__ = [
     "IndexedCorpus",
     "Paragraph",
     "ParagraphTerms",
-    "PrunedWork",
     "RetrievalResult",
     "SelectionDecision",
     "SharedPostings",

@@ -153,8 +153,9 @@ class BooleanRetriever:
         Capacity of the LRU conjunction-result cache (0 disables caching).
     galloping:
         Use sorted-array galloping intersection.  ``False`` falls back to
-        the original per-stem set intersection — kept as the reference
-        implementation for the perf-regression harness's baseline runs.
+        the original per-stem set intersection — the reference
+        implementation for ``tests/retrieval/test_term_index.py`` and
+        ``tests/qa/test_scoring_equivalence.py``.
     """
 
     def __init__(

@@ -42,9 +42,9 @@ class IndexedCorpus:
         Stem cache shared by all sub-collection indexes (defaults to the
         process-wide shared cache).
     conjunction_cache / galloping:
-        Retriever hot-path knobs (see :class:`BooleanRetriever`).  The
-        perf-regression harness sets ``conjunction_cache=0,
-        galloping=False`` for its reference baseline.
+        Retriever hot-path knobs (see :class:`BooleanRetriever`).
+        ``conjunction_cache=0, galloping=False`` is the reference
+        implementation for ``tests/retrieval/test_term_index.py``.
     indexes:
         Pre-built sub-collection indexes to adopt instead of indexing
         ``corpus`` again — used by :meth:`reconfigured` so baseline and
@@ -127,7 +127,6 @@ class IndexedCorpus:
 
     def selector(
         self,
-        mode: str = "exact",
         top_k: int | None = None,
         threshold: float = 0.0,
     ) -> CollectionSelector:
@@ -137,7 +136,6 @@ class IndexedCorpus:
         return CollectionSelector(
             self.sketches(),
             self.indexes[0].vocab,
-            mode=mode,
             top_k=top_k,
             threshold=threshold,
         )

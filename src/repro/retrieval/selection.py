@@ -20,32 +20,16 @@ This module is that mediator layer:
   buffers and serializes/attaches with the v2 disk-cache artifact
   (:mod:`repro.retrieval.packing` remaps the ids like any other buffer).
 * :class:`CollectionSelector` — decides, per question, which collections
-  the PR fan-out visits.  Two modes:
+  the PR fan-out visits.  It scores collections mediator-style —
+  df-weighted keyword coverage with an idf-like rarity weight, zeroed
+  when the sketch's paragraph-presence bound says no keyword occurs in
+  any paragraph — and keeps the top-k / above-threshold collections.
+  Selection may change answers; ``repro experiments ext-selection``
+  reports its precision/recall/answer-agreement against exhaustive
+  search.
 
-  **exact** (the default) prunes only collections *provably* unable to
-  contribute: the Boolean retriever's relaxation walk is replayed
-  against the sketch, and a collection is skipped only when every
-  relaxation round's conjunction provably evaluates empty (some active
-  stem has document frequency zero there — the intersection upper bound
-  is the minimum df).  Because the retriever charges each round's
-  posting lists in stem order and stops at the first empty list, the
-  skipped collection's logical work (``postings_scanned``,
-  ``relaxation_rounds``) is computable from the sketch alone and is
-  synthesized bit-identically — answers, paragraph ranks, and work
-  counters never change, which ``tests/retrieval/test_selection.py``
-  enforces.
-
-  **predictive** scores collections mediator-style — df-weighted
-  keyword coverage with an idf-like rarity weight, zeroed when the
-  sketch's paragraph-presence bound says no keyword occurs in any
-  paragraph — and keeps the top-k / above-threshold collections.
-  Predictive selection may change answers; ``repro experiments
-  ext-selection`` reports its precision/recall/answer-agreement against
-  exhaustive search.
-
-A selection that would come back empty in predictive mode falls back to
-exhaustive search (``fallback=True``): the selector may lose recall,
-never questions.
+A selection that would come back empty falls back to exhaustive search
+(``fallback=True``): the selector may lose recall, never questions.
 """
 
 from __future__ import annotations
@@ -62,49 +46,26 @@ from ..nlp.vocabulary import MISSING_ID, Vocabulary
 from .inverted_index import CollectionIndex
 
 __all__ = [
-    "SELECTION_MODES",
     "CollectionSketch",
     "CollectionSelector",
-    "PrunedWork",
     "SelectionDecision",
     "build_sketch",
     "sketch_of",
 ]
-
-#: Selector modes, in documentation order.
-SELECTION_MODES = ("exact", "predictive")
-
-
-class PrunedWork(t.NamedTuple):
-    """Synthesized logical work of one provably-empty (pruned) collection.
-
-    The pruned collection would have run ``relaxation_rounds`` conjunction
-    rounds, scanned ``postings_scanned`` posting entries, matched zero
-    documents, and read zero document bytes — exactly what exhaustive
-    retrieval reports for it.
-    """
-
-    collection_id: int
-    postings_scanned: int
-    relaxation_rounds: int
 
 
 @dataclass(frozen=True, slots=True)
 class SelectionDecision:
     """One question's routing decision over the sub-collections."""
 
-    mode: str
     n_collections: int
     #: Collections the PR fan-out visits, ascending collection id.
     selected: tuple[int, ...]
     #: Collections skipped, ascending collection id.
     pruned: tuple[int, ...]
-    #: Exact mode: per-pruned-collection synthesized work (empty in
-    #: predictive mode — predictive pruning intentionally drops work).
-    synthesized: tuple[PrunedWork, ...] = ()
-    #: Predictive mode: per-collection scores in sketch order.
+    #: Per-collection scores in sketch order.
     scores: tuple[float, ...] = ()
-    #: True when an empty predictive selection fell back to exhaustive.
+    #: True when an empty selection fell back to exhaustive.
     fallback: bool = False
 
     @property
@@ -243,39 +204,6 @@ def _keyword_ids(
     return [tuple(lookup(s) for s in kw.stems) for kw in ordered]
 
 
-def _provably_empty_charge(
-    kw_ids: t.Sequence[tuple[int, ...]], sketch: CollectionSketch
-) -> int | None:
-    """Total postings charge if *every* relaxation round provably matches
-    nothing in ``sketch``; ``None`` when any round might match.
-
-    Mirrors :meth:`BooleanRetriever._conjunction` exactly: round ``r``
-    evaluates the stems of the first ``k - r + 1`` keywords in order,
-    charging each stem's posting-list length and stopping at the first
-    empty list.  A round with a zero-df stem is provably empty (the
-    conjunction is bounded by the minimum df); a round whose stems all
-    have postings might match, so the collection must be searched.
-    """
-    df = sketch.df_by_id
-    total = 0
-    for n_active in range(len(kw_ids), 0, -1):
-        stems = [tid for kw in kw_ids[:n_active] for tid in kw]
-        if not stems:
-            continue  # empty conjunction: no charge, provably empty
-        charge = 0
-        empty = False
-        for tid in stems:
-            n = df(tid)
-            charge += n
-            if n == 0:
-                empty = True
-                break
-        if not empty:
-            return None
-        total += charge
-    return total
-
-
 class CollectionSelector:
     """Routes questions to sub-collections using per-collection sketches.
 
@@ -287,36 +215,26 @@ class CollectionSelector:
     vocab:
         The vocabulary the sketch ids refer to (keyword stems are looked
         up here; unknown stems have frequency zero everywhere).
-    mode:
-        ``"exact"`` (provable pruning, bit-identical results) or
-        ``"predictive"`` (mediator-style scored routing).
     top_k:
-        Predictive mode: keep at most this many collections (None = no
-        count cutoff).
+        Keep at most this many collections (None = no count cutoff).
     threshold:
-        Predictive mode: drop collections scoring below this fraction of
-        the best score (0.0 keeps every positive-scoring collection).
+        Drop collections scoring below this fraction of the best score
+        (0.0 keeps every positive-scoring collection).
     """
 
     def __init__(
         self,
         sketches: t.Sequence[CollectionSketch],
         vocab: Vocabulary,
-        mode: str = "exact",
         top_k: int | None = None,
         threshold: float = 0.0,
     ) -> None:
-        if mode not in SELECTION_MODES:
-            raise ValueError(
-                f"unknown selection mode {mode!r}, want one of {SELECTION_MODES}"
-            )
         if top_k is not None and top_k < 1:
             raise ValueError("top_k must be >= 1")
         if not 0.0 <= threshold <= 1.0:
             raise ValueError("threshold must be in [0, 1]")
         self.sketches = list(sketches)
         self.vocab = vocab
-        self.mode = mode
         self.top_k = top_k
         self.threshold = threshold
         self._total_docs = sum(sk.n_documents for sk in self.sketches)
@@ -329,38 +247,6 @@ class CollectionSelector:
         """Total resident bytes of the mediator's sketches."""
         return sum(sk.nbytes() for sk in self.sketches)
 
-    def select(self, keywords: t.Sequence[Keyword]) -> SelectionDecision:
-        """Decide which collections the PR fan-out should visit."""
-        kw_ids = _keyword_ids(keywords, self.vocab)
-        if self.mode == "exact":
-            return self._select_exact(kw_ids)
-        return self._select_predictive(kw_ids)
-
-    # -- exact mode -------------------------------------------------------------
-    def _select_exact(
-        self, kw_ids: list[tuple[int, ...]]
-    ) -> SelectionDecision:
-        selected: list[int] = []
-        synthesized: list[PrunedWork] = []
-        rounds = len(kw_ids)
-        for sk in self.sketches:
-            charge = _provably_empty_charge(kw_ids, sk)
-            if charge is None:
-                selected.append(sk.collection_id)
-            else:
-                synthesized.append(
-                    PrunedWork(sk.collection_id, charge, rounds)
-                )
-        synthesized.sort()
-        return SelectionDecision(
-            mode="exact",
-            n_collections=len(self.sketches),
-            selected=tuple(sorted(selected)),
-            pruned=tuple(w.collection_id for w in synthesized),
-            synthesized=tuple(synthesized),
-        )
-
-    # -- predictive mode --------------------------------------------------------
     def _rarity(self, kw: tuple[int, ...]) -> float:
         """Idf-like weight of a keyword: rarer (corpus-wide) weighs more."""
         gdf = max(
@@ -392,9 +278,9 @@ class CollectionSelector:
             score += self._rarity(kw) * best_df / sk.n_documents
         return score if any_paragraph_present else 0.0
 
-    def _select_predictive(
-        self, kw_ids: list[tuple[int, ...]]
-    ) -> SelectionDecision:
+    def select(self, keywords: t.Sequence[Keyword]) -> SelectionDecision:
+        """Decide which collections the PR fan-out should visit."""
+        kw_ids = _keyword_ids(keywords, self.vocab)
         scores = tuple(self._score(kw_ids, sk) for sk in self.sketches)
         best = max(scores, default=0.0)
         cutoff = self.threshold * best
@@ -415,7 +301,6 @@ class CollectionSelector:
             selected = all_ids
         keep = set(selected)
         return SelectionDecision(
-            mode="predictive",
             n_collections=len(self.sketches),
             selected=tuple(selected),
             pruned=tuple(cid for cid in all_ids if cid not in keep),

@@ -1,16 +1,15 @@
-"""Simulated-side collection selection (SystemConfig.collection_selection).
+"""Simulated-side collection selection: routing is an input, not a knob.
 
-``"off"`` must be byte-identical to the legacy broadcast — profiles may
-carry a routing decision, but the simulator ignores it and adds no
-overhead key.  ``"sketch"`` partitions PR's SEND/ISEND/RECV fan-out over
-the predicted collections only, which must shrink partition comms and
-show up in the trace as a ``stage:PR-select`` span whose probe cost the
-attribution pipeline books under dispatch.
+A profile with no routing decision (``selected_collections is None``)
+broadcasts and adds no overhead key.  A routed profile partitions PR's
+SEND/ISEND/RECV fan-out over the predicted collections only, which must
+shrink partition comms and show up in the trace as a ``stage:PR-select``
+span whose probe cost the attribution pipeline books under dispatch.
+Unrouted and routed profiles differ in nothing else (first test), so
+"off" below is simply the unrouted profile set.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.core import DistributedQASystem, Strategy, SystemConfig
 from repro.observability.attribution import attribute_workload
@@ -28,14 +27,10 @@ def _profiles(selected_fraction=None):
     )
 
 
-def _run(profiles, selection, n_nodes=16, trace=False):
+def _run(profiles, n_nodes=16, trace=False):
     system = DistributedQASystem(
         SystemConfig(
-            n_nodes=n_nodes,
-            strategy=Strategy.DQA,
-            seed=SEED,
-            trace=trace,
-            collection_selection=selection,
+            n_nodes=n_nodes, strategy=Strategy.DQA, seed=SEED, trace=trace
         )
     )
     report = system.run_workload(
@@ -58,21 +53,9 @@ def test_selected_fraction_does_not_perturb_profile_rng():
         ]
 
 
-def test_off_mode_ignores_routing_metadata():
-    """selection="off" is byte-identical whether or not profiles carry
-    a routing decision — the legacy broadcast is untouched."""
-    _, base = _run(_profiles(None), "off")
-    _, routed = _run(_profiles(0.5), "off")
-    assert base.makespan_s == routed.makespan_s
-    assert base.mean_response_s == routed.mean_response_s
-    for r in routed.results:
-        assert "pr_select" not in r.overhead
-
-
 def test_sketch_mode_shrinks_comms_and_books_overhead():
-    profiles = _profiles(0.5)
-    _, off = _run(profiles, "off")
-    _, on = _run(profiles, "sketch")
+    _, off = _run(_profiles(None))
+    _, on = _run(_profiles(0.5))
 
     def comms(report):
         return sum(
@@ -86,12 +69,13 @@ def test_sketch_mode_shrinks_comms_and_books_overhead():
     assert comms(on) < comms(off)
     for r in on.results:
         assert r.overhead["pr_select"] > 0.0
+    for r in off.results:
+        assert "pr_select" not in r.overhead
 
 
 def test_sketch_mode_attribution_accounts_for_the_probe():
-    profiles = _profiles(0.5)
-    off_sys, off = _run(profiles, "off", trace=True)
-    on_sys, on = _run(profiles, "sketch", trace=True)
+    off_sys, off = _run(_profiles(None), trace=True)
+    on_sys, on = _run(_profiles(0.5), trace=True)
     att_off = attribute_workload(
         off_sys.spans, off_sys.metrics, off, off_sys.config
     )
@@ -104,8 +88,11 @@ def test_sketch_mode_attribution_accounts_for_the_probe():
     means_on = att_on.category_means()
     assert means_on["partition_comms"] < means_off["partition_comms"]
     assert means_on["dispatch"] > means_off["dispatch"]  # the probe cost
-    # The routing stage is visible in the trace.
+    # The routing stage is visible in the trace — of routed profiles only.
     assert any("PR-select" in name for name in _all_span_names(on_sys.spans))
+    assert not any(
+        "PR-select" in name for name in _all_span_names(off_sys.spans)
+    )
 
 
 def _all_span_names(stream):
@@ -119,18 +106,13 @@ def _all_span_names(stream):
     return names
 
 
-def test_unknown_selection_value_raises():
-    with pytest.raises(ValueError, match="collection_selection"):
-        _run(_profiles(0.5), "oracle")
-
-
 def test_sketch_mode_never_empties_the_fanout():
     """A decision that would keep zero collections falls back to all."""
     profiles = _profiles(0.5)
     for p in profiles:
         p.selected_collections = ()
-    _, on = _run(profiles, "sketch")
-    _, off = _run(profiles, "off")
+    _, on = _run(profiles)
+    _, off = _run(_profiles(None))
     assert len(on.results) == len(off.results)
     for r in on.results:
         assert not r.failed

@@ -9,7 +9,7 @@ from repro.experiments.selection import SelectionConfig, run_selection
 
 @pytest.fixture(scope="module")
 def summary():
-    # Tiny run: enough to exercise all three real-pipeline modes and an
+    # Tiny run: enough to exercise both real-pipeline runs and an
     # off-vs-on simulated pair, quickly.
     return run_selection(
         SelectionConfig(
@@ -22,14 +22,6 @@ def summary():
 
 
 class TestStructure:
-    def test_exact_mode_is_identical_and_prunes(self, summary):
-        assert summary["equivalence"]["exact_identical"]
-        assert "exact" not in summary["equivalence"]["mismatches"]
-        q = summary["quality"]["exact"]
-        assert q["precision_mean"] <= 1.0
-        assert q["recall_mean"] == 1.0  # exact never prunes a useful collection
-        assert q["answer_agreement"] == 1.0
-
     def test_predictive_reports_quality_not_identity(self, summary):
         q = summary["quality"]["predictive"]
         assert 0.0 <= q["answer_agreement"] <= 1.0
@@ -47,6 +39,7 @@ class TestStructure:
     def test_format_mentions_all_modes(self, summary, monkeypatch):
         monkeypatch.setattr(selection, "run_selection", lambda: summary)
         text = runner.run_experiment("ext-selection")
-        for token in ("exhaustive", "exact", "predictive", "partition-comms"):
+        for token in ("exhaustive", "predictive", "partition-comms"):
             assert token in text
+        assert "exact" not in text  # retired with its mode
         assert "q/s" not in text

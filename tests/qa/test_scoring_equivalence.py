@@ -26,9 +26,10 @@ from repro.nlp.keywords import Keyword
 from repro.nlp.stemming import cached_stem
 from repro.qa.answer_processing import AnswerProcessor
 from repro.qa.paragraph_scoring import (
+    KeywordIdResolver,
     ParagraphScorer,
     keyword_positions,
-    keyword_positions_from_terms,
+    keyword_positions_from_ids,
 )
 from repro.qa.pipeline import QAPipeline
 from repro.qa.question import ProcessedQuestion, Question
@@ -89,12 +90,15 @@ _kw_specs = st.lists(
 def test_keyword_positions_fast_path_identical(docs, kws):
     index = _make_index(docs)
     kstems = [kw.stems for kw in _make_keywords(kws)]
+    resolver = KeywordIdResolver(kstems)
     for doc in index.doc_ids:
         for para, _stems in index.paragraphs_of(doc):
             terms = index.paragraph_terms(para.key)
             assert terms is not None
             naive, stems_at = keyword_positions(para.text, kstems)
-            fast = keyword_positions_from_terms(terms, kstems)
+            fast = keyword_positions_from_ids(
+                terms, resolver.resolve(terms.vocab)
+            )
             assert fast == naive
             assert terms.stems_at == tuple(stems_at)
 

