@@ -10,8 +10,8 @@ from repro.core import (
     DistributedQASystem,
     Strategy,
     SystemConfig,
-    render_trace,
 )
+from repro.observability.spans import render_trace
 from repro.qa import SyntheticProfileGenerator, SyntheticProfileParams
 from repro.simulation import FailureSchedule
 from repro.workload import staggered_arrivals, trec_mix_profiles
@@ -39,8 +39,8 @@ def single_question_demo() -> None:
           f"(failed={result.failed})")
     print("\ntrace around the failure:")
     events = [
-        e for e in system.tracer.events
-        if e.kind in ("ap-part", "worker-failed", "done") or 14 < e.time < 30
+        e for e in system.spans.instants()
+        if e.name in ("ap-part", "worker-failed", "done") or 14 < e.t0 < 30
     ]
     print(render_trace(events))
 

@@ -16,8 +16,8 @@ from repro.core import (
     Strategy,
     SystemConfig,
     TaskPolicy,
-    render_trace,
 )
+from repro.observability.spans import render_trace
 from repro.qa import SyntheticProfileGenerator, SyntheticProfileParams
 
 
@@ -58,11 +58,11 @@ def main() -> None:
         SystemConfig(n_nodes=4, strategy=Strategy.DQA, trace=True)
     )
     system.run_workload([profile])
-    interesting = system.tracer.of_kind(
+    interesting = {
         "qp-start", "pr-dispatch", "pr-collection", "po-done",
         "ap-dispatch", "ap-part", "done",
-    )
-    print(render_trace(interesting))
+    }
+    print(render_trace([e for e in system.spans.instants() if e.name in interesting]))
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ partitioning with failure recovery) — on the simulated cluster substrate.
 
 from .dispatcher import QuestionDispatcher
 from .frontend import DNSFrontend
-from .gradient import GradientBalancer, compute_gradients, ring_topology
 from .load import (
     AP_WEIGHTS,
     PR_WEIGHTS,
@@ -35,7 +34,6 @@ from .partitioning import (
 )
 from .qa_task import DistributedQATask, TaskPolicy, TaskResult
 from .system import DistributedQASystem, Strategy, SystemConfig, WorkloadReport
-from .tracing import TraceEvent, Tracer, render_trace
 
 __all__ = [
     "AP_WEIGHTS",
@@ -44,7 +42,6 @@ __all__ = [
     "DNSFrontend",
     "DistributedQASystem",
     "DistributedQATask",
-    "GradientBalancer",
     "LoadMonitor",
     "LoadSnapshot",
     "MonitoringSystem",
@@ -60,8 +57,6 @@ __all__ = [
     "SystemConfig",
     "TaskPolicy",
     "TaskResult",
-    "TraceEvent",
-    "Tracer",
     "WorkerFailed",
     "WorkloadReport",
     "is_underloaded",
@@ -70,9 +65,6 @@ __all__ = [
     "meta_schedule",
     "partition_isend",
     "partition_send",
-    "compute_gradients",
-    "render_trace",
-    "ring_topology",
     "run_receiver_controlled",
     "run_sender_controlled",
     "single_task_load",

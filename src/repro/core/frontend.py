@@ -7,14 +7,11 @@ using this strategy is far from perfect ... due to DNS address caching,
 requests from the same net are directed to the same IP address for the
 lifetime of the cache."
 
-:class:`DNSFrontend` models both regimes: perfect round-robin (what the
-paper's experiments assume for comparability) and cache-skewed assignment
-for robustness studies.
+:class:`DNSFrontend` models the perfect round-robin the paper's experiments
+assume for comparability.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..observability.metrics import MetricsRegistry
 from ..observability.names import DNS_ASSIGNMENTS
@@ -23,46 +20,25 @@ __all__ = ["DNSFrontend"]
 
 
 class DNSFrontend:
-    """Round-robin question-to-node assignment, optionally cache-skewed.
-
-    Parameters
-    ----------
-    n_nodes:
-        Number of cluster nodes.
-    cache_skew:
-        Probability that a request repeats the previous assignment instead
-        of advancing the round-robin pointer (models DNS caches pinning
-        whole client networks to one address).  0 = the paper's "perfect
-        round-robin initial question distribution".
-    """
+    """Round-robin question-to-node assignment over ``n_nodes`` nodes (the
+    paper's "perfect round-robin initial question distribution")."""
 
     def __init__(
         self,
         n_nodes: int,
-        cache_skew: float = 0.0,
-        seed: int = 0,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if n_nodes < 1:
             raise ValueError("need at least one node")
-        if not 0.0 <= cache_skew < 1.0:
-            raise ValueError("cache_skew must be in [0, 1)")
         self.n_nodes = n_nodes
-        self.cache_skew = cache_skew
         self.metrics = metrics
-        self._rng = np.random.default_rng(seed)
         self._next = 0
-        self._last = 0
         self.assignments: list[int] = []
 
     def assign(self) -> int:
         """Pick the entry node for the next question."""
-        if self.cache_skew > 0.0 and self._rng.random() < self.cache_skew:
-            node = self._last
-        else:
-            node = self._next
-            self._next = (self._next + 1) % self.n_nodes
-        self._last = node
+        node = self._next
+        self._next = (self._next + 1) % self.n_nodes
         self.assignments.append(node)
         if self.metrics is not None:
             self.metrics.inc(DNS_ASSIGNMENTS)

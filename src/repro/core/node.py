@@ -30,19 +30,6 @@ class NodeDown(Exception):
         self.node_id = node_id
 
 
-class Stolen(Exception):
-    """Raised into a queued task claimed by an idle node (work stealing).
-
-    Receiver-initiated diffusion (the paper's related work [31, 35]): an
-    idle node pulls a waiting question from a loaded peer's queue.  The
-    task catches this at its admission wait and re-enqueues at ``target``.
-    """
-
-    def __init__(self, target: int) -> None:
-        super().__init__(f"stolen by node {target}")
-        self.target = target
-
-
 @dataclass(frozen=True, slots=True)
 class NodeConfig:
     """Per-node hardware parameters."""
@@ -136,18 +123,6 @@ class ClusterNode:
         waiters, self._admission_waiters = self._admission_waiters, deque()
         for event in waiters:
             event.fail(NodeDown(self.node_id))
-
-    def steal_waiter(self, thief: int) -> bool:
-        """Hand the most recently queued question to node ``thief``.
-
-        LIFO stealing: the youngest waiter has waited least, so moving it
-        is fairest.  Returns False when the queue is empty.
-        """
-        if not self._admission_waiters:
-            return False
-        event = self._admission_waiters.pop()
-        event.fail(Stolen(thief))
-        return True
 
     # -- memory-pressure -> CPU thrash -------------------------------------------
     def _on_memory_pressure(self, overcommit: float) -> None:

@@ -26,7 +26,7 @@ from ..qa.profiles import CollectionProfile, ParagraphProfile, QuestionProfile
 from ..simulation.events import Event
 from ..simulation.network import TransferFailed
 from .load import AP_WEIGHTS, PR_WEIGHTS, single_task_load
-from .node import NodeDown, Stolen
+from .node import NodeDown
 from .meta_scheduler import Assignment, meta_schedule
 from .partitioning import (
     PartitionAbort,
@@ -118,9 +118,6 @@ class TaskResult:
     migrated_qa: bool = False
     migrated_pr: bool = False
     migrated_ap: bool = False
-    #: Times this question was claimed from a queue by an idle node
-    #: (receiver-initiated work stealing, extension).
-    stolen: int = 0
     pr_partition_width: int = 1
     ap_partition_width: int = 1
     #: True when the hosting node died mid-task (the task state is lost;
@@ -172,8 +169,8 @@ class DistributedQATask:
         self.host = entry_node
         #: Paragraph bytes produced per PR worker (drives host-side merging).
         self._pr_remote_bytes: dict[int, float] = {}
-        #: Hierarchical span tracing (shares the system's store with the
-        #: flat Fig 7 tracer).  ``_root`` is the per-question root span,
+        #: The system's span store (its instants are the Fig 7 event
+        #: stream).  ``_root`` is the per-question root span,
         #: ``_stage`` the currently open partition-stage span that chunk
         #: executors and transfers attach to.
         self._spans = system.spans
@@ -185,11 +182,9 @@ class DistributedQATask:
         return self.system.nodes[nid]
 
     def _enqueue(self, nid: int) -> t.Generator[Event, object, None]:
-        """Queue at ``nid`` until admitted, following work-steal claims.
+        """Queue at ``nid`` until admitted; ``self.host`` is then ``nid``.
 
-        On admission, ``self.host`` is the node that admitted the task
-        (possibly a thief).  Raises :class:`NodeDown` if every node the
-        task lands on dies while it waits.
+        Raises :class:`NodeDown` if the node dies while the task waits.
         """
         env = self.system.env
         t_enter = env.now
@@ -201,34 +196,17 @@ class DistributedQATask:
             t_enter,
             parent=self._root,
         )
+        node = self._node(nid)
+        node.active_questions += 1
         try:
-            while True:
-                node = self._node(nid)
-                node.active_questions += 1
-                try:
-                    yield node.admit_question()
-                except NodeDown:
-                    node.active_questions -= 1
-                    raise
-                except Stolen as claim:
-                    node.active_questions -= 1
-                    self._trace(nid, "stolen", "-> N%d", claim.target)
-                    try:
-                        yield from self.system.network.transfer(
-                            nid, claim.target, self.profile.question_bytes
-                        )
-                    except TransferFailed:
-                        continue  # thief died mid-claim: re-queue at home
-                    self.result.stolen += 1
-                    nid = claim.target
-                    continue
-                self.host = nid
-                self.system.metrics.observe(
-                    NODE_QUEUE_WAIT_S, env.now - t_enter
-                )
-                return
+            yield node.admit_question()
+        except NodeDown:
+            node.active_questions -= 1
+            raise
         finally:
             self._spans.end(span, env.now, node=nid)
+        self.host = nid
+        self.system.metrics.observe(NODE_QUEUE_WAIT_S, env.now - t_enter)
 
     def _abandon(self, reason: str) -> TaskResult:
         """Mark the task lost before it ever started executing."""
@@ -243,16 +221,15 @@ class DistributedQATask:
         """Fig 7 instant with %-style lazy detail formatting.
 
         The detail string is only built when tracing is enabled, so the
-        disabled hot path allocates nothing (the satellite requirement on
-        ``Tracer.record``).
+        disabled hot path allocates nothing.
         """
-        tracer = self.system.tracer
-        if tracer.enabled:
-            tracer.record(
-                self.system.env.now,
-                nid,
-                self.profile.qid,
+        spans = self._spans
+        if spans.enabled:
+            spans.instant(
                 kind,
+                self.profile.qid,
+                nid,
+                self.system.env.now,
                 fmt % args if args else fmt,
             )
 
@@ -298,7 +275,6 @@ class DistributedQATask:
                 env.now,
                 host=self.host,
                 failed=self.result.failed,
-                stolen=self.result.stolen,
             )
         return result
 
@@ -310,8 +286,7 @@ class DistributedQATask:
 
         # ---- queue at the DNS-assigned node: the node's Q/A service runs
         # a bounded number of questions concurrently; the rest wait
-        # (Section 6.1's full-load notion: 4 simultaneous questions).  A
-        # queued question may be claimed by an idle peer (work stealing).
+        # (Section 6.1's full-load notion: 4 simultaneous questions).
         try:
             yield from self._enqueue(self.host)
         except NodeDown:

@@ -34,7 +34,6 @@ from .frontend import DNSFrontend
 from .monitor import MonitoringSystem
 from .node import ClusterNode, NodeConfig
 from .qa_task import DistributedQATask, TaskPolicy, TaskResult
-from .tracing import Tracer
 
 __all__ = ["Strategy", "SystemConfig", "DistributedQASystem", "WorkloadReport"]
 
@@ -73,16 +72,7 @@ class SystemConfig:
     #: PR fan-out of a question whose profile carries a mediator routing
     #: decision (``QuestionProfile.selected_collections``).
     selection_probe_cpu_s: float = 2e-5
-    dns_cache_skew: float = 0.0
     policy: TaskPolicy = field(default_factory=TaskPolicy)
-    #: Extension: receiver-initiated diffusion — nodes with a free slot
-    #: and an empty queue claim waiting questions from loaded peers.
-    work_stealing: bool = False
-    steal_interval_s: float = 0.5
-    #: Extension: the gradient model [23] — overloaded nodes push queued
-    #: questions hop-by-hop down the gradient surface of a logical ring.
-    gradient_balancing: bool = False
-    gradient_interval_s: float = 0.5
     trace: bool = False
     #: Collect counters/histograms in the system's metrics registry.
     #: Leave on for reports and the observe pipeline; sweeps that only
@@ -91,6 +81,8 @@ class SystemConfig:
     #: Bound on stored spans/events (None = unbounded); long chaos
     #: campaigns set this so the trace store cannot grow without limit.
     trace_max_events: int | None = None
+    #: Labels the run; the simulated system itself draws no random numbers
+    #: (workload randomness lives in the profiles and arrival times).
     seed: int = 0
     #: Graceful degradation: how many times a question whose hosting node
     #: died is re-admitted at the front-end before being reported lost.
@@ -227,8 +219,8 @@ class DistributedQASystem:
         #: counters/histograms here under the canonical names of
         #: :mod:`repro.observability.names`.
         self.metrics = MetricsRegistry(enabled=self.config.collect_metrics)
-        #: Hierarchical span store; ``config.trace`` is the single switch
-        #: for both the span trees and the flat Fig 7 view.
+        #: Hierarchical span store (``config.trace`` switches it on); its
+        #: zero-duration instants are the Fig 7 event stream.
         self.spans = SpanStream(
             enabled=self.config.trace,
             max_spans=self.config.trace_max_events,
@@ -257,13 +249,7 @@ class DistributedQASystem:
         self.question_dispatcher = QuestionDispatcher(
             self.monitoring, metrics=self.metrics
         )
-        self.frontend = DNSFrontend(
-            self.config.n_nodes,
-            cache_skew=self.config.dns_cache_skew,
-            seed=self.config.seed,
-            metrics=self.metrics,
-        )
-        self.tracer = Tracer(stream=self.spans)
+        self.frontend = DNSFrontend(self.config.n_nodes, metrics=self.metrics)
         self.policy = self.config.effective_policy()
         self.failures = FailureInjector(
             self.env,
@@ -273,45 +259,6 @@ class DistributedQASystem:
         self._task_procs: list[Process] = []
         #: The report from the most recent run_workload call.
         self.last_report: WorkloadReport | None = None
-        self.steals_attempted = 0
-        if self.config.work_stealing:
-            self.env.process(self._stealer(), name="work-stealer")
-        self.gradient: "GradientBalancer | None" = None
-        if self.config.gradient_balancing:
-            from .gradient import GradientBalancer
-
-            self.gradient = GradientBalancer(
-                self.env,
-                self.nodes,
-                interval_s=self.config.gradient_interval_s,
-            )
-
-    # -- receiver-initiated stealing (extension) -----------------------------------
-    def _stealer(self) -> t.Generator[Event, object, None]:
-        """Periodically let under-committed nodes claim queued questions."""
-        interval = self.config.steal_interval_s
-        while True:
-            yield self.env.timeout(interval)
-            for thief_id, thief in self.nodes.items():
-                if not thief.up:
-                    continue
-                if thief.waiting_questions > 0:
-                    continue
-                if thief.running_questions >= thief.config.max_concurrent_questions:
-                    continue
-                # Pick the victim from the thief's (broadcast) view, like
-                # any other scheduling decision in the system.
-                view = self.monitoring.view(thief_id)
-                victim_id = max(
-                    (nid for nid in view if nid != thief_id),
-                    key=lambda nid: view[nid].n_waiting,
-                    default=None,
-                )
-                if victim_id is None or view[victim_id].n_waiting < 1:
-                    continue
-                victim = self.nodes[victim_id]
-                if victim.steal_waiter(thief_id):
-                    self.steals_attempted += 1
 
     # -- failure plumbing ---------------------------------------------------------
     def _set_node_up(self, node_id: object, up: bool) -> None:

@@ -1,23 +1,22 @@
 """Simulator event census: fired events per question by callback kind.
 
-Wraps ``Event._run_callbacks`` from outside (nothing under ``src/`` is
-instrumented) around one sub-run of the benchmark's simulator workloads::
-
-    PYTHONPATH=src python benchmarks/sim_event_census.py --nodes 16 --seed 101
-    PYTHONPATH=src python benchmarks/sim_event_census.py --nodes 4 --questions 32 --max-stale 0.05
+Wraps ``Event._run_callbacks`` from outside (nothing in the simulator is
+instrumented) around one sub-run of the benchmark's simulator workloads.
+Counts only, so the tables are deterministic for a given seed.
 """
 
-import argparse
 import collections
 
 import numpy as np
 
-from repro.core import DistributedQASystem, PartitioningStrategy, Strategy, SystemConfig, TaskPolicy
-from repro.core.monitor import auto_shard_count
-from repro.simulation.engine import Process
-from repro.simulation.events import Event
-from repro.simulation.resources import FairShareResource
-from repro.workload import staggered_arrivals, trec_mix_profiles
+from ..core import DistributedQASystem, PartitioningStrategy, Strategy, SystemConfig, TaskPolicy
+from ..core.monitor import auto_shard_count
+from ..simulation.engine import Process
+from ..simulation.events import Event
+from ..simulation.resources import FairShareResource
+from ..workload import staggered_arrivals, trec_mix_profiles
+
+__all__ = ["census", "format_census"]
 
 
 def census(n_nodes: int, questions: int, seed: int) -> collections.Counter:
@@ -73,27 +72,15 @@ def census(n_nodes: int, questions: int, seed: int) -> collections.Counter:
     return counts
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--nodes", type=int, default=16)
-    parser.add_argument("--questions", type=int, default=128)
-    parser.add_argument("--seed", type=int, default=101)
-    parser.add_argument("--max-stale", type=float, default=None,
-                        help="exit 1 if stale wakeups exceed this share of fired events")
-    args = parser.parse_args()
-    counts = census(args.nodes, args.questions, args.seed)
+def format_census(n_nodes: int, questions: int, seed: int, counts: collections.Counter) -> str:
+    """Render one census as the per-question table."""
     total = sum(counts.values())
-    print(f"{args.nodes} nodes, {args.questions} questions, seed {args.seed}: "
-          f"{total} events fired, {total / args.questions:.0f} per question")
+    lines = [
+        f"{n_nodes} nodes, {questions} questions, seed {seed}: "
+        f"{total} events fired, {total / questions:.0f} per question"
+    ]
     for kind, n in sorted(counts.items(), key=lambda kv: -kv[1]):
-        print(f"  {kind:34s} {n / args.questions:9.1f} /q  {100 * n / total:5.1f} %")
+        lines.append(f"  {kind:34s} {n / questions:9.1f} /q  {100 * n / total:5.1f} %")
     stale = sum(n for kind, n in counts.items() if kind.endswith("(stale)")) / total
-    print(f"stale wakeups: {100 * stale:.1f} % of fired events")
-    if args.max_stale is not None and stale > args.max_stale:
-        print(f"FAIL: stale share above {100 * args.max_stale:.1f} %")
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    lines.append(f"stale wakeups: {100 * stale:.1f} % of fired events")
+    return "\n".join(lines)

@@ -22,9 +22,9 @@ from ..core import (
     Strategy,
     SystemConfig,
     TaskPolicy,
-    render_trace,
 )
 from ..model import ModelParameters, bandwidth_bps, question_speedup, system_speedup
+from ..observability.spans import render_trace
 from .context import complex_profiles
 from .parallel import run_cells
 from .report import format_series
@@ -53,7 +53,7 @@ def run_fig7_trace(
         f"Figure 7 trace: RECV for PR/PS, {ap_strategy.value} for AP "
         f"(question {profile.qid}, {profile.n_accepted} accepted paragraphs)"
     )
-    return header + "\n" + render_trace(system.tracer.events)
+    return header + "\n" + render_trace(system.spans.instants())
 
 
 def _speedup_series(

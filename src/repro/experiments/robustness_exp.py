@@ -1,6 +1,6 @@
 """Extension experiments: robustness of the distributed Q/A design.
 
-Three studies the paper's design goals call for but its evaluation does
+Two studies the paper's design goals call for but its evaluation does
 not isolate ("scalability: avoid hot points and single points of failure;
 flexibility: processors must be able to dynamically join or leave"):
 
@@ -10,9 +10,6 @@ flexibility: processors must be able to dynamically join or leave"):
   suffer, since the load metric cannot see static speed differences.
 * **Node churn** — nodes leave and rejoin mid-workload; the membership
   protocol must route around them with bounded damage.
-* **DNS cache skew** — imperfect round-robin (cached assignments pin
-  whole client networks to one node); the dispatchers should absorb the
-  skew that cripples plain DNS.
 """
 
 from __future__ import annotations
@@ -40,8 +37,6 @@ __all__ = [
     "format_heterogeneous",
     "run_churn",
     "format_churn",
-    "run_cache_skew",
-    "format_cache_skew",
 ]
 
 
@@ -181,45 +176,4 @@ def format_churn(result: ChurnResult) -> str:
         result.throughput_qpm,
         result.baseline_throughput_qpm,
     )
-    return table.render()
-
-
-# --- DNS cache skew ---------------------------------------------------------------------
-
-
-def run_cache_skew(
-    n_nodes: int = 8,
-    skews: t.Sequence[float] = (0.0, 0.5, 0.8),
-    seeds: t.Sequence[int] = (11, 23, 37),
-) -> list[tuple[float, float, float]]:
-    """Returns (skew, DNS throughput, DQA throughput) rows (seed means)."""
-    n_q = high_load_count(n_nodes)
-    out = []
-    for skew in skews:
-        means = {}
-        for strategy in (Strategy.DNS, Strategy.DQA):
-            acc = []
-            for seed in seeds:
-                profiles = trec_mix_profiles(n_q, seed=seed)
-                arrivals = staggered_arrivals(n_q, 2.0, seed=seed)
-                system = DistributedQASystem(
-                    SystemConfig(
-                        n_nodes=n_nodes, strategy=strategy,
-                        dns_cache_skew=skew, seed=seed,
-                    )
-                )
-                acc.append(system.run_workload(profiles, arrivals).throughput_qpm)
-            means[strategy] = float(np.mean(acc))
-        out.append((skew, means[Strategy.DNS], means[Strategy.DQA]))
-    return out
-
-
-def format_cache_skew(rows: t.Sequence[tuple[float, float, float]]) -> str:
-    """Render the cache-skew rows as a text table."""
-    table = TextTable(
-        "Extension: DNS cache skew (sticky assignments) — DNS vs DQA",
-        ["Cache skew", "DNS throughput (q/min)", "DQA throughput (q/min)"],
-    )
-    for skew, dns, dqa in rows:
-        table.add_row(skew, dns, dqa)
     return table.render()

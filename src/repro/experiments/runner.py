@@ -76,15 +76,12 @@ EXPERIMENTS: dict[str, t.Callable[[], str]] = {
     "ablation-threshold": lambda: format_threshold_sweep(run_threshold_sweep()),
     "ablation-margin": lambda: format_margin_sweep(run_margin_sweep()),
     "ext-chaos": lambda: _ext_chaos(),
-    "ext-prediction": lambda: _ext_prediction(),
     "ext-heterogeneous": lambda: _ext_heterogeneous(),
     "ext-churn": lambda: _ext_churn(),
-    "ext-cache-skew": lambda: _ext_cache_skew(),
     "ext-model-validation": lambda: _ext_model_validation(),
-    "ext-staleness": lambda: _ext_staleness(),
-    "ext-stealing": lambda: _ext_stealing(),
     "ext-scale": lambda: _ext_scale(),
     "ext-selection": lambda: _ext_selection(),
+    "ext-event-census": lambda: _ext_event_census(),
 }
 
 
@@ -92,12 +89,6 @@ def _ext_chaos() -> str:
     from .chaos_campaign import format_campaign, run_campaign
 
     return format_campaign(run_campaign())
-
-
-def _ext_stealing() -> str:
-    from .stealing_exp import format_stealing, run_stealing
-
-    return format_stealing(run_stealing())
 
 
 def _ext_scale() -> str:
@@ -112,22 +103,19 @@ def _ext_selection() -> str:
     return format_selection(run_selection())
 
 
+def _ext_event_census() -> str:
+    from .event_census import census, format_census
+
+    # The benchmark's two simulator shapes (paper16, scale128), seed 101.
+    return "\n\n".join(
+        format_census(n, 128, 101, census(n, 128, 101)) for n in (16, 128)
+    )
+
+
 def _ext_model_validation() -> str:
     from .validation_exp import format_inter_validation, run_inter_validation
 
     return format_inter_validation(run_inter_validation())
-
-
-def _ext_staleness() -> str:
-    from .validation_exp import format_staleness_sweep, run_staleness_sweep
-
-    return format_staleness_sweep(run_staleness_sweep())
-
-
-def _ext_prediction() -> str:
-    from .prediction_exp import format_prediction, run_prediction
-
-    return format_prediction(run_prediction())
 
 
 def _ext_heterogeneous() -> str:
@@ -140,12 +128,6 @@ def _ext_churn() -> str:
     from .robustness_exp import format_churn, run_churn
 
     return format_churn(run_churn())
-
-
-def _ext_cache_skew() -> str:
-    from .robustness_exp import format_cache_skew, run_cache_skew
-
-    return format_cache_skew(run_cache_skew())
 
 
 def _tables_8_9_10() -> str:

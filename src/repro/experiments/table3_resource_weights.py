@@ -3,8 +3,8 @@
 The paper measures, for each module, the fraction of execution time the
 CPU is non-idle, attributing the rest to disk I/O (Section 4.2).  We do
 the same against the simulation: a single question runs alone on a
-one-node cluster while the node's CPU/disk busy-time integrals are
-sampled at module boundaries (via trace events).
+one-node cluster and the node's CPU/disk busy-time integrals are read
+when the run ends.
 
 Paper values: QA 0.79/0.21, PR 0.20/0.80, AP 1.00/0.00.
 """
@@ -41,41 +41,16 @@ class WeightRow:
 
 def _measure_one(profile: QuestionProfile) -> dict[str, tuple[float, float]]:
     """Run one question alone; return per-module (cpu_busy, disk_busy)."""
-    system = DistributedQASystem(
-        SystemConfig(n_nodes=1, strategy=Strategy.DNS, trace=True)
-    )
+    system = DistributedQASystem(SystemConfig(n_nodes=1, strategy=Strategy.DNS))
     node = system.nodes[0]
+    result = system.run_workload([profile]).results[0]
 
-    samples: list[tuple[float, float, float]] = []  # (time, cpu_int, disk_int)
-
-    def sample() -> None:
-        now = system.env.now
-        samples.append(
-            (now, node.cpu.busy.integral(now), node.disk.busy.integral(now))
-        )
-
-    # Sample at module boundaries through trace callbacks: we wrap the
-    # tracer's record method (events fire exactly at boundaries).
-    original_record = system.tracer.record
-
-    def recording(time, node_id, qid, kind, detail="") -> None:  # noqa: ANN001
-        sample()
-        original_record(time, node_id, qid, kind, detail)
-
-    system.tracer.record = recording  # type: ignore[method-assign]
-    sample()
-    report = system.run_workload([profile])
-    sample()
-    result = report.results[0]
-
-    # Reconstruct stage windows from the task result's module times plus
-    # the known stage order; simpler and robust: use whole-run integrals
-    # for the QA row and cost-model windows for PR/AP.
-    t_end, cpu_end, disk_end = samples[-1]
-    t_0, cpu_0, disk_0 = samples[0]
+    # Whole-run busy integrals (zero on a fresh system) give the QA row;
+    # PR/AP come from the cost model.
+    now = system.env.now
     wall = max(1e-12, result.response_time)
-    qa_cpu = (cpu_end - cpu_0) / wall
-    qa_disk = (disk_end - disk_0) / wall
+    qa_cpu = node.cpu.busy.integral(now) / wall
+    qa_disk = node.disk.busy.integral(now) / wall
 
     pr = profile.pr_cost
     pr_wall = pr.cpu_s + pr.disk_bytes / 25e6

@@ -6,9 +6,6 @@ The paper validates its intra-question model against measurements
 workload at several cluster sizes on the simulator, compute the measured
 system speedup (throughput(N) / throughput(1)), and compare with Eq 23's
 prediction at the same N.
-
-A second sweep varies the monitoring interval, quantifying the cost of
-stale load information — the knob behind every dispatcher decision.
 """
 
 from __future__ import annotations
@@ -27,8 +24,6 @@ __all__ = [
     "SpeedupPoint",
     "run_inter_validation",
     "format_inter_validation",
-    "run_staleness_sweep",
-    "format_staleness_sweep",
 ]
 
 
@@ -90,50 +85,4 @@ def format_inter_validation(points: t.Sequence[SpeedupPoint]) -> str:
         table.add_row(
             p.n_nodes, p.measured_speedup, p.analytical_speedup, f"{ratio:.2f}"
         )
-    return table.render()
-
-
-def run_staleness_sweep(
-    intervals: t.Sequence[float] = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0),
-    n_nodes: int = 8,
-    seeds: t.Sequence[int] = (11, 23),
-) -> list[tuple[float, float, float]]:
-    """(interval, DQA throughput, mean response) per monitoring interval.
-
-    Longer intervals mean staler load tables: dispatch decisions degrade,
-    but monitoring traffic shrinks.  The paper fixes 1 s without
-    justification; this sweep shows the plateau it sits on.
-    """
-    from repro.workload import high_load_count
-
-    out = []
-    n_q = high_load_count(n_nodes)
-    for interval in intervals:
-        thr, resp = [], []
-        for seed in seeds:
-            profiles = trec_mix_profiles(n_q, seed=seed)
-            arrivals = staggered_arrivals(n_q, 2.0, seed=seed)
-            system = DistributedQASystem(
-                SystemConfig(
-                    n_nodes=n_nodes,
-                    strategy=Strategy.DQA,
-                    monitor_interval_s=interval,
-                    membership_timeout_s=max(3.0, 3 * interval),
-                )
-            )
-            rep = system.run_workload(profiles, arrivals)
-            thr.append(rep.throughput_qpm)
-            resp.append(rep.mean_response_s)
-        out.append((interval, float(np.mean(thr)), float(np.mean(resp))))
-    return out
-
-
-def format_staleness_sweep(rows: t.Sequence[tuple[float, float, float]]) -> str:
-    """Render the monitoring-interval sweep as a text table."""
-    table = TextTable(
-        "Extension: load-broadcast interval (staleness) sweep, DQA, 8 nodes",
-        ["Interval (s)", "Throughput (q/min)", "Mean response (s)"],
-    )
-    for interval, thr, resp in rows:
-        table.add_row(interval, thr, resp)
     return table.render()

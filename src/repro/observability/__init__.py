@@ -7,7 +7,7 @@ without cycles):
 * :mod:`~repro.observability.spans` — hierarchical span streams.  Every
   question produces a span tree (QP/PR/PS/PO/AP stages, dispatcher
   decisions, migrations, partition chunks and transfers, retries) and
-  zero-duration instants double as the legacy flat trace events.
+  zero-duration instants are the Fig 7 event stream.
 * :mod:`~repro.observability.metrics` — counters, gauges and bounded
   histograms (p50/p95/p99) behind a :class:`MetricsRegistry`, with the
   canonical metric names in :mod:`~repro.observability.names`.

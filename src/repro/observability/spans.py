@@ -1,9 +1,9 @@
 """Hierarchical span tracing for the simulated distributed system.
 
-The Fig 7 tracer (:mod:`repro.core.tracing`) records a *flat* list of
-timestamped events; it can show *that* N2 finished chunk 3 but not where a
-question's wall-clock went.  A :class:`SpanStream` records *intervals* —
-each with a parent — so every question becomes a tree:
+The paper's Fig 7 is a *flat* list of timestamped events; it can show
+*that* N2 finished chunk 3 but not where a question's wall-clock went.  A
+:class:`SpanStream` records *intervals* — each with a parent — so every
+question becomes a tree:
 
     question q17
     ├── queue            (admission wait at N3)
@@ -19,9 +19,8 @@ each with a parent — so every question becomes a tree:
     └── sort:answers
 
 The stream stores flat :class:`Span` records (cheap, append-only) and
-reconstructs trees on demand.  Zero-duration *instant* spans double as the
-Fig 7 event stream, which is how the legacy ``Tracer`` stays a thin view
-over this store.
+reconstructs trees on demand.  Zero-duration *instant* spans are the
+Fig 7 event stream; :func:`render_trace` prints them in the paper's style.
 
 When disabled, ``begin``/``end``/``instant`` return immediately without
 allocating; ``max_spans`` bounds the store so unbounded chaos campaigns
@@ -33,7 +32,7 @@ from __future__ import annotations
 import typing as t
 from dataclasses import dataclass, field
 
-__all__ = ["Span", "SpanStream", "SpanCategory"]
+__all__ = ["Span", "SpanStream", "SpanCategory", "render_trace"]
 
 
 class SpanCategory:
@@ -223,3 +222,18 @@ class SpanStream:
             out.append(current)
             stack.extend(reversed(by_parent.get(current.sid, [])))
         return out
+
+
+def render_trace(events: t.Sequence[Span], t0: float | None = None) -> str:
+    """Render instant spans in the Fig 7 style.
+
+    Times are shown relative to ``t0`` (default: first event).
+    """
+    if not events:
+        return "(empty trace)"
+    base = min(e.t0 for e in events) if t0 is None else t0
+    lines = []
+    for e in sorted(events, key=lambda e: (e.t0, e.node_id)):
+        detail = f" {e.detail}" if e.detail else ""
+        lines.append(f"[{e.t0 - base:8.3f}s] N{e.node_id} q{e.qid} {e.name}{detail}")
+    return "\n".join(lines)

@@ -38,7 +38,6 @@ from .question import Question
 from .question_processing import QuestionProcessor
 
 if t.TYPE_CHECKING:  # pragma: no cover
-    from ..retrieval.selection import CollectionSelector
     from .pipeline import QAPipeline
 
 __all__ = [
@@ -146,25 +145,17 @@ def profile_question(
     question: Question | str,
     model: CostModel,
     qid: int = 0,
-    selector: "CollectionSelector | None" = None,
 ) -> QuestionProfile:
     """Execute the real pipeline and convert its work into a profile.
 
     Runs the modules individually (rather than ``pipeline.answer``) to
-    capture per-collection and per-paragraph work detail.  When a
-    ``selector`` is given, its routing decision for the question's
-    keywords is carried on the profile as ``selected_collections`` (the
-    per-collection work detail stays exhaustive, so clearing the field
-    simulates the same question broadcast).
+    capture per-collection and per-paragraph work detail.
     """
     if isinstance(question, str):
         question = Question(qid=qid, text=question)
 
     processed = pipeline.qp.process(question)
     qp_cost = model.qp_cost(len(processed.keywords))
-    selected: tuple[int, ...] | None = None
-    if selector is not None:
-        selected = selector.select(list(processed.keywords)).selected
 
     collections: list[CollectionProfile] = []
     all_scored = []
@@ -217,7 +208,6 @@ def profile_question(
         n_answers=pipeline.ap.n_answers,
         answer_bytes=model.answer_bytes,
         memory_bytes=float(rng.uniform(mem_lo, mem_hi)),
-        selected_collections=selected,
     )
 
 

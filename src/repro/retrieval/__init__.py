@@ -12,7 +12,6 @@ from .inverted_index import (
 )
 from .packing import attach_payload, indexes_to_payload
 from .paragraphs import Paragraph, split_paragraphs
-from .prediction import QueryCostEstimate, predict_pr_cost, predict_pr_cost_corpus
 from .selection import (
     CollectionSelector,
     CollectionSketch,
@@ -22,9 +21,6 @@ from .selection import (
 )
 
 __all__ = [
-    "QueryCostEstimate",
-    "predict_pr_cost",
-    "predict_pr_cost_corpus",
     "BooleanRetriever",
     "CollectionIndex",
     "CollectionSelector",

@@ -42,7 +42,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from ..nlp.keywords import Keyword
-from ..nlp.vocabulary import MISSING_ID, Vocabulary
+from ..nlp.vocabulary import Vocabulary
 from .inverted_index import CollectionIndex
 
 __all__ = [

@@ -67,7 +67,7 @@ class TestHeterogeneousClusters:
         from collections import Counter
 
         counts = Counter(
-            e.node_id for e in system.tracer.of_kind("ap-part")
+            e.node_id for e in system.spans.instants() if e.name == "ap-part"
         )
         assert counts[3] < max(counts.values())
 
@@ -81,7 +81,7 @@ class TestAdaptiveChunks:
                          trace=True)
         )
         system.run_workload([prof])
-        n_chunks = len(system.tracer.of_kind("ap-part"))
+        n_chunks = sum(e.name == "ap-part" for e in system.spans.instants())
         # ~4 chunks per selected node.
         assert 8 * 3 <= n_chunks <= 8 * 5 + 1
 

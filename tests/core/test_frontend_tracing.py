@@ -1,25 +1,14 @@
-"""Tests for the DNS front-end and the Fig 7 tracer."""
+"""Tests for the DNS front-end."""
 
 import pytest
 
-from repro.core import DNSFrontend, TraceEvent, Tracer, render_trace
+from repro.core import DNSFrontend
 
 
 class TestDNSFrontend:
     def test_perfect_round_robin(self):
         fe = DNSFrontend(3)
         assert [fe.assign() for _ in range(7)] == [0, 1, 2, 0, 1, 2, 0]
-
-    def test_cache_skew_repeats_assignments(self):
-        fe = DNSFrontend(4, cache_skew=0.9, seed=1)
-        assignments = [fe.assign() for _ in range(200)]
-        repeats = sum(1 for a, b in zip(assignments, assignments[1:]) if a == b)
-        assert repeats > 100  # strongly sticky
-
-    def test_zero_skew_never_repeats_with_multiple_nodes(self):
-        fe = DNSFrontend(2, cache_skew=0.0)
-        assignments = [fe.assign() for _ in range(10)]
-        assert all(a != b for a, b in zip(assignments, assignments[1:]))
 
     def test_assignments_recorded(self):
         fe = DNSFrontend(2)
@@ -30,46 +19,3 @@ class TestDNSFrontend:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             DNSFrontend(0)
-        with pytest.raises(ValueError):
-            DNSFrontend(2, cache_skew=1.0)
-
-    def test_seed_determinism(self):
-        a = [DNSFrontend(4, cache_skew=0.5, seed=3).assign() for _ in range(1)]
-        b = [DNSFrontend(4, cache_skew=0.5, seed=3).assign() for _ in range(1)]
-        assert a == b
-
-
-class TestTracer:
-    def test_record_and_query(self):
-        t = Tracer()
-        t.record(1.0, 0, 5, "qp-start")
-        t.record(2.0, 1, 5, "pr-collection", "c3")
-        assert len(t) == 2
-        assert t.count("qp-start") == 1
-        assert [e.kind for e in t.of_kind("pr-collection")] == ["pr-collection"]
-
-    def test_disabled_tracer_is_noop(self):
-        t = Tracer(enabled=False)
-        t.record(1.0, 0, 5, "qp-start")
-        assert len(t) == 0
-
-    def test_clear(self):
-        t = Tracer()
-        t.record(1.0, 0, 0, "x")
-        t.clear()
-        assert len(t) == 0
-
-    def test_render_relative_times_and_ordering(self):
-        events = [
-            TraceEvent(12.0, 1, 7, "ap-part", "40p"),
-            TraceEvent(10.0, 0, 7, "qp-start"),
-        ]
-        text = render_trace(events)
-        lines = text.splitlines()
-        assert "qp-start" in lines[0]
-        assert "[   0.000s]" in lines[0]
-        assert "[   2.000s]" in lines[1]
-        assert "N1 q7 ap-part 40p" in lines[1]
-
-    def test_render_empty(self):
-        assert render_trace([]) == "(empty trace)"

@@ -71,12 +71,10 @@ class TestNode:
         node.release_question()
         assert node.waiting_questions == 0
 
-    def test_release_admits_oldest_and_steal_takes_youngest(self, env):
+    def test_release_admits_oldest(self, env):
         node = ClusterNode(env, 0, NodeConfig(max_concurrent_questions=1))
         node.admit_question()
-        oldest, middle, youngest = (node.admit_question() for _ in range(3))
-        assert node.steal_waiter(thief=1)
-        assert youngest.triggered and not youngest.ok
+        oldest, middle = (node.admit_question() for _ in range(2))
         node.release_question()
         assert oldest.triggered and oldest.ok and not middle.triggered
         assert node.waiting_questions == 1

@@ -157,12 +157,12 @@ class TestTraceConsistency:
             ap_strategy=PartitioningStrategy.RECV, ap_chunk_paragraphs=40
         )
         system, r = run_one(n_nodes=4, policy=policy, prof=prof, trace=True)
-        n_chunks = len(system.tracer.of_kind("ap-part"))
+        n_chunks = sum(e.name == "ap-part" for e in system.spans.instants())
         expected = max(1, prof.n_accepted // 40)
         assert n_chunks == expected
 
     def test_pr_collections_all_traced(self):
         prof = profile()
         system, _ = run_one(n_nodes=4, prof=prof, trace=True)
-        traced = system.tracer.of_kind("pr-collection")
-        assert len(traced) == len(prof.collections)
+        traced = sum(e.name == "pr-collection" for e in system.spans.instants())
+        assert traced == len(prof.collections)

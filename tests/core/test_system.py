@@ -73,7 +73,7 @@ class TestSingleQuestion:
             SystemConfig(n_nodes=4, strategy=Strategy.DQA, trace=True)
         )
         system.run_workload(profiles(1, complex_=True))
-        kinds = {e.kind for e in system.tracer.events}
+        kinds = {e.name for e in system.spans.instants()}
         assert "pr-collection" in kinds
         assert "ap-part" in kinds
         assert "done" in kinds
@@ -81,7 +81,7 @@ class TestSingleQuestion:
     def test_trace_disabled_by_default(self):
         system = DistributedQASystem(SystemConfig(n_nodes=4, strategy=Strategy.DQA))
         system.run_workload(profiles(1))
-        assert len(system.tracer) == 0
+        assert len(system.spans) == 0
 
 
 class TestWorkloads:

@@ -103,9 +103,3 @@ class TestReportAggregation:
         # 4 monitors broadcasting for the workload's duration.
         assert system.network.broadcasts_sent > 4 * 30
 
-    def test_seed_changes_frontend_only_with_skew(self):
-        a = DistributedQASystem(SystemConfig(n_nodes=4, seed=1, dns_cache_skew=0.5))
-        b = DistributedQASystem(SystemConfig(n_nodes=4, seed=2, dns_cache_skew=0.5))
-        series_a = [a.frontend.assign() for _ in range(30)]
-        series_b = [b.frontend.assign() for _ in range(30)]
-        assert series_a != series_b

@@ -4,33 +4,16 @@ import pytest
 
 pytestmark = pytest.mark.slow
 
-from repro.experiments.prediction_exp import format_prediction, run_prediction
 from repro.experiments.robustness_exp import (
-    format_cache_skew,
     format_churn,
     format_heterogeneous,
-    run_cache_skew,
     run_churn,
     run_heterogeneous,
 )
 from repro.experiments.validation_exp import (
     format_inter_validation,
-    format_staleness_sweep,
     run_inter_validation,
-    run_staleness_sweep,
 )
-
-
-class TestPrediction:
-    def test_pr_correlation_strong(self):
-        result = run_prediction(n_questions=40)
-        assert result.corr_with_pr > 0.6
-        assert 0.0 <= result.total_relative_error
-
-    def test_format_mentions_correlations(self):
-        result = run_prediction(n_questions=20)
-        out = format_prediction(result)
-        assert "corr w/ PR" in out
 
 
 class TestHeterogeneous:
@@ -51,57 +34,15 @@ class TestChurn:
         result = run_churn(n_nodes=8)
         assert result.completed_with_retry == result.n_questions
         assert result.completed_no_retry <= result.completed_with_retry
-        assert result.throughput_qpm > 0.7 * result.baseline_throughput_qpm
+        assert result.throughput_qpm > 0.8 * result.baseline_throughput_qpm
         assert "churn" in format_churn(result).lower()
-
-
-class TestCacheSkew:
-    def test_dqa_more_robust_than_dns(self):
-        rows = run_cache_skew(skews=(0.0, 0.8), seeds=(11,))
-        (s0, dns0, dqa0), (s8, dns8, dqa8) = rows
-        assert dqa8 / dqa0 > dns8 / dns0
-        assert "skew" in format_cache_skew(rows).lower()
 
 
 class TestModelValidation:
     def test_measured_below_analytical_with_stable_ratio(self):
         points = run_inter_validation(node_counts=(1, 4, 8), seeds=(11,))
         assert points[0].measured_speedup == pytest.approx(1.0)
-        for p in points[1:]:
-            assert p.measured_speedup <= p.analytical_speedup * 1.05
+        ratios = [p.measured_speedup / p.analytical_speedup for p in points[1:]]
+        assert all(0.5 < r <= 1.05 for r in ratios)
+        assert max(ratios) - min(ratios) < 0.25
         assert "Eq 23" in format_inter_validation(points)
-
-    def test_staleness_rows(self):
-        rows = run_staleness_sweep(intervals=(1.0, 4.0), seeds=(11,))
-        assert len(rows) == 2
-        assert all(thr > 0 for _i, thr, _r in rows)
-        assert "staleness" in format_staleness_sweep(rows).lower()
-
-
-class TestStealing:
-    def test_stealing_beats_unbalanced_baseline(self):
-        from repro.experiments.stealing_exp import format_stealing, run_stealing
-
-        rows = run_stealing(seeds=(11,))
-        by = {r.label: r for r in rows}
-        dns = by["DNS (no balancing)"]
-        steal = by["DNS + stealing (receiver-initiated)"]
-        assert steal.throughput_qpm > dns.throughput_qpm
-        assert steal.steals_per_run > 0
-        assert "stealing" in format_stealing(rows).lower()
-
-
-class TestGradientBaseline:
-    def test_gradient_row_present_and_competitive(self):
-        from repro.experiments.stealing_exp import run_stealing
-
-        rows = run_stealing(seeds=(11,))
-        by = {r.label: r for r in rows}
-        assert "DNS + gradient model [23]" in by
-        dns = by["DNS (no balancing)"]
-        gradient = by["DNS + gradient model [23]"]
-        assert gradient.throughput_qpm > dns.throughput_qpm
-        # Hop-by-hop propagation moves questions more times than direct
-        # stealing claims them.
-        steal = by["DNS + stealing (receiver-initiated)"]
-        assert gradient.steals_per_run > steal.steals_per_run

@@ -90,8 +90,8 @@ class TestDeterminism:
         assert cell_a == cell_b
         assert sys_a.failures.log == sys_b.failures.log
         assert sys_a.monitoring.membership_log == sys_b.monitoring.membership_log
-        assert sys_a.tracer.events  # the traced run actually traced
-        assert sys_a.tracer.events == sys_b.tracer.events
+        assert sys_a.spans.instants()  # the traced run actually traced
+        assert sys_a.spans.instants() == sys_b.spans.instants()
 
     def test_same_seed_identical_report_fields(self):
         reports = []

@@ -110,13 +110,12 @@ class TestWorkloadReport:
 
 class TestMigrationSpans:
     def test_skewed_inter_run_produces_migration_spans(self):
-        # Heavy DNS cache skew piles questions on one node; the INTER
-        # dispatcher migrates them away (scheduling point 1).
+        # The TREC mix's uneven question sizes skew the round-robin load;
+        # the INTER dispatcher migrates questions away (scheduling point 1).
         system = DistributedQASystem(
             SystemConfig(
                 n_nodes=4,
                 strategy=Strategy.INTER,
-                dns_cache_skew=0.9,
                 trace=True,
                 seed=5,
             )

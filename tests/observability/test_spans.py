@@ -1,9 +1,9 @@
-"""Tests for the span stream and the legacy Tracer compatibility view."""
+"""Tests for the span stream and its Fig 7 instant view."""
 
 import pytest
 
-from repro.core.tracing import Tracer
 from repro.observability import Span, SpanCategory, SpanStream
+from repro.observability.spans import render_trace
 
 
 class TestSpanStream:
@@ -32,10 +32,14 @@ class TestSpanStream:
     def test_instants_separate_from_intervals(self):
         s = SpanStream()
         s.begin("work", SpanCategory.COMPUTE, 1, 0, 0.0)
-        s.instant("qp-start", 1, 0, 0.0)
-        assert len(s.instants()) == 1
+        s.instant("qp-start", 5, 0, 1.0)
+        s.instant("pr-collection", 5, 1, 2.0, "c3")
         assert len(s.intervals()) == 1
-        assert s.instants()[0].is_instant
+        assert all(e.is_instant for e in s.instants())
+        # Record order, and every Fig 7 field survives the round trip.
+        assert [
+            (e.t0, e.node_id, e.qid, e.name, e.detail) for e in s.instants()
+        ] == [(1.0, 0, 5, "qp-start", ""), (2.0, 1, 5, "pr-collection", "c3")]
 
     def test_disabled_is_noop_returning_none(self):
         s = SpanStream(enabled=False)
@@ -44,6 +48,9 @@ class TestSpanStream:
         s.end(span, 1.0)  # must not raise
         s.instant("e", 1, 0, 0.0)
         assert len(s) == 0
+        s.enabled = True  # one flag governs intervals and instants alike
+        s.instant("e", 1, 0, 0.0)
+        assert len(s.instants()) == 1
 
     def test_max_spans_bound_counts_dropped(self):
         s = SpanStream(max_spans=2)
@@ -75,43 +82,16 @@ class TestSpanStream:
         assert s.question_ids() == [1, 3]
 
 
-class TestTracerCompatibility:
-    def test_events_view_over_instants(self):
-        t = Tracer()
-        t.record(1.0, 0, 5, "qp-start")
-        t.record(2.0, 1, 5, "pr-collection", "c3")
-        events = t.events
-        assert [(e.time, e.node_id, e.qid, e.kind) for e in events] == [
-            (1.0, 0, 5, "qp-start"),
-            (2.0, 1, 5, "pr-collection"),
-        ]
-        assert events[1].detail == "c3"
+class TestRenderTrace:
+    def test_relative_times_and_ordering(self):
+        s = SpanStream()
+        s.instant("ap-part", 7, 1, 12.0, "40p")
+        s.instant("qp-start", 7, 0, 10.0)
+        lines = render_trace(s.instants()).splitlines()
+        assert "qp-start" in lines[0]
+        assert "[   0.000s]" in lines[0]
+        assert "[   2.000s]" in lines[1]
+        assert "N1 q7 ap-part 40p" in lines[1]
 
-    def test_disabled_records_nothing(self):
-        t = Tracer(enabled=False)
-        t.record(1.0, 0, 5, "qp-start")
-        assert len(t) == 0
-
-    def test_max_events_bound(self):
-        t = Tracer(max_events=3)
-        for i in range(10):
-            t.record(float(i), 0, 0, "e")
-        assert len(t) == 3
-        assert t.dropped == 7
-
-    def test_enabled_toggle_delegates_to_stream(self):
-        stream = SpanStream(enabled=False)
-        t = Tracer(stream=stream)
-        assert not t.enabled
-        t.enabled = True
-        assert stream.enabled
-        t.record(0.0, 0, 0, "e")
-        assert len(stream.instants()) == 1
-
-    def test_shared_stream_interleaves(self):
-        # Durational spans in the shared store never leak into `events`.
-        stream = SpanStream()
-        t = Tracer(stream=stream)
-        stream.begin("question", SpanCategory.TASK, 1, 0, 0.0)
-        t.record(0.5, 0, 1, "qp-start")
-        assert [e.kind for e in t.events] == ["qp-start"]
+    def test_empty(self):
+        assert render_trace([]) == "(empty trace)"

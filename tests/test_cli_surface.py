@@ -3,8 +3,9 @@
 The CLI's documented command list is its registered subcommands, the
 repository root holds no benchmark artifact beside ``BENCHMARK.json``'s
 own, the simulator's queue is not configurable, keyword positions have
-one kernel per side of the oracle, and collection selection has one mode
-and no on/off switch.
+one kernel per side of the oracle, collection selection has one mode and
+no on/off switch, the span stream is the only trace store, and the
+pre-record extension experiments took their switches with them.
 """
 
 import pathlib
@@ -73,3 +74,24 @@ def test_simulated_routing_is_an_input_not_a_switch():
         SystemConfig(**{"collection_" "selection": "off"})
     with pytest.raises(TypeError):
         build_serving_context(CorpusConfig(), selection="off")
+
+
+def test_retired_extension_switches_are_not_configurable():
+    for retired in (
+        "work_" "stealing", "steal_" "interval_s", "gradient_" "balancing",
+        "gradient_" "interval_s", "dns_" "cache_skew",
+    ):
+        with pytest.raises(TypeError):
+            SystemConfig(**{retired: 0})
+
+
+def test_span_stream_is_the_only_trace_store():
+    import repro.core
+
+    for retired in ("Tra" "cer", "Trace" "Event", "Gradient" "Balancer"):
+        assert not hasattr(repro.core, retired)
+
+
+def test_no_second_way_to_regenerate_a_paper_table():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    assert not (root / "benchmarks").exists()
