@@ -14,7 +14,7 @@ import typing as t
 from collections import deque
 from dataclasses import dataclass
 
-from ..qa.costs import ModuleCost, ReferenceHardware
+from ..qa.costs import ModuleCost
 from ..simulation.engine import Environment
 from ..simulation.events import Event
 from ..simulation.resources import FairShareResource, MemoryResource
@@ -47,15 +47,6 @@ class NodeConfig:
     #: throughput at 2-3 simultaneous questions, degradation past 4
     #: (Section 4.2), so the service admits 3.
     max_concurrent_questions: int = 3
-
-    @classmethod
-    def from_reference(cls, hw: ReferenceHardware, **kwargs: float) -> "NodeConfig":
-        return cls(
-            cpu_speed=hw.cpu_speed,
-            disk_bandwidth=hw.disk_bandwidth,
-            memory_bytes=hw.memory_bytes,
-            **kwargs,  # type: ignore[arg-type]
-        )
 
 
 class ClusterNode:

@@ -291,29 +291,10 @@ def run_sender_controlled(
             live_shares = [(nid, w / total) for nid, w in live_shares]
         if failed_nodes and pending:
             rounds += 1
-            if metrics is not None:
-                metrics.inc(PARTITION_RETRY_ROUNDS)
-            if policy.exhausted(rounds):
-                raise PartitionAbort(
-                    f"retry budget exhausted after {rounds - 1} recovery "
-                    f"rounds; {len(pending)} items unprocessed"
-                )
-            rspan = None
-            if spans is not None and spans.enabled:
-                rspan = spans.begin(
-                    "retry:round",
-                    SpanCategory.RETRY,
-                    qid,
-                    span_parent.node_id if span_parent is not None else -1,
-                    env.now,
-                    parent=span_parent,
-                    detail=f"round {rounds}, {len(pending)} items",
-                )
-            delay = policy.delay(rounds - 1)
-            if delay > 0:
-                yield env.timeout(delay)
-            if spans is not None:
-                spans.end(rspan, env.now, round=rounds, items=len(pending))
+            yield from _retry_round(
+                env, policy, rounds, len(pending), ("recovery", "round", "items"),
+                spans, span_parent, qid, metrics,
+            )
     return results
 
 
@@ -371,29 +352,10 @@ def run_receiver_controlled(
         if not pool:
             raise PartitionAbort("all workers failed; unprocessed chunks remain")
         if rounds > 0:
-            if metrics is not None:
-                metrics.inc(PARTITION_RETRY_ROUNDS)
-            if policy.exhausted(rounds):
-                raise PartitionAbort(
-                    f"retry budget exhausted after {rounds - 1} re-pull "
-                    f"rounds; {len(available)} chunks unprocessed"
-                )
-            rspan = None
-            if spans is not None and spans.enabled:
-                rspan = spans.begin(
-                    "retry:round",
-                    SpanCategory.RETRY,
-                    qid,
-                    span_parent.node_id if span_parent is not None else -1,
-                    env.now,
-                    parent=span_parent,
-                    detail=f"re-pull {rounds}, {len(available)} chunks",
-                )
-            delay = policy.delay(rounds - 1)
-            if delay > 0:
-                yield env.timeout(delay)
-            if spans is not None:
-                spans.end(rspan, env.now, round=rounds, chunks=len(available))
+            yield from _retry_round(
+                env, policy, rounds, len(available), ("re-pull", "re-pull", "chunks"),
+                spans, span_parent, qid, metrics,
+            )
         procs = [
             env.process(puller(nid), name=f"chunk-puller[{nid}]")
             for nid in pool
@@ -403,6 +365,49 @@ def run_receiver_controlled(
         pool = [nid for nid in pool if nid not in failed]
         rounds += 1
     return results
+
+
+def _retry_round(
+    env: Environment,
+    policy: RetryPolicy,
+    rounds: int,
+    n_left: int,
+    words: tuple[str, str, str],
+    spans: SpanStream | None,
+    span_parent: Span | None,
+    qid: int,
+    metrics: MetricsRegistry | None,
+) -> t.Generator[Event, object, None]:
+    """Recovery round ``rounds`` of either loop, with ``n_left`` units left.
+
+    Counts the round, aborts once the budget is spent, and covers the
+    backoff with a ``retry:round`` span.  ``words`` names the round in
+    the abort message, the round in the span detail, and the unit.
+    """
+    noun, label, unit = words
+    if metrics is not None:
+        metrics.inc(PARTITION_RETRY_ROUNDS)
+    if policy.exhausted(rounds):
+        raise PartitionAbort(
+            f"retry budget exhausted after {rounds - 1} {noun} "
+            f"rounds; {n_left} {unit} unprocessed"
+        )
+    rspan = None
+    if spans is not None and spans.enabled:
+        rspan = spans.begin(
+            "retry:round",
+            SpanCategory.RETRY,
+            qid,
+            span_parent.node_id if span_parent is not None else -1,
+            env.now,
+            parent=span_parent,
+            detail=f"{label} {rounds}, {n_left} {unit}",
+        )
+    delay = policy.delay(rounds - 1)
+    if delay > 0:
+        yield env.timeout(delay)
+    if spans is not None:
+        spans.end(rspan, env.now, round=rounds, **{unit: n_left})
 
 
 def _guarded(

@@ -42,6 +42,12 @@ if t.TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["TaskPolicy", "TaskResult", "DistributedQATask"]
 
+#: Stage span, dispatch span and Fig 7 instant of the two partitioned stages.
+_STAGE_NAMES = {
+    "PR": ("stage:PR", "dispatch:pr", "pr-dispatch"),
+    "AP": ("stage:AP", "dispatch:ap", "ap-dispatch"),
+}
+
 
 @dataclass(frozen=True, slots=True)
 class TaskPolicy:
@@ -61,11 +67,6 @@ class TaskPolicy:
     #: paragraphs (Fig 10's empirical optimum is ~40).
     pr_chunk_collections: int = 1
     ap_chunk_paragraphs: int = 40
-    #: Extension: size AP chunks as n_accepted/(chunks_per_node * width)
-    #: instead of a fixed count, so wide partitions keep enough chunks for
-    #: the pull-based balancing to work (Fig 10's trade-off, automated).
-    ap_chunk_adaptive: bool = False
-    ap_chunks_per_node: int = 4
     #: Under-load margins slightly above 1.0 tolerate the measurement
     #: artifact where a node's last monitoring window catches the CPU tail
     #: of its previous sub-task (Section 4.2 calls these empirical).
@@ -188,14 +189,7 @@ class DistributedQATask:
         """
         env = self.system.env
         t_enter = env.now
-        span = self._spans.begin(
-            "queue",
-            SpanCategory.QUEUE,
-            self.profile.qid,
-            nid,
-            t_enter,
-            parent=self._root,
-        )
+        span = self._span("queue", SpanCategory.QUEUE, nid)
         node = self._node(nid)
         node.active_questions += 1
         try:
@@ -233,6 +227,33 @@ class DistributedQATask:
                 fmt % args if args else fmt,
             )
 
+    def _span(
+        self,
+        name: str,
+        category: str,
+        nid: int,
+        parent: Span | None = None,
+        fmt: str = "",
+        *args: object,
+    ) -> Span | None:
+        """Open a span of this question on ``nid`` at the current instant.
+
+        ``parent`` defaults to the question root.  Like :meth:`_trace`,
+        the detail is %-formatted only when spans are enabled.
+        """
+        spans = self._spans
+        if not spans.enabled:
+            return None
+        return spans.begin(
+            name,
+            category,
+            self.profile.qid,
+            nid,
+            self.system.env.now,
+            parent=parent if parent is not None else self._root,
+            detail=fmt % args if args else fmt,
+        )
+
     def _transfer(
         self, src: int, dst: int, nbytes: float, category: str,
         new_connection: bool = False,
@@ -241,18 +262,12 @@ class DistributedQATask:
         """Network transfer with overhead accounting (skipped when local)."""
         if src == dst or nbytes <= 0:
             return
-        # Guard before building the f-string label/detail: transfers are a
-        # hot path and the disabled trace must not allocate.
-        spans = self._spans
-        span = spans.begin(
-            f"xfer:{category}",
-            SpanCategory.COMMS,
-            self.profile.qid,
-            src,
-            self.system.env.now,
-            parent=parent if parent is not None else self._root,
-            detail=f"N{src} -> N{dst}",
-        ) if spans.enabled else None
+        # Guard before building the f-string label: transfers are a hot
+        # path and the disabled trace must not allocate.
+        span = self._span(
+            f"xfer:{category}", SpanCategory.COMMS, src, parent,
+            "N%d -> N%d", src, dst,
+        ) if self._spans.enabled else None
         elapsed = yield from self.system.network.transfer(
             src, dst, nbytes, new_connection=new_connection
         )
@@ -261,22 +276,16 @@ class DistributedQATask:
 
     # -- main task body -------------------------------------------------------------
     def run(self) -> t.Generator[Event, object, TaskResult]:
-        env = self.system.env
-        profile = self.profile
-        result = self.result
-        self._root = self._spans.begin(
-            "question", SpanCategory.TASK, profile.qid, self.host, env.now
-        )
+        self._root = self._span("question", SpanCategory.TASK, self.host)
         try:
-            result = yield from self._run_traced()
+            return (yield from self._run_traced())
         finally:
             self._spans.end(
                 self._root,
-                env.now,
+                self.system.env.now,
                 host=self.host,
                 failed=self.result.failed,
             )
-        return result
 
     def _run_traced(self) -> t.Generator[Event, object, TaskResult]:
         """The task body proper (wrapped by ``run``'s root span)."""
@@ -336,16 +345,8 @@ class DistributedQATask:
         exhausted the question stays home.
         """
         env = self.system.env
-        qid = self.profile.qid
         dispatcher = self.system.question_dispatcher
-        span = self._spans.begin(
-            "dispatch:qa",
-            SpanCategory.DISPATCH,
-            qid,
-            self.host,
-            env.now,
-            parent=self._root,
-        )
+        span = self._span("dispatch:qa", SpanCategory.DISPATCH, self.host)
         yield from self._dispatch_scan_cost()
         dead: set[int] = set()
         for attempt in range(dispatcher.max_attempts):
@@ -353,15 +354,10 @@ class DistributedQATask:
             if target == self.host:
                 self._spans.end(span, env.now)
                 return
-            mspan = self._spans.begin(
-                "migrate:qa",
-                SpanCategory.MIGRATION,
-                qid,
-                self.host,
-                env.now,
-                parent=span,
-                detail=f"-> N{target}",
-            ) if self._spans.enabled else None
+            mspan = self._span(
+                "migrate:qa", SpanCategory.MIGRATION, self.host, span,
+                "-> N%d", target,
+            )
             try:
                 yield from self.system.network.transfer(
                     self.host, target, self.profile.question_bytes
@@ -399,17 +395,6 @@ class DistributedQATask:
                 cost * self.system.config.n_nodes
             )
 
-    def _module_span(self, name: str) -> Span | None:
-        """Open a host-side compute span under the question root."""
-        return self._spans.begin(
-            name,
-            SpanCategory.COMPUTE,
-            self.profile.qid,
-            self.host,
-            self.system.env.now,
-            parent=self._root,
-        )
-
     def _run_stages(self) -> t.Generator[Event, object, None]:
         profile = self.profile
         result = self.result
@@ -418,7 +403,7 @@ class DistributedQATask:
         # ---- QP -------------------------------------------------------------------
         t0 = self.system.env.now
         self._trace(self.host, "qp-start")
-        span = self._module_span("QP")
+        span = self._span("QP", SpanCategory.COMPUTE, self.host)
         yield from host_node.run_cpu(profile.qp_cpu_s)
         self._spans.end(span, self.system.env.now)
         result.module_times["QP"] = self.system.env.now - t0
@@ -428,7 +413,7 @@ class DistributedQATask:
 
         # ---- PO --------------------------------------------------------------------
         t0 = self.system.env.now
-        span = self._module_span("PO")
+        span = self._span("PO", SpanCategory.COMPUTE, self.host)
         yield from host_node.run_cpu(profile.po_cpu_s)
         self._spans.end(span, self.system.env.now)
         result.module_times["PO"] = self.system.env.now - t0
@@ -439,7 +424,7 @@ class DistributedQATask:
 
         # ---- answer sorting ---------------------------------------------------------
         t0 = self.system.env.now
-        span = self._module_span("sort:answers")
+        span = self._span("sort:answers", SpanCategory.COMPUTE, self.host)
         sort_cpu = 2e-4 * profile.n_answers * max(1, result.ap_partition_width)
         yield from host_node.run_cpu(sort_cpu)
         self._spans.end(span, self.system.env.now)
@@ -469,21 +454,9 @@ class DistributedQATask:
         config = self.system.config
         env = self.system.env
         t0 = env.now
-        stage = self._spans.begin(
-            "stage:PR-select",
-            SpanCategory.PARTITION,
-            profile.qid,
-            self.host,
-            env.now,
-            parent=self._root,
-        )
-        probe = self._spans.begin(
-            "select:sketch-probe",
-            SpanCategory.DISPATCH,
-            profile.qid,
-            self.host,
-            env.now,
-            parent=stage,
+        stage = self._span("stage:PR-select", SpanCategory.PARTITION, self.host)
+        probe = self._span(
+            "select:sketch-probe", SpanCategory.DISPATCH, self.host, stage
         )
         yield from self._node(self.host).run_cpu(
             config.selection_probe_cpu_s * len(collections)
@@ -506,45 +479,18 @@ class DistributedQATask:
 
     def _run_pr_stage(self) -> t.Generator[Event, object, None]:
         env = self.system.env
-        profile = self.profile
         result = self.result
         policy = self.policy
         collections = yield from self._select_collections()
         pr_compute: dict[int, float] = {}
         ps_compute: dict[int, float] = {}
 
-        stage = self._spans.begin(
-            "stage:PR",
-            SpanCategory.PARTITION,
-            profile.qid,
-            self.host,
-            env.now,
-            parent=self._root,
+        stage, assignment = yield from self._open_stage(
+            "PR", policy.enable_pr_dispatch, PR_WEIGHTS,
+            policy.pr_underload_margin, len(collections),
         )
-        dspan = self._spans.begin(
-            "dispatch:pr",
-            SpanCategory.DISPATCH,
-            profile.qid,
-            self.host,
-            env.now,
-            parent=stage,
-        )
-        if policy.enable_pr_dispatch:
-            yield from self._dispatch_scan_cost()
-        assignment = self._dispatch(
-            enabled=policy.enable_pr_dispatch,
-            weights=PR_WEIGHTS,
-            margin=policy.pr_underload_margin,
-            max_parts=len(collections),
-        )
-        self._spans.end(dspan, env.now, width=len(assignment.shares))
         result.pr_partition_width = len(assignment.shares)
-        if assignment.node_ids != [self.host]:
-            result.migrated_pr = True
-            self._trace(
-                self.host, "pr-dispatch",
-                "-> %s", ",".join(f"N{n}" for n in assignment.node_ids),
-            )
+        result.migrated_pr = assignment.node_ids != [self.host]
 
         def executor(
             nid: int, items: list[CollectionProfile]
@@ -569,13 +515,8 @@ class DistributedQATask:
                 if nid != self.host
             )
             if remote_bytes > 0:
-                mspan = self._spans.begin(
-                    "merge:paragraphs",
-                    SpanCategory.COMPUTE,
-                    profile.qid,
-                    self.host,
-                    env.now,
-                    parent=stage,
+                mspan = self._span(
+                    "merge:paragraphs", SpanCategory.COMPUTE, self.host, stage
                 )
                 yield from self._node(self.host).run_disk(remote_bytes)
                 self._spans.end(mspan, env.now, bytes=remote_bytes)
@@ -600,15 +541,10 @@ class DistributedQATask:
         node = self._node(nid)
         remote = nid != self.host
         allocated = False
-        chunk = self._spans.begin(
-            "pr-chunk",
-            SpanCategory.PARTITION,
-            self.profile.qid,
-            nid,
-            env.now,
-            parent=self._stage,
-            detail=f"{len(items)}c",
-        ) if self._spans.enabled else None
+        chunk = self._span(
+            "pr-chunk", SpanCategory.PARTITION, nid, self._stage,
+            "%dc", len(items),
+        )
         self.system.metrics.inc(PARTITION_CHUNKS)
         try:
             if remote:
@@ -621,15 +557,10 @@ class DistributedQATask:
             for coll in items:
                 if not node.up:
                     raise WorkerFailed(nid, items[items.index(coll):])
-                cspan = self._spans.begin(
-                    "pr+ps",
-                    SpanCategory.COMPUTE,
-                    self.profile.qid,
-                    nid,
-                    env.now,
-                    parent=chunk,
-                    detail=f"c{coll.collection_id}",
-                ) if self._spans.enabled else None
+                cspan = self._span(
+                    "pr+ps", SpanCategory.COMPUTE, nid, chunk,
+                    "c%d", coll.collection_id,
+                )
                 t0 = env.now
                 yield from node.run_cost(coll.cost)
                 pr_compute[nid] = pr_compute.get(nid, 0.0) + (env.now - t0)
@@ -658,69 +589,36 @@ class DistributedQATask:
 
     # -- AP stage -----------------------------------------------------------------------
     def _run_ap_stage(self) -> t.Generator[Event, object, None]:
-        env = self.system.env
-        profile = self.profile
         result = self.result
         policy = self.policy
-        paragraphs = profile.paragraphs
         ap_compute: dict[int, float] = {}
 
-        stage = self._spans.begin(
-            "stage:AP",
-            SpanCategory.PARTITION,
-            profile.qid,
-            self.host,
-            env.now,
-            parent=self._root,
+        stage, assignment = yield from self._open_stage(
+            "AP", policy.enable_ap_dispatch, AP_WEIGHTS,
+            policy.ap_underload_margin, None,
         )
-        dspan = self._spans.begin(
-            "dispatch:ap",
-            SpanCategory.DISPATCH,
-            profile.qid,
-            self.host,
-            env.now,
-            parent=stage,
-        )
-        if policy.enable_ap_dispatch:
-            yield from self._dispatch_scan_cost()
-        assignment = self._dispatch(
-            enabled=policy.enable_ap_dispatch,
-            weights=AP_WEIGHTS,
-            margin=policy.ap_underload_margin,
-            max_parts=None,
-        )
-        self._spans.end(dspan, env.now, width=len(assignment.shares))
         result.ap_partition_width = len(assignment.shares)
-        if assignment.node_ids != [self.host]:
-            result.migrated_ap = True
-            self._trace(
-                self.host, "ap-dispatch",
-                "-> %s", ",".join(f"N{n}" for n in assignment.node_ids),
-            )
+        result.migrated_ap = assignment.node_ids != [self.host]
 
         def executor(
             nid: int, items: list[ParagraphProfile]
         ) -> t.Generator[Event, object, None]:
             yield from self._ap_executor(nid, items, ap_compute)
 
-        chunk = policy.ap_chunk_paragraphs
-        if policy.ap_chunk_adaptive:
-            width = max(1, len(assignment.shares))
-            chunk = max(
-                5, len(paragraphs) // (policy.ap_chunks_per_node * width)
-            )
         self._stage = stage
         try:
             yield from self._distribute(
-                items=paragraphs,
+                items=self.profile.paragraphs,
                 assignment=assignment,
                 executor=executor,
                 strategy=policy.ap_strategy,
-                chunk_size=chunk,
+                chunk_size=policy.ap_chunk_paragraphs,
             )
         finally:
             self._stage = None
-            self._spans.end(stage, env.now, width=len(assignment.shares))
+            self._spans.end(
+                stage, self.system.env.now, width=len(assignment.shares)
+            )
         result.module_times["AP"] = max(ap_compute.values(), default=0.0)
 
     def _ap_executor(
@@ -738,15 +636,10 @@ class DistributedQATask:
         )
         mem_share = ap_mem_total * len(items) / max(1, self.profile.n_accepted)
         allocated = False
-        chunk = self._spans.begin(
-            "ap-chunk",
-            SpanCategory.PARTITION,
-            self.profile.qid,
-            nid,
-            env.now,
-            parent=self._stage,
-            detail=f"{len(items)}p",
-        ) if self._spans.enabled else None
+        chunk = self._span(
+            "ap-chunk", SpanCategory.PARTITION, nid, self._stage,
+            "%dp", len(items),
+        )
         self.system.metrics.inc(PARTITION_CHUNKS)
         try:
             if remote:
@@ -758,14 +651,7 @@ class DistributedQATask:
             allocated = True
             if not node.up:
                 raise WorkerFailed(nid, items)
-            cspan = self._spans.begin(
-                "ap",
-                SpanCategory.COMPUTE,
-                self.profile.qid,
-                nid,
-                env.now,
-                parent=chunk,
-            )
+            cspan = self._span("ap", SpanCategory.COMPUTE, nid, chunk)
             t0 = env.now
             cpu = sum(p.ap_cpu_s for p in items) + self.policy.ap_per_partition_cpu_s
             yield from node.run_cpu(cpu)
@@ -789,6 +675,36 @@ class DistributedQATask:
             self._spans.end(chunk, env.now)
 
     # -- shared dispatch/distribution machinery ----------------------------------------
+    def _open_stage(
+        self,
+        kind: str,
+        enabled: bool,
+        weights,
+        margin: float,
+        max_parts: int | None,
+    ) -> t.Generator[Event, object, tuple[Span | None, Assignment]]:
+        """Open the ``kind`` ("PR" / "AP") stage and run its dispatcher.
+
+        Scheduling points 2 and 3 share this prologue: the stage span,
+        the dispatch span over the Eq 15 scan cost and the meta-scheduler
+        call, and the Fig 7 instant when the module leaves the host.
+        Returns the open stage span and the assignment.
+        """
+        env = self.system.env
+        stage_name, dispatch_name, instant = _STAGE_NAMES[kind]
+        stage = self._span(stage_name, SpanCategory.PARTITION, self.host)
+        dspan = self._span(dispatch_name, SpanCategory.DISPATCH, self.host, stage)
+        if enabled:
+            yield from self._dispatch_scan_cost()
+        assignment = self._dispatch(enabled, weights, margin, max_parts)
+        self._spans.end(dspan, env.now, width=len(assignment.shares))
+        if assignment.node_ids != [self.host]:
+            self._trace(
+                self.host, instant,
+                "-> %s", ",".join(f"N{n}" for n in assignment.node_ids),
+            )
+        return stage, assignment
+
     def _dispatch(
         self,
         enabled: bool,

@@ -1,7 +1,7 @@
 """Experiment drivers: one per table/figure of the paper, plus ablations.
 
-See DESIGN.md §5 for the experiment index.  ``python -m
-repro.experiments.runner`` regenerates everything.
+See DESIGN.md §5 for the experiment index.  ``python -m repro
+experiments`` regenerates everything.
 """
 
 from .context import ExperimentContext, complex_profiles, default_context

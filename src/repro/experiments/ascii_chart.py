@@ -1,7 +1,7 @@
 """Terminal line charts for the figure benchmarks.
 
 The paper's figures are speedup curves; rendering them directly in the
-terminal makes `python -m repro.experiments.runner fig8` a self-contained
+terminal makes `python -m repro experiments fig8` a self-contained
 reproduction (no plotting stack needed offline).
 """
 

@@ -33,7 +33,6 @@ __all__ = [
     "format_table11",
     "run_fig10",
     "format_fig10",
-    "ap_speedups",
 ]
 
 PAPER_TABLE11 = {
@@ -61,20 +60,6 @@ def _mean_ap_time(
         rep = system.run_workload([prof])
         times.append(rep.results[0].module_times["AP"])
     return float(np.mean(times))
-
-
-def ap_speedups(
-    n_nodes: int,
-    profiles: t.Sequence[QuestionProfile],
-    strategies: t.Sequence[PartitioningStrategy],
-    chunk: int = 40,
-) -> dict[str, float]:
-    """AP speedup (1-node AP time / N-node AP time) per strategy."""
-    base = _mean_ap_time(1, profiles, PartitioningStrategy.RECV, chunk)
-    return {
-        s.value: base / _mean_ap_time(n_nodes, profiles, s, chunk)
-        for s in strategies
-    }
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,14 +1,13 @@
 """Run every experiment and emit the full report.
 
-``python -m repro.experiments.runner`` regenerates every table and figure
-of the paper (plus the ablations) and prints them in order.  Individual
-experiments are importable separately; this module is the one-shot
-entry point used to produce EXPERIMENTS.md's measured columns.
+``python -m repro experiments`` calls :func:`run_all`, which regenerates
+every table and figure of the paper (plus the ablations) and prints them
+in order — the one-shot entry point used to produce EXPERIMENTS.md's
+measured columns.  Individual experiments are importable separately.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 import typing as t
@@ -181,46 +180,3 @@ def run_all(
         f"{time.perf_counter() - t_start:.1f}s wall",
         file=sys.stderr,
     )
-
-
-def main(argv: t.Sequence[str] | None = None) -> None:
-    """Parse arguments and run the selected experiments."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "experiments",
-        nargs="*",
-        help=f"subset to run (default: all). Known: {', '.join(EXPERIMENTS)}",
-    )
-    parser.add_argument(
-        "-o", "--output",
-        help="also write the report to this file",
-    )
-    parser.add_argument(
-        "-j", "--jobs", default=None,
-        help="parallel workers (an integer, or 'auto' for one per CPU); "
-        "output is byte-identical to a serial run",
-    )
-    args = parser.parse_args(argv)
-    if args.output:
-        import io
-
-        buffer = io.StringIO()
-
-        class _Tee:
-            def write(self, text: str) -> int:
-                sys.stdout.write(text)
-                return buffer.write(text)
-
-        run_all(
-            args.experiments or None,
-            stream=t.cast(t.TextIO, _Tee()),
-            jobs=args.jobs,
-        )
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(buffer.getvalue())
-    else:
-        run_all(args.experiments or None, jobs=args.jobs)
-
-
-if __name__ == "__main__":
-    main()

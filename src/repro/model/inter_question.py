@@ -21,8 +21,6 @@ with the per-question distribution overhead
 
 from __future__ import annotations
 
-import typing as t
-
 from .parameters import ModelParameters
 
 __all__ = [
@@ -32,7 +30,6 @@ __all__ = [
     "distribution_overhead",
     "system_speedup",
     "system_efficiency",
-    "speedup_curve",
 ]
 
 
@@ -84,10 +81,3 @@ def system_speedup(p: ModelParameters, n: float) -> float:
 def system_efficiency(p: ModelParameters, n: float) -> float:
     """E = S(N)/N (Section 5.1 reports ~0.9 at 1000 nodes on 1 Gbps)."""
     return system_speedup(p, n) / n
-
-
-def speedup_curve(
-    p: ModelParameters, n_values: t.Sequence[int]
-) -> list[tuple[int, float]]:
-    """S(N) series for one bandwidth setting (the Figure 8(a) curves)."""
-    return [(int(n), system_speedup(p, n)) for n in n_values]

@@ -39,7 +39,6 @@ __all__ = [
     "question_time",
     "question_speedup",
     "practical_processor_limit",
-    "speedup_curve",
     "IntraLimit",
     "upper_limit_grid",
 ]
@@ -73,13 +72,6 @@ def question_speedup(p: ModelParameters, n: float) -> float:
 def practical_processor_limit(p: ModelParameters) -> int:
     """Eq 34: N_max = floor(T_par / T_seq)."""
     return int(parallel_time(p) / sequential_overhead_time(p))
-
-
-def speedup_curve(
-    p: ModelParameters, n_values: t.Sequence[int]
-) -> list[tuple[int, float]]:
-    """S(N) over a range of processor counts (the Figure 9 series)."""
-    return [(int(n), question_speedup(p, n)) for n in n_values]
 
 
 @dataclass(frozen=True, slots=True)

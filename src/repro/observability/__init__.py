@@ -53,7 +53,6 @@ from .telemetry import (
     TELEMETRY_SCHEMA,
     HeadSampler,
     TelemetryWriter,
-    TraceContext,
     graft_spans,
     pack_spans,
     read_telemetry,
@@ -77,7 +76,6 @@ __all__ = [
     "SpanStream",
     "TELEMETRY_SCHEMA",
     "TelemetryWriter",
-    "TraceContext",
     "attribute_question",
     "attribute_workload",
     "chrome_trace",

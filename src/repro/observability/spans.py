@@ -188,10 +188,6 @@ class SpanStream:
         """All durational spans, in record order."""
         return [s for s in self.spans if not s.is_instant]
 
-    def for_question(self, qid: int) -> list[Span]:
-        """Every span (intervals and instants) belonging to ``qid``."""
-        return [s for s in self.spans if s.qid == qid]
-
     def question_ids(self) -> list[int]:
         """Distinct qids with at least one span, sorted."""
         return sorted({s.qid for s in self.spans})

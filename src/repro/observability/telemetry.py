@@ -6,8 +6,8 @@ buffering happen in the server, QP/PR/PS/PO/AP happen in a worker whose
 ``SpanStream`` dies with the process.  This module is the glue that
 makes one tree out of the pieces:
 
-* :class:`TraceContext` — the (trace id, parent span id) pair the
-  serving protocol carries on each request, as a tiny picklable tuple;
+* the trace context — the bare ``(trace id, parent span id)`` tuple the
+  serving protocol carries on each request;
 * :class:`HeadSampler` — deterministic seed-keyed head sampling, decided
   per submission *after* admission (a pure function of ``seed:seq``), so
   enabling tracing can never perturb the accept/shed decision digest;
@@ -32,7 +32,6 @@ import hashlib
 import json
 import pathlib
 import typing as t
-from dataclasses import dataclass
 
 from .spans import Span, SpanCategory, SpanStream
 
@@ -43,7 +42,6 @@ if t.TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "TELEMETRY_SCHEMA",
     "HeadSampler",
-    "TraceContext",
     "TelemetryWriter",
     "graft_spans",
     "pack_spans",
@@ -61,25 +59,6 @@ TELEMETRY_SCHEMA = "telemetry/v1"
 PackedSpan = t.Tuple[
     int, int, str, str, float, float, str, t.Optional[t.Dict[str, t.Any]]
 ]
-
-
-@dataclass(frozen=True, slots=True)
-class TraceContext:
-    """The trace identity one request carries across the process boundary."""
-
-    trace_id: str
-    #: sid of the span (in the *server's* stream) the worker subtree will
-    #: be stitched under — echoed back with the reply for bookkeeping.
-    parent_sid: int
-
-    def to_wire(self) -> tuple[str, int]:
-        return (self.trace_id, self.parent_sid)
-
-    @classmethod
-    def from_wire(cls, wire: tuple[str, int] | None) -> "TraceContext | None":
-        if wire is None:
-            return None
-        return cls(trace_id=wire[0], parent_sid=int(wire[1]))
 
 
 class HeadSampler:

@@ -50,7 +50,7 @@ from .batch import BatchStats, execute_batch
 from .paragraph_ordering import ParagraphOrderer
 from .paragraph_retrieval import ParagraphRetriever
 from .paragraph_scoring import KeywordIdResolver, ParagraphScorer
-from .question import ModuleTimings, ProcessedQuestion, QAResult, Question
+from .question import ModuleTimings, QAResult, Question
 from .question_processing import QuestionProcessor
 
 __all__ = ["QAPipeline", "result_fingerprint"]
@@ -293,7 +293,3 @@ class QAPipeline:
             self.metrics.gauge(SELECTOR_SKETCH_BYTES).set(
                 float(self.pr.selector.sketch_bytes())
             )
-
-    # Expose module objects for partitioned (distributed) execution.
-    def process_question(self, question: Question) -> ProcessedQuestion:
-        return self.qp.process(question)

@@ -116,14 +116,6 @@ class QuestionProfile:
     def ap_cpu_s(self) -> float:
         return sum(p.ap_cpu_s for p in self.paragraphs)
 
-    @property
-    def retrieved_paragraph_bytes(self) -> float:
-        return sum(c.paragraph_bytes for c in self.collections)
-
-    @property
-    def accepted_paragraph_bytes(self) -> float:
-        return sum(p.size_bytes for p in self.paragraphs)
-
     def sequential_module_seconds(self, model: CostModel) -> dict[str, float]:
         """Uncontended per-module durations on the reference node."""
         hw = model.hardware
@@ -266,11 +258,6 @@ class SyntheticProfileParams:
             n_accepted_mean=self.n_accepted_mean * factor,
             n_accepted_range=(max(5, int(lo * factor)), max(10, int(hi * factor))),
         )
-
-    @classmethod
-    def trec8(cls) -> "SyntheticProfileParams":
-        """The TREC-8 era question population (~48 s average, Table 2)."""
-        return cls().scaled(48.0 / 94.0)
 
     @classmethod
     def complex(cls) -> "SyntheticProfileParams":

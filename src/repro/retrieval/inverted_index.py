@@ -102,10 +102,6 @@ class IndexBuffers:
     p_docs: array
     p_tfs: array
 
-    def id_arrays(self) -> tuple[array, ...]:
-        """The buffers holding vocabulary ids (the ones remapping touches)."""
-        return (self.stem_ids, self.sorted_ids, self.pset_ids, self.p_terms)
-
     def nbytes(self) -> int:
         """Total size of all buffers (array headers + payload)."""
         return sum(

@@ -39,7 +39,6 @@ from .protocol import (
     ConservationLedger,
     Outcome,
     OverloadError,
-    ServeRequest,
     ServeResponse,
     ShedReason,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "SLOMonitor",
     "SLOReport",
     "SLOState",
-    "ServeRequest",
     "ServeResponse",
     "ServerConfig",
     "ShedReason",

@@ -35,15 +35,14 @@ import hashlib
 import pathlib
 import time
 import typing as t
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from ..corpus import CorpusConfig, TrecQuestion
+from ..corpus import TrecQuestion
 from ..observability.names import SERVING_BATCH_SIZE
 from ..workload.arrivals import poisson_arrivals
 from ..workload.metrics import summarize_samples
-from .admission import AdmissionConfig
 from .server import QAServer, ServerConfig
 from .slo import SLOConfig
 from .workers import InlineExecutor, ProcessWorkerPool
@@ -58,9 +57,16 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class LoadgenConfig:
-    """Knobs of a serving load-generation sweep."""
+    """The overload protocol's own knobs, around the server it drives."""
 
-    corpus: CorpusConfig = field(default_factory=CorpusConfig)
+    #: The server under load, declared once: corpus, admission discipline,
+    #: workers, micro-batching, sampling.  Each run serves a
+    #: ``dataclasses.replace`` of it — ``admission.est_service_s`` set to
+    #: the estimate below, ``telemetry_path`` (when set) turned into one
+    #: ``<stem>-<label><suffix>`` file per run, and, while sampling or
+    #: telemetry is on and ``slo`` is unset, an SLO whose p99 target is
+    #: the admission deadline.
+    server: ServerConfig = field(default_factory=ServerConfig)
     #: Total questions per run (Zipf-repeated populars, like the bench).
     n_questions: int = 200
     #: Distinct questions the stream draws from.
@@ -69,64 +75,23 @@ class LoadgenConfig:
     zipf_exponent: float = 1.1
     #: Seed of the question picks *and* the arrival schedule.
     workload_seed: int = 7
-    #: Worker processes (0 = inline execution in this process).
-    workers: int = 3
     #: Offered loads as multiples of measured saturation.
     load_factors: tuple[float, ...] = (0.5, 1.0, 2.0)
     #: Explicit offered rate (q/s); overrides ``load_factors`` with one
     #: run and skips saturation calibration.
     rate_qps: float | None = None
-    #: Explicit admission service-time estimate; skips calibration.
+    #: Explicit admission service-time estimate; ``None`` calibrates it.
     est_service_s: float | None = None
     #: Closed-loop questions used to measure saturation.
     calibration_questions: int = 32
-    #: Admission discipline (est_service_s inside is overridden).
-    max_concurrent: int = 3
-    max_queue_depth: int = 4
-    deadline_s: float | None = None
-    rate_limit_qps: float = 0.0
-    rate_burst: float = 4.0
     #: Sleep to the arrival schedule (False floods as fast as possible;
     #: decisions are unchanged because they use scheduled times).
     pace: bool = True
-    drain_timeout_s: float = 60.0
     #: Keep the full per-question decision list in each run record.
     record_decisions: bool = False
-    #: Serving-side micro-batch size: while every worker is busy,
-    #: accepted questions are grouped up to this many per
-    #: ``answer_batch`` call (an idle worker gets a question at once,
-    #: alone).  ``1`` keeps the unbatched request-per-question path.
-    #: Admission decisions are made before batching, so the decision
-    #: digest is unchanged.
-    batch_max: int = 1
-    #: Oldest-request age at which a partial micro-batch is queued
-    #: behind the busy workers.
-    batch_wait_s: float = 0.005
-    #: Head-sampling rate for stitched worker traces (PR 8).  Sampling
-    #: is decided after admission from ``(trace_seed, seq)`` alone, so
-    #: the decision digest is byte-identical at any rate.
-    trace_sample_rate: float = 0.0
-    trace_seed: int = 0
-    #: When set, each run streams ``telemetry/v1`` records to
-    #: ``<stem>-<label><suffix>`` next to this path.
-    telemetry_out: str | None = None
     #: When set, the at-saturation run's stitched span stream is written
     #: here as a Chrome trace with stable per-process lanes.
     trace_out: str | None = None
-    #: Re-run the at-saturation point with all observability disabled
-    #: and report the throughput overhead (acceptance line: <= 5%).
-    measure_overhead: bool = False
-
-    def admission(self, est_service_s: float) -> AdmissionConfig:
-        """The admission config this sweep drives, at a given estimate."""
-        return AdmissionConfig(
-            max_concurrent=self.max_concurrent,
-            max_queue_depth=self.max_queue_depth,
-            est_service_s=est_service_s,
-            deadline_s=self.deadline_s,
-            rate_limit_qps=self.rate_limit_qps,
-            rate_burst=self.rate_burst,
-        )
 
 
 def zipf_workload(
@@ -204,29 +169,31 @@ def _calibrate(
     config: LoadgenConfig, workload: t.Sequence[tuple[int, str]]
 ) -> dict[str, t.Any]:
     """Closed-loop burst: measure real saturation q/s and mean service."""
+    server = config.server
+    batch_max, workers = server.batch_max, server.workers
     k = config.calibration_questions
-    if config.batch_max > 1:
+    if batch_max > 1:
         # Enough batch requests to keep every worker busy several rounds,
         # else request quantization (ceil(k/B) requests over W workers)
         # dominates the measurement instead of the batched service rate.
-        k = max(k, config.batch_max * max(1, config.workers) * 4)
+        k = max(k, batch_max * max(1, workers) * 4)
     k = max(1, min(k, len(workload)))
     items = list(workload[:k])
-    if config.workers >= 1:
-        pool: t.Any = ProcessWorkerPool(config.corpus, config.workers)
+    if workers >= 1:
+        pool: t.Any = ProcessWorkerPool(server.corpus, workers)
     else:
         from ..experiments.context import build_serving_context
 
-        pool = InlineExecutor(build_serving_context(config.corpus).pipeline)
+        pool = InlineExecutor(build_serving_context(server.corpus).pipeline)
     pool.start()
     try:
-        _warm(pool, workload, config.workers)
+        _warm(pool, workload, workers)
         t0 = time.time()
-        if config.batch_max > 1 and hasattr(pool, "submit_batch"):
+        if batch_max > 1:
             # Mirror the server's micro-batcher: chunks of batch_max, so
             # calibration measures the *batched* saturation throughput.
-            for i0 in range(0, k, config.batch_max):
-                chunk = items[i0 : i0 + config.batch_max]
+            for i0 in range(0, k, batch_max):
+                chunk = items[i0 : i0 + batch_max]
                 now = time.time()
                 pool.submit_batch(
                     [
@@ -255,7 +222,7 @@ def _calibrate(
         "service_mean_s": service_mean_s,
         #: Modelled per-question service such that ``max_concurrent``
         #: slots reproduce the measured capacity.
-        "est_service_s": config.max_concurrent / saturation_qps,
+        "est_service_s": server.admission.max_concurrent / saturation_qps,
         "workers": getattr(pool, "workers", 0),
     }
 
@@ -273,44 +240,29 @@ def _run_once(
     est_service_s: float,
     label: str,
     load_factor: float | None,
-    observability: bool = True,
     trace_path: str | None = None,
 ) -> dict[str, t.Any]:
-    """One open-loop serving run at a fixed offered rate.
-
-    ``observability=False`` turns metrics, spans, sampling, SLO and
-    telemetry off in one switch — the overhead-measurement rerun.
-    """
+    """One open-loop serving run at a fixed offered rate."""
     schedule = poisson_arrivals(
         len(workload), rate_qps, seed=config.workload_seed
     )
-    admission = config.admission(est_service_s)
-    telemetry_path: str | None = None
-    if observability and config.telemetry_out:
-        telemetry_path = _telemetry_run_path(config.telemetry_out, label)
-    server_config = ServerConfig(
-        corpus=config.corpus,
-        admission=admission,
-        workers=config.workers,
-        drain_timeout_s=config.drain_timeout_s,
-        batch_max=config.batch_max,
-        batch_wait_s=config.batch_wait_s,
-        metrics_enabled=observability,
-        spans_enabled=observability,
-        trace_sample_rate=config.trace_sample_rate if observability else 0.0,
-        trace_seed=config.trace_seed,
+    base = config.server
+    admission = replace(base.admission, est_service_s=est_service_s)
+    telemetry_path = (
+        _telemetry_run_path(base.telemetry_path, label)
+        if base.telemetry_path
+        else None
+    )
+    slo = base.slo
+    if slo is None and (base.trace_sample_rate > 0 or telemetry_path):
         # The SLO latency objective mirrors the admission deadline: the
         # server judges retrospectively what admission promised.
-        slo=(
-            SLOConfig(p99_target_s=admission.effective_deadline_s)
-            if observability and (config.trace_sample_rate > 0 or telemetry_path)
-            else None
-        ),
-        telemetry_path=telemetry_path,
+        slo = SLOConfig(p99_target_s=admission.effective_deadline_s)
+    server = QAServer(
+        replace(base, admission=admission, slo=slo, telemetry_path=telemetry_path)
     )
-    server = QAServer(server_config)
     with server:
-        _warm(server.pool, workload, config.workers)
+        _warm(server.pool, workload, base.workers)
         wall0 = time.time()
         for (qid, text), arrival in zip(workload, schedule):
             if config.pace:
@@ -319,7 +271,7 @@ def _run_once(
                     time.sleep(lag)
             server.submit(text, qid=qid, arrival_s=arrival)
             server.poll()
-        _settle(server, config.drain_timeout_s)
+        _settle(server, base.drain_timeout_s)
         ledger = server.drain()
         makespan_s = max(time.time() - wall0, 1e-9)
 
@@ -346,7 +298,7 @@ def _run_once(
             "decision_digest": digest,
             "n_decisions": len(decision_key),
             "workers": {
-                "n": config.workers,
+                "n": base.workers,
                 "attached_from_cache": sources.count("cache"),
                 "built": sources.count("built"),
             },
@@ -359,7 +311,7 @@ def _run_once(
             if s.name == "stage:PR-batch" and "sharing_factor" in s.attrs
         ]
         run["batch"] = {
-            "batch_max": config.batch_max,
+            "batch_max": base.batch_max,
             "n_batched_questions": len(batch_spans),
         }
         units = server.metrics.get(SERVING_BATCH_SIZE)
@@ -376,7 +328,7 @@ def _run_once(
             ) / len(batch_spans)
         # Stitched-trace sampling accounting (telemetry plane, PR 8).
         run["sampling"] = {
-            "rate": config.trace_sample_rate if observability else 0.0,
+            "rate": base.trace_sample_rate,
             "sampled_answered": sum(1 for r in answered if r.sampled),
             "stitched_trees": sum(
                 1 for s in server.spans.spans if s.name == "worker"
@@ -392,7 +344,7 @@ def _run_once(
                 "path": telemetry_path,
                 "records": server.telemetry.records,
             }
-        if observability and trace_path:
+        if trace_path:
             server.export_trace(trace_path)
             run["trace_out"] = trace_path
         if config.record_decisions:
@@ -456,7 +408,8 @@ def run_loadgen(config: LoadgenConfig | None = None) -> dict[str, t.Any]:
     config = config or LoadgenConfig()
     from ..experiments.context import build_context
 
-    ctx = build_context(config.corpus)
+    server = config.server
+    ctx = build_context(server.corpus)
     workload = zipf_workload(
         ctx.questions,
         config.n_questions,
@@ -480,7 +433,7 @@ def run_loadgen(config: LoadgenConfig | None = None) -> dict[str, t.Any]:
         else calibration["est_service_s"]
     )
     saturation_qps = calibration.get(
-        "saturation_qps", config.max_concurrent / est_service_s
+        "saturation_qps", server.admission.max_concurrent / est_service_s
     )
 
     runs: list[dict[str, t.Any]] = []
@@ -521,46 +474,12 @@ def run_loadgen(config: LoadgenConfig | None = None) -> dict[str, t.Any]:
         runs, service_floor_s=calibration.get("service_mean_s", est_service_s)
     )
 
-    # Observability overhead: re-run the at-saturation point with every
-    # recorder off and compare sustained throughput.  The admission
-    # digest must not move — sampling is decided after admission.
-    overhead: dict[str, t.Any] = {"skipped": True}
-    if config.measure_overhead and runs:
-        factored = [r for r in runs if r["load_factor"] is not None]
-        on = (
-            min(factored, key=lambda r: abs(r["load_factor"] - 1.0))
-            if factored
-            else runs[0]
-        )
-        off = _run_once(
-            config,
-            workload,
-            on["offered_qps"],
-            est_service_s,
-            label=f"{on['label']}-obs-off",
-            load_factor=on["load_factor"],
-            observability=False,
-        )
-        qps_on = on["throughput_qps"]
-        qps_off = off["throughput_qps"]
-        frac = (qps_off - qps_on) / qps_off if qps_off > 0 else 0.0
-        overhead = {
-            "skipped": False,
-            "run": on["label"],
-            "qps_on": qps_on,
-            "qps_off": qps_off,
-            "overhead_frac": frac,
-            "digest_match": on["decision_digest"] == off["decision_digest"],
-            "ok": frac <= 0.05
-            and on["decision_digest"] == off["decision_digest"],
-        }
-
     return {
         "schema": "bench_serving/v3",
         "config": asdict(config),
         "batch": {
-            "batch_max": config.batch_max,
-            "batch_wait_s": config.batch_wait_s,
+            "batch_max": server.batch_max,
+            "batch_wait_s": server.batch_wait_s,
         },
         "workload": {
             "n_questions": config.n_questions,
@@ -569,9 +488,9 @@ def run_loadgen(config: LoadgenConfig | None = None) -> dict[str, t.Any]:
             "seed": config.workload_seed,
         },
         "telemetry": {
-            "trace_sample_rate": config.trace_sample_rate,
-            "trace_seed": config.trace_seed,
-            "telemetry_out": config.telemetry_out,
+            "trace_sample_rate": server.trace_sample_rate,
+            "trace_seed": server.trace_seed,
+            "telemetry_out": server.telemetry_path,
             "trace_out": config.trace_out,
             "sampled_answered": sum(
                 r["sampling"]["sampled_answered"] for r in runs
@@ -584,7 +503,6 @@ def run_loadgen(config: LoadgenConfig | None = None) -> dict[str, t.Any]:
         "saturation_qps": saturation_qps,
         "runs": runs,
         "overload": overload,
-        "observability_overhead": overhead,
         "ok": overload.get("ok", False) and all(
             r["conservation_ok"] for r in runs
         ),
@@ -644,14 +562,6 @@ def format_serving(summary: dict[str, t.Any]) -> str:
             f"telemetry: head-sampling {tel['trace_sample_rate']:.0%} "
             f"(seed {tel.get('trace_seed', 0)}), "
             f"{tel.get('stitched_trees', 0)} stitched traces"
-        )
-    oh = summary.get("observability_overhead") or {}
-    if oh and not oh.get("skipped"):
-        lines.append(
-            f"observability overhead at {oh['run']}: "
-            f"{oh['overhead_frac']:+.1%} q/s "
-            f"({'ok' if oh['ok'] else 'OVER BUDGET'}; digest "
-            f"{'unchanged' if oh['digest_match'] else 'MOVED'})"
         )
     over = summary["overload"]
     if "p99_ratio" in over:

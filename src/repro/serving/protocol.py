@@ -26,7 +26,6 @@ __all__ = [
     "ConservationLedger",
     "Outcome",
     "OverloadError",
-    "ServeRequest",
     "ServeResponse",
     "ShedReason",
 ]
@@ -82,27 +81,6 @@ class OverloadError(Exception):
         self.qid = qid
         self.queue_depth = queue_depth
         self.predicted_wait_s = predicted_wait_s
-
-
-@dataclass(frozen=True, slots=True)
-class ServeRequest:
-    """One question submitted to the server.
-
-    ``arrival_s`` is the *logical* arrival timestamp admission control
-    decides against — the loadgen passes its scheduled arrival time so
-    the accept/shed sequence is a pure function of the workload seed,
-    while interactive callers pass the real clock.
-    """
-
-    seq: int  # submission order, unique per server lifetime
-    qid: int
-    text: str
-    client: str = "default"
-    arrival_s: float = 0.0
-    #: Absolute deadline (same clock as ``arrival_s``); None = server default.
-    deadline_s: float | None = None
-    #: Wall-clock submit instant (for measured latency, not decisions).
-    submit_wall: float = 0.0
 
 
 @dataclass(frozen=True, slots=True)

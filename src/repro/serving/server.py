@@ -132,8 +132,6 @@ class ServerConfig:
     slo: SLOConfig | None = None
     #: When set, stream ``telemetry/v1`` JSONL records here.
     telemetry_path: str | None = None
-    #: Completions between piggybacked worker metrics snapshots.
-    metrics_snapshot_every: int = 16
 
 
 @dataclass(slots=True)
@@ -199,9 +197,7 @@ class QAServer:
             self.pool = pool
         elif self.config.workers >= 1:
             self.pool = ProcessWorkerPool(
-                self.config.corpus,
-                self.config.workers,
-                snapshot_every=self.config.metrics_snapshot_every,
+                self.config.corpus, self.config.workers
             )
         else:
             self.pool = None  # built lazily in start() (needs a pipeline)

@@ -20,11 +20,10 @@ in one piece: a plain request tuple ``(seq, qid, text, submit_wall,
 trace)``, run through ``QAPipeline.answer``, or — when the micro-batcher
 flushed more than one request — ``("batch", [tuples...])``, run through
 ``QAPipeline.answer_batch`` so duplicate questions replay and posting
-fetches are shared.  ``trace`` is the optional
-:class:`~repro.observability.telemetry.TraceContext` wire pair: when
-present, the worker returns a packed span subtree built from its
-measured module timings with the reply, which the server grafts into
-its own stream to form one stitched tree per question.
+fetches are shared.  ``trace`` is the optional ``(trace id, parent span
+id)`` pair: when present, the worker returns a packed span subtree built
+from its measured module timings with the reply, which the server grafts
+into its own stream to form one stitched tree per question.
 
 IPC: requests go out on one shared ``multiprocessing.Queue`` (FIFO
 hand-off to whichever worker is free); replies come back on one
@@ -74,6 +73,9 @@ _MAX_ANSWERS = 3
 
 #: Completions between piggybacked worker-metrics snapshots.
 _SNAPSHOT_EVERY = 16
+
+#: Seconds the spawned workers get to attach and report ready.
+_START_TIMEOUT_S = 120.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,7 +206,6 @@ def _worker_main(
     config: CorpusConfig,
     requests: "multiprocessing.queues.Queue[t.Any]",
     replies: Connection,
-    snapshot_every: int = _SNAPSHOT_EVERY,
 ) -> None:
     """Worker process body: attach, announce readiness, serve until sentinel.
 
@@ -229,11 +230,7 @@ def _worker_main(
         records = _execute(ctx.pipeline, unit, pid)
         replies.send(("done", records))
         completed += len(records)
-        if (
-            snapshot_every > 0
-            and completed - last_snapshot_at >= snapshot_every
-            and len(metrics)
-        ):
+        if completed - last_snapshot_at >= _SNAPSHOT_EVERY and len(metrics):
             last_snapshot_at = completed
             replies.send(("metrics", pid, metrics.snapshot()))
 
@@ -249,19 +246,11 @@ def _pool_context() -> multiprocessing.context.BaseContext:
 class ProcessWorkerPool:
     """N worker processes: one shared request queue, one reply pipe each."""
 
-    def __init__(
-        self,
-        config: CorpusConfig,
-        workers: int,
-        start_timeout_s: float = 120.0,
-        snapshot_every: int = _SNAPSHOT_EVERY,
-    ) -> None:
+    def __init__(self, config: CorpusConfig, workers: int) -> None:
         if workers < 1:
             raise ValueError("ProcessWorkerPool needs at least one worker")
         self.config = config
         self.workers = workers
-        self.start_timeout_s = start_timeout_s
-        self.snapshot_every = snapshot_every
         self._ctx = _pool_context()
         self._requests: multiprocessing.queues.Queue[t.Any] = self._ctx.Queue()
         self._procs: list[multiprocessing.process.BaseProcess] = []
@@ -295,7 +284,7 @@ class ProcessWorkerPool:
             reader, writer = self._ctx.Pipe(duplex=False)
             p = self._ctx.Process(
                 target=_worker_main,
-                args=(self.config, self._requests, writer, self.snapshot_every),
+                args=(self.config, self._requests, writer),
                 daemon=True,
             )
             p.start()
@@ -303,7 +292,7 @@ class ProcessWorkerPool:
             writer.close()
             self._procs.append(p)
             self._readers[reader] = p.pid
-        deadline = time.monotonic() + self.start_timeout_s
+        deadline = time.monotonic() + _START_TIMEOUT_S
         while len(self.attach_report) < self.workers:
             remaining = deadline - time.monotonic()
             if remaining <= 0 or self.lost_workers:

@@ -76,9 +76,6 @@ class FailureInjector:
     def kill_now(self, node_id: object) -> None:
         self._transition(node_id, up=False)
 
-    def recover_now(self, node_id: object) -> None:
-        self._transition(node_id, up=True)
-
     def _transition(self, node_id: object, up: bool) -> None:
         self._set_node_up(node_id, up)
         if self._on_transition is not None:

@@ -24,7 +24,7 @@ import typing as t
 
 from .engine import Environment
 from .events import Event
-from .resources import FairShareResource, Job
+from .resources import FairShareResource
 
 __all__ = ["Network", "TransferFailed"]
 
@@ -149,11 +149,3 @@ class Network:
         self.bytes_transferred += nbytes
         self.broadcasts_sent += 1
         return self.env.now - start
-
-    def transfer_job(self, src: object, dst: object, nbytes: float) -> Job:
-        """Low-level: submit raw bytes to the medium, returning the job.
-
-        Used where a caller wants to compose the medium occupancy with
-        other events itself (no latency, no failure semantics).
-        """
-        return self.medium.use(max(0.0, nbytes), tag=(src, dst))

@@ -1,5 +1,5 @@
-"""Tests for the extension features: heterogeneous clusters, adaptive
-chunks, node-death admission handling, and resubmission."""
+"""Tests for the extension features: heterogeneous clusters,
+node-death admission handling, and resubmission."""
 
 import pytest
 
@@ -70,33 +70,6 @@ class TestHeterogeneousClusters:
             e.node_id for e in system.spans.instants() if e.name == "ap-part"
         )
         assert counts[3] < max(counts.values())
-
-
-class TestAdaptiveChunks:
-    def test_adaptive_chunk_count_scales_with_width(self):
-        prof = complex_profile()
-        policy = TaskPolicy(ap_chunk_adaptive=True, ap_chunks_per_node=4)
-        system = DistributedQASystem(
-            SystemConfig(n_nodes=8, strategy=Strategy.DQA, policy=policy,
-                         trace=True)
-        )
-        system.run_workload([prof])
-        n_chunks = sum(e.name == "ap-part" for e in system.spans.instants())
-        # ~4 chunks per selected node.
-        assert 8 * 3 <= n_chunks <= 8 * 5 + 1
-
-    def test_adaptive_not_worse_than_fixed_at_scale(self):
-        prof = complex_profile()
-
-        def ap_time(policy):
-            system = DistributedQASystem(
-                SystemConfig(n_nodes=12, strategy=Strategy.DQA, policy=policy)
-            )
-            return system.run_workload([prof]).results[0].module_times["AP"]
-
-        fixed = ap_time(TaskPolicy(ap_chunk_paragraphs=40))
-        adaptive = ap_time(TaskPolicy(ap_chunk_adaptive=True))
-        assert adaptive <= fixed * 1.10
 
 
 class TestNodeDeathAdmission:

@@ -9,7 +9,6 @@ from repro.observability.spans import SpanCategory, SpanStream
 from repro.observability.telemetry import (
     HeadSampler,
     TelemetryWriter,
-    TraceContext,
     graft_spans,
     pack_spans,
     read_telemetry,
@@ -45,11 +44,6 @@ class TestHeadSampler:
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):
             HeadSampler(1.5)
-
-    def test_trace_context_wire_round_trip(self):
-        ctx = TraceContext(trace_id="abc-1", parent_sid=7)
-        assert TraceContext.from_wire(ctx.to_wire()) == ctx
-        assert TraceContext.from_wire(None) is None
 
 
 class TestPackGraft:

@@ -11,7 +11,12 @@ these tests immediately.
 import pytest
 
 from repro.corpus import CorpusConfig
-from repro.serving import LoadgenConfig, run_loadgen
+from repro.serving import (
+    AdmissionConfig,
+    LoadgenConfig,
+    ServerConfig,
+    run_loadgen,
+)
 
 #: Small corpus: these runs rebuild the serving stack per worker count.
 CORPUS = CorpusConfig(
@@ -28,17 +33,19 @@ def loadgen_config(workers: int) -> LoadgenConfig:
     test is wall-clock-independent.
     """
     return LoadgenConfig(
-        corpus=CORPUS,
+        server=ServerConfig(
+            corpus=CORPUS,
+            admission=AdmissionConfig(max_queue_depth=3),
+            workers=workers,
+            drain_timeout_s=30.0,
+        ),
         n_questions=50,
         n_unique=15,
         workload_seed=1234,
-        workers=workers,
         rate_qps=120.0,
         est_service_s=0.03,
-        max_queue_depth=3,
         pace=False,
         record_decisions=True,
-        drain_timeout_s=30.0,
     )
 
 

@@ -52,17 +52,19 @@ CORPUS = CorpusConfig(
 #: while a worker is busy, and the inline executor (one worker, free
 #: again at every poll) never is in the loadgen's submit/poll loop.
 BASE = LoadgenConfig(
-    corpus=CORPUS,
+    server=ServerConfig(
+        corpus=CORPUS,
+        admission=AdmissionConfig(max_queue_depth=3),
+        workers=1,
+        drain_timeout_s=30.0,
+    ),
     n_questions=40,
     n_unique=12,
     workload_seed=1234,
-    workers=1,
     rate_qps=120.0,
     est_service_s=0.03,
-    max_queue_depth=3,
     pace=False,
     record_decisions=True,
-    drain_timeout_s=30.0,
 )
 
 
@@ -171,7 +173,9 @@ class TestDecisionDigest:
     def test_digest_unchanged_by_batching(self):
         """Batched and unbatched serving shed exactly the same questions."""
         unbatched = run_loadgen(BASE)
-        batched = run_loadgen(replace(BASE, batch_max=4))
+        batched = run_loadgen(
+            replace(BASE, server=replace(BASE.server, batch_max=4))
+        )
         a, b = unbatched["runs"][0], batched["runs"][0]
         assert a["decision_digest"] == b["decision_digest"]
         assert a["decisions"] == b["decisions"]

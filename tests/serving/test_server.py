@@ -33,13 +33,11 @@ def overload_summary():
     """One below/at/above-saturation sweep shared by the assertions."""
     return run_loadgen(
         LoadgenConfig(
-            corpus=CORPUS,
+            server=ServerConfig(corpus=CORPUS, workers=2, drain_timeout_s=30.0),
             n_questions=80,
             n_unique=25,
-            workers=2,
             load_factors=(0.5, 1.0, 2.0),
             calibration_questions=24,
-            drain_timeout_s=30.0,
         )
     )
 

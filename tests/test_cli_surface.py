@@ -4,17 +4,26 @@ The CLI's documented command list is its registered subcommands, the
 repository root holds no benchmark artifact beside ``BENCHMARK.json``'s
 own, the simulator's queue is not configurable, keyword positions have
 one kernel per side of the oracle, collection selection has one mode and
-no on/off switch, the span stream is the only trace store, and the
-pre-record extension experiments took their switches with them.
+no on/off switch, the span stream is the only trace store, the
+pre-record extension experiments took their switches with them, and
+every CLI flag and serving option is declared in one place — which the
+command lines CI and the verify skill run must still parse against.
 """
 
+import argparse
+import dataclasses
+import io
 import pathlib
 import re
+import shlex
+import sys
 
 import pytest
 
 from repro import cli
 from repro.core import SystemConfig
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_documented_commands_are_the_registered_ones(capsys):
@@ -33,8 +42,7 @@ def test_documented_commands_are_the_registered_ones(capsys):
 
 
 def test_no_bench_artifact_at_the_repository_root():
-    root = pathlib.Path(__file__).resolve().parent.parent
-    assert not list(root.glob("BENCH_*.json"))
+    assert not list(ROOT.glob("BENCH_*.json"))
 
 
 def test_queue_backend_is_not_configurable():
@@ -93,5 +101,128 @@ def test_span_stream_is_the_only_trace_store():
 
 
 def test_no_second_way_to_regenerate_a_paper_table():
-    root = pathlib.Path(__file__).resolve().parent.parent
-    assert not (root / "benchmarks").exists()
+    assert not (ROOT / "benchmarks").exists()
+
+
+# -- declared once: CLI flags and serving options ------------------------------------
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    (action,) = [
+        a
+        for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+def _options(sub: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    return {a.dest: a for a in sub._actions if a.option_strings and a.dest != "help"}
+
+
+def test_loadgen_takes_every_serve_flag_as_serve_declares_it():
+    subs = _subparsers()
+    serve, loadgen = _options(subs["serve"]), _options(subs["loadgen"])
+    assert len(serve) == 11
+    for dest, flag in serve.items():
+        twin = loadgen[dest]
+        assert (twin.option_strings, twin.type, twin.help) == (
+            flag.option_strings, flag.type, flag.help,
+        ), dest
+    # The per-command default is the one thing a row may change.
+    assert (serve["service_time"].default, loadgen["service_time"].default) == (
+        0.05, None,
+    )
+
+
+def test_every_flag_is_declared_once():
+    declared = {id(f): f for cmd in cli._COMMANDS for f in cmd.flags}.values()
+    names = [name for flag_names, _ in declared for name in flag_names]
+    assert len(names) == len(set(names))
+    assert {cmd.name for cmd in cli._COMMANDS} | {"exp"} == set(_subparsers())
+
+
+@pytest.mark.parametrize(
+    "retired",
+    [
+        ["--measure-obs-" "overhead"],
+        ["--no-" "pace"],
+        ["--batch-" "wait", "0.01"],
+        ["--decisions-" "out", "d.json"],
+    ],
+)
+def test_retired_loadgen_flags_are_rejected(retired, capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["loadgen", *retired])
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_no_serving_value_is_a_field_of_two_configs():
+    from repro.serving import AdmissionConfig, LoadgenConfig, ServerConfig
+
+    def names(config) -> set[str]:
+        return {f.name for f in dataclasses.fields(config)}
+
+    # The estimate is the protocol's own: calibrated or given, then
+    # written into each run's admission config.
+    assert names(LoadgenConfig) & (names(ServerConfig) | names(AdmissionConfig)) == {
+        "est_service_s"
+    }
+    assert not names(ServerConfig) & names(AdmissionConfig)
+    assert len(names(LoadgenConfig)) <= 12
+    with pytest.raises(TypeError):
+        ServerConfig(**{"metrics_" "snapshot_every": 16})
+
+
+def test_a_second_serve_in_one_process_prints_its_answers(
+    monkeypatch, capsys, shared_pipeline, shared_questions
+):
+    import repro.serving
+    from repro.serving import InlineExecutor, QAServer
+
+    monkeypatch.setattr(
+        repro.serving,
+        "QAServer",
+        lambda config: QAServer(config, pool=InlineExecutor(shared_pipeline)),
+    )
+    asked = "".join(f"{q.text}\n" for q in shared_questions[:2])
+    for _ in range(2):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(asked))
+        cli.main(["serve", "--workers", "0"])
+        out = capsys.readouterr().out
+        assert re.findall(r"^\[(\d+)\] .* worker 0\)$", out, re.MULTILINE) == [
+            "0", "1",
+        ]
+
+
+def _documented_commands(text: str):
+    """Every ``python -m repro <cmd> ...`` line of ``text``, as argv."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        found = re.search(r"python -m repro ([a-z]+\b.*)", line)
+        if found is None:
+            continue
+        command = found.group(1)
+        # A command goes on after a trailing backslash, and onto a next
+        # line that starts with a flag (YAML folded scalar, wrapped prose).
+        while command.endswith("\\") or (
+            i + 1 < len(lines) and re.match(r"\s*--?[a-z]", lines[i + 1])
+        ):
+            i += 1
+            command = command.rstrip("\\") + " " + lines[i].strip()
+        command = command.split("`")[0]  # prose: the backtick ends it
+        # Shell substitutions stand for one value.
+        command = re.sub(r'"\$\(.*\)"|"\$\w+"', "0", command)
+        yield shlex.split(command, comments=True)
+
+
+@pytest.mark.parametrize(
+    "path", [".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"]
+)
+def test_documented_command_lines_still_parse(path):
+    commands = list(_documented_commands((ROOT / path).read_text()))
+    assert len(commands) >= 5  # the extraction is not vacuous
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{path}: `repro {' '.join(argv)}` no longer parses")
