@@ -21,7 +21,6 @@ keeps the CPU busy a fraction ``w_cpu(m)`` of the time and the disk
 
 from __future__ import annotations
 
-import typing as t
 from dataclasses import dataclass
 
 __all__ = [

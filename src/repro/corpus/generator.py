@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..nlp.entities import EntityType
 from .knowledge import TEMPLATES, Fact, KnowledgeBase, build_knowledge_base
 from .zipf import ZipfSampler, make_vocabulary
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import gzip
 import json
 import pathlib
-import typing as t
 
 from ..nlp.entities import EntityType
 from .generator import Corpus, CorpusConfig, Document, SubCollection

@@ -12,8 +12,6 @@ do.
 
 from __future__ import annotations
 
-import typing as t
-
 import numpy as np
 
 __all__ = ["make_vocabulary", "ZipfSampler"]

@@ -18,7 +18,7 @@ ablations quantify each one on the simulated cluster:
 from __future__ import annotations
 
 import typing as t
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 

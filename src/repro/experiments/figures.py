@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import typing as t
 
-import numpy as np
-
 from ..core import (
     DistributedQASystem,
     PartitioningStrategy,

@@ -15,7 +15,7 @@ below analytical with the gap growing with N.
 from __future__ import annotations
 
 import typing as t
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -12,7 +12,7 @@ chunks revive the uneven-granularity problem.
 from __future__ import annotations
 
 import typing as t
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -15,7 +15,7 @@ flexibility: processors must be able to dynamically join or leave"):
 from __future__ import annotations
 
 import typing as t
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 

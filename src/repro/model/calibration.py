@@ -17,7 +17,7 @@ import typing as t
 
 import numpy as np
 
-from .intra_question import practical_processor_limit, question_speedup
+from .intra_question import practical_processor_limit
 from .parameters import ModelParameters, bandwidth_bps
 
 __all__ = ["fit_intra_constants", "grid_error", "PAPER_TABLE4_N"]

@@ -25,11 +25,8 @@ in all 16 cells and its speedups within ~2 %.
 
 from __future__ import annotations
 
-import math
 import typing as t
 from dataclasses import dataclass
-
-import numpy as np
 
 from .parameters import ModelParameters
 

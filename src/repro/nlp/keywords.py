@@ -17,8 +17,7 @@ stores.
 
 from __future__ import annotations
 
-import typing as t
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .entities import EntityRecognizer, EntityType
 from .stemming import cached_stem as stem

@@ -10,7 +10,6 @@ text in addition to its surface form.
 from __future__ import annotations
 
 import re
-import typing as t
 from dataclasses import dataclass
 
 __all__ = [

@@ -53,12 +53,9 @@ from .telemetry import (
     TELEMETRY_SCHEMA,
     HeadSampler,
     TelemetryWriter,
-    graft_spans,
-    pack_spans,
     read_telemetry,
     validate_telemetry_file,
     validate_telemetry_line,
-    worker_span_records,
 )
 
 __all__ = [
@@ -82,9 +79,7 @@ __all__ = [
     "format_attribution",
     "format_observe",
     "gauge_label",
-    "graft_spans",
     "merge_snapshots",
-    "pack_spans",
     "read_telemetry",
     "run_observe",
     "span_to_json",
@@ -92,7 +87,6 @@ __all__ = [
     "validate_jsonl_line",
     "validate_telemetry_file",
     "validate_telemetry_line",
-    "worker_span_records",
     "write_chrome_trace",
     "write_jsonl",
 ]

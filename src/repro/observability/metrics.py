@@ -44,6 +44,17 @@ def gauge_label(name: str, label: str) -> str:
     return f"{name}{{{label}}}"
 
 
+def _nearest_rank(ordered: t.Sequence[float], q: float) -> float:
+    """Nearest-rank ``q``-quantile of pre-sorted samples (0 when empty).
+
+    The one definition: :meth:`Histogram.percentile` and the SLO monitor's
+    rolling window (``repro.serving.slo``) both judge with it.
+    """
+    if not ordered:
+        return 0.0
+    return ordered[min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))]
+
+
 class Counter:
     """A monotonically increasing named value."""
 
@@ -148,11 +159,7 @@ class Histogram:
         """The ``q``-quantile (``q`` in [0, 1]) of the retained samples."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("q must be in [0, 1]")
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        idx = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-        return ordered[idx]
+        return _nearest_rank(sorted(self._samples), q)
 
     def to_dict(self) -> dict[str, t.Any]:
         """JSON form with count/sum/min/max/mean and p50/p95/p99."""

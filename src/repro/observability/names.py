@@ -183,7 +183,8 @@ SERVING_BATCH_BUFFER_WAIT_S = "serving.batch.buffer_wait_s"
 # -- cross-process telemetry plane (PR 8) -------------------------------------
 #: Questions whose worker-side detail trace was head-sampled.
 SERVING_TRACES_SAMPLED = "serving.traces_sampled"
-#: Worker-produced spans grafted into the server's stitched trees.
+#: Spans the server wrote under sampled questions' ``service`` spans
+#: (``worker`` root and module children) from the reply's timings.
 SERVING_TRACE_SPANS = "serving.trace_spans"
 #: Answered questions whose measured latency exceeded their sojourn
 #: budget (the admission deadline, enforced retrospectively).

@@ -1,26 +1,15 @@
-"""Cross-process telemetry: trace propagation, span stitching, sampling.
+"""Cross-process telemetry: head sampling and the ``telemetry.jsonl`` stream.
 
-The serving stack spans a front-end process plus N worker processes, so
-a question's span tree is born split: admission wait and micro-batch
-buffering happen in the server, QP/PR/PS/PO/AP happen in a worker whose
-``SpanStream`` dies with the process.  This module is the glue that
-makes one tree out of the pieces:
+The serving stack spans a front-end process plus N worker processes.  A
+question's span tree is nevertheless built in one place: every worker
+reply carries the five measured module timings, and the server writes
+the ``service`` subtree from them into its own ``SpanStream`` (see
+``serving/server.py``) — no span, and no trace context, crosses the
+process boundary.  What lives here:
 
-* the trace context — the bare ``(trace id, parent span id)`` tuple the
-  serving protocol carries on each request;
 * :class:`HeadSampler` — deterministic seed-keyed head sampling, decided
   per submission *after* admission (a pure function of ``seed:seq``), so
   enabling tracing can never perturb the accept/shed decision digest;
-* :func:`pack_spans` / :func:`graft_spans` — serialize a span subtree to
-  compact tuples (times relative to the subtree root, qid/node dropped)
-  and splice it back into another stream under a given parent, offset to
-  the stitching point — the server grafts each worker's subtree under
-  that question's ``service`` span, so the existing attribution fold
-  sums to end-to-end wall latency with no serving-specific code;
-* :func:`worker_span_records` — the worker-side subtree built from the
-  pipeline's measured :class:`~repro.qa.question.ModuleTimings`
-  (module spans clipped so they nest inside the measured service time,
-  keeping the attribution sum invariant by construction);
 * :class:`TelemetryWriter` / :func:`validate_telemetry_line` — the
   ``telemetry.jsonl`` exporter (sample / SLO / metrics records) and its
   schema validator, consumed by ``repro top`` and the CI smoke job.
@@ -33,32 +22,19 @@ import json
 import pathlib
 import typing as t
 
-from .spans import Span, SpanCategory, SpanStream
-
 if t.TYPE_CHECKING:  # pragma: no cover
-    from ..qa.question import ModuleTimings
     from .metrics import MetricsRegistry
 
 __all__ = [
     "TELEMETRY_SCHEMA",
     "HeadSampler",
     "TelemetryWriter",
-    "graft_spans",
-    "pack_spans",
     "read_telemetry",
     "validate_telemetry_file",
     "validate_telemetry_line",
-    "worker_span_records",
 ]
 
 TELEMETRY_SCHEMA = "telemetry/v1"
-
-#: One packed span: (sid, parent_sid, name, cat, t0_rel, t1_rel, detail,
-#: attrs-or-None).  Times are relative to the packed subtree's root t0;
-#: qid and node_id are omitted — the grafting side supplies both.
-PackedSpan = t.Tuple[
-    int, int, str, str, float, float, str, t.Optional[t.Dict[str, t.Any]]
-]
 
 
 class HeadSampler:
@@ -94,138 +70,6 @@ class HeadSampler:
     def trace_id(self, seq: int) -> str:
         """Stable, collision-resistant trace id for request ``seq``."""
         return f"{self._hash64(seq):016x}-{seq:x}"
-
-
-# -- span subtree pack / graft -------------------------------------------------
-def pack_spans(stream: SpanStream, root: Span) -> tuple[PackedSpan, ...]:
-    """Serialize ``root``'s subtree into compact wire tuples.
-
-    Parents precede children (depth-first subtree order), times are
-    relative to ``root.t0``, and the root itself packs with parent -1.
-    """
-    t0 = root.t0
-    out: list[PackedSpan] = []
-    in_tree = {root.sid}
-    for span in stream.subtree(root):
-        parent = span.parent_id if span.parent_id in in_tree else -1
-        in_tree.add(span.sid)
-        out.append(
-            (
-                span.sid,
-                parent if span is not root else -1,
-                span.name,
-                span.cat,
-                span.t0 - t0,
-                span.t1 - t0,
-                span.detail,
-                dict(span.attrs) if span.attrs else None,
-            )
-        )
-    return tuple(out)
-
-
-def graft_spans(
-    stream: SpanStream,
-    packed: t.Sequence[PackedSpan],
-    parent: Span | None,
-    qid: int,
-    node_id: int,
-    t_offset: float,
-) -> int:
-    """Splice packed spans into ``stream`` under ``parent``.
-
-    Packed roots (parent -1) attach to ``parent``; every span lands at
-    ``t_offset + its relative time`` with the given qid/node identity.
-    Returns the number of spans actually recorded (0 when the stream is
-    disabled or at its bound).
-    """
-    if not stream.enabled:
-        return 0
-    sid_map: dict[int, Span] = {}
-    count = 0
-    for sid, psid, name, cat, rel_t0, rel_t1, detail, attrs in packed:
-        par = sid_map.get(psid, parent)
-        span = stream.begin(
-            name,
-            cat,
-            qid,
-            node_id,
-            t_offset + rel_t0,
-            parent=par,
-            detail=detail,
-        )
-        if span is None:
-            continue
-        span.t1 = t_offset + rel_t1
-        if attrs:
-            span.attrs.update(attrs)
-        sid_map[sid] = span
-        count += 1
-    return count
-
-
-def worker_span_records(
-    timings: "ModuleTimings",
-    service_s: float,
-    qid: int = 0,
-    node_id: int = 0,
-    batch: tuple[int, int, float, float] | None = None,
-) -> tuple[PackedSpan, ...]:
-    """The worker-side span subtree for one executed question.
-
-    A ``worker`` compute root spans the whole measured service time, with
-    the pipeline modules as sequential children; in batched execution the
-    PR phase is wrapped in a ``stage:PR-batch`` partition span carrying
-    the batch's sharing stats (the same shape the server used to
-    synthesize, now measured at the source).  Module durations are
-    clipped so the children always nest inside the root — the attribution
-    fold's sum-to-wall invariant holds for any timings.
-    """
-    service_s = max(0.0, service_s)
-    stream = SpanStream()
-    root = stream.begin(
-        "worker", SpanCategory.COMPUTE, qid, node_id, 0.0
-    )
-    assert root is not None
-    cursor = 0.0
-    for name, dur in (
-        ("qp", timings.qp),
-        ("pr", timings.pr),
-        ("ps", timings.ps),
-        ("po", timings.po),
-        ("ap", timings.ap),
-    ):
-        dur = min(max(0.0, dur), service_s - cursor)
-        if name == "pr" and batch is not None:
-            batch_size, n_distinct, sharing, amortized = batch
-            stage = stream.begin(
-                "stage:PR-batch",
-                SpanCategory.PARTITION,
-                qid,
-                node_id,
-                cursor,
-                parent=root,
-            )
-            pr_span = stream.begin(
-                "pr", SpanCategory.COMPUTE, qid, node_id, cursor, parent=stage
-            )
-            stream.end(pr_span, cursor + dur)
-            stream.end(
-                stage,
-                cursor + dur,
-                batch_size=batch_size,
-                n_distinct=n_distinct,
-                sharing_factor=sharing,
-                amortized_postings_scanned=amortized,
-            )
-        else:
-            span = stream.begin(
-                name, SpanCategory.COMPUTE, qid, node_id, cursor, parent=root
-            )
-            stream.end(span, cursor + dur)
-        cursor += dur
-    stream.end(root, service_s)
-    return pack_spans(stream, root)
 
 
 # -- telemetry.jsonl exporter --------------------------------------------------

@@ -18,7 +18,6 @@ values fitted against the default corpus (see EXPERIMENTS.md).
 from __future__ import annotations
 
 import math
-import typing as t
 from dataclasses import dataclass, replace
 
 __all__ = ["ReferenceHardware", "CostModel", "ModuleCost"]

@@ -31,7 +31,6 @@ import typing as t
 from array import array
 
 from ..nlp.stemming import cached_stem as stem
-from ..nlp.stopwords import is_stopword
 from ..nlp.tokenizer import tokenize
 from ..retrieval.inverted_index import ParagraphTerms
 from ..retrieval.paragraphs import Paragraph

@@ -24,18 +24,12 @@ Two construction paths:
 from __future__ import annotations
 
 import typing as t
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..nlp.entities import EntityRecognizer
-from .answer_processing import AnswerProcessor
 from .costs import CostModel, ModuleCost
-from .paragraph_ordering import ParagraphOrderer
-from .paragraph_retrieval import ParagraphRetriever
-from .paragraph_scoring import ParagraphScorer
 from .question import Question
-from .question_processing import QuestionProcessor
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from .pipeline import QAPipeline

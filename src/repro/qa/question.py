@@ -10,7 +10,6 @@ distributed system can cheaply migrate work at the module boundaries.
 
 from __future__ import annotations
 
-import typing as t
 from dataclasses import dataclass, field
 
 from ..nlp.entities import EntityType

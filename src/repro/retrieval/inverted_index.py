@@ -49,7 +49,7 @@ from ..corpus.generator import Document, SubCollection
 from ..nlp.stemming import SHARED_STEM_CACHE, StemCache
 from ..nlp.stopwords import is_stopword
 from ..nlp.tokenizer import Token, tokenize
-from ..nlp.vocabulary import MISSING_ID, SHARED_VOCABULARY, Vocabulary
+from ..nlp.vocabulary import SHARED_VOCABULARY, Vocabulary
 from .paragraphs import Paragraph, split_paragraphs
 
 __all__ = [

@@ -8,7 +8,6 @@ bodies effectively did.
 
 from __future__ import annotations
 
-import typing as t
 from dataclasses import dataclass
 
 __all__ = ["Paragraph", "split_paragraphs"]

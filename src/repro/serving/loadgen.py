@@ -142,16 +142,16 @@ def _warm(
     A worker's first visit to a paragraph runs the entity recognizer over
     it and later visits do not, and its conjunction caches start empty;
     on a run of a few dozen questions that lazy set-up, not queueing,
-    would set p99.  Each worker gets the distinct questions as one batch
-    request (a worker serves a batch whole, so while it is busy the next
-    batch goes to an idle peer), and the completions are consumed here,
-    before the server has anything in flight.
+    would set p99.  Each worker gets the distinct questions as one unit
+    (a worker serves a unit whole, so while it is busy the next unit
+    goes to an idle peer), and the completions are consumed here, before
+    the server has anything in flight.
     """
     distinct = list(dict.fromkeys(workload))
     copies = max(1, workers)
     now = time.time()
     for c in range(copies):
-        pool.submit_batch(
+        pool.submit(
             [
                 (-1 - (c * len(distinct) + k), qid, text, now)
                 for k, (qid, text) in enumerate(distinct)
@@ -189,21 +189,16 @@ def _calibrate(
     try:
         _warm(pool, workload, workers)
         t0 = time.time()
-        if batch_max > 1:
-            # Mirror the server's micro-batcher: chunks of batch_max, so
-            # calibration measures the *batched* saturation throughput.
-            for i0 in range(0, k, batch_max):
-                chunk = items[i0 : i0 + batch_max]
-                now = time.time()
-                pool.submit_batch(
-                    [
-                        (i0 + j, qid, text, now)
-                        for j, (qid, text) in enumerate(chunk)
-                    ]
-                )
-        else:
-            for i, (qid, text) in enumerate(items):
-                pool.submit(i, qid, text, time.time())
+        # Mirror the server's micro-batcher: units of batch_max, so
+        # calibration measures the *batched* saturation throughput.
+        for i0 in range(0, k, batch_max):
+            now = time.time()
+            pool.submit(
+                [
+                    (i0 + j, qid, text, now)
+                    for j, (qid, text) in enumerate(items[i0 : i0 + batch_max])
+                ]
+            )
         results = _collect(pool, k, 120.0)
         wall_s = max(time.time() - t0, 1e-9)
     finally:
@@ -223,7 +218,7 @@ def _calibrate(
         #: Modelled per-question service such that ``max_concurrent``
         #: slots reproduce the measured capacity.
         "est_service_s": server.admission.max_concurrent / saturation_qps,
-        "workers": getattr(pool, "workers", 0),
+        "workers": pool.workers,
     }
 
 
@@ -281,8 +276,7 @@ def _run_once(
         services = [r.service_s for r in answered]
         decision_key = server.admission.decision_key()
         digest = hashlib.sha256(repr(decision_key).encode("utf-8")).hexdigest()
-        attach = getattr(server.pool, "attach_report", {})
-        sources = [src for src, _ in attach.values()]
+        sources = [src for src, _ in server.pool.attach_report.values()]
         run: dict[str, t.Any] = {
             "label": label,
             "load_factor": load_factor,

@@ -95,8 +95,9 @@ class ServeResponse:
     answers: tuple[tuple[str, float], ...] = ()
     #: Measured seconds from submit to completion (ANSWERED only).
     latency_s: float = 0.0
-    #: Measured seconds the request waited before a worker picked it up,
-    #: time in the micro-batch buffer included.
+    #: Measured seconds the request waited before a worker started on it:
+    #: the micro-batch buffer, the request queue and, for a batch member,
+    #: the service of the members ahead of it in its unit.
     admission_wait_s: float = 0.0
     #: Measured seconds of pipeline execution.
     service_s: float = 0.0

@@ -19,28 +19,29 @@ ways at once:
   existing attribution pass can fold admission wait into its
   ``queueing`` bucket with no serving-specific code.
 
-The telemetry plane (PR 8) extends the span story across the process
-boundary: when a question is **head-sampled** (a deterministic function
-of ``trace_seed`` and the submission sequence number, decided *after*
-admission so the accept/shed digest is unchanged), the request carries
-a trace context to the worker, the worker returns its measured
-module-level span subtree with the reply, and the server grafts that
-subtree under the question's ``service`` span — one stitched tree per
-question, crossing server and worker, whose attribution fold still sums
-exactly to the end-to-end wall latency.  A rolling-window
+The span story crosses the process boundary without the wire knowing:
+every reply carries the worker's five measured module timings, and the
+server alone builds the question's tree (:func:`_service_subtree`).
+When a question is **head-sampled** (a deterministic function of
+``trace_seed`` and the submission sequence number, decided *after*
+admission so the accept/shed digest is unchanged, and remembered in
+``_Pending`` — the worker never hears of it), its ``service`` span gets
+a ``worker`` subtree of module spans — one stitched tree per question
+whose attribution fold still sums exactly to the end-to-end wall
+latency.  A rolling-window
 :class:`~repro.serving.slo.SLOMonitor` watches completions, and an
 optional :class:`~repro.observability.telemetry.TelemetryWriter`
 streams sampled/forced per-question records plus SLO transitions to a
 ``telemetry.jsonl`` file.
 
-Dispatch is **work-conserving**: with ``batch_max > 1`` an accepted
-request goes to the pool at once whenever a worker is idle (the pool
-counts dispatched-and-unfinished units), as a plain single-question
-request.  Requests are buffered only while every worker is busy, and
-the buffer is flushed as one ``answer_batch`` unit when it reaches
-``batch_max``, when its oldest request has waited ``batch_wait_s``, or
-the moment a completion frees a worker — so batch size follows load
-(≈1 when idle, ``batch_max`` at saturation) instead of a timer.
+Dispatch is **work-conserving**: an accepted request joins one buffer,
+which goes to the pool as one unit at once whenever a worker is idle
+(the pool counts dispatched-and-unfinished units).  Requests stay
+buffered only while every worker is busy, and the buffer is flushed
+when it reaches ``batch_max`` (at ``batch_max == 1``: always), when its
+oldest request has waited ``batch_wait_s``, or the moment a completion
+frees a worker — so unit size follows load (≈1 when idle,
+``batch_max`` at saturation) instead of a timer.
 
 Lifecycle: ``start() -> submit()* / poll()* -> drain() -> stop()``.
 ``drain`` is graceful: admission flips to shedding ``DRAINING``,
@@ -77,7 +78,7 @@ from ..observability.names import (
     SERVING_WORKER_ERRORS,
 )
 from ..observability.spans import Span, SpanCategory, SpanStream
-from ..observability.telemetry import HeadSampler, TelemetryWriter, graft_spans
+from ..observability.telemetry import HeadSampler, TelemetryWriter
 from .admission import AdmissionConfig, AdmissionController, AdmissionDecision
 from .protocol import (
     ConservationLedger,
@@ -106,9 +107,9 @@ class ServerConfig:
     #: Seconds in-flight questions get to finish at shutdown.
     drain_timeout_s: float = 60.0
     #: Admission-side micro-batcher: the most accepted questions handed
-    #: to one worker as a single ``answer_batch`` unit.  A question is
-    #: buffered only while every worker is busy; while one is idle it is
-    #: dispatched at once, alone.  ``1`` bypasses the batcher.  Admission
+    #: to one worker as a single unit.  A question is buffered only
+    #: while every worker is busy; while one is idle it is dispatched at
+    #: once, alone.  At ``1`` every unit is one question.  Admission
     #: decisions are made *before* buffering, so the accept/shed decision
     #: sequence (and the loadgen's decision digest) is byte-identical to
     #: unbatched serving by construction.
@@ -145,12 +146,74 @@ class _Pending:
     #: Sojourn budget the admission deadline implies, judged
     #: retrospectively at completion.
     deadline_budget_s: float = 0.0
-    #: Whether this question's worker-side trace was head-sampled.
+    #: Whether this question was head-sampled; ``trace_id`` is set when
+    #: it also gets the stitched ``worker`` subtree (spans enabled).
     sampled: bool = False
     trace_id: str = ""
     #: Pre-opened spans, ended at completion (or at drain).
     root: Span | None = None
     admission_span: Span | None = None
+
+
+def _service_subtree(
+    spans: SpanStream,
+    service: Span | None,
+    timings: tuple[float, float, float, float, float],
+    service_s: float,
+    batch: tuple[int, int, float, float] | None,
+    sampled: bool,
+) -> int:
+    """Write ``service``'s children from a reply's measured module timings.
+
+    Sampled: a ``worker`` compute root spanning the whole service time
+    with the pipeline modules as sequential children, each clipped so it
+    nests inside the root — the attribution fold's sum-to-wall invariant
+    holds for any timings.  Batched: the PR phase sits in a
+    ``stage:PR-batch`` partition span carrying the unit's sharing stats;
+    an unsampled batch member gets that pair alone (critical-path compute
+    == pr, so the categories still sum exactly).  Returns the number of
+    spans written.
+    """
+    if service is None or (batch is None and not sampled):
+        return 0
+    before = len(spans)
+    qid, pid, t0 = service.qid, service.node_id, service.t0
+    service_s = max(0.0, service_s)
+    parent: Span | None = service
+    modules: t.Iterable[tuple[str, float]] = (("pr", timings[1]),)
+    if sampled:
+        parent = spans.begin(
+            "worker", SpanCategory.COMPUTE, qid, pid, t0, parent=service
+        )
+        modules = zip(("qp", "pr", "ps", "po", "ap"), timings)
+    cursor = 0.0
+    for name, dur in modules:
+        dur = min(max(0.0, dur), service_s - cursor)
+        stage = None
+        if name == "pr" and batch is not None:
+            stage = spans.begin(
+                "stage:PR-batch", SpanCategory.PARTITION, qid, pid,
+                t0 + cursor, parent=parent,
+            )
+        span = spans.begin(
+            name, SpanCategory.COMPUTE, qid, pid, t0 + cursor,
+            parent=stage or parent,
+        )
+        spans.end(span, t0 + (cursor + dur))
+        if stage is not None:
+            batch_size, n_distinct, sharing, amortized = batch
+            spans.end(
+                stage,
+                t0 + (cursor + dur),
+                batch_size=batch_size,
+                n_distinct=n_distinct,
+                sharing_factor=sharing,
+                amortized_postings_scanned=amortized,
+            )
+        cursor += dur
+    if sampled:
+        spans.end(parent, t0 + service_s)
+    return len(spans) - before
 
 
 class QAServer:
@@ -187,9 +250,9 @@ class QAServer:
         #: Latest logical timestamp fed to the SLO monitor (drain reuses it).
         self._slo_last_t = 0.0
         self._pending: dict[int, _Pending] = {}
-        #: Accepted-but-unsent requests awaiting a micro-batch flush;
-        #: entries are ``(seq, qid, text, submit_wall, trace-or-None)``.
-        self._batch_buf: list[tuple[t.Any, ...]] = []
+        #: Accepted-but-unsent requests ``(seq, qid, text, submit_wall)``:
+        #: the next unit.
+        self._batch_buf: list[tuple[int, int, str, float]] = []
         self._next_seq = 0
         self._started = False
         self._drained = False
@@ -270,7 +333,6 @@ class QAServer:
                 deadline_budget_s=max(0.0, budget),
                 sampled=sampled,
             )
-            trace: tuple[str, int] | None = None
             if self.spans.enabled:
                 # Pre-open the stitched tree's server-side spans; the
                 # completion (or drain) path ends them, so even drained
@@ -284,20 +346,14 @@ class QAServer:
                 )
                 if sampled and pending.root is not None:
                     pending.trace_id = self.sampler.trace_id(seq)
-                    trace = (pending.trace_id, pending.root.sid)
                     self.metrics.inc(SERVING_TRACES_SAMPLED)
             self._pending[seq] = pending
             if self.metrics.enabled:
                 self.metrics.gauge(SERVING_QUEUE_DEPTH).set(
                     float(len(self._pending))
                 )
-            if self._batching:
-                self._batch_buf.append((seq, qid, text, submit_wall, trace))
-                self._pump_batch()
-            elif trace is not None:
-                self.pool.submit(seq, qid, text, submit_wall, trace)
-            else:
-                self.pool.submit(seq, qid, text, submit_wall)
+            self._batch_buf.append((seq, qid, text, submit_wall))
+            self._pump_batch()
         else:
             reason = decision.shed_reason or ShedReason.QUEUE_FULL
             self.ledger.record(Outcome.SHED, reason)
@@ -334,10 +390,6 @@ class QAServer:
         return decision
 
     # -- micro-batching ----------------------------------------------------------
-    @property
-    def _batching(self) -> bool:
-        return self.config.batch_max > 1 and hasattr(self.pool, "submit_batch")
-
     def _flush_batch(self) -> None:
         """Hand the buffered accepted requests to one worker as one unit."""
         buf = self._batch_buf
@@ -349,12 +401,7 @@ class QAServer:
             self.metrics.observe(
                 SERVING_BATCH_BUFFER_WAIT_S, max(0.0, time.time() - buf[0][3])
             )
-        if len(buf) == 1:
-            # A unit of one is a plain request: ``answer`` gives the same
-            # outputs as ``answer_batch`` of one without the planner pass.
-            self.pool.submit(*buf[0])
-        else:
-            self.pool.submit_batch(buf)
+        self.pool.submit(buf)
 
     def _pump_batch(self) -> None:
         """The flush rule: never hold a request while a worker is idle.
@@ -381,7 +428,7 @@ class QAServer:
             pending.deadline_budget_s > 0
             and latency > pending.deadline_budget_s
         )
-        stitched = res.spans is not None and pending.sampled
+        stitched = bool(pending.trace_id)
         response = ServeResponse(
             seq=res.seq,
             qid=res.qid,
@@ -420,41 +467,12 @@ class QAServer:
                 "service", SpanCategory.COMPUTE, res.qid,
                 node_id=res.worker_pid, time=wait_end, parent=root,
             )
-            if stitched and service is not None:
-                # Graft the worker's measured subtree under ``service``:
-                # the stitched tree crosses the process boundary, and
-                # because the worker root spans exactly ``service_s``
-                # the attribution fold still sums to the question wall.
-                _trace_id, _parent_sid, packed = res.spans
-                grafted = graft_spans(
-                    self.spans, packed, service,
-                    qid=res.qid, node_id=res.worker_pid, t_offset=wait_end,
-                )
-                self.metrics.inc(SERVING_TRACE_SPANS, grafted)
-            elif res.batch is not None:
-                # Batched execution without a worker trace: synthesize
-                # the amortized PR phase as a stage:PR-batch child so
-                # the attribution fold sees the sharing (critical-path
-                # compute == pr, so the categories still sum exactly).
-                batch_size, n_distinct, sharing, amortized = res.batch
-                pr_s = min(max(0.0, res.pr_s), res.service_s)
-                stage = self.spans.begin(
-                    "stage:PR-batch", SpanCategory.PARTITION, res.qid,
-                    node_id=res.worker_pid, time=wait_end, parent=service,
-                )
-                pr_span = self.spans.begin(
-                    "pr", SpanCategory.COMPUTE, res.qid,
-                    node_id=res.worker_pid, time=wait_end, parent=stage,
-                )
-                self.spans.end(pr_span, wait_end + pr_s)
-                self.spans.end(
-                    stage,
-                    wait_end + pr_s,
-                    batch_size=batch_size,
-                    n_distinct=n_distinct,
-                    sharing_factor=sharing,
-                    amortized_postings_scanned=amortized,
-                )
+            written = _service_subtree(
+                self.spans, service, res.timings, res.service_s, res.batch,
+                stitched,
+            )
+            if stitched:
+                self.metrics.inc(SERVING_TRACE_SPANS, written)
             self.spans.end(service, wait_end + res.service_s)
             attrs: dict[str, t.Any] = {"outcome": "answered"}
             if pending.trace_id:
@@ -475,7 +493,7 @@ class QAServer:
                 and latency > self.slo.config.p99_target_s
             )
             forced = violated or slow
-            if stitched or pending.sampled or forced:
+            if pending.sampled or forced:
                 reason = None
                 if violated:
                     reason = "deadline_violated"
@@ -588,7 +606,7 @@ class QAServer:
         agg = MetricsRegistry()
         if self.metrics.enabled and len(self.metrics):
             agg.merge_snapshot(self.metrics.snapshot())
-        snaps = getattr(self.pool, "worker_snapshots", None) or {}
+        snaps = self.pool.worker_snapshots
         for pid in sorted(snaps):
             agg.merge_snapshot(snaps[pid], label=f"worker={pid}")
         return agg

@@ -24,7 +24,9 @@ from __future__ import annotations
 import enum
 import typing as t
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from ..observability.metrics import _nearest_rank
 
 __all__ = [
     "SLOConfig",
@@ -115,14 +117,6 @@ class SLOReport:
         }
 
 
-def _pct(ordered: list[float], q: float) -> float:
-    """Nearest-rank percentile over pre-sorted samples (0 when empty)."""
-    if not ordered:
-        return 0.0
-    idx = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[idx]
-
-
 class SLOMonitor:
     """Deterministic rolling-window SLO state machine.
 
@@ -182,9 +176,9 @@ class SLOMonitor:
         n_shed = len(self._shed)
         n_total = n_answered + n_shed
         shed_rate = n_shed / n_total if n_total else 0.0
-        p50 = _pct(latencies, 0.50)
-        p95 = _pct(latencies, 0.95)
-        p99 = _pct(latencies, 0.99)
+        p50 = _nearest_rank(latencies, 0.50)
+        p95 = _nearest_rank(latencies, 0.95)
+        p99 = _nearest_rank(latencies, 0.99)
         violations = sum(1 for *_, v in self._answered if v)
 
         # Busy fraction per worker: window service seconds / window span.

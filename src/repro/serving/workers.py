@@ -13,17 +13,22 @@ Two interchangeable executors sit behind
 * :class:`InlineExecutor` — single-process synchronous execution for
   tests and the ``workers=0`` debug mode; same result surface, no IPC.
 
-Both speak :class:`ExecutionResult`, the minimal completion record the
-server folds into ledger + metrics + spans, and both run a dispatched
-unit through the same :func:`_execute`.  A unit is what one worker takes
-in one piece: a plain request tuple ``(seq, qid, text, submit_wall,
-trace)``, run through ``QAPipeline.answer``, or — when the micro-batcher
-flushed more than one request — ``("batch", [tuples...])``, run through
-``QAPipeline.answer_batch`` so duplicate questions replay and posting
-fetches are shared.  ``trace`` is the optional ``(trace id, parent span
-id)`` pair: when present, the worker returns a packed span subtree built
-from its measured module timings with the reply, which the server grafts
-into its own stream to form one stitched tree per question.
+Both speak :class:`ExecutionResult`, the completion record the server
+folds into ledger + metrics + spans, and both run a dispatched unit
+through the same :func:`_execute`.  The wire has one shape per hop: a
+**request** is ``(seq, qid, text, submit_wall)``, a **unit** — what one
+worker takes in one piece — is a list of requests, and ``submit(unit)``
+is the only way to dispatch.  A unit of one runs through
+``QAPipeline.answer``; a longer one through ``QAPipeline.answer_batch``,
+so duplicate questions replay and posting fetches are shared.  Every
+reply record carries the five module timings the worker measured; what
+the server draws from them (see ``server.py``) is none of the worker's
+business, so nothing about tracing travels on the wire.
+
+The pool surface the server, the loadgen and the tests' fakes rely on
+is ``start``, ``submit``, ``poll``, ``drain``, ``stop`` and the
+attributes ``idle_workers``, ``workers``, ``attach_report`` and
+``worker_snapshots``.
 
 IPC: requests go out on one shared ``multiprocessing.Queue`` (FIFO
 hand-off to whichever worker is free); replies come back on one
@@ -60,11 +65,9 @@ from multiprocessing.connection import Connection
 
 from ..corpus import CorpusConfig
 from ..observability.metrics import MetricsRegistry
-from ..observability.telemetry import worker_span_records
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from ..qa import QAPipeline
-    from ..observability.telemetry import PackedSpan
 
 __all__ = ["ExecutionResult", "InlineExecutor", "ProcessWorkerPool"]
 
@@ -78,6 +81,13 @@ _SNAPSHOT_EVERY = 16
 _START_TIMEOUT_S = 120.0
 
 
+#: One question on the wire: ``(seq, qid, text, submit_wall)``.
+_Request = t.Tuple[int, int, str, float]
+
+#: Module timings of a question whose pipeline raised.
+_NO_TIMINGS = (0.0, 0.0, 0.0, 0.0, 0.0)
+
+
 @dataclass(frozen=True, slots=True)
 class ExecutionResult:
     """One completed question, as reported by an executor."""
@@ -85,21 +95,21 @@ class ExecutionResult:
     seq: int
     qid: int
     answers: tuple[tuple[str, float], ...]
-    #: Seconds between submit and a worker picking the request up; this
-    #: includes any time the request sat in the server's micro-batch buffer.
+    #: Seconds between submit and the worker starting on this question:
+    #: time in the server's micro-batch buffer, in the request queue, and
+    #: — for a batch member — the service of the members ahead of it in
+    #: its unit, so one worker's service intervals never overlap.
     wait_s: float
     #: Seconds of pipeline execution.
     service_s: float
     worker_pid: int
     error: str = ""
-    #: Seconds of the PR phase inside ``service_s`` (0 when unknown).
-    pr_s: float = 0.0
+    #: Measured module seconds ``(qp, pr, ps, po, ap)`` inside
+    #: ``service_s``; all zero when the pipeline raised.
+    timings: tuple[float, float, float, float, float] = _NO_TIMINGS
     #: When executed as part of a micro-batch: (batch_size, n_distinct,
     #: sharing_factor, amortized_postings_scanned); ``None`` otherwise.
     batch: tuple[int, int, float, float] | None = None
-    #: Sampled-trace reply: (trace_id, parent_sid, packed span subtree);
-    #: ``None`` when the request carried no trace context.
-    spans: tuple[str, int, tuple["PackedSpan", ...]] | None = None
 
 
 def _digest_answers(answers: t.Sequence[t.Any]) -> tuple[tuple[str, float], ...]:
@@ -107,31 +117,10 @@ def _digest_answers(answers: t.Sequence[t.Any]) -> tuple[tuple[str, float], ...]
     return tuple((a.text, float(a.score)) for a in answers[:_MAX_ANSWERS])
 
 
-def _request_fields(
-    item: t.Sequence[t.Any],
-) -> tuple[int, int, str, float, tuple[str, int] | None]:
-    """Unpack a request tuple; the trace element is optional (wire compat)."""
-    seq, qid, text, submit_wall = item[0], item[1], item[2], item[3]
-    trace = item[4] if len(item) > 4 else None
-    return seq, qid, text, submit_wall, trace
-
-
-def _span_reply(
-    trace: tuple[str, int] | None,
-    timings: t.Any,
-    service_s: float,
-    batch: tuple[int, int, float, float] | None = None,
-) -> tuple[str, int, tuple["PackedSpan", ...]] | None:
-    """The packed worker subtree a traced request gets back with its reply."""
-    if trace is None:
-        return None
-    return trace[0], trace[1], worker_span_records(timings, service_s, batch=batch)
-
-
 def _execute(
-    pipeline: "QAPipeline", unit: tuple[t.Any, ...], pid: int
+    pipeline: "QAPipeline", unit: t.Sequence[_Request], pid: int
 ) -> list[tuple[t.Any, ...]]:
-    """Run one dispatched unit: a plain request or ``("batch", [requests])``.
+    """Run one dispatched unit: ``answer`` for one request, else ``answer_batch``.
 
     Returns one record per question, in :class:`ExecutionResult` field
     order (the reply wire format).  A pipeline exception is caught here —
@@ -140,66 +129,44 @@ def _execute(
     """
     picked_wall = time.time()
     t0 = time.perf_counter()
-    if unit[0] == "batch":
-        entries: list[tuple[t.Any, ...]] = unit[1]
-        try:
-            results = pipeline.answer_batch(
-                [e[2] for e in entries], [e[1] for e in entries]
-            )
-        except Exception as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            per_item = (time.perf_counter() - t0) / max(1, len(entries))
-            return [
-                (e[0], e[1], (), max(0.0, picked_wall - e[3]), per_item, pid, error)
-                for e in entries
-            ]
-        stats = pipeline.last_batch_stats
-        binfo = (
-            len(entries),
-            stats.n_distinct,
-            stats.sharing_factor,
-            stats.amortized_postings_scanned,
-        )
-        records = []
-        for entry, r in zip(entries, results):
-            seq, qid, _text, submit_wall, trace = _request_fields(entry)
-            records.append(
-                (
-                    seq,
-                    qid,
-                    _digest_answers(r.answers),
-                    max(0.0, picked_wall - submit_wall),
-                    r.timings.total,
-                    pid,
-                    "",
-                    r.timings.pr,
-                    binfo,
-                    _span_reply(trace, r.timings, r.timings.total, binfo),
-                )
-            )
-        return records
-    seq, qid, text, submit_wall, trace = _request_fields(unit)
-    wait_s = max(0.0, picked_wall - submit_wall)
+    binfo = None
+    error = ""
     try:
-        result = pipeline.answer(text, qid=qid)
+        if len(unit) == 1:
+            results = [pipeline.answer(unit[0][2], qid=unit[0][1])]
+        else:
+            results = pipeline.answer_batch(
+                [req[2] for req in unit], [req[1] for req in unit]
+            )
+            stats = pipeline.last_batch_stats
+            binfo = (
+                len(unit),
+                stats.n_distinct,
+                stats.sharing_factor,
+                stats.amortized_postings_scanned,
+            )
     except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
-        return [(seq, qid, (), wait_s, time.perf_counter() - t0, pid, error)]
-    service_s = time.perf_counter() - t0
-    return [
-        (
-            seq,
-            qid,
-            _digest_answers(result.answers),
-            wait_s,
-            service_s,
-            pid,
-            "",
-            result.timings.pr,
-            None,
-            _span_reply(trace, result.timings, service_s),
+        results = [None] * len(unit)
+    share_s = (time.perf_counter() - t0) / max(1, len(unit))
+    records = []
+    ahead_s = 0.0  # service of this unit's earlier members: they ran first
+    for (seq, qid, _text, submit_wall), r in zip(unit, results):
+        if r is None:
+            answers, timings, service_s = (), _NO_TIMINGS, share_s
+        else:
+            tm = r.timings
+            answers = _digest_answers(r.answers)
+            timings = (tm.qp, tm.pr, tm.ps, tm.po, tm.ap)
+            # A lone question is charged the whole measured call, a batch
+            # member its own module time (the planner pass is the unit's).
+            service_s = share_s if binfo is None else tm.total
+        wait_s = max(0.0, picked_wall - submit_wall) + ahead_s
+        records.append(
+            (seq, qid, answers, wait_s, service_s, pid, error, timings, binfo)
         )
-    ]
+        ahead_s += service_s
+    return records
 
 
 def _worker_main(
@@ -307,21 +274,11 @@ class ProcessWorkerPool:
         """Live workers beyond the dispatched-and-unfinished units."""
         return max(0, len(self._readers) - self._outstanding)
 
-    def submit(
-        self,
-        seq: int,
-        qid: int,
-        text: str,
-        submit_wall: float,
-        trace: tuple[str, int] | None = None,
-    ) -> None:
+    def submit(self, unit: t.Sequence[_Request]) -> None:
+        """Hand one unit (a list of requests) to whichever worker is free."""
         self._outstanding += 1
-        self._requests.put((seq, qid, text, submit_wall, trace))
-
-    def submit_batch(self, items: t.Sequence[tuple[t.Any, ...]]) -> None:
-        """Hand a micro-batch to one worker as a single request."""
-        self._outstanding += 1
-        self._requests.put(("batch", list(items)))
+        # Copied: the queue's feeder thread pickles it after we return.
+        self._requests.put(list(unit))
 
     def _receive(self, timeout_s: float) -> list[ExecutionResult]:
         """Read every reply pipe that becomes readable within ``timeout_s``."""
@@ -404,21 +361,7 @@ class InlineExecutor:
     def idle_workers(self) -> int:
         return 0 if self._completed else 1
 
-    def submit(
-        self,
-        seq: int,
-        qid: int,
-        text: str,
-        submit_wall: float,
-        trace: tuple[str, int] | None = None,
-    ) -> None:
-        self._run((seq, qid, text, submit_wall, trace))
-
-    def submit_batch(self, items: t.Sequence[tuple[t.Any, ...]]) -> None:
-        """Execute a micro-batch inline through ``answer_batch``."""
-        self._run(("batch", list(items)))
-
-    def _run(self, unit: tuple[t.Any, ...]) -> None:
+    def submit(self, unit: t.Sequence[_Request]) -> None:
         self._completed.extend(
             ExecutionResult(*rec) for rec in _execute(self.pipeline, unit, 0)
         )
@@ -429,9 +372,9 @@ class InlineExecutor:
 
     def drain(self, timeout_s: float) -> list[ExecutionResult]:
         """Inline drain; also publishes the pipeline's metrics snapshot."""
-        pipeline_metrics = getattr(self.pipeline, "metrics", None)
-        if pipeline_metrics is not None and len(pipeline_metrics):
-            self.worker_snapshots[0] = pipeline_metrics.snapshot()
+        metrics = self.pipeline.metrics
+        if metrics is not None and len(metrics):
+            self.worker_snapshots[0] = metrics.snapshot()
         return self.poll()
 
     def stop(self) -> None:

@@ -10,8 +10,6 @@ tests."
 
 from __future__ import annotations
 
-import typing as t
-
 import numpy as np
 
 __all__ = ["staggered_arrivals", "poisson_arrivals", "high_load_count"]

@@ -28,11 +28,10 @@ def percentile(samples: t.Sequence[float], q: float) -> float:
     (linearly interpolated, matching ``numpy.percentile``) — the
     experiments used to hand-roll their own nearest-rank variants.
 
-    Two other quantile routines remain and neither writes a report:
-    ``serving.slo._pct`` is nearest-rank inside the SLO state machine,
-    whose transitions ``tests/serving/test_slo.py`` pins, and
-    ``observability.metrics.Histogram.percentile`` interpolates bucket
-    bounds because a histogram keeps no samples.
+    One other definition remains and writes no report: the nearest-rank
+    one in ``observability.metrics``, behind ``Histogram.percentile``
+    (over the samples a histogram retains) and the SLO state machine,
+    whose transitions ``tests/serving/test_slo.py`` pins.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must be in [0, 1]")

@@ -1,4 +1,4 @@
-"""Cross-process telemetry: sampling, pack/graft stitching, telemetry.jsonl."""
+"""Cross-process telemetry: sampling, the service subtree, telemetry.jsonl."""
 
 import json
 
@@ -9,14 +9,11 @@ from repro.observability.spans import SpanCategory, SpanStream
 from repro.observability.telemetry import (
     HeadSampler,
     TelemetryWriter,
-    graft_spans,
-    pack_spans,
     read_telemetry,
     validate_telemetry_file,
     validate_telemetry_line,
-    worker_span_records,
 )
-from repro.qa.question import ModuleTimings
+from repro.serving.server import _service_subtree
 
 
 class TestHeadSampler:
@@ -46,51 +43,9 @@ class TestHeadSampler:
             HeadSampler(1.5)
 
 
-class TestPackGraft:
-    def _subtree(self):
-        stream = SpanStream()
-        root = stream.begin("worker", SpanCategory.COMPUTE, 5, 3, 100.0)
-        child = stream.begin(
-            "pr", SpanCategory.COMPUTE, 5, 3, 100.1, parent=root
-        )
-        stream.end(child, 100.4, postings=12)
-        stream.end(root, 100.5)
-        return stream, root
-
-    def test_pack_is_relative_and_parent_first(self):
-        stream, root = self._subtree()
-        packed = pack_spans(stream, root)
-        assert [p[2] for p in packed] == ["worker", "pr"]
-        assert packed[0][1] == -1  # root packs parent -1
-        assert packed[0][4] == 0.0 and packed[0][5] == pytest.approx(0.5)
-        assert packed[1][4] == pytest.approx(0.1)
-        assert packed[1][7] == {"postings": 12}
-
-    def test_graft_round_trip_preserves_structure(self):
-        src, root = self._subtree()
-        packed = pack_spans(src, root)
-        dst = SpanStream()
-        parent = dst.begin("service", SpanCategory.COMPUTE, 9, 7, 20.0)
-        n = graft_spans(dst, packed, parent, qid=9, node_id=7, t_offset=20.0)
-        assert n == 2
-        names = {s.name: s for s in dst.spans}
-        worker = names["worker"]
-        assert worker.parent_id == parent.sid
-        assert worker.qid == 9 and worker.node_id == 7
-        assert worker.t0 == pytest.approx(20.0)
-        assert names["pr"].parent_id == worker.sid
-        assert names["pr"].attrs == {"postings": 12}
-
-    def test_graft_into_disabled_stream_is_a_noop(self):
-        src, root = self._subtree()
-        packed = pack_spans(src, root)
-        dst = SpanStream(enabled=False)
-        assert graft_spans(dst, packed, None, 0, 0, 0.0) == 0
-
-
 class TestWorkerSpanRecords:
-    def _fold(self, packed, wait_s=0.2, service_s=0.5):
-        """Stitch packed spans into a serve/admission/service tree and fold."""
+    def _fold(self, timings, service_s, batch=None, wait_s=0.2):
+        """Build a serve/admission/service tree, write the subtree, fold."""
         stream = SpanStream()
         root = stream.begin("serve", SpanCategory.TASK, 1, -1, 10.0)
         adm = stream.begin(
@@ -100,17 +55,13 @@ class TestWorkerSpanRecords:
         service = stream.begin(
             "service", SpanCategory.COMPUTE, 1, 4, 10.0 + wait_s, parent=root
         )
-        graft_spans(
-            stream, packed, service, qid=1, node_id=4, t_offset=10.0 + wait_s
-        )
+        _service_subtree(stream, service, timings, service_s, batch, True)
         stream.end(service, 10.0 + wait_s + service_s)
         stream.end(root, 10.0 + wait_s + service_s + 0.05)
         return stream, root, attribute_question(stream, root)
 
     def test_attribution_sums_exactly_to_wall(self):
-        timings = ModuleTimings(qp=0.1, pr=0.2, ps=0.1, po=0.05, ap=0.05)
-        packed = worker_span_records(timings, service_s=0.5)
-        _, root, qa = self._fold(packed)
+        _, root, qa = self._fold((0.1, 0.2, 0.1, 0.05, 0.05), service_s=0.5)
         assert qa.total_attributed_s == pytest.approx(root.duration, abs=1e-12)
         assert qa.categories["queueing"] == pytest.approx(0.2)
         assert qa.categories["compute"] == pytest.approx(0.5)
@@ -118,28 +69,26 @@ class TestWorkerSpanRecords:
     def test_module_durations_clip_to_service_time(self):
         # Timings sum to 1.0 but the measured service was only 0.3: the
         # children must clip so the tree (and the fold) stays consistent.
-        timings = ModuleTimings(qp=0.4, pr=0.3, ps=0.1, po=0.1, ap=0.1)
-        packed = worker_span_records(timings, service_s=0.3)
-        _, root, qa = self._fold(packed, service_s=0.3)
+        _, root, qa = self._fold((0.4, 0.3, 0.1, 0.1, 0.1), service_s=0.3)
         assert qa.total_attributed_s == pytest.approx(root.duration, abs=1e-12)
         assert qa.categories["compute"] == pytest.approx(0.3)
 
     def test_batched_pr_wrapped_in_stage_span(self):
-        timings = ModuleTimings(qp=0.1, pr=0.2, ps=0.1, po=0.05, ap=0.05)
-        packed = worker_span_records(
-            timings, service_s=0.5, batch=(4, 2, 2.0, 123.0)
+        stream, root, qa = self._fold(
+            (0.1, 0.2, 0.1, 0.05, 0.05), service_s=0.5,
+            batch=(4, 2, 2.0, 123.0),
         )
-        names = [p[2] for p in packed]
+        names = [s.name for s in stream.spans]
         assert "stage:PR-batch" in names
-        stage = packed[names.index("stage:PR-batch")]
-        assert stage[7]["batch_size"] == 4
-        assert stage[7]["sharing_factor"] == 2.0
-        _, root, qa = self._fold(packed)
+        stage = stream.spans[names.index("stage:PR-batch")]
+        assert stage.attrs["batch_size"] == 4
+        assert stage.attrs["sharing_factor"] == 2.0
         assert qa.total_attributed_s == pytest.approx(root.duration, abs=1e-12)
 
     def test_zero_service_time_is_safe(self):
-        packed = worker_span_records(ModuleTimings(), service_s=0.0)
-        assert packed[0][4] == packed[0][5] == 0.0
+        stream, _, _ = self._fold((0.0,) * 5, service_s=0.0)
+        worker = next(s for s in stream.spans if s.name == "worker")
+        assert worker.t0 == worker.t1
 
 
 class TestTelemetryFile:

@@ -36,20 +36,22 @@ class ScriptedPool:
         self.accepted = 0
         self._ready = []
         self.attach_report = {}
+        self.worker_snapshots = {}
 
     def start(self):
         pass
 
-    def submit(self, seq, qid, text, submit_wall):
-        i = self.accepted
-        self.accepted += 1
-        if i < len(self.complete_mask) and self.complete_mask[i]:
-            self._ready.append(
-                ExecutionResult(
-                    seq=seq, qid=qid, answers=(("stub", 1.0),),
-                    wait_s=0.0, service_s=0.001, worker_pid=1,
+    def submit(self, unit):
+        for seq, qid, _text, _submit_wall in unit:
+            i = self.accepted
+            self.accepted += 1
+            if i < len(self.complete_mask) and self.complete_mask[i]:
+                self._ready.append(
+                    ExecutionResult(
+                        seq=seq, qid=qid, answers=(("stub", 1.0),),
+                        wait_s=0.0, service_s=0.001, worker_pid=1,
+                    )
                 )
-            )
 
     def poll(self):
         out, self._ready = self._ready, []

@@ -85,6 +85,7 @@ class FakePool:
         #: Units finished but not yet returned by ``poll``.
         self._unpolled_units = 0
         self.attach_report: dict = {}
+        self.worker_snapshots: dict = {}
 
     def start(self) -> None:
         pass
@@ -94,12 +95,9 @@ class FakePool:
         busy = len(self._unfinished) + self._unpolled_units
         return max(0, self.workers - busy)
 
-    def submit(self, seq, qid, text, submit_wall, trace=None) -> None:
-        self.submit_batch([(seq, qid, text, submit_wall, trace)])
-
-    def submit_batch(self, items) -> None:
-        self.units.append(list(items))
-        self._unfinished.append(list(items))
+    def submit(self, unit) -> None:
+        self.units.append(list(unit))
+        self._unfinished.append(list(unit))
 
     def complete_one(self) -> None:
         """The oldest unfinished unit finishes (seen at the next poll)."""
@@ -295,6 +293,27 @@ class TestFlushBehavior:
                 )
                 checked += 1
         assert checked == 4
+
+
+def test_batch_mates_do_not_overlap_on_their_worker(
+    inline_server_parts, shared_questions
+):
+    """A unit's members ran one after another: so say their spans."""
+    server = inline_server_parts(batch_max=4)
+    with server:
+        for i in range(5):  # the first goes alone, then a unit of four
+            server.submit(shared_questions[i].text, qid=i, arrival_s=float(i))
+        server.drain()
+    mates = [r for r in server.responses if r.seq >= 1]
+    assert [r.seq for r in mates] == [1, 2, 3, 4]
+    waits = [r.admission_wait_s for r in mates]
+    assert waits == sorted(waits) and waits[0] < waits[-1]
+    service = {s.qid: s for s in server.spans.spans if s.name == "service"}
+    for a, b in zip(mates, mates[1:]):
+        first, second = service[a.qid], service[b.qid]
+        assert first.node_id == second.node_id and first.duration > 0
+        # Disjoint to within the wall clock's float resolution.
+        assert first.t1 <= second.t0 + 1e-6
 
 
 @st.composite

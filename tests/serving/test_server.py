@@ -170,6 +170,8 @@ class TestServerSurface:
         from repro.serving.workers import InlineExecutor
 
         class Broken:
+            metrics = None
+
             def answer(self, text, qid=0):
                 raise ValueError("poisoned question")
 
@@ -184,6 +186,36 @@ class TestServerSurface:
         assert response.error == "ValueError: poisoned question"
         assert server.metrics.value(SERVING_WORKER_ERRORS) == 1
         assert server.ledger.balanced and server.ledger.answered == 1
+
+
+    def test_reply_carries_the_measured_module_timings(
+        self, shared_pipeline, shared_questions
+    ):
+        """``timings`` is the pipeline's own measurement, or zeros on error."""
+        from repro.serving.workers import InlineExecutor
+
+        class Recording:
+            metrics = None
+
+            def __init__(self):
+                self.results = []
+
+            def answer(self, text, qid=0):
+                if not text:
+                    raise ValueError("empty question")
+                self.results.append(shared_pipeline.answer(text, qid=qid))
+                return self.results[-1]
+
+        pipeline = Recording()
+        pool = InlineExecutor(pipeline)
+        pool.submit([(0, 7, shared_questions[0].text, time.time())])
+        pool.submit([(1, 8, "", time.time())])
+        served, failed = pool.poll()
+        tm = pipeline.results[0].timings
+        assert served.timings == (tm.qp, tm.pr, tm.ps, tm.po, tm.ap)
+        assert not served.error and sum(served.timings) > 0
+        assert failed.error == "ValueError: empty question"
+        assert failed.timings == (0.0,) * 5 and failed.answers == ()
 
 
 class TestLostWorker:

@@ -82,7 +82,7 @@ class TestStitchedTree:
             roots = server.spans.roots(r.qid)
             assert len(roots) == 1
             names = [s.name for s in server.spans.subtree(roots[0])]
-            # Server-side skeleton plus the grafted worker subtree:
+            # Server-side skeleton plus the worker's module subtree:
             # this single tree crosses the process boundary.
             for required in ("serve", "admission", "service", "worker", "pr"):
                 assert required in names, (r.qid, names)
@@ -126,8 +126,8 @@ class TestStitchedTree:
         for r in answered:
             root = server.spans.roots(r.qid)[0]
             names = [s.name for s in server.spans.subtree(root)]
-            # The worker subtree carries its own stage:PR-batch span; the
-            # server must not synthesize a second one on top of it.
+            # A sampled batch member's stage:PR-batch span sits inside its
+            # worker subtree; there must not be a second one beside it.
             assert names.count("stage:PR-batch") <= 1, names
             saw_batched += names.count("stage:PR-batch")
             qa = attribute_question(server.spans, root)
@@ -169,11 +169,12 @@ class TestForcedTelemetry:
 
             workers = 1
             attach_report = {}
+            worker_snapshots = {}
 
             def start(self):
                 pass
 
-            def submit(self, seq, qid, text, submit_wall, trace=None):
+            def submit(self, unit):
                 pass
 
             def poll(self):
@@ -215,6 +216,7 @@ class TestDigestUnchanged:
         class CompleteAllPool:
             workers = 1
             attach_report = {}
+            worker_snapshots = {}
 
             def __init__(self):
                 self._ready = []
@@ -222,12 +224,13 @@ class TestDigestUnchanged:
             def start(self):
                 pass
 
-            def submit(self, seq, qid, text, submit_wall, trace=None):
-                self._ready.append(
+            def submit(self, unit):
+                self._ready.extend(
                     ExecutionResult(
                         seq=seq, qid=qid, answers=(("stub", 1.0),),
                         wait_s=0.0, service_s=0.001, worker_pid=1,
                     )
+                    for seq, qid, _text, _submit_wall in unit
                 )
 
             def poll(self):
@@ -295,7 +298,7 @@ class TestLoadgenTelemetry:
         assert tel["trace_sample_rate"] == 0.5
         assert tel["sampled_answered"] > 0
         # The acceptance criterion: stitched trees actually crossed the
-        # process boundary (worker-side subtrees were grafted).
+        # process boundary (worker-measured subtrees were written).
         assert tel["stitched_trees"] > 0
         assert "observability_overhead" not in summary
         run = summary["runs"][0]

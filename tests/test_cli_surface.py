@@ -5,7 +5,8 @@ repository root holds no benchmark artifact beside ``BENCHMARK.json``'s
 own, the simulator's queue is not configurable, keyword positions have
 one kernel per side of the oracle, collection selection has one mode and
 no on/off switch, the span stream is the only trace store, the
-pre-record extension experiments took their switches with them, and
+pre-record extension experiments took their switches with them, the
+server-to-worker wire has one request, one unit and one reply shape, and
 every CLI flag and serving option is declared in one place — which the
 command lines CI and the verify skill run must still parse against.
 """
@@ -102,6 +103,26 @@ def test_span_stream_is_the_only_trace_store():
 
 def test_no_second_way_to_regenerate_a_paper_table():
     assert not (ROOT / "benchmarks").exists()
+
+
+def test_one_wire_shape_per_hop():
+    from repro.serving.workers import (
+        ExecutionResult, InlineExecutor, ProcessWorkerPool,
+    )
+
+    source = "".join(p.read_text() for p in (ROOT / "src").rglob("*.py"))
+    for retired in (
+        "submit_" "batch", "_request_" "fields", "_span_" "reply",
+        "pack_" "spans", "graft_" "spans", "worker_span_" "records",
+        "Packed" "Span", "_batch" "ing",
+    ):
+        assert retired not in source, retired
+    assert source.count('"stage:PR-batch", SpanCategory') == 1
+    for executor in (ProcessWorkerPool, InlineExecutor):
+        verbs = {n for n in vars(executor) if n.startswith(("submit", "dispatch"))}
+        assert verbs == {"submit"}
+    fields = {f.name for f in dataclasses.fields(ExecutionResult)}
+    assert "timings" in fields and not fields & {"pr_s", "spans"}
 
 
 # -- declared once: CLI flags and serving options ------------------------------------
