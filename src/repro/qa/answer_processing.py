@@ -24,7 +24,7 @@ from array import array
 
 from ..nlp.entities import Entity, EntityRecognizer, EntityType, matching_types
 from ..nlp.stemming import cached_stem as stem
-from ..nlp.tokenizer import Token, tokenize
+from ..nlp.tokenizer import tokenize
 from ..retrieval.inverted_index import ParagraphTerms
 from ..retrieval.paragraphs import Paragraph
 from .paragraph_scoring import (
@@ -74,35 +74,41 @@ _WANTED_CODES = {
 class AnswerProcessor:
     """The AP module.
 
-    With a ``term_lookup`` (the indexed corpus'
-    :meth:`~repro.retrieval.collection.IndexedCorpus.term_lookup`) AP runs
-    on two per-paragraph layers, because everything it does before it
-    scores a window depends on the paragraph alone:
+    Everything AP does before it scores a window depends on the paragraph
+    alone, or was already done by PS, so with a ``term_lookup`` (the
+    indexed corpus'
+    :meth:`~repro.retrieval.collection.IndexedCorpus.term_lookup`)
+    :meth:`extract` is one loop over three per-paragraph inputs:
 
     * the index's **term layer** (:class:`ParagraphTerms`) supplies
-      surface forms, character offsets and keyword positions straight
-      from its packed arrays — no tokenize + Porter-stem pass per
-      question, and no token objects;
+      surface forms and character offsets straight from its packed
+      arrays — no tokenize + Porter-stem pass per question, and no token
+      objects;
     * AP's own **entity layer** keeps the recognizer's spans.  The first
       question to visit a paragraph runs the recognizer over it once;
-      every later question filters the kept spans by its answer type and
-      builds :class:`Entity` objects only for the survivors.
+      every later question walks the kept spans, skips the types it did
+      not ask for and scores each remaining window from its two token
+      indices;
+    * **PS's carried match** (:attr:`ScoredParagraph.match`) is the term
+      view and keyword positions PS computed a moment earlier.  A scored
+      paragraph that arrives without one (built by hand, or scored from
+      raw text) is matched here, with the same :class:`KeywordIdResolver`.
 
-    The entity layer is the larger saving by far.  On the benchmark's
-    447-question stream (15 384 paragraph visits over 4 578 distinct
-    paragraphs, of 10 585 in the corpus) AP was 4.9 ms of a 5.7 ms
-    question, 3.2 ms of it re-recognizing paragraphs an earlier question
-    had already scanned and 1.0 ms building token objects; with the
-    layers it is 1.1-1.2 ms while they fill and 0.7 ms once they have
-    (EXPERIMENTS.md, "Paragraph entity layer").
+    Text is touched only for windows that hold a keyword: the candidate
+    is sliced, filtered against the question's own words once per distinct
+    text, and kept as a plain tuple while it is the best of its text;
+    clips and :class:`Answer` objects exist for the final ``n_answers``
+    alone.  What each step saves is measured in EXPERIMENTS.md ("Paragraph
+    entity layer (PR 13)", "AP by the ledger (PR 24)").
 
-    The layer is built lazily, owned by this object — spans depend on the
-    recognizer's gazetteer, so they cannot live on the shared index — and
-    keyed by ``paragraph.key``.  It never evicts: it is bounded by the
-    corpus' paragraph count, and a paragraph's spans are one flat
-    ``array("H")`` of (type code, token start, token end).  Paragraphs the
-    index cannot resolve (and every paragraph when ``term_lookup`` is
-    ``None``) take the re-tokenize, re-recognize reference path.
+    The entity layer is built lazily, owned by this object — spans depend
+    on the recognizer's gazetteer, so they cannot live on the shared
+    index — and keyed by ``paragraph.key``.  It never evicts: it is
+    bounded by the corpus' paragraph count, and a paragraph's spans are
+    one flat ``array("H")`` of (type code, token start, token end).
+    Unmatched paragraphs the index cannot resolve (all of them when
+    ``term_lookup`` is ``None``) take the re-tokenize, re-recognize
+    reference path through the same loop.
     """
 
     def __init__(
@@ -129,20 +135,78 @@ class AnswerProcessor:
     ) -> list[Answer]:
         """Extract and rank answers from ``accepted`` paragraphs.
 
-        Returns the local best ``n_answers`` in descending score order.
+        Returns the local best ``n_answers`` in descending score order:
+        what :func:`merge_answers` makes of every window that holds a
+        keyword, without building an :class:`Answer` for each.
+
         ``resolver`` is the question's keyword-id memo, as in
-        :meth:`ParagraphScorer.score`; one is built when none is passed.
+        :meth:`ParagraphScorer.score`; it is needed (and built, when none
+        is passed) only for paragraphs that arrive without PS's match.
         """
-        resolver = resolver or KeywordIdResolver(
-            [kw.stems for kw in processed.keywords]
-        )
-        answers: list[Answer] = []
+        kstems = [kw.stems for kw in processed.keywords]
+        question_stems = {s for ks in kstems for s in ks}
+        n_keywords = len(kstems) or 1
+        wanted = _WANTED_CODES[processed.answer_type]
         max_rank = max((sp.score for sp in accepted), default=1.0) or 1.0
+        #: lower-cased answer text -> (score, paragraph, text, type code,
+        #: char start, char end) of its best window so far.
+        best: dict[str, tuple[float, Paragraph, str, int, int, int]] = {}
+        own_words: set[str] = set()  # lower-cased texts the filter dropped
         for sp in accepted:
-            answers.extend(
-                self._process_paragraph(processed, sp, max_rank, resolver)
+            paragraph = sp.paragraph
+            if sp.match is not None:
+                terms, kw_positions = sp.match
+                present = sp.keywords_present
+            else:
+                terms = self.term_lookup(paragraph) if self.term_lookup else None
+                if terms is not None:
+                    resolver = resolver or KeywordIdResolver(kstems)
+                    kw_positions = keyword_positions_from_ids(
+                        terms, resolver.resolve(terms.vocab)
+                    )
+                else:
+                    kw_positions, _ = keyword_positions(paragraph.text, kstems)
+                present = sum(1 for p in kw_positions if p)
+            spans, n_tokens, token_text, char_span = self._view(paragraph, terms)
+            coverage = _W["coverage"] * present / n_keywords
+            rank = _W["paragraph_rank"] * sp.score / max_rank
+            for k in range(0, len(spans), 3):
+                if spans[k] not in wanted:
+                    continue
+                i, j = spans[k + 1], spans[k + 2]
+                score = self._score_window(
+                    i, j, n_tokens, token_text, kw_positions, coverage, rank
+                )
+                if score <= 0.0:
+                    continue
+                start, end = char_span(i, j)
+                text = paragraph.text[start:end]
+                key = text.lower()
+                # merge_answers' rule: only a strictly greater score
+                # replaces, so the first window seen wins a tie.
+                old = best.get(key)
+                if old is None:
+                    if key in own_words:
+                        continue
+                    if _only_question_words(key, question_stems):
+                        own_words.add(key)
+                        continue
+                elif score <= old[0]:
+                    continue
+                best[key] = (score, paragraph, text, spans[k], start, end)
+
+        ranked = sorted(best.values(), key=lambda c: (-c[0], c[1].key, c[2]))
+        return [
+            Answer(
+                text=text,
+                short=_clip(paragraph.text, start, end, _SHORT_BYTES),
+                long=_clip(paragraph.text, start, end, _LONG_BYTES),
+                score=score,
+                paragraph_key=paragraph.key,
+                entity_type=_TYPES[code],
             )
-        return merge_answers([answers], self.n_answers)
+            for score, paragraph, text, code, start, end in ranked[: self.n_answers]
+        ]
 
     def candidates(
         self, processed: ProcessedQuestion, paragraph: Paragraph
@@ -153,8 +217,19 @@ class AnswerProcessor:
         the question's own words cannot answer it.
         """
         terms = self.term_lookup(paragraph) if self.term_lookup else None
-        tokens = None if terms is not None else tokenize(paragraph.text)
-        return self._candidates(processed, paragraph, terms, tokens)
+        spans, _, _, char_span = self._view(paragraph, terms)
+        wanted = _WANTED_CODES[processed.answer_type]
+        question_stems = {s for kw in processed.keywords for s in kw.stems}
+        text = paragraph.text
+        out = []
+        for k in range(0, len(spans), 3):
+            if spans[k] in wanted:
+                i, j = spans[k + 1], spans[k + 2]
+                start, end = char_span(i, j)
+                found = text[start:end]
+                if not _only_question_words(found, question_stems):
+                    out.append(Entity(found, _TYPES[spans[k]], start, end, i, j))
+        return out
 
     @property
     def entity_layer_stats(self) -> dict[str, int]:
@@ -167,130 +242,61 @@ class AnswerProcessor:
         }
 
     # -- internals ---------------------------------------------------------------
-    def _process_paragraph(
-        self,
-        processed: ProcessedQuestion,
-        sp: ScoredParagraph,
-        max_rank: float,
-        resolver: KeywordIdResolver,
-    ) -> list[Answer]:
-        text = sp.paragraph.text
-        terms = self.term_lookup(sp.paragraph) if self.term_lookup else None
-        tokens = None if terms is not None else tokenize(text)
-        candidates = self._candidates(processed, sp.paragraph, terms, tokens)
-        if not candidates:
-            return []
+    def _view(
+        self, paragraph: Paragraph, terms: ParagraphTerms | None
+    ) -> tuple[
+        t.Sequence[int],
+        int,
+        t.Callable[[int], str],
+        t.Callable[[int, int], tuple[int, int]],
+    ]:
+        """``(spans, n_tokens, token_text, char_span)`` of ``paragraph``.
 
-        # Token positions of each keyword (stem match, phrases in order).
-        kstems = [kw.stems for kw in processed.keywords]
-        token_text: t.Callable[[int], str]
-        if terms is not None:
-            n_tokens = terms.n_tokens
-            token_text = terms.token_text
-            kw_positions = keyword_positions_from_ids(
-                terms, resolver.resolve(terms.vocab)
-            )
-        else:
-            n_tokens = len(tokens)
-            token_text = [tok.text for tok in tokens].__getitem__
-            kw_positions, _ = keyword_positions(text, kstems)
-        n_keywords = len(kstems) or 1
-        present_keywords = sum(1 for p in kw_positions if p)
-
-        out: list[Answer] = []
-        for cand in candidates:
-            score = self._score_window(
-                cand, n_tokens, token_text, kw_positions, present_keywords,
-                n_keywords, sp.score, max_rank,
-            )
-            if score <= 0.0:
-                continue
-            out.append(
-                Answer(
-                    text=cand.text,
-                    short=self._clip(text, cand, _SHORT_BYTES),
-                    long=self._clip(text, cand, _LONG_BYTES),
-                    score=score,
-                    paragraph_key=sp.paragraph.key,
-                    entity_type=cand.type,
-                )
-            )
-        return out
-
-    def _candidates(
-        self,
-        processed: ProcessedQuestion,
-        paragraph: Paragraph,
-        terms: ParagraphTerms | None,
-        tokens: t.Sequence[Token] | None,
-    ) -> list[Entity]:
-        """:meth:`candidates` through the entity layer when the paragraph
-        has ``terms``; otherwise the reference path, which runs the
-        recognizer anew over ``tokens``."""
-        atype = processed.answer_type
-        if terms is not None:
-            found = self._layered_entities(atype, paragraph, terms)
-        elif atype in (EntityType.DEFINITION, EntityType.UNKNOWN):
-            found = self.recognizer.recognize(paragraph.text, tokens)
-        else:
-            found = self.recognizer.recognize_typed(
-                paragraph.text, atype, tokens
-            )
-        # The question's own words cannot answer it.
-        question_stems = {
-            s for kw in processed.keywords for s in kw.stems
-        }
-        out = []
-        for c in found:
-            cand_stems = {
-                stem(w) for w in c.text.split() if w and w[0].isalpha()
-            }
-            if cand_stems and cand_stems <= question_stems:
-                continue
-            out.append(c)
-        return out
-
-    def _layered_entities(
-        self, atype: EntityType, paragraph: Paragraph, terms: ParagraphTerms
-    ) -> list[Entity]:
-        """Entities of ``paragraph`` qualifying as ``atype``, through the
-        entity layer: recognized on the first visit, filtered ever after.
-        Nothing here builds a token object; offsets come off the term layer.
+        ``spans`` is the flat (type code, token start, token end)
+        sequence of every recognized entity; ``token_text(i)`` the surface
+        form of token ``i``; ``char_span(i, j)`` the characters tokens
+        ``[i, j)`` cover.  With ``terms`` the spans come through the
+        entity layer — recognized on the first visit, kept ever after —
+        and the rest straight off the term layer, no token objects built;
+        without, the reference path tokenizes and recognizes anew.
         """
-        key = paragraph.key
-        packed = self._entity_layer.get(key)
+        if terms is None:
+            tokens = tokenize(paragraph.text)
+            texts = [tok.text for tok in tokens]
+            spans = [
+                x
+                for i, j, etype in self.recognizer.spans(texts)
+                for x in (_TYPE_CODE[etype], i, j)
+            ]
+            return (
+                spans,
+                len(tokens),
+                texts.__getitem__,
+                lambda i, j: (tokens[i].start, tokens[j - 1].end),
+            )
+        packed = self._entity_layer.get(paragraph.key)
         if packed is None:
             self._layer_misses += 1
             packed = array("H")
             for i, j, etype in self.recognizer.spans(terms.token_texts()):
                 packed.extend((_TYPE_CODE[etype], i, j))
-            self._entity_layer[key] = packed
+            self._entity_layer[paragraph.key] = packed
         else:
             self._layer_hits += 1
-        wanted = _WANTED_CODES[atype]
-        text = paragraph.text
-        found = []
-        for k in range(0, len(packed), 3):
-            if packed[k] in wanted:
-                i, j = packed[k + 1], packed[k + 2]
-                start, end = terms.char_span(i, j)
-                found.append(
-                    Entity(text[start:end], _TYPES[packed[k]], start, end, i, j)
-                )
-        return found
+        return packed, terms.n_tokens, terms.token_text, terms.char_span
 
+    @staticmethod
     def _score_window(
-        self,
-        cand: Entity,
+        c_lo: int,
+        c_end: int,
         n_tokens: int,
         token_text: t.Callable[[int], str],
-        kw_positions: list[list[int]],
-        present_keywords: int,
-        n_keywords: int,
-        paragraph_score: float,
-        max_rank: float,
+        kw_positions: t.Sequence[t.Sequence[int]],
+        coverage: float,
+        paragraph_rank: float,
     ) -> float:
-        """Combine the seven heuristics for one candidate's window.
+        """Combine the seven heuristics for the window of the candidate
+        at tokens ``[c_lo, c_end)``; 0.0 when no keyword falls in it.
 
         1. *sequence*: keywords adjacent to the candidate in question
            order (frequency analogue of PS heuristic 1);
@@ -305,11 +311,11 @@ class AnswerProcessor:
         7. *paragraph_rank*: the PS rank, normalised — answers from better
            paragraphs win ties.
 
-        ``token_text(i)`` is the surface form of the paragraph's token
-        ``i`` of ``n_tokens``.
+        The last two are the same for every window of a paragraph and
+        arrive weighted; ``token_text(i)`` is the surface form of the
+        paragraph's token ``i`` of ``n_tokens``.
         """
-        c_lo = cand.token_start
-        c_hi = cand.token_end - 1
+        c_hi = c_end - 1
         w_lo = max(0, c_lo - _WINDOW_RADIUS)
         w_hi = min(n_tokens - 1, c_hi + _WINDOW_RADIUS)
 
@@ -349,17 +355,22 @@ class AnswerProcessor:
             + _W["nearest_distance"] / (1.0 + nearest)
             + _W["total_distance"] / (1.0 + mean_d)
             + _W["apposition"] * apposition
-            + _W["coverage"] * present_keywords / n_keywords
-            + _W["paragraph_rank"] * paragraph_score / max_rank
+            + coverage
+            + paragraph_rank
         )
 
-    @staticmethod
-    def _clip(text: str, cand: Entity, nbytes: int) -> str:
-        """A ~``nbytes`` window of text centred on the candidate."""
-        margin = max(0, (nbytes - (cand.end - cand.start)) // 2)
-        lo = max(0, cand.start - margin)
-        hi = min(len(text), cand.end + margin)
-        return text[lo:hi]
+
+def _only_question_words(text: str, question_stems: t.Collection[str]) -> bool:
+    """True when every word of the candidate ``text`` is one of the
+    question's own — such a candidate cannot answer it."""
+    stems = {stem(w) for w in text.split() if w and w[0].isalpha()}
+    return bool(stems) and stems <= question_stems
+
+
+def _clip(text: str, start: int, end: int, nbytes: int) -> str:
+    """A ~``nbytes`` window of ``text`` centred on ``[start, end)``."""
+    margin = max(0, (nbytes - (end - start)) // 2)
+    return text[max(0, start - margin) : min(len(text), end + margin)]
 
 
 def merge_answers(

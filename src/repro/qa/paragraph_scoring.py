@@ -193,27 +193,31 @@ class ParagraphScorer:
         kstems: t.Sequence[tuple[str, ...]],
         resolver: KeywordIdResolver | None = None,
     ) -> ScoredParagraph:
+        """Score one paragraph; a match made on the term layer rides on
+        the result for AP (:attr:`ScoredParagraph.match`)."""
         terms = self.term_lookup(paragraph) if self.term_lookup else None
         if terms is not None:
             resolver = resolver or KeywordIdResolver(kstems)
             positions = keyword_positions_from_ids(
                 terms, resolver.resolve(terms.vocab)
             )
+            match = (terms, positions)
         else:
             positions, _ = keyword_positions(paragraph.text, kstems)
-        return self._score_positions(paragraph, kstems, positions)
+            match = None
+        score, n_present = self._score_positions(kstems, positions)
+        return ScoredParagraph(paragraph, score, n_present, match)
 
     @staticmethod
     def _score_positions(
-        paragraph: Paragraph,
-        kstems: t.Sequence[tuple[str, ...]],
-        positions: list[list[int]],
-    ) -> ScoredParagraph:
-        """The three LASSO heuristics over already-matched positions."""
+        kstems: t.Sequence[tuple[str, ...]], positions: list[list[int]]
+    ) -> tuple[float, int]:
+        """The three LASSO heuristics over already-matched positions:
+        ``(score, keywords present)``."""
         present = [k for k, pos in enumerate(positions) if pos]
         n_present = len(present)
         if n_present == 0:
-            return ScoredParagraph(paragraph, 0.0, 0)
+            return 0.0, 0
 
         # Heuristic 1: same-word-sequence — adjacent keyword pairs of the
         # question appearing adjacently (within one token) in the paragraph.
@@ -233,17 +237,15 @@ class ParagraphScorer:
         best_span = None
         for anchor in positions[rarest]:
             lo = hi = anchor
-            ok = True
             for k in present:
                 if k == rarest:
                     continue
                 nearest = min(positions[k], key=lambda p: abs(p - anchor))
                 lo = min(lo, nearest)
                 hi = max(hi, nearest)
-            if ok:
-                span = hi - lo + 1
-                if best_span is None or span < best_span:
-                    best_span = span
+            span = hi - lo + 1
+            if best_span is None or span < best_span:
+                best_span = span
         distance_score = 1.0 / (1.0 + (best_span or 1) / max(1, n_present))
 
         score = (
@@ -251,4 +253,4 @@ class ParagraphScorer:
             + _W_SEQUENCE * seq
             + _W_DISTANCE * distance_score
         )
-        return ScoredParagraph(paragraph, score, n_present)
+        return score, n_present

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from ..nlp.entities import EntityType
 from ..nlp.keywords import Keyword
+from ..retrieval.inverted_index import ParagraphTerms
 from ..retrieval.paragraphs import Paragraph
 
 __all__ = [
@@ -53,8 +54,14 @@ class ScoredParagraph:
 
     paragraph: Paragraph
     score: float
-    #: Number of query keywords present (used by AP heuristics).
+    #: Number of query keywords present (AP's coverage heuristic).
     keywords_present: int
+    #: PS's match, handed forward to AP: the paragraph's term view and
+    #: each keyword's token positions in it.  ``None`` when PS scored the
+    #: raw text (or nobody did): AP then matches for itself.
+    match: tuple[ParagraphTerms, list[list[int]]] | None = field(
+        default=None, compare=False, repr=False
+    )
 
 
 @dataclass(frozen=True, slots=True)
