@@ -7,7 +7,7 @@ simulate    run a workload on the simulated distributed cluster
 chaos       randomized fault-injection campaign (fault rates x strategies)
 model       analytical capacity planning for given bandwidths
 experiments regenerate any of the paper's tables/figures and the extension
-            experiments (``ext-scale``, ``ext-selection``, ...), all or by name
+            experiments (``ext-scale``, ``ext-chaos``, ...), all or by name
 observe     traced SEND/ISEND/RECV workload with span export and overhead
             attribution vs the Section 5 model; fails if a check does
 serve       long-lived admission-controlled server over the real pipeline:

@@ -431,57 +431,11 @@ class DistributedQATask:
         result.overhead["answer_sort"] += self.system.env.now - t0
 
     # -- PR stage -----------------------------------------------------------------------
-    def _select_collections(
-        self,
-    ) -> t.Generator[Event, object, list[CollectionProfile]]:
-        """Mediator routing before the PR fan-out (collection selection).
-
-        A profile with no routing decision (``selected_collections is
-        None``) broadcasts: no probe, no span, no overhead key.  A routed
-        profile makes the host charge one sketch probe per
-        sub-collection, then the stage iterates the profile's predicted
-        collections only: the selected count caps the Table 2 iterative
-        granularity, so SEND/ISEND/RECV partition over fewer sub-tasks
-        and the Eq 14/15 partition-comms and migration payloads shrink
-        with it.  A profile predicting nothing falls back to the full
-        fan-out — selection may cost recall, never the question.
-        """
-        profile = self.profile
-        collections = profile.collections
-        keep = profile.selected_collections
-        if keep is None:
-            return collections
-        config = self.system.config
-        env = self.system.env
-        t0 = env.now
-        stage = self._span("stage:PR-select", SpanCategory.PARTITION, self.host)
-        probe = self._span(
-            "select:sketch-probe", SpanCategory.DISPATCH, self.host, stage
-        )
-        yield from self._node(self.host).run_cpu(
-            config.selection_probe_cpu_s * len(collections)
-        )
-        self._spans.end(probe, env.now, probed=len(collections))
-        keep_set = set(keep)
-        selected = [
-            c for c in collections if c.collection_id in keep_set
-        ] or collections
-        self.result.overhead["pr_select"] = (
-            self.result.overhead.get("pr_select", 0.0) + (env.now - t0)
-        )
-        self._spans.end(
-            stage,
-            env.now,
-            kept=len(selected),
-            pruned=len(collections) - len(selected),
-        )
-        return selected
-
     def _run_pr_stage(self) -> t.Generator[Event, object, None]:
         env = self.system.env
         result = self.result
         policy = self.policy
-        collections = yield from self._select_collections()
+        collections = self.profile.collections
         pr_compute: dict[int, float] = {}
         ps_compute: dict[int, float] = {}
 

@@ -68,10 +68,6 @@ class SystemConfig:
     #: nodes upload deltas to k shard-local aggregators that publish
     #: merged tables (O(N) per interval; use ~sqrt(N) for large clusters).
     monitor_shards: int = 0
-    #: CPU seconds per sub-collection sketch probe, charged before the
-    #: PR fan-out of a question whose profile carries a mediator routing
-    #: decision (``QuestionProfile.selected_collections``).
-    selection_probe_cpu_s: float = 2e-5
     policy: TaskPolicy = field(default_factory=TaskPolicy)
     trace: bool = False
     #: Collect counters/histograms in the system's metrics registry.

@@ -79,7 +79,6 @@ EXPERIMENTS: dict[str, t.Callable[[], str]] = {
     "ext-churn": lambda: _ext_churn(),
     "ext-model-validation": lambda: _ext_model_validation(),
     "ext-scale": lambda: _ext_scale(),
-    "ext-selection": lambda: _ext_selection(),
     "ext-event-census": lambda: _ext_event_census(),
 }
 
@@ -94,12 +93,6 @@ def _ext_scale() -> str:
     from .scale import format_scale, run_scale
 
     return format_scale(run_scale())
-
-
-def _ext_selection() -> str:
-    from .selection import format_selection, run_selection
-
-    return format_selection(run_selection())
 
 
 def _ext_event_census() -> str:

@@ -44,12 +44,6 @@ __all__ = [
     "RETRIEVAL_BATCH_POSTINGS_SHARED",
     "RETRIEVAL_BATCH_QUESTIONS",
     "RETRIEVAL_BATCH_SHARING_FACTOR",
-    "SELECTOR_DECISIONS",
-    "SELECTOR_FALLBACKS",
-    "SELECTOR_PRUNED",
-    "SELECTOR_PRUNE_RATE",
-    "SELECTOR_SELECTED",
-    "SELECTOR_SKETCH_BYTES",
     "PS_PARAGRAPH_BYTES",
     "SERVING_ADMISSION_WAIT_S",
     "SERVING_ANSWERED",
@@ -105,17 +99,6 @@ RETRIEVAL_BATCH_DISTINCT = "retrieval.batch.distinct_questions"
 RETRIEVAL_BATCH_POSTINGS_FETCHES = "retrieval.batch.postings_fetches"
 RETRIEVAL_BATCH_POSTINGS_SHARED = "retrieval.batch.postings_shared"
 RETRIEVAL_BATCH_SHARING_FACTOR = "retrieval.batch.sharing_factor"
-#: Federated collection selection (PR 11): routing decisions taken by a
-#: :class:`~repro.retrieval.selection.CollectionSelector`, collections
-#: kept vs pruned by those decisions, predictive decisions that fell
-#: back to exhaustive search, the per-decision prune-rate distribution
-#: (histogram), and the resident bytes of the mediator's sketches (gauge).
-SELECTOR_DECISIONS = "retrieval.selector.decisions"
-SELECTOR_SELECTED = "retrieval.selector.selected_collections"
-SELECTOR_PRUNED = "retrieval.selector.pruned_collections"
-SELECTOR_FALLBACKS = "retrieval.selector.fallbacks"
-SELECTOR_PRUNE_RATE = "retrieval.selector.prune_rate"
-SELECTOR_SKETCH_BYTES = "retrieval.selector.sketch_bytes"
 #: Paragraph bytes flowing through PS and AP (pipeline work counters).
 PS_PARAGRAPH_BYTES = "qa.ps.paragraph_bytes"
 AP_PARAGRAPH_BYTES = "qa.ap.paragraph_bytes"

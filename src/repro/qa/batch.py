@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from ..nlp.stemming import SHARED_STEM_CACHE
 from ..observability.names import POSTINGS_SCANNED
 from ..retrieval.boolean import SharedPostings
-from ..retrieval.selection import SelectionDecision
 from .question import ModuleTimings, ProcessedQuestion, QAResult, Question
 
 if t.TYPE_CHECKING:  # pragma: no cover
@@ -105,13 +104,8 @@ class _QuestionRecord:
     #: Raw words passed through the shared stem cache (QP + AP).
     stem_trace: list[str]
     #: Conjunction keys per relaxation round, per collection — the
-    #: conjunction-cache replay script.  Pruned (unvisited) collections
-    #: hold an empty list: their replay is a no-op, exactly matching
-    #: serial execution under the same selector.
+    #: conjunction-cache replay script.
     rounds_per_collection: list[list[tuple[str, ...]]]
-    #: The collection selector's routing decision (None = broadcast),
-    #: taken once per *distinct* question.
-    decision: SelectionDecision | None
 
 
 def _answer_first(
@@ -131,7 +125,6 @@ def _answer_first(
         result=result,
         stem_trace=stem_trace,
         rounds_per_collection=rounds_per_collection,
-        decision=pipeline.pr.last_decision,
     )
 
 
@@ -172,7 +165,6 @@ def _answer_repeat(
     work = dict(first.work)
     if pipeline.metrics is not None:
         pipeline._record(work)
-        pipeline._record_selection(record.decision)
     return QAResult(
         processed=processed,
         answers=list(first.answers),

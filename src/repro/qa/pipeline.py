@@ -33,18 +33,11 @@ from ..observability.names import (
     RETRIEVAL_BATCH_POSTINGS_SHARED,
     RETRIEVAL_BATCH_QUESTIONS,
     RETRIEVAL_BATCH_SHARING_FACTOR,
-    SELECTOR_DECISIONS,
-    SELECTOR_FALLBACKS,
-    SELECTOR_PRUNE_RATE,
-    SELECTOR_PRUNED,
-    SELECTOR_SELECTED,
-    SELECTOR_SKETCH_BYTES,
     STEM_CACHE_HITS,
     STEM_CACHE_MISSES,
     VOCABULARY_SIZE,
 )
 from ..retrieval.collection import IndexedCorpus
-from ..retrieval.selection import CollectionSelector, SelectionDecision
 from .answer_processing import AnswerProcessor
 from .batch import BatchStats, execute_batch
 from .paragraph_ordering import ParagraphOrderer
@@ -100,12 +93,9 @@ class QAPipeline:
         Optional registry receiving the work counters under their
         canonical :mod:`repro.observability.names` — one vocabulary for
         the retriever, the work dict, and the JSON reports.
-    selector:
-        Optional :class:`~repro.retrieval.selection.CollectionSelector`
-        routing the PR fan-out through per-collection term sketches
-        instead of broadcasting (trades recall for pruned fan-out).
-        Decisions are recorded under the ``retrieval.selector.*`` metric
-        names.
+
+    PR visits every sub-collection for every question, as the paper's
+    system does.
     """
 
     def __init__(
@@ -117,7 +107,6 @@ class QAPipeline:
         max_accepted: int = 600,
         use_term_index: bool = True,
         metrics: MetricsRegistry | None = None,
-        selector: CollectionSelector | None = None,
     ) -> None:
         self.indexed = indexed
         self.recognizer = recognizer
@@ -125,7 +114,7 @@ class QAPipeline:
         self.metrics = metrics
         term_lookup = indexed.term_lookup if use_term_index else None
         self.qp = QuestionProcessor(recognizer)
-        self.pr = ParagraphRetriever(indexed, selector=selector)
+        self.pr = ParagraphRetriever(indexed)
         self.ps = ParagraphScorer(term_lookup=term_lookup)
         self.po = ParagraphOrderer(threshold_fraction, max_accepted)
         self.ap = AnswerProcessor(
@@ -188,7 +177,6 @@ class QAPipeline:
         work[N_KEYWORDS] = float(len(processed.keywords))
         if self.metrics is not None:
             self._record(work)
-            self._record_selection(self.pr.last_decision)
 
         return QAResult(
             processed=processed,
@@ -275,21 +263,4 @@ class QAPipeline:
         if self.indexed.indexes:
             self.metrics.gauge(VOCABULARY_SIZE).set(
                 float(len(self.indexed.indexes[0].vocab))
-            )
-
-    def _record_selection(self, decision: SelectionDecision | None) -> None:
-        """Mirror one routing decision into the registry (no-op without
-        a selector — broadcast fan-outs record nothing)."""
-        assert self.metrics is not None
-        if decision is None:
-            return
-        self.metrics.inc(SELECTOR_DECISIONS)
-        self.metrics.inc(SELECTOR_SELECTED, float(len(decision.selected)))
-        self.metrics.inc(SELECTOR_PRUNED, float(len(decision.pruned)))
-        if decision.fallback:
-            self.metrics.inc(SELECTOR_FALLBACKS)
-        self.metrics.observe(SELECTOR_PRUNE_RATE, decision.prune_rate)
-        if self.pr.selector is not None:
-            self.metrics.gauge(SELECTOR_SKETCH_BYTES).set(
-                float(self.pr.selector.sketch_bytes())
             )

@@ -81,10 +81,6 @@ class QuestionProfile:
     n_answers: int
     answer_bytes: float
     memory_bytes: float
-    #: Mediator routing decision (collection ids the selector kept): the
-    #: simulated PR stage fans out over these only.  ``None`` = no
-    #: selection ran — the PR fan-out broadcasts.
-    selected_collections: tuple[int, ...] | None = None
 
     # -- aggregates used all over the experiments -------------------------------
     @property
@@ -232,13 +228,6 @@ class SyntheticProfileParams:
     qp_cpu_range: tuple[float, float] = (0.7, 1.3)
     po_cpu_s: float = 0.06
     n_answers: int = 5
-    #: Simulated mediator decision: keep the top ``round(fraction * n)``
-    #: collections by PR share (the heaviest collections are the ones a
-    #: df-weighted selector keeps).  ``None`` = profiles carry no
-    #: selection — the fan-out broadcasts.  Derived from the existing
-    #: Dirichlet draw, so the RNG sequence (and every other field) is
-    #: unchanged by turning this on.
-    selected_fraction: float | None = None
 
     def scaled(self, factor: float) -> "SyntheticProfileParams":
         """Scale the work-size parameters by ``factor`` (keeps shapes)."""
@@ -353,18 +342,6 @@ class SyntheticProfileGenerator:
                 )
             )
 
-        selected: tuple[int, ...] | None = None
-        if p.selected_fraction is not None:
-            k = max(1, round(p.selected_fraction * p.n_collections))
-            if k < p.n_collections:
-                ranked = sorted(
-                    range(p.n_collections),
-                    key=lambda cid: (-shares[cid], cid),
-                )
-                selected = tuple(sorted(ranked[:k]))
-            else:
-                selected = tuple(range(p.n_collections))
-
         mem_lo, mem_hi = self.model.memory_per_question
         return QuestionProfile(
             qid=qid,
@@ -378,7 +355,6 @@ class SyntheticProfileGenerator:
             n_answers=p.n_answers,
             answer_bytes=self.model.answer_bytes,
             memory_bytes=float(rng.uniform(mem_lo, mem_hi)),
-            selected_collections=selected,
         )
 
     def generate_many(self, n: int, start_qid: int = 0) -> list[QuestionProfile]:

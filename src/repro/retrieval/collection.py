@@ -23,7 +23,6 @@ from ..nlp.stemming import SHARED_STEM_CACHE, StemCache
 from .boolean import BooleanRetriever, RetrievalResult
 from .inverted_index import CollectionIndex, ParagraphTerms
 from .paragraphs import Paragraph
-from .selection import CollectionSelector, CollectionSketch, sketch_of
 
 __all__ = ["IndexedCorpus"]
 
@@ -64,7 +63,7 @@ class IndexedCorpus:
         self.corpus = corpus
         self.min_docs = min_docs
         self.paragraph_quorum = paragraph_quorum
-        stemmer = stemmer or SHARED_STEM_CACHE
+        stemmer = SHARED_STEM_CACHE if stemmer is None else stemmer
         self.indexes: list[CollectionIndex] = (
             indexes
             if indexes is not None
@@ -119,26 +118,6 @@ class IndexedCorpus:
             self.retrieve_collection(cid, keywords)
             for cid in range(self.n_collections)
         ]
-
-    def sketches(self) -> list[CollectionSketch]:
-        """Per-sub-collection term-statistic sketches (cached on the
-        indexes, shared with the disk-cache artifact)."""
-        return [sketch_of(ix) for ix in self.indexes]
-
-    def selector(
-        self,
-        top_k: int | None = None,
-        threshold: float = 0.0,
-    ) -> CollectionSelector:
-        """A :class:`CollectionSelector` over this corpus's sketches."""
-        if not self.indexes:
-            raise ValueError("cannot build a selector over zero collections")
-        return CollectionSelector(
-            self.sketches(),
-            self.indexes[0].vocab,
-            top_k=top_k,
-            threshold=threshold,
-        )
 
     def term_lookup(self, paragraph: Paragraph) -> ParagraphTerms | None:
         """Precomputed term view of ``paragraph`` (the PS/AP fast path)."""

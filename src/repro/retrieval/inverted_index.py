@@ -357,8 +357,8 @@ class CollectionIndex:
         vocabulary: Vocabulary | None = None,
     ) -> None:
         self.collection_id = collection.collection_id
-        self._stem = stemmer or SHARED_STEM_CACHE
-        self.vocab = vocabulary or SHARED_VOCABULARY
+        self._stem = SHARED_STEM_CACHE if stemmer is None else stemmer
+        self.vocab = SHARED_VOCABULARY if vocabulary is None else vocabulary
         self._attach(collection, _build_buffers(collection, self._stem, self.vocab))
 
     @classmethod
@@ -378,17 +378,14 @@ class CollectionIndex:
         """
         self = cls.__new__(cls)
         self.collection_id = collection.collection_id
-        self._stem = stemmer or SHARED_STEM_CACHE
-        self.vocab = vocabulary or SHARED_VOCABULARY
+        self._stem = SHARED_STEM_CACHE if stemmer is None else stemmer
+        self.vocab = SHARED_VOCABULARY if vocabulary is None else vocabulary
         self._attach(collection, buffers)
         return self
 
     def _attach(self, collection: SubCollection, buffers: IndexBuffers) -> None:
         """Derive all runtime views and lookup tables from ``buffers``."""
         self.buffers = buffers
-        # Lazily-built term-statistic sketch (repro.retrieval.selection);
-        # payload attach pre-populates it when the artifact carries one.
-        self._sketch = None
         self._views = _TermViews(buffers, self.vocab)
         self._pset = memoryview(buffers.pset_ids).toreadonly()
         self._p_docs = memoryview(buffers.p_docs).toreadonly()

@@ -31,7 +31,6 @@ from array import array
 from ..corpus.generator import Corpus
 from ..nlp.vocabulary import SHARED_VOCABULARY, Vocabulary
 from .inverted_index import CollectionIndex, IndexBuffers
-from .selection import CollectionSketch, sketch_of
 
 __all__ = [
     "PAYLOAD_SCHEMA",
@@ -54,7 +53,7 @@ def indexes_to_payload(
     vocabulary: Vocabulary | None = None,
 ) -> dict[str, t.Any]:
     """Snapshot ``indexes`` into a picklable payload (no buffer copies)."""
-    vocab = vocabulary or SHARED_VOCABULARY
+    vocab = SHARED_VOCABULARY if vocabulary is None else vocabulary
     return {
         "schema": PAYLOAD_SCHEMA,
         "vocab_table": vocab.table(),
@@ -64,38 +63,10 @@ def indexes_to_payload(
                 "buffers": {
                     name: getattr(ix.buffers, name) for name in _BUFFER_FIELDS
                 },
-                "sketch": _sketch_entry(sketch_of(ix)),
             }
             for ix in indexes
         ],
     }
-
-
-def _sketch_entry(sketch: CollectionSketch) -> dict[str, t.Any]:
-    """Picklable form of one collection's term-statistic sketch."""
-    return {
-        "stem_ids": sketch.stem_ids,
-        "dfs": sketch.dfs,
-        "pfs": sketch.pfs,
-        "n_documents": sketch.n_documents,
-        "n_paragraphs": sketch.n_paragraphs,
-    }
-
-
-def _sketch_from_entry(
-    collection_id: int,
-    raw: dict[str, t.Any],
-    mapping: t.Sequence[int] | None,
-) -> CollectionSketch:
-    sketch = CollectionSketch(
-        collection_id=collection_id,
-        stem_ids=raw["stem_ids"],
-        dfs=raw["dfs"],
-        pfs=raw["pfs"],
-        n_documents=raw["n_documents"],
-        n_paragraphs=raw["n_paragraphs"],
-    )
-    return sketch.remapped(mapping) if mapping is not None else sketch
 
 
 def _copy_buffers(raw: dict[str, array]) -> IndexBuffers:
@@ -144,14 +115,16 @@ def attach_payload(
 ) -> list[CollectionIndex]:
     """Reconstruct collection indexes from ``payload`` against ``corpus``.
 
-    Raises :class:`ValueError` when the payload's schema or shape does
-    not match — callers treat that as a cache miss and rebuild.
+    Only ``collection_id`` and ``buffers`` are read from each collection
+    entry; other keys are ignored.  Raises :class:`ValueError` when the
+    payload's schema or shape does not match — callers treat that as a
+    cache miss and rebuild.
     """
     if payload.get("schema") != PAYLOAD_SCHEMA:
         raise ValueError(
             f"unexpected index payload schema {payload.get('schema')!r}"
         )
-    vocab = vocabulary or SHARED_VOCABULARY
+    vocab = SHARED_VOCABULARY if vocabulary is None else vocabulary
     table = payload["vocab_table"]
     if vocab.matches_prefix(table):
         mapping = None
@@ -168,11 +141,7 @@ def attach_payload(
         buffers = _copy_buffers(entry["buffers"])
         if mapping is not None:
             _remap_buffers(buffers, mapping)
-        index = CollectionIndex.from_buffers(collection, buffers, vocabulary=vocab)
-        # Older artifacts carry no sketch; leave it to lazy derivation.
-        if "sketch" in entry:
-            index._sketch = _sketch_from_entry(
-                collection.collection_id, entry["sketch"], mapping
-            )
-        indexes.append(index)
+        indexes.append(
+            CollectionIndex.from_buffers(collection, buffers, vocabulary=vocab)
+        )
     return indexes

@@ -102,8 +102,8 @@ def zipf_workload(
     seed: int,
 ) -> list[tuple[int, str]]:
     """The question stream: Zipf-popular repeated picks (rank ``r`` drawn
-    with probability ∝ ``1/r^s``), so serving, the benchmark and the
-    selection experiment all answer the same stream for the same seed.
+    with probability ∝ ``1/r^s``), so serving and the benchmark both
+    answer the same stream for the same seed.
     """
     unique = list(questions[: max(1, min(n_unique, len(questions)))])
     rng = np.random.default_rng(seed)

@@ -98,6 +98,30 @@ class TestParagraphScorer:
         assert len(scored) == 2
 
 
+class TestParagraphRetriever:
+    def test_one_collection_at_a_time_equals_the_full_fanout(
+        self, shared_indexed_corpus, shared_pipeline, shared_questions
+    ):
+        """``profile_question`` visits collections one id at a time; that
+        must add up to the default visit of every collection."""
+        full = ParagraphRetriever(shared_indexed_corpus.reconfigured())
+        single = ParagraphRetriever(shared_indexed_corpus.reconfigured())
+        assert full.n_collections > 1
+        for q in shared_questions[:12]:
+            processed = shared_pipeline.qp.process(q)
+            whole = full.retrieve(processed)
+            parts = [
+                single.retrieve(processed, collection_ids=[c])
+                for c in range(single.n_collections)
+            ]
+            assert [p.key for p in whole.paragraphs] == [
+                p.key for part in parts for p in part.paragraphs
+            ]
+            assert whole.per_collection == [
+                w for part in parts for w in part.per_collection
+            ]
+
+
 class TestParagraphOrderer:
     def _scored(self, scores):
         return [

@@ -19,7 +19,8 @@ from repro.corpus.generator import Document, SubCollection
 from repro.nlp.stemming import cached_stem
 from repro.nlp.tokenizer import tokenize
 from repro.nlp.vocabulary import Vocabulary
-from repro.retrieval.inverted_index import CollectionIndex, StemSetView
+from repro.retrieval.collection import IndexedCorpus
+from repro.retrieval.inverted_index import CollectionIndex, StemCache, StemSetView
 from repro.retrieval.packing import (
     PAYLOAD_SCHEMA,
     attach_payload,
@@ -127,7 +128,51 @@ def test_payload_roundtrip_bit_identical(small_stack):
         indexes_to_payload(attached, vocabulary=cold),
         protocol=pickle.HIGHEST_PROTOCOL,
     )
-    assert blob == blob_again
+    assert attached[0].vocab is cold
+
+    # Raw pickle bytes also record which equal strings are one object (a
+    # one-letter term and an array typecode); compare after one decode.
+    def decoded(b: bytes) -> bytes:
+        return pickle.dumps(pickle.loads(b), protocol=pickle.HIGHEST_PROTOCOL)
+
+    assert decoded(blob) == decoded(blob_again)
+
+
+def test_fresh_vocabulary_and_stem_cache_are_kept(small_stack):
+    """An empty ``Vocabulary()`` / ``StemCache()`` is falsy (it has a
+    ``__len__``) but is still the caller's choice, not the shared one."""
+    texts, index = small_stack
+    cold = Vocabulary()
+    (attached,) = attach_payload(
+        _corpus_of(index, texts), indexes_to_payload([index]), vocabulary=cold
+    )
+    assert attached.vocab is cold
+    assert indexes_to_payload([attached], vocabulary=Vocabulary())["vocab_table"] == []
+    cache = StemCache()
+    collection = _corpus_of(index, texts).collections[0]
+    assert CollectionIndex(collection, stemmer=cache)._stem is cache
+    corpus = _corpus_of(index, texts)
+    assert IndexedCorpus(corpus, stemmer=cache).indexes[0]._stem is cache
+
+
+def test_attach_ignores_extra_collection_entry_keys(small_stack):
+    """Artifacts whose collection entries carry more than ``collection_id``
+    and ``buffers`` (older writers added a per-collection sketch) attach to
+    the same indexes."""
+    texts, index = small_stack
+    plain = indexes_to_payload([index])
+    extra = dict(plain)
+    extra["collections"] = [
+        {**entry, "sketch": {"n_documents": len(texts)}}
+        for entry in plain["collections"]
+    ]
+
+    def reserialized(payload) -> bytes:
+        vocab = Vocabulary()
+        attached = attach_payload(_corpus_of(index, texts), payload, vocabulary=vocab)
+        return pickle.dumps(indexes_to_payload(attached, vocabulary=vocab))
+
+    assert reserialized(extra) == reserialized(plain)
 
 
 def test_attach_remaps_under_non_prefix_vocabulary(small_stack):

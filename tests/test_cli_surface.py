@@ -3,8 +3,8 @@
 The CLI's documented command list is its registered subcommands, the
 repository root holds no benchmark artifact beside ``BENCHMARK.json``'s
 own, the simulator's queue is not configurable, keyword positions have
-one kernel per side of the oracle, collection selection has one mode and
-no on/off switch, the span stream is the only trace store, the
+one kernel per side of the oracle, collection selection is gone and PR
+visits every collection, the span stream is the only trace store, the
 pre-record extension experiments took their switches with them, the
 server-to-worker wire has one request, one unit and one reply shape, and
 every CLI flag and serving option is declared in one place — which the
@@ -61,28 +61,43 @@ def test_one_keyword_position_kernel_per_side_of_the_oracle():
     assert hasattr(paragraph_scoring, "keyword_positions")
 
 
-def test_selector_has_one_mode(shared_indexed_corpus):
-    import repro.retrieval
-    from repro.retrieval.selection import CollectionSelector
+def test_selector_has_one_mode(shared_indexed_corpus, shared_pipeline):
+    """The one mode left is the paper's broadcast: no selector, no sketch."""
+    from repro.qa import QAPipeline
+    from repro.retrieval import indexes_to_payload
 
-    for retired in ("SELECTION_" "MODES", "Pruned" "Work"):
-        assert not hasattr(repro.retrieval, retired)
-    sketches = shared_indexed_corpus.sketches()
-    vocab = shared_indexed_corpus.indexes[0].vocab
+    source = "".join(p.read_text() for p in (ROOT / "src").rglob("*.py"))
+    for retired in (
+        "Collection" "Selector", "Collection" "Sketch", "Selection" "Decision",
+        "sketch" "_of", "resolve_" "collections", "last_" "decision",
+        "retrieval." "selector", "PR-" "select", "SELECTION_" "MODES",
+        "Pruned" "Work",
+    ):
+        assert retired not in source, retired
+    assert not (ROOT / "src" / "repro" / "retrieval" / "selection.py").exists()
     with pytest.raises(TypeError):
-        CollectionSelector(sketches, vocab, mode="exact")
-    with pytest.raises(TypeError):
-        shared_indexed_corpus.selector(mode="exact")
+        QAPipeline(shared_indexed_corpus, shared_pipeline.recognizer, selector=None)
+    payload = indexes_to_payload(shared_indexed_corpus.indexes)
+    for entry in payload["collections"]:
+        assert set(entry) == {"collection_id", "buffers"}
 
 
 def test_simulated_routing_is_an_input_not_a_switch():
+    """The simulator routes PR only by the explicit collection ids its
+    partitioners hand out: no routed profiles, probe cost or section."""
     from repro.corpus import CorpusConfig
     from repro.experiments.context import build_serving_context
+    from repro.experiments.runner import EXPERIMENTS
+    from repro.qa.profiles import SyntheticProfileParams
 
-    with pytest.raises(TypeError):
-        SystemConfig(**{"collection_" "selection": "off"})
+    for retired in ("selection_" "probe_cpu_s", "collection_" "selection"):
+        with pytest.raises(TypeError):
+            SystemConfig(**{retired: 0})
     with pytest.raises(TypeError):
         build_serving_context(CorpusConfig(), selection="off")
+    with pytest.raises(TypeError):
+        SyntheticProfileParams(**{"selected_" "fraction": 0.5})
+    assert "ext-" "selection" not in EXPERIMENTS
 
 
 def test_retired_extension_switches_are_not_configurable():
