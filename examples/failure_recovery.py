@@ -14,7 +14,7 @@ from repro.core import (
 from repro.observability.spans import render_trace
 from repro.qa import SyntheticProfileGenerator, SyntheticProfileParams
 from repro.simulation import FailureSchedule
-from repro.workload import staggered_arrivals, trec_mix_profiles
+from repro.workload import run_high_load
 
 
 def single_question_demo() -> None:
@@ -50,19 +50,16 @@ def cluster_workload_demo() -> None:
     print("=" * 72)
     print("2. High-load workload with two nodes leaving and rejoining")
     print("=" * 72)
-    n_nodes = 8
-    n_q = 8 * n_nodes
-    profiles = trec_mix_profiles(n_q, seed=11)
-    arrivals = staggered_arrivals(n_q, 2.0, seed=11)
-    system = DistributedQASystem(SystemConfig(n_nodes=n_nodes, strategy=Strategy.DQA))
+    system = DistributedQASystem(
+        SystemConfig(n_nodes=8, strategy=Strategy.DQA, question_retry_budget=3)
+    )
     system.failures.apply(
         FailureSchedule()
         .kill_at(60.0, 6).recover_at(240.0, 6)
         .kill_at(120.0, 7).recover_at(300.0, 7)
     )
-    report = system.run_workload(profiles, arrivals, resubmit_failed=3)
-    failed = sum(1 for r in report.results if r.failed)
-    print(f"questions completed : {n_q - failed}/{n_q} "
+    report = run_high_load(system, seed=11)
+    print(f"questions completed : {report.n_completed}/{report.n_admitted} "
           f"(front-end resubmitted lost ones, <=3 attempts)")
     print(f"throughput          : {report.throughput_qpm:.2f} q/min")
     print(f"mean response       : {report.mean_response_s:.1f} s")

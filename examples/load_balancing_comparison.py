@@ -13,12 +13,7 @@ from __future__ import annotations
 import sys
 
 from repro.core import DistributedQASystem, Strategy, SystemConfig
-from repro.workload import (
-    high_load_count,
-    staggered_arrivals,
-    summarize_latencies,
-    trec_mix_profiles,
-)
+from repro.workload import high_load_count, run_high_load, summarize_latencies
 
 
 def main(n_nodes: int = 8) -> None:
@@ -33,12 +28,10 @@ def main(n_nodes: int = 8) -> None:
         throughputs = []
         last_report = None
         for seed in seeds:
-            profiles = trec_mix_profiles(n_questions, seed=seed)
-            arrivals = staggered_arrivals(n_questions, 2.0, seed=seed)
             system = DistributedQASystem(
                 SystemConfig(n_nodes=n_nodes, strategy=strategy)
             )
-            last_report = system.run_workload(profiles, arrivals)
+            last_report = run_high_load(system, seed)
             throughputs.append(last_report.throughput_qpm)
         throughput = sum(throughputs) / len(throughputs)
         if baseline is None:

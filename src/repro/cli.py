@@ -56,15 +56,14 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     from . import workload as w
     from .core import DistributedQASystem, Strategy, SystemConfig
 
-    n_questions = args.questions or w.high_load_count(args.nodes)
-    profiles = w.trec_mix_profiles(n_questions, seed=args.seed)
-    arrivals = w.staggered_arrivals(n_questions, args.stagger, seed=args.seed)
     config = SystemConfig(
         n_nodes=args.nodes, strategy=Strategy[args.strategy], seed=args.seed
     )
-    report = DistributedQASystem(config).run_workload(profiles, arrivals)
+    report = w.run_high_load(
+        DistributedQASystem(config), args.seed, args.questions, args.stagger
+    )
     print(
-        f"{args.strategy} on {args.nodes} nodes, {n_questions} questions "
+        f"{args.strategy} on {args.nodes} nodes, {report.n_admitted} questions "
         f"(seed {args.seed}):"
     )
     print(f"  throughput : {report.throughput_qpm:.2f} questions/min")

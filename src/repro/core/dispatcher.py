@@ -27,8 +27,17 @@ from ..observability.names import (
 )
 from .load import QA_WEIGHTS, LoadSnapshot, load_function, single_task_load
 from .monitor import MonitoringSystem
+from .partitioning import RetryPolicy
 
 __all__ = ["QuestionDispatcher"]
+
+#: Migration dispatch attempts per question: a migration transfer that
+#: fails (target died between the load broadcast and the hand-off) is
+#: retried against the next candidate, at most this many times, before
+#: the question stays home.
+_MAX_ATTEMPTS = 3
+#: Backoff between those attempts.
+_BACKOFF = RetryPolicy(backoff_base_s=0.05, backoff_max_s=5.0)
 
 
 class QuestionDispatcher:
@@ -37,11 +46,6 @@ class QuestionDispatcher:
     def __init__(
         self,
         monitoring: MonitoringSystem,
-        migration_threshold: float | None = None,
-        max_attempts: int = 3,
-        backoff_base_s: float = 0.05,
-        backoff_factor: float = 2.0,
-        backoff_max_s: float = 5.0,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.monitoring = monitoring
@@ -49,20 +53,8 @@ class QuestionDispatcher:
         #: canonical ``dispatch.*`` metric names.
         self.metrics = metrics
         #: The "average workload of a single question" in load-function
-        #: units; defaults to the load a lone average Q/A task produces.
-        self.migration_threshold = (
-            single_task_load(QA_WEIGHTS)
-            if migration_threshold is None
-            else migration_threshold
-        )
-        #: Migration dispatch attempts per question: a migration transfer
-        #: that fails (target died between the load broadcast and the
-        #: hand-off) is retried with exponential backoff against the next
-        #: candidate, at most this many times, before staying home.
-        self.max_attempts = max_attempts
-        self.backoff_base_s = backoff_base_s
-        self.backoff_factor = backoff_factor
-        self.backoff_max_s = backoff_max_s
+        #: units: the load a lone average Q/A task produces.
+        self.migration_threshold = single_task_load(QA_WEIGHTS)
         self.decisions = 0
         self.migrations = 0
         #: Migration transfers that failed mid-hand-off (chaos visibility).
@@ -89,15 +81,6 @@ class QuestionDispatcher:
         self.migration_failures += 1
         if self.metrics is not None:
             self.metrics.inc(QA_MIGRATION_FAILURES)
-
-    def backoff_delay(self, attempt: int) -> float:
-        """Backoff before retrying after a failed migration ``attempt``."""
-        if self.backoff_base_s <= 0:
-            return 0.0
-        return min(
-            self.backoff_base_s * self.backoff_factor**attempt,
-            self.backoff_max_s,
-        )
 
     def choose(
         self, host_id: int, exclude: t.AbstractSet[int] = frozenset()

@@ -25,6 +25,7 @@ from ..observability.spans import Span, SpanCategory
 from ..qa.profiles import CollectionProfile, ParagraphProfile, QuestionProfile
 from ..simulation.events import Event
 from ..simulation.network import TransferFailed
+from .dispatcher import _BACKOFF, _MAX_ATTEMPTS
 from .load import AP_WEIGHTS, PR_WEIGHTS, single_task_load
 from .node import NodeDown
 from .meta_scheduler import Assignment, meta_schedule
@@ -349,7 +350,7 @@ class DistributedQATask:
         span = self._span("dispatch:qa", SpanCategory.DISPATCH, self.host)
         yield from self._dispatch_scan_cost()
         dead: set[int] = set()
-        for attempt in range(dispatcher.max_attempts):
+        for attempt in range(_MAX_ATTEMPTS):
             target = dispatcher.choose(self.host, exclude=dead)
             if target == self.host:
                 self._spans.end(span, env.now)
@@ -366,7 +367,7 @@ class DistributedQATask:
                 dispatcher.note_migration_failure()
                 dead.add(target)
                 self._trace(self.host, "qa-migrate-failed", "-> N%d", target)
-                delay = dispatcher.backoff_delay(attempt)
+                delay = _BACKOFF.delay(attempt)
                 if delay > 0:
                     yield env.timeout(delay)
                 # The migration span covers the failed hand-off plus its

@@ -33,9 +33,14 @@ from .dispatcher import QuestionDispatcher
 from .frontend import DNSFrontend
 from .monitor import MonitoringSystem
 from .node import ClusterNode, NodeConfig
+from .partitioning import RetryPolicy
 from .qa_task import DistributedQATask, TaskPolicy, TaskResult
 
 __all__ = ["Strategy", "SystemConfig", "DistributedQASystem", "WorkloadReport"]
+
+#: Front-end re-admission backoff: 1 s, doubling per attempt, so a
+#: cluster-wide blackout does not burn the whole retry budget at once.
+_READMISSION = RetryPolicy(backoff_base_s=1.0, backoff_max_s=float("inf"))
 
 
 class Strategy(enum.Enum):
@@ -83,9 +88,6 @@ class SystemConfig:
     #: Graceful degradation: how many times a question whose hosting node
     #: died is re-admitted at the front-end before being reported lost.
     question_retry_budget: int = 0
-    #: First front-end re-admission delay; doubles per attempt so a
-    #: cluster-wide blackout does not burn the whole budget in an instant.
-    question_retry_backoff_s: float = 1.0
 
     @property
     def queue_impl(self) -> str:
@@ -143,9 +145,14 @@ class WorkloadReport:
         return len(self.results)
 
     @property
+    def completed(self) -> list[TaskResult]:
+        """Results of the questions that produced an answer."""
+        return [r for r in self.results if not r.failed]
+
+    @property
     def n_completed(self) -> int:
         """Questions that produced an answer."""
-        return sum(1 for r in self.results if not r.failed)
+        return len(self.completed)
 
     @property
     def n_lost(self) -> int:
@@ -163,46 +170,44 @@ class WorkloadReport:
     @property
     def mean_recovery_latency_s(self) -> float:
         """Mean first-host-death-to-completion time of recovered questions."""
-        if not self.recovery_latencies_s:
-            return 0.0
-        return float(np.mean(self.recovery_latencies_s))
+        return _mean(self.recovery_latencies_s)
 
+    # A lost question is neither throughput nor a response: every
+    # aggregate below is over the completed questions only.
     @property
     def throughput_qpm(self) -> float:
-        """Questions per minute (Table 5's metric)."""
+        """Answered questions per minute (Table 5's metric)."""
         if self.makespan_s <= 0:
             return 0.0
-        return 60.0 * self.n_questions / self.makespan_s
+        return 60.0 * self.n_completed / self.makespan_s
 
     @property
     def mean_response_s(self) -> float:
         """Average question response time (Table 6's metric)."""
-        if not self.results:
-            return 0.0
-        return float(np.mean([r.response_time for r in self.results]))
+        return _mean([r.response_time for r in self.completed])
 
     @property
     def mean_sojourn_s(self) -> float:
         """Average arrival-to-completion time (queueing included)."""
-        if not self.results:
-            return 0.0
-        return float(np.mean([r.sojourn_time for r in self.results]))
+        return _mean([r.sojourn_time for r in self.completed])
 
     def mean_module_times(self) -> dict[str, float]:
         """Average per-module critical-path times (Table 8)."""
-        keys = ["QP", "PR", "PS", "PO", "AP"]
+        done = self.completed
         return {
-            k: float(np.mean([r.module_times[k] for r in self.results]))
-            for k in keys
+            k: _mean([r.module_times[k] for r in done])
+            for k in ("QP", "PR", "PS", "PO", "AP")
         }
 
     def mean_overhead(self) -> dict[str, float]:
         """Average distribution-overhead components (Table 9)."""
-        keys = list(self.results[0].overhead) if self.results else []
-        return {
-            k: float(np.mean([r.overhead[k] for r in self.results]))
-            for k in keys
-        }
+        done = self.completed
+        keys = done[0].overhead if done else ()
+        return {k: _mean([r.overhead[k] for r in done]) for k in keys}
+
+
+def _mean(values: list[float]) -> float:
+    return float(np.mean(values)) if values else 0.0
 
 
 class DistributedQASystem:
@@ -252,7 +257,6 @@ class DistributedQASystem:
             set_node_up=self._set_node_up,
             on_transition=None,
         )
-        self._task_procs: list[Process] = []
         #: The report from the most recent run_workload call.
         self.last_report: WorkloadReport | None = None
 
@@ -273,32 +277,13 @@ class DistributedQASystem:
         """Start one Q/A task now; returns its process (value: TaskResult)."""
         nid = self.frontend.assign() if entry_node is None else entry_node
         task = DistributedQATask(self, profile, nid, self.policy)
-        proc = self.env.process(task.run(), name=f"qa-task[{profile.qid}]")
-        self._task_procs.append(proc)
-        return proc
-
-    def submit_at(
-        self,
-        profile: QuestionProfile,
-        arrival_time: float,
-        entry_node: int | None = None,
-    ) -> None:
-        """Schedule a task to arrive at an absolute simulation time."""
-
-        def arrival() -> t.Generator[Event, object, None]:
-            delay = arrival_time - self.env.now
-            if delay > 0:
-                yield self.env.timeout(delay)
-            yield self.submit(profile, entry_node=entry_node)
-
-        self.env.process(arrival(), name=f"arrival[{profile.qid}]")
+        return self.env.process(task.run(), name=f"qa-task[{profile.qid}]")
 
     # -- workload execution ------------------------------------------------------------
     def run_workload(
         self,
         profiles: t.Sequence[QuestionProfile],
         arrival_times: t.Sequence[float] | None = None,
-        resubmit_failed: int | None = None,
     ) -> WorkloadReport:
         """Run a batch of questions to completion and report metrics.
 
@@ -306,22 +291,17 @@ class DistributedQASystem:
         until every submitted task finishes (load monitors keep running
         forever, so we run until the last task's completion event).
 
-        ``resubmit_failed`` allows up to that many re-admissions per
-        question whose hosting node died (the front-end retrying against
-        another address, with exponential backoff); the final attempt's
-        result is reported.  Defaults to the config's
-        ``question_retry_budget``.  Every admitted question is accounted
-        for: it ends up completed or lost, never silently dropped.
+        A question whose hosting node died is re-admitted up to the
+        config's ``question_retry_budget`` times (the front-end retrying
+        against another address, with exponential backoff); the final
+        attempt's result is reported.  Every admitted question is
+        accounted for: it ends up completed or lost, never silently
+        dropped.
         """
         if arrival_times is None:
             arrival_times = [0.0] * len(profiles)
         if len(arrival_times) != len(profiles):
             raise ValueError("arrival_times length must match profiles")
-        retry_budget = (
-            self.config.question_retry_budget
-            if resubmit_failed is None
-            else resubmit_failed
-        )
 
         done: list[TaskResult] = []
         retries = 0
@@ -342,18 +322,14 @@ class DistributedQASystem:
                 first_failure_at: float | None = None
                 while (
                     t.cast(TaskResult, result).failed
-                    and attempts < retry_budget
+                    and attempts < self.config.question_retry_budget
                 ):
                     if first_failure_at is None:
                         first_failure_at = self.env.now
                     attempts += 1
                     retries += 1
                     self.metrics.inc(TASK_RETRIES)
-                    backoff = self.config.question_retry_backoff_s * (
-                        2.0 ** (attempts - 1)
-                    )
-                    if backoff > 0:
-                        yield self.env.timeout(backoff)
+                    yield self.env.timeout(_READMISSION.delay(attempts - 1))
                     # Retry against the next live node (skip dead ones).
                     entry = None
                     for _ in range(self.config.n_nodes):
@@ -386,7 +362,6 @@ class DistributedQASystem:
             migrations_ap=sum(1 for r in done if r.migrated_ap),
             n_admitted=len(profiles),
             n_retries=retries,
-            n_in_flight=0,
             recovery_latencies_s=recovery_latencies,
         )
         return self.last_report

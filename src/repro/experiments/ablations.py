@@ -22,9 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import DistributedQASystem, Strategy, SystemConfig, TaskPolicy
+from ..core import (
+    DistributedQASystem,
+    Strategy,
+    SystemConfig,
+    TaskPolicy,
+    WorkloadReport,
+)
 from ..core.node import NodeConfig
-from ..workload import high_load_count, staggered_arrivals, trec_mix_profiles
+from ..workload import run_high_load, run_one_at_a_time
 from .context import complex_profiles
 from .parallel import run_cells
 from .report import TextTable
@@ -48,30 +54,21 @@ class AblationRow:
     mean_response_s: float
 
 
-def _run_high_load(
-    config: SystemConfig,
-    n_nodes: int,
-    seeds: t.Sequence[int],
-    sigma: float = 0.55,
-) -> tuple[float, float]:
-    n_q = high_load_count(n_nodes)
-    thr, resp = [], []
-    for seed in seeds:
-        profiles = trec_mix_profiles(n_q, seed=seed, sigma=sigma)
-        arrivals = staggered_arrivals(n_q, 2.0, seed=seed)
-        rep = DistributedQASystem(config).run_workload(profiles, arrivals)
-        thr.append(rep.throughput_qpm)
-        resp.append(rep.mean_response_s)
-    return float(np.mean(thr)), float(np.mean(resp))
+def _row(label: str, reports: t.Sequence[WorkloadReport]) -> AblationRow:
+    """Seed-averaged throughput and response of one variant's runs."""
+    return AblationRow(
+        label,
+        float(np.mean([r.throughput_qpm for r in reports])),
+        float(np.mean([r.mean_response_s for r in reports])),
+    )
 
 
-def _high_load_cell(
-    spec: tuple[str, SystemConfig, int, tuple[int, ...]]
-) -> AblationRow:
+def _high_load_cell(spec: tuple[str, SystemConfig, tuple[int, ...]]) -> AblationRow:
     """Pool worker: one labelled high-load variant -> its ablation row."""
-    label, config, n_nodes, seeds = spec
-    thr, resp = _run_high_load(config, n_nodes, seeds)
-    return AblationRow(label, thr, resp)
+    label, config, seeds = spec
+    return _row(
+        label, [run_high_load(DistributedQASystem(config), seed) for seed in seeds]
+    )
 
 
 def run_dispatcher_ablation(
@@ -95,9 +92,7 @@ def run_dispatcher_ablation(
                       policy=TaskPolicy(enable_partitioning=False))),
         ("DQA (full)", SystemConfig(n_nodes=n_nodes, strategy=Strategy.DQA)),
     ]
-    specs = [
-        (label, config, n_nodes, tuple(seeds)) for label, config in variants
-    ]
+    specs = [(label, config, tuple(seeds)) for label, config in variants]
     return run_cells(_high_load_cell, specs, jobs=jobs)
 
 
@@ -127,7 +122,6 @@ def run_concurrency_sweep(
                 strategy=Strategy.DNS,
                 node=NodeConfig(max_concurrent_questions=cap),
             ),
-            n_nodes,
             tuple(seeds),
         )
         for cap in caps
@@ -147,25 +141,16 @@ def format_concurrency_sweep(rows: t.Sequence[AblationRow]) -> str:
     return table.render()
 
 
-def _threshold_cell(
-    spec: tuple[float, int, tuple[int, ...]]
-) -> AblationRow:
+def _threshold_cell(spec: tuple[float, int, tuple[int, ...]]) -> AblationRow:
     """Pool worker: one migration-threshold setting -> its ablation row."""
     th, n_nodes, seeds = spec
     config = SystemConfig(n_nodes=n_nodes, strategy=Strategy.INTER)
-    n_q = high_load_count(n_nodes)
-    thr, resp = [], []
+    reports = []
     for seed in seeds:
-        profiles = trec_mix_profiles(n_q, seed=seed)
-        arrivals = staggered_arrivals(n_q, 2.0, seed=seed)
         system = DistributedQASystem(config)
         system.question_dispatcher.migration_threshold = th
-        rep = system.run_workload(profiles, arrivals)
-        thr.append(rep.throughput_qpm)
-        resp.append(rep.mean_response_s)
-    return AblationRow(
-        f"threshold {th:.3f}", float(np.mean(thr)), float(np.mean(resp))
-    )
+        reports.append(run_high_load(system, seed))
+    return _row(f"threshold {th:.3f}", reports)
 
 
 def run_threshold_sweep(
@@ -213,24 +198,18 @@ def _margin_cell(
 ) -> tuple[float, float, float]:
     """Pool worker: one under-load margin -> (margin, response, throughput)."""
     margin, n_nodes, profiles = spec
-    policy = TaskPolicy(
-        pr_underload_margin=margin, ap_underload_margin=margin
+    config = SystemConfig(
+        n_nodes=n_nodes,
+        strategy=Strategy.DQA,
+        policy=TaskPolicy(pr_underload_margin=margin, ap_underload_margin=margin),
     )
-    # Low load: questions one at a time.
-    resp = []
-    for prof in profiles:
-        system = DistributedQASystem(
-            SystemConfig(n_nodes=n_nodes, strategy=Strategy.DQA, policy=policy)
-        )
-        rep = system.run_workload([prof])
-        resp.append(rep.results[0].response_time)
-    # High load.
-    thr, _ = _run_high_load(
-        SystemConfig(n_nodes=n_nodes, strategy=Strategy.DQA, policy=policy),
-        n_nodes,
-        seeds=(11,),
+    low = run_one_at_a_time(config, profiles)
+    high = run_high_load(DistributedQASystem(config), seed=11)
+    return (
+        margin,
+        float(np.mean([r.response_time for r in low])),
+        high.throughput_qpm,
     )
-    return (margin, float(np.mean(resp)), thr)
 
 
 def format_margin_sweep(rows: t.Sequence[tuple[float, float, float]]) -> str:

@@ -36,12 +36,7 @@ from ..core import (
     TaskPolicy,
 )
 from ..simulation import ChaosConfig, generate_chaos_schedule
-from ..workload import (
-    FailureAccounting,
-    failure_accounting,
-    staggered_arrivals,
-    trec_mix_profiles,
-)
+from ..workload import FailureAccounting, failure_accounting, run_high_load
 from .parallel import run_cells
 from .report import TextTable
 
@@ -113,25 +108,16 @@ def run_campaign_cell(
     n_nodes: int = 6,
     n_questions: int = 12,
     seed: int = 11,
-    stagger_s: float = 2.0,
     retry_budget: int = 3,
     mean_downtime_s: float = 30.0,
     min_live_nodes: int = 2,
     horizon_s: float = 900.0,
     trace: bool = False,
-    profiles: t.Sequence[t.Any] | None = None,
-    arrivals: t.Sequence[float] | None = None,
 ) -> tuple[CampaignCell, DistributedQASystem]:
-    """Run one cell; returns the cell plus the (finished) system.
+    """Run one cell: the Section 6.1 recipe under a seeded chaos schedule.
 
-    ``profiles``/``arrivals`` let a sweep build the (cell-invariant)
-    workload once and share it across cells; omitted, they are derived
-    from ``seed`` exactly as the sweep would.
+    Returns the cell plus the (finished) system.
     """
-    if profiles is None:
-        profiles = trec_mix_profiles(n_questions, seed=seed)
-    if arrivals is None:
-        arrivals = staggered_arrivals(n_questions, stagger_s, seed=seed)
     policy = TaskPolicy(
         pr_strategy=strategy,
         ap_strategy=strategy,
@@ -158,7 +144,7 @@ def run_campaign_cell(
         n_nodes,
     )
     system.failures.apply(schedule)
-    report = system.run_workload(profiles, arrivals)
+    report = run_high_load(system, seed, n_questions=n_questions)
     latencies = detection_latencies(
         system.failures.log, system.monitoring.membership_log
     )
@@ -203,26 +189,17 @@ def run_campaign(
 ) -> list[CampaignCell]:
     """Sweep fault rates against strategies; every cell must balance.
 
-    The workload (profiles + arrival schedule) depends only on the
-    campaign seed, so it is built once here and shared by every cell
-    instead of being regenerated per (strategy, fault-rate) pair.  With
-    ``jobs`` > 1 the independent cells run on a process pool; results
-    are merged in grid order, so the returned list — and any report
-    formatted from it — is byte-identical to a serial run.
+    Every cell runs the same questions and startup sequence, drawn from
+    the campaign seed.  With ``jobs`` > 1 the independent cells run on a
+    process pool; results are merged in grid order, so the returned list
+    — and any report formatted from it — is byte-identical to a serial
+    run.
 
     Raises :class:`RuntimeError` if any cell loses track of a question
     (completed + lost + in-flight != admitted) — the campaign's core
     safety assertion, not just a reported number.
     """
-    stagger_s = cell_kwargs.get("stagger_s", 2.0)
-    shared = dict(
-        cell_kwargs,
-        n_nodes=n_nodes,
-        n_questions=n_questions,
-        seed=seed,
-        profiles=trec_mix_profiles(n_questions, seed=seed),
-        arrivals=staggered_arrivals(n_questions, stagger_s, seed=seed),
-    )
+    shared = dict(cell_kwargs, n_nodes=n_nodes, n_questions=n_questions, seed=seed)
     specs = [
         (strategy.name, fault_rate, shared)
         for fault_rate in fault_rates

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import DistributedQASystem, Strategy, SystemConfig
+from ..core import Strategy, SystemConfig
 from ..model import ModelParameters, question_speedup
 from ..qa.profiles import QuestionProfile
+from ..workload import run_one_at_a_time
 from .context import complex_profiles
 from .parallel import run_cells
 from .report import TextTable
@@ -75,27 +76,20 @@ def _intra_cell(
     in after the ordered merge.
     """
     n_nodes, profiles = spec
-    module_acc: dict[str, list[float]] = {
-        k: [] for k in ("QP", "PR", "PS", "PO", "AP")
-    }
-    overhead_acc: dict[str, list[float]] = {}
-    responses: list[float] = []
-    for prof in profiles:
-        system = DistributedQASystem(
-            SystemConfig(n_nodes=n_nodes, strategy=Strategy.DQA)
-        )
-        rep = system.run_workload([prof])
-        r = rep.results[0]
-        for k in module_acc:
-            module_acc[k].append(r.module_times[k])
-        for k, v in r.overhead.items():
-            overhead_acc.setdefault(k, []).append(v)
-        responses.append(r.response_time)
+    results = run_one_at_a_time(
+        SystemConfig(n_nodes=n_nodes, strategy=Strategy.DQA), profiles
+    )
     return IntraRow(
         n_nodes=n_nodes,
-        module_times={k: float(np.mean(v)) for k, v in module_acc.items()},
-        response_s=float(np.mean(responses)),
-        overhead={k: float(np.mean(v)) for k, v in overhead_acc.items()},
+        module_times={
+            k: float(np.mean([r.module_times[k] for r in results]))
+            for k in ("QP", "PR", "PS", "PO", "AP")
+        },
+        response_s=float(np.mean([r.response_time for r in results])),
+        overhead={
+            k: float(np.mean([r.overhead[k] for r in results]))
+            for k in results[0].overhead
+        },
     )
 
 

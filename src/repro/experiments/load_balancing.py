@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import DistributedQASystem, Strategy, SystemConfig
-from ..workload import high_load_count, staggered_arrivals, trec_mix_profiles
+from ..workload import run_high_load
 from .parallel import run_cells
 from .report import TextTable
 
@@ -63,43 +63,38 @@ class LoadBalancingCell:
     migrations_ap: float
 
 
-def _lb_cell(
-    spec: tuple[int, str, tuple[int, ...], float]
-) -> LoadBalancingCell:
+def _lb_cell(spec: tuple[int, str, tuple[int, ...]]) -> LoadBalancingCell:
     """Pool worker: one (node count, strategy) cell, averaged over seeds."""
-    n_nodes, strategy_name, seeds, sigma = spec
+    n_nodes, strategy_name, seeds = spec
     strategy = Strategy[strategy_name]
-    n_q = high_load_count(n_nodes)
-    thr, resp, soj, mqa, mpr, map_ = [], [], [], [], [], []
-    for seed in seeds:
-        profiles = trec_mix_profiles(n_q, seed=seed, sigma=sigma)
-        arrivals = staggered_arrivals(n_q, 2.0, seed=seed)
-        system = DistributedQASystem(
-            SystemConfig(n_nodes=n_nodes, strategy=strategy, seed=seed)
+    reports = [
+        run_high_load(
+            DistributedQASystem(
+                SystemConfig(n_nodes=n_nodes, strategy=strategy, seed=seed)
+            ),
+            seed,
         )
-        rep = system.run_workload(profiles, arrivals)
-        thr.append(rep.throughput_qpm)
-        resp.append(rep.mean_response_s)
-        soj.append(rep.mean_sojourn_s)
-        mqa.append(rep.migrations_qa)
-        mpr.append(rep.migrations_pr)
-        map_.append(rep.migrations_ap)
+        for seed in seeds
+    ]
+
+    def mean(field: str) -> float:
+        return float(np.mean([getattr(r, field) for r in reports]))
+
     return LoadBalancingCell(
         n_nodes=n_nodes,
         strategy=strategy.value,
-        throughput_qpm=float(np.mean(thr)),
-        mean_response_s=float(np.mean(resp)),
-        mean_sojourn_s=float(np.mean(soj)),
-        migrations_qa=float(np.mean(mqa)),
-        migrations_pr=float(np.mean(mpr)),
-        migrations_ap=float(np.mean(map_)),
+        throughput_qpm=mean("throughput_qpm"),
+        mean_response_s=mean("mean_response_s"),
+        mean_sojourn_s=mean("mean_sojourn_s"),
+        migrations_qa=mean("migrations_qa"),
+        migrations_pr=mean("migrations_pr"),
+        migrations_ap=mean("migrations_ap"),
     )
 
 
 def run_load_balancing(
     node_counts: t.Sequence[int] = (4, 8, 12),
     seeds: t.Sequence[int] = (11, 23, 37),
-    sigma: float = 0.55,
     jobs: int | str | None = None,
 ) -> list[LoadBalancingCell]:
     """Run the full three-strategy comparison.
@@ -108,7 +103,7 @@ def run_load_balancing(
     ``jobs`` > 1 they run on a process pool and merge in grid order.
     """
     specs = [
-        (n_nodes, strategy.name, tuple(seeds), sigma)
+        (n_nodes, strategy.name, tuple(seeds))
         for n_nodes in node_counts
         for strategy in (Strategy.DNS, Strategy.INTER, Strategy.DQA)
     ]

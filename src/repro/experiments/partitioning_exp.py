@@ -17,13 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import (
-    DistributedQASystem,
     PartitioningStrategy,
     Strategy,
     SystemConfig,
     TaskPolicy,
 )
 from ..qa.profiles import QuestionProfile
+from ..workload import run_one_at_a_time
 from .context import complex_profiles
 from .parallel import run_cells
 from .report import TextTable, format_series
@@ -42,26 +42,6 @@ PAPER_TABLE11 = {
 }
 
 
-def _mean_ap_time(
-    n_nodes: int,
-    profiles: t.Sequence[QuestionProfile],
-    ap_strategy: PartitioningStrategy,
-    chunk: int = 40,
-) -> float:
-    """Mean AP critical-path time, one question at a time."""
-    times = []
-    for prof in profiles:
-        policy = TaskPolicy(
-            ap_strategy=ap_strategy, ap_chunk_paragraphs=chunk
-        )
-        system = DistributedQASystem(
-            SystemConfig(n_nodes=n_nodes, strategy=Strategy.DQA, policy=policy)
-        )
-        rep = system.run_workload([prof])
-        times.append(rep.results[0].module_times["AP"])
-    return float(np.mean(times))
-
-
 @dataclass(frozen=True, slots=True)
 class Table11Row:
     n_nodes: int
@@ -75,9 +55,15 @@ def _ap_time_cell(
 ) -> float:
     """Pool worker: mean AP time for one (nodes, strategy, chunk) cell."""
     n_nodes, strategy_name, profiles, chunk = spec
-    return _mean_ap_time(
-        n_nodes, profiles, PartitioningStrategy[strategy_name], chunk
+    policy = TaskPolicy(
+        ap_strategy=PartitioningStrategy[strategy_name],
+        ap_chunk_paragraphs=chunk,
     )
+    results = run_one_at_a_time(
+        SystemConfig(n_nodes=n_nodes, strategy=Strategy.DQA, policy=policy),
+        profiles,
+    )
+    return float(np.mean([r.module_times["AP"] for r in results]))
 
 
 def run_table11(

@@ -15,7 +15,7 @@ flexibility: processors must be able to dynamically join or leave"):
 from __future__ import annotations
 
 import typing as t
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from ..core import (
 )
 from ..core.node import NodeConfig
 from ..simulation import FailureSchedule
-from ..workload import high_load_count, staggered_arrivals, trec_mix_profiles
+from ..workload import run_high_load, run_one_at_a_time
 from .context import complex_profiles
 from .report import TextTable
 
@@ -64,32 +64,27 @@ def run_heterogeneous(
     """Compare partitioning strategies on a cluster with slow nodes."""
     profiles = complex_profiles(n_questions, seed=seed)
     overrides = {nid: NodeConfig(cpu_speed=slow_factor) for nid in slow_nodes}
-    rows = []
-    for strategy in PartitioningStrategy:
-        times = {}
-        for label, node_overrides in (("homo", None), ("hetero", overrides)):
-            acc = []
-            for prof in profiles:
-                system = DistributedQASystem(
-                    SystemConfig(
-                        n_nodes=n_nodes,
-                        strategy=Strategy.DQA,
-                        policy=TaskPolicy(ap_strategy=strategy),
-                        node_overrides=node_overrides,
-                    )
-                )
-                acc.append(
-                    system.run_workload([prof]).results[0].module_times["AP"]
-                )
-            times[label] = float(np.mean(acc))
-        rows.append(
-            HeteroRow(
-                strategy=strategy.value,
-                homogeneous_ap_s=times["homo"],
-                heterogeneous_ap_s=times["hetero"],
-            )
+
+    def mean_ap_s(
+        strategy: PartitioningStrategy, node_overrides: dict | None
+    ) -> float:
+        config = SystemConfig(
+            n_nodes=n_nodes,
+            strategy=Strategy.DQA,
+            policy=TaskPolicy(ap_strategy=strategy),
+            node_overrides=node_overrides,
         )
-    return rows
+        results = run_one_at_a_time(config, profiles)
+        return float(np.mean([r.module_times["AP"] for r in results]))
+
+    return [
+        HeteroRow(
+            strategy=strategy.value,
+            homogeneous_ap_s=mean_ap_s(strategy, None),
+            heterogeneous_ap_s=mean_ap_s(strategy, overrides),
+        )
+        for strategy in PartitioningStrategy
+    ]
 
 
 def format_heterogeneous(rows: t.Sequence[HeteroRow]) -> str:
@@ -133,30 +128,18 @@ def run_churn(
     seed: int = 11,
 ) -> ChurnResult:
     """Run the high-load workload through two node outages."""
-    n_q = high_load_count(n_nodes)
-    profiles = trec_mix_profiles(n_q, seed=seed)
-    arrivals = staggered_arrivals(n_q, 2.0, seed=seed)
-
-    baseline = DistributedQASystem(
-        SystemConfig(n_nodes=n_nodes, strategy=Strategy.DQA)
-    ).run_workload(profiles, arrivals)
-
-    plain = DistributedQASystem(SystemConfig(n_nodes=n_nodes, strategy=Strategy.DQA))
+    config = SystemConfig(n_nodes=n_nodes, strategy=Strategy.DQA)
+    baseline = run_high_load(DistributedQASystem(config), seed)
+    plain = DistributedQASystem(config)
     plain.failures.apply(_churn_schedule(n_nodes))
-    no_retry = plain.run_workload(profiles, arrivals)
-
-    retrying = DistributedQASystem(
-        SystemConfig(n_nodes=n_nodes, strategy=Strategy.DQA)
-    )
+    no_retry = run_high_load(plain, seed)
+    retrying = DistributedQASystem(replace(config, question_retry_budget=3))
     retrying.failures.apply(_churn_schedule(n_nodes))
-    with_retry = retrying.run_workload(profiles, arrivals, resubmit_failed=3)
-
+    with_retry = run_high_load(retrying, seed)
     return ChurnResult(
-        n_questions=n_q,
-        completed_no_retry=sum(1 for r in no_retry.results if not r.failed),
-        completed_with_retry=sum(
-            1 for r in with_retry.results if not r.failed
-        ),
+        n_questions=with_retry.n_admitted,
+        completed_no_retry=no_retry.n_completed,
+        completed_with_retry=with_retry.n_completed,
         throughput_qpm=with_retry.throughput_qpm,
         baseline_throughput_qpm=baseline.throughput_qpm,
     )

@@ -105,7 +105,7 @@ def _ext_event_census() -> str:
 
 
 def _ext_model_validation() -> str:
-    from .validation_exp import format_inter_validation, run_inter_validation
+    from .scale import format_inter_validation, run_inter_validation
 
     return format_inter_validation(run_inter_validation())
 

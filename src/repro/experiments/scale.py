@@ -1,24 +1,33 @@
-"""Scale-out sweep: run the paper's 1000-node extrapolation for real.
+"""Simulated system speedup against Eq 23: the two weak-scaling checks.
 
-Section 5 stops at the 12-processor testbed and *extrapolates* Eq 9-23
-to 1000 processors (Figures 8-9).  With sharded load monitoring
-(``SystemConfig.monitor_shards``, ~sqrt(N) shards) the simulator executes
-those configurations directly: a weak-scaling sweep — ``q`` questions per
-processor, the regime Eq 23 assumes — under each AP partitioning strategy
-(SEND / ISEND / RECV; PR always uses RECV, as in the paper), cross-checking
-measured system speedup against Eq 23 at every size.
+The paper's Figure 8 is Eq 23 alone; both sections here measure the same
+ratio on the simulator instead, running ``q`` questions per processor
+(the regime Eq 23 assumes) through the Section 6.1 recipe,
+:func:`~repro.workload.run_high_load`:
 
-The ``ext-scale`` section of ``repro experiments`` sweeps 16 -> 128 nodes;
-``run_scale(node_counts=DEFAULT_NODE_COUNTS)`` climbs to the paper's 1000
-(minutes of host time per strategy).  How fast the simulator gets through
-a cell is the benchmark's business (``bench/run.py``, ``sim_scale128``),
-not this experiment's.
+* ``ext-scale`` (:func:`run_scale`) — Section 5 stops at the
+  12-processor testbed and *extrapolates* Eq 9-23 to 1000 processors
+  (Figures 8-9).  With sharded load monitoring
+  (``SystemConfig.monitor_shards``, ~sqrt(N) shards) the simulator
+  executes those sizes directly, under each AP partitioning strategy
+  (SEND / ISEND / RECV; PR always uses RECV, as in the paper).  The
+  section sweeps 16 -> 128 nodes;
+  ``run_scale(node_counts=DEFAULT_NODE_COUNTS)`` climbs to the paper's
+  1000 (minutes of host time per strategy).
+* ``ext-model-validation`` (:func:`run_inter_validation`) — the testbed's
+  own range, 1 -> 16 nodes on the broadcast monitor plane, averaged over
+  two seeds.
+
+How fast the simulator gets through a cell is the benchmark's business
+(``bench/run.py``, ``sim_scale128``), not this experiment's.
 """
 
 from __future__ import annotations
 
 import typing as t
 from dataclasses import asdict, dataclass
+
+import numpy as np
 
 from ..core import (
     DistributedQASystem,
@@ -29,14 +38,17 @@ from ..core import (
 )
 from ..core.monitor import auto_shard_count
 from ..model import ModelParameters, system_speedup
-from ..workload import staggered_arrivals, trec_mix_profiles
+from ..workload import run_high_load
 from .parallel import run_cells
 from .report import TextTable
 
 __all__ = [
     "ScaleCell",
+    "SpeedupPoint",
     "run_scale",
     "format_scale",
+    "run_inter_validation",
+    "format_inter_validation",
     "DEFAULT_NODE_COUNTS",
 ]
 
@@ -74,9 +86,7 @@ def _scale_cell(spec: tuple[int, str, int, int]) -> ScaleCell:
             collect_metrics=False,
         )
     )
-    report = system.run_workload(
-        trec_mix_profiles(n_q, seed=seed), staggered_arrivals(n_q, 2.0, seed=seed)
-    )
+    report = run_high_load(system, seed, n_questions=n_q)
     return ScaleCell(
         n_nodes=n_nodes,
         ap_strategy=ap_strategy,
@@ -151,5 +161,63 @@ def format_scale(summary: dict[str, t.Any]) -> str:
             row["measured_speedup"],
             row["analytical_speedup"],
             f"{row['rel_err'] * 100:.1f} %",
+        )
+    return table.render()
+
+
+# -- ext-model-validation: the same ratio on the 1-16 node testbed ------------------
+
+
+@dataclass(frozen=True, slots=True)
+class SpeedupPoint:
+    n_nodes: int
+    measured_speedup: float
+    analytical_speedup: float
+
+
+def run_inter_validation(
+    node_counts: t.Sequence[int] = (1, 2, 4, 8, 12, 16),
+    questions_per_node: int = 6,
+    seeds: t.Sequence[int] = (11, 23),
+    params: ModelParameters | None = None,
+) -> list[SpeedupPoint]:
+    """Measured vs Eq-23 system speedup over cluster sizes.
+
+    Speedup is throughput per unit of work relative to the 1-node system
+    on a proportionally scaled workload (weak scaling, as Eq 23 assumes:
+    q questions per processor).
+    """
+    params = params or ModelParameters()
+    throughput: dict[int, float] = {}
+    for n in node_counts:
+        config = SystemConfig(n_nodes=n, strategy=Strategy.DQA)
+        acc = [
+            run_high_load(
+                DistributedQASystem(config), seed, n_questions=questions_per_node * n
+            ).throughput_qpm
+            for seed in seeds
+        ]
+        throughput[n] = float(np.mean(acc))
+    base = throughput[node_counts[0]] / node_counts[0]
+    return [
+        SpeedupPoint(
+            n_nodes=n,
+            measured_speedup=throughput[n] / base,
+            analytical_speedup=system_speedup(params, n),
+        )
+        for n in node_counts
+    ]
+
+
+def format_inter_validation(points: t.Sequence[SpeedupPoint]) -> str:
+    """Render the Eq-23-vs-simulation speedup comparison."""
+    table = TextTable(
+        "Extension: inter-question model (Eq 23) vs simulation",
+        ["Procs", "Measured speedup", "Analytical speedup", "ratio"],
+    )
+    for p in points:
+        ratio = p.measured_speedup / p.analytical_speedup
+        table.add_row(
+            p.n_nodes, p.measured_speedup, p.analytical_speedup, f"{ratio:.2f}"
         )
     return table.render()

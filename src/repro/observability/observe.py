@@ -50,7 +50,6 @@ class ObserveConfig:
     questions_per_node: int = 2
     #: AP partitioning strategies to run (PR always uses RECV).
     strategies: tuple[str, ...] = ("SEND", "ISEND", "RECV")
-    max_stagger_s: float = 2.0
     seed: int = 11
     #: Eq 15 scan cost per load-table entry; 0 restores the
     #: paper-faithful instantaneous dispatch.
@@ -71,11 +70,7 @@ def _run_one(
         SystemConfig,
         TaskPolicy,
     )
-    from ..workload import (
-        staggered_arrivals,
-        summarize_latencies,
-        trec_mix_profiles,
-    )
+    from ..workload import run_high_load, summarize_latencies
 
     n_questions = config.questions_per_node * config.n_nodes
     policy = TaskPolicy(
@@ -92,11 +87,7 @@ def _run_one(
         seed=config.seed,
     )
     system = DistributedQASystem(sys_config)
-    profiles = trec_mix_profiles(n_questions, seed=config.seed)
-    arrivals = staggered_arrivals(
-        n_questions, config.max_stagger_s, seed=config.seed
-    )
-    report = system.run_workload(profiles, arrivals)
+    report = run_high_load(system, config.seed, n_questions=n_questions)
 
     jsonl_path = write_jsonl(
         system.spans,

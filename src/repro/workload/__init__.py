@@ -1,8 +1,10 @@
-"""Workload generation and metric summaries."""
+"""Workload generation, the two evaluation protocols, and metric summaries."""
 
 from .arrivals import (
     high_load_count,
     poisson_arrivals,
+    run_high_load,
+    run_one_at_a_time,
     staggered_arrivals,
     trec_mix_profiles,
 )
@@ -23,6 +25,8 @@ __all__ = [
     "high_load_count",
     "percentile",
     "poisson_arrivals",
+    "run_high_load",
+    "run_one_at_a_time",
     "speedup_table",
     "staggered_arrivals",
     "summarize_latencies",

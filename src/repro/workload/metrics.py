@@ -93,8 +93,8 @@ def summarize_samples(samples: t.Sequence[float]) -> LatencySummary:
 
 
 def summarize_latencies(report: "WorkloadReport") -> LatencySummary:
-    """Summarize a workload report's response-time distribution."""
-    return summarize_samples([r.response_time for r in report.results])
+    """Summarize a workload report's answered questions' response times."""
+    return summarize_samples([r.response_time for r in report.completed])
 
 
 @dataclass(frozen=True, slots=True)

@@ -112,21 +112,19 @@ class TestResubmission:
         gen = SyntheticProfileGenerator(seed=5)
         profiles = gen.generate_many(8)
 
-        def run(resubmit):
+        def run(retry_budget):
             system = DistributedQASystem(
                 SystemConfig(
                     n_nodes=4,
                     strategy=Strategy.DNS,
                     node=NodeConfig(max_concurrent_questions=1),
+                    question_retry_budget=retry_budget,
                 )
             )
             system.failures.apply(
                 FailureSchedule().kill_at(10.0, 1).recover_at(400.0, 1)
             )
-            report = system.run_workload(
-                profiles, resubmit_failed=resubmit
-            )
-            return sum(1 for r in report.results if r.failed)
+            return system.run_workload(profiles).n_lost
 
         assert run(0) > 0
         assert run(3) == 0

@@ -282,11 +282,12 @@ class TestDispatcherRetry:
         return DistributedQASystem(SystemConfig(**kwargs))
 
     def test_backoff_delay_grows_and_caps(self):
-        system = self._system(n_nodes=2)
-        d = system.question_dispatcher
-        delays = [d.backoff_delay(i) for i in range(12)]
+        from repro.core.dispatcher import _BACKOFF
+
+        delays = [_BACKOFF.delay(i) for i in range(12)]
         assert delays == sorted(delays)
-        assert delays[-1] == d.backoff_max_s
+        assert delays[0] == 0.05
+        assert delays[-1] == _BACKOFF.backoff_max_s == 5.0
 
     def test_choose_excludes_dead_candidates(self):
         system = self._system(n_nodes=3)

@@ -10,7 +10,7 @@ from repro.experiments.robustness_exp import (
     run_churn,
     run_heterogeneous,
 )
-from repro.experiments.validation_exp import (
+from repro.experiments.scale import (
     format_inter_validation,
     run_inter_validation,
 )

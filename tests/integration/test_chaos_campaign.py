@@ -27,7 +27,11 @@ from repro.experiments.chaos_campaign import (
     run_campaign_cell,
 )
 from repro.simulation import FailureSchedule
-from repro.workload import failure_accounting, trec_mix_profiles
+from repro.workload import (
+    failure_accounting,
+    summarize_latencies,
+    trec_mix_profiles,
+)
 
 
 class TestCampaignAccounting:
@@ -162,6 +166,28 @@ class TestGracefulDegradation:
         acc = failure_accounting(report)
         assert acc.balanced
         assert acc.loss_rate == pytest.approx(1.0)
+
+    def test_lost_questions_are_neither_throughput_nor_response(self):
+        """Every report aggregate is over the answered questions only."""
+        _, system = run_campaign_cell(
+            PartitioningStrategy.ISEND, 1 / 60, retry_budget=0
+        )
+        report = system.last_report
+        done = [r for r in report.results if not r.failed]
+        assert 0 < len(done) < report.n_admitted  # the run did lose some
+        assert report.throughput_qpm == pytest.approx(
+            60.0 * len(done) / report.makespan_s
+        )
+        assert report.mean_response_s == pytest.approx(
+            sum(r.response_time for r in done) / len(done)
+        )
+        assert report.mean_sojourn_s == pytest.approx(
+            sum(r.sojourn_time for r in done) / len(done)
+        )
+        assert report.mean_module_times()["AP"] == pytest.approx(
+            sum(r.module_times["AP"] for r in done) / len(done)
+        )
+        assert summarize_latencies(report).n == len(done)
 
     def test_unbalanced_campaign_raises(self, monkeypatch):
         from repro.experiments import chaos_campaign as cc

@@ -15,15 +15,10 @@ from repro.core import (
     SystemConfig,
     TaskPolicy,
 )
-from repro.qa import SyntheticProfileGenerator, SyntheticProfileParams
-from repro.workload import high_load_count, staggered_arrivals, trec_mix_profiles
+from repro.experiments.context import complex_profiles
+from repro.workload import run_high_load, run_one_at_a_time
 
 pytestmark = pytest.mark.slow
-
-
-def complex_profiles(n, seed=3):
-    gen = SyntheticProfileGenerator(SyntheticProfileParams.complex(), seed=seed)
-    return gen.generate_many(n)
 
 
 @pytest.fixture(scope="module")
@@ -32,20 +27,14 @@ def intra_rows():
     profiles = complex_profiles(6)
     rows = {}
     for n in (1, 4, 8, 12):
-        acc = {k: [] for k in ("QP", "PR", "PS", "PO", "AP")}
-        responses = []
-        for prof in profiles:
-            system = DistributedQASystem(
-                SystemConfig(n_nodes=n, strategy=Strategy.DQA)
-            )
-            r = system.run_workload([prof]).results[0]
-            for k in acc:
-                acc[k].append(r.module_times[k])
-            responses.append(r.response_time)
+        results = run_one_at_a_time(
+            SystemConfig(n_nodes=n, strategy=Strategy.DQA), profiles
+        )
         rows[n] = {
-            **{k: float(np.mean(v)) for k, v in acc.items()},
-            "resp": float(np.mean(responses)),
+            k: float(np.mean([r.module_times[k] for r in results]))
+            for k in ("QP", "PR", "PS", "PO", "AP")
         }
+        rows[n]["resp"] = float(np.mean([r.response_time for r in results]))
     return rows
 
 
@@ -86,14 +75,12 @@ class TestIntraQuestionShapes:
 
 class TestPartitioningShapes:
     def _ap_time(self, n_nodes, strategy, profiles, chunk=40):
-        times = []
-        for prof in profiles:
-            policy = TaskPolicy(ap_strategy=strategy, ap_chunk_paragraphs=chunk)
-            system = DistributedQASystem(
-                SystemConfig(n_nodes=n_nodes, strategy=Strategy.DQA, policy=policy)
-            )
-            times.append(system.run_workload([prof]).results[0].module_times["AP"])
-        return float(np.mean(times))
+        policy = TaskPolicy(ap_strategy=strategy, ap_chunk_paragraphs=chunk)
+        results = run_one_at_a_time(
+            SystemConfig(n_nodes=n_nodes, strategy=Strategy.DQA, policy=policy),
+            profiles,
+        )
+        return float(np.mean([r.module_times["AP"] for r in results]))
 
     def test_send_clearly_worst_isend_recv_close(self):
         """Table 11's ordering: SEND clearly worst; ISEND and RECV "very
@@ -120,19 +107,15 @@ class TestPartitioningShapes:
 class TestLoadBalancingShapes:
     @pytest.fixture(scope="class")
     def high_load(self):
-        n_nodes = 8
-        n_q = high_load_count(n_nodes)
         out = {}
         for strategy in (Strategy.DNS, Strategy.INTER, Strategy.DQA):
-            thr = []
-            for seed in (11, 23, 37):
-                profiles = trec_mix_profiles(n_q, seed=seed)
-                arrivals = staggered_arrivals(n_q, 2.0, seed=seed)
-                system = DistributedQASystem(
-                    SystemConfig(n_nodes=n_nodes, strategy=strategy)
-                )
-                rep = system.run_workload(profiles, arrivals)
-                thr.append(rep.throughput_qpm)
+            thr = [
+                run_high_load(
+                    DistributedQASystem(SystemConfig(n_nodes=8, strategy=strategy)),
+                    seed,
+                ).throughput_qpm
+                for seed in (11, 23, 37)
+            ]
             out[strategy.value] = float(np.mean(thr))
         return out
 

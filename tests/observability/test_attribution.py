@@ -24,7 +24,7 @@ from repro.observability import (
     format_attribution,
 )
 from repro.observability.names import PARTITION_RETRY_ROUNDS
-from repro.workload import staggered_arrivals, trec_mix_profiles
+from repro.workload import run_high_load
 
 SUM_TOL = 1e-6
 
@@ -35,10 +35,7 @@ def traced_run():
     system = DistributedQASystem(
         SystemConfig(n_nodes=4, strategy=Strategy.DQA, trace=True, seed=3)
     )
-    n = 8
-    profiles = trec_mix_profiles(n, seed=3)
-    report = system.run_workload(profiles, staggered_arrivals(n, 2.0, seed=3))
-    return system, report
+    return system, run_high_load(system, 3, n_questions=8)
 
 
 class TestQuestionInvariants:
@@ -120,10 +117,7 @@ class TestMigrationSpans:
                 seed=5,
             )
         )
-        n = 8
-        report = system.run_workload(
-            trec_mix_profiles(n, seed=5), staggered_arrivals(n, 1.0, seed=5)
-        )
+        report = run_high_load(system, 5, n_questions=8, stagger_s=1.0)
         assert report.migrations_qa > 0
         migrate = [
             s for s in system.spans.intervals() if s.name == "migrate:qa"

@@ -2,9 +2,9 @@
 
 ROADMAP's rule for kernel changes is one code path checked against frozen
 outputs, not a legacy path kept beside the new one.  Each case below is a
-seeded ``run_workload`` whose every simulated number — makespan,
-migrations, each question's response time, bytes on the wire, monitor
-rounds, the membership log — is hashed into one sha256.  The digests were
+seeded Section 6.1 run (``run_high_load``) whose every simulated number —
+makespan, migrations, each question's response time, bytes on the wire,
+monitor rounds, the membership log — is hashed into one sha256.  The digests were
 recorded on the commit *before* PR 15 reworked the fair-share kernel (lazy
 timers, inline completions); a host-only optimisation must reproduce all
 of them.
@@ -29,7 +29,7 @@ from repro.core import (
 )
 from repro.core.monitor import auto_shard_count
 from repro.simulation.chaos import ChaosConfig, generate_chaos_schedule
-from repro.workload import staggered_arrivals, trec_mix_profiles
+from repro.workload import run_high_load
 
 
 def _cluster16(ap: str, shards: int):
@@ -106,10 +106,7 @@ def run_digest(case: str) -> str:
     system = DistributedQASystem(config)
     if schedule is not None:
         system.failures.apply(schedule)
-    report = system.run_workload(
-        trec_mix_profiles(n_questions, seed=config.seed),
-        staggered_arrivals(n_questions, 2.0, seed=config.seed),
-    )
+    report = run_high_load(system, config.seed, n_questions)
     assert report.accounted
     h = hashlib.sha256()
 
@@ -150,10 +147,7 @@ def test_overcommit_case_changes_cpu_capacity():
             original(capacity)
 
         node.cpu.set_capacity = spy
-    system.run_workload(
-        trec_mix_profiles(n_questions, seed=config.seed),
-        staggered_arrivals(n_questions, 2.0, seed=config.seed),
-    )
+    run_high_load(system, config.seed, n_questions)
     assert len(seen) > 1
 
 
@@ -161,10 +155,7 @@ def test_failure_case_kills_a_node_mid_question():
     config, n_questions, schedule = CASES["failure4-RECV"]()
     system = DistributedQASystem(config)
     system.failures.apply(schedule)
-    report = system.run_workload(
-        trec_mix_profiles(n_questions, seed=config.seed),
-        staggered_arrivals(n_questions, 2.0, seed=config.seed),
-    )
+    report = run_high_load(system, config.seed, n_questions)
     assert report.n_retries + report.n_lost > 0 or any(
         r.overhead.get("recovery", 0.0) > 0 for r in report.results
     )

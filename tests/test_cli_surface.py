@@ -6,9 +6,10 @@ own, the simulator's queue is not configurable, keyword positions have
 one kernel per side of the oracle, collection selection is gone and PR
 visits every collection, the span stream is the only trace store, the
 pre-record extension experiments took their switches with them, the
-server-to-worker wire has one request, one unit and one reply shape, and
-every CLI flag and serving option is declared in one place — which the
-command lines CI and the verify skill run must still parse against.
+server-to-worker wire has one request, one unit and one reply shape, each
+of the paper's two evaluation protocols is written once, and every CLI
+flag and serving option is declared in one place — which the command
+lines CI and the verify skill run must still parse against.
 """
 
 import argparse
@@ -138,6 +139,34 @@ def test_one_wire_shape_per_hop():
         assert verbs == {"submit"}
     fields = {f.name for f in dataclasses.fields(ExecutionResult)}
     assert "timings" in fields and not fields & {"pr_s", "spans"}
+
+
+def test_each_evaluation_protocol_is_written_once():
+    """Section 6.1 is ``run_high_load`` and Section 6.2 ``run_one_at_a_time``:
+    only the census, which mirrors the benchmark's input recipe, draws the
+    high-load ingredients itself."""
+    from repro.core import ClusterNode, MonitoringSystem, QuestionDispatcher
+    from repro.simulation import Environment, Network
+
+    src = ROOT / "src" / "repro"
+    for path in src.rglob("*.py"):
+        rel = path.relative_to(src).as_posix()
+        if rel.startswith("workload/") or rel == "experiments/event_census.py":
+            continue
+        text = path.read_text()
+        for call in ("trec_mix_profiles(", "staggered_arrivals("):
+            assert call not in text, (rel, call)
+    with pytest.raises(ImportError):
+        __import__("repro.experiments." "validation_exp")
+    source = "".join(p.read_text() for p in src.rglob("*.py"))
+    for retired in ("resubmit_" "failed", "submit_" "at", "backoff_" "delay"):
+        assert retired not in source, retired
+    env = Environment()
+    mon = MonitoringSystem(env, Network(env), [ClusterNode(env, 0)])
+    with pytest.raises(TypeError):
+        QuestionDispatcher(mon, max_attempts=3)
+    with pytest.raises(TypeError):
+        SystemConfig(**{"question_retry_" "backoff_s": 1.0})
 
 
 # -- declared once: CLI flags and serving options ------------------------------------

@@ -19,7 +19,7 @@ class TestArrivals:
         assert high_load_count(12) == 96
 
     def test_staggered_non_decreasing_and_bounded(self):
-        times = staggered_arrivals(50, max_stagger_s=2.0, seed=1)
+        times = staggered_arrivals(50, stagger_s=2.0, seed=1)
         assert times[0] == 0.0
         gaps = np.diff(times)
         assert (gaps >= 0).all()
