@@ -101,7 +101,6 @@ class ZipfSampler:
             offset = int(topic_shift * len(tail))
             order = np.concatenate([order[:head], np.roll(tail, offset)])
         self._word_for_slot = order
-        self._probs = probs
         self._cum = np.cumsum(probs)
 
     def sample(self, n: int) -> np.ndarray:
@@ -109,8 +108,3 @@ class ZipfSampler:
         u = self.rng.random(n)
         slots = np.searchsorted(self._cum, u, side="right")
         return self._word_for_slot[np.minimum(slots, self.vocab_size - 1)]
-
-    def expected_frequency(self, word_index: int) -> float:
-        """Probability of ``word_index`` under this sampler's distribution."""
-        slot = int(np.nonzero(self._word_for_slot == word_index)[0][0])
-        return float(self._probs[slot])

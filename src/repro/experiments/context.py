@@ -171,28 +171,8 @@ def load_or_generate_corpus(config: CorpusConfig) -> Corpus:
     return corpus
 
 
-def _gauge_index_metrics(
-    metrics: t.Any, indexes: list[CollectionIndex], source: str, seconds: float
-) -> None:
-    """Set the packed-index gauges on ``metrics`` (a MetricsRegistry)."""
-    from ..observability.names import (
-        INDEX_ATTACH_S,
-        INDEX_BUILD_S,
-        INDEX_MEMORY_BYTES,
-        VOCABULARY_SIZE,
-    )
-
-    name = INDEX_ATTACH_S if source == "cache" else INDEX_BUILD_S
-    metrics.gauge(name).set(seconds)
-    metrics.gauge(INDEX_MEMORY_BYTES).set(
-        float(sum(ix.stats.memory_bytes for ix in indexes))
-    )
-    if indexes:
-        metrics.gauge(VOCABULARY_SIZE).set(float(len(indexes[0].vocab)))
-
-
 def load_or_build_indexes(
-    corpus: Corpus, config: CorpusConfig, metrics: t.Any = None
+    corpus: Corpus, config: CorpusConfig
 ) -> tuple[list[CollectionIndex], str, float]:
     """Collection indexes for ``corpus``, attaching to the v2 disk artifact.
 
@@ -202,9 +182,6 @@ def load_or_build_indexes(
     file, corrupt pickle, schema mismatch, or a payload that does not fit
     this corpus — is treated as a cache miss: the entry is dropped,
     indexes are rebuilt, and a fresh payload is written atomically.
-
-    ``metrics`` (a :class:`~repro.observability.metrics.MetricsRegistry`)
-    optionally receives the canonical build/attach/memory gauges.
     """
     directory = corpus_cache_dir()
     path = (
@@ -218,10 +195,7 @@ def load_or_build_indexes(
             with open(path, "rb") as fh:
                 payload = pickle.load(fh)
             indexes = attach_payload(corpus, payload)
-            elapsed = time.perf_counter() - start
-            if metrics is not None:
-                _gauge_index_metrics(metrics, indexes, "cache", elapsed)
-            return indexes, "cache", elapsed
+            return indexes, "cache", time.perf_counter() - start
         except FileNotFoundError:
             pass
         except Exception:
@@ -233,8 +207,6 @@ def load_or_build_indexes(
     start = time.perf_counter()
     indexes = [CollectionIndex(coll) for coll in corpus.collections]
     elapsed = time.perf_counter() - start
-    if metrics is not None:
-        _gauge_index_metrics(metrics, indexes, "built", elapsed)
     if path is not None:
         try:
             directory.mkdir(parents=True, exist_ok=True)
@@ -258,37 +230,17 @@ def build_context(
 ) -> ExperimentContext:
     """Build (or recall) the full experiment context for ``config``.
 
+    :func:`build_serving_context` plus the generated question set.
     Memoized per process; the corpus and its packed indexes additionally
     come from the on-disk artifact cache, so a cold process attaches to
     both instead of regenerating either.
     """
-    corpus = load_or_generate_corpus(config)
-    indexes, index_source, index_seconds = load_or_build_indexes(corpus, config)
-    indexed = IndexedCorpus(corpus, indexes=indexes)
-    recognizer = EntityRecognizer(
-        corpus.knowledge.gazetteer(),
-        extra_nationalities=corpus.knowledge.nationalities,
-    )
-    pipeline = QAPipeline(indexed, recognizer)
-    if max_questions is None:
-        questions = generate_questions(corpus)
-    else:
-        questions = generate_questions(corpus, max_questions=max_questions)
-    return ExperimentContext(
-        corpus=corpus,
-        indexed=indexed,
-        recognizer=recognizer,
-        pipeline=pipeline,
-        questions=questions,
-        model=CostModel.default(),
-        index_source=index_source,
-        index_seconds=index_seconds,
-    )
+    ctx = build_serving_context(config)
+    ctx.questions = generate_questions(ctx.corpus, max_questions=max_questions)
+    return ctx
 
 
-def build_serving_context(
-    config: CorpusConfig, metrics: t.Any = None
-) -> ExperimentContext:
+def build_serving_context(config: CorpusConfig) -> ExperimentContext:
     """Worker-side context: attach to the cached artifacts, skip questions.
 
     Serving workers receive question *text* over the request queue, so
@@ -299,9 +251,7 @@ def build_serving_context(
     Not memoized: each worker process calls it exactly once.
     """
     corpus = load_or_generate_corpus(config)
-    indexes, index_source, index_seconds = load_or_build_indexes(
-        corpus, config, metrics
-    )
+    indexes, index_source, index_seconds = load_or_build_indexes(corpus, config)
     indexed = IndexedCorpus(corpus, indexes=indexes)
     recognizer = EntityRecognizer(
         corpus.knowledge.gazetteer(),
@@ -311,7 +261,7 @@ def build_serving_context(
         corpus=corpus,
         indexed=indexed,
         recognizer=recognizer,
-        pipeline=QAPipeline(indexed, recognizer, metrics=metrics),
+        pipeline=QAPipeline(indexed, recognizer),
         questions=[],
         model=CostModel.default(),
         index_source=index_source,

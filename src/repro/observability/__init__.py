@@ -39,14 +39,7 @@ from .exporters import (
     write_chrome_trace,
     write_jsonl,
 )
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    gauge_label,
-    merge_snapshots,
-)
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .observe import ObserveConfig, format_observe, run_observe
 from .spans import Span, SpanCategory, SpanStream
 from .telemetry import (
@@ -78,8 +71,6 @@ __all__ = [
     "chrome_trace",
     "format_attribution",
     "format_observe",
-    "gauge_label",
-    "merge_snapshots",
     "read_telemetry",
     "run_observe",
     "span_to_json",

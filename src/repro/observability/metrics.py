@@ -15,14 +15,7 @@ Design constraints:
   | None`` and guards with ``if registry is not None``, so the uninstrumented
   hot path pays one attribute test;
 * **JSON-friendly** — :meth:`MetricsRegistry.to_dict` renders every metric
-  with its type, used verbatim by the JSONL exporter and the observe report;
-* **mergeable** — every metric serializes its *full* state
-  (:meth:`MetricsRegistry.snapshot`) and folds back into another registry
-  (:meth:`MetricsRegistry.merge_snapshot`): counters sum, gauges keep
-  labeled per-source values, and decimation histograms merge
-  deterministically (the merged retained-sample set is a pure function of
-  the two input states).  This is how serving workers ship their per-process
-  registries to the server, which exposes one aggregated view.
+  with its type, used verbatim by the JSONL exporter and the observe report.
 """
 
 from __future__ import annotations
@@ -34,14 +27,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "gauge_label",
-    "merge_snapshots",
 ]
-
-
-def gauge_label(name: str, label: str) -> str:
-    """The registry key a labeled (per-source) gauge merges under."""
-    return f"{name}{{{label}}}"
 
 
 def _nearest_rank(ordered: t.Sequence[float], q: float) -> float:
@@ -175,58 +161,6 @@ class Histogram:
             "p99": self.percentile(0.99),
         }
 
-    def state_dict(self) -> dict[str, t.Any]:
-        """Full serializable state — enough to merge, unlike :meth:`to_dict`.
-
-        ``min``/``max`` serialize as None when empty (``inf`` is not valid
-        strict JSON).
-        """
-        return {
-            "type": "histogram",
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min if self.count else None,
-            "max": self.max if self.count else None,
-            "samples": list(self._samples),
-            "stride": self._stride,
-            "max_samples": self.max_samples,
-        }
-
-    def merge_state(self, state: dict[str, t.Any]) -> None:
-        """Fold another histogram's :meth:`state_dict` into this one.
-
-        Exact aggregates (count/sum/min/max) add exactly.  Retained samples
-        merge at the coarser of the two strides: the finer-stride side is
-        thinned by ``target_stride // stride`` (same rule decimation itself
-        uses), then the lists concatenate — in (self, other) order — and
-        decimate until under bound.  Deterministic: the merged sample set is
-        a pure function of the two input states.
-        """
-        if state.get("type") != "histogram":
-            raise ValueError(f"cannot merge {state.get('type')!r} into histogram")
-        other_count = int(state["count"])
-        self.count += other_count
-        self.total += float(state["sum"])
-        if other_count:
-            if state["min"] is not None and state["min"] < self.min:
-                self.min = float(state["min"])
-            if state["max"] is not None and state["max"] > self.max:
-                self.max = float(state["max"])
-        other_samples = [float(v) for v in state["samples"]]
-        other_stride = int(state.get("stride", 1))
-        target = max(self._stride, other_stride)
-        mine = self._samples[:: target // self._stride]
-        theirs = other_samples[:: target // other_stride]
-        merged = mine + theirs
-        while len(merged) >= self.max_samples:
-            merged = merged[::2]
-            target *= 2
-        self._samples = merged
-        self._stride = target
-        # Conservative: restart stride-skipping at the new stride so the
-        # next observe() lands on a retained slot.
-        self._skip = 0
-
 
 _Metric = t.Union[Counter, Gauge, Histogram]
 
@@ -317,71 +251,9 @@ class MetricsRegistry:
         """All metrics rendered to JSON-friendly dicts, keyed by name."""
         return {name: self._metrics[name].to_dict() for name in self.names()}
 
-    # -- snapshot / merge --------------------------------------------------------
-    def snapshot(self) -> dict[str, dict[str, t.Any]]:
-        """Full mergeable state of every metric, keyed by name.
-
-        Counters/gauges serialize via :meth:`to_dict` (their value *is*
-        their state); histograms via :meth:`Histogram.state_dict` so the
-        retained-sample set travels too.  The result is picklable and
-        strict-JSON-serializable — it is what workers ship to the server.
-        """
-        out: dict[str, dict[str, t.Any]] = {}
-        for name in self.names():
-            metric = self._metrics[name]
-            if isinstance(metric, Histogram):
-                out[name] = metric.state_dict()
-            else:
-                out[name] = metric.to_dict()
-        return out
-
-    def merge_snapshot(
-        self,
-        snap: dict[str, dict[str, t.Any]],
-        label: str | None = None,
-    ) -> None:
-        """Fold a :meth:`snapshot` from another registry into this one.
-
-        Counters sum.  Histograms merge deterministically
-        (:meth:`Histogram.merge_state`).  Gauges are point-in-time values
-        that cannot meaningfully sum across sources, so with ``label`` set
-        (e.g. ``"worker=3"``) each gauge lands under its labeled name via
-        :func:`gauge_label`, keeping per-source values distinguishable;
-        without a label a gauge overwrites (last write wins).
-        """
-        for name in sorted(snap):
-            state = snap[name]
-            kind = state.get("type")
-            if kind == "counter":
-                self.counter(name).inc(float(state["value"]))
-            elif kind == "gauge":
-                key = gauge_label(name, label) if label else name
-                self.gauge(key).set(float(state["value"]))
-            elif kind == "histogram":
-                self.histogram(
-                    name, max_samples=int(state.get("max_samples", 65536))
-                ).merge_state(state)
-            else:
-                raise ValueError(f"metric {name!r}: unknown type {kind!r}")
-
     def __len__(self) -> int:
         return len(self._metrics)
 
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
 
-
-def merge_snapshots(
-    snapshots: t.Mapping[str, dict[str, dict[str, t.Any]]],
-    base: MetricsRegistry | None = None,
-) -> MetricsRegistry:
-    """Aggregate labeled snapshots into one registry.
-
-    ``snapshots`` maps a source label (e.g. ``"worker=3"``) to that source's
-    :meth:`MetricsRegistry.snapshot`.  Sources merge in sorted-label order so
-    the aggregate is deterministic regardless of arrival order.
-    """
-    agg = base if base is not None else MetricsRegistry()
-    for label in sorted(snapshots):
-        agg.merge_snapshot(snapshots[label], label=label)
-    return agg

@@ -9,25 +9,24 @@ registry, the JSON reports, and the cost model all speak one vocabulary.
 
 Naming convention: ``<subsystem>.<noun>[.<qualifier>]``, dot-separated,
 lower case.  Histograms carry a unit suffix (``_s`` seconds, ``_bytes``).
+
+Every name here is written by some call site in ``src/`` (the tier-1
+names lint checks both directions).  Numbers that live where they are
+counted — ``BooleanRetriever.cache_stats``, ``SHARED_STEM_CACHE``,
+``AnswerProcessor.entity_layer_stats``, ``QAPipeline.last_batch_stats``
+— get no registry name: workers keep no registry, and the reply record
+is all the server hears.
 """
 
 from __future__ import annotations
 
 __all__ = [
-    "AP_ENTITY_LAYER_HITS",
-    "AP_ENTITY_LAYER_MISSES",
-    "AP_ENTITY_LAYER_PARAGRAPHS",
     "AP_PARAGRAPH_BYTES",
-    "CONJUNCTION_CACHE_HITS",
-    "CONJUNCTION_CACHE_MISSES",
     "DISPATCH_DECISIONS",
     "DISPATCH_FORCED_SINGLE",
     "DISPATCH_PARTITION_WIDTH",
     "DNS_ASSIGNMENTS",
     "DOC_BYTES_READ",
-    "INDEX_ATTACH_S",
-    "INDEX_BUILD_S",
-    "INDEX_MEMORY_BYTES",
     "MONITOR_BROADCASTS",
     "MONITOR_BUSY_S",
     "MONITOR_SHARD_PUBLISHES",
@@ -39,11 +38,6 @@ __all__ = [
     "QA_MIGRATIONS",
     "QA_MIGRATION_FAILURES",
     "RELAXATION_ROUNDS",
-    "RETRIEVAL_BATCH_DISTINCT",
-    "RETRIEVAL_BATCH_POSTINGS_FETCHES",
-    "RETRIEVAL_BATCH_POSTINGS_SHARED",
-    "RETRIEVAL_BATCH_QUESTIONS",
-    "RETRIEVAL_BATCH_SHARING_FACTOR",
     "PS_PARAGRAPH_BYTES",
     "SERVING_ADMISSION_WAIT_S",
     "SERVING_ANSWERED",
@@ -62,10 +56,7 @@ __all__ = [
     "SERVING_TRACES_SAMPLED",
     "SERVING_TRACE_SPANS",
     "SERVING_WORKER_ERRORS",
-    "STEM_CACHE_HITS",
-    "STEM_CACHE_MISSES",
     "TASK_RETRIES",
-    "VOCABULARY_SIZE",
 ]
 
 # -- retrieval / pipeline work counters (the PR-phase cost drivers) ----------
@@ -77,37 +68,9 @@ POSTINGS_SCANNED = "retrieval.postings_scanned"
 DOC_BYTES_READ = "retrieval.doc_bytes_read"
 #: Keyword-relaxation rounds of the Falcon retrieval loop.
 RELAXATION_ROUNDS = "retrieval.relaxation_rounds"
-#: Conjunction-cache (PR 2) hit/miss counters.
-CONJUNCTION_CACHE_HITS = "retrieval.conjunction_cache.hits"
-CONJUNCTION_CACHE_MISSES = "retrieval.conjunction_cache.misses"
-#: Shared stem-cache (PR 2) hit/miss counters.
-STEM_CACHE_HITS = "nlp.stem_cache.hits"
-STEM_CACHE_MISSES = "nlp.stem_cache.misses"
-#: Packed index data plane (PR 5): resident bytes of the array-backed
-#: index structures, build-vs-attach seconds, and interned vocabulary size.
-INDEX_MEMORY_BYTES = "retrieval.index.memory_bytes"
-INDEX_BUILD_S = "retrieval.index.build_s"
-INDEX_ATTACH_S = "retrieval.index.attach_s"
-VOCABULARY_SIZE = "nlp.vocabulary.size"
-#: Batched cross-question execution (PR 7): questions entering
-#: ``QAPipeline.answer_batch``, distinct questions actually executed
-#: (duplicates replay their first execution's cache touches), posting
-#: lists resolved cold vs served from the batch-shared map, and the
-#: per-batch ``questions / distinct`` sharing factor (histogram).
-RETRIEVAL_BATCH_QUESTIONS = "retrieval.batch.questions"
-RETRIEVAL_BATCH_DISTINCT = "retrieval.batch.distinct_questions"
-RETRIEVAL_BATCH_POSTINGS_FETCHES = "retrieval.batch.postings_fetches"
-RETRIEVAL_BATCH_POSTINGS_SHARED = "retrieval.batch.postings_shared"
-RETRIEVAL_BATCH_SHARING_FACTOR = "retrieval.batch.sharing_factor"
 #: Paragraph bytes flowing through PS and AP (pipeline work counters).
 PS_PARAGRAPH_BYTES = "qa.ps.paragraph_bytes"
 AP_PARAGRAPH_BYTES = "qa.ap.paragraph_bytes"
-#: AP's per-paragraph entity layer (PR 13): paragraph visits served from
-#: kept spans vs visits that ran the recognizer, and paragraphs held
-#: (cumulative on the ``AnswerProcessor`` -> gauges, like the caches).
-AP_ENTITY_LAYER_HITS = "qa.ap.entity_layer.hits"
-AP_ENTITY_LAYER_MISSES = "qa.ap.entity_layer.misses"
-AP_ENTITY_LAYER_PARAGRAPHS = "qa.ap.entity_layer.paragraphs"
 #: Keywords selected by QP.
 N_KEYWORDS = "qa.qp.n_keywords"
 

@@ -79,7 +79,7 @@ class TelemetryWriter:
     Record types: ``header`` (schema + run metadata, always first),
     ``sample`` (one per sampled or forced question outcome), ``slo`` (SLO
     monitor state, emitted on transitions and at drain), ``metrics`` (the
-    aggregated registry, emitted at drain).  Every write flushes so
+    server's registry, emitted at drain).  Every write flushes so
     ``repro top --follow`` can tail the live file.
     """
 

@@ -20,7 +20,7 @@ enforce:
    lists through a batch-scoped :class:`~repro.retrieval.boolean.SharedPostings`
    map, so each collection fetches each distinct stem once per batch —
    the Zipf head makes cross-question sharing common.  The fetch count
-   saved is the ``retrieval.batch.postings_shared`` metric.
+   saved is ``BatchStats.postings_shared``.
 
 Correctness under caching is the subtle part: serial execution of a
 duplicate question still *touches* the shared stem cache (QP keyword
@@ -162,16 +162,13 @@ def _answer_repeat(
     timings.pr = pr
     stats.pr_wall_s += pr
 
-    work = dict(first.work)
-    if pipeline.metrics is not None:
-        pipeline._record(work)
     return QAResult(
         processed=processed,
         answers=list(first.answers),
         n_retrieved=first.n_retrieved,
         n_accepted=first.n_accepted,
         timings=timings,
-        work=work,
+        work=dict(first.work),
         paragraph_ranks=first.paragraph_ranks,
     )
 

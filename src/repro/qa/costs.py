@@ -18,7 +18,7 @@ values fitted against the default corpus (see EXPERIMENTS.md).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = ["ReferenceHardware", "CostModel", "ModuleCost"]
 
@@ -138,11 +138,6 @@ class CostModel:
             + self.ap_cpu_per_candidate_s * n_candidates,
             0.0,
         )
-
-    # -- convenience -------------------------------------------------------------
-    def with_rates(self, **kwargs: float) -> "CostModel":
-        """Copy with some rates replaced (used by calibration)."""
-        return replace(self, **kwargs)
 
     @classmethod
     def default(cls) -> "CostModel":

@@ -13,29 +13,13 @@ import time
 import typing as t
 
 from ..nlp.entities import EntityRecognizer
-from ..nlp.stemming import SHARED_STEM_CACHE
-from ..observability.metrics import MetricsRegistry
 from ..observability.names import (
-    AP_ENTITY_LAYER_HITS,
-    AP_ENTITY_LAYER_MISSES,
-    AP_ENTITY_LAYER_PARAGRAPHS,
     AP_PARAGRAPH_BYTES,
-    CONJUNCTION_CACHE_HITS,
-    CONJUNCTION_CACHE_MISSES,
     DOC_BYTES_READ,
-    INDEX_MEMORY_BYTES,
     N_KEYWORDS,
     POSTINGS_SCANNED,
     PS_PARAGRAPH_BYTES,
     RELAXATION_ROUNDS,
-    RETRIEVAL_BATCH_DISTINCT,
-    RETRIEVAL_BATCH_POSTINGS_FETCHES,
-    RETRIEVAL_BATCH_POSTINGS_SHARED,
-    RETRIEVAL_BATCH_QUESTIONS,
-    RETRIEVAL_BATCH_SHARING_FACTOR,
-    STEM_CACHE_HITS,
-    STEM_CACHE_MISSES,
-    VOCABULARY_SIZE,
 )
 from ..retrieval.collection import IndexedCorpus
 from .answer_processing import AnswerProcessor
@@ -89,10 +73,6 @@ class QAPipeline:
         path).  ``False`` forces the re-tokenize, re-recognize path — the
         reference implementation for ``tests/qa/test_scoring_equivalence.py``
         and ``tests/qa/test_entity_layer.py``.
-    metrics:
-        Optional registry receiving the work counters under their
-        canonical :mod:`repro.observability.names` — one vocabulary for
-        the retriever, the work dict, and the JSON reports.
 
     PR visits every sub-collection for every question, as the paper's
     system does.
@@ -106,12 +86,10 @@ class QAPipeline:
         threshold_fraction: float = 0.25,
         max_accepted: int = 600,
         use_term_index: bool = True,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.indexed = indexed
         self.recognizer = recognizer
         self.use_term_index = use_term_index
-        self.metrics = metrics
         term_lookup = indexed.term_lookup if use_term_index else None
         self.qp = QuestionProcessor(recognizer)
         self.pr = ParagraphRetriever(indexed)
@@ -175,8 +153,6 @@ class QAPipeline:
             sum(sp.paragraph.size_bytes for sp in accepted)
         )
         work[N_KEYWORDS] = float(len(processed.keywords))
-        if self.metrics is not None:
-            self._record(work)
 
         return QAResult(
             processed=processed,
@@ -201,8 +177,7 @@ class QAPipeline:
         batch adds is that duplicates replay their first execution
         instead of re-running it and posting lists are fetched once per
         distinct stem per collection (see :mod:`repro.qa.batch`).  Sharing
-        accounting lands in :attr:`last_batch_stats` and, when a metrics
-        registry is attached, under the ``retrieval.batch.*`` names.
+        accounting lands in :attr:`last_batch_stats`.
         """
         items: list[Question] = []
         for i, q in enumerate(questions):
@@ -211,56 +186,4 @@ class QAPipeline:
             items.append(q)
         results, stats = execute_batch(self, items)
         self.last_batch_stats = stats
-        if self.metrics is not None and items:
-            self.metrics.inc(RETRIEVAL_BATCH_QUESTIONS, float(stats.n_questions))
-            self.metrics.inc(RETRIEVAL_BATCH_DISTINCT, float(stats.n_distinct))
-            self.metrics.inc(
-                RETRIEVAL_BATCH_POSTINGS_FETCHES, float(stats.postings_fetches)
-            )
-            self.metrics.inc(
-                RETRIEVAL_BATCH_POSTINGS_SHARED, float(stats.postings_shared)
-            )
-            self.metrics.observe(
-                RETRIEVAL_BATCH_SHARING_FACTOR, stats.sharing_factor
-            )
         return results
-
-    def _record(self, work: dict[str, float]) -> None:
-        """Mirror the work counters into the registry (canonical names)."""
-        assert self.metrics is not None
-        for name in (
-            POSTINGS_SCANNED,
-            DOC_BYTES_READ,
-            RELAXATION_ROUNDS,
-            PS_PARAGRAPH_BYTES,
-            AP_PARAGRAPH_BYTES,
-        ):
-            self.metrics.inc(name, work[name])
-        self.metrics.observe(N_KEYWORDS, work[N_KEYWORDS])
-        # Cache totals are cumulative on the cache objects -> gauges.
-        hits = misses = 0
-        for r in self.indexed.retrievers:
-            stats = r.cache_stats
-            hits += stats["hits"]
-            misses += stats["misses"]
-        self.metrics.gauge(CONJUNCTION_CACHE_HITS).set(float(hits))
-        self.metrics.gauge(CONJUNCTION_CACHE_MISSES).set(float(misses))
-        self.metrics.gauge(STEM_CACHE_HITS).set(float(SHARED_STEM_CACHE.hits))
-        self.metrics.gauge(STEM_CACHE_MISSES).set(
-            float(SHARED_STEM_CACHE.misses)
-        )
-        layer = self.ap.entity_layer_stats
-        self.metrics.gauge(AP_ENTITY_LAYER_HITS).set(float(layer["hits"]))
-        self.metrics.gauge(AP_ENTITY_LAYER_MISSES).set(float(layer["misses"]))
-        self.metrics.gauge(AP_ENTITY_LAYER_PARAGRAPHS).set(
-            float(layer["paragraphs"])
-        )
-        # Packed-index residency: structural bytes of the array-backed
-        # layers plus the size of the vocabulary coding their ids.
-        self.metrics.gauge(INDEX_MEMORY_BYTES).set(
-            float(sum(ix.stats.memory_bytes for ix in self.indexed.indexes))
-        )
-        if self.indexed.indexes:
-            self.metrics.gauge(VOCABULARY_SIZE).set(
-                float(len(self.indexed.indexes[0].vocab))
-            )

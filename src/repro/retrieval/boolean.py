@@ -53,7 +53,7 @@ class SharedPostings:
     resolve each stem's postings against the index once per batch.  The
     views themselves are the index's read-only memoryview slices; sharing
     them is free and cannot change results.  ``fetches``/``shared`` feed
-    the ``retrieval.batch.*`` sharing-factor metrics.
+    the batch's :class:`~repro.qa.batch.BatchStats`.
     """
 
     __slots__ = ("views", "fetches", "shared")

@@ -506,10 +506,6 @@ class CollectionIndex:
             return _EMPTY_U32
         return self._p_docs[self._p_offsets[slot] : self._p_offsets[slot + 1]]
 
-    def posting_bytes(self, stem_: str) -> int:
-        """Approximate bytes read to scan this stem's posting list."""
-        return 8 * self.document_frequency(stem_)
-
     def document(self, doc_id: int) -> Document:
         return self._documents[doc_id]
 
@@ -549,9 +545,6 @@ class CollectionIndex:
     @property
     def doc_ids(self) -> t.KeysView[int]:
         return self._documents.keys()
-
-    def vocabulary_size(self) -> int:
-        return len(self.buffers.p_terms)
 
     def iter_terms(self) -> t.Iterator[tuple[str, int]]:
         """(stem, document frequency) pairs, in posting-slot order."""

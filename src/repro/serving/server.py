@@ -9,10 +9,10 @@ ways at once:
 
 * a :class:`~repro.serving.protocol.ConservationLedger` proving
   ``answered + shed + drained == submitted`` exactly;
-* the shared :class:`~repro.observability.metrics.MetricsRegistry`
-  under the canonical ``serving.*`` names — plus, at drain, an
-  **aggregated** registry merging each worker's piggybacked snapshot
-  (counters sum across processes, gauges stay labeled per worker);
+* the server's :class:`~repro.observability.metrics.MetricsRegistry`
+  under the canonical ``serving.*`` names — the only serving registry:
+  workers keep none, and everything the server knows about a question
+  comes from its reply record;
 * a :class:`~repro.observability.spans.SpanStream` span tree per
   answered question (``serve`` root, ``admission`` queue child,
   ``service`` compute child) plus an instant event per shed, so the
@@ -583,7 +583,7 @@ class QAServer:
                 self.telemetry.write_slo(
                     self.slo.evaluate(self._slo_last_t).to_dict()
                 )
-            self.telemetry.write_metrics(self.aggregated_metrics())
+            self.telemetry.write_metrics(self.metrics)
             self.telemetry.close()
         self._drained = True
         return self.ledger
@@ -595,22 +595,6 @@ class QAServer:
         self._started = False
 
     # -- reporting ---------------------------------------------------------------
-    def aggregated_metrics(self) -> MetricsRegistry:
-        """Server registry merged with every worker's latest snapshot.
-
-        Counters sum across processes; gauges keep one labeled value
-        per worker (``name{worker=<pid>}``); histograms merge with
-        deterministic decimation.  Worker snapshots arrive piggybacked
-        on the reply pipes, newest-wins per pid (they're cumulative).
-        """
-        agg = MetricsRegistry()
-        if self.metrics.enabled and len(self.metrics):
-            agg.merge_snapshot(self.metrics.snapshot())
-        snaps = self.pool.worker_snapshots
-        for pid in sorted(snaps):
-            agg.merge_snapshot(snaps[pid], label=f"worker={pid}")
-        return agg
-
     def export_trace(self, path: str) -> None:
         """Write the stitched span stream as a Chrome ``trace_event`` file.
 

@@ -27,17 +27,18 @@ business, so nothing about tracing travels on the wire.
 
 The pool surface the server, the loadgen and the tests' fakes rely on
 is ``start``, ``submit``, ``poll``, ``drain``, ``stop`` and the
-attributes ``idle_workers``, ``workers``, ``attach_report`` and
-``worker_snapshots``.
+attributes ``idle_workers``, ``workers`` and ``attach_report``.
 
 IPC: requests go out on one shared ``multiprocessing.Queue`` (FIFO
 hand-off to whichever worker is free); replies come back on one
 ``Pipe(duplex=False)`` per worker, written synchronously by that worker
 — no feeder thread has to win the GIL from the pipeline — and collected
-in the parent with ``multiprocessing.connection.wait``.  Each unit is
-answered by exactly one ``("done", [records...])`` message, a record
-being a plain tuple in ``ExecutionResult`` field order — tiny,
-picklable, and version-free.  The pool therefore sees every dispatch
+in the parent with ``multiprocessing.connection.wait``.  A worker sends
+three kinds of message: ``ready`` once attached, ``done`` per unit and
+``bye`` on the sentinel.  Each unit is answered by exactly one
+``("done", [records...])`` message, a record being a plain tuple in
+``ExecutionResult`` field order — tiny, picklable, and version-free.
+The pool therefore sees every dispatch
 and every completion and keeps the count of unfinished units
 (:attr:`ProcessWorkerPool.idle_workers`), which is what makes the
 server's micro-batcher work-conserving.  EOF on a reply pipe means the
@@ -45,12 +46,8 @@ worker died: the pool records its pid in
 :attr:`ProcessWorkerPool.lost_workers` and stops waiting for it
 (detection only — its in-flight questions end up ``DRAINED``).
 
-Each worker also runs its pipeline against a private
-:class:`~repro.observability.metrics.MetricsRegistry` and piggybacks
-periodic snapshots on its reply pipe (plus a final one at drain);
-the pool keeps the latest snapshot per worker in
-:attr:`ProcessWorkerPool.worker_snapshots` for the server's aggregated
-registry — counters from all workers sum, gauges stay labeled per pid.
+Workers keep no metrics of their own: the reply record is all the
+server hears about a question.
 """
 
 from __future__ import annotations
@@ -64,7 +61,6 @@ from multiprocessing import connection
 from multiprocessing.connection import Connection
 
 from ..corpus import CorpusConfig
-from ..observability.metrics import MetricsRegistry
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from ..qa import QAPipeline
@@ -73,9 +69,6 @@ __all__ = ["ExecutionResult", "InlineExecutor", "ProcessWorkerPool"]
 
 #: Answers forwarded per question (keeps IPC payloads small).
 _MAX_ANSWERS = 3
-
-#: Completions between piggybacked worker-metrics snapshots.
-_SNAPSHOT_EVERY = 16
 
 #: Seconds the spawned workers get to attach and report ready.
 _START_TIMEOUT_S = 120.0
@@ -181,25 +174,15 @@ def _worker_main(
     """
     from ..experiments.context import build_serving_context
 
-    metrics = MetricsRegistry()
-    ctx = build_serving_context(config, metrics=metrics)
+    ctx = build_serving_context(config)
     pid = os.getpid()
     replies.send(("ready", pid, ctx.index_source, ctx.index_seconds))
-    completed = 0
-    last_snapshot_at = 0
     while True:
         unit = requests.get()
         if unit is None:
-            if len(metrics):
-                replies.send(("metrics", pid, metrics.snapshot()))
             replies.send(("bye", pid))
             return
-        records = _execute(ctx.pipeline, unit, pid)
-        replies.send(("done", records))
-        completed += len(records)
-        if completed - last_snapshot_at >= _SNAPSHOT_EVERY and len(metrics):
-            last_snapshot_at = completed
-            replies.send(("metrics", pid, metrics.snapshot()))
+        replies.send(("done", _execute(ctx.pipeline, unit, pid)))
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -232,9 +215,6 @@ class ProcessWorkerPool:
         #: Per-worker index provenance, filled by the ready handshake:
         #: {pid: ("cache"|"built", seconds)}.
         self.attach_report: dict[int, tuple[str, float]] = {}
-        #: Latest piggybacked metrics snapshot per worker pid.  Snapshots
-        #: are cumulative, so keeping only the newest is lossless.
-        self.worker_snapshots: dict[int, dict[str, dict[str, t.Any]]] = {}
 
     def start(self) -> None:
         """Warm the shared artifact, spawn workers, await readiness."""
@@ -290,8 +270,6 @@ class ProcessWorkerPool:
                     if msg[0] == "done":
                         self._outstanding -= 1
                         out.extend(ExecutionResult(*rec) for rec in msg[1])
-                    elif msg[0] == "metrics":
-                        self.worker_snapshots[msg[1]] = msg[2]
                     elif msg[0] == "ready":
                         self.attach_report[msg[1]] = (msg[2], msg[3])
                     elif msg[0] == "bye":
@@ -352,7 +330,6 @@ class InlineExecutor:
         self.pipeline = pipeline
         self._completed: list[ExecutionResult] = []
         self.attach_report: dict[int, tuple[str, float]] = {}
-        self.worker_snapshots: dict[int, dict[str, dict[str, t.Any]]] = {}
 
     def start(self) -> None:  # nothing to spawn
         pass
@@ -371,10 +348,6 @@ class InlineExecutor:
         return out
 
     def drain(self, timeout_s: float) -> list[ExecutionResult]:
-        """Inline drain; also publishes the pipeline's metrics snapshot."""
-        metrics = self.pipeline.metrics
-        if metrics is not None and len(metrics):
-            self.worker_snapshots[0] = metrics.snapshot()
         return self.poll()
 
     def stop(self) -> None:

@@ -21,7 +21,7 @@ from .failures import FailureInjector, FailureSchedule
 from .network import Network, TransferFailed
 from .resources import FairShareResource, Job, MemoryResource
 from .schedkey import SeqHeap
-from .statistics import RunningMean, TimeWeightedSignal
+from .statistics import TimeWeightedSignal
 
 __all__ = [
     "AllOf",
@@ -39,7 +39,6 @@ __all__ = [
     "MemoryResource",
     "Network",
     "Process",
-    "RunningMean",
     "SeqHeap",
     "SimulationError",
     "TimeWeightedSignal",

@@ -10,7 +10,7 @@ the running integral.
 
 from __future__ import annotations
 
-__all__ = ["TimeWeightedSignal", "RunningMean"]
+__all__ = ["TimeWeightedSignal"]
 
 
 class TimeWeightedSignal:
@@ -72,36 +72,3 @@ class TimeWeightedSignal:
             return self._value
         integral = self._integral + self._value * (now - self._t_last)
         return (integral - i0) / (now - t0)
-
-
-class RunningMean:
-    """Numerically stable streaming mean/variance (Welford's algorithm)."""
-
-    __slots__ = ("n", "_mean", "_m2")
-
-    def __init__(self) -> None:
-        self.n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def add(self, x: float) -> None:
-        self.n += 1
-        delta = x - self._mean
-        self._mean += delta / self.n
-        self._m2 += delta * (x - self._mean)
-
-    @property
-    def mean(self) -> float:
-        return self._mean
-
-    @property
-    def variance(self) -> float:
-        """Sample variance (0 for fewer than two observations)."""
-        return self._m2 / (self.n - 1) if self.n > 1 else 0.0
-
-    @property
-    def std(self) -> float:
-        return self.variance**0.5
-
-    def __len__(self) -> int:
-        return self.n

@@ -68,12 +68,6 @@ class TestZipfSampler:
         b = ZipfSampler(500, seed=7).sample(100)
         assert (a == b).all()
 
-    def test_expected_frequency_decreasing_in_rank(self):
-        s = ZipfSampler(100, topic_shift=0.0, seed=0)
-        f0 = s.expected_frequency(0)
-        f50 = s.expected_frequency(50)
-        assert f0 > f50 > 0
-
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             ZipfSampler(5)

@@ -1,14 +1,20 @@
-"""Lint: every metric name used in src/ is declared in names.py.
+"""Lint: the metric names used in src/ and the ones declared in names.py
+are the same set.
 
 Walks every module under ``src/repro`` with :mod:`ast` and checks that
 the first argument of each ``counter()/gauge()/histogram()/inc()/
 observe()`` call resolves to a canonical name declared in
 :mod:`repro.observability.names`.  Declared values ending in ``.`` (for
 example ``SERVING_SHED_PREFIX``) act as prefixes: a call site may build
-``PREFIX + suffix`` dynamically.
+``PREFIX + suffix`` dynamically.  In the other direction, every declared
+name must be written somewhere: by such a call, or as the key of a
+subscript store (``work[POSTINGS_SCANNED] = ...``, the pipeline's work
+dict).
 
-The point is to keep the vocabulary closed — a typo'd or ad-hoc metric
-name fails this test instead of silently forking the namespace.
+The point is to keep the vocabulary closed both ways — a typo'd or
+ad-hoc metric name fails this test instead of silently forking the
+namespace, and a name whose last writer was deleted fails it instead of
+lingering in names.py.
 """
 
 from __future__ import annotations
@@ -25,10 +31,13 @@ SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 #: Registry entry points whose first argument is a metric name.
 _METRIC_METHODS = {"counter", "gauge", "histogram", "inc", "observe"}
 
-#: Files allowed to use dynamic names: the registry itself synthesizes
-#: labeled gauge names while merging worker snapshots, and names.py is
-#: the declaration site.
-_EXEMPT = {"observability/metrics.py", "observability/names.py"}
+#: names.py is the declaration site, not a call site.
+_EXEMPT = {"observability/names.py"}
+
+#: Binding of a metric method's own parameters: the registry's shorthand
+#: (``def inc(self, name, ...)``) forwards its caller's name, and the
+#: caller is linted.
+_FORWARDED = object()
 
 DECLARED = {getattr(names_module, n) for n in names_module.__all__}
 PREFIXES = {v for v in DECLARED if v.endswith(".")}
@@ -76,6 +85,13 @@ class _Resolver(ast.NodeVisitor):
             return out
         return set()
 
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        if node.name in _METRIC_METHODS:
+            for arg in node.args.args:
+                if arg.arg != "self":
+                    self._bind(arg.arg, {_FORWARDED})
+        self.generic_visit(node)
+
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if _is_names_import(node):
             for alias in node.names:
@@ -102,17 +118,44 @@ class _Resolver(ast.NodeVisitor):
         self.generic_visit(node)
 
 
+def _is_metric_call(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _METRIC_METHODS
+        and bool(node.args)
+    )
+
+
 def _metric_name_args(tree: ast.AST) -> list[tuple[int, ast.expr]]:
-    """(lineno, first-arg expression) of every metric registry call."""
-    out = []
+    """(lineno, first-arg expression) of every metric registry call.
+
+    A call on a metric handle (``reg.counter(name).inc(amount)``) takes an
+    amount, not a name, and is skipped.
+    """
+    return [
+        (node.lineno, node.args[0])
+        for node in ast.walk(tree)
+        if _is_metric_call(node) and not _is_metric_call(node.func.value)
+    ]
+
+
+def _written_names(path: Path) -> set[object]:
+    """Names a file writes: metric-call names and subscript-store keys."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    resolver = _Resolver()
+    resolver.visit(tree)
+    out: set[object] = set()
+    for _, arg in _metric_name_args(tree):
+        if isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Add):
+            arg = arg.left
+        out |= resolver._values_of(arg)
     for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _METRIC_METHODS
-            and node.args
-        ):
-            out.append((node.lineno, node.args[0]))
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for tgt in targets:
+                if isinstance(tgt, ast.Subscript):
+                    out |= resolver._values_of(tgt.slice)
     return out
 
 
@@ -138,6 +181,8 @@ def _check_file(path: Path) -> list[str]:
                     )
             continue
         values = resolver._values_of(arg)
+        if values == {_FORWARDED}:
+            continue
         if not values:
             problems.append(
                 f"{where}: metric name {ast.dump(arg)} does not resolve "
@@ -189,6 +234,15 @@ class TestCallSites:
         for path in _source_files():
             problems.extend(_check_file(path))
         assert not problems, "\n".join(problems)
+
+    def test_every_declared_name_is_written(self):
+        written: set[object] = set()
+        for path in _source_files():
+            written |= _written_names(path)
+        unwritten = sorted(DECLARED - written)
+        assert not unwritten, (
+            f"declared in names.py but written by no src/ call site: {unwritten}"
+        )
 
     def test_lint_actually_covers_the_serving_layer(self):
         """Guard against the walker silently matching nothing."""

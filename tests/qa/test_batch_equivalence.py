@@ -20,11 +20,6 @@ from hypothesis import strategies as st
 
 from repro.nlp import EntityRecognizer
 from repro.nlp.stemming import SHARED_STEM_CACHE
-from repro.observability.metrics import MetricsRegistry
-from repro.observability.names import (
-    RETRIEVAL_BATCH_POSTINGS_SHARED,
-    RETRIEVAL_BATCH_QUESTIONS,
-)
 from repro.qa import QAPipeline, result_fingerprint
 
 
@@ -47,12 +42,8 @@ def stack(shared_corpus, shared_indexed_corpus, shared_questions):
     return shared_indexed_corpus, recognizer, pool
 
 
-def _fresh(indexed, recognizer, cache=64, metrics=None):
-    return QAPipeline(
-        indexed.reconfigured(conjunction_cache=cache),
-        recognizer,
-        metrics=metrics,
-    )
+def _fresh(indexed, recognizer, cache=64):
+    return QAPipeline(indexed.reconfigured(conjunction_cache=cache), recognizer)
 
 
 def _stem_counters() -> tuple[int, int]:
@@ -166,11 +157,11 @@ class TestBatchRegression:
 
     def test_batch_metrics_recorded(self, stack):
         indexed, recognizer, pool = stack
-        metrics = MetricsRegistry()
-        pipeline = _fresh(indexed, recognizer, metrics=metrics)
+        pipeline = _fresh(indexed, recognizer)
         pipeline.answer_batch([pool[0], pool[0], pool[1]])
-        assert metrics.value(RETRIEVAL_BATCH_QUESTIONS) == 3.0
-        assert metrics.value(RETRIEVAL_BATCH_POSTINGS_SHARED) > 0
+        stats = pipeline.last_batch_stats
+        assert stats.n_questions == 3
+        assert stats.postings_shared > 0
 
     def test_qids_propagate(self, stack):
         indexed, recognizer, pool = stack

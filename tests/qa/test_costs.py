@@ -62,12 +62,6 @@ class TestCostModel:
         m = CostModel.default()
         assert m.po_cost(1000).cpu_s > 2 * m.po_cost(100).cpu_s - m.po_base_cpu_s
 
-    def test_with_rates_override(self):
-        m = CostModel.default().with_rates(ap_cpu_per_byte=1.0)
-        assert m.ap_cpu_per_byte == 1.0
-        # Original untouched (frozen dataclass copies).
-        assert CostModel.default().ap_cpu_per_byte != 1.0
-
     def test_memory_range_sane(self):
         lo, hi = CostModel.default().memory_per_question
         # The paper: 25 to 40 MB per question.

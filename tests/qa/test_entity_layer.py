@@ -116,7 +116,11 @@ class TestLayerIsInvisible:
         n_paragraphs = indexed.total_stats()["n_paragraphs"]
         assert len(paragraphs) == n_paragraphs
 
-        cold = _cache_touches(_fresh(indexed, recognizer), pool)
+        cold_pipeline = _fresh(indexed, recognizer)
+        cold = _cache_touches(cold_pipeline, pool)
+        # A cold layer misses once per paragraph it comes to hold.
+        layer = cold_pipeline.ap.entity_layer_stats
+        assert layer["misses"] == layer["paragraphs"] > 0
 
         full = _fresh(indexed, recognizer)
         for _ in range(2):

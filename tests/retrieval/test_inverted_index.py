@@ -51,7 +51,6 @@ class TestIndexing:
     def test_unknown_stem_empty(self, index):
         assert index.postings("zzzz") == {}
         assert index.document_frequency("zzzz") == 0
-        assert index.posting_bytes("zzzz") == 0
 
     def test_paragraphs_of_document(self, index):
         paras = index.paragraphs_of(0)
@@ -65,9 +64,6 @@ class TestIndexing:
 
     def test_doc_ids(self, index):
         assert sorted(index.doc_ids) == [0, 1, 2]
-
-    def test_vocabulary_size_positive(self, index):
-        assert index.vocabulary_size() > 5
 
 
 class TestStemCache:

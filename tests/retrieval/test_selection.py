@@ -20,7 +20,6 @@ import pytest
 
 from repro.nlp.stemming import SHARED_STEM_CACHE
 from repro.nlp.vocabulary import Vocabulary
-from repro.observability.metrics import MetricsRegistry
 from repro.qa import QAPipeline, Question, result_fingerprint
 from repro.qa.paragraph_retrieval import ParagraphRetriever
 from repro.retrieval.inverted_index import CollectionIndex
@@ -66,8 +65,7 @@ def test_batch_equals_serial_under_the_same_selector(
 
     def run(batched: bool):
         stack = shared_indexed_corpus.reconfigured()
-        metrics = MetricsRegistry()
-        pipeline = QAPipeline(stack, recognizer, metrics=metrics)
+        pipeline = QAPipeline(stack, recognizer)
         hits, misses = SHARED_STEM_CACHE.hits, SHARED_STEM_CACHE.misses
         if batched:
             results = pipeline.answer_batch(texts, qids=qids)

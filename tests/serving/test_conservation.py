@@ -36,7 +36,6 @@ class ScriptedPool:
         self.accepted = 0
         self._ready = []
         self.attach_report = {}
-        self.worker_snapshots = {}
 
     def start(self):
         pass

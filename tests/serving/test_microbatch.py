@@ -85,7 +85,6 @@ class FakePool:
         #: Units finished but not yet returned by ``poll``.
         self._unpolled_units = 0
         self.attach_report: dict = {}
-        self.worker_snapshots: dict = {}
 
     def start(self) -> None:
         pass
@@ -265,10 +264,10 @@ class TestFlushBehavior:
         for i in range(4):  # one alone, then a full unit of three
             server.submit(f"q{i}", qid=i, arrival_s=float(i))
         server.drain()
-        agg = server.aggregated_metrics().snapshot()
-        assert agg[SERVING_BATCH_SIZE]["count"] == 2
-        assert agg[SERVING_BATCH_SIZE]["sum"] == 4.0
-        assert agg[SERVING_BATCH_BUFFER_WAIT_S]["count"] == 2
+        metrics = server.metrics.to_dict()
+        assert metrics[SERVING_BATCH_SIZE]["count"] == 2
+        assert metrics[SERVING_BATCH_SIZE]["sum"] == 4.0
+        assert metrics[SERVING_BATCH_BUFFER_WAIT_S]["count"] == 2
 
     def test_batched_attribution_still_sums(
         self, inline_server_parts, shared_questions

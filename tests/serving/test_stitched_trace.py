@@ -3,8 +3,7 @@
 A sampled question served through the QAServer must yield ONE span tree
 crossing the server/worker boundary whose attribution buckets sum
 exactly to its end-to-end wall latency; enabling sampling must not
-perturb the admission decision digest; worker metrics snapshots must
-merge into the server's aggregated registry.
+perturb the admission decision digest.
 """
 
 import hashlib
@@ -14,16 +13,7 @@ import pytest
 
 from repro.nlp import EntityRecognizer
 from repro.observability.attribution import attribute_question
-from repro.observability.metrics import MetricsRegistry, gauge_label
-from repro.observability.names import (
-    AP_ENTITY_LAYER_HITS,
-    AP_ENTITY_LAYER_MISSES,
-    AP_ENTITY_LAYER_PARAGRAPHS,
-    CONJUNCTION_CACHE_HITS,
-    POSTINGS_SCANNED,
-    SERVING_ANSWERED,
-    SERVING_TRACES_SAMPLED,
-)
+from repro.observability.names import SERVING_TRACES_SAMPLED
 from repro.observability.telemetry import validate_telemetry_file
 from repro.qa import QAPipeline
 from repro.serving import AdmissionConfig, QAServer, ServerConfig
@@ -34,15 +24,13 @@ from ..conftest import SHARED_CORPUS_CONFIG
 
 
 @pytest.fixture()
-def metrics_pipeline(shared_corpus, shared_indexed_corpus):
-    """A pipeline over the shared index that records into a registry."""
+def fresh_pipeline(shared_corpus, shared_indexed_corpus):
+    """A pipeline of its own over the shared index."""
     recognizer = EntityRecognizer(
         shared_corpus.knowledge.gazetteer(),
         extra_nationalities=shared_corpus.knowledge.nationalities,
     )
-    return QAPipeline(
-        shared_indexed_corpus, recognizer, metrics=MetricsRegistry()
-    )
+    return QAPipeline(shared_indexed_corpus, recognizer)
 
 
 def _config(**kw):
@@ -68,10 +56,10 @@ def _serve(server, questions, n=4):
 
 class TestStitchedTree:
     def test_sampled_question_yields_one_boundary_crossing_tree(
-        self, metrics_pipeline, shared_questions
+        self, fresh_pipeline, shared_questions
     ):
         server = _serve(
-            QAServer(_config(), pool=InlineExecutor(metrics_pipeline)),
+            QAServer(_config(), pool=InlineExecutor(fresh_pipeline)),
             shared_questions,
         )
         answered = [
@@ -89,10 +77,10 @@ class TestStitchedTree:
         assert server.metrics.value(SERVING_TRACES_SAMPLED) == len(answered)
 
     def test_attribution_fold_sums_exactly_to_wall(
-        self, metrics_pipeline, shared_questions
+        self, fresh_pipeline, shared_questions
     ):
         server = _serve(
-            QAServer(_config(), pool=InlineExecutor(metrics_pipeline)),
+            QAServer(_config(), pool=InlineExecutor(fresh_pipeline)),
             shared_questions,
         )
         folded = 0
@@ -107,11 +95,11 @@ class TestStitchedTree:
         assert folded >= 4
 
     def test_batched_tree_has_exactly_one_stage_span(
-        self, metrics_pipeline, shared_questions
+        self, fresh_pipeline, shared_questions
     ):
         server = QAServer(
             _config(batch_max=3, batch_wait_s=10.0),
-            pool=InlineExecutor(metrics_pipeline),
+            pool=InlineExecutor(fresh_pipeline),
         )
         with server:
             # No poll in between: the inline worker stays busy after the
@@ -139,7 +127,7 @@ class TestStitchedTree:
 
 class TestForcedTelemetry:
     def test_sheds_are_forced_into_telemetry(
-        self, metrics_pipeline, shared_questions, tmp_path
+        self, fresh_pipeline, shared_questions, tmp_path
     ):
         path = tmp_path / "telemetry.jsonl"
         config = _config(
@@ -148,7 +136,7 @@ class TestForcedTelemetry:
             ),
             telemetry_path=str(path),
         )
-        server = QAServer(config, pool=InlineExecutor(metrics_pipeline))
+        server = QAServer(config, pool=InlineExecutor(fresh_pipeline))
         with server:
             for i, q in enumerate(shared_questions[:3]):
                 server.submit(q.text, qid=q.qid, arrival_s=0.0)
@@ -160,7 +148,7 @@ class TestForcedTelemetry:
         assert all(s["forced"] for s in sheds)
         assert all(s["reason"].startswith("shed:") for s in sheds)
         # The stream always ends with the final SLO judgement and the
-        # aggregated metrics record.
+        # server's metrics record.
         assert [r["record"] for r in records[-2:]] == ["slo", "metrics"]
 
     def test_drained_questions_fold_to_pure_queueing(self, tmp_path):
@@ -169,7 +157,6 @@ class TestForcedTelemetry:
 
             workers = 1
             attach_report = {}
-            worker_snapshots = {}
 
             def start(self):
                 pass
@@ -216,7 +203,6 @@ class TestDigestUnchanged:
         class CompleteAllPool:
             workers = 1
             attach_report = {}
-            worker_snapshots = {}
 
             def __init__(self):
                 self._ready = []
@@ -316,30 +302,3 @@ class TestLoadgenTelemetry:
         assert "server" in names
         assert any(n.startswith("worker-") for n in names)
 
-
-class TestMergedWorkerMetrics:
-    def test_aggregated_registry_merges_worker_snapshot(
-        self, metrics_pipeline, shared_questions
-    ):
-        server = _serve(
-            QAServer(_config(), pool=InlineExecutor(metrics_pipeline)),
-            shared_questions,
-        )
-        agg = server.aggregated_metrics()
-        # Server-side counters come through unlabeled...
-        assert agg.value(SERVING_ANSWERED) >= 1
-        # ...worker-side work counters sum into the canonical name...
-        assert agg.value(POSTINGS_SCANNED) > 0
-        # ...and worker gauges keep a per-worker label.
-        labeled = gauge_label(CONJUNCTION_CACHE_HITS, "worker=0")
-        assert labeled in agg
-        assert CONJUNCTION_CACHE_HITS not in agg
-        # AP's entity layer rides the same snapshot, as it stands now.
-        layer = metrics_pipeline.ap.entity_layer_stats
-        assert layer["misses"] == layer["paragraphs"] > 0
-        for name, key in (
-            (AP_ENTITY_LAYER_HITS, "hits"),
-            (AP_ENTITY_LAYER_MISSES, "misses"),
-            (AP_ENTITY_LAYER_PARAGRAPHS, "paragraphs"),
-        ):
-            assert agg.value(gauge_label(name, "worker=0")) == layer[key]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulation import RunningMean, TimeWeightedSignal
+from repro.simulation import TimeWeightedSignal
 
 
 class TestTimeWeightedSignal:
@@ -70,33 +70,3 @@ class TestTimeWeightedSignal:
             value = v
         assert s.integral(t) == pytest.approx(manual, rel=1e-9, abs=1e-9)
 
-
-class TestRunningMean:
-    def test_mean_and_variance(self):
-        rm = RunningMean()
-        for x in [2.0, 4.0, 6.0]:
-            rm.add(x)
-        assert rm.mean == pytest.approx(4.0)
-        assert rm.variance == pytest.approx(4.0)
-        assert rm.std == pytest.approx(2.0)
-        assert len(rm) == 3
-
-    def test_single_observation_zero_variance(self):
-        rm = RunningMean()
-        rm.add(5.0)
-        assert rm.mean == 5.0
-        assert rm.variance == 0.0
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=100))
-    @settings(max_examples=100, deadline=None)
-    def test_matches_numpy(self, xs):
-        import numpy as np
-
-        rm = RunningMean()
-        for x in xs:
-            rm.add(x)
-        assert rm.mean == pytest.approx(float(np.mean(xs)), rel=1e-9, abs=1e-6)
-        if len(xs) > 1:
-            assert rm.variance == pytest.approx(
-                float(np.var(xs, ddof=1)), rel=1e-9, abs=1e-6
-            )

@@ -7,9 +7,10 @@ one kernel per side of the oracle, collection selection is gone and PR
 visits every collection, the span stream is the only trace store, the
 pre-record extension experiments took their switches with them, the
 server-to-worker wire has one request, one unit and one reply shape, each
-of the paper's two evaluation protocols is written once, and every CLI
-flag and serving option is declared in one place — which the command
-lines CI and the verify skill run must still parse against.
+of the paper's two evaluation protocols is written once, workers keep no
+metrics registry of their own, and every CLI flag and serving option is
+declared in one place — which the command lines CI and the verify skill
+run must still parse against.
 """
 
 import argparse
@@ -167,6 +168,29 @@ def test_each_evaluation_protocol_is_written_once():
         QuestionDispatcher(mon, max_attempts=3)
     with pytest.raises(TypeError):
         SystemConfig(**{"question_retry_" "backoff_s": 1.0})
+
+
+def test_workers_keep_no_metrics_plane():
+    """The reply record is all the server hears: no worker registry, no
+    snapshot on the wire, no merge code, no ``metrics=`` to pass one in."""
+    from repro.corpus import CorpusConfig
+    from repro.experiments.context import build_serving_context
+    from repro.observability.metrics import MetricsRegistry
+    from repro.qa import QAPipeline
+    from repro.serving.workers import InlineExecutor, ProcessWorkerPool
+
+    with pytest.raises(TypeError):
+        QAPipeline(None, None, metrics=MetricsRegistry())
+    with pytest.raises(TypeError):
+        build_serving_context(CorpusConfig(), metrics=MetricsRegistry())
+    for executor in (ProcessWorkerPool(CorpusConfig(), 1), InlineExecutor(None)):
+        assert not hasattr(executor, "worker_" "snapshots")
+    source = "".join(p.read_text() for p in (ROOT / "src").rglob("*.py"))
+    for retired in (
+        "worker_" "snapshots", "aggregated_" "metrics", "merge_" "snapshot",
+        "state_" "dict", "merge_" "state", "gauge_" "label", "_SNAPSHOT_" "EVERY",
+    ):
+        assert retired not in source, retired
 
 
 # -- declared once: CLI flags and serving options ------------------------------------
