@@ -63,10 +63,12 @@ class Document:
     text: str
     #: Facts planted in this document (ground truth for tests).
     planted: list[Fact] = field(default_factory=list)
+    #: UTF-8 size of ``text``, counted once: the corpus is immutable, and
+    #: PR charges it for every matched document of every question.
+    size_bytes: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def size_bytes(self) -> int:
-        return len(self.text.encode("utf-8"))
+    def __post_init__(self) -> None:
+        self.size_bytes = len(self.text.encode("utf-8"))
 
 
 @dataclass(slots=True)

@@ -81,8 +81,10 @@ __all__ = [
 ]
 
 #: Bump when a pickled artifact layout changes; stale entries are ignored.
-#: v2 added the packed-index payload next to the corpus pickle.
-_CACHE_FORMAT = 2
+#: v2 added the packed-index payload next to the corpus pickle; v3 holds
+#: paragraph postings (``packed-index/v3``) and documents that carry their
+#: byte size.
+_CACHE_FORMAT = 3
 
 
 @dataclass(slots=True)
@@ -97,7 +99,7 @@ class ExperimentContext:
     model: CostModel
     #: How the indexes came to be: "built" (tokenized from the corpus) or
     #: "cache" (attached to the packed on-disk payload), and the seconds
-    #: that took — the build-vs-attach gap the v2 artifact exists for.
+    #: that took — the build-vs-attach gap the disk artifact exists for.
     index_source: str = "built"
     index_seconds: float = field(default=0.0, compare=False)
 
@@ -174,7 +176,7 @@ def load_or_generate_corpus(config: CorpusConfig) -> Corpus:
 def load_or_build_indexes(
     corpus: Corpus, config: CorpusConfig
 ) -> tuple[list[CollectionIndex], str, float]:
-    """Collection indexes for ``corpus``, attaching to the v2 disk artifact.
+    """Collection indexes for ``corpus``, attaching to the disk artifact.
 
     Returns ``(indexes, source, seconds)`` where ``source`` is ``"cache"``
     when the packed payload was attached and ``"built"`` when the indexes
@@ -246,7 +248,7 @@ def build_serving_context(config: CorpusConfig) -> ExperimentContext:
     Serving workers receive question *text* over the request queue, so
     unlike :func:`build_context` they never need the generated question
     set — only a queryable pipeline.  A worker on a warm machine pays
-    one corpus unpickle plus one packed-payload attach (both from the v2
+    one corpus unpickle plus one packed-payload attach (both from the
     disk artifact its parent wrote), no tokenize/stem/intern rebuild.
     Not memoized: each worker process calls it exactly once.
     """
@@ -332,7 +334,7 @@ def sweep_stale_cache_dirs(
 def index_cache_selftest(
     config: CorpusConfig | None = None, n_questions: int = 12
 ) -> dict[str, t.Any]:
-    """Cold-vs-warm round-trip check for the v2 packed-index artifact.
+    """Cold-vs-warm round-trip check for the packed-index artifact.
 
     Builds the indexes from scratch, serializes them, attaches the
     payload under a *fresh* vocabulary (a cold worker's view), and

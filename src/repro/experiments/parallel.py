@@ -20,7 +20,7 @@ The pool prefers the ``fork`` start method: children inherit the
 parent's warm ``lru_cache`` of experiment contexts (see
 :mod:`repro.experiments.context`), so no worker rebuilds a corpus the
 parent already has.  Where ``fork`` is unavailable — or a worker needs a
-context the parent never built — the on-disk v2 artifact cache keeps the
+context the parent never built — the on-disk artifact cache keeps the
 cold-start cost to one unpickle per worker: the corpus comes back as a
 pickle, and the packed index payload *attaches*
 (:func:`repro.retrieval.packing.attach_payload`) instead of re-running

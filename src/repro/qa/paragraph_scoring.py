@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import typing as t
 from array import array
+from bisect import bisect_left
 
 from ..nlp.stemming import cached_stem as stem
 from ..nlp.tokenizer import tokenize
@@ -184,8 +185,7 @@ class ParagraphScorer:
         shares one between PS and AP); one is built when none is passed.
         """
         kstems = [kw.stems for kw in processed.keywords]
-        resolver = resolver or KeywordIdResolver(kstems)
-        return [self.score_one(p, kstems, resolver) for p in paragraphs]
+        return self._score_all(paragraphs, kstems, resolver)
 
     def score_one(
         self,
@@ -193,20 +193,40 @@ class ParagraphScorer:
         kstems: t.Sequence[tuple[str, ...]],
         resolver: KeywordIdResolver | None = None,
     ) -> ScoredParagraph:
-        """Score one paragraph; a match made on the term layer rides on
-        the result for AP (:attr:`ScoredParagraph.match`)."""
-        terms = self.term_lookup(paragraph) if self.term_lookup else None
-        if terms is not None:
-            resolver = resolver or KeywordIdResolver(kstems)
-            positions = keyword_positions_from_ids(
-                terms, resolver.resolve(terms.vocab)
-            )
-            match = (terms, positions)
-        else:
-            positions, _ = keyword_positions(paragraph.text, kstems)
-            match = None
-        score, n_present = self._score_positions(kstems, positions)
-        return ScoredParagraph(paragraph, score, n_present, match)
+        """Score one paragraph (see :meth:`score`)."""
+        return self._score_all([paragraph], kstems, resolver)[0]
+
+    def _score_all(
+        self,
+        paragraphs: t.Sequence[Paragraph],
+        kstems: t.Sequence[tuple[str, ...]],
+        resolver: KeywordIdResolver | None,
+    ) -> list[ScoredParagraph]:
+        """Score paragraphs in order; a match made on the term layer rides
+        on the result for AP (:attr:`ScoredParagraph.match`).
+
+        Keyword ids are resolved once per run of paragraphs whose term
+        views share a vocabulary — in practice once per call.
+        """
+        resolver = resolver or KeywordIdResolver(kstems)
+        lookup = self.term_lookup
+        score_positions = self._score_positions
+        vocab = resolved = None
+        out: list[ScoredParagraph] = []
+        for paragraph in paragraphs:
+            terms = lookup(paragraph) if lookup else None
+            if terms is not None:
+                if terms.vocab is not vocab:
+                    vocab = terms.vocab
+                    resolved = resolver.resolve(vocab)
+                positions = keyword_positions_from_ids(terms, resolved)
+                match = (terms, positions)
+            else:
+                positions, _ = keyword_positions(paragraph.text, kstems)
+                match = None
+            score, n_present = score_positions(kstems, positions)
+            out.append(ScoredParagraph(paragraph, score, n_present, match))
+        return out
 
     @staticmethod
     def _score_positions(
@@ -233,16 +253,23 @@ class ParagraphScorer:
         # Heuristic 2: distance — span of the tightest window containing
         # one occurrence of each present keyword (greedy approximation:
         # anchor at each occurrence of the rarest keyword).
+        # Positions ascend, so the nearest occurrence to an anchor is one
+        # of the two around its insertion point; on a tie the earlier one
+        # wins.
         rarest = min(present, key=lambda k: len(positions[k]))
+        others = [positions[k] for k in present if k != rarest]
         best_span = None
         for anchor in positions[rarest]:
             lo = hi = anchor
-            for k in present:
-                if k == rarest:
-                    continue
-                nearest = min(positions[k], key=lambda p: abs(p - anchor))
-                lo = min(lo, nearest)
-                hi = max(hi, nearest)
+            for pos in others:
+                j = bisect_left(pos, anchor)
+                if j == len(pos) or (j and anchor - pos[j - 1] <= pos[j] - anchor):
+                    j -= 1
+                nearest = pos[j]
+                if nearest < lo:
+                    lo = nearest
+                elif nearest > hi:
+                    hi = nearest
             span = hi - lo + 1
             if best_span is None or span < best_span:
                 best_span = span

@@ -8,7 +8,6 @@ from .inverted_index import (
     IndexStats,
     ParagraphTerms,
     StemCache,
-    StemSetView,
 )
 from .packing import attach_payload, indexes_to_payload
 from .paragraphs import Paragraph, split_paragraphs
@@ -24,7 +23,6 @@ __all__ = [
     "RetrievalResult",
     "SharedPostings",
     "StemCache",
-    "StemSetView",
     "attach_payload",
     "indexes_to_payload",
     "split_paragraphs",

@@ -18,9 +18,12 @@ Two hot-path optimizations (both behaviour-preserving):
   rescanning posting lists (query-result caching, arXiv:1006.5059).
 
 Both operate directly on the index's packed id arrays: posting lists are
-read-only sorted doc-id views sliced out of one flat buffer, and the
-paragraph keyword-quorum filter probes the flat per-paragraph stem-id
-runs by binary search instead of comparing string sets.
+read-only sorted doc-id views sliced out of one flat buffer.  The
+paragraph keyword-quorum filter — Falcon's "post-processing phase to
+extract paragraphs from documents" — is posting-list arithmetic too: a
+keyword's paragraphs are the intersection of its stems' *paragraph*
+postings, and the quorum counts keywords per paragraph ordinal, so no
+paragraph is probed one by one.
 
 The engine reports, along with its results, the work it performed
 (postings scanned, document bytes read) so the simulation's cost model can
@@ -34,8 +37,9 @@ from __future__ import annotations
 
 import typing as t
 from bisect import bisect_left
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
+from itertools import chain
 
 from ..nlp.keywords import Keyword
 from .inverted_index import CollectionIndex
@@ -81,7 +85,8 @@ class RetrievalResult:
 
 
 def _intersect_sorted(small: t.Sequence[int], large: t.Sequence[int]) -> list[int]:
-    """Intersection of two sorted doc-id arrays, probing the larger one.
+    """Intersection of two sorted id arrays (doc ids or paragraph
+    ordinals), probing the larger one.
 
     Walks the smaller array and advances a binary-search lower bound into
     the larger — O(|small| · log |large|), which beats a linear merge when
@@ -264,34 +269,47 @@ class BooleanRetriever:
         if not docs:
             return result
 
-        # Paragraph extraction: read matching documents, keep paragraphs
-        # meeting the keyword quorum.  A keyword is "present" when every
-        # one of its (distinct) stem ids occurs in the paragraph's sorted
-        # indexed-stem run — the packed equivalent of the old
-        # ``frozenset[str]`` subset test.  A stem the vocabulary has never
-        # seen maps to the negative sentinel, which no run contains.
-        lookup = self.index.vocab.lookup
-        ids_per_kw = [
-            tuple({lookup(s) for s in kw.stems}) for kw in active
-        ]
-        pset = self.index.paragraph_stem_ids
-        needed = max(1, int(round(self.paragraph_quorum * len(active))))
+        # Paragraph extraction: read the matched documents, keep the
+        # paragraphs meeting the keyword quorum.  A keyword is present in
+        # a paragraph when all its stems are, so its paragraphs are the
+        # intersection of its stems' paragraph postings.  Ordinals ascend
+        # in (doc id, paragraph index) order, which is the output order.
+        index = self.index
+        doc_bytes = index.doc_bytes
         for doc_id in result.matched_docs:
-            result.doc_bytes_read += self.index.doc_bytes(doc_id)
-            for para, lo, hi in self.index.paragraph_spans(doc_id):
-                present = 0
-                for kw_ids in ids_per_kw:
-                    for tid in kw_ids:
-                        j = bisect_left(pset, tid, lo, hi)
-                        if j >= hi or pset[j] != tid:
-                            break
-                    else:
-                        present += 1
-                if present >= needed:
-                    result.paragraphs.append(para)
+            result.doc_bytes_read += doc_bytes(doc_id)
+        per_keyword = [self._keyword_paragraphs(kw) for kw in active]
+        paragraphs = index.paragraphs
+        if len(per_keyword) == 1:
+            # The quorum is 1, and a paragraph holding every stem of the
+            # one keyword lies in a document holding them: a matched one.
+            ordinals: t.Iterable[int] = per_keyword[0]
+        else:
+            needed = max(1, int(round(self.paragraph_quorum * len(active))))
+            counts = Counter(chain.from_iterable(per_keyword))
+            ordinals = sorted(
+                o
+                for o, n in counts.items()
+                if n >= needed and paragraphs[o].doc_id in docs
+            )
+        result.paragraphs = [paragraphs[o] for o in ordinals]
         return result
 
     # -- internals ---------------------------------------------------------------
+    def _keyword_paragraphs(self, keyword: Keyword) -> t.Sequence[int]:
+        """Ascending ordinals of the paragraphs holding every stem of
+        ``keyword`` (a stem the index has never seen holds none)."""
+        postings = sorted(
+            (self.index.paragraph_postings(s) for s in set(keyword.stems)),
+            key=len,
+        )
+        current: t.Sequence[int] = postings[0]
+        for arr in postings[1:]:
+            if not current:
+                break
+            current = _intersect_sorted(current, arr)
+        return current
+
     def _conjunction(
         self,
         active: t.Sequence[Keyword],

@@ -3,9 +3,9 @@
 The paper indexes each of the 8 sub-collections separately ("separately
 indexed using a Boolean information retrieval system built on top of
 Zprise", Section 6).  :class:`CollectionIndex` is our from-scratch
-equivalent: document-level postings with term frequencies, plus a
-paragraph-level term layer for the paragraph-extraction post-processing
-phase and the PS/AP fast paths.
+equivalent: document-level postings with term frequencies, paragraph-level
+postings for the paragraph-extraction post-processing phase, and a
+paragraph term layer for the PS/AP fast paths.
 
 Since the compact-data-plane rewrite, every term is interned to a dense
 integer id through the process-wide
@@ -20,8 +20,12 @@ nested dicts:
   collection-wide stem-id / token-span / position-order arrays, exposed
   through the same API the dict-based layer had (``tokens``,
   ``stems_at``, ``positions_of``) as lazy views;
-* per-paragraph stem *sets* (the Boolean quorum filter) are sorted id
-  runs in one flat array, probed by binary search.
+* paragraph postings (the Boolean quorum filter) share the document
+  postings' slots: slot ``s`` lists, in ascending order, the ordinals of
+  the paragraphs holding its stem — the document-partitioned index
+  carried down to the paragraph, the unit PR returns.  Ordinals follow
+  ``collection.documents`` order, which is ascending doc id, so ordinal
+  order is PR's output order.
 
 Integer-coded flat layouts are how production engines keep per-query
 work sub-linear and index bytes small (cs/0407053, arXiv:1006.5059);
@@ -42,7 +46,7 @@ import sys
 import typing as t
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Set as AbstractSet
+from collections import defaultdict
 from dataclasses import dataclass
 
 from ..corpus.generator import Document, SubCollection
@@ -58,10 +62,9 @@ __all__ = [
     "IndexBuffers",
     "IndexStats",
     "ParagraphTerms",
-    "StemSetView",
 ]
 
-#: Read-only empty doc-id view, returned for unknown stems.
+#: Read-only empty doc-id / paragraph-ordinal view, returned for unknown stems.
 _EMPTY_U32 = memoryview(array("I")).toreadonly()
 
 
@@ -91,16 +94,17 @@ class IndexBuffers:
     #: ``stem_ids[order[j]]`` — the sorted-by-id view that makes
     #: per-stem position lookup a binary search.
     sorted_ids: array
-    #: Paragraph ``p``'s distinct indexed stem ids (sorted) live at
-    #: ``[pset_offsets[p], pset_offsets[p+1])`` in ``pset_ids``.
-    pset_offsets: array
-    pset_ids: array
     #: Posting slot ``s`` covers term ``p_terms[s]`` with sorted doc ids
     #: ``p_docs[p_offsets[s]:p_offsets[s+1]]`` and parallel ``p_tfs``.
     p_terms: array
     p_offsets: array
     p_docs: array
     p_tfs: array
+    #: The ascending ordinals of the paragraphs holding term ``p_terms[s]``
+    #: are ``pp_ords[pp_offsets[s]:pp_offsets[s+1]]`` (same slots as the
+    #: doc postings; no term ids, so a vocabulary remap leaves them alone).
+    pp_offsets: array
+    pp_ords: array
 
     def nbytes(self) -> int:
         """Total size of all buffers (array headers + payload)."""
@@ -108,8 +112,8 @@ class IndexBuffers:
             sys.getsizeof(a)
             for a in (
                 self.t_offsets, self.starts, self.lengths, self.stem_ids,
-                self.order, self.sorted_ids, self.pset_offsets, self.pset_ids,
-                self.p_terms, self.p_offsets, self.p_docs, self.p_tfs,
+                self.order, self.sorted_ids, self.p_terms, self.p_offsets,
+                self.p_docs, self.p_tfs, self.pp_offsets, self.pp_ords,
             )
         )
 
@@ -226,44 +230,6 @@ class ParagraphTerms:
         return self.positions_of_id(tid)
 
 
-class StemSetView(AbstractSet):
-    """Immutable set-of-stems view over a sorted id run (quorum filter).
-
-    Compares and intersects like a ``frozenset[str]`` through the
-    :class:`collections.abc.Set` mixins, but stores nothing: membership
-    is a vocabulary lookup plus a binary search into the collection's
-    flat ``pset_ids`` buffer.
-    """
-
-    __slots__ = ("_ids", "_lo", "_hi", "_vocab")
-
-    def __init__(
-        self, ids: memoryview, lo: int, hi: int, vocab: Vocabulary
-    ) -> None:
-        self._ids = ids
-        self._lo = lo
-        self._hi = hi
-        self._vocab = vocab
-
-    @classmethod
-    def _from_iterable(cls, it: t.Iterable[str]) -> frozenset:
-        return frozenset(it)
-
-    def __contains__(self, stem_: object) -> bool:
-        if not isinstance(stem_, str):
-            return False
-        tid = self._vocab.lookup(stem_)
-        j = bisect_left(self._ids, tid, self._lo, self._hi)
-        return tid >= 0 and j < self._hi and self._ids[j] == tid
-
-    def __iter__(self) -> t.Iterator[str]:
-        term = self._vocab.term
-        return (term(tid) for tid in self._ids[self._lo : self._hi])
-
-    def __len__(self) -> int:
-        return self._hi - self._lo
-
-
 @dataclass(frozen=True, slots=True)
 class IndexStats:
     """Size statistics used by the PR cost model and the memory gauges."""
@@ -292,16 +258,17 @@ def _build_buffers(
     stem_ids = array("i")
     order = array("H")
     sorted_ids = array("i")
-    pset_offsets = array("I", (0,))
-    pset_ids = array("i")
     #: term id -> ([doc ids], [tfs]); docs arrive in ascending id order.
     postings: dict[int, tuple[list[int], list[int]]] = {}
+    #: term id -> [paragraph ordinals], ascending by construction.
+    para_postings: defaultdict[int, list[int]] = defaultdict(list)
     intern = vocab.intern
+    ordinal = 0
     for doc in collection.documents:
         doc_counts: dict[int, int] = {}
         for para in split_paragraphs(doc.doc_id, collection.collection_id, doc.text):
             ids: list[int] = []
-            pset: set[int] = set()
+            indexed: set[int] = set()
             for tok in tokenize(para.text):
                 text = tok.text
                 tid = intern(stem_fn(text) if tok.is_word else text)
@@ -312,7 +279,7 @@ def _build_buffers(
                     continue
                 if is_stopword(text):
                     continue
-                pset.add(tid)
+                indexed.add(tid)
                 doc_counts[tid] = doc_counts.get(tid, 0) + 1
             stem_ids.extend(ids)
             # Stable sort by id keeps equal-id positions ascending, so a
@@ -321,8 +288,9 @@ def _build_buffers(
             loc = sorted(range(len(ids)), key=ids.__getitem__)
             order.extend(loc)
             sorted_ids.extend(ids[j] for j in loc)
-            pset_ids.extend(sorted(pset))
-            pset_offsets.append(len(pset_ids))
+            for tid in indexed:
+                para_postings[tid].append(ordinal)
+            ordinal += 1
             t_offsets.append(len(stem_ids))
         for tid, tf in doc_counts.items():
             slot = postings.get(tid)
@@ -334,16 +302,22 @@ def _build_buffers(
     p_offsets = array("I", (0,))
     p_docs = array("I")
     p_tfs = array("I")
+    pp_offsets = array("I", (0,))
+    pp_ords = array("I")
+    # Every stem with paragraph postings has document postings too: both
+    # are fed from the same indexed-stem test above.
     for tid, (docs, tfs) in postings.items():
         p_terms.append(tid)
         p_docs.extend(docs)
         p_tfs.extend(tfs)
         p_offsets.append(len(p_docs))
+        pp_ords.extend(para_postings[tid])
+        pp_offsets.append(len(pp_ords))
     return IndexBuffers(
         t_offsets=t_offsets, starts=starts, lengths=lengths, stem_ids=stem_ids,
-        order=order, sorted_ids=sorted_ids, pset_offsets=pset_offsets,
-        pset_ids=pset_ids, p_terms=p_terms, p_offsets=p_offsets,
-        p_docs=p_docs, p_tfs=p_tfs,
+        order=order, sorted_ids=sorted_ids, p_terms=p_terms,
+        p_offsets=p_offsets, p_docs=p_docs, p_tfs=p_tfs,
+        pp_offsets=pp_offsets, pp_ords=pp_ords,
     )
 
 
@@ -387,10 +361,16 @@ class CollectionIndex:
         """Derive all runtime views and lookup tables from ``buffers``."""
         self.buffers = buffers
         self._views = _TermViews(buffers, self.vocab)
-        self._pset = memoryview(buffers.pset_ids).toreadonly()
         self._p_docs = memoryview(buffers.p_docs).toreadonly()
         self._p_tfs = memoryview(buffers.p_tfs).toreadonly()
         self._p_offsets = buffers.p_offsets
+        self._pp_ords = memoryview(buffers.pp_ords).toreadonly()
+        self._pp_offsets = buffers.pp_offsets
+        if (
+            len(buffers.pp_offsets) != len(buffers.p_offsets)
+            or buffers.pp_offsets[-1] != len(buffers.pp_ords)
+        ):
+            raise ValueError("paragraph postings do not fit the posting slots")
         # Flat stem-id -> posting-slot table (-1 = no postings): the id
         # space is dense, so an array beats a dict by ~4x resident bytes.
         p_terms = buffers.p_terms
@@ -399,19 +379,22 @@ class CollectionIndex:
             slots[tid] = slot
         self._posting_slot: array = slots
         self._documents: dict[int, Document] = {}
-        #: doc_id -> ((paragraph, pset lo, pset hi), ...)
-        self._doc_paragraphs: dict[int, tuple[tuple[Paragraph, int, int], ...]] = {}
+        paragraphs: list[Paragraph] = []
         self._paragraph_terms: dict[tuple[int, int], ParagraphTerms] = {}
         t_offsets = buffers.t_offsets
-        pset_offsets = buffers.pset_offsets
         n_paras = len(t_offsets) - 1
         text_bytes = 0
-        ordinal = 0
+        last_doc = -1
         for doc in collection.documents:
+            # Ordinal order must be doc-id order: PR returns paragraph
+            # postings as they stand, and its contract is ascending doc id.
+            if doc.doc_id <= last_doc:
+                raise ValueError("documents must be in ascending doc-id order")
+            last_doc = doc.doc_id
             self._documents[doc.doc_id] = doc
             text_bytes += doc.size_bytes
-            entries: list[tuple[Paragraph, int, int]] = []
             for para in split_paragraphs(doc.doc_id, self.collection_id, doc.text):
+                ordinal = len(paragraphs)
                 if ordinal >= n_paras:
                     raise ValueError(
                         "index buffers hold fewer paragraphs than the corpus"
@@ -422,15 +405,15 @@ class CollectionIndex:
                     t_offsets[ordinal + 1],
                     self._views,
                 )
-                entries.append(
-                    (para, pset_offsets[ordinal], pset_offsets[ordinal + 1])
-                )
-                ordinal += 1
-            self._doc_paragraphs[doc.doc_id] = tuple(entries)
-        if ordinal != n_paras:
+                paragraphs.append(para)
+        if len(paragraphs) != n_paras:
             raise ValueError(
-                f"index buffers hold {n_paras} paragraphs, corpus has {ordinal}"
+                f"index buffers hold {n_paras} paragraphs, "
+                f"corpus has {len(paragraphs)}"
             )
+        #: Every paragraph of the collection, indexed by ordinal (the unit
+        #: of the paragraph postings).
+        self.paragraphs: tuple[Paragraph, ...] = tuple(paragraphs)
         self.stats = IndexStats(
             n_documents=len(self._documents),
             n_paragraphs=n_paras,
@@ -445,8 +428,8 @@ class CollectionIndex:
         total += sum(
             sys.getsizeof(o)
             for o in (
-                self._views, self._pset, self._p_docs, self._p_tfs,
-                self._posting_slot, self._documents, self._doc_paragraphs,
+                self._views, self._p_docs, self._p_tfs, self._pp_ords,
+                self._posting_slot, self._documents, self.paragraphs,
                 self._paragraph_terms,
             )
         )
@@ -460,10 +443,6 @@ class CollectionIndex:
         if self._paragraph_terms:
             pt = next(iter(self._paragraph_terms.values()))
             total += len(self._paragraph_terms) * sys.getsizeof(pt)
-        for entries in self._doc_paragraphs.values():
-            total += sys.getsizeof(entries) + sum(
-                sys.getsizeof(e) for e in entries
-            )
         return total
 
     # -- lookups ---------------------------------------------------------------
@@ -506,37 +485,19 @@ class CollectionIndex:
             return _EMPTY_U32
         return self._p_docs[self._p_offsets[slot] : self._p_offsets[slot + 1]]
 
+    def paragraph_postings(self, stem_: str) -> memoryview:
+        """Ascending ordinals (into :attr:`paragraphs`) of the paragraphs
+        holding ``stem_`` (read-only; empty view if absent)."""
+        slot = self._slot(stem_)
+        if slot is None:
+            return _EMPTY_U32
+        return self._pp_ords[self._pp_offsets[slot] : self._pp_offsets[slot + 1]]
+
     def document(self, doc_id: int) -> Document:
         return self._documents[doc_id]
 
     def doc_bytes(self, doc_id: int) -> int:
         return self._documents[doc_id].size_bytes
-
-    def paragraph_spans(
-        self, doc_id: int
-    ) -> tuple[tuple[Paragraph, int, int], ...]:
-        """Paragraphs of a document with their ``pset_ids`` spans.
-
-        The packed accessor the Boolean quorum filter uses: each entry is
-        ``(paragraph, lo, hi)`` where ``paragraph_stem_ids[lo:hi]`` is the
-        paragraph's sorted distinct indexed stem ids.
-        """
-        return self._doc_paragraphs[doc_id]
-
-    @property
-    def paragraph_stem_ids(self) -> memoryview:
-        """Flat sorted-run stem-id buffer behind :meth:`paragraph_spans`."""
-        return self._pset
-
-    def paragraphs_of(
-        self, doc_id: int
-    ) -> tuple[tuple[Paragraph, StemSetView], ...]:
-        """Paragraphs of a document with their stem sets (immutable views)."""
-        pset, vocab = self._pset, self.vocab
-        return tuple(
-            (para, StemSetView(pset, lo, hi, vocab))
-            for para, lo, hi in self._doc_paragraphs[doc_id]
-        )
 
     def paragraph_terms(self, key: tuple[int, int]) -> ParagraphTerms | None:
         """Precomputed term view for paragraph ``key`` (``(doc_id, index)``)."""

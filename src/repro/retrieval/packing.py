@@ -14,8 +14,8 @@ re-stemming the corpus.  This module defines that artifact:
   with the payload's term table — the common case for workers attaching
   before interning anything else — ids are valid as-is and attach is a
   zero-rebuild reslice.  Otherwise every id array is remapped through a
-  freshly interned translation table and the per-paragraph sorted runs
-  are re-derived (ids order differently under new numbering).
+  freshly interned translation table and the per-paragraph id-sorted
+  token runs are re-derived (ids order differently under new numbering).
 
 Vocabulary ids are process-local, which is exactly why the payload
 carries the term table: correctness never depends on two processes
@@ -39,11 +39,12 @@ __all__ = [
 ]
 
 #: Bump when the buffer layout changes; mismatched payloads are rejected.
-PAYLOAD_SCHEMA = "packed-index/v2"
+#: v3 replaced the per-paragraph stem-id runs with paragraph postings.
+PAYLOAD_SCHEMA = "packed-index/v3"
 
 _BUFFER_FIELDS = (
     "t_offsets", "starts", "lengths", "stem_ids", "order", "sorted_ids",
-    "pset_offsets", "pset_ids", "p_terms", "p_offsets", "p_docs", "p_tfs",
+    "p_terms", "p_offsets", "p_docs", "p_tfs", "pp_offsets", "pp_ords",
 )
 
 
@@ -79,11 +80,10 @@ def _copy_buffers(raw: dict[str, array]) -> IndexBuffers:
 def _remap_buffers(buffers: IndexBuffers, mapping: t.Sequence[int]) -> None:
     """Rewrite every id array through ``mapping`` (old id -> new id).
 
-    New ids order differently than old ones, so the derived sorted
-    structures — per-paragraph ``order``/``sorted_ids`` runs and the
-    per-paragraph ``pset_ids`` runs — are re-sorted in place.  Posting
-    slots need no re-sort (they are keyed, not ordered, and doc ids are
-    untouched).
+    New ids order differently than old ones, so the per-paragraph
+    ``order``/``sorted_ids`` runs are re-sorted.  Posting slots need no
+    re-sort: they are keyed, not ordered, and the doc ids and paragraph
+    ordinals they hold do not depend on term ids.
     """
     get = mapping.__getitem__
     buffers.stem_ids = array("i", map(get, buffers.stem_ids))
@@ -100,12 +100,6 @@ def _remap_buffers(buffers: IndexBuffers, mapping: t.Sequence[int]) -> None:
         sorted_ids.extend(ids[j] for j in loc)
     buffers.order = order
     buffers.sorted_ids = sorted_ids
-    pset_offsets = buffers.pset_offsets
-    old_pset = buffers.pset_ids
-    pset_ids = array("i")
-    for p in range(len(pset_offsets) - 1):
-        pset_ids.extend(sorted(map(get, old_pset[pset_offsets[p]:pset_offsets[p + 1]])))
-    buffers.pset_ids = pset_ids
 
 
 def attach_payload(

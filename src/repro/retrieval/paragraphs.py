@@ -8,7 +8,7 @@ bodies effectively did.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = ["Paragraph", "split_paragraphs"]
 
@@ -21,10 +21,12 @@ class Paragraph:
     collection_id: int
     index: int  # position within the document
     text: str
+    #: UTF-8 size of ``text``, counted once: a paragraph never changes,
+    #: and PS, AP and the cost model all read it per question.
+    size_bytes: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def size_bytes(self) -> int:
-        return len(self.text.encode("utf-8"))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "size_bytes", len(self.text.encode("utf-8")))
 
     @property
     def key(self) -> tuple[int, int]:

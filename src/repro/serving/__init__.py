@@ -9,7 +9,7 @@ overload protocol as the simulated cluster:
   (the simulator's FIFO-of-3 node discipline), per-client token-bucket
   rate limits, deadline-aware load shedding;
 * :mod:`repro.serving.workers` — worker processes attaching to the
-  shared v2 packed-index artifact (zero rebuild per process);
+  shared packed-index artifact (zero rebuild per process);
 * :mod:`repro.serving.server` — the :class:`QAServer` lifecycle with
   conservation accounting, metrics, stitched cross-process span trees,
   and the telemetry plane (head sampling, ``telemetry.jsonl``);

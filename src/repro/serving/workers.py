@@ -4,7 +4,7 @@ Two interchangeable executors sit behind
 :class:`~repro.serving.server.QAServer`:
 
 * :class:`ProcessWorkerPool` — the production shape: N OS processes,
-  each running :func:`_worker_main`, which **attaches** to the shared v2
+  each running :func:`_worker_main`, which **attaches** to the shared
   packed-index artifact (:mod:`repro.experiments.context`) instead of
   rebuilding tokenize + stem + intern per process.  The parent warms the
   on-disk artifact once before spawning, so worker start-up is one
@@ -223,7 +223,7 @@ class ProcessWorkerPool:
             load_or_generate_corpus,
         )
 
-        # One build in the parent populates the v2 disk artifact; every
+        # One build in the parent populates the disk artifact; every
         # worker then attaches instead of rebuilding.
         corpus = load_or_generate_corpus(self.config)
         load_or_build_indexes(corpus, self.config)

@@ -49,12 +49,7 @@ def _fresh(indexed, recognizer):
 
 
 def _all_paragraphs(indexed):
-    return [
-        para
-        for index in indexed.indexes
-        for doc in index.doc_ids
-        for para, _ in index.paragraphs_of(doc)
-    ]
+    return [para for index in indexed.indexes for para in index.paragraphs]
 
 
 def _asks_for(atype):

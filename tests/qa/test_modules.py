@@ -1,6 +1,8 @@
 """Unit tests for the five Q/A pipeline modules."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.corpus import CorpusConfig, generate_corpus
 from repro.nlp import EntityRecognizer, EntityType, Gazetteer, Keyword, stem
@@ -89,6 +91,58 @@ class TestParagraphScorer:
         miss = scorer.score_one(para("Mahal Taj reversed words"), [phrase.stems])
         assert hit.keywords_present == 1
         assert miss.keywords_present == 0
+
+    def test_nearest_occurrence_tie_takes_the_earlier(self):
+        # aspen (the rarest keyword, first in order) anchors at token 4;
+        # birch sits at 2 and 6, both two tokens away.  The earlier one
+        # wins, so the window is cedar..aspen (5 tokens), not cedar..birch.
+        scorer = ParagraphScorer()
+        kws = [kw("aspen").stems, kw("birch").stems, kw("cedar").stems]
+        sp = scorer.score_one(para("cedar x birch x aspen x birch"), kws)
+        assert sp.keywords_present == 3
+        assert sp.score == pytest.approx(50.0 * 3 + 10.0 / (1.0 + 5 / 3))
+        assert sp.score != pytest.approx(50.0 * 3 + 10.0 / (1.0 + 7 / 3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        positions=st.lists(
+            st.lists(st.integers(0, 40), max_size=6).map(lambda p: sorted(set(p))),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_nearest_occurrence_matches_linear_min(self, positions):
+        """Bisecting for the nearest occurrence scores exactly as a linear
+        ``min`` over distances (first minimum wins) does."""
+        kstems = [("k%d" % k,) for k in range(len(positions))]
+
+        def linear(kstems, positions):
+            present = [k for k, pos in enumerate(positions) if pos]
+            if not present:
+                return 0.0, 0
+            seq = sum(
+                1
+                for k in range(len(kstems) - 1)
+                if positions[k] and positions[k + 1] and any(
+                    p - len(kstems[k]) in set(positions[k]) or p - 1 in set(positions[k])
+                    for p in positions[k + 1]
+                )
+            )
+            rarest = min(present, key=lambda k: len(positions[k]))
+            best = None
+            for anchor in positions[rarest]:
+                lo = hi = anchor
+                for k in present:
+                    if k != rarest:
+                        nearest = min(positions[k], key=lambda p: abs(p - anchor))
+                        lo, hi = min(lo, nearest), max(hi, nearest)
+                best = hi - lo + 1 if best is None else min(best, hi - lo + 1)
+            distance = 1.0 / (1.0 + best / len(present))
+            return 50.0 * len(present) + 20.0 * seq + 10.0 * distance, len(present)
+
+        assert ParagraphScorer._score_positions(kstems, positions) == linear(
+            kstems, positions
+        )
 
     def test_score_many(self, recognizer):
         scorer = ParagraphScorer()

@@ -91,16 +91,13 @@ def test_keyword_positions_fast_path_identical(docs, kws):
     index = _make_index(docs)
     kstems = [kw.stems for kw in _make_keywords(kws)]
     resolver = KeywordIdResolver(kstems)
-    for doc in index.doc_ids:
-        for para, _stems in index.paragraphs_of(doc):
-            terms = index.paragraph_terms(para.key)
-            assert terms is not None
-            naive, stems_at = keyword_positions(para.text, kstems)
-            fast = keyword_positions_from_ids(
-                terms, resolver.resolve(terms.vocab)
-            )
-            assert fast == naive
-            assert terms.stems_at == tuple(stems_at)
+    for para in index.paragraphs:
+        terms = index.paragraph_terms(para.key)
+        assert terms is not None
+        naive, stems_at = keyword_positions(para.text, kstems)
+        fast = keyword_positions_from_ids(terms, resolver.resolve(terms.vocab))
+        assert fast == naive
+        assert terms.stems_at == tuple(stems_at)
 
 
 @settings(max_examples=40, deadline=None)
@@ -113,11 +110,7 @@ def test_paragraph_scores_and_ranks_identical(docs, kws):
         answer_type=EntityType.UNKNOWN,
         keywords=tuple(keywords),
     )
-    paragraphs = [
-        para
-        for doc in index.doc_ids
-        for para, _ in index.paragraphs_of(doc)
-    ]
+    paragraphs = list(index.paragraphs)
     naive = ParagraphScorer().score(processed, paragraphs)
     fast = ParagraphScorer(
         term_lookup=lambda p: index.paragraph_terms(p.key)
@@ -147,11 +140,7 @@ def test_answer_spans_identical(docs, kws):
     fast_ap = AnswerProcessor(
         recognizer, term_lookup=lambda p: index.paragraph_terms(p.key)
     )
-    paragraphs = [
-        para
-        for doc in index.doc_ids
-        for para, _ in index.paragraphs_of(doc)
-    ]
+    paragraphs = list(index.paragraphs)
     scorer = ParagraphScorer()
     processed_paras = scorer.score(processed, paragraphs)
     a = naive_ap.extract(processed, processed_paras)

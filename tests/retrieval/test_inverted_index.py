@@ -52,12 +52,14 @@ class TestIndexing:
         assert index.postings("zzzz") == {}
         assert index.document_frequency("zzzz") == 0
 
-    def test_paragraphs_of_document(self, index):
-        paras = index.paragraphs_of(0)
-        assert len(paras) == 2
-        para, stems = paras[0]
-        assert "telephone" in para.text
-        assert "invent" in stems
+    def test_paragraph_postings_of_stem(self, index):
+        assert [p.key for p in index.paragraphs] == [(0, 0), (0, 1), (1, 0), (2, 0)]
+        assert "telephone" in index.paragraphs[0].text
+        # "invented" (doc 0, first paragraph) and "Inventing" (doc 1).
+        assert list(index.paragraph_postings("invent")) == [0, 2]
+        assert list(index.paragraph_postings("bell")) == [1]
+        assert len(index.paragraph_postings("zzzz")) == 0
+        assert index.paragraph_postings("invent").readonly
 
     def test_doc_bytes(self, index):
         assert index.doc_bytes(2) == len("Cats chase mice in the garden.")
@@ -99,6 +101,17 @@ class TestSplitParagraphs:
     def test_size_bytes(self):
         para = split_paragraphs(0, 0, "hello")[0]
         assert para.size_bytes == 5
+
+    def test_size_bytes_are_utf8_and_survive_pickling(self):
+        import pickle
+
+        para = split_paragraphs(0, 0, "héllo")[0]
+        doc = Document(doc_id=0, collection_id=0, title="t", text="héllo wörld")
+        assert (para.size_bytes, doc.size_bytes) == (6, 13)
+        assert pickle.loads(pickle.dumps(para)).size_bytes == 6
+        assert pickle.loads(pickle.dumps(doc)).size_bytes == 13
+        # A stored size is not identity: equal text, equal paragraph.
+        assert para == split_paragraphs(0, 0, "héllo")[0]
 
 
 class TestOnGeneratedCorpus:

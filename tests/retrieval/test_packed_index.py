@@ -4,23 +4,27 @@ Covers the equivalence contract of the compact rewrite — the packed
 :class:`ParagraphTerms` must reproduce the naive tokenize+stem sequence
 exactly — plus payload serialization (bit-identical round trip, remap
 under a non-prefix vocabulary), structural immutability of the returned
-views, and the on-disk v2 artifact's self-healing.
+views, and the on-disk artifact's self-healing (a stale ``v2`` payload is
+refused and rebuilt, never misread).
 """
 
 from __future__ import annotations
 
 import pickle
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.corpus.generator import Document, SubCollection
+from repro.nlp.keywords import Keyword
 from repro.nlp.stemming import cached_stem
 from repro.nlp.tokenizer import tokenize
 from repro.nlp.vocabulary import Vocabulary
 from repro.retrieval.collection import IndexedCorpus
-from repro.retrieval.inverted_index import CollectionIndex, StemCache, StemSetView
+from repro.retrieval.boolean import BooleanRetriever
+from repro.retrieval.inverted_index import CollectionIndex, StemCache
 from repro.retrieval.packing import (
     PAYLOAD_SCHEMA,
     attach_payload,
@@ -51,19 +55,18 @@ def test_paragraph_terms_roundtrip_naive_tokenize_stem(paragraphs):
     """Packed stems_at/tokens == re-running tokenize+stem on the text."""
     text = "\n\n".join(paragraphs)
     index = _index([text])
-    for doc_id in index.doc_ids:
-        for para, _ in index.paragraphs_of(doc_id):
-            terms = index.paragraph_terms(para.key)
-            assert terms is not None
-            tokens = tokenize(para.text)
-            naive = tuple(
-                cached_stem(tok.text) if tok.is_word else tok.text
-                for tok in tokens
-            )
-            assert tuple(terms.tokens) == tuple(tokens)
-            assert terms.stems_at == naive
-            for i, s in enumerate(naive):
-                assert i in terms.positions_of(s)
+    for para in index.paragraphs:
+        terms = index.paragraph_terms(para.key)
+        assert terms is not None
+        tokens = tokenize(para.text)
+        naive = tuple(
+            cached_stem(tok.text) if tok.is_word else tok.text
+            for tok in tokens
+        )
+        assert tuple(terms.tokens) == tuple(tokens)
+        assert terms.stems_at == naive
+        for i, s in enumerate(naive):
+            assert i in terms.positions_of(s)
 
 
 @settings(max_examples=30, deadline=None)
@@ -80,16 +83,22 @@ def test_payload_attach_preserves_paragraph_layer(paragraphs):
     original = CollectionIndex(collection)
     payload = pickle.loads(pickle.dumps(indexes_to_payload([original])))
     (attached,) = attach_payload(_Corpus(), payload, vocabulary=Vocabulary())
-    for doc_id in original.doc_ids:
-        for (pa, sa), (pb, sb) in zip(
-            original.paragraphs_of(doc_id), attached.paragraphs_of(doc_id)
-        ):
-            assert pa.key == pb.key
-            assert frozenset(sa) == frozenset(sb)
-            ta = original.paragraph_terms(pa.key)
-            tb = attached.paragraph_terms(pb.key)
-            assert ta.stems_at == tb.stems_at
-            assert ta.positions == tb.positions
+    assert _paragraph_postings(attached) == _paragraph_postings(original)
+    assert attached.paragraphs == original.paragraphs
+    for para in original.paragraphs:
+        ta = original.paragraph_terms(para.key)
+        tb = attached.paragraph_terms(para.key)
+        assert ta.stems_at == tb.stems_at
+        assert ta.positions == tb.positions
+
+
+def _paragraph_postings(index: CollectionIndex) -> dict[str, list[int]]:
+    """Every stem's paragraph ordinals, keyed by stem text so indexes under
+    different vocabularies compare."""
+    return {
+        stem_: list(index.paragraph_postings(stem_))
+        for stem_, _ in index.iter_terms()
+    }
 
 
 # -- payload round trip -----------------------------------------------------------
@@ -188,15 +197,28 @@ def test_attach_remaps_under_non_prefix_vocabulary(small_stack):
             index.sorted_postings(stem_)
         )
         assert attached.postings(stem_) == index.postings(stem_)
-    for doc_id in index.doc_ids:
-        for (pa, sa), (pb, sb) in zip(
-            index.paragraphs_of(doc_id), attached.paragraphs_of(doc_id)
-        ):
-            assert frozenset(sa) == frozenset(sb)
-            assert (
-                index.paragraph_terms(pa.key).positions
-                == attached.paragraph_terms(pb.key).positions
-            )
+    assert _paragraph_postings(attached) == _paragraph_postings(index)
+    for para in index.paragraphs:
+        assert (
+            index.paragraph_terms(para.key).positions
+            == attached.paragraph_terms(para.key).positions
+        )
+    # Queries answer the same: the remapped ids reach the same slots.
+    words = ["runner", "gamma", "delta", "Boston", "beta", "nowhere"]
+    for quorum in (0.5, 1.0):
+        fresh_pr = BooleanRetriever(index, min_docs=1, paragraph_quorum=quorum)
+        attached_pr = BooleanRetriever(attached, min_docs=1, paragraph_quorum=quorum)
+        for n in range(1, len(words) + 1):
+            for start in range(len(words) - n + 1):
+                kws = [
+                    Keyword(w, (cached_stem(w),), priority=i)
+                    for i, w in enumerate(words[start : start + n])
+                ]
+                a, b = fresh_pr.retrieve(kws), attached_pr.retrieve(kws)
+                assert [p.key for p in a.paragraphs] == [p.key for p in b.paragraphs]
+                assert (a.matched_docs, a.postings_scanned, a.doc_bytes_read) == (
+                    b.matched_docs, b.postings_scanned, b.doc_bytes_read
+                )
 
 
 def test_attach_rejects_wrong_schema(small_stack):
@@ -205,6 +227,68 @@ def test_attach_rejects_wrong_schema(small_stack):
     payload["schema"] = "packed-index/v1"
     with pytest.raises(ValueError):
         attach_payload(_corpus_of(index, texts), payload)
+
+
+def _v2_payload(payload: dict) -> dict:
+    """``payload`` rewritten in the v2 layout: per-paragraph sorted stem-id
+    runs (``pset_*``) where v3 keeps paragraph postings."""
+    stale = {**payload, "schema": "packed-index/v2", "collections": []}
+    for entry in payload["collections"]:
+        raw = dict(entry["buffers"])
+        pp_offsets, pp_ords = raw.pop("pp_offsets"), raw.pop("pp_ords")
+        n_paras = len(raw["t_offsets"]) - 1
+        stems: list[list[int]] = [[] for _ in range(n_paras)]
+        for slot, tid in enumerate(raw["p_terms"]):
+            for o in pp_ords[pp_offsets[slot] : pp_offsets[slot + 1]]:
+                stems[o].append(tid)
+        raw["pset_offsets"] = array("I", (0,))
+        raw["pset_ids"] = array("i")
+        for ids in stems:
+            raw["pset_ids"].extend(sorted(ids))
+            raw["pset_offsets"].append(len(raw["pset_ids"]))
+        stale["collections"].append({**entry, "buffers": raw})
+    return stale
+
+
+def test_v2_payload_is_refused(small_stack):
+    """A ``packed-index/v2`` payload never attaches, whatever it holds: not
+    as it is, and not relabelled as v3 (its buffers do not fit)."""
+    texts, index = small_stack
+    stale = _v2_payload(indexes_to_payload([index]))
+    with pytest.raises(ValueError):
+        attach_payload(_corpus_of(index, texts), stale)
+    with pytest.raises(ValueError):
+        attach_payload(
+            _corpus_of(index, texts), {**stale, "schema": PAYLOAD_SCHEMA}
+        )
+
+
+def test_v2_artifact_on_disk_is_rebuilt(tmp_path, monkeypatch):
+    """The loader treats a v2 artifact as a miss: it rebuilds, and the next
+    load attaches the v3 payload it wrote in its place."""
+    from repro.corpus import CorpusConfig
+    from repro.experiments.context import (
+        load_or_build_indexes,
+        load_or_generate_corpus,
+    )
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    config = CorpusConfig(
+        n_collections=2, docs_per_collection=8, vocab_size=300, seed=37
+    )
+    corpus = load_or_generate_corpus(config)
+    built, source, _ = load_or_build_indexes(corpus, config)
+    assert source == "built"
+    (artifact,) = list(tmp_path.glob("index-*.pkl"))
+    fresh = pickle.loads(artifact.read_bytes())
+    artifact.write_bytes(pickle.dumps(_v2_payload(fresh)))
+    rebuilt, source, _ = load_or_build_indexes(corpus, config)
+    assert source == "built"
+    assert pickle.loads(artifact.read_bytes())["schema"] == PAYLOAD_SCHEMA
+    cached, source, _ = load_or_build_indexes(corpus, config)
+    assert source == "cache"
+    for a, b in zip(built, cached):
+        assert _paragraph_postings(a) == _paragraph_postings(b)
 
 
 def test_attach_rejects_mismatched_corpus(small_stack):
@@ -224,15 +308,15 @@ def test_sorted_postings_view_is_readonly(small_stack):
         view[0] = 99
 
 
-def test_paragraph_stem_sets_are_immutable_views(small_stack):
+def test_paragraph_postings_are_readonly_views(small_stack):
     _, index = small_stack
-    for doc_id in index.doc_ids:
-        for _para, stems in index.paragraphs_of(doc_id):
-            assert isinstance(stems, StemSetView)
-            assert not hasattr(stems, "add")
-            # Set-algebra interop with frozenset still works.
-            assert (stems & frozenset(stems)) == frozenset(stems)
-            assert "surely-not-a-stem" not in stems
+    view = index.paragraph_postings(cached_stem("gamma"))
+    assert list(view) == [2, 3, 4]
+    assert view.readonly
+    with pytest.raises(TypeError):
+        view[0] = 99
+    assert isinstance(index.paragraphs, tuple)
+    assert len(index.paragraph_postings("surely-not-a-stem")) == 0
 
 
 def test_global_stems_alias_is_gone():
@@ -241,7 +325,7 @@ def test_global_stems_alias_is_gone():
     assert not hasattr(m, "_GLOBAL_STEMS")
 
 
-# -- the on-disk v2 artifact ------------------------------------------------------
+# -- the on-disk artifact ---------------------------------------------------------
 def test_disk_cache_attach_and_self_heal(tmp_path, monkeypatch):
     from repro.corpus import CorpusConfig
     from repro.experiments.context import (

@@ -6,7 +6,7 @@ visits every collection, one at a time; explicit ids — what
 exactly those.  Batched execution under that one rule must equal serial
 execution — results, retrieval counters and cache statistics.  The
 per-collection statistics a routing decision could read (document and
-paragraph frequency per stem, collection sizes) must survive the v2
+paragraph frequency per stem, collection sizes) must survive the
 payload round trip, including the remap path under a non-prefix
 vocabulary, with no extra per-collection entry in the payload.
 """
@@ -14,7 +14,6 @@ vocabulary, with no extra per-collection entry in the payload.
 from __future__ import annotations
 
 import pickle
-from collections import Counter
 
 import pytest
 
@@ -44,10 +43,10 @@ def workload(shared_questions):
 def _collection_statistics(ix: CollectionIndex):
     """Per-stem document and paragraph frequencies plus collection sizes,
     keyed by stem text so indexes under different vocabularies compare."""
-    term = ix.vocab.term
+    terms = dict(ix.iter_terms())
     return (
-        dict(ix.iter_terms()),
-        Counter(term(tid) for tid in ix.paragraph_stem_ids),
+        terms,
+        {stem: len(ix.paragraph_postings(stem)) for stem in terms},
         ix.stats.n_documents,
         ix.stats.n_paragraphs,
     )

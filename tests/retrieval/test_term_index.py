@@ -40,26 +40,25 @@ def _kw(*words: str, priority: int = 0) -> Keyword:
 # -- ParagraphTerms invariants ----------------------------------------------------
 def test_paragraph_terms_cover_every_token():
     index = _index(["The runner was running in Boston , 1999 .\n\nSecond paragraph here ."])
-    for doc_id in index.doc_ids:
-        for para, _ in index.paragraphs_of(doc_id):
-            terms = index.paragraph_terms(para.key)
-            assert terms is not None
-            tokens = tokenize(para.text)
-            assert list(terms.tokens) == tokens
-            # the packed accessors AP reads instead of token objects
-            assert terms.token_texts() == [tok.text for tok in tokens]
-            for i, tok in enumerate(tokens):
-                assert terms.token_text(i) == tok.text
-                for j in range(i + 1, len(tokens) + 1):
-                    assert terms.char_span(i, j) == (tok.start, tokens[j - 1].end)
-            assert len(terms.stems_at) == len(tokens)
-            # positions map is exactly the inverse of stems_at
-            for i, s in enumerate(terms.stems_at):
-                assert i in terms.positions_of(s)
-            assert sum(len(v) for v in terms.positions.values()) == len(tokens)
-            # positions are sorted ascending
-            for v in terms.positions.values():
-                assert list(v) == sorted(v)
+    for para in index.paragraphs:
+        terms = index.paragraph_terms(para.key)
+        assert terms is not None
+        tokens = tokenize(para.text)
+        assert list(terms.tokens) == tokens
+        # the packed accessors AP reads instead of token objects
+        assert terms.token_texts() == [tok.text for tok in tokens]
+        for i, tok in enumerate(tokens):
+            assert terms.token_text(i) == tok.text
+            for j in range(i + 1, len(tokens) + 1):
+                assert terms.char_span(i, j) == (tok.start, tokens[j - 1].end)
+        assert len(terms.stems_at) == len(tokens)
+        # positions map is exactly the inverse of stems_at
+        for i, s in enumerate(terms.stems_at):
+            assert i in terms.positions_of(s)
+        assert sum(len(v) for v in terms.positions.values()) == len(tokens)
+        # positions are sorted ascending
+        for v in terms.positions.values():
+            assert list(v) == sorted(v)
 
 
 def test_paragraph_terms_missing_key_is_none():
