@@ -11,7 +11,7 @@ experiments regenerate any of the paper's tables/figures and the extension
 observe     traced SEND/ISEND/RECV workload with span export and overhead
             attribution vs the Section 5 model; fails if a check does
 serve       long-lived admission-controlled server over the real pipeline:
-            questions on stdin, overload shed with a typed error, the
+            questions on stdin, overload shed with a typed reason, the
             conservation ledger printed on drain
 loadgen     drive that server through the Section 6.1 overload protocol
             (seeded Zipf stream below/at/above measured saturation);
@@ -159,7 +159,6 @@ def _server_config(args: argparse.Namespace) -> t.Any:
         max_concurrent=args.admit_concurrency,
         max_queue_depth=args.queue_depth,
         deadline_s=args.deadline,
-        rate_limit_qps=args.rate_limit,
     )
     if args.service_time is not None:  # loadgen calibrates it otherwise
         admission = replace(admission, est_service_s=args.service_time)
@@ -282,6 +281,8 @@ def _cmd_top(args: argparse.Namespace) -> None:
 
     try:
         run_top(args.telemetry, follow=args.follow, interval_s=args.interval)
+    except ValueError as exc:  # e.g. a telemetry/v1 header: no SLO target
+        raise SystemExit(f"top: {exc}") from exc
     except BrokenPipeError:
         # `repro top | head` closing the pipe is a normal way to stop.
         import os
@@ -312,7 +313,7 @@ _QUESTIONS = _flag("--questions", type=int,
 _JOBS = _flag("-j", "--jobs", default=None,
               help="parallel workers, N or 'auto' (output is byte-identical to serial)")
 _TELEMETRY = _flag("--telemetry", default=None,
-                   help="telemetry/v1 JSONL path: serve streams to it, loadgen to "
+                   help="telemetry/v2 JSONL path: serve streams to it, loadgen to "
                    "one <stem>-<label><suffix> per run next to it, top reads it")
 #: The simulated cluster, as ``chaos`` and ``observe`` take it.
 _CLUSTER = [
@@ -332,9 +333,8 @@ _SERVER = [
     _flag("--service-time", type=float,
           help="est. seconds per question (loadgen: calibrated unless given)"),
     _flag("--deadline", type=float, default=None,
-          help="per-question deadline seconds (default: 6x service time)"),
-    _flag("--rate-limit", type=float, default=0.0,
-          help="per-client token-bucket q/s (0 = unlimited)"),
+          help="admission deadline seconds, also the SLO's p99 target "
+          "(default: 6x service time)"),
     _flag("--drain-timeout", type=float, default=60.0,
           help="seconds in-flight questions get to finish at shutdown"),
     _flag("--sample", type=float, default=0.0,

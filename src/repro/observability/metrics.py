@@ -22,23 +22,14 @@ from __future__ import annotations
 
 import typing as t
 
+from ..workload.metrics import percentile
+
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
 ]
-
-
-def _nearest_rank(ordered: t.Sequence[float], q: float) -> float:
-    """Nearest-rank ``q``-quantile of pre-sorted samples (0 when empty).
-
-    The one definition: :meth:`Histogram.percentile` and the SLO monitor's
-    rolling window (``repro.serving.slo``) both judge with it.
-    """
-    if not ordered:
-        return 0.0
-    return ordered[min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))]
 
 
 class Counter:
@@ -142,10 +133,9 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     def percentile(self, q: float) -> float:
-        """The ``q``-quantile (``q`` in [0, 1]) of the retained samples."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        return _nearest_rank(sorted(self._samples), q)
+        """The ``q``-quantile (``q`` in [0, 1]) of the retained samples,
+        by :func:`repro.workload.metrics.percentile`'s definition."""
+        return percentile(self._samples, q)
 
     def to_dict(self) -> dict[str, t.Any]:
         """JSON form with count/sum/min/max/mean and p50/p95/p99."""

@@ -105,7 +105,7 @@ SERVING_ANSWERED = "serving.answered"
 SERVING_SHED = "serving.shed"
 SERVING_DRAINED = "serving.drained"
 #: Per-reason shed counters: ``serving.shed.<reason>`` (queue_full,
-#: deadline, rate_limited, draining — the ShedReason values).
+#: deadline, draining — the ShedReason values).
 SERVING_SHED_PREFIX = "serving.shed."
 #: Accepted questions not yet completed (gauge).
 SERVING_QUEUE_DEPTH = "serving.queue_depth"

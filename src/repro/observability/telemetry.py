@@ -13,6 +13,11 @@ process boundary.  What lives here:
 * :class:`TelemetryWriter` / :func:`validate_telemetry_line` — the
   ``telemetry.jsonl`` exporter (sample / SLO / metrics records) and its
   schema validator, consumed by ``repro top`` and the CI smoke job.
+
+The header of every ``telemetry/v2`` file records ``p99_target_s``, the
+one latency promise the server judged its SLO against (the admission
+deadline); the validator refuses a ``telemetry/v1`` header, which has
+none, rather than let ``repro top`` misjudge its samples.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ __all__ = [
     "validate_telemetry_line",
 ]
 
-TELEMETRY_SCHEMA = "telemetry/v1"
+TELEMETRY_SCHEMA = "telemetry/v2"
 
 
 class HeadSampler:
@@ -76,20 +81,31 @@ class HeadSampler:
 class TelemetryWriter:
     """Streaming ``telemetry.jsonl`` writer (one JSON object per line).
 
-    Record types: ``header`` (schema + run metadata, always first),
-    ``sample`` (one per sampled or forced question outcome), ``slo`` (SLO
+    Record types: ``header`` (schema, the SLO's ``p99_target_s`` and run
+    metadata, always first), ``sample`` (one per sampled or forced
+    question outcome), ``slo`` (SLO
     monitor state, emitted on transitions and at drain), ``metrics`` (the
     server's registry, emitted at drain).  Every write flushes so
     ``repro top --follow`` can tail the live file.
     """
 
     def __init__(
-        self, path: str | pathlib.Path, header: dict[str, t.Any] | None = None
+        self,
+        path: str | pathlib.Path,
+        p99_target_s: float,
+        header: dict[str, t.Any] | None = None,
     ) -> None:
         self.path = pathlib.Path(path)
         self.records = 0
         self._fh: t.IO[str] | None = self.path.open("w")
-        self._write({"record": "header", "schema": TELEMETRY_SCHEMA, **(header or {})})
+        self._write(
+            {
+                "record": "header",
+                "schema": TELEMETRY_SCHEMA,
+                "p99_target_s": p99_target_s,
+                **(header or {}),
+            }
+        )
 
     def _write(self, obj: dict[str, t.Any]) -> None:
         if self._fh is None:
@@ -113,8 +129,8 @@ class TelemetryWriter:
         forced: bool = False,
         reason: str | None = None,
     ) -> None:
-        """One question outcome (head-sampled, or force-sampled on
-        shed/deadline-breach/slow-outlier)."""
+        """One question outcome (head-sampled, or force-sampled on shed,
+        deadline violation or drain)."""
         rec: dict[str, t.Any] = {
             "record": "sample",
             "t": t_s,
@@ -187,6 +203,9 @@ def validate_telemetry_line(obj: dict[str, t.Any]) -> None:
     if record == "header":
         if obj.get("schema") != TELEMETRY_SCHEMA:
             raise ValueError(f"unknown telemetry schema {obj.get('schema')!r}")
+        target = obj.get("p99_target_s")
+        if not isinstance(target, (int, float)) or target <= 0:
+            raise ValueError(f"header p99_target_s must be positive: {target!r}")
         return
     if record == "sample":
         for key, types in _SAMPLE_REQUIRED.items():

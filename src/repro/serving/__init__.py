@@ -6,15 +6,16 @@ multi-worker server** so the real pipeline can be subjected to the same
 overload protocol as the simulated cluster:
 
 * :mod:`repro.serving.admission` — deterministic bounded-FIFO admission
-  (the simulator's FIFO-of-3 node discipline), per-client token-bucket
-  rate limits, deadline-aware load shedding;
+  (the simulator's FIFO-of-3 node discipline) with deadline-aware load
+  shedding; its deadline is the layer's one latency promise;
 * :mod:`repro.serving.workers` — worker processes attaching to the
   shared packed-index artifact (zero rebuild per process);
 * :mod:`repro.serving.server` — the :class:`QAServer` lifecycle with
   conservation accounting, metrics, stitched cross-process span trees,
   and the telemetry plane (head sampling, ``telemetry.jsonl``);
 * :mod:`repro.serving.slo` — the rolling-window SLO monitor
-  (OK/WARN/BREACH) and the ``repro top`` text dashboard;
+  (OK/WARN/BREACH against the admission deadline) and the ``repro top``
+  text dashboard;
 * :mod:`repro.serving.loadgen` — the Section 6.1-style seeded workload
   driver (``python -m repro loadgen``).
 
@@ -23,12 +24,7 @@ CLI: ``python -m repro serve`` (interactive stdin server),
 ``python -m repro top`` (dashboard over a telemetry file).
 """
 
-from .admission import (
-    AdmissionConfig,
-    AdmissionController,
-    AdmissionDecision,
-    TokenBucket,
-)
+from .admission import AdmissionConfig, AdmissionController, AdmissionDecision
 from .loadgen import (
     LoadgenConfig,
     format_serving,
@@ -38,12 +34,11 @@ from .loadgen import (
 from .protocol import (
     ConservationLedger,
     Outcome,
-    OverloadError,
     ServeResponse,
     ShedReason,
 )
 from .server import QAServer, ServerConfig
-from .slo import SLOConfig, SLOMonitor, SLOReport, SLOState, format_top, run_top
+from .slo import SLOMonitor, SLOReport, SLOState, format_top, run_top
 from .workers import ExecutionResult, InlineExecutor, ProcessWorkerPool
 
 __all__ = [
@@ -55,17 +50,14 @@ __all__ = [
     "InlineExecutor",
     "LoadgenConfig",
     "Outcome",
-    "OverloadError",
     "ProcessWorkerPool",
     "QAServer",
-    "SLOConfig",
     "SLOMonitor",
     "SLOReport",
     "SLOState",
     "ServeResponse",
     "ServerConfig",
     "ShedReason",
-    "TokenBucket",
     "format_serving",
     "format_top",
     "run_loadgen",

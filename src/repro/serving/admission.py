@@ -6,10 +6,17 @@ and park the rest in a FIFO queue
 4.2's "best throughput at 2-3 simultaneous questions").  The serving
 layer applies the *same* discipline at its front door, with one crucial
 difference from the simulator: the queue is **bounded**, and a question
-that cannot be queued (or that would miss its deadline even if queued)
-is rejected immediately with a typed
-:class:`~repro.serving.protocol.OverloadError` instead of waiting
-without limit.
+that cannot be queued (or that would miss the deadline even if queued)
+is shed at once, its :class:`AdmissionDecision` carrying the typed
+:class:`~repro.serving.protocol.ShedReason`, the queue depth and the
+predicted wait, instead of waiting without limit.
+
+One promise
+-----------
+:attr:`AdmissionConfig.effective_deadline_s` is the serving layer's one
+latency budget: admission sheds an arrival whose predicted sojourn
+exceeds it, a completion whose measured latency exceeds it is a deadline
+violation, and it is the p99 target of the server's SLO monitor.
 
 Determinism
 -----------
@@ -23,9 +30,6 @@ the same invariant the parallel experiment engine keeps for ``--jobs``.
 Worker count changes wall-clock throughput, never decisions, which is
 what lets the loadgen compare real serving runs against the simulated
 cluster under one overload protocol.
-
-Rate limiting is per-client token buckets refilled on the same logical
-clock, so it shares the determinism property.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ __all__ = [
     "AdmissionConfig",
     "AdmissionController",
     "AdmissionDecision",
-    "TokenBucket",
 ]
 
 
@@ -56,15 +59,10 @@ class AdmissionConfig:
     #: Modelled per-question service time (seconds); the loadgen
     #: calibrates this against the real pipeline before driving load.
     est_service_s: float = 0.05
-    #: Default total sojourn budget (wait + service, seconds); arrivals
-    #: whose predicted sojourn exceeds it are shed with ``DEADLINE``.
-    #: ``None`` derives ``6 x est_service_s``.
+    #: Total sojourn budget (wait + service, seconds); arrivals whose
+    #: predicted sojourn exceeds it are shed with ``DEADLINE``.  ``None``
+    #: derives ``6 x est_service_s``.
     deadline_s: float | None = None
-    #: Per-client token-bucket refill rate (questions/second); 0 disables
-    #: rate limiting.
-    rate_limit_qps: float = 0.0
-    #: Token-bucket capacity (burst allowance).
-    rate_burst: float = 4.0
 
     def __post_init__(self) -> None:
         if self.max_concurrent < 1:
@@ -75,54 +73,13 @@ class AdmissionConfig:
             raise ValueError("est_service_s must be positive")
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError("deadline_s must be positive (or None)")
-        if self.rate_limit_qps < 0:
-            raise ValueError("rate_limit_qps must be >= 0")
-        if self.rate_limit_qps > 0 and self.rate_burst < 1:
-            raise ValueError("rate_burst must be >= 1 when rate limiting")
 
     @property
     def effective_deadline_s(self) -> float:
-        """The sojourn budget actually enforced."""
+        """The sojourn budget actually enforced: the serving layer's SLO."""
         if self.deadline_s is not None:
             return self.deadline_s
         return 6.0 * self.est_service_s
-
-
-class TokenBucket:
-    """Deterministic token bucket on an externally supplied clock.
-
-    Refill happens lazily at :meth:`try_take` time from the elapsed
-    logical seconds, so two runs presenting the same timestamps make the
-    same grant/deny sequence — no hidden wall-clock reads.
-    """
-
-    __slots__ = ("rate_qps", "burst", "tokens", "last_s")
-
-    def __init__(self, rate_qps: float, burst: float, start_s: float = 0.0) -> None:
-        if rate_qps <= 0:
-            raise ValueError("rate_qps must be positive")
-        if burst < 1:
-            raise ValueError("burst must be >= 1")
-        self.rate_qps = rate_qps
-        self.burst = float(burst)
-        self.tokens = float(burst)
-        self.last_s = float(start_s)
-
-    def try_take(self, now_s: float) -> bool:
-        """Take one token at logical time ``now_s``; False when empty.
-
-        ``now_s`` earlier than the last grant is clamped (no refund), so
-        slightly out-of-order timestamps cannot mint tokens.
-        """
-        if now_s > self.last_s:
-            self.tokens = min(
-                self.burst, self.tokens + (now_s - self.last_s) * self.rate_qps
-            )
-            self.last_s = now_s
-        if self.tokens >= 1.0:
-            self.tokens -= 1.0
-            return True
-        return False
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,7 +131,6 @@ class AdmissionController:
     _clock_s: float = 0.0
     draining: bool = False
     decisions: list[AdmissionDecision] = field(default_factory=list)
-    _buckets: dict[str, TokenBucket] = field(default_factory=dict)
 
     def _advance(self, now_s: float) -> float:
         """Move the logical clock forward, starting queued work."""
@@ -201,14 +157,7 @@ class AdmissionController:
             return 0.0
         return max(0.0, self._busy[0] - now_s)
 
-    def submit(
-        self,
-        seq: int,
-        qid: int,
-        arrival_s: float,
-        client: str = "default",
-        deadline_s: float | None = None,
-    ) -> AdmissionDecision:
+    def submit(self, seq: int, qid: int, arrival_s: float) -> AdmissionDecision:
         """Decide accept/shed for one arrival; records and returns it."""
         now_s = self._advance(arrival_s)
         cfg = self.config
@@ -228,19 +177,10 @@ class AdmissionController:
 
         if self.draining:
             return shed(ShedReason.DRAINING)
-        if cfg.rate_limit_qps > 0:
-            bucket = self._buckets.get(client)
-            if bucket is None:
-                bucket = self._buckets[client] = TokenBucket(
-                    cfg.rate_limit_qps, cfg.rate_burst, start_s=now_s
-                )
-            if not bucket.try_take(now_s):
-                return shed(ShedReason.RATE_LIMITED)
         wait = self.predicted_wait_s(now_s)
         if wait > 0 and len(self._queued_starts) >= cfg.max_queue_depth:
             return shed(ShedReason.QUEUE_FULL, wait)
-        budget = deadline_s if deadline_s is not None else cfg.effective_deadline_s
-        if wait + cfg.est_service_s > budget:
+        if wait + cfg.est_service_s > cfg.effective_deadline_s:
             return shed(ShedReason.DEADLINE, wait)
 
         start = now_s + wait

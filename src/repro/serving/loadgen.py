@@ -44,7 +44,6 @@ from ..observability.names import SERVING_BATCH_SIZE
 from ..workload.arrivals import poisson_arrivals
 from ..workload.metrics import summarize_samples
 from .server import QAServer, ServerConfig
-from .slo import SLOConfig
 from .workers import InlineExecutor, ProcessWorkerPool
 
 __all__ = [
@@ -63,9 +62,7 @@ class LoadgenConfig:
     #: workers, micro-batching, sampling.  Each run serves a
     #: ``dataclasses.replace`` of it — ``admission.est_service_s`` set to
     #: the estimate below, ``telemetry_path`` (when set) turned into one
-    #: ``<stem>-<label><suffix>`` file per run, and, while sampling or
-    #: telemetry is on and ``slo`` is unset, an SLO whose p99 target is
-    #: the admission deadline.
+    #: ``<stem>-<label><suffix>`` file per run.
     server: ServerConfig = field(default_factory=ServerConfig)
     #: Total questions per run (Zipf-repeated populars, like the bench).
     n_questions: int = 200
@@ -248,13 +245,8 @@ def _run_once(
         if base.telemetry_path
         else None
     )
-    slo = base.slo
-    if slo is None and (base.trace_sample_rate > 0 or telemetry_path):
-        # The SLO latency objective mirrors the admission deadline: the
-        # server judges retrospectively what admission promised.
-        slo = SLOConfig(p99_target_s=admission.effective_deadline_s)
     server = QAServer(
-        replace(base, admission=admission, slo=slo, telemetry_path=telemetry_path)
+        replace(base, admission=admission, telemetry_path=telemetry_path)
     )
     with server:
         _warm(server.pool, workload, base.workers)
@@ -469,7 +461,7 @@ def run_loadgen(config: LoadgenConfig | None = None) -> dict[str, t.Any]:
     )
 
     return {
-        "schema": "bench_serving/v3",
+        "schema": "loadgen/v1",
         "config": asdict(config),
         "batch": {
             "batch_max": server.batch_max,

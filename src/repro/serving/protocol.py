@@ -6,7 +6,7 @@ every question submitted to a :class:`~repro.serving.server.QAServer`
 finishes in **exactly one** of three terminal outcomes —
 
 * ``ANSWERED`` — accepted, executed by a worker, answer returned;
-* ``SHED`` — rejected at admission with a typed :class:`OverloadError`
+* ``SHED`` — rejected at admission with a typed :class:`ShedReason`
   (never silently queued without bound);
 * ``DRAINED`` — accepted but still in flight when the server shut down
   (graceful drain timed out or was cut short).
@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 __all__ = [
     "ConservationLedger",
     "Outcome",
-    "OverloadError",
     "ServeResponse",
     "ShedReason",
 ]
@@ -45,42 +44,11 @@ class ShedReason(enum.Enum):
     #: The bounded FIFO admission queue was full (the paper's nodes admit
     #: 3 concurrent questions; waiters beyond the bound are rejected).
     QUEUE_FULL = "queue_full"
-    #: Predicted wait + service would miss the question's deadline, so
+    #: Predicted wait + service would miss the admission deadline, so
     #: accepting it would only burn capacity on a doomed answer.
     DEADLINE = "deadline"
-    #: The client exhausted its token bucket.
-    RATE_LIMITED = "rate_limited"
     #: The server is draining and no longer accepts work.
     DRAINING = "draining"
-
-
-class OverloadError(Exception):
-    """Typed admission rejection: the load-shedding alternative to queueing.
-
-    Carries the :class:`ShedReason` plus the queue state that justified
-    the decision, so clients (and the loadgen report) can distinguish
-    "slow down" (``RATE_LIMITED``) from "the service is saturated"
-    (``QUEUE_FULL``/``DEADLINE``) from "the service is going away"
-    (``DRAINING``).
-    """
-
-    def __init__(
-        self,
-        reason: ShedReason,
-        qid: int,
-        *,
-        queue_depth: int = 0,
-        predicted_wait_s: float = 0.0,
-    ) -> None:
-        super().__init__(
-            f"question {qid} shed: {reason.value} "
-            f"(queue depth {queue_depth}, "
-            f"predicted wait {predicted_wait_s:.3f}s)"
-        )
-        self.reason = reason
-        self.qid = qid
-        self.queue_depth = queue_depth
-        self.predicted_wait_s = predicted_wait_s
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,8 +74,8 @@ class ServeResponse:
     #: True when this question's worker-side trace was head-sampled and
     #: its span subtree stitched into the server's stream.
     sampled: bool = False
-    #: True when the measured latency exceeded the question's sojourn
-    #: budget (the admission deadline, judged retrospectively).
+    #: True when the measured latency exceeded the admission deadline
+    #: (judged retrospectively): the one latency promise was broken.
     deadline_violated: bool = False
     #: The worker's exception, when its pipeline raised on this question:
     #: the outcome is still ANSWERED, with no answers.

@@ -28,11 +28,17 @@ admission so the accept/shed digest is unchanged, and remembered in
 ``_Pending`` — the worker never hears of it), its ``service`` span gets
 a ``worker`` subtree of module spans — one stitched tree per question
 whose attribution fold still sums exactly to the end-to-end wall
-latency.  A rolling-window
-:class:`~repro.serving.slo.SLOMonitor` watches completions, and an
-optional :class:`~repro.observability.telemetry.TelemetryWriter`
-streams sampled/forced per-question records plus SLO transitions to a
-``telemetry.jsonl`` file.
+latency.
+
+The server makes one latency promise, the admission deadline
+(:attr:`~repro.serving.admission.AdmissionConfig.effective_deadline_s`):
+admission sheds what would miss it, a completion that missed it anyway
+is a deadline violation, and when ``telemetry_path`` is set a
+rolling-window :class:`~repro.serving.slo.SLOMonitor` judges its p99
+against it while a
+:class:`~repro.observability.telemetry.TelemetryWriter` streams
+sampled/forced per-question records plus SLO transitions to a
+``telemetry.jsonl`` file whose header names the target.
 
 Dispatch is **work-conserving**: an accepted request joins one buffer,
 which goes to the pool as one unit at once whenever a worker is idle
@@ -80,14 +86,8 @@ from ..observability.names import (
 from ..observability.spans import Span, SpanCategory, SpanStream
 from ..observability.telemetry import HeadSampler, TelemetryWriter
 from .admission import AdmissionConfig, AdmissionController, AdmissionDecision
-from .protocol import (
-    ConservationLedger,
-    Outcome,
-    OverloadError,
-    ServeResponse,
-    ShedReason,
-)
-from .slo import SLOConfig, SLOMonitor
+from .protocol import ConservationLedger, Outcome, ServeResponse, ShedReason
+from .slo import SLOMonitor
 from .workers import ExecutionResult, InlineExecutor, ProcessWorkerPool
 
 __all__ = ["QAServer", "ServerConfig"]
@@ -127,11 +127,8 @@ class ServerConfig:
     #: the accept/shed sequence or its digest.  0 disables stitching.
     trace_sample_rate: float = 0.0
     trace_seed: int = 0
-    #: Rolling-window SLO thresholds; ``None`` uses :class:`SLOConfig`
-    #: defaults when a monitor is needed (telemetry enabled) and skips
-    #: the monitor entirely otherwise.
-    slo: SLOConfig | None = None
-    #: When set, stream ``telemetry/v1`` JSONL records here.
+    #: When set, stream ``telemetry/v2`` JSONL records here and judge an
+    #: SLO whose p99 target is the admission deadline.
     telemetry_path: str | None = None
 
 
@@ -143,9 +140,6 @@ class _Pending:
     submit_wall: float
     #: Logical arrival timestamp (drives the SLO monitor's clock).
     arrival_s: float = 0.0
-    #: Sojourn budget the admission deadline implies, judged
-    #: retrospectively at completion.
-    deadline_budget_s: float = 0.0
     #: Whether this question was head-sampled; ``trace_id`` is set when
     #: it also gets the stitched ``worker`` subtree (spans enabled).
     sampled: bool = False
@@ -232,14 +226,17 @@ class QAServer:
         self.sampler = HeadSampler(
             self.config.trace_sample_rate, seed=self.config.trace_seed
         )
-        #: Created when SLO thresholds or a telemetry sink are configured.
+        #: The one latency promise: admission sheds against it, completions
+        #: are judged against it, and so is the SLO.
+        self._deadline_s = self.config.admission.effective_deadline_s
+        #: Both created when a telemetry sink is configured, and only then.
         self.slo: SLOMonitor | None = None
-        if self.config.slo is not None or self.config.telemetry_path:
-            self.slo = SLOMonitor(self.config.slo or SLOConfig())
         self.telemetry: TelemetryWriter | None = None
         if self.config.telemetry_path:
+            self.slo = SLOMonitor(self._deadline_s)
             self.telemetry = TelemetryWriter(
                 self.config.telemetry_path,
+                self._deadline_s,
                 header={
                     "workers": self.config.workers,
                     "trace_sample_rate": self.config.trace_sample_rate,
@@ -292,10 +289,7 @@ class QAServer:
         self,
         text: str,
         qid: int = 0,
-        client: str = "default",
         arrival_s: float | None = None,
-        deadline_s: float | None = None,
-        raise_on_shed: bool = False,
     ) -> AdmissionDecision:
         """Offer one question to admission control.
 
@@ -303,6 +297,8 @@ class QAServer:
         against; ``None`` uses the real clock (interactive serving).
         The loadgen passes its *scheduled* arrival times, which is what
         makes the decision sequence deterministic across worker counts.
+        A shed is typed by the returned decision: its ``shed_reason``,
+        ``queue_depth`` and ``predicted_wait_s``.
         """
         if not self._started:
             raise RuntimeError("QAServer.submit before start()")
@@ -313,24 +309,16 @@ class QAServer:
         self._next_seq += 1
         self.ledger.submitted += 1
         self.metrics.inc(SERVING_SUBMITTED)
-        decision = self.admission.submit(
-            seq, qid, arrival_s, client=client, deadline_s=deadline_s
-        )
+        decision = self.admission.submit(seq, qid, arrival_s)
         if decision.accepted:
             # Head-sampling is decided only now, from (seed, seq) — the
             # admission decision above is already sealed, so the digest
             # is byte-identical with sampling on or off.
             sampled = self.sampler.sample(seq)
-            budget = (
-                deadline_s - arrival_s
-                if deadline_s is not None
-                else self.config.admission.effective_deadline_s
-            )
             pending = _Pending(
                 qid=qid,
                 submit_wall=submit_wall,
                 arrival_s=arrival_s,
-                deadline_budget_s=max(0.0, budget),
                 sampled=sampled,
             )
             if self.spans.enabled:
@@ -380,13 +368,6 @@ class QAServer:
                     t_s=arrival_s, seq=seq, qid=qid, outcome="shed",
                     worker=-1, forced=True, reason=f"shed:{reason.value}",
                 )
-            if raise_on_shed:
-                raise OverloadError(
-                    reason,
-                    qid,
-                    queue_depth=decision.queue_depth,
-                    predicted_wait_s=decision.predicted_wait_s,
-                )
         return decision
 
     # -- micro-batching ----------------------------------------------------------
@@ -424,10 +405,7 @@ class QAServer:
             return
         end_wall = time.time()
         latency = max(0.0, end_wall - pending.submit_wall)
-        violated = (
-            pending.deadline_budget_s > 0
-            and latency > pending.deadline_budget_s
-        )
+        violated = latency > self._deadline_s
         stitched = bool(pending.trace_id)
         response = ServeResponse(
             seq=res.seq,
@@ -487,25 +465,15 @@ class QAServer:
                 worker_pid=res.worker_pid, deadline_violated=violated,
             )
             self._emit_slo(t_logical)
-        if self.telemetry is not None:
-            slow = (
-                self.slo is not None
-                and latency > self.slo.config.p99_target_s
+        if self.telemetry is not None and (pending.sampled or violated):
+            self.telemetry.write_sample(
+                t_s=t_logical, seq=res.seq, qid=res.qid,
+                outcome="answered", latency_s=latency,
+                wait_s=res.wait_s, service_s=res.service_s,
+                worker=res.worker_pid, sampled=pending.sampled,
+                forced=violated,
+                reason="deadline_violated" if violated else None,
             )
-            forced = violated or slow
-            if pending.sampled or forced:
-                reason = None
-                if violated:
-                    reason = "deadline_violated"
-                elif slow:
-                    reason = "slow_outlier"
-                self.telemetry.write_sample(
-                    t_s=t_logical, seq=res.seq, qid=res.qid,
-                    outcome="answered", latency_s=latency,
-                    wait_s=res.wait_s, service_s=res.service_s,
-                    worker=res.worker_pid,
-                    sampled=pending.sampled, forced=forced, reason=reason,
-                )
 
     def _emit_slo(self, t_s: float) -> None:
         """Evaluate the SLO monitor and export any state transition."""
@@ -578,11 +546,8 @@ class QAServer:
                 )
         if self.metrics.enabled:
             self.metrics.gauge(SERVING_QUEUE_DEPTH).set(0.0)
-        if self.telemetry is not None:
-            if self.slo is not None:
-                self.telemetry.write_slo(
-                    self.slo.evaluate(self._slo_last_t).to_dict()
-                )
+        if self.telemetry is not None and self.slo is not None:
+            self.telemetry.write_slo(self.slo.evaluate(self._slo_last_t).to_dict())
             self.telemetry.write_metrics(self.metrics)
             self.telemetry.close()
         self._drained = True

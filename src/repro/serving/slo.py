@@ -3,20 +3,24 @@
 The loadgen's acceptance criteria are judged once, after the run; a
 long-lived server needs the same judgement *continuously*.
 :class:`SLOMonitor` keeps a rolling window of question outcomes and
-evaluates it into a typed state machine:
+evaluates it into a typed state machine against one target, the
+admission deadline (:attr:`AdmissionConfig.effective_deadline_s
+<repro.serving.admission.AdmissionConfig.effective_deadline_s>`):
 
 * ``OK`` — windowed p99 within target, shed rate below the warn line;
 * ``WARN`` — p99 above target, shed rate above the warn line, or
   deadline violations in the window;
-* ``BREACH`` — p99 above ``breach_factor``× target or shed rate above
+* ``BREACH`` — p99 above ``BREACH_FACTOR``× target or shed rate above
   the breach line.
 
-All evaluation is driven by *caller-supplied* logical time — the monitor
-never reads the wall clock — so unit tests replay outcome sequences
-deterministically, exactly like the admission controller.  State
-transitions are recorded with their reasons; the server emits them as
-``slo`` records into ``telemetry.jsonl``, which is what ``repro top``
-renders (a periodic text dashboard over a live or finished file).
+So every transition means one thing: the admission promise was broken
+(or kept again).  All evaluation is driven by *caller-supplied* logical
+time — the monitor never reads the wall clock — so unit tests replay
+outcome sequences deterministically, exactly like the admission
+controller.  State transitions are recorded with their reasons; the
+server emits them as ``slo`` records into ``telemetry.jsonl``, whose
+header names the target, and that is what ``repro top`` renders (a
+periodic text dashboard over a live or finished file).
 """
 
 from __future__ import annotations
@@ -26,10 +30,10 @@ import typing as t
 from collections import deque
 from dataclasses import dataclass
 
-from ..observability.metrics import _nearest_rank
+from ..observability.telemetry import read_telemetry, validate_telemetry_line
+from ..workload.metrics import percentile
 
 __all__ = [
-    "SLOConfig",
     "SLOMonitor",
     "SLOReport",
     "SLOState",
@@ -46,34 +50,16 @@ class SLOState(enum.Enum):
     BREACH = "breach"
 
 
-@dataclass(frozen=True, slots=True)
-class SLOConfig:
-    """Targets the rolling window is judged against."""
-
-    #: Rolling window length (logical seconds).
-    window_s: float = 30.0
-    #: Latency objective: windowed p99 above this is WARN, above
-    #: ``breach_factor`` times this is BREACH.
-    p99_target_s: float = 1.0
-    breach_factor: float = 2.0
-    #: Shed-rate lines (fraction of window submissions shed).
-    shed_warn: float = 0.05
-    shed_breach: float = 0.25
-    #: Minimum windowed outcomes before latency/shed judgements engage
-    #: (a single slow question at startup is not a breach).
-    min_samples: int = 5
-
-    def __post_init__(self) -> None:
-        if self.window_s <= 0:
-            raise ValueError("window_s must be positive")
-        if self.p99_target_s <= 0:
-            raise ValueError("p99_target_s must be positive")
-        if self.breach_factor < 1.0:
-            raise ValueError("breach_factor must be >= 1")
-        if not 0.0 <= self.shed_warn <= self.shed_breach <= 1.0:
-            raise ValueError("need 0 <= shed_warn <= shed_breach <= 1")
-        if self.min_samples < 1:
-            raise ValueError("min_samples must be >= 1")
+#: Rolling window length (logical seconds).
+WINDOW_S = 30.0
+#: Windowed p99 above this multiple of the target is BREACH.
+BREACH_FACTOR = 2.0
+#: Shed-rate lines (fraction of window submissions shed).
+SHED_WARN = 0.05
+SHED_BREACH = 0.25
+#: Minimum windowed outcomes before latency/shed judgements engage
+#: (a single slow question at startup is not a breach).
+MIN_SAMPLES = 5
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,15 +106,18 @@ class SLOReport:
 class SLOMonitor:
     """Deterministic rolling-window SLO state machine.
 
-    Feed it outcomes with :meth:`record_answered` / :meth:`record_shed`
-    (timestamps must be non-decreasing — a real clock qualifies, and so
-    does a test script), then :meth:`evaluate` judges the window at a
-    given instant.  Transitions accumulate in :attr:`transitions` as
+    ``p99_target_s`` is the admission deadline.  Feed it outcomes with
+    :meth:`record_answered` / :meth:`record_shed` (timestamps must be
+    non-decreasing — a real clock qualifies, and so does a test script),
+    then :meth:`evaluate` judges the window at a given instant.
+    Transitions accumulate in :attr:`transitions` as
     ``(t, old_state, new_state, reasons)``.
     """
 
-    def __init__(self, config: SLOConfig | None = None) -> None:
-        self.config = config or SLOConfig()
+    def __init__(self, p99_target_s: float) -> None:
+        if p99_target_s <= 0:
+            raise ValueError("p99_target_s must be positive")
+        self.p99_target_s = p99_target_s
         self.state = SLOState.OK
         self.transitions: list[tuple[float, SLOState, SLOState, tuple[str, ...]]] = []
         #: (t, latency_s, service_s, worker_pid, deadline_violated)
@@ -160,7 +149,7 @@ class SLOMonitor:
         self._shed.append((t_s, reason))
 
     def _trim(self, now_s: float) -> None:
-        horizon = now_s - self.config.window_s
+        horizon = now_s - WINDOW_S
         while self._answered and self._answered[0][0] < horizon:
             self._answered.popleft()
         while self._shed and self._shed[0][0] < horizon:
@@ -169,20 +158,20 @@ class SLOMonitor:
     # -- judging -----------------------------------------------------------------
     def evaluate(self, now_s: float) -> SLOReport:
         """Judge the window ending at ``now_s``; records any transition."""
-        cfg = self.config
+        target = self.p99_target_s
         self._trim(now_s)
-        latencies = sorted(lat for _, lat, _, _, _ in self._answered)
+        latencies = [lat for _, lat, _, _, _ in self._answered]
         n_answered = len(latencies)
         n_shed = len(self._shed)
         n_total = n_answered + n_shed
         shed_rate = n_shed / n_total if n_total else 0.0
-        p50 = _nearest_rank(latencies, 0.50)
-        p95 = _nearest_rank(latencies, 0.95)
-        p99 = _nearest_rank(latencies, 0.99)
+        p50 = percentile(latencies, 0.50)
+        p95 = percentile(latencies, 0.95)
+        p99 = percentile(latencies, 0.99)
         violations = sum(1 for *_, v in self._answered if v)
 
         # Busy fraction per worker: window service seconds / window span.
-        span = cfg.window_s
+        span = WINDOW_S
         if self._t_first is not None:
             span = min(span, max(now_s - self._t_first, 1e-9))
         busy: dict[int, float] = {}
@@ -192,23 +181,21 @@ class SLOMonitor:
 
         warn: list[str] = []
         breach: list[str] = []
-        if n_answered >= cfg.min_samples:
-            if p99 > cfg.breach_factor * cfg.p99_target_s:
+        if n_answered >= MIN_SAMPLES:
+            if p99 > BREACH_FACTOR * target:
                 breach.append(
-                    f"p99 {p99:.3f}s > {cfg.breach_factor:g}x target "
-                    f"{cfg.p99_target_s:.3f}s"
+                    f"p99 {p99:.3f}s > {BREACH_FACTOR:g}x target {target:.3f}s"
                 )
-            elif p99 > cfg.p99_target_s:
-                warn.append(f"p99 {p99:.3f}s > target {cfg.p99_target_s:.3f}s")
-        if n_total >= cfg.min_samples:
-            if shed_rate >= cfg.shed_breach:
+            elif p99 > target:
+                warn.append(f"p99 {p99:.3f}s > target {target:.3f}s")
+        if n_total >= MIN_SAMPLES:
+            if shed_rate >= SHED_BREACH:
                 breach.append(
-                    f"shed rate {shed_rate:.1%} >= breach line "
-                    f"{cfg.shed_breach:.1%}"
+                    f"shed rate {shed_rate:.1%} >= breach line {SHED_BREACH:.1%}"
                 )
-            elif shed_rate >= cfg.shed_warn:
+            elif shed_rate >= SHED_WARN:
                 warn.append(
-                    f"shed rate {shed_rate:.1%} >= warn line {cfg.shed_warn:.1%}"
+                    f"shed rate {shed_rate:.1%} >= warn line {SHED_WARN:.1%}"
                 )
         if violations:
             warn.append(f"{violations} deadline violation(s) in window")
@@ -303,9 +290,12 @@ def _frame_from_records(
 
     Prefers the last emitted ``slo`` record; when the server never
     emitted one (no transitions before drain), the sample records are
-    replayed through a fresh :class:`SLOMonitor` so the dashboard always
-    has a judgement to show.
+    replayed through a fresh :class:`SLOMonitor` against the header's
+    ``p99_target_s``, so the dashboard always has a judgement to show.
+    A header that is not ``telemetry/v2`` raises ``ValueError``.
     """
+    header = records[0]
+    validate_telemetry_line(header)
     samples = [r for r in records if r.get("record") == "sample"]
     slo_recs = [r for r in records if r.get("record") == "slo"]
     totals: dict[str, int] = {}
@@ -315,16 +305,19 @@ def _frame_from_records(
     if slo_recs:
         slo = slo_recs[-1]
     else:
-        monitor = SLOMonitor()
+        target = float(header["p99_target_s"])
+        monitor = SLOMonitor(target)
         last_t = 0.0
         for s in samples:
             last_t = float(s.get("t", last_t))
             if s.get("outcome") == "answered":
+                latency = float(s.get("latency_s", 0.0))
                 monitor.record_answered(
                     last_t,
-                    float(s.get("latency_s", 0.0)),
+                    latency,
                     service_s=float(s.get("service_s", 0.0)),
                     worker_pid=int(s.get("worker", 0)),
+                    deadline_violated=latency > target,
                 )
             elif s.get("outcome") == "shed":
                 monitor.record_shed(last_t, str(s.get("reason", "")))
@@ -347,8 +340,6 @@ def run_top(
     flushes per record, so this tails a live server.
     """
     import time as _time
-
-    from ..observability.telemetry import read_telemetry
 
     frames = 0
     while True:

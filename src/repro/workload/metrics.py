@@ -27,11 +27,6 @@ def percentile(samples: t.Sequence[float], q: float) -> float:
     The single percentile definition shared by every report writer
     (linearly interpolated, matching ``numpy.percentile``) — the
     experiments used to hand-roll their own nearest-rank variants.
-
-    One other definition remains and writes no report: the nearest-rank
-    one in ``observability.metrics``, behind ``Histogram.percentile``
-    (over the samples a histogram retains) and the SLO state machine,
-    whose transitions ``tests/serving/test_slo.py`` pins.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must be in [0, 1]")

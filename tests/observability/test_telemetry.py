@@ -93,7 +93,7 @@ class TestWorkerSpanRecords:
 
 class TestTelemetryFile:
     def _write(self, path):
-        with TelemetryWriter(path, header={"workers": 2}) as w:
+        with TelemetryWriter(path, 0.3, header={"workers": 2}) as w:
             w.write_sample(
                 t_s=1.0, seq=0, qid=7, outcome="answered",
                 latency_s=0.2, wait_s=0.05, service_s=0.15,
@@ -124,7 +124,8 @@ class TestTelemetryFile:
         path = self._write(tmp_path / "telemetry.jsonl")
         assert validate_telemetry_file(path) == 5  # header + 4 records
         records = read_telemetry(path)
-        assert records[0]["schema"] == "telemetry/v1"
+        assert records[0]["schema"] == "telemetry/v2"
+        assert records[0]["p99_target_s"] == 0.3
         assert [r["record"] for r in records] == [
             "header", "sample", "sample", "slo", "metrics",
         ]
@@ -173,8 +174,16 @@ class TestTelemetryFile:
         with pytest.raises(ValueError, match="unknown telemetry schema"):
             validate_telemetry_line({"record": "header", "schema": "v999"})
 
+    def test_header_needs_the_slo_target_and_v1_is_refused(self):
+        with pytest.raises(ValueError, match="p99_target_s"):
+            validate_telemetry_line({"record": "header", "schema": "telemetry/v2"})
+        with pytest.raises(ValueError, match="unknown telemetry schema"):
+            validate_telemetry_line(
+                {"record": "header", "schema": "telemetry/v1", "p99_target_s": 1.0}
+            )
+
     def test_closed_writer_refuses_writes(self, tmp_path):
-        w = TelemetryWriter(tmp_path / "x.jsonl")
+        w = TelemetryWriter(tmp_path / "x.jsonl", 0.3)
         w.close()
         with pytest.raises(RuntimeError):
             w.write_sample(

@@ -1,53 +1,12 @@
-"""Unit tests for the admission state machine and token buckets."""
+"""Unit tests for the admission state machine."""
 
 import pytest
 
-from repro.serving import (
-    AdmissionConfig,
-    AdmissionController,
-    OverloadError,
-    ShedReason,
-    TokenBucket,
-)
+from repro.serving import AdmissionConfig, AdmissionController, ShedReason
 
 
 def make(**kw):
     return AdmissionController(AdmissionConfig(**kw))
-
-
-class TestTokenBucket:
-    def test_burst_then_deny(self):
-        bucket = TokenBucket(rate_qps=1.0, burst=3.0)
-        assert [bucket.try_take(0.0) for _ in range(4)] == [
-            True, True, True, False,
-        ]
-
-    def test_refill_on_logical_clock(self):
-        bucket = TokenBucket(rate_qps=2.0, burst=1.0)
-        assert bucket.try_take(0.0)
-        assert not bucket.try_take(0.0)
-        assert bucket.try_take(0.5)  # 0.5 s x 2 q/s = exactly one token
-
-    def test_refill_caps_at_burst(self):
-        bucket = TokenBucket(rate_qps=10.0, burst=2.0)
-        for _ in range(2):
-            assert bucket.try_take(0.0)
-        # A long idle period refills to burst, not beyond.
-        assert bucket.try_take(100.0)
-        assert bucket.try_take(100.0)
-        assert not bucket.try_take(100.0)
-
-    def test_clock_regression_is_clamped(self):
-        bucket = TokenBucket(rate_qps=1.0, burst=1.0)
-        assert bucket.try_take(10.0)
-        # Going back in time must not mint tokens.
-        assert not bucket.try_take(5.0)
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            TokenBucket(rate_qps=0.0, burst=1.0)
-        with pytest.raises(ValueError):
-            TokenBucket(rate_qps=1.0, burst=0.5)
 
 
 class TestAdmissionConfig:
@@ -62,8 +21,6 @@ class TestAdmissionConfig:
             {"max_queue_depth": -1},
             {"est_service_s": 0.0},
             {"deadline_s": -1.0},
-            {"rate_limit_qps": -1.0},
-            {"rate_limit_qps": 1.0, "rate_burst": 0.0},
         ],
     )
     def test_validation(self, kw):
@@ -100,29 +57,12 @@ class TestAdmissionController:
         d = ctl.submit(1, 1, 0.0)
         assert not d.accepted and d.shed_reason is ShedReason.DEADLINE
 
-    def test_per_question_deadline_overrides_default(self):
-        ctl = make(max_concurrent=1, max_queue_depth=10, est_service_s=1.0,
-                   deadline_s=10.0)
-        assert ctl.submit(0, 0, 0.0).accepted
-        tight = ctl.submit(1, 1, 0.0, deadline_s=1.0)
-        assert tight.shed_reason is ShedReason.DEADLINE
-        loose = ctl.submit(2, 2, 0.0, deadline_s=5.0)
-        assert loose.accepted
-
     def test_slots_free_as_logical_time_advances(self):
         ctl = make(max_concurrent=1, max_queue_depth=0, est_service_s=1.0)
         assert ctl.submit(0, 0, 0.0).accepted
         assert not ctl.submit(1, 1, 0.5).accepted  # still busy until 1.0
         later = ctl.submit(2, 2, 1.5)
         assert later.accepted and later.predicted_wait_s == 0.0
-
-    def test_rate_limit_is_per_client(self):
-        ctl = make(rate_limit_qps=1.0, rate_burst=1.0, est_service_s=0.01)
-        assert ctl.submit(0, 0, 0.0, client="a").accepted
-        denied = ctl.submit(1, 1, 0.0, client="a")
-        assert denied.shed_reason is ShedReason.RATE_LIMITED
-        # A different client has its own bucket.
-        assert ctl.submit(2, 2, 0.0, client="b").accepted
 
     def test_draining_sheds_everything(self):
         ctl = make()
@@ -149,13 +89,3 @@ class TestAdmissionController:
         d = ctl.submit(1, 1, 1.0)
         assert not d.accepted
         assert d.arrival_s == 5.0
-
-
-def test_overload_error_carries_context():
-    err = OverloadError(
-        ShedReason.QUEUE_FULL, 42, queue_depth=4, predicted_wait_s=0.25
-    )
-    assert err.reason is ShedReason.QUEUE_FULL
-    assert err.qid == 42
-    assert err.queue_depth == 4
-    assert "queue_full" in str(err)

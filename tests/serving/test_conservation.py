@@ -67,31 +67,26 @@ class ScriptedPool:
 def burst_plan(draw):
     """A random admission config plus a random burst schedule.
 
-    The schedule is a list of (client, logical inter-arrival gap)
-    pairs; zero gaps form bursts that overflow the bounded queue.
+    The schedule is a list of logical inter-arrival gaps; zero gaps form
+    bursts that overflow the bounded queue.
     """
     config = AdmissionConfig(
         max_concurrent=draw(st.integers(1, 4)),
         max_queue_depth=draw(st.integers(0, 5)),
         est_service_s=draw(st.floats(0.01, 0.5)),
-        rate_limit_qps=draw(st.sampled_from([0.0, 2.0, 50.0])),
-        rate_burst=draw(st.integers(1, 4)),
     )
     n = draw(st.integers(1, 40))
     gaps = draw(
         st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)
     )
-    clients = draw(
-        st.lists(st.sampled_from(["a", "b", "c"]), min_size=n, max_size=n)
-    )
     mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return config, gaps, clients, mask
+    return config, gaps, mask
 
 
 @settings(max_examples=60, deadline=None)
 @given(plan=burst_plan())
 def test_every_question_has_exactly_one_outcome(plan):
-    admission, gaps, clients, mask = plan
+    admission, gaps, mask = plan
     pool = ScriptedPool(mask)
     server = QAServer(
         ServerConfig(
@@ -102,9 +97,9 @@ def test_every_question_has_exactly_one_outcome(plan):
     )
     server.start()
     now = 0.0
-    for i, (gap, client) in enumerate(zip(gaps, clients)):
+    for i, gap in enumerate(gaps):
         now += gap
-        server.submit(f"question {i}", qid=i, client=client, arrival_s=now)
+        server.submit(f"question {i}", qid=i, arrival_s=now)
         if i % 3 == 2:  # interleave completions with submissions
             server.poll()
     server.poll()
@@ -133,7 +128,7 @@ def test_every_question_has_exactly_one_outcome(plan):
 @settings(max_examples=20, deadline=None)
 @given(plan=burst_plan())
 def test_drain_is_idempotent_and_final(plan):
-    admission, gaps, clients, mask = plan
+    admission, gaps, mask = plan
     server = QAServer(
         ServerConfig(
             admission=admission, workers=1,
@@ -143,9 +138,9 @@ def test_drain_is_idempotent_and_final(plan):
     )
     server.start()
     now = 0.0
-    for i, (gap, client) in enumerate(zip(gaps, clients)):
+    for i, gap in enumerate(gaps):
         now += gap
-        server.submit(f"q{i}", qid=i, client=client, arrival_s=now)
+        server.submit(f"q{i}", qid=i, arrival_s=now)
     first = server.drain()
     again = server.drain()
     assert again is first and again.balanced

@@ -15,7 +15,6 @@ import pytest
 from repro.corpus import CorpusConfig
 from repro.serving import (
     LoadgenConfig,
-    OverloadError,
     QAServer,
     ServerConfig,
     AdmissionConfig,
@@ -78,7 +77,7 @@ class TestOverloadProtocol:
 
     def test_overall_verdict_and_schema(self, overload_summary):
         assert overload_summary["ok"] is True
-        assert overload_summary["schema"] == "bench_serving/v3"
+        assert overload_summary["schema"] == "loadgen/v1"
         assert overload_summary["saturation_qps"] > 0
 
     def test_workers_attach_to_shared_artifact(self, overload_summary):
@@ -122,21 +121,6 @@ class TestServerSurface:
         server = self._server()
         with pytest.raises(RuntimeError):
             server.submit("who?", qid=0)
-
-    def test_raise_on_shed_raises_typed_overload(self):
-        server = self._server(
-            max_concurrent=1, max_queue_depth=0, est_service_s=10.0
-        )
-        with server:
-            assert server.submit("q0", qid=0, arrival_s=0.0).accepted
-            with pytest.raises(OverloadError) as exc:
-                server.submit(
-                    "q1", qid=1, arrival_s=0.0, raise_on_shed=True
-                )
-            assert exc.value.qid == 1
-            # The shed question is still accounted for.
-            assert server.ledger.shed == 1
-        assert server.ledger.balanced
 
     def test_metrics_registry_sees_serving_names(self):
         from repro.observability.names import (

@@ -4,23 +4,21 @@ import json
 
 import pytest
 
-from repro.observability.telemetry import TelemetryWriter
+import repro.serving.server as server_module
+from repro import cli
+from repro.observability.telemetry import TelemetryWriter, read_telemetry
+from repro.serving import QAServer
 from repro.serving.slo import (
-    SLOConfig,
+    WINDOW_S,
     SLOMonitor,
     SLOState,
     format_top,
     run_top,
 )
+from repro.serving.workers import ExecutionResult
 
-CFG = SLOConfig(
-    window_s=10.0,
-    p99_target_s=0.5,
-    breach_factor=2.0,
-    shed_warn=0.10,
-    shed_breach=0.50,
-    min_samples=3,
-)
+#: The p99 target (seconds) the state-machine tests judge against.
+TARGET = 0.5
 
 
 def _feed_answered(monitor, t0, n, latency, dt=0.1, **kw):
@@ -29,23 +27,13 @@ def _feed_answered(monitor, t0, n, latency, dt=0.1, **kw):
     return t0 + (n - 1) * dt
 
 
-class TestConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SLOConfig(window_s=0.0)
-        with pytest.raises(ValueError):
-            SLOConfig(p99_target_s=-1.0)
-        with pytest.raises(ValueError):
-            SLOConfig(breach_factor=0.5)
-        with pytest.raises(ValueError):
-            SLOConfig(shed_warn=0.5, shed_breach=0.1)
-        with pytest.raises(ValueError):
-            SLOConfig(min_samples=0)
-
-
 class TestStateMachine:
+    def test_target_must_be_positive(self):
+        with pytest.raises(ValueError):
+            SLOMonitor(0.0)
+
     def test_starts_ok_and_stays_ok_when_healthy(self):
-        m = SLOMonitor(CFG)
+        m = SLOMonitor(TARGET)
         t = _feed_answered(m, 0.0, 10, latency=0.1)
         report = m.evaluate(t)
         assert report.state is SLOState.OK
@@ -53,14 +41,14 @@ class TestStateMachine:
         assert report.p99_s == pytest.approx(0.1)
 
     def test_min_samples_gate_suppresses_early_judgement(self):
-        m = SLOMonitor(CFG)
+        m = SLOMonitor(TARGET)
         m.record_answered(0.0, latency_s=100.0)  # horribly slow, but alone
         report = m.evaluate(0.0)
         assert report.state is SLOState.OK
         assert report.n_answered == 1
 
     def test_ok_warn_breach_ok_cycle(self):
-        m = SLOMonitor(CFG)
+        m = SLOMonitor(TARGET)
         # Healthy.
         t = _feed_answered(m, 0.0, 5, latency=0.1)
         assert m.evaluate(t).state is SLOState.OK
@@ -75,26 +63,26 @@ class TestStateMachine:
         report = m.evaluate(t)
         assert report.state is SLOState.BREACH
         # Window slides past the bad stretch; healthy again -> OK.
-        t2 = _feed_answered(m, t + CFG.window_s + 1.0, 5, latency=0.1)
+        t2 = _feed_answered(m, t + WINDOW_S + 1.0, 5, latency=0.1)
         report = m.evaluate(t2)
         assert report.state is SLOState.OK
         states = [(old.value, new.value) for _, old, new, _ in m.transitions]
         assert states == [("ok", "warn"), ("warn", "breach"), ("breach", "ok")]
 
     def test_shed_rate_lines(self):
-        m = SLOMonitor(CFG)
+        m = SLOMonitor(TARGET)
         t = _feed_answered(m, 0.0, 8, latency=0.1)
-        m.record_shed(t, reason="queue_full")  # 1/9 ~ 11% >= warn 10%
+        m.record_shed(t, reason="queue_full")  # 1/9 ~ 11% >= warn 5%
         report = m.evaluate(t)
         assert report.state is SLOState.WARN
         assert any("shed rate" in r for r in report.reasons)
         for i in range(8):
             m.record_shed(t + 0.01 * (i + 1), reason="queue_full")
-        report = m.evaluate(t + 0.1)  # 9/17 > breach 50%? 9/17=52.9%
+        report = m.evaluate(t + 0.1)  # 9/17 = 52.9% >= breach 25%
         assert report.state is SLOState.BREACH
 
     def test_deadline_violations_warn_even_when_fast(self):
-        m = SLOMonitor(CFG)
+        m = SLOMonitor(TARGET)
         t = _feed_answered(m, 0.0, 5, latency=0.1)
         m.record_answered(t + 0.1, 0.1, deadline_violated=True)
         report = m.evaluate(t + 0.1)
@@ -103,14 +91,14 @@ class TestStateMachine:
         assert any("deadline" in r for r in report.reasons)
 
     def test_window_expiry_trims_outcomes(self):
-        m = SLOMonitor(CFG)
+        m = SLOMonitor(TARGET)
         _feed_answered(m, 0.0, 5, latency=1.5)  # breach-worthy
-        report = m.evaluate(CFG.window_s + 5.0)  # all expired
+        report = m.evaluate(WINDOW_S + 5.0)  # all expired
         assert report.n_answered == 0
         assert report.state is SLOState.OK
 
     def test_utilization_per_worker(self):
-        m = SLOMonitor(CFG)
+        m = SLOMonitor(TARGET)
         for i in range(4):
             m.record_answered(
                 float(i), 0.1, service_s=0.5, worker_pid=100 + (i % 2)
@@ -122,7 +110,7 @@ class TestStateMachine:
         assert all(0.0 <= u <= 1.0 for u in report.utilization.values())
 
     def test_report_to_dict_is_json_and_stringifies_pids(self):
-        m = SLOMonitor(CFG)
+        m = SLOMonitor(TARGET)
         _feed_answered(m, 0.0, 5, latency=0.1, service_s=0.05, worker_pid=7)
         body = m.evaluate(0.5).to_dict()
         text = json.dumps(body, allow_nan=False)
@@ -131,8 +119,8 @@ class TestStateMachine:
 
 
 class TestTopDashboard:
-    def _telemetry(self, path, with_slo=True):
-        with TelemetryWriter(path, header={"workers": 2}) as w:
+    def _telemetry(self, path, with_slo=True, target=0.05):
+        with TelemetryWriter(path, target, header={"workers": 2}) as w:
             for i in range(6):
                 w.write_sample(
                     t_s=float(i), seq=i, qid=i, outcome="answered",
@@ -144,14 +132,14 @@ class TestTopDashboard:
                 worker=-1, forced=True, reason="shed:queue_full",
             )
             if with_slo:
-                m = SLOMonitor(SLOConfig(p99_target_s=0.05, min_samples=3))
+                m = SLOMonitor(target)
                 for i in range(6):
                     m.record_answered(float(i), 0.1 + 0.01 * i)
                 w.write_slo(m.evaluate(6.0).to_dict())
         return path
 
     def test_format_top_renders_state_and_workers(self):
-        m = SLOMonitor(CFG)
+        m = SLOMonitor(TARGET)
         _feed_answered(m, 0.0, 5, latency=0.7, service_s=0.3, worker_pid=9)
         text = format_top(
             m.evaluate(0.5).to_dict(),
@@ -170,19 +158,38 @@ class TestTopDashboard:
         frames = []
         n = run_top(str(path), follow=False, out=frames.append)
         assert n == 1 and len(frames) == 1
-        # The written slo record judged BREACH (p99 0.15s > 2x 0.05s target).
+        # The written slo record judged BREACH (p99 0.1495s > 2x 0.05s target).
         assert "SLO BREACH" in frames[0]
         assert "answered=6" in frames[0] and "shed=1" in frames[0]
 
     def test_run_top_replays_samples_when_no_slo_record(self, tmp_path):
-        path = self._telemetry(tmp_path / "t.jsonl", with_slo=False)
+        path = self._telemetry(tmp_path / "t.jsonl", with_slo=False, target=0.5)
         frames = []
         run_top(str(path), follow=False, out=frames.append)
-        # Fallback replay through a fresh default monitor: the single
-        # shed (1/7 ~ 14%) crosses the default 5% warn line.
+        # Fallback replay against the header's 0.5 s target: latencies
+        # are within it, and the single shed (1/7 ~ 14%) crosses the 5%
+        # warn line.
         assert "SLO WARN" in frames[0]
         assert "shed rate" in frames[0]
         assert "shed=1" in frames[0]
+
+    def test_replay_judges_against_the_header_target(self, tmp_path):
+        path = self._telemetry(tmp_path / "t.jsonl", with_slo=False, target=0.05)
+        frames = []
+        run_top(str(path), follow=False, out=frames.append)
+        assert "SLO BREACH" in frames[0]
+        assert "target 0.050s" in frames[0]
+        assert "6 deadline violation(s)" in frames[0]
+
+    def test_run_top_refuses_a_v1_header(self, tmp_path):
+        path = tmp_path / "v1.jsonl"
+        path.write_text(
+            json.dumps({"record": "header", "schema": "telemetry/v1"}) + "\n"
+        )
+        with pytest.raises(ValueError, match="unknown telemetry schema"):
+            run_top(str(path), follow=False, out=lambda _: None)
+        with pytest.raises(SystemExit, match="telemetry/v1"):
+            cli.main(["top", "--telemetry", str(path)])
 
     def test_run_top_missing_file_waits(self, tmp_path):
         frames = []
@@ -197,3 +204,85 @@ class TestTopDashboard:
             out=frames.append,
         )
         assert n == 3 and len(frames) == 3
+
+
+class _Clock:
+    """Stands in for the server's ``time`` module: wall time the test sets."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def time(self):
+        return self.now
+
+
+class _ReplyPool:
+    """Completes every submitted question at the next poll."""
+
+    workers = 1
+    idle_workers = 1
+    attach_report = {}
+
+    def __init__(self):
+        self._ready = []
+
+    def start(self):
+        pass
+
+    def submit(self, unit):
+        self._ready.extend(
+            ExecutionResult(
+                seq=seq, qid=qid, answers=(), wait_s=0.0, service_s=0.01,
+                worker_pid=1,
+            )
+            for seq, qid, _text, _submit_wall in unit
+        )
+
+    def poll(self):
+        out, self._ready = self._ready, []
+        return out
+
+    def drain(self, timeout_s):
+        return self.poll()
+
+    def stop(self):
+        pass
+
+
+class TestOnePromise:
+    """``repro serve`` with default flags promises 6 x 0.05 s = 0.3 s."""
+
+    def test_slo_is_judged_against_the_admission_deadline(
+        self, monkeypatch, tmp_path
+    ):
+        path = tmp_path / "telemetry.jsonl"
+        args = cli.build_parser().parse_args(["serve", "--telemetry", str(path)])
+        clock = _Clock()
+        monkeypatch.setattr(server_module, "time", clock)
+        server = QAServer(cli._server_config(args), pool=_ReplyPool())
+        with server:
+            for i in range(8):
+                clock.now = float(i)
+                assert server.submit(f"q{i}", qid=i, arrival_s=float(i)).accepted
+                clock.now = i + 0.5  # every answer takes 0.5 s
+                server.poll()
+        assert all(r.deadline_violated for r in server.responses)
+        assert server.slo.state is SLOState.WARN
+        records = read_telemetry(path)
+        assert records[0]["p99_target_s"] == pytest.approx(0.3)
+        final = [r for r in records if r["record"] == "slo"][-1]
+        assert final["state"] == "warn"
+        assert "p99 0.500s > target 0.300s" in final["reasons"]
+        assert final["deadline_violations"] == 8
+
+        # ``repro top`` on the finished file, its slo records stripped,
+        # replays the samples against the header's target.
+        stripped = tmp_path / "stripped.jsonl"
+        stripped.write_text(
+            "".join(json.dumps(r) + "\n" for r in records if r["record"] != "slo")
+        )
+        frames = []
+        run_top(str(stripped), follow=False, out=frames.append)
+        assert "SLO WARN" in frames[0]
+        assert "! p99 0.500s > target 0.300s" in frames[0]
+        assert "8 deadline violation(s)" in frames[0]

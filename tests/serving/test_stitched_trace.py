@@ -279,7 +279,7 @@ class TestLoadgenTelemetry:
                 trace_out=str(trace_out),
             )
         )
-        assert summary["schema"] == "bench_serving/v3"
+        assert summary["schema"] == "loadgen/v1"
         tel = summary["telemetry"]
         assert tel["trace_sample_rate"] == 0.5
         assert tel["sampled_answered"] > 0

@@ -8,7 +8,8 @@ visits every collection, the span stream is the only trace store, the
 pre-record extension experiments took their switches with them, the
 server-to-worker wire has one request, one unit and one reply shape, each
 of the paper's two evaluation protocols is written once, workers keep no
-metrics registry of their own, and every CLI flag and serving option is
+metrics registry of their own, the serving front door makes one latency
+promise (the admission deadline), and every CLI flag and serving option is
 declared in one place — which the command lines CI and the verify skill
 run must still parse against.
 """
@@ -210,7 +211,7 @@ def _options(sub: argparse.ArgumentParser) -> dict[str, argparse.Action]:
 def test_loadgen_takes_every_serve_flag_as_serve_declares_it():
     subs = _subparsers()
     serve, loadgen = _options(subs["serve"]), _options(subs["loadgen"])
-    assert len(serve) == 11
+    assert len(serve) == 10
     for dest, flag in serve.items():
         twin = loadgen[dest]
         assert (twin.option_strings, twin.type, twin.help) == (
@@ -242,6 +243,27 @@ def test_retired_loadgen_flags_are_rejected(retired, capsys):
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["loadgen", *retired])
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_one_latency_promise_at_the_front_door(capsys):
+    """The admission deadline is the only latency budget: no token bucket,
+    per-question deadline, opt-in exception or second SLO config."""
+    from repro.serving import AdmissionConfig, ServerConfig
+
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["serve", "--rate-" "limit", "5"])
+    assert "unrecognized arguments" in capsys.readouterr().err
+    with pytest.raises(TypeError):
+        ServerConfig(**{"sl" "o": None})
+    with pytest.raises(TypeError):
+        AdmissionConfig(**{"rate_limit" "_qps": 1.0})
+    source = "".join(p.read_text() for p in (ROOT / "src").rglob("*.py"))
+    for retired in (
+        "Token" "Bucket", "Overload" "Error", "SLO" "Config", "raise_on" "_shed",
+        "RATE_" "LIMITED", "rate_" "burst", "deadline_" "budget_s", "slow_" "outlier",
+        "_nearest" "_rank",
+    ):
+        assert retired not in source, retired
 
 
 def test_no_serving_value_is_a_field_of_two_configs():
