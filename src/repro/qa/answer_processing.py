@@ -27,12 +27,7 @@ from ..nlp.stemming import cached_stem as stem
 from ..nlp.tokenizer import tokenize
 from ..retrieval.inverted_index import ParagraphTerms
 from ..retrieval.paragraphs import Paragraph
-from .paragraph_scoring import (
-    KeywordIdResolver,
-    TermLookup,
-    keyword_positions,
-    keyword_positions_from_ids,
-)
+from .paragraph_scoring import KeywordIdResolver, TermLookup, keyword_positions
 from .question import Answer, ProcessedQuestion, ScoredParagraph
 
 __all__ = ["AnswerProcessor", "merge_answers"]
@@ -94,12 +89,18 @@ class AnswerProcessor:
       paragraph that arrives without one (built by hand, or scored from
       raw text) is matched here, with the same :class:`KeywordIdResolver`.
 
-    Text is touched only for windows that hold a keyword: the candidate
-    is sliced, filtered against the question's own words once per distinct
-    text, and kept as a plain tuple while it is the best of its text;
-    clips and :class:`Answer` objects exist for the final ``n_answers``
-    alone.  What each step saves is measured in EXPERIMENTS.md ("Paragraph
-    entity layer (PR 13)", "AP by the ledger (PR 24)").
+    A window is scored only if a keyword occurrence can fall in it: one
+    whose candidate sits more than ``_WINDOW_RADIUS`` tokens before the
+    paragraph's first occurrence or after its last is skipped, and a
+    paragraph whose keywords occur once in all scores its windows off
+    that one position in closed form (the first branch of
+    :meth:`_score_window`).  Text is touched only for windows that hold a
+    keyword: the candidate is sliced, filtered against the question's own
+    words once per distinct text, and kept as a plain tuple while it is
+    the best of its text; clips and :class:`Answer` objects exist for the
+    final ``n_answers`` alone.  What each step saves is measured in
+    EXPERIMENTS.md, under "Paragraph entity layer", "AP by the ledger"
+    and "PS and AP by the occurrence".
 
     The entity layer is built lazily, owned by this object — spans depend
     on the recognizer's gazetteer, so they cannot live on the shared
@@ -161,21 +162,42 @@ class AnswerProcessor:
                 terms = self.term_lookup(paragraph) if self.term_lookup else None
                 if terms is not None:
                     resolver = resolver or KeywordIdResolver(kstems)
-                    kw_positions = keyword_positions_from_ids(
-                        terms, resolver.resolve(terms.vocab)
+                    kw_positions = terms.keyword_positions(
+                        resolver.resolve(terms.vocab)
                     )
                 else:
                     kw_positions, _ = keyword_positions(paragraph.text, kstems)
                 present = sum(1 for p in kw_positions if p)
             spans, n_tokens, token_text, char_span = self._view(paragraph, terms)
+            # The paragraph's first and last keyword occurrence (each
+            # keyword's positions ascend) and how many there are.
+            first, last, n_hits = -1, -1, 0
+            for pos in kw_positions:
+                if pos:
+                    n_hits += len(pos)
+                    if first < 0 or pos[0] < first:
+                        first = pos[0]
+                    if pos[-1] > last:
+                        last = pos[-1]
+            if not n_hits:
+                continue
+            # The window of candidate [i, j) reaches _WINDOW_RADIUS tokens
+            # either side of it, so it holds a keyword occurrence only if
+            # i <= last + R and j - 1 >= first - R; any other window scores
+            # 0.0 and is skipped unscored.
+            i_max = last + _WINDOW_RADIUS
+            j_min = first - _WINDOW_RADIUS
+            lone = first if n_hits == 1 else -1
             coverage = _W["coverage"] * present / n_keywords
             rank = _W["paragraph_rank"] * sp.score / max_rank
             for k in range(0, len(spans), 3):
                 if spans[k] not in wanted:
                     continue
                 i, j = spans[k + 1], spans[k + 2]
+                if i > i_max or j <= j_min:
+                    continue
                 score = self._score_window(
-                    i, j, n_tokens, token_text, kw_positions, coverage, rank
+                    i, j, n_tokens, token_text, kw_positions, lone, coverage, rank
                 )
                 if score <= 0.0:
                     continue
@@ -292,11 +314,19 @@ class AnswerProcessor:
         n_tokens: int,
         token_text: t.Callable[[int], str],
         kw_positions: t.Sequence[t.Sequence[int]],
+        lone: int,
         coverage: float,
         paragraph_rank: float,
     ) -> float:
         """Combine the seven heuristics for the window of the candidate
         at tokens ``[c_lo, c_end)``; 0.0 when no keyword falls in it.
+
+        ``lone`` is the position of the paragraph's only keyword
+        occurrence when ``kw_positions`` holds exactly one, else -1.  A
+        lone occurrence in the window is one keyword in it, at its own
+        distance, with nothing before it for the sequence count: that
+        branch reads the heuristics off it in closed form, and the sum
+        below adds them in the same order either way.
 
         1. *sequence*: keywords adjacent to the candidate in question
            order (frequency analogue of PS heuristic 1);
@@ -319,30 +349,37 @@ class AnswerProcessor:
         w_lo = max(0, c_lo - _WINDOW_RADIUS)
         w_hi = min(n_tokens - 1, c_hi + _WINDOW_RADIUS)
 
-        in_window = 0
-        distances: list[int] = []
-        sequence = 0
-        prev_in = False
-        for pos_list in kw_positions:
-            best = None
-            for p in pos_list:
-                if w_lo <= p <= w_hi:
-                    d = min(abs(p - c_lo), abs(p - c_hi))
-                    if best is None or d < best:
-                        best = d
-            if best is not None:
-                in_window += 1
-                distances.append(best)
-                if best <= 2:
-                    sequence += 1 if prev_in else 0
-                prev_in = True
-            else:
-                prev_in = False
-        if in_window == 0:
-            return 0.0
+        if lone >= 0:
+            if not w_lo <= lone <= w_hi:
+                return 0.0
+            in_window, sequence = 1, 0
+            nearest = min(abs(lone - c_lo), abs(lone - c_hi))
+            mean_d = nearest / 1  # the loop's sum / len over one distance
+        else:
+            in_window = 0
+            distances: list[int] = []
+            sequence = 0
+            prev_in = False
+            for pos_list in kw_positions:
+                best = None
+                for p in pos_list:
+                    if w_lo <= p <= w_hi:
+                        d = min(abs(p - c_lo), abs(p - c_hi))
+                        if best is None or d < best:
+                            best = d
+                if best is not None:
+                    in_window += 1
+                    distances.append(best)
+                    if best <= 2:
+                        sequence += 1 if prev_in else 0
+                    prev_in = True
+                else:
+                    prev_in = False
+            if in_window == 0:
+                return 0.0
+            nearest = min(distances)
+            mean_d = sum(distances) / len(distances)
 
-        nearest = min(distances)
-        mean_d = sum(distances) / len(distances)
         apposition = 0.0
         if c_lo > 0 and token_text(c_lo - 1) in (",", "(", "-"):
             apposition += 1.0

@@ -19,10 +19,11 @@ time), but it is partitioned together with PR in the distributed design
 When constructed with a ``term_lookup`` (the indexed corpus'
 :meth:`~repro.retrieval.collection.IndexedCorpus.term_lookup`), keyword
 positions come from the index's packed
-:class:`~repro.retrieval.inverted_index.ParagraphTerms` — a vocabulary-id
-binary search per keyword — instead of re-tokenizing and re-stemming the
-paragraph text for every question.  Both paths produce byte-identical
-scores (enforced by tests/qa/test_scoring_equivalence.py).
+:class:`~repro.retrieval.inverted_index.ParagraphTerms`
+(:meth:`~repro.retrieval.inverted_index.ParagraphTerms.keyword_positions`,
+one vocabulary-id bisect per keyword) instead of re-tokenizing and
+re-stemming the paragraph text for every question.  Both paths produce
+byte-identical scores (enforced by tests/qa/test_scoring_equivalence.py).
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "ParagraphScorer",
     "TermLookup",
     "keyword_positions",
-    "keyword_positions_from_ids",
 ]
 
 #: Resolver from a paragraph to its precomputed term view (None = absent).
@@ -52,6 +52,13 @@ TermLookup = t.Callable[[Paragraph], t.Optional[ParagraphTerms]]
 _W_SEQUENCE = 20.0
 _W_DISTANCE = 10.0
 _W_PRESENT = 50.0
+
+#: The score of a paragraph holding exactly one of the keywords: one
+#: present, no adjacent pair, and a tightest window one token wide.  The
+#: same operations as the general formula, so the same float (55.0).
+_ONE_KEYWORD_SCORE = (
+    _W_PRESENT * 1 + _W_SEQUENCE * 0 + _W_DISTANCE * (1.0 / (1.0 + 1 / 1))
+)
 
 
 def keyword_positions(
@@ -91,7 +98,7 @@ class KeywordIdResolver:
     of keywords, so the stem → id lookups happen once per (vocabulary,
     question) pair — one entry in practice, since all collections share
     the interned vocabulary — and every paragraph after that runs only
-    :func:`keyword_positions_from_ids`' packed-array binary searches.
+    :meth:`ParagraphTerms.keyword_positions`' packed-array bisects.
     The pipeline builds one per question and shares it between PS and AP.
     """
 
@@ -123,43 +130,15 @@ class KeywordIdResolver:
         return pre
 
 
-def keyword_positions_from_ids(
-    terms: ParagraphTerms, resolved: t.Sequence[tuple[int, t.Any, bool]]
-) -> list[list[int]]:
-    """Token positions of each keyword via the packed term layer.
-
-    ``resolved`` comes from :meth:`KeywordIdResolver.resolve` on the
-    paragraph's vocabulary.  Head-stem occurrences are a binary search
-    over the paragraph's id-sorted position run; phrase keywords verify
-    their remaining stem ids in order at each candidate position (an
-    ``array`` slice compare, no string materialization).  Produces exactly
-    the positions :func:`keyword_positions` derives from raw text: a stem
-    the vocabulary has never interned cannot occur in any paragraph, so
-    it matches nowhere on either path.
-    """
-    n = terms.n_tokens
-    positions: list[list[int]] = []
-    for head, kids, ok in resolved:
-        if not ok:
-            positions.append([])
-            continue
-        candidates = terms.positions_of_id(head)
-        if kids is None:
-            positions.append(list(candidates))
-            continue
-        klen = len(kids)
-        positions.append(
-            [
-                i
-                for i in candidates
-                if i + klen <= n and terms.ids_at(i, klen) == kids
-            ]
-        )
-    return positions
-
-
 class ParagraphScorer:
     """The PS module.
+
+    A paragraph costs what its keyword occurrences cost: one bisect per
+    keyword on its term view finds them, and a paragraph holding one of
+    the keywords — most of them, since PR's relaxation usually ends on a
+    single keyword — scores the one-keyword constant without building a
+    set or an anchor loop.  Two or more keywords present take the three
+    heuristics in full.
 
     Parameters
     ----------
@@ -219,7 +198,7 @@ class ParagraphScorer:
                 if terms.vocab is not vocab:
                     vocab = terms.vocab
                     resolved = resolver.resolve(vocab)
-                positions = keyword_positions_from_ids(terms, resolved)
+                positions = terms.keyword_positions(resolved)
                 match = (terms, positions)
             else:
                 positions, _ = keyword_positions(paragraph.text, kstems)
@@ -234,10 +213,12 @@ class ParagraphScorer:
     ) -> tuple[float, int]:
         """The three LASSO heuristics over already-matched positions:
         ``(score, keywords present)``."""
-        present = [k for k, pos in enumerate(positions) if pos]
-        n_present = len(present)
+        n_present = len(positions) - positions.count([])  # empty: absent
         if n_present == 0:
             return 0.0, 0
+        if n_present == 1:
+            return _ONE_KEYWORD_SCORE, 1
+        present = [k for k, pos in enumerate(positions) if pos]
 
         # Heuristic 1: same-word-sequence — adjacent keyword pairs of the
         # question appearing adjacently (within one token) in the paragraph.

@@ -48,9 +48,15 @@ class ProcessedQuestion:
     keywords: tuple[Keyword, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ScoredParagraph:
-    """PS output: a paragraph with its relevance score."""
+    """PS output: a paragraph with its relevance score.
+
+    Not frozen: PS builds one per retrieved paragraph of every question,
+    and a frozen dataclass pays ``object.__setattr__`` per field to do
+    it.  It still hashes by value, ``match`` excluded; nobody writes to
+    one after PS.
+    """
 
     paragraph: Paragraph
     score: float

@@ -19,7 +19,8 @@ nested dicts:
 * each paragraph's term view (:class:`ParagraphTerms`) is a window into
   collection-wide stem-id / token-span / position-order arrays, exposed
   through the same API the dict-based layer had (``tokens``,
-  ``stems_at``, ``positions_of``) as lazy views;
+  ``stems_at``, ``positions``) as lazy views, plus one id-coded
+  keyword-position kernel (``keyword_positions``);
 * paragraph postings (the Boolean quorum filter) share the document
   postings' slots: slot ``s`` lists, in ascending order, the ordinals of
   the paragraphs holding its stem — the document-partitioned index
@@ -141,11 +142,12 @@ class ParagraphTerms:
     the Porter stem of token ``i`` for word tokens and the raw surface
     form otherwise, exactly the sequence the naive re-tokenize path
     computes — but nothing is materialized until asked for.  The hot
-    paths read the packed arrays directly (``ids_at`` / ``positions_of_id``
-    for PS and AP keyword positions, ``token_texts`` / ``token_text`` /
-    ``char_span`` for AP's entity layer and answer windows); ``tokens``
-    and the string-keyed views are compatibility/debug surfaces, rebuilt
-    per call and kept by nobody.
+    paths read the packed arrays directly: :meth:`keyword_positions` is
+    PS's and AP's one keyword-position kernel (a bisect per keyword,
+    whose cost is the keyword's occurrences, not the paragraph's length),
+    and ``token_texts`` / ``token_text`` / ``char_span`` feed AP's entity
+    layer and answer windows.  ``tokens`` and the string-keyed views are
+    compatibility/debug surfaces, rebuilt per call and kept by nobody.
     """
 
     __slots__ = ("text", "_lo", "_hi", "_views")
@@ -211,23 +213,41 @@ class ParagraphTerms:
             j = k
         return out
 
-    def ids_at(self, i: int, length: int) -> memoryview:
-        """Stem ids of tokens ``[i, i + length)`` (paragraph-local)."""
-        return self._views.stem_ids[self._lo + i : self._lo + i + length]
+    def keyword_positions(
+        self, resolved: t.Sequence[tuple[int, t.Any, bool]]
+    ) -> list[list[int]]:
+        """Ascending token positions of each keyword in this paragraph.
 
-    def positions_of_id(self, tid: int) -> tuple[int, ...]:
-        """Token positions whose stem id is ``tid`` (empty if absent)."""
-        v = self._views
-        lo = bisect_left(v.sorted_ids, tid, self._lo, self._hi)
-        hi = bisect_right(v.sorted_ids, tid, lo, self._hi)
-        return tuple(v.order[lo:hi])
-
-    def positions_of(self, stem_: str) -> tuple[int, ...]:
-        """Token positions whose stem equals ``stem_`` (empty if absent)."""
-        tid = self._views.vocab.lookup(stem_)
-        if tid < 0:
-            return ()
-        return self.positions_of_id(tid)
+        ``resolved`` holds one ``(head_id, phrase_ids, resolvable)`` per
+        keyword, as :meth:`repro.qa.paragraph_scoring.KeywordIdResolver.resolve`
+        makes them for :attr:`vocab`.  A keyword's head-stem occurrences
+        are its run in the id-sorted view: one ``bisect_left`` finds where
+        the run would start, and a ``bisect_right`` is paid only when the
+        head id is there.  A phrase keyword keeps the occurrences whose
+        next stem ids match its own, compared as an id slice.  The result
+        equals what :func:`repro.qa.paragraph_scoring.keyword_positions`
+        derives from the raw text: a stem the vocabulary never interned
+        occurs nowhere on either path.
+        """
+        v, lo, hi = self._views, self._lo, self._hi
+        sorted_ids = v.sorted_ids
+        out: list[list[int]] = []
+        for head, kids, ok in resolved:
+            a = bisect_left(sorted_ids, head, lo, hi) if ok else hi
+            if a == hi or sorted_ids[a] != head:
+                out.append([])
+                continue
+            run = v.order[a : bisect_right(sorted_ids, head, a, hi)].tolist()
+            if kids is not None:
+                stem_ids, klen = v.stem_ids, len(kids)
+                run = [
+                    i
+                    for i in run
+                    if lo + i + klen <= hi
+                    and stem_ids[lo + i : lo + i + klen] == kids
+                ]
+            out.append(run)
+        return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -283,8 +303,8 @@ def _build_buffers(
                 doc_counts[tid] = doc_counts.get(tid, 0) + 1
             stem_ids.extend(ids)
             # Stable sort by id keeps equal-id positions ascending, so a
-            # stem's position run is sorted — the invariant positions_of
-            # relies on.
+            # stem's position run is sorted — the invariant
+            # keyword_positions relies on.
             loc = sorted(range(len(ids)), key=ids.__getitem__)
             order.extend(loc)
             sorted_ids.extend(ids[j] for j in loc)

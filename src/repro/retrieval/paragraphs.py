@@ -24,14 +24,14 @@ class Paragraph:
     #: UTF-8 size of ``text``, counted once: a paragraph never changes,
     #: and PS, AP and the cost model all read it per question.
     size_bytes: int = field(init=False, repr=False, compare=False)
+    #: Globally unique ``(doc_id, index)`` identifier, built once: PS's
+    #: term lookup, PO's sort, AP's entity layer and answer order and the
+    #: result's paragraph ranks all read it per question.
+    key: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "size_bytes", len(self.text.encode("utf-8")))
-
-    @property
-    def key(self) -> tuple[int, int]:
-        """Globally unique (doc_id, index) identifier."""
-        return (self.doc_id, self.index)
+        object.__setattr__(self, "key", (self.doc_id, self.index))
 
 
 def split_paragraphs(

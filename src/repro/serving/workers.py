@@ -52,6 +52,7 @@ server hears about a question.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import time
@@ -175,6 +176,11 @@ def _worker_main(
     from ..experiments.context import build_serving_context
 
     ctx = build_serving_context(config)
+    # The attached corpus and index live as long as the worker: collect
+    # once and move them out of the collector's sight, so no full pass
+    # over them (tens of ms) lands inside a question's service.
+    gc.collect()
+    gc.freeze()
     pid = os.getpid()
     replies.send(("ready", pid, ctx.index_source, ctx.index_seconds))
     while True:

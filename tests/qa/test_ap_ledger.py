@@ -46,8 +46,9 @@ def _clip(text, cand, nbytes):
 
 
 def every_window_answers(ap, processed, accepted):
-    """The reference: re-match each paragraph from its raw text, build an
-    ``Answer`` for every candidate whose window holds a keyword, and let
+    """The reference: re-match each paragraph from its raw text, score
+    every candidate's window through the general loop, build an
+    ``Answer`` for each window that holds a keyword, and let
     ``merge_answers`` de-duplicate, order and cut."""
     kstems = [kw.stems for kw in processed.keywords]
     max_rank = max((sp.score for sp in accepted), default=1.0) or 1.0
@@ -65,6 +66,7 @@ def every_window_answers(ap, processed, accepted):
                 len(texts),
                 texts.__getitem__,
                 positions,
+                -1,  # the general loop, never the lone-occurrence branch
                 _W["coverage"] * present / (len(kstems) or 1),
                 _W["paragraph_rank"] * sp.score / max_rank,
             )

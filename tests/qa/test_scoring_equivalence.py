@@ -21,15 +21,14 @@ from repro.corpus.generator import (
     SubCollection,
     generate_corpus,
 )
-from repro.nlp.entities import EntityRecognizer, EntityType
+from repro.nlp.entities import EntityRecognizer, EntityType, Gazetteer
 from repro.nlp.keywords import Keyword
 from repro.nlp.stemming import cached_stem
-from repro.qa.answer_processing import AnswerProcessor
+from repro.qa.answer_processing import _WINDOW_RADIUS, AnswerProcessor
 from repro.qa.paragraph_scoring import (
     KeywordIdResolver,
     ParagraphScorer,
     keyword_positions,
-    keyword_positions_from_ids,
 )
 from repro.qa.pipeline import QAPipeline
 from repro.qa.question import ProcessedQuestion, Question
@@ -95,9 +94,121 @@ def test_keyword_positions_fast_path_identical(docs, kws):
         terms = index.paragraph_terms(para.key)
         assert terms is not None
         naive, stems_at = keyword_positions(para.text, kstems)
-        fast = keyword_positions_from_ids(terms, resolver.resolve(terms.vocab))
+        fast = terms.keyword_positions(resolver.resolve(terms.vocab))
         assert fast == naive
         assert terms.stems_at == tuple(stems_at)
+
+
+@st.composite
+def _corpus_paragraph_and_keywords(draw, indexed):
+    """A test-corpus paragraph's term view and a keyword list mixing
+    stems it holds, stems of another paragraph, a stem no vocabulary
+    ever interned, and phrases read off its own token sequence — some
+    starting so close to its end that they run on into the next
+    paragraph's tokens."""
+    index = draw(st.sampled_from(indexed.indexes))
+    ordinal = draw(st.integers(0, len(index.paragraphs) - 1))
+    terms = index.paragraph_terms(index.paragraphs[ordinal].key)
+    stems = terms.stems_at
+    following = (
+        index.paragraph_terms(index.paragraphs[ordinal + 1].key).stems_at
+        if ordinal + 1 < len(index.paragraphs)
+        else ()
+    )
+    other = index.paragraph_terms(draw(st.sampled_from(index.paragraphs)).key)
+    n = len(stems)
+
+    def phrase(start: int, length: int) -> tuple[str, ...]:
+        words = (stems[start:] + following)[:length]
+        return words if len(words) > 1 else words + ("zzyzx",)
+
+    keyword = st.one_of(
+        st.sampled_from(stems).map(lambda s: (s,)),
+        st.sampled_from(other.stems_at).map(lambda s: (s,)),
+        st.just(("zzyzx",)),
+        st.builds(phrase, st.integers(0, n - 1), st.integers(2, 3)),
+        # The head sits within len(phrase) - 1 tokens of the end.
+        st.builds(phrase, st.integers(max(0, n - 2), n - 1), st.integers(2, 3)),
+    )
+    return terms, draw(st.lists(keyword, min_size=1, max_size=5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_term_view_kernel_equals_the_text_path_on_the_test_corpus(
+    shared_indexed_corpus, data
+):
+    terms, kstems = data.draw(_corpus_paragraph_and_keywords(shared_indexed_corpus))
+    resolved = KeywordIdResolver(kstems).resolve(terms.vocab)
+    naive, _ = keyword_positions(terms.text, kstems)
+    assert terms.keyword_positions(resolved) == naive
+
+
+def test_a_phrase_never_runs_on_into_the_next_paragraph():
+    index = _make_index([["alpha beta", "gamma delta"]])
+    first, second = (index.paragraph_terms(p.key) for p in index.paragraphs)
+    resolver = KeywordIdResolver(
+        [kw.stems for kw in _make_keywords([["beta", "gamma"], ["gamma", "delta"]])]
+    )
+    assert first.keyword_positions(resolver.resolve(first.vocab)) == [[], []]
+    assert second.keyword_positions(resolver.resolve(second.vocab)) == [[], [0]]
+
+
+def test_one_keyword_paragraph_scores_exactly_55():
+    index = _make_index([["a runner runs , and runs again", "nothing here"]])
+    kstems = [kw.stems for kw in _make_keywords([["run"], ["Boston"]])]
+    para = index.paragraphs[0]
+    for scorer in (
+        ParagraphScorer(),
+        ParagraphScorer(term_lookup=lambda p: index.paragraph_terms(p.key)),
+    ):
+        sp = scorer.score_one(para, kstems)
+        assert (sp.score, sp.keywords_present) == (55.0, 1)
+    assert ParagraphScorer._score_positions(kstems, [[4], []]) == (55.0, 1)
+
+
+# -- AP: a window is scored only where a keyword can reach it ---------------------------
+def _window_case(text: str) -> list[tuple[str, float]]:
+    """The answers to "where is mahal?" (keyword ``mahal``, LOCATION)
+    from one paragraph, on the term layer and on the text oracle."""
+    gazetteer = Gazetteer()
+    gazetteer.add("Agra", EntityType.LOCATION)
+    recognizer = EntityRecognizer(gazetteer)
+    index = _make_index([[text]])
+    processed = ProcessedQuestion(
+        question=Question(qid=0, text="where is mahal ?"),
+        answer_type=EntityType.LOCATION,
+        keywords=tuple(_make_keywords([["mahal"]])),
+    )
+    lookup = lambda p: index.paragraph_terms(p.key)  # noqa: E731
+    out = []
+    for term_lookup in (lookup, None):
+        scored = ParagraphScorer(term_lookup).score(processed, index.paragraphs)
+        answers = AnswerProcessor(recognizer, term_lookup=term_lookup).extract(
+            processed, scored
+        )
+        out.append([(a.text, a.score) for a in answers])
+    assert out[0] == out[1]
+    return out[0]
+
+
+@pytest.mark.parametrize("candidate_first", [False, True])
+def test_a_keyword_exactly_at_the_window_radius_is_in_reach(candidate_first):
+    def text(gap: int) -> str:
+        words = ["mahal"] + ["lorem"] * gap + ["Agra"]
+        return " ".join(reversed(words) if candidate_first else words)
+
+    # `gap` filler tokens put the keyword gap + 1 tokens from the candidate.
+    (answer,) = _window_case(text(_WINDOW_RADIUS - 1))
+    assert answer[0] == "Agra"
+    assert _window_case(text(_WINDOW_RADIUS)) == []
+
+
+def test_keywords_on_both_sides_all_out_of_reach_yield_no_answer():
+    gap = " lorem" * _WINDOW_RADIUS
+    assert _window_case(f"mahal{gap} Agra{gap} mahal") == []
+    # One occurrence moved a token closer is in reach again.
+    assert len(_window_case(f"mahal{gap} Agra{gap[6:]} mahal")) == 1
 
 
 @settings(max_examples=40, deadline=None)

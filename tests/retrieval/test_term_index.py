@@ -54,7 +54,8 @@ def test_paragraph_terms_cover_every_token():
         assert len(terms.stems_at) == len(tokens)
         # positions map is exactly the inverse of stems_at
         for i, s in enumerate(terms.stems_at):
-            assert i in terms.positions_of(s)
+            tid = terms.vocab.lookup(s)
+            assert i in terms.keyword_positions([(tid, None, tid >= 0)])[0]
         assert sum(len(v) for v in terms.positions.values()) == len(tokens)
         # positions are sorted ascending
         for v in terms.positions.values():

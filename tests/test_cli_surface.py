@@ -57,11 +57,19 @@ def test_queue_backend_is_not_configurable():
 # The retired names below are spelled in two halves so that a grep for
 # them over src/ and tests/ stays empty.
 def test_one_keyword_position_kernel_per_side_of_the_oracle():
+    """The packed side is the term view's own method; the text oracle is
+    the module function PS and AP fall back to."""
     from repro.qa import paragraph_scoring
+    from repro.retrieval.inverted_index import ParagraphTerms
 
-    assert not hasattr(paragraph_scoring, "keyword_positions_from_" "terms")
-    assert hasattr(paragraph_scoring, "keyword_positions_from_ids")
-    assert hasattr(paragraph_scoring, "keyword_positions")
+    assert callable(ParagraphTerms.keyword_positions)
+    source = "".join(p.read_text() for p in (ROOT / "src").rglob("*.py"))
+    for retired in ("keyword_positions_from_" "terms", "keyword_positions_from_" "ids"):
+        assert not hasattr(paragraph_scoring, retired)
+        assert retired not in source, retired
+    for retired in ("positions" "_of", "def ids" "_at"):
+        assert retired not in source, retired
+    assert callable(paragraph_scoring.keyword_positions)
 
 
 def test_selector_has_one_mode(shared_indexed_corpus, shared_pipeline):
