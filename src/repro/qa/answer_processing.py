@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import typing as t
 from array import array
+from weakref import WeakKeyDictionary
 
 from ..nlp.entities import Entity, EntityRecognizer, EntityType, matching_types
 from ..nlp.stemming import cached_stem as stem
-from ..nlp.tokenizer import tokenize
 from ..retrieval.inverted_index import ParagraphTerms
 from ..retrieval.paragraphs import Paragraph
-from .paragraph_scoring import KeywordIdResolver, TermLookup, keyword_positions
+from .paragraph_scoring import KeywordIdResolver, TermLookup, terms_from_text
 from .question import Answer, ProcessedQuestion, ScoredParagraph
 
 __all__ = ["AnswerProcessor", "merge_answers"]
@@ -70,12 +70,13 @@ class AnswerProcessor:
     """The AP module.
 
     Everything AP does before it scores a window depends on the paragraph
-    alone, or was already done by PS, so with a ``term_lookup`` (the
-    indexed corpus'
-    :meth:`~repro.retrieval.collection.IndexedCorpus.term_lookup`)
-    :meth:`extract` is one loop over three per-paragraph inputs:
+    alone, or was already done by PS, so :meth:`extract` is one loop over
+    three per-paragraph inputs:
 
-    * the index's **term layer** (:class:`ParagraphTerms`) supplies
+    * the paragraph's **term view** (:class:`ParagraphTerms`, from the
+      index through the indexed corpus'
+      :meth:`~repro.retrieval.collection.IndexedCorpus.term_lookup`, or
+      built from the text by the default ``term_lookup``) supplies
       surface forms and character offsets straight from its packed
       arrays — no tokenize + Porter-stem pass per question, and no token
       objects;
@@ -86,8 +87,8 @@ class AnswerProcessor:
       indices;
     * **PS's carried match** (:attr:`ScoredParagraph.match`) is the term
       view and keyword positions PS computed a moment earlier.  A scored
-      paragraph that arrives without one (built by hand, or scored from
-      raw text) is matched here, with the same :class:`KeywordIdResolver`.
+      paragraph that arrives without one (built by hand) is matched here,
+      through ``term_lookup`` and the same :class:`KeywordIdResolver`.
 
     A window is scored only if a keyword occurrence can fall in it: one
     whose candidate sits more than ``_WINDOW_RADIUS`` tokens before the
@@ -104,26 +105,29 @@ class AnswerProcessor:
 
     The entity layer is built lazily, owned by this object — spans depend
     on the recognizer's gazetteer, so they cannot live on the shared
-    index — and keyed by ``paragraph.key``.  It never evicts: it is
-    bounded by the corpus' paragraph count, and a paragraph's spans are
-    one flat ``array("H")`` of (type code, token start, token end).
-    Unmatched paragraphs the index cannot resolve (all of them when
-    ``term_lookup`` is ``None``) take the re-tokenize, re-recognize
-    reference path through the same loop.
+    index — and keyed by the term view, so two paragraphs that share a
+    key but not a text keep their own spans.  It holds the views weakly:
+    an index keeps one view per paragraph for its lifetime, so the layer
+    is bounded by the corpus' paragraph count and fills once, while a
+    view built from text leaves the layer when its question lets go of
+    it.  A paragraph's spans are one flat ``array("H")`` of (type code,
+    token start, token end).
     """
 
     def __init__(
         self,
         recognizer: EntityRecognizer,
         n_answers: int = 5,
-        term_lookup: TermLookup | None = None,
+        term_lookup: TermLookup = terms_from_text,
     ) -> None:
         if n_answers < 1:
             raise ValueError("n_answers must be >= 1")
         self.recognizer = recognizer
         self.n_answers = n_answers
         self.term_lookup = term_lookup
-        self._entity_layer: dict[tuple[int, int], array] = {}
+        self._entity_layer: WeakKeyDictionary[ParagraphTerms, array] = (
+            WeakKeyDictionary()
+        )
         self._layer_hits = 0
         self._layer_misses = 0
 
@@ -159,16 +163,13 @@ class AnswerProcessor:
                 terms, kw_positions = sp.match
                 present = sp.keywords_present
             else:
-                terms = self.term_lookup(paragraph) if self.term_lookup else None
-                if terms is not None:
-                    resolver = resolver or KeywordIdResolver(kstems)
-                    kw_positions = terms.keyword_positions(
-                        resolver.resolve(terms.vocab)
-                    )
-                else:
-                    kw_positions, _ = keyword_positions(paragraph.text, kstems)
+                terms = self.term_lookup(paragraph)
+                resolver = resolver or KeywordIdResolver(kstems)
+                kw_positions = terms.keyword_positions(
+                    resolver.resolve(terms.vocab)
+                )
                 present = sum(1 for p in kw_positions if p)
-            spans, n_tokens, token_text, char_span = self._view(paragraph, terms)
+            spans, n_tokens, token_text, char_span = self._view(terms)
             # The paragraph's first and last keyword occurrence (each
             # keyword's positions ascend) and how many there are.
             first, last, n_hits = -1, -1, 0
@@ -238,8 +239,7 @@ class AnswerProcessor:
         Candidates that merely repeat a question keyword are discarded —
         the question's own words cannot answer it.
         """
-        terms = self.term_lookup(paragraph) if self.term_lookup else None
-        spans, _, _, char_span = self._view(paragraph, terms)
+        spans, _, _, char_span = self._view(self.term_lookup(paragraph))
         wanted = _WANTED_CODES[processed.answer_type]
         question_stems = {s for kw in processed.keywords for s in kw.stems}
         text = paragraph.text
@@ -264,45 +264,29 @@ class AnswerProcessor:
         }
 
     # -- internals ---------------------------------------------------------------
-    def _view(
-        self, paragraph: Paragraph, terms: ParagraphTerms | None
-    ) -> tuple[
+    def _view(self, terms: ParagraphTerms) -> tuple[
         t.Sequence[int],
         int,
         t.Callable[[int], str],
         t.Callable[[int, int], tuple[int, int]],
     ]:
-        """``(spans, n_tokens, token_text, char_span)`` of ``paragraph``.
+        """``(spans, n_tokens, token_text, char_span)`` of the paragraph
+        whose term view is ``terms``.
 
         ``spans`` is the flat (type code, token start, token end)
-        sequence of every recognized entity; ``token_text(i)`` the surface
-        form of token ``i``; ``char_span(i, j)`` the characters tokens
-        ``[i, j)`` cover.  With ``terms`` the spans come through the
-        entity layer — recognized on the first visit, kept ever after —
-        and the rest straight off the term layer, no token objects built;
-        without, the reference path tokenizes and recognizes anew.
+        sequence of every recognized entity, through the entity layer —
+        recognized on the first visit, kept ever after; ``token_text(i)``
+        the surface form of token ``i``; ``char_span(i, j)`` the
+        characters tokens ``[i, j)`` cover, both straight off the view,
+        no token objects built.
         """
-        if terms is None:
-            tokens = tokenize(paragraph.text)
-            texts = [tok.text for tok in tokens]
-            spans = [
-                x
-                for i, j, etype in self.recognizer.spans(texts)
-                for x in (_TYPE_CODE[etype], i, j)
-            ]
-            return (
-                spans,
-                len(tokens),
-                texts.__getitem__,
-                lambda i, j: (tokens[i].start, tokens[j - 1].end),
-            )
-        packed = self._entity_layer.get(paragraph.key)
+        packed = self._entity_layer.get(terms)
         if packed is None:
             self._layer_misses += 1
             packed = array("H")
             for i, j, etype in self.recognizer.spans(terms.token_texts()):
                 packed.extend((_TYPE_CODE[etype], i, j))
-            self._entity_layer[paragraph.key] = packed
+            self._entity_layer[terms] = packed
         else:
             self._layer_hits += 1
         return packed, terms.n_tokens, terms.token_text, terms.char_span

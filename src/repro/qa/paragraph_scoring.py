@@ -16,14 +16,15 @@ PS is iterative at paragraph granularity (Table 2) and cheap (~2 % of task
 time), but it is partitioned together with PR in the distributed design
 (Fig 3 places PS replicas behind each PR replica).
 
-When constructed with a ``term_lookup`` (the indexed corpus'
-:meth:`~repro.retrieval.collection.IndexedCorpus.term_lookup`), keyword
-positions come from the index's packed
-:class:`~repro.retrieval.inverted_index.ParagraphTerms`
-(:meth:`~repro.retrieval.inverted_index.ParagraphTerms.keyword_positions`,
-one vocabulary-id bisect per keyword) instead of re-tokenizing and
-re-stemming the paragraph text for every question.  Both paths produce
-byte-identical scores (enforced by tests/qa/test_scoring_equivalence.py).
+Keyword positions come from the paragraph's term view
+(:class:`~repro.retrieval.inverted_index.ParagraphTerms`, one
+vocabulary-id bisect per keyword in
+:meth:`~repro.retrieval.inverted_index.ParagraphTerms.keyword_positions`),
+which ``term_lookup`` supplies: the indexed corpus'
+:meth:`~repro.retrieval.collection.IndexedCorpus.term_lookup` reads it
+off the index, and the default builds it from the text.  The
+re-tokenize path the scores are checked against lives in
+tests/reference.py.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ import typing as t
 from array import array
 from bisect import bisect_left
 
-from ..nlp.stemming import cached_stem as stem
-from ..nlp.tokenizer import tokenize
 from ..retrieval.inverted_index import ParagraphTerms
 from ..retrieval.paragraphs import Paragraph
 from .question import ProcessedQuestion, ScoredParagraph
@@ -42,11 +41,18 @@ __all__ = [
     "KeywordIdResolver",
     "ParagraphScorer",
     "TermLookup",
-    "keyword_positions",
+    "terms_from_text",
 ]
 
-#: Resolver from a paragraph to its precomputed term view (None = absent).
-TermLookup = t.Callable[[Paragraph], t.Optional[ParagraphTerms]]
+#: Resolver from a paragraph to its term view.
+TermLookup = t.Callable[[Paragraph], ParagraphTerms]
+
+
+def terms_from_text(paragraph: Paragraph) -> ParagraphTerms:
+    """The default :data:`TermLookup`: a view built from the text, for
+    paragraphs that come with no index."""
+    return ParagraphTerms.from_text(paragraph.text)
+
 
 # Heuristic combination weights (same spirit as LASSO's empirical weights).
 _W_SEQUENCE = 20.0
@@ -59,36 +65,6 @@ _W_PRESENT = 50.0
 _ONE_KEYWORD_SCORE = (
     _W_PRESENT * 1 + _W_SEQUENCE * 0 + _W_DISTANCE * (1.0 / (1.0 + 1 / 1))
 )
-
-
-def keyword_positions(
-    text: str, keyword_stems: t.Sequence[tuple[str, ...]]
-) -> tuple[list[list[int]], list[str]]:
-    """Token positions of each keyword in ``text`` (reference path).
-
-    Returns ``(positions, stems_at)`` where ``positions[k]`` lists token
-    indices where keyword ``k`` (matched by its first stem — phrase
-    keywords match on their head word with the rest verified in-order) and
-    ``stems_at`` is the stemmed token sequence.
-    """
-    tokens = tokenize(text)
-    stems_at = [
-        stem(tok.text) if tok.is_word else tok.text for tok in tokens
-    ]
-    positions: list[list[int]] = [[] for _ in keyword_stems]
-    for k, kstems in enumerate(keyword_stems):
-        head = kstems[0]
-        for i, s in enumerate(stems_at):
-            if s != head:
-                continue
-            if len(kstems) > 1:
-                # Verify the remaining stems follow in order.
-                if i + len(kstems) > len(stems_at):
-                    continue
-                if tuple(stems_at[i : i + len(kstems)]) != tuple(kstems):
-                    continue
-            positions[k].append(i)
-    return positions, stems_at
 
 
 class KeywordIdResolver:
@@ -143,13 +119,11 @@ class ParagraphScorer:
     Parameters
     ----------
     term_lookup:
-        Optional resolver returning the precomputed term view of a
-        paragraph.  Paragraphs it cannot resolve (``None``) fall back to
-        the re-tokenize reference path, so scorers work on paragraphs
-        from outside the indexed corpus too.
+        Resolver of a paragraph's term view; the default builds one from
+        the text, so a scorer works on any paragraph.
     """
 
-    def __init__(self, term_lookup: TermLookup | None = None) -> None:
+    def __init__(self, term_lookup: TermLookup = terms_from_text) -> None:
         self.term_lookup = term_lookup
 
     def score(
@@ -181,11 +155,12 @@ class ParagraphScorer:
         kstems: t.Sequence[tuple[str, ...]],
         resolver: KeywordIdResolver | None,
     ) -> list[ScoredParagraph]:
-        """Score paragraphs in order; a match made on the term layer rides
-        on the result for AP (:attr:`ScoredParagraph.match`).
+        """Score paragraphs in order; each match rides on its result for
+        AP (:attr:`ScoredParagraph.match`).
 
         Keyword ids are resolved once per run of paragraphs whose term
-        views share a vocabulary — in practice once per call.
+        views share a vocabulary — once per call over an index's views,
+        once per paragraph over views built from text.
         """
         resolver = resolver or KeywordIdResolver(kstems)
         lookup = self.term_lookup
@@ -193,18 +168,15 @@ class ParagraphScorer:
         vocab = resolved = None
         out: list[ScoredParagraph] = []
         for paragraph in paragraphs:
-            terms = lookup(paragraph) if lookup else None
-            if terms is not None:
-                if terms.vocab is not vocab:
-                    vocab = terms.vocab
-                    resolved = resolver.resolve(vocab)
-                positions = terms.keyword_positions(resolved)
-                match = (terms, positions)
-            else:
-                positions, _ = keyword_positions(paragraph.text, kstems)
-                match = None
+            terms = lookup(paragraph)
+            if terms.vocab is not vocab:
+                vocab = terms.vocab
+                resolved = resolver.resolve(vocab)
+            positions = terms.keyword_positions(resolved)
             score, n_present = score_positions(kstems, positions)
-            out.append(ScoredParagraph(paragraph, score, n_present, match))
+            out.append(
+                ScoredParagraph(paragraph, score, n_present, (terms, positions))
+            )
         return out
 
     @staticmethod

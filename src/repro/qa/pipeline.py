@@ -39,8 +39,8 @@ def result_fingerprint(result: QAResult) -> tuple[t.Any, ...]:
     paragraph, entity type), the retrieved/accepted counts, the paragraph
     ranks and the work counters.  Timings are left out.
 
-    The equivalence tests (fast path vs re-tokenize oracle, batched vs
-    serial) compare results through this.
+    The equivalence tests (the pipeline vs the re-tokenize reference in
+    tests/reference.py, batched vs serial) compare results through this.
     """
     return (
         tuple(
@@ -67,15 +67,10 @@ class QAPipeline:
         Answers returned per question (the paper's ``n_a``).
     threshold_fraction / max_accepted:
         PO acceptance policy.
-    use_term_index:
-        Route PS and AP through the index's precomputed paragraph term
-        layer, and AP through its per-paragraph entity layer (the fast
-        path).  ``False`` forces the re-tokenize, re-recognize path — the
-        reference implementation for ``tests/qa/test_scoring_equivalence.py``
-        and ``tests/qa/test_entity_layer.py``.
 
-    PR visits every sub-collection for every question, as the paper's
-    system does.
+    PS and AP read every paragraph through its term view in the index
+    (:meth:`IndexedCorpus.term_lookup`).  PR visits every sub-collection
+    for every question, as the paper's system does.
     """
 
     def __init__(
@@ -85,18 +80,15 @@ class QAPipeline:
         n_answers: int = 5,
         threshold_fraction: float = 0.25,
         max_accepted: int = 600,
-        use_term_index: bool = True,
     ) -> None:
         self.indexed = indexed
         self.recognizer = recognizer
-        self.use_term_index = use_term_index
-        term_lookup = indexed.term_lookup if use_term_index else None
         self.qp = QuestionProcessor(recognizer)
         self.pr = ParagraphRetriever(indexed)
-        self.ps = ParagraphScorer(term_lookup=term_lookup)
+        self.ps = ParagraphScorer(term_lookup=indexed.term_lookup)
         self.po = ParagraphOrderer(threshold_fraction, max_accepted)
         self.ap = AnswerProcessor(
-            recognizer, n_answers=n_answers, term_lookup=term_lookup
+            recognizer, n_answers=n_answers, term_lookup=indexed.term_lookup
         )
         #: Sharing/amortization stats of the most recent ``answer_batch``.
         self.last_batch_stats: BatchStats | None = None

@@ -63,8 +63,8 @@ class ScoredParagraph:
     #: Number of query keywords present (AP's coverage heuristic).
     keywords_present: int
     #: PS's match, handed forward to AP: the paragraph's term view and
-    #: each keyword's token positions in it.  ``None`` when PS scored the
-    #: raw text (or nobody did): AP then matches for itself.
+    #: each keyword's token positions in it.  ``None`` when the scored
+    #: paragraph was built by hand: AP then matches for itself.
     match: tuple[ParagraphTerms, list[list[int]]] | None = field(
         default=None, compare=False, repr=False
     )

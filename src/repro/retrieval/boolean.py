@@ -9,9 +9,9 @@ LASSO/Falcon retrieval loop.
 Two hot-path optimizations (both behaviour-preserving):
 
 * conjunctions intersect **sorted posting arrays smallest-first with
-  galloping binary search** instead of materializing a Python set per
-  stem — the classic small-vs-large adaptive intersection of web search
-  engines (cs/0407053);
+  galloping binary search** — the one intersection path, the classic
+  small-vs-large adaptive intersection of web search engines
+  (cs/0407053); no Python set is built per stem;
 * a **bounded LRU conjunction cache** keyed by the ordered stem tuple of
   the active keywords memoizes conjunction results, so relaxation rounds
   of repeated (Zipf-popular) questions reuse sub-conjunctions instead of
@@ -156,11 +156,6 @@ class BooleanRetriever:
         lower values emulate Falcon's more permissive post-processing.
     conjunction_cache:
         Capacity of the LRU conjunction-result cache (0 disables caching).
-    galloping:
-        Use sorted-array galloping intersection.  ``False`` falls back to
-        the original per-stem set intersection — the reference
-        implementation for ``tests/retrieval/test_term_index.py`` and
-        ``tests/qa/test_scoring_equivalence.py``.
     """
 
     def __init__(
@@ -169,7 +164,6 @@ class BooleanRetriever:
         min_docs: int = 3,
         paragraph_quorum: float = 0.5,
         conjunction_cache: int = 256,
-        galloping: bool = True,
     ) -> None:
         if not 0.0 < paragraph_quorum <= 1.0:
             raise ValueError("paragraph_quorum must be in (0, 1]")
@@ -180,7 +174,6 @@ class BooleanRetriever:
         self.index = index
         self.min_docs = min_docs
         self.paragraph_quorum = paragraph_quorum
-        self.galloping = galloping
         self._cache = (
             _ConjunctionCache(conjunction_cache) if conjunction_cache else None
         )
@@ -225,11 +218,7 @@ class BooleanRetriever:
             if not stems:
                 continue
             if cache.get((cid, stems)) is None:
-                docs, charged = (
-                    self._evaluate_galloping(stems)
-                    if self.galloping
-                    else self._evaluate_sets(stems)
-                )
+                docs, charged = self._evaluate(stems)
                 cache.put((cid, stems), docs, charged)
 
     # -- public API ---------------------------------------------------------------
@@ -320,8 +309,8 @@ class BooleanRetriever:
 
         The stem tuple preserves keyword order and duplicates so that the
         charged ``postings_scanned`` — each active stem's full posting
-        list, stopping at the first empty one — is byte-identical to the
-        reference implementation's accounting.
+        list, stopping at the first empty one — depends neither on the
+        order the lists are intersected in nor on the cache.
         """
         stems = tuple(s for kw in active for s in kw.stems)
         if round_trace is not None:
@@ -337,11 +326,7 @@ class BooleanRetriever:
                 result.postings_scanned += charged
                 return docs
 
-        docs, charged = (
-            self._evaluate_galloping(stems)
-            if self.galloping
-            else self._evaluate_sets(stems)
-        )
+        docs, charged = self._evaluate(stems)
         result.postings_scanned += charged
         if self._cache is not None:
             self._cache.put((self.index.collection_id, stems), docs, charged)
@@ -366,10 +351,10 @@ class BooleanRetriever:
         shared.fetches += 1
         return view
 
-    def _evaluate_galloping(
-        self, stems: tuple[str, ...]
-    ) -> tuple[frozenset[int], int]:
-        """Size-ordered sorted-array intersection with galloping probes."""
+    def _evaluate(self, stems: tuple[str, ...]) -> tuple[frozenset[int], int]:
+        """Size-ordered sorted-array intersection with galloping probes:
+        the docs holding every stem, and the postings a cold evaluation
+        charges."""
         charged = 0
         arrays: list[memoryview] = []
         for s in stems:
@@ -386,23 +371,3 @@ class BooleanRetriever:
             if not current:
                 break
         return frozenset(current), charged
-
-    def _evaluate_sets(self, stems: tuple[str, ...]) -> tuple[frozenset[int], int]:
-        """Reference implementation: per-stem doc sets, smallest-first."""
-        charged = 0
-        doc_sets: list[set[int]] = []
-        for s in stems:
-            postings = self._fetch_postings(s)
-            charged += len(postings)
-            if not len(postings):
-                return frozenset(), charged
-            doc_sets.append(set(postings))
-        if not doc_sets:
-            return frozenset(), charged
-        doc_sets.sort(key=len)
-        docs = doc_sets[0]
-        for ds in doc_sets[1:]:
-            docs = docs & ds
-            if not docs:
-                break
-        return frozenset(docs), charged

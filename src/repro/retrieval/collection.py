@@ -40,14 +40,13 @@ class IndexedCorpus:
     stemmer:
         Stem cache shared by all sub-collection indexes (defaults to the
         process-wide shared cache).
-    conjunction_cache / galloping:
-        Retriever hot-path knobs (see :class:`BooleanRetriever`).
-        ``conjunction_cache=0, galloping=False`` is the reference
-        implementation for ``tests/retrieval/test_term_index.py``.
+    conjunction_cache:
+        Capacity of each retriever's conjunction cache (see
+        :class:`BooleanRetriever`).
     indexes:
         Pre-built sub-collection indexes to adopt instead of indexing
-        ``corpus`` again — used by :meth:`reconfigured` so baseline and
-        optimized retriever stacks can share one (expensive) index build.
+        ``corpus`` again — used by :meth:`reconfigured` so retriever
+        stacks with their own caches can share one (expensive) index build.
     """
 
     def __init__(
@@ -57,7 +56,6 @@ class IndexedCorpus:
         paragraph_quorum: float = 0.5,
         stemmer: StemCache | None = None,
         conjunction_cache: int = 256,
-        galloping: bool = True,
         indexes: list[CollectionIndex] | None = None,
     ) -> None:
         self.corpus = corpus
@@ -78,15 +76,12 @@ class IndexedCorpus:
                 min_docs=min_docs,
                 paragraph_quorum=paragraph_quorum,
                 conjunction_cache=conjunction_cache,
-                galloping=galloping,
             )
             for ix in self.indexes
         ]
 
-    def reconfigured(
-        self, conjunction_cache: int = 256, galloping: bool = True
-    ) -> IndexedCorpus:
-        """A retriever stack with different hot-path knobs, same indexes.
+    def reconfigured(self, conjunction_cache: int = 256) -> IndexedCorpus:
+        """A retriever stack with its own conjunction caches, same indexes.
 
         Shares the already-built :class:`CollectionIndex` objects, so this
         is cheap — only the retrievers (and their caches) are new.
@@ -96,7 +91,6 @@ class IndexedCorpus:
             min_docs=self.min_docs,
             paragraph_quorum=self.paragraph_quorum,
             conjunction_cache=conjunction_cache,
-            galloping=galloping,
             indexes=self.indexes,
         )
 
@@ -119,11 +113,18 @@ class IndexedCorpus:
             for cid in range(self.n_collections)
         ]
 
-    def term_lookup(self, paragraph: Paragraph) -> ParagraphTerms | None:
-        """Precomputed term view of ``paragraph`` (the PS/AP fast path)."""
-        return self.indexes[paragraph.collection_id].paragraph_terms(
-            paragraph.key
-        )
+    def term_lookup(self, paragraph: Paragraph) -> ParagraphTerms:
+        """Term view of ``paragraph`` for PS and AP: the index's own when
+        the index holds this paragraph (its key, with this text), else
+        one built from the text."""
+        cid = paragraph.collection_id
+        if 0 <= cid < len(self.indexes):
+            terms = self.indexes[cid].paragraph_terms(paragraph.key)
+            # The same str object on every indexed path: no characters
+            # are compared.
+            if terms is not None and terms.text == paragraph.text:
+                return terms
+        return ParagraphTerms.from_text(paragraph.text)
 
     def document_frequency(self, stem: str) -> int:
         """Corpus-wide document frequency of a stem."""

@@ -5,7 +5,7 @@ indexed using a Boolean information retrieval system built on top of
 Zprise", Section 6).  :class:`CollectionIndex` is our from-scratch
 equivalent: document-level postings with term frequencies, paragraph-level
 postings for the paragraph-extraction post-processing phase, and a
-paragraph term layer for the PS/AP fast paths.
+paragraph term layer that PS and AP read every paragraph through.
 
 Since the compact-data-plane rewrite, every term is interned to a dense
 integer id through the process-wide
@@ -135,28 +135,41 @@ class _TermViews:
 
 
 class ParagraphTerms:
-    """Precomputed term view of one paragraph (the PS/AP fast path).
+    """Term view of one paragraph: how PS and AP read every paragraph.
 
-    A thin window ``[lo, hi)`` into the collection's packed term buffers.
-    The API mirrors the old tuple/dict-based layer — ``stems_at[i]`` is
-    the Porter stem of token ``i`` for word tokens and the raw surface
-    form otherwise, exactly the sequence the naive re-tokenize path
-    computes — but nothing is materialized until asked for.  The hot
-    paths read the packed arrays directly: :meth:`keyword_positions` is
-    PS's and AP's one keyword-position kernel (a bisect per keyword,
-    whose cost is the keyword's occurrences, not the paragraph's length),
-    and ``token_texts`` / ``token_text`` / ``char_span`` feed AP's entity
+    A thin window ``[lo, hi)`` into packed term buffers — the
+    collection's, for a paragraph an index holds, or a paragraph's own,
+    built by :meth:`from_text`.  ``stems_at[i]`` is the Porter stem of
+    token ``i`` for word tokens and the raw surface form otherwise, but
+    nothing is materialized until asked for.  The hot paths read the
+    packed arrays directly: :meth:`keyword_positions` is PS's and AP's
+    one keyword-position kernel (a bisect per keyword, whose cost is the
+    keyword's occurrences, not the paragraph's length), and
+    ``token_texts`` / ``token_text`` / ``char_span`` feed AP's entity
     layer and answer windows.  ``tokens`` and the string-keyed views are
     compatibility/debug surfaces, rebuilt per call and kept by nobody.
     """
 
-    __slots__ = ("text", "_lo", "_hi", "_views")
+    __slots__ = ("text", "_lo", "_hi", "_views", "__weakref__")
 
     def __init__(self, text: str, lo: int, hi: int, views: _TermViews) -> None:
         self.text = text
         self._lo = lo
         self._hi = hi
         self._views = views
+
+    @classmethod
+    def from_text(cls, text: str) -> ParagraphTerms:
+        """The view of a paragraph no index holds, built the way the
+        indexer builds one.
+
+        Its ids come from a vocabulary of its own: interning into the
+        shared one in the middle of a question would leave every
+        resolver's memo of that vocabulary stale.
+        """
+        buffers, vocab = _new_buffers(), Vocabulary()
+        _append_paragraph(buffers, text, SHARED_STEM_CACHE, vocab.intern)
+        return cls(text, 0, buffers.t_offsets[1], _TermViews(buffers, vocab))
 
     @property
     def vocab(self) -> Vocabulary:
@@ -224,10 +237,8 @@ class ParagraphTerms:
         are its run in the id-sorted view: one ``bisect_left`` finds where
         the run would start, and a ``bisect_right`` is paid only when the
         head id is there.  A phrase keyword keeps the occurrences whose
-        next stem ids match its own, compared as an id slice.  The result
-        equals what :func:`repro.qa.paragraph_scoring.keyword_positions`
-        derives from the raw text: a stem the vocabulary never interned
-        occurs nowhere on either path.
+        next stem ids match its own, compared as an id slice.  A stem the
+        vocabulary never interned occurs nowhere.
         """
         v, lo, hi = self._views, self._lo, self._hi
         sorted_ids = v.sorted_ids
@@ -268,16 +279,54 @@ class IndexStats:
         return 8 * self.n_postings
 
 
+def _new_buffers() -> IndexBuffers:
+    """Empty buffers, ready to be appended to."""
+    return IndexBuffers(
+        t_offsets=array("I", (0,)), starts=array("I"), lengths=array("H"),
+        stem_ids=array("i"), order=array("H"), sorted_ids=array("i"),
+        p_terms=array("i"), p_offsets=array("I", (0,)), p_docs=array("I"),
+        p_tfs=array("I"), pp_offsets=array("I", (0,)), pp_ords=array("I"),
+    )
+
+
+def _append_paragraph(
+    buffers: IndexBuffers,
+    text: str,
+    stem_fn: StemCache,
+    intern: t.Callable[[str], int],
+) -> list[int]:
+    """Tokenize, stem and intern one paragraph onto the term layer of
+    ``buffers`` (the one place a paragraph is tokenized).
+
+    Returns the ids of its indexed tokens — words and numbers that are
+    not stopwords — in token order, repeats kept.
+    """
+    ids: list[int] = []
+    indexed: list[int] = []
+    starts, lengths = buffers.starts, buffers.lengths
+    for tok in tokenize(text):
+        word = tok.text
+        tid = intern(stem_fn(word) if tok.is_word else word)
+        ids.append(tid)
+        starts.append(tok.start)
+        lengths.append(tok.end - tok.start)
+        if (tok.is_word or word[0].isdigit()) and not is_stopword(word):
+            indexed.append(tid)
+    buffers.stem_ids.extend(ids)
+    # Stable sort by id keeps equal-id positions ascending, so a stem's
+    # position run is sorted — the invariant keyword_positions relies on.
+    loc = sorted(range(len(ids)), key=ids.__getitem__)
+    buffers.order.extend(loc)
+    buffers.sorted_ids.extend(ids[j] for j in loc)
+    buffers.t_offsets.append(len(buffers.stem_ids))
+    return indexed
+
+
 def _build_buffers(
     collection: SubCollection, stem_fn: StemCache, vocab: Vocabulary
 ) -> IndexBuffers:
     """Tokenize, stem, and intern one sub-collection into flat buffers."""
-    t_offsets = array("I", (0,))
-    starts = array("I")
-    lengths = array("H")
-    stem_ids = array("i")
-    order = array("H")
-    sorted_ids = array("i")
+    buffers = _new_buffers()
     #: term id -> ([doc ids], [tfs]); docs arrive in ascending id order.
     postings: dict[int, tuple[list[int], list[int]]] = {}
     #: term id -> [paragraph ordinals], ascending by construction.
@@ -287,58 +336,28 @@ def _build_buffers(
     for doc in collection.documents:
         doc_counts: dict[int, int] = {}
         for para in split_paragraphs(doc.doc_id, collection.collection_id, doc.text):
-            ids: list[int] = []
-            indexed: set[int] = set()
-            for tok in tokenize(para.text):
-                text = tok.text
-                tid = intern(stem_fn(text) if tok.is_word else text)
-                ids.append(tid)
-                starts.append(tok.start)
-                lengths.append(tok.end - tok.start)
-                if not tok.is_word and not text[0].isdigit():
-                    continue
-                if is_stopword(text):
-                    continue
-                indexed.add(tid)
-                doc_counts[tid] = doc_counts.get(tid, 0) + 1
-            stem_ids.extend(ids)
-            # Stable sort by id keeps equal-id positions ascending, so a
-            # stem's position run is sorted — the invariant
-            # keyword_positions relies on.
-            loc = sorted(range(len(ids)), key=ids.__getitem__)
-            order.extend(loc)
-            sorted_ids.extend(ids[j] for j in loc)
+            indexed = _append_paragraph(buffers, para.text, stem_fn, intern)
             for tid in indexed:
+                doc_counts[tid] = doc_counts.get(tid, 0) + 1
+            for tid in set(indexed):
                 para_postings[tid].append(ordinal)
             ordinal += 1
-            t_offsets.append(len(stem_ids))
         for tid, tf in doc_counts.items():
             slot = postings.get(tid)
             if slot is None:
                 slot = postings[tid] = ([], [])
             slot[0].append(doc.doc_id)
             slot[1].append(tf)
-    p_terms = array("i")
-    p_offsets = array("I", (0,))
-    p_docs = array("I")
-    p_tfs = array("I")
-    pp_offsets = array("I", (0,))
-    pp_ords = array("I")
     # Every stem with paragraph postings has document postings too: both
-    # are fed from the same indexed-stem test above.
+    # are fed from the same indexed tokens.
     for tid, (docs, tfs) in postings.items():
-        p_terms.append(tid)
-        p_docs.extend(docs)
-        p_tfs.extend(tfs)
-        p_offsets.append(len(p_docs))
-        pp_ords.extend(para_postings[tid])
-        pp_offsets.append(len(pp_ords))
-    return IndexBuffers(
-        t_offsets=t_offsets, starts=starts, lengths=lengths, stem_ids=stem_ids,
-        order=order, sorted_ids=sorted_ids, p_terms=p_terms,
-        p_offsets=p_offsets, p_docs=p_docs, p_tfs=p_tfs,
-        pp_offsets=pp_offsets, pp_ords=pp_ords,
-    )
+        buffers.p_terms.append(tid)
+        buffers.p_docs.extend(docs)
+        buffers.p_tfs.extend(tfs)
+        buffers.p_offsets.append(len(buffers.p_docs))
+        buffers.pp_ords.extend(para_postings[tid])
+        buffers.pp_offsets.append(len(buffers.pp_ords))
+    return buffers
 
 
 class CollectionIndex:

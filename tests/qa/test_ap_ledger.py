@@ -6,7 +6,9 @@ text until the ranking is cut.  None of that may show: the answers are
 those of ``merge_answers`` over an ``Answer`` built for every window that
 holds a keyword, whichever way a paragraph reaches AP — matched by PS,
 unmatched, or from outside the index — and the bare stage signatures the
-benchmark replays give what ``QAPipeline.answer`` gives.
+benchmark replays give what ``QAPipeline.answer`` gives.  A paragraph
+the index does not hold is read through its own term view, even when it
+shares a key with one the index holds.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.nlp.stemming import SHARED_STEM_CACHE
 from repro.nlp.tokenizer import tokenize
 from repro.qa import (
     AnswerProcessor,
+    ParagraphScorer,
     QAPipeline,
     Question,
     QuestionProcessor,
@@ -28,9 +31,9 @@ from repro.qa import (
     result_fingerprint,
 )
 from repro.qa.answer_processing import _W
-from repro.qa.paragraph_scoring import keyword_positions
 from repro.qa.question import Answer
 from repro.retrieval import Paragraph
+from tests.reference import keyword_positions, reference_pipeline, text_terms
 
 
 def _answers(answers):
@@ -46,10 +49,12 @@ def _clip(text, cand, nbytes):
 
 
 def every_window_answers(ap, processed, accepted):
-    """The reference: re-match each paragraph from its raw text, score
-    every candidate's window through the general loop, build an
+    """The reference: re-match each paragraph from its raw text, take its
+    candidates from a re-tokenize processor with ``ap``'s recognizer,
+    score every candidate's window through the general loop, build an
     ``Answer`` for each window that holds a keyword, and let
     ``merge_answers`` de-duplicate, order and cut."""
+    reference = AnswerProcessor(ap.recognizer, term_lookup=text_terms)
     kstems = [kw.stems for kw in processed.keywords]
     max_rank = max((sp.score for sp in accepted), default=1.0) or 1.0
     answers = []
@@ -59,8 +64,8 @@ def every_window_answers(ap, processed, accepted):
         texts = [text[tok.start : tok.end] for tok in tokenize(text)]
         assert len(texts) == len(stems_at)
         present = sum(1 for p in positions if p)
-        for cand in ap.candidates(processed, sp.paragraph):
-            score = ap._score_window(
+        for cand in reference.candidates(processed, sp.paragraph):
+            score = reference._score_window(
                 cand.token_start,
                 cand.token_end,
                 len(texts),
@@ -100,9 +105,7 @@ def stack(shared_corpus, shared_indexed_corpus, shared_questions):
         extra_nationalities=shared_corpus.knowledge.nationalities,
     )
     texts = [q.text for q in shared_questions]
-    oracle = QAPipeline(
-        shared_indexed_corpus.reconfigured(), recognizer, use_term_index=False
-    )
+    oracle = reference_pipeline(shared_indexed_corpus, recognizer)
     expected = [result_fingerprint(oracle.answer(text)) for text in texts]
     assert sum(1 for fp in expected if fp[0]) > len(texts) // 2
     return shared_indexed_corpus, recognizer, texts, expected
@@ -158,7 +161,8 @@ def test_bare_stage_calls_reproduce_the_pipeline(stack):
 def test_matched_unmatched_and_mixed_accepted_lists_agree(stack):
     indexed, recognizer, texts, _ = stack
     pipeline = _fresh(indexed, recognizer)
-    reference = AnswerProcessor(recognizer)
+    reference = AnswerProcessor(recognizer, term_lookup=text_terms)
+    standalone = AnswerProcessor(recognizer)
     checked = 0
     for qid, text in enumerate(texts[:80]):
         processed = pipeline.qp.process(Question(qid=qid, text=text))
@@ -171,6 +175,8 @@ def test_matched_unmatched_and_mixed_accepted_lists_agree(stack):
         assert _answers(pipeline.ap.extract(processed, accepted)) == want
         assert _answers(pipeline.ap.extract(processed, _unmatched(accepted))) == want
         assert _answers(reference.extract(processed, accepted)) == want
+        assert _answers(reference.extract(processed, _unmatched(accepted))) == want
+        assert _answers(standalone.extract(processed, _unmatched(accepted))) == want
 
         # One paragraph the index has never seen, ranked in the middle,
         # among matched and unmatched indexed ones.
@@ -183,7 +189,11 @@ def test_matched_unmatched_and_mixed_accepted_lists_agree(stack):
             accepted[0].score,
             accepted[0].keywords_present,
         )
-        assert indexed.term_lookup(outsider.paragraph) is None
+        held = indexed.indexes[donor.collection_id]
+        assert held.paragraph_terms(outsider.paragraph.key) is None
+        own = indexed.term_lookup(outsider.paragraph)
+        assert own is not indexed.term_lookup(donor)
+        assert own.token_texts() == indexed.term_lookup(donor).token_texts()
         mixed = _unmatched(accepted[:1]) + [outsider] + list(accepted[1:])
         want = _answers(every_window_answers(reference, processed, mixed))
         assert _answers(pipeline.ap.extract(processed, mixed)) == want
@@ -300,3 +310,71 @@ def test_scored_paragraph_match_is_not_part_of_its_value():
     carrying = dataclasses.replace(plain, match=(object(), [[1]]))
     assert carrying == plain and hash(carrying) == hash(plain)
     assert "match" not in repr(carrying)
+
+
+# -- paragraphs the index does not hold -------------------------------------------------
+def test_a_foreign_paragraph_on_a_held_key_reads_its_own_text(
+    shared_indexed_corpus, recognizer
+):
+    """PS and AP of an indexed pipeline score and answer a paragraph whose
+    key the index holds, with another text, exactly as standalone
+    processors do — never through the held paragraph's term view."""
+    pipeline = _fresh(shared_indexed_corpus, recognizer)
+    processed = _processed(recognizer)
+    held = shared_indexed_corpus.indexes[0].paragraphs[0]
+    expected = {
+        "Nothing about it here, Delhi.": ((0.0, 0), []),
+        "The Taj Mahal is in Agra.": ((55.0, 1), ["Agra"]),
+    }
+    for text, (score, answers) in expected.items():
+        foreign = Paragraph(
+            doc_id=held.doc_id,
+            collection_id=held.collection_id,
+            index=held.index,
+            text=text,
+        )
+        assert foreign.key == held.key and foreign.text != held.text
+        (scored,) = pipeline.ps.score(processed, [foreign])
+        (alone,) = ParagraphScorer().score(processed, [foreign])
+        assert (scored.score, scored.keywords_present) == score
+        assert (alone.score, alone.keywords_present) == score
+        got = pipeline.ap.extract(processed, [scored])
+        assert [a.text for a in got] == answers
+        standalone = AnswerProcessor(recognizer)
+        assert _answers(got) == _answers(standalone.extract(processed, [alone]))
+        assert _answers(pipeline.ap.extract(processed, _unmatched([scored]))) == (
+            _answers(got)
+        )
+    # A collection the corpus does not have holds no paragraph either.
+    stray = Paragraph(
+        doc_id=0,
+        collection_id=shared_indexed_corpus.n_collections,
+        index=0,
+        text="The Taj Mahal is in Agra.",
+    )
+    assert shared_indexed_corpus.term_lookup(stray).token_texts() == [
+        "The", "Taj", "Mahal", "is", "in", "Agra", ".",
+    ]
+
+
+def test_paragraphs_sharing_a_key_keep_their_own_entity_spans(recognizer):
+    """The entity layer is keyed on the term view: two hand-built
+    paragraphs with one key and different texts, through one processor
+    in either order, each yield their own answers."""
+    processed = _processed(recognizer)
+    agra = _sp("The Taj Mahal is in Agra.", doc_id=1)
+    # Agra's spans read on this text would give "Delhi one".
+    delhi = _sp("In Delhi one finds no Taj Mahal.", doc_id=1)
+    assert agra.paragraph.key == delhi.paragraph.key
+    for first, second in ((agra, delhi), (delhi, agra)):
+        ap = AnswerProcessor(recognizer)
+        for sp in (first, second, first):
+            got = ap.extract(processed, [sp])
+            assert _answers(got) == _answers(
+                AnswerProcessor(recognizer).extract(processed, [sp])
+            )
+            assert _answers(got) == _answers(
+                every_window_answers(ap, processed, [sp])
+            )
+    assert [a.text for a in ap.extract(processed, [agra])] == ["Agra"]
+    assert [a.text for a in ap.extract(processed, [delhi])] == ["Delhi"]

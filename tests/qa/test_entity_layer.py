@@ -4,7 +4,7 @@ The first visit to a paragraph runs the recognizer and keeps its spans;
 later questions filter the kept spans by answer type.  Whatever the
 layer holds when a question arrives — nothing, a few paragraphs, the
 whole corpus — the question must come out exactly as from a fresh
-pipeline and from the ``use_term_index=False`` oracle, which re-tokenizes
+pipeline and from the oracle of ``tests/reference.py``, which re-tokenizes
 and re-recognizes every paragraph: same answers, scores, ``short`` /
 ``long`` clips, paragraph ranks and work counters, and the same touches
 on the stem and conjunction caches.
@@ -21,6 +21,7 @@ from repro.nlp.stemming import SHARED_STEM_CACHE
 from repro.qa import QAPipeline, result_fingerprint
 from repro.qa.answer_processing import AnswerProcessor
 from repro.qa.question import ProcessedQuestion, Question
+from tests.reference import reference_pipeline, text_terms
 
 _POOL = 10
 
@@ -33,9 +34,7 @@ def stack(shared_corpus, shared_indexed_corpus, shared_questions):
         extra_nationalities=shared_corpus.knowledge.nationalities,
     )
     pool = [q.text for q in shared_questions[:_POOL]]
-    oracle = QAPipeline(
-        shared_indexed_corpus.reconfigured(), recognizer, use_term_index=False
-    )
+    oracle = reference_pipeline(shared_indexed_corpus, recognizer)
     expected = {}
     for text in pool:
         fresh = result_fingerprint(_fresh(shared_indexed_corpus, recognizer).answer(text))
@@ -146,7 +145,9 @@ def test_processors_sharing_an_index_keep_their_own_spans(stack):
         AnswerProcessor(r, term_lookup=indexed.term_lookup)
         for r in (recognizer, bare)
     ]
-    references = [AnswerProcessor(r) for r in (recognizer, bare)]
+    references = [
+        AnswerProcessor(r, term_lookup=text_terms) for r in (recognizer, bare)
+    ]
     differing = 0
     for n, para in enumerate(_all_paragraphs(indexed)[:120]):
         # Alternate who touches the paragraph first; ask twice, so the

@@ -1,11 +1,11 @@
-"""Equivalence of the precomputed-term fast path vs the naive reference.
+"""Equivalence of the packed term views and the re-tokenize reference.
 
-The materialized paragraph term layer must be a pure optimization: PS
-ranks, AP answer spans and the Boolean engine's cost accounting have to be
-byte-identical whether paragraphs are re-tokenized per question (the seed
-implementation) or resolved through the index's precomputed
-:class:`ParagraphTerms`.  These property tests drive both paths over
-randomized corpora and randomized keyword sets.
+The paragraph term layer must be a pure optimization: PS ranks, AP answer
+spans and the Boolean engine's cost accounting have to be byte-identical
+whether paragraphs are re-tokenized per question (the references in
+``tests/reference.py``) or read through a packed :class:`ParagraphTerms`
+— the index's own, or one built from the text.  These property tests
+drive both over randomized corpora and randomized keyword sets.
 """
 
 from __future__ import annotations
@@ -28,11 +28,12 @@ from repro.qa.answer_processing import _WINDOW_RADIUS, AnswerProcessor
 from repro.qa.paragraph_scoring import (
     KeywordIdResolver,
     ParagraphScorer,
-    keyword_positions,
+    terms_from_text,
 )
 from repro.qa.pipeline import QAPipeline
-from repro.qa.question import ProcessedQuestion, Question
-from repro.retrieval.inverted_index import CollectionIndex
+from repro.qa.question import ProcessedQuestion, Question, ScoredParagraph
+from repro.retrieval.inverted_index import CollectionIndex, ParagraphTerms
+from tests.reference import keyword_positions, reference_pipeline, text_terms
 
 # Vocabulary engineered to exercise stemming collisions ("run"/"running"),
 # stopwords, capitalization, numbers/percent/money tokens and punctuation.
@@ -91,12 +92,16 @@ def test_keyword_positions_fast_path_identical(docs, kws):
     kstems = [kw.stems for kw in _make_keywords(kws)]
     resolver = KeywordIdResolver(kstems)
     for para in index.paragraphs:
-        terms = index.paragraph_terms(para.key)
-        assert terms is not None
         naive, stems_at = keyword_positions(para.text, kstems)
-        fast = terms.keyword_positions(resolver.resolve(terms.vocab))
-        assert fast == naive
-        assert terms.stems_at == tuple(stems_at)
+        # The index's view, one built from the text, and the reference view.
+        held = index.paragraph_terms(para.key)
+        built = ParagraphTerms.from_text(para.text)
+        for terms in (held, built):
+            assert terms.keyword_positions(resolver.resolve(terms.vocab)) == naive
+            assert terms.stems_at == tuple(stems_at)
+        assert built.token_texts() == held.token_texts()
+        reference = text_terms(para)
+        assert reference.keyword_positions(resolver.resolve(reference.vocab)) == naive
 
 
 @st.composite
@@ -159,6 +164,7 @@ def test_one_keyword_paragraph_scores_exactly_55():
     kstems = [kw.stems for kw in _make_keywords([["run"], ["Boston"]])]
     para = index.paragraphs[0]
     for scorer in (
+        ParagraphScorer(text_terms),
         ParagraphScorer(),
         ParagraphScorer(term_lookup=lambda p: index.paragraph_terms(p.key)),
     ):
@@ -170,7 +176,8 @@ def test_one_keyword_paragraph_scores_exactly_55():
 # -- AP: a window is scored only where a keyword can reach it ---------------------------
 def _window_case(text: str) -> list[tuple[str, float]]:
     """The answers to "where is mahal?" (keyword ``mahal``, LOCATION)
-    from one paragraph, on the term layer and on the text oracle."""
+    from one paragraph, on the index's view, on one built from the text,
+    and on the text oracle."""
     gazetteer = Gazetteer()
     gazetteer.add("Agra", EntityType.LOCATION)
     recognizer = EntityRecognizer(gazetteer)
@@ -182,13 +189,13 @@ def _window_case(text: str) -> list[tuple[str, float]]:
     )
     lookup = lambda p: index.paragraph_terms(p.key)  # noqa: E731
     out = []
-    for term_lookup in (lookup, None):
+    for term_lookup in (lookup, terms_from_text, text_terms):
         scored = ParagraphScorer(term_lookup).score(processed, index.paragraphs)
         answers = AnswerProcessor(recognizer, term_lookup=term_lookup).extract(
             processed, scored
         )
         out.append([(a.text, a.score) for a in answers])
-    assert out[0] == out[1]
+    assert out[0] == out[1] == out[2]
     return out[0]
 
 
@@ -222,18 +229,20 @@ def test_paragraph_scores_and_ranks_identical(docs, kws):
         keywords=tuple(keywords),
     )
     paragraphs = list(index.paragraphs)
-    naive = ParagraphScorer().score(processed, paragraphs)
+    naive = ParagraphScorer(text_terms).score(processed, paragraphs)
+    built = ParagraphScorer().score(processed, paragraphs)
     fast = ParagraphScorer(
         term_lookup=lambda p: index.paragraph_terms(p.key)
     ).score(processed, paragraphs)
-    assert [(sp.score, sp.keywords_present) for sp in naive] == [
-        (sp.score, sp.keywords_present) for sp in fast
+    value = lambda scored: [  # noqa: E731
+        (sp.score, sp.keywords_present) for sp in scored
     ]
+    assert value(naive) == value(built) == value(fast)
     rank = lambda scored: [  # noqa: E731
         sp.paragraph.key
         for sp in sorted(scored, key=lambda s: (-s.score, s.paragraph.key))
     ]
-    assert rank(naive) == rank(fast)
+    assert rank(naive) == rank(built) == rank(fast)
 
 
 @settings(max_examples=25, deadline=None)
@@ -247,22 +256,27 @@ def test_answer_spans_identical(docs, kws):
         keywords=tuple(keywords),
     )
     recognizer = EntityRecognizer()
-    naive_ap = AnswerProcessor(recognizer)
-    fast_ap = AnswerProcessor(
-        recognizer, term_lookup=lambda p: index.paragraph_terms(p.key)
-    )
     paragraphs = list(index.paragraphs)
-    scorer = ParagraphScorer()
-    processed_paras = scorer.score(processed, paragraphs)
-    a = naive_ap.extract(processed, processed_paras)
-    b = fast_ap.extract(processed, processed_paras)
-    assert [
-        (x.text, x.short, x.long, x.score, x.paragraph_key, x.entity_type)
-        for x in a
-    ] == [
-        (x.text, x.short, x.long, x.score, x.paragraph_key, x.entity_type)
-        for x in b
+    got = []
+    # Each side's AP takes its own PS's match; the default side also
+    # matches unmatched paragraphs for itself.
+    for term_lookup in (text_terms, lambda p: index.paragraph_terms(p.key)):
+        scored = ParagraphScorer(term_lookup).score(processed, paragraphs)
+        ap = AnswerProcessor(recognizer, term_lookup=term_lookup)
+        got.append(ap.extract(processed, scored))
+    unmatched = [
+        ScoredParagraph(sp.paragraph, sp.score, sp.keywords_present)
+        for sp in ParagraphScorer(text_terms).score(processed, paragraphs)
     ]
+    got.append(AnswerProcessor(recognizer).extract(processed, unmatched))
+    a, b, c = (
+        [
+            (x.text, x.short, x.long, x.score, x.paragraph_key, x.entity_type)
+            for x in answers
+        ]
+        for answers in got
+    )
+    assert a == b == c
 
 
 @pytest.mark.slow
@@ -281,11 +295,7 @@ def test_full_pipeline_equivalence_on_random_corpora():
             extra_nationalities=corpus.knowledge.nationalities,
         )
         fast = QAPipeline(indexed, recognizer)
-        naive = QAPipeline(
-            indexed.reconfigured(conjunction_cache=0, galloping=False),
-            recognizer,
-            use_term_index=False,
-        )
+        naive = reference_pipeline(indexed, recognizer)
         for q in generate_questions(corpus)[:12]:
             a = naive.answer(q.text, qid=q.qid)
             b = fast.answer(q.text, qid=q.qid)

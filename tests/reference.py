@@ -1,0 +1,144 @@
+"""The reference implementations the equivalence tests compare against.
+
+src has one path per question stage: PS and AP read every paragraph
+through a packed :class:`~repro.retrieval.inverted_index.ParagraphTerms`
+and its bisect kernel, and PR intersects sorted posting arrays.  The
+simpler paths they replaced live here, used by tests only:
+
+* :func:`keyword_positions` re-tokenizes and re-stems a paragraph's text
+  and scans it linearly for each keyword;
+* :class:`TextTerms` is a term view with the interface PS and AP read,
+  built the same way, with no packed arrays and no bisect;
+* :func:`evaluate_sets` is the per-stem set intersection PR once ran.
+
+:func:`reference_pipeline` wires all three into a :class:`QAPipeline`,
+the whole-pipeline oracle.
+"""
+
+from __future__ import annotations
+
+import types
+import typing as t
+
+from repro.nlp.stemming import cached_stem as stem
+from repro.nlp.tokenizer import tokenize
+from repro.nlp.vocabulary import Vocabulary
+from repro.qa import QAPipeline
+from repro.retrieval import Paragraph
+
+
+def keyword_positions(
+    text: str, keyword_stems: t.Sequence[tuple[str, ...]]
+) -> tuple[list[list[int]], list[str]]:
+    """Token positions of each keyword in ``text`` (reference path).
+
+    Returns ``(positions, stems_at)`` where ``positions[k]`` lists token
+    indices where keyword ``k`` (matched by its first stem — phrase
+    keywords match on their head word with the rest verified in-order) and
+    ``stems_at`` is the stemmed token sequence.
+    """
+    tokens = tokenize(text)
+    stems_at = [
+        stem(tok.text) if tok.is_word else tok.text for tok in tokens
+    ]
+    positions: list[list[int]] = [[] for _ in keyword_stems]
+    for k, kstems in enumerate(keyword_stems):
+        head = kstems[0]
+        for i, s in enumerate(stems_at):
+            if s != head:
+                continue
+            if len(kstems) > 1:
+                # Verify the remaining stems follow in order.
+                if i + len(kstems) > len(stems_at):
+                    continue
+                if tuple(stems_at[i : i + len(kstems)]) != tuple(kstems):
+                    continue
+            positions[k].append(i)
+    return positions, stems_at
+
+
+class TextTerms:
+    """Reference term view of one paragraph: tokenize + Porter, a
+    vocabulary of the paragraph's own stems, and a linear scan per
+    keyword."""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.tokens = tokenize(text)
+        stems_at = [
+            stem(tok.text) if tok.is_word else tok.text for tok in self.tokens
+        ]
+        self.vocab = Vocabulary(stems_at)
+        self.ids = [self.vocab.lookup(s) for s in stems_at]
+
+    @property
+    def n_tokens(self) -> int:
+        return len(self.tokens)
+
+    def token_text(self, i: int) -> str:
+        return self.tokens[i].text
+
+    def token_texts(self) -> list[str]:
+        return [tok.text for tok in self.tokens]
+
+    def char_span(self, i: int, j: int) -> tuple[int, int]:
+        return self.tokens[i].start, self.tokens[j - 1].end
+
+    def keyword_positions(
+        self, resolved: t.Sequence[tuple[int, t.Any, bool]]
+    ) -> list[list[int]]:
+        """Every token position where a keyword's ids start, in order."""
+        ids, out = self.ids, []
+        for head, kids, ok in resolved:
+            want = [head] if kids is None else list(kids)
+            out.append(
+                [
+                    i
+                    for i in range(len(ids))
+                    if ok and ids[i : i + len(want)] == want
+                ]
+            )
+        return out
+
+
+def text_terms(paragraph: Paragraph) -> TextTerms:
+    """A ``term_lookup`` that re-tokenizes the paragraph on every call."""
+    return TextTerms(paragraph.text)
+
+
+def evaluate_sets(self, stems: tuple[str, ...]) -> tuple[frozenset[int], int]:
+    """Reference implementation: per-stem doc sets, smallest-first."""
+    charged = 0
+    doc_sets: list[set[int]] = []
+    for s in stems:
+        postings = self._fetch_postings(s)
+        charged += len(postings)
+        if not len(postings):
+            return frozenset(), charged
+        doc_sets.append(set(postings))
+    if not doc_sets:
+        return frozenset(), charged
+    doc_sets.sort(key=len)
+    docs = doc_sets[0]
+    for ds in doc_sets[1:]:
+        docs = docs & ds
+        if not docs:
+            break
+    return frozenset(docs), charged
+
+
+def use_set_evaluator(retriever) -> None:
+    """Route one :class:`~repro.retrieval.boolean.BooleanRetriever`'s
+    conjunctions through :func:`evaluate_sets`."""
+    retriever._evaluate = types.MethodType(evaluate_sets, retriever)
+
+
+def reference_pipeline(indexed, recognizer) -> QAPipeline:
+    """The whole-pipeline oracle over ``indexed``'s indexes: no
+    conjunction cache, per-stem set intersection in PR, and every
+    paragraph re-tokenized and re-recognized in PS and AP."""
+    pipeline = QAPipeline(indexed.reconfigured(conjunction_cache=0), recognizer)
+    for retriever in pipeline.indexed.retrievers:
+        use_set_evaluator(retriever)
+    pipeline.ps.term_lookup = pipeline.ap.term_lookup = text_terms
+    return pipeline

@@ -1,8 +1,8 @@
 """Tests for the materialized paragraph term layer and retrieval hot path.
 
-Covers: ParagraphTerms construction invariants, galloping intersection vs
-the reference set intersection (results *and* cost accounting), and the
-conjunction cache's logical-work charging.
+Covers: ParagraphTerms construction invariants, the galloping intersection
+vs the set-intersection reference of ``tests/reference.py`` (results *and*
+cost accounting), and the conjunction cache's logical-work charging.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from repro.nlp.stemming import SHARED_STEM_CACHE, StemCache, cached_stem
 from repro.nlp.tokenizer import tokenize
 from repro.retrieval.boolean import BooleanRetriever, _intersect_sorted
 from repro.retrieval.inverted_index import CollectionIndex
+from tests.reference import use_set_evaluator
 
 
 def _index(texts: list[str]) -> CollectionIndex:
@@ -105,8 +106,9 @@ def _random_texts(rng: random.Random, n_docs: int) -> list[str]:
 def test_retriever_fast_path_equals_reference_including_accounting():
     rng = random.Random(5)
     index = _index(_random_texts(rng, 25))
-    fast = BooleanRetriever(index, conjunction_cache=64, galloping=True)
-    ref = BooleanRetriever(index, conjunction_cache=0, galloping=False)
+    fast = BooleanRetriever(index, conjunction_cache=64)
+    ref = BooleanRetriever(index, conjunction_cache=0)
+    use_set_evaluator(ref)
     kw_pool = ["alpha", "beta", "gamma", "delta", "running", "Boston",
                "1999", "missingword"]
     for trial in range(40):

@@ -2,8 +2,9 @@
 
 The CLI's documented command list is its registered subcommands, the
 repository root holds no benchmark artifact beside ``BENCHMARK.json``'s
-own, the simulator's queue is not configurable, keyword positions have
-one kernel per side of the oracle, collection selection is gone and PR
+own, the simulator's queue is not configurable, PS, AP and PR each have
+one path in src (their oracles live in tests), collection selection is
+gone and PR
 visits every collection, the span stream is the only trace store, the
 pre-record extension experiments took their switches with them, the
 server-to-worker wire has one request, one unit and one reply shape, each
@@ -57,19 +58,30 @@ def test_queue_backend_is_not_configurable():
 # The retired names below are spelled in two halves so that a grep for
 # them over src/ and tests/ stays empty.
 def test_one_keyword_position_kernel_per_side_of_the_oracle():
-    """The packed side is the term view's own method; the text oracle is
-    the module function PS and AP fall back to."""
-    from repro.qa import paragraph_scoring
+    """The packed side is the term view's own method, and it is the only
+    one in src: the text oracle and PR's set intersection live in
+    ``tests/reference.py``, and no switch picks another path."""
+    import inspect
+
+    from repro.qa import QAPipeline, paragraph_scoring
+    from repro.retrieval import IndexedCorpus
+    from repro.retrieval.boolean import BooleanRetriever
     from repro.retrieval.inverted_index import ParagraphTerms
 
     assert callable(ParagraphTerms.keyword_positions)
+    assert not hasattr(paragraph_scoring, "keyword_positions")
     source = "".join(p.read_text() for p in (ROOT / "src").rglob("*.py"))
     for retired in ("keyword_positions_from_" "terms", "keyword_positions_from_" "ids"):
         assert not hasattr(paragraph_scoring, retired)
         assert retired not in source, retired
-    for retired in ("positions" "_of", "def ids" "_at"):
+    for retired in ("positions" "_of", "def ids" "_at", "_evaluate" "_sets"):
         assert retired not in source, retired
-    assert callable(paragraph_scoring.keyword_positions)
+    for api in (
+        QAPipeline, IndexedCorpus, IndexedCorpus.reconfigured, BooleanRetriever
+    ):
+        params = inspect.signature(api).parameters
+        for switch in ("use_term" "_index", "gallop" "ing"):
+            assert switch not in params, (api, switch)
 
 
 def test_selector_has_one_mode(shared_indexed_corpus, shared_pipeline):
