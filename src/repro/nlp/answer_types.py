@@ -9,11 +9,12 @@ covers the factual TREC-8/9 question styles the paper exercises (Table 1).
 
 from __future__ import annotations
 
+import typing as t
 from dataclasses import dataclass
 
 from .entities import EntityType
 from .stopwords import is_stopword
-from .tokenizer import tokenize
+from .tokenizer import Token, tokenize
 
 __all__ = ["classify_question", "QuestionClassification", "HEAD_NOUN_TYPES"]
 
@@ -87,10 +88,14 @@ class QuestionClassification:
     rule: str
 
 
-def classify_question(question: str) -> QuestionClassification:
-    """Detect the expected answer type of a natural-language question."""
-    tokens = tokenize(question)
-    words = [t.lower for t in tokens if t.is_word]
+def classify_question(
+    question: str, tokens: t.Sequence[Token] | None = None
+) -> QuestionClassification:
+    """Detect the expected answer type of a natural-language question
+    (``tokens``: its tokenization, when the caller already has it)."""
+    if tokens is None:
+        tokens = tokenize(question)
+    words = [tok.lower for tok in tokens if tok.is_word]
     if not words:
         return QuestionClassification(EntityType.UNKNOWN, "empty")
 

@@ -17,12 +17,13 @@ stores.
 
 from __future__ import annotations
 
+import typing as t
 from dataclasses import dataclass
 
 from .entities import EntityRecognizer, EntityType
 from .stemming import cached_stem as stem
 from .stopwords import is_stopword
-from .tokenizer import is_capitalized, tokenize
+from .tokenizer import Token, is_capitalized, tokenize
 
 __all__ = ["Keyword", "select_keywords"]
 
@@ -52,6 +53,7 @@ def select_keywords(
     question: str,
     recognizer: EntityRecognizer | None = None,
     max_keywords: int = 8,
+    tokens: t.Sequence[Token] | None = None,
 ) -> list[Keyword]:
     """Extract ranked retrieval keywords from a question.
 
@@ -64,8 +66,11 @@ def select_keywords(
     max_keywords:
         Hard cap — Falcon keeps the strongest handful of keywords and lets
         relaxation handle recall.
+    tokens:
+        The question's tokenization, when the caller already has it.
     """
-    tokens = tokenize(question)
+    if tokens is None:
+        tokens = tokenize(question)
     keywords: list[Keyword] = []
     consumed: set[int] = set()
 

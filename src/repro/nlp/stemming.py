@@ -1,13 +1,23 @@
 """Shared, bounded stem cache.
 
 Porter stemming is pure and the working vocabulary is small (a Zipfian
-corpus re-uses its head words constantly), so every module that stems —
-keyword selection, index construction, paragraph scoring, answer
-processing — should hit one process-wide memo instead of re-deriving
-stems or growing private caches.  Before this module existed the index
-used a module-global cache while QP/PS/AP called :func:`repro.nlp.porter.stem`
-raw, and :class:`~repro.retrieval.collection.IndexedCorpus` built a fresh
-cache per corpus; everything now funnels through :data:`SHARED_STEM_CACHE`.
+corpus re-uses its head words constantly), so the modules that stem per
+question or per paragraph — keyword selection and index construction,
+including the term view of a paragraph no index holds — hit one
+process-wide memo instead of re-deriving stems or growing private
+caches.  Before this module existed the index used a module-global cache
+while QP/PS/AP called :func:`repro.nlp.porter.stem` raw, and
+:class:`~repro.retrieval.collection.IndexedCorpus` built a fresh cache
+per corpus.
+
+Two stages no longer stem per question.  PS matches keyword ids on the
+paragraph's term view.  AP stems each candidate text once per processor,
+for its own-words filter, and keeps the stems beside its entity layer; it
+calls :func:`repro.nlp.porter.stem` directly, not this cache, so that
+whether a text was seen before cannot change the cache's traffic.  A
+question's lookups here are then QP's alone — a function of the
+question, which the batch executor's trace replay
+(:mod:`repro.qa.batch`) relies on.
 
 The cache is a bounded LRU so that adversarial or very large vocabularies
 cannot grow memory without limit.  ``stem()`` lower-cases its input, so

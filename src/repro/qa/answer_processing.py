@@ -24,7 +24,7 @@ from array import array
 from weakref import WeakKeyDictionary
 
 from ..nlp.entities import Entity, EntityRecognizer, EntityType, matching_types
-from ..nlp.stemming import cached_stem as stem
+from ..nlp.porter import stem
 from ..retrieval.inverted_index import ParagraphTerms
 from ..retrieval.paragraphs import Paragraph
 from .paragraph_scoring import KeywordIdResolver, TermLookup, terms_from_text
@@ -48,9 +48,23 @@ _WINDOW_RADIUS = 12  # tokens either side of the candidate
 _SHORT_BYTES = 50
 _LONG_BYTES = 250
 
-# Entity-layer packing: a paragraph's spans are one flat ``array("H")`` of
-# (type code, token start, token end) triples — the width the index's own
-# paragraph-local token positions use.
+#: The first two heuristics of a window holding one keyword occurrence:
+#: nothing before it to sequence, one keyword in the window.  The next
+#: three weights, for the same window scored inline.
+_ONE_IN_WINDOW = _W["sequence"] * 0 + _W["keywords_in_window"] * 1
+_W_NEAREST = _W["nearest_distance"]
+_W_TOTAL = _W["total_distance"]
+_W_APPOSITION = _W["apposition"]
+
+#: Neighbour tokens that mark an apposition before / after a candidate.
+_OPENERS = (",", "(", "-")
+_CLOSERS = (",", ")", "-")
+
+# Entity-layer packing: a paragraph's spans are one flat ``array("I")`` of
+# (type code, token start, token end, char start, char end, apposition
+# count) sextuples.  Char offsets are paragraph-local, but a view built
+# from a text can hold more than 64 KiB of it.
+_SPAN = 6
 _TYPES = tuple(EntityType)
 _TYPE_CODE = {etype: code for code, etype in enumerate(_TYPES)}
 #: Type codes that qualify as candidates, per expected answer type.  For
@@ -76,15 +90,16 @@ class AnswerProcessor:
     * the paragraph's **term view** (:class:`ParagraphTerms`, from the
       index through the indexed corpus'
       :meth:`~repro.retrieval.collection.IndexedCorpus.term_lookup`, or
-      built from the text by the default ``term_lookup``) supplies
-      surface forms and character offsets straight from its packed
-      arrays — no tokenize + Porter-stem pass per question, and no token
-      objects;
-    * AP's own **entity layer** keeps the recognizer's spans.  The first
-      question to visit a paragraph runs the recognizer over it once;
-      every later question walks the kept spans, skips the types it did
-      not ask for and scores each remaining window from its two token
-      indices;
+      built from the text by the default ``term_lookup``), whose packed
+      arrays the entity layer is built from;
+    * AP's own **entity layer** keeps, per paragraph, what a window needs
+      of each recognized span: its type code, token start and end,
+      character start and end, and apposition count (0–2: a ``,`` ``(``
+      or ``-`` token just before it, a ``,`` ``)`` or ``-`` just after).
+      The first question to visit a paragraph runs the recognizer over it
+      once; every later question reads the kept spans, skips the types it
+      did not ask for and scores each remaining window from these numbers
+      alone;
     * **PS's carried match** (:attr:`ScoredParagraph.match`) is the term
       view and keyword positions PS computed a moment earlier.  A scored
       paragraph that arrives without one (built by hand) is matched here,
@@ -93,25 +108,30 @@ class AnswerProcessor:
     A window is scored only if a keyword occurrence can fall in it: one
     whose candidate sits more than ``_WINDOW_RADIUS`` tokens before the
     paragraph's first occurrence or after its last is skipped, and a
-    paragraph whose keywords occur once in all scores its windows off
-    that one position in closed form (the first branch of
-    :meth:`_score_window`).  Text is touched only for windows that hold a
-    keyword: the candidate is sliced, filtered against the question's own
-    words once per distinct text, and kept as a plain tuple while it is
-    the best of its text; clips and :class:`Answer` objects exist for the
-    final ``n_answers`` alone.  What each step saves is measured in
-    EXPERIMENTS.md, under "Paragraph entity layer", "AP by the ledger"
-    and "PS and AP by the occurrence".
+    paragraph whose keywords occur once in all — most windows sit in one —
+    scores its windows off that one position inline, in
+    :meth:`_score_window`'s operand order.  Text is touched only for
+    windows that hold a keyword: the candidate is sliced, filtered
+    against the question's own words, and kept as a plain tuple while it
+    is the best of its text; clips and :class:`Answer` objects exist for
+    the final ``n_answers`` alone.  The filter reads a second table the
+    processor keeps, from lower-cased candidate text to the stems of its
+    words, filled on first sight with the pure Porter function — not the
+    shared stem cache, so a question's stem-cache traffic stays QP's and
+    a function of the question alone, which the batch replay relies on.
+    What each step saves is measured in EXPERIMENTS.md, under "Paragraph
+    entity layer", "AP by the ledger", "PS and AP by the occurrence" and
+    "AP by the span".
 
     The entity layer is built lazily, owned by this object — spans depend
     on the recognizer's gazetteer, so they cannot live on the shared
-    index — and keyed by the term view, so two paragraphs that share a
-    key but not a text keep their own spans.  It holds the views weakly:
-    an index keeps one view per paragraph for its lifetime, so the layer
-    is bounded by the corpus' paragraph count and fills once, while a
-    view built from text leaves the layer when its question lets go of
-    it.  A paragraph's spans are one flat ``array("H")`` of (type code,
-    token start, token end).
+    index — and keyed weakly by the term view's shared buffers
+    (:attr:`ParagraphTerms.views`), then by the paragraph's token offset
+    in them, so two paragraphs that share a key but not a text keep
+    their own spans.  An index keeps one set of buffers per collection
+    for its lifetime, so the layer is bounded by the corpus' paragraph
+    count and fills once, while a view built from text has buffers of its
+    own and leaves the layer when its question lets go of it.
     """
 
     def __init__(
@@ -125,9 +145,12 @@ class AnswerProcessor:
         self.recognizer = recognizer
         self.n_answers = n_answers
         self.term_lookup = term_lookup
-        self._entity_layer: WeakKeyDictionary[ParagraphTerms, array] = (
+        #: term buffers -> {token offset of a paragraph in them: its spans}
+        self._entity_layer: WeakKeyDictionary[t.Any, dict[int, array]] = (
             WeakKeyDictionary()
         )
+        #: lower-cased candidate text -> stems of its words
+        self._own_words: dict[str, frozenset[str]] = {}
         self._layer_hits = 0
         self._layer_misses = 0
 
@@ -153,10 +176,12 @@ class AnswerProcessor:
         n_keywords = len(kstems) or 1
         wanted = _WANTED_CODES[processed.answer_type]
         max_rank = max((sp.score for sp in accepted), default=1.0) or 1.0
+        own_words = self._own_words
         #: lower-cased answer text -> (score, paragraph, text, type code,
         #: char start, char end) of its best window so far.
         best: dict[str, tuple[float, Paragraph, str, int, int, int]] = {}
-        own_words: set[str] = set()  # lower-cased texts the filter dropped
+        views = spans_at = None
+        hits = 0
         for sp in accepted:
             paragraph = sp.paragraph
             if sp.match is not None:
@@ -169,7 +194,14 @@ class AnswerProcessor:
                     resolver.resolve(terms.vocab)
                 )
                 present = sum(1 for p in kw_positions if p)
-            spans, n_tokens, token_text, char_span = self._view(terms)
+            if terms.views is not views:
+                views = terms.views
+                spans_at = self._spans_at(views)
+            spans = spans_at.get(terms.offset)
+            if spans is None:
+                spans = self._recognize(terms, spans_at)
+            else:
+                hits += 1
             # The paragraph's first and last keyword occurrence (each
             # keyword's positions ascend) and how many there are.
             first, last, n_hits = -1, -1, 0
@@ -185,39 +217,59 @@ class AnswerProcessor:
             # The window of candidate [i, j) reaches _WINDOW_RADIUS tokens
             # either side of it, so it holds a keyword occurrence only if
             # i <= last + R and j - 1 >= first - R; any other window scores
-            # 0.0 and is skipped unscored.
+            # 0.0 and is skipped unscored.  With one occurrence in all,
+            # that test is the whole window test.
             i_max = last + _WINDOW_RADIUS
             j_min = first - _WINDOW_RADIUS
-            lone = first if n_hits == 1 else -1
             coverage = _W["coverage"] * present / n_keywords
             rank = _W["paragraph_rank"] * sp.score / max_rank
-            for k in range(0, len(spans), 3):
+            for k in range(0, len(spans), _SPAN):
                 if spans[k] not in wanted:
                     continue
                 i, j = spans[k + 1], spans[k + 2]
                 if i > i_max or j <= j_min:
                     continue
-                score = self._score_window(
-                    i, j, n_tokens, token_text, kw_positions, lone, coverage, rank
-                )
-                if score <= 0.0:
-                    continue
-                start, end = char_span(i, j)
+                if n_hits == 1:
+                    # The distance from the one occurrence to the nearer
+                    # end of the candidate; nearest and mean are both it.
+                    if first < i:
+                        d = i - first
+                    elif first >= j:
+                        d = first - j + 1
+                    else:
+                        d = min(first - i, j - 1 - first)
+                    score = (
+                        _ONE_IN_WINDOW
+                        + _W_NEAREST / (1.0 + d)
+                        + _W_TOTAL / (1.0 + d)
+                        + _W_APPOSITION * spans[k + 5]
+                        + coverage
+                        + rank
+                    )
+                else:
+                    score = self._score_window(
+                        i, j, terms.n_tokens, kw_positions, spans[k + 5],
+                        coverage, rank,
+                    )
+                    if score <= 0.0:
+                        continue
+                start, end = spans[k + 3], spans[k + 4]
                 text = paragraph.text[start:end]
                 key = text.lower()
                 # merge_answers' rule: only a strictly greater score
                 # replaces, so the first window seen wins a tie.
                 old = best.get(key)
                 if old is None:
-                    if key in own_words:
-                        continue
-                    if _only_question_words(key, question_stems):
-                        own_words.add(key)
-                        continue
+                    words = own_words.get(key)
+                    if words is None:
+                        words = own_words[key] = _stems_of(key)
+                    if words and words <= question_stems:
+                        continue  # the question's own words cannot answer it
                 elif score <= old[0]:
                     continue
                 best[key] = (score, paragraph, text, spans[k], start, end)
 
+        self._layer_hits += hits
         ranked = sorted(best.values(), key=lambda c: (-c[0], c[1].key, c[2]))
         return [
             Answer(
@@ -239,18 +291,33 @@ class AnswerProcessor:
         Candidates that merely repeat a question keyword are discarded —
         the question's own words cannot answer it.
         """
-        spans, _, _, char_span = self._view(self.term_lookup(paragraph))
+        terms = self.term_lookup(paragraph)
+        spans_at = self._spans_at(terms.views)
+        spans = spans_at.get(terms.offset)
+        if spans is None:
+            spans = self._recognize(terms, spans_at)
+        else:
+            self._layer_hits += 1
         wanted = _WANTED_CODES[processed.answer_type]
         question_stems = {s for kw in processed.keywords for s in kw.stems}
+        own_words = self._own_words
         text = paragraph.text
         out = []
-        for k in range(0, len(spans), 3):
+        for k in range(0, len(spans), _SPAN):
             if spans[k] in wanted:
-                i, j = spans[k + 1], spans[k + 2]
-                start, end = char_span(i, j)
+                start, end = spans[k + 3], spans[k + 4]
                 found = text[start:end]
-                if not _only_question_words(found, question_stems):
-                    out.append(Entity(found, _TYPES[spans[k]], start, end, i, j))
+                key = found.lower()
+                words = own_words.get(key)
+                if words is None:
+                    words = own_words[key] = _stems_of(key)
+                if not (words and words <= question_stems):
+                    out.append(
+                        Entity(
+                            found, _TYPES[spans[k]], start, end,
+                            spans[k + 1], spans[k + 2],
+                        )
+                    )
         return out
 
     @property
@@ -260,57 +327,50 @@ class AnswerProcessor:
         return {
             "hits": self._layer_hits,
             "misses": self._layer_misses,
-            "paragraphs": len(self._entity_layer),
+            "paragraphs": sum(map(len, self._entity_layer.values())),
         }
 
     # -- internals ---------------------------------------------------------------
-    def _view(self, terms: ParagraphTerms) -> tuple[
-        t.Sequence[int],
-        int,
-        t.Callable[[int], str],
-        t.Callable[[int, int], tuple[int, int]],
-    ]:
-        """``(spans, n_tokens, token_text, char_span)`` of the paragraph
-        whose term view is ``terms``.
+    def _spans_at(self, views: t.Any) -> dict[int, array]:
+        """The entity layer's spans of the paragraphs whose term views
+        are windows into ``views``, by token offset."""
+        spans_at = self._entity_layer.get(views)
+        if spans_at is None:
+            spans_at = self._entity_layer[views] = {}
+        return spans_at
 
-        ``spans`` is the flat (type code, token start, token end)
-        sequence of every recognized entity, through the entity layer —
-        recognized on the first visit, kept ever after; ``token_text(i)``
-        the surface form of token ``i``; ``char_span(i, j)`` the
-        characters tokens ``[i, j)`` cover, both straight off the view,
-        no token objects built.
-        """
-        packed = self._entity_layer.get(terms)
-        if packed is None:
-            self._layer_misses += 1
-            packed = array("H")
-            for i, j, etype in self.recognizer.spans(terms.token_texts()):
-                packed.extend((_TYPE_CODE[etype], i, j))
-            self._entity_layer[terms] = packed
-        else:
-            self._layer_hits += 1
-        return packed, terms.n_tokens, terms.token_text, terms.char_span
+    def _recognize(
+        self, terms: ParagraphTerms, spans_at: dict[int, array]
+    ) -> array:
+        """A paragraph's first visit: run the recognizer over its term view
+        ``terms`` and keep the packed spans in ``spans_at``, the
+        :meth:`_spans_at` of its views."""
+        self._layer_misses += 1
+        texts = terms.token_texts()
+        n_tokens = len(texts)
+        packed = array("I")
+        for i, j, etype in self.recognizer.spans(texts):
+            start, end = terms.char_span(i, j)
+            apposition = (i > 0 and texts[i - 1] in _OPENERS) + (
+                j < n_tokens and texts[j] in _CLOSERS
+            )
+            packed.extend((_TYPE_CODE[etype], i, j, start, end, apposition))
+        spans_at[terms.offset] = packed
+        return packed
 
     @staticmethod
     def _score_window(
         c_lo: int,
         c_end: int,
         n_tokens: int,
-        token_text: t.Callable[[int], str],
         kw_positions: t.Sequence[t.Sequence[int]],
-        lone: int,
+        apposition: int,
         coverage: float,
         paragraph_rank: float,
     ) -> float:
         """Combine the seven heuristics for the window of the candidate
-        at tokens ``[c_lo, c_end)``; 0.0 when no keyword falls in it.
-
-        ``lone`` is the position of the paragraph's only keyword
-        occurrence when ``kw_positions`` holds exactly one, else -1.  A
-        lone occurrence in the window is one keyword in it, at its own
-        distance, with nothing before it for the sequence count: that
-        branch reads the heuristics off it in closed form, and the sum
-        below adds them in the same order either way.
+        at tokens ``[c_lo, c_end)`` of a paragraph of ``n_tokens``; 0.0
+        when no keyword falls in it.
 
         1. *sequence*: keywords adjacent to the candidate in question
            order (frequency analogue of PS heuristic 1);
@@ -325,51 +385,35 @@ class AnswerProcessor:
         7. *paragraph_rank*: the PS rank, normalised — answers from better
            paragraphs win ties.
 
-        The last two are the same for every window of a paragraph and
-        arrive weighted; ``token_text(i)`` is the surface form of the
-        paragraph's token ``i`` of ``n_tokens``.
+        The last three are the same for every question and arrive from
+        the entity layer (``apposition``, a count of 0–2) or weighted.
         """
         c_hi = c_end - 1
         w_lo = max(0, c_lo - _WINDOW_RADIUS)
         w_hi = min(n_tokens - 1, c_hi + _WINDOW_RADIUS)
-
-        if lone >= 0:
-            if not w_lo <= lone <= w_hi:
-                return 0.0
-            in_window, sequence = 1, 0
-            nearest = min(abs(lone - c_lo), abs(lone - c_hi))
-            mean_d = nearest / 1  # the loop's sum / len over one distance
-        else:
-            in_window = 0
-            distances: list[int] = []
-            sequence = 0
-            prev_in = False
-            for pos_list in kw_positions:
-                best = None
-                for p in pos_list:
-                    if w_lo <= p <= w_hi:
-                        d = min(abs(p - c_lo), abs(p - c_hi))
-                        if best is None or d < best:
-                            best = d
-                if best is not None:
-                    in_window += 1
-                    distances.append(best)
-                    if best <= 2:
-                        sequence += 1 if prev_in else 0
-                    prev_in = True
-                else:
-                    prev_in = False
-            if in_window == 0:
-                return 0.0
-            nearest = min(distances)
-            mean_d = sum(distances) / len(distances)
-
-        apposition = 0.0
-        if c_lo > 0 and token_text(c_lo - 1) in (",", "(", "-"):
-            apposition += 1.0
-        if c_hi + 1 < n_tokens and token_text(c_hi + 1) in (",", ")", "-"):
-            apposition += 1.0
-
+        in_window = 0
+        distances: list[int] = []
+        sequence = 0
+        prev_in = False
+        for pos_list in kw_positions:
+            best = None
+            for p in pos_list:
+                if w_lo <= p <= w_hi:
+                    d = min(abs(p - c_lo), abs(p - c_hi))
+                    if best is None or d < best:
+                        best = d
+            if best is not None:
+                in_window += 1
+                distances.append(best)
+                if best <= 2:
+                    sequence += 1 if prev_in else 0
+                prev_in = True
+            else:
+                prev_in = False
+        if in_window == 0:
+            return 0.0
+        nearest = min(distances)
+        mean_d = sum(distances) / len(distances)
         return (
             _W["sequence"] * sequence
             + _W["keywords_in_window"] * in_window
@@ -381,11 +425,9 @@ class AnswerProcessor:
         )
 
 
-def _only_question_words(text: str, question_stems: t.Collection[str]) -> bool:
-    """True when every word of the candidate ``text`` is one of the
-    question's own — such a candidate cannot answer it."""
-    stems = {stem(w) for w in text.split() if w and w[0].isalpha()}
-    return bool(stems) and stems <= question_stems
+def _stems_of(text: str) -> frozenset[str]:
+    """The stems of a lower-cased candidate text's words."""
+    return frozenset(stem(w) for w in text.split() if w and w[0].isalpha())
 
 
 def _clip(text: str, start: int, end: int, nbytes: int) -> str:

@@ -24,8 +24,8 @@ enforce:
 
 Correctness under caching is the subtle part: serial execution of a
 duplicate question still *touches* the shared stem cache (QP keyword
-selection, AP candidate filtering) and the per-collection conjunction
-LRUs (one get per relaxation round), and those touches move LRU state
+selection) and the per-collection conjunction LRUs (one get per
+relaxation round), and those touches move LRU state
 and hit/miss counters.  The batch path therefore records, during a
 question's first execution, (a) the stem-cache lookup sequence and
 (b) the conjunction key of every relaxation round per collection, and
@@ -101,7 +101,7 @@ class _QuestionRecord:
 
     #: The first execution's result — the (deterministic) outputs to reuse.
     result: QAResult
-    #: Raw words passed through the shared stem cache (QP + AP).
+    #: Raw words passed through the shared stem cache (QP's).
     stem_trace: list[str]
     #: Conjunction keys per relaxation round, per collection — the
     #: conjunction-cache replay script.
@@ -136,8 +136,8 @@ def _answer_repeat(
 ) -> QAResult:
     """Duplicate question: replay cache touches, reuse the outputs.
 
-    The stem-trace replay covers QP keyword selection and AP candidate
-    filtering (both funnel through :data:`SHARED_STEM_CACHE`); the
+    The stem-trace replay covers QP keyword selection, the one stage
+    that stems through :data:`SHARED_STEM_CACHE`; the
     conjunction replay issues the recorded relaxation-round gets against
     each collection's LRU, recomputing evicted entries.  All other
     per-question state transitions of serial execution are pure

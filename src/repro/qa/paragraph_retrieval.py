@@ -14,6 +14,7 @@ from __future__ import annotations
 import typing as t
 from dataclasses import dataclass, field
 
+from ..retrieval.boolean import RetrievalPlan
 from ..retrieval.collection import IndexedCorpus
 from ..retrieval.paragraphs import Paragraph
 from .question import ProcessedQuestion
@@ -72,7 +73,8 @@ class ParagraphRetriever:
 
         Collections are processed one at a time — the iterative structure
         the RECV partitioner exploits by letting under-loaded processors
-        pull one collection at a time (Fig 7a).
+        pull one collection at a time (Fig 7a) — all off one
+        :class:`~repro.retrieval.boolean.RetrievalPlan` of the question.
 
         ``round_trace``, when given, holds one list per collection (by
         collection id); each visited collection appends the conjunction
@@ -80,14 +82,14 @@ class ParagraphRetriever:
         executor's conjunction-cache replay script.  Unvisited
         collections' lists stay empty.
         """
-        keywords = list(processed.keywords)
+        plan = RetrievalPlan(processed.keywords)
         if collection_ids is None:
             collection_ids = range(self.indexed.n_collections)
         retrievers = self.indexed.retrievers
         result = PRResult(paragraphs=[])
         for cid in collection_ids:
-            r = retrievers[cid].retrieve(
-                keywords, None if round_trace is None else round_trace[cid]
+            r = retrievers[cid].run(
+                plan, None if round_trace is None else round_trace[cid]
             )
             result.paragraphs.extend(r.paragraphs)
             result.per_collection.append(

@@ -10,6 +10,7 @@ from __future__ import annotations
 from ..nlp.answer_types import classify_question
 from ..nlp.entities import EntityRecognizer
 from ..nlp.keywords import select_keywords
+from ..nlp.tokenizer import tokenize
 from .question import ProcessedQuestion, Question
 
 __all__ = ["QuestionProcessor"]
@@ -23,10 +24,15 @@ class QuestionProcessor:
         self.max_keywords = max_keywords
 
     def process(self, question: Question) -> ProcessedQuestion:
-        """Classify the question and extract ranked keywords."""
-        classification = classify_question(question.text)
+        """Classify the question and extract ranked keywords, off one
+        tokenization of its text."""
+        tokens = tokenize(question.text)
+        classification = classify_question(question.text, tokens)
         keywords = select_keywords(
-            question.text, self.recognizer, max_keywords=self.max_keywords
+            question.text,
+            self.recognizer,
+            max_keywords=self.max_keywords,
+            tokens=tokens,
         )
         return ProcessedQuestion(
             question=question,

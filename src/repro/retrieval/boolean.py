@@ -18,7 +18,12 @@ Two hot-path optimizations (both behaviour-preserving):
   rescanning posting lists (query-result caching, arXiv:1006.5059).
 
 Both operate directly on the index's packed id arrays: posting lists are
-read-only sorted doc-id views sliced out of one flat buffer.  The
+read-only sorted doc-id views sliced out of one flat buffer.  What the
+loop needs of a question's keywords — their priority order, each round's
+conjunction key, each keyword's distinct stems and every stem's
+vocabulary id — is a :class:`RetrievalPlan`, worked out once per
+question and read by the retriever of every sub-collection, each of
+which turns an id into its posting slot with one array read.  The
 paragraph keyword-quorum filter — Falcon's "post-processing phase to
 extract paragraphs from documents" — is posting-list arithmetic too: a
 keyword's paragraphs are the intersection of its stems' *paragraph*
@@ -45,7 +50,7 @@ from ..nlp.keywords import Keyword
 from .inverted_index import CollectionIndex
 from .paragraphs import Paragraph
 
-__all__ = ["RetrievalResult", "BooleanRetriever", "SharedPostings"]
+__all__ = ["BooleanRetriever", "RetrievalPlan", "RetrievalResult", "SharedPostings"]
 
 
 class SharedPostings:
@@ -82,6 +87,45 @@ class RetrievalResult:
     postings_scanned: int = 0
     doc_bytes_read: int = 0
     relaxation_rounds: int = 0
+
+
+class RetrievalPlan:
+    """A question's keywords as the relaxation loop reads them, worked out
+    once for every sub-collection the question visits.
+
+    ``active`` holds the keywords in priority order; the round that
+    conjoins the first ``m`` of them is keyed ``keys[m]``, their stems in
+    order with duplicates kept (the conjunction cache's key).  The stem
+    ids behind each key, and behind each keyword's distinct stems, are
+    resolved per vocabulary by :meth:`ids` — once per question, since the
+    collections share one.
+    """
+
+    __slots__ = ("active", "keys", "_distinct", "_vocab", "_ids")
+
+    def __init__(self, keywords: t.Sequence[Keyword]) -> None:
+        self.active = sorted(keywords, key=lambda k: k.priority)
+        stems: list[str] = []
+        self.keys: list[tuple[str, ...]] = [()]
+        for kw in self.active:
+            stems.extend(kw.stems)
+            self.keys.append(tuple(stems))
+        self._distinct = [tuple(dict.fromkeys(kw.stems)) for kw in self.active]
+        self._vocab: t.Any = None
+        self._ids: tuple[tuple[int, ...], list[tuple[int, ...]]] = ((), [])
+
+    def ids(self, vocab: t.Any) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+        """``(ids, per_keyword)`` in ``vocab``: the id of every stem of
+        ``keys[-1]``, in order, and the ids of each keyword's distinct
+        stems (-1 for a stem ``vocab`` never interned)."""
+        if vocab is not self._vocab:
+            lookup = vocab.lookup
+            self._ids = (
+                tuple(lookup(s) for s in self.keys[-1]),
+                [tuple(lookup(s) for s in ds) for ds in self._distinct],
+            )
+            self._vocab = vocab
+        return self._ids
 
 
 def _intersect_sorted(small: t.Sequence[int], large: t.Sequence[int]) -> list[int]:
@@ -214,11 +258,12 @@ class BooleanRetriever:
         if cache is None:
             return
         cid = self.index.collection_id
+        lookup = self.index.vocab.lookup
         for stems in rounds:
             if not stems:
                 continue
             if cache.get((cid, stems)) is None:
-                docs, charged = self._evaluate(stems)
+                docs, charged = self._evaluate(stems, [lookup(s) for s in stems])
                 cache.put((cid, stems), docs, charged)
 
     # -- public API ---------------------------------------------------------------
@@ -233,27 +278,38 @@ class BooleanRetriever:
         every relaxation round — the batch engine's replay script for
         duplicate questions (:meth:`replay_rounds`).
         """
+        return self.run(RetrievalPlan(keywords), round_trace)
+
+    def run(
+        self,
+        plan: RetrievalPlan,
+        round_trace: list[tuple[str, ...]] | None = None,
+    ) -> RetrievalResult:
+        """:meth:`retrieve` for keywords already planned — the loop every
+        sub-collection of one question runs off the same plan."""
         result = RetrievalResult(
             collection_id=self.index.collection_id,
             paragraphs=[],
             used_keywords=[],
             matched_docs=[],
         )
-        if not keywords:
+        m = len(plan.active)
+        if not m:
             return result
 
         # Relaxation loop: drop the lowest-priority keyword until enough
         # documents match.
-        active = sorted(keywords, key=lambda k: k.priority)
-        docs: t.AbstractSet[int] = set()
-        while active:
-            docs = self._conjunction(active, result, round_trace)
+        index = self.index
+        ids, per_keyword_ids = plan.ids(index.vocab)
+        keys = plan.keys
+        while True:
+            docs = self._conjunction(keys[m], ids, result, round_trace)
             result.relaxation_rounds += 1
-            if len(docs) >= self.min_docs or len(active) == 1:
+            if len(docs) >= self.min_docs or m == 1:
                 break
-            active = active[:-1]
+            m -= 1
 
-        result.used_keywords = list(active)
+        result.used_keywords = plan.active[:m]
         result.matched_docs = sorted(docs)
         if not docs:
             return result
@@ -263,18 +319,17 @@ class BooleanRetriever:
         # a paragraph when all its stems are, so its paragraphs are the
         # intersection of its stems' paragraph postings.  Ordinals ascend
         # in (doc id, paragraph index) order, which is the output order.
-        index = self.index
         doc_bytes = index.doc_bytes
         for doc_id in result.matched_docs:
             result.doc_bytes_read += doc_bytes(doc_id)
-        per_keyword = [self._keyword_paragraphs(kw) for kw in active]
+        per_keyword = list(map(self._keyword_paragraphs, per_keyword_ids[:m]))
         paragraphs = index.paragraphs
-        if len(per_keyword) == 1:
+        if m == 1:
             # The quorum is 1, and a paragraph holding every stem of the
             # one keyword lies in a document holding them: a matched one.
             ordinals: t.Iterable[int] = per_keyword[0]
         else:
-            needed = max(1, int(round(self.paragraph_quorum * len(active))))
+            needed = max(1, int(round(self.paragraph_quorum * m)))
             counts = Counter(chain.from_iterable(per_keyword))
             ordinals = sorted(
                 o
@@ -285,13 +340,11 @@ class BooleanRetriever:
         return result
 
     # -- internals ---------------------------------------------------------------
-    def _keyword_paragraphs(self, keyword: Keyword) -> t.Sequence[int]:
-        """Ascending ordinals of the paragraphs holding every stem of
-        ``keyword`` (a stem the index has never seen holds none)."""
-        postings = sorted(
-            (self.index.paragraph_postings(s) for s in set(keyword.stems)),
-            key=len,
-        )
+    def _keyword_paragraphs(self, ids: t.Sequence[int]) -> t.Sequence[int]:
+        """Ascending ordinals of the paragraphs holding every stem of a
+        keyword, given its distinct stems' ``ids`` (a stem the index has
+        never seen holds none)."""
+        postings = sorted(map(self.index.id_paragraph_postings, ids), key=len)
         current: t.Sequence[int] = postings[0]
         for arr in postings[1:]:
             if not current:
@@ -301,18 +354,19 @@ class BooleanRetriever:
 
     def _conjunction(
         self,
-        active: t.Sequence[Keyword],
+        stems: tuple[str, ...],
+        ids: t.Sequence[int],
         result: RetrievalResult,
         round_trace: list[tuple[str, ...]] | None = None,
     ) -> t.AbstractSet[int]:
         """Docs containing *every* stem of *every* active keyword.
 
-        The stem tuple preserves keyword order and duplicates so that the
-        charged ``postings_scanned`` — each active stem's full posting
-        list, stopping at the first empty one — depends neither on the
-        order the lists are intersected in nor on the cache.
+        ``stems`` is the round's key in the plan, whose ids lead ``ids``.
+        It preserves keyword order and duplicates so that the charged
+        ``postings_scanned`` — each active stem's full posting list,
+        stopping at the first empty one — depends neither on the order
+        the lists are intersected in nor on the cache.
         """
-        stems = tuple(s for kw in active for s in kw.stems)
         if round_trace is not None:
             round_trace.append(stems)
         if not stems:
@@ -326,14 +380,15 @@ class BooleanRetriever:
                 result.postings_scanned += charged
                 return docs
 
-        docs, charged = self._evaluate(stems)
+        docs, charged = self._evaluate(stems, ids)
         result.postings_scanned += charged
         if self._cache is not None:
             self._cache.put((self.index.collection_id, stems), docs, charged)
         return docs
 
-    def _fetch_postings(self, stem: str) -> memoryview:
-        """One stem's sorted posting view, shared across a batch if active.
+    def _fetch_postings(self, stem: str, tid: int) -> memoryview:
+        """The sorted posting view of ``stem`` (whose id is ``tid``),
+        shared across a batch if one is active.
 
         The views are read-only slices of the index's flat posting
         buffer, so serving a repeat fetch from the batch map is pure
@@ -341,24 +396,26 @@ class BooleanRetriever:
         """
         shared = self._shared
         if shared is None:
-            return self.index.sorted_postings(stem)
+            return self.index.id_postings(tid)
         view = shared.views.get(stem)
         if view is not None:
             shared.shared += 1
             return view
-        view = self.index.sorted_postings(stem)
+        view = self.index.id_postings(tid)
         shared.views[stem] = view
         shared.fetches += 1
         return view
 
-    def _evaluate(self, stems: tuple[str, ...]) -> tuple[frozenset[int], int]:
+    def _evaluate(
+        self, stems: tuple[str, ...], ids: t.Sequence[int]
+    ) -> tuple[frozenset[int], int]:
         """Size-ordered sorted-array intersection with galloping probes:
-        the docs holding every stem, and the postings a cold evaluation
-        charges."""
+        the docs holding every stem (the ids of ``stems`` lead ``ids``),
+        and the postings a cold evaluation charges."""
         charged = 0
         arrays: list[memoryview] = []
-        for s in stems:
-            postings = self._fetch_postings(s)
+        for s, tid in zip(stems, ids):
+            postings = self._fetch_postings(s, tid)
             n = len(postings)
             charged += n
             if n == 0:

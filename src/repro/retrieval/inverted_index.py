@@ -121,9 +121,13 @@ class IndexBuffers:
 
 class _TermViews:
     """Read-only views over the paragraph-layer buffers, shared by every
-    :class:`ParagraphTerms` of one collection."""
+    :class:`ParagraphTerms` of one collection (weakly referenceable, so a
+    per-collection cache can be keyed by it and leave with it)."""
 
-    __slots__ = ("starts", "lengths", "stem_ids", "order", "sorted_ids", "vocab")
+    __slots__ = (
+        "starts", "lengths", "stem_ids", "order", "sorted_ids", "vocab",
+        "__weakref__",
+    )
 
     def __init__(self, buffers: IndexBuffers, vocab: Vocabulary) -> None:
         self.starts = memoryview(buffers.starts).toreadonly()
@@ -145,12 +149,13 @@ class ParagraphTerms:
     packed arrays directly: :meth:`keyword_positions` is PS's and AP's
     one keyword-position kernel (a bisect per keyword, whose cost is the
     keyword's occurrences, not the paragraph's length), and
-    ``token_texts`` / ``token_text`` / ``char_span`` feed AP's entity
-    layer and answer windows.  ``tokens`` and the string-keyed views are
+    ``token_texts`` / ``char_span`` feed AP's entity layer on a
+    paragraph's first visit, which it keys by :attr:`views` and
+    :attr:`offset`.  ``tokens`` and the string-keyed views are
     compatibility/debug surfaces, rebuilt per call and kept by nobody.
     """
 
-    __slots__ = ("text", "_lo", "_hi", "_views", "__weakref__")
+    __slots__ = ("text", "_lo", "_hi", "_views")
 
     def __init__(self, text: str, lo: int, hi: int, views: _TermViews) -> None:
         self.text = text
@@ -174,6 +179,17 @@ class ParagraphTerms:
     @property
     def vocab(self) -> Vocabulary:
         return self._views.vocab
+
+    @property
+    def views(self) -> _TermViews:
+        """The term buffers this view is a window into: shared by every
+        paragraph of a collection, a paragraph's own for :meth:`from_text`."""
+        return self._views
+
+    @property
+    def offset(self) -> int:
+        """Where this paragraph's tokens start in :attr:`views`."""
+        return self._lo
 
     @property
     def n_tokens(self) -> int:
@@ -235,10 +251,11 @@ class ParagraphTerms:
         keyword, as :meth:`repro.qa.paragraph_scoring.KeywordIdResolver.resolve`
         makes them for :attr:`vocab`.  A keyword's head-stem occurrences
         are its run in the id-sorted view: one ``bisect_left`` finds where
-        the run would start, and a ``bisect_right`` is paid only when the
-        head id is there.  A phrase keyword keeps the occurrences whose
-        next stem ids match its own, compared as an id slice.  A stem the
-        vocabulary never interned occurs nowhere.
+        the run would start, a single occurrence is one more read, and a
+        ``bisect_right`` is paid only for a run longer than that.  A
+        phrase keyword keeps the occurrences whose next stem ids match its
+        own, compared as an id slice.  A stem the vocabulary never
+        interned occurs nowhere.
         """
         v, lo, hi = self._views, self._lo, self._hi
         sorted_ids = v.sorted_ids
@@ -248,7 +265,10 @@ class ParagraphTerms:
             if a == hi or sorted_ids[a] != head:
                 out.append([])
                 continue
-            run = v.order[a : bisect_right(sorted_ids, head, a, hi)].tolist()
+            if a + 1 == hi or sorted_ids[a + 1] != head:
+                run = [v.order[a]]  # a single occurrence: one read
+            else:
+                run = v.order[a : bisect_right(sorted_ids, head, a, hi)].tolist()
             if kids is not None:
                 stem_ids, klen = v.stem_ids, len(kids)
                 run = [
@@ -485,17 +505,16 @@ class CollectionIndex:
         return total
 
     # -- lookups ---------------------------------------------------------------
-    def _slot(self, stem_: str) -> int | None:
-        tid = self.vocab.lookup(stem_)
-        if tid < 0 or tid >= len(self._posting_slot):
-            return None
-        slot = self._posting_slot[tid]
-        return slot if slot >= 0 else None
+    def _slot(self, tid: int) -> int:
+        """Posting slot of term id ``tid``; -1 when it has no postings here
+        (a missing or later-interned id included)."""
+        slots = self._posting_slot
+        return slots[tid] if 0 <= tid < len(slots) else -1
 
     def document_frequency(self, stem_: str) -> int:
         """Number of documents containing ``stem_``."""
-        slot = self._slot(stem_)
-        if slot is None:
+        slot = self._slot(self.vocab.lookup(stem_))
+        if slot < 0:
             return 0
         off = self._p_offsets
         return off[slot + 1] - off[slot]
@@ -507,8 +526,8 @@ class CollectionIndex:
         compatibility surface, not the hot path (which slices
         :meth:`sorted_postings` views directly).
         """
-        slot = self._slot(stem_)
-        if slot is None:
+        slot = self._slot(self.vocab.lookup(stem_))
+        if slot < 0:
             return {}
         lo, hi = self._p_offsets[slot], self._p_offsets[slot + 1]
         return dict(zip(self._p_docs[lo:hi], self._p_tfs[lo:hi]))
@@ -519,16 +538,25 @@ class CollectionIndex:
         The returned view is read-only — sharing the internal buffer is
         safe by construction.
         """
-        slot = self._slot(stem_)
-        if slot is None:
-            return _EMPTY_U32
-        return self._p_docs[self._p_offsets[slot] : self._p_offsets[slot + 1]]
+        return self.id_postings(self.vocab.lookup(stem_))
 
     def paragraph_postings(self, stem_: str) -> memoryview:
         """Ascending ordinals (into :attr:`paragraphs`) of the paragraphs
         holding ``stem_`` (read-only; empty view if absent)."""
-        slot = self._slot(stem_)
-        if slot is None:
+        return self.id_paragraph_postings(self.vocab.lookup(stem_))
+
+    def id_postings(self, tid: int) -> memoryview:
+        """:meth:`sorted_postings` of the stem whose :attr:`vocab` id is
+        ``tid`` — the retrieval loop resolves a question's ids once."""
+        slot = self._slot(tid)
+        if slot < 0:
+            return _EMPTY_U32
+        return self._p_docs[self._p_offsets[slot] : self._p_offsets[slot + 1]]
+
+    def id_paragraph_postings(self, tid: int) -> memoryview:
+        """:meth:`paragraph_postings` of the stem whose id is ``tid``."""
+        slot = self._slot(tid)
+        if slot < 0:
             return _EMPTY_U32
         return self._pp_ords[self._pp_offsets[slot] : self._pp_offsets[slot + 1]]
 

@@ -33,7 +33,12 @@ from repro.qa import (
 from repro.qa.answer_processing import _W
 from repro.qa.question import Answer
 from repro.retrieval import Paragraph
-from tests.reference import keyword_positions, reference_pipeline, text_terms
+from tests.reference import (
+    keyword_positions,
+    reference_pipeline,
+    text_terms,
+    window_score,
+)
 
 
 def _answers(answers):
@@ -51,8 +56,9 @@ def _clip(text, cand, nbytes):
 def every_window_answers(ap, processed, accepted):
     """The reference: re-match each paragraph from its raw text, take its
     candidates from a re-tokenize processor with ``ap``'s recognizer,
-    score every candidate's window through the general loop, build an
-    ``Answer`` for each window that holds a keyword, and let
+    score every candidate's window with :func:`tests.reference.window_score`
+    (the general loop, apposition read off the re-tokenized texts), build
+    an ``Answer`` for each window that holds a keyword, and let
     ``merge_answers`` de-duplicate, order and cut."""
     reference = AnswerProcessor(ap.recognizer, term_lookup=text_terms)
     kstems = [kw.stems for kw in processed.keywords]
@@ -65,13 +71,11 @@ def every_window_answers(ap, processed, accepted):
         assert len(texts) == len(stems_at)
         present = sum(1 for p in positions if p)
         for cand in reference.candidates(processed, sp.paragraph):
-            score = reference._score_window(
+            score = window_score(
                 cand.token_start,
                 cand.token_end,
-                len(texts),
-                texts.__getitem__,
+                texts,
                 positions,
-                -1,  # the general loop, never the lone-occurrence branch
                 _W["coverage"] * present / (len(kstems) or 1),
                 _W["paragraph_rank"] * sp.score / max_rank,
             )
@@ -203,7 +207,9 @@ def test_matched_unmatched_and_mixed_accepted_lists_agree(stack):
 
 def test_own_words_memo_lives_for_one_call(stack):
     """The stem-cache traffic of a question is a function of the question
-    alone: asking it again issues the same lookups again."""
+    alone: asking it again issues the same lookups again.  They are QP's:
+    AP stems each candidate text once per processor, with the pure Porter
+    function, and keeps the stems beside the entity layer."""
     indexed, recognizer, texts, _ = stack
     pipeline = _fresh(indexed, recognizer)
     traces = []

@@ -9,7 +9,10 @@ simpler paths they replaced live here, used by tests only:
   and scans it linearly for each keyword;
 * :class:`TextTerms` is a term view with the interface PS and AP read,
   built the same way, with no packed arrays and no bisect;
-* :func:`evaluate_sets` is the per-stem set intersection PR once ran.
+* :func:`evaluate_sets` is the per-stem set intersection PR once ran;
+* :func:`window_score` is AP's seven-heuristic window score, the general
+  loop over every keyword occurrence, with the apposition read off the
+  neighbouring token texts.
 
 :func:`reference_pipeline` wires all three into a :class:`QAPipeline`,
 the whole-pipeline oracle.
@@ -24,6 +27,7 @@ from repro.nlp.stemming import cached_stem as stem
 from repro.nlp.tokenizer import tokenize
 from repro.nlp.vocabulary import Vocabulary
 from repro.qa import QAPipeline
+from repro.qa.answer_processing import _W, _WINDOW_RADIUS
 from repro.retrieval import Paragraph
 
 
@@ -72,6 +76,15 @@ class TextTerms:
         self.ids = [self.vocab.lookup(s) for s in stems_at]
 
     @property
+    def views(self) -> TextTerms:
+        """What AP keys its entity layer by: this view alone."""
+        return self
+
+    @property
+    def offset(self) -> int:
+        return 0
+
+    @property
     def n_tokens(self) -> int:
         return len(self.tokens)
 
@@ -106,12 +119,62 @@ def text_terms(paragraph: Paragraph) -> TextTerms:
     return TextTerms(paragraph.text)
 
 
-def evaluate_sets(self, stems: tuple[str, ...]) -> tuple[frozenset[int], int]:
+def window_score(
+    c_lo: int,
+    c_end: int,
+    texts: t.Sequence[str],
+    positions: t.Sequence[t.Sequence[int]],
+    coverage: float,
+    paragraph_rank: float,
+) -> float:
+    """The window score of the candidate at tokens ``[c_lo, c_end)`` of a
+    paragraph whose token texts are ``texts`` (reference path; 0.0 when
+    no keyword occurrence of ``positions`` falls in the window).
+
+    ``coverage`` and ``paragraph_rank`` arrive weighted; the other five
+    heuristics are computed here, in the order AP adds them.
+    """
+    c_hi = c_end - 1
+    w_lo = max(0, c_lo - _WINDOW_RADIUS)
+    w_hi = min(len(texts) - 1, c_hi + _WINDOW_RADIUS)
+    distances: list[int] = []
+    sequence = 0
+    prev_in = False
+    for pos_list in positions:
+        in_reach = [
+            min(abs(p - c_lo), abs(p - c_hi)) for p in pos_list if w_lo <= p <= w_hi
+        ]
+        if in_reach:
+            if min(in_reach) <= 2 and prev_in:
+                sequence += 1
+            distances.append(min(in_reach))
+        prev_in = bool(in_reach)
+    if not distances:
+        return 0.0
+    apposition = 0.0
+    if c_lo > 0 and texts[c_lo - 1] in (",", "(", "-"):
+        apposition += 1.0
+    if c_hi + 1 < len(texts) and texts[c_hi + 1] in (",", ")", "-"):
+        apposition += 1.0
+    return (
+        _W["sequence"] * sequence
+        + _W["keywords_in_window"] * len(distances)
+        + _W["nearest_distance"] / (1.0 + min(distances))
+        + _W["total_distance"] / (1.0 + sum(distances) / len(distances))
+        + _W["apposition"] * apposition
+        + coverage
+        + paragraph_rank
+    )
+
+
+def evaluate_sets(
+    self, stems: tuple[str, ...], ids: t.Sequence[int]
+) -> tuple[frozenset[int], int]:
     """Reference implementation: per-stem doc sets, smallest-first."""
     charged = 0
     doc_sets: list[set[int]] = []
-    for s in stems:
-        postings = self._fetch_postings(s)
+    for s, tid in zip(stems, ids):
+        postings = self._fetch_postings(s, tid)
         charged += len(postings)
         if not len(postings):
             return frozenset(), charged
