@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .knowledge import TEMPLATES, Fact, KnowledgeBase, build_knowledge_base
-from .zipf import ZipfSampler, make_vocabulary
+from .zipf import ZipfSampler, _pick, make_vocabulary
 
 __all__ = ["CorpusConfig", "Document", "SubCollection", "Corpus", "generate_corpus"]
 
@@ -126,23 +126,24 @@ def _render_sentence(
 ) -> str:
     lo, hi = config.words_per_sentence
     n = int(rng.integers(lo, hi + 1))
-    idx = sampler.sample(n)
-    words = [vocab[i] for i in idx]
+    words = list(map(vocab.__getitem__, sampler.take(n)))
     if entity_pool and rng.random() < config.distractor_rate:
         pos = int(rng.integers(0, len(words)))
-        words.insert(pos, str(rng.choice(entity_pool)))
+        words.insert(pos, _pick(rng, entity_pool))
     words[0] = words[0].capitalize()
     return " ".join(words) + "."
+
+
+_PROFESSIONS = [
+    "inventor", "explorer", "composer", "scientist", "author", "actress", "leader",
+]
 
 
 def _render_fact(fact: Fact, kb: KnowledgeBase, rng: np.random.Generator) -> str:
     statement, _question = TEMPLATES[fact.relation]
     profession = ""
     if "{profession}" in statement:
-        profession = str(rng.choice(
-            ["inventor", "explorer", "composer", "scientist", "author",
-             "actress", "leader"]
-        ))
+        profession = _pick(rng, _PROFESSIONS)
     return statement.format(
         subject=fact.subject, value=fact.value, profession=profession
     )
@@ -210,8 +211,7 @@ def generate_corpus(
                 paragraphs.append(
                     " ".join(_render_fact(f, kb, rng) for f in fact_queue)
                 )
-            title_idx = sampler.sample(3)
-            title = " ".join(vocab[i] for i in title_idx).title()
+            title = " ".join(map(vocab.__getitem__, sampler.take(3))).title()
             docs.append(
                 Document(
                     doc_id=doc_id,

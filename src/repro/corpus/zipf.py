@@ -16,6 +16,9 @@ import numpy as np
 
 __all__ = ["make_vocabulary", "ZipfSampler"]
 
+#: Fewest uniforms one refill draws (see :meth:`ZipfSampler.take`).
+_BLOCK = 4096
+
 _ONSETS = [
     "b", "br", "c", "ch", "cl", "d", "dr", "f", "fl", "g", "gr", "h", "j",
     "k", "l", "m", "n", "p", "pl", "pr", "qu", "r", "s", "sh", "sl", "st",
@@ -25,12 +28,18 @@ _NUCLEI = ["a", "e", "i", "o", "u", "ai", "ea", "ee", "io", "ou"]
 _CODAS = ["", "b", "d", "g", "k", "l", "m", "n", "nd", "nt", "p", "r", "s", "st", "t"]
 
 
+def _pick(rng: np.random.Generator, seq: list[str]) -> str:
+    """``rng.choice(seq)`` without converting ``seq`` to an array per call
+    (it draws the same one bounded integer)."""
+    return seq[int(rng.integers(0, len(seq)))]
+
+
 def _pseudo_word(rng: np.random.Generator, n_syllables: int) -> str:
     parts = []
     for _ in range(n_syllables):
-        parts.append(rng.choice(_ONSETS))
-        parts.append(rng.choice(_NUCLEI))
-    parts.append(rng.choice(_CODAS))
+        parts.append(_pick(rng, _ONSETS))
+        parts.append(_pick(rng, _NUCLEI))
+    parts.append(_pick(rng, _CODAS))
     return "".join(parts)
 
 
@@ -71,6 +80,12 @@ class ZipfSampler:
     shifts share function words but differ in topical vocabulary.
     seed:
         RNG seed for reproducibility.
+
+    Draws are made in blocks of at least ``_BLOCK`` uniforms, each mapped
+    to word indices with one ``searchsorted``, and handed out in order.
+    PCG64 doubles are sequential, so any split of the draws yields the
+    same values: ``sample(a)`` then ``sample(b)`` is ``rng.random(a)``
+    then ``rng.random(b)`` mapped per value, as it was before blocks.
     """
 
     def __init__(
@@ -102,9 +117,26 @@ class ZipfSampler:
             order = np.concatenate([order[:head], np.roll(tail, offset)])
         self._word_for_slot = order
         self._cum = np.cumsum(probs)
+        #: Drawn word indices not handed out yet start at ``_next``.
+        self._block: list[int] = []
+        self._next = 0
+
+    def take(self, n: int) -> list[int]:
+        """The next ``n`` word indices, as a list (inverse-CDF sampling)."""
+        if n < 0:
+            raise ValueError("cannot draw a negative number of words")
+        end = self._next + n
+        if end > len(self._block):
+            rest = self._block[self._next :]
+            u = self.rng.random(max(_BLOCK, n - len(rest)))
+            slots = np.searchsorted(self._cum, u, side="right")
+            words = self._word_for_slot[np.minimum(slots, self.vocab_size - 1)]
+            self._block = rest + words.tolist()
+            self._next, end = 0, n
+        out = self._block[self._next : end]
+        self._next = end
+        return out
 
     def sample(self, n: int) -> np.ndarray:
-        """Draw ``n`` word indices (vectorized inverse-CDF sampling)."""
-        u = self.rng.random(n)
-        slots = np.searchsorted(self._cum, u, side="right")
-        return self._word_for_slot[np.minimum(slots, self.vocab_size - 1)]
+        """Draw ``n`` word indices, as an array."""
+        return np.array(self.take(n), dtype=self._word_for_slot.dtype)

@@ -142,6 +142,24 @@ def corpus_cache_dir() -> Path | None:
     return Path(root)
 
 
+def _write_artifact(path: Path, obj: t.Any) -> None:
+    """Pickle ``obj`` to ``path`` through a per-pid temp file and an
+    atomic ``os.replace``.  Best-effort: an ``OSError`` (a full disk, a
+    read-only directory) writes nothing, and the temp file of a failed
+    write or replace is removed, never left in the cache directory."""
+    tmp = path.with_name(f".{path.stem}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(tmp, "wb") as fh:
+                pickle.dump(obj, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)  # gone already after the replace
+    except OSError:
+        pass  # cache is best-effort; the caller's object is still good
+
+
 def load_or_generate_corpus(config: CorpusConfig) -> Corpus:
     """Return the corpus for ``config``, via the disk cache when possible."""
     directory = corpus_cache_dir()
@@ -162,14 +180,7 @@ def load_or_generate_corpus(config: CorpusConfig) -> Corpus:
         except OSError:
             pass
     corpus = generate_corpus(config)
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        tmp = directory / f".corpus-{corpus_cache_key(config)}.{os.getpid()}.tmp"
-        with open(tmp, "wb") as fh:
-            pickle.dump(corpus, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
-    except OSError:
-        pass  # cache is best-effort; the generated corpus is still good
+    _write_artifact(path, corpus)
     return corpus
 
 
@@ -210,18 +221,7 @@ def load_or_build_indexes(
     indexes = [CollectionIndex(coll) for coll in corpus.collections]
     elapsed = time.perf_counter() - start
     if path is not None:
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-            tmp = directory / f".index-{corpus_cache_key(config)}.{os.getpid()}.tmp"
-            with open(tmp, "wb") as fh:
-                pickle.dump(
-                    indexes_to_payload(indexes),
-                    fh,
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            os.replace(tmp, path)
-        except OSError:
-            pass  # cache is best-effort; the built indexes are still good
+        _write_artifact(path, indexes_to_payload(indexes))
     return indexes, "built", elapsed
 
 

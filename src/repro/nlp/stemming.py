@@ -10,6 +10,13 @@ while QP/PS/AP called :func:`repro.nlp.porter.stem` raw, and
 :class:`~repro.retrieval.collection.IndexedCorpus` built a fresh cache
 per corpus.
 
+Index construction resolves each distinct surface form once per
+collection (:func:`repro.retrieval.inverted_index._append_paragraph`
+keeps a per-build memo), so a build consults this cache once per
+distinct form per collection, not once per word token.  After a build
+the cache holds the same entries it did when every token was looked up,
+with far fewer hits.
+
 Two stages no longer stem per question.  PS matches keyword ids on the
 paragraph's term view.  AP stems each candidate text once per processor,
 for its own-words filter, and keeps the stems beside its entity layer; it

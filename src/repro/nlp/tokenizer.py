@@ -5,16 +5,26 @@ construction) reason about *token positions* and *byte offsets* — e.g. "the
 answer is within 50 bytes of text" and "inter-keyword distance".  The
 tokenizer therefore keeps, for each token, its character span in the source
 text in addition to its surface form.
+
+Two front ends share the one token pattern.  :func:`tokenize` makes a
+:class:`Token` per token, for the per-question callers (QP, the entity
+recognizer).  :func:`split_tokens` is the indexer's: building an index
+touches every token of the corpus, about a million on the benchmark
+tier, so it gets the same surface forms and spans as three plain lists
+from a single ``re.split`` call, with no Python object or method call
+per token.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 
 __all__ = [
     "Token",
     "tokenize",
+    "split_tokens",
     "sentences",
     "is_capitalized",
     "is_capitalized_text",
@@ -24,14 +34,15 @@ __all__ = [
 
 # Words (incl. internal apostrophes/hyphens), numbers (incl. decimals and
 # thousands separators), and single punctuation marks.
-_TOKEN_RE = re.compile(
-    r"""
+_TOKEN_PATTERN = r"""
     \$?\d+(?:,\d{3})*(?:\.\d+)?%?  # numbers: $1,234.56  12%  1999
     | [A-Za-z]+(?:[''][A-Za-z]+)*  # words with internal apostrophes
     | [.,;:!?"()\[\]{}-]           # punctuation, one char at a time
-    """,
-    re.VERBOSE,
-)
+    """
+_TOKEN_RE = re.compile(_TOKEN_PATTERN, re.VERBOSE)
+#: The same pattern as one capture group: ``split`` then alternates the
+#: text between tokens with the tokens themselves (no match is empty).
+_SPLIT_RE = re.compile(f"({_TOKEN_PATTERN})", re.VERBOSE)
 
 _SENTENCE_RE = re.compile(r"(?<=[.!?])\s+(?=[A-Z$\d\"'])")
 
@@ -65,6 +76,20 @@ def tokenize(text: str) -> list[Token]:
     return [
         Token(m.group(0), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)
     ]
+
+
+def split_tokens(text: str) -> tuple[list[str], list[int], list[int]]:
+    """The surface forms, character starts and lengths of ``text``'s
+    tokens — :func:`tokenize` as three parallel lists.
+
+    ``re.split`` on the capturing pattern returns ``[gap, token, gap,
+    token, ..., gap]``; the running sum of the part lengths puts token
+    ``k``'s start at the end of the gap before it, part ``2k``.
+    """
+    parts = _SPLIT_RE.split(text)
+    forms = parts[1::2]
+    ends = list(accumulate(map(len, parts)))
+    return forms, ends[0:-1:2], list(map(len, forms))
 
 
 def sentences(text: str) -> list[tuple[int, int]]:

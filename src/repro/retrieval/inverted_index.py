@@ -35,6 +35,15 @@ rebuild (see :mod:`repro.retrieval.packing`), which is what lets
 parallel experiment workers attach to a prebuilt index instead of
 re-paying the build per process.
 
+The build itself does per-token work in C and per-distinct-value work
+in Python, the way integer-coded indexes are built in bulk rather than
+token by token (cs/0407053): one ``re.split`` per paragraph gives its
+surface forms and spans (:func:`~repro.nlp.tokenizer.split_tokens`),
+each distinct surface form is stemmed, interned and classified once per
+collection, and the postings rows are grouped into their slots by one
+stable sort per collection.  Its output is byte-identical to the
+token-by-token build it replaced (kept in ``tests/reference.py``).
+
 The index also exposes the *cost accounting* hooks the simulation's PR
 cost model consumes: posting-list sizes and candidate-document byte counts
 (paragraph retrieval is 80 % disk time — Table 3 — so bytes touched is the
@@ -47,13 +56,17 @@ import sys
 import typing as t
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, filterfalse, repeat
+from operator import itemgetter
+
+import numpy as np
 
 from ..corpus.generator import Document, SubCollection
 from ..nlp.stemming import SHARED_STEM_CACHE, StemCache
 from ..nlp.stopwords import is_stopword
-from ..nlp.tokenizer import Token, tokenize
+from ..nlp.tokenizer import Token, split_tokens
 from ..nlp.vocabulary import SHARED_VOCABULARY, Vocabulary
 from .paragraphs import Paragraph, split_paragraphs
 
@@ -173,7 +186,7 @@ class ParagraphTerms:
         resolver's memo of that vocabulary stale.
         """
         buffers, vocab = _new_buffers(), Vocabulary()
-        _append_paragraph(buffers, text, SHARED_STEM_CACHE, vocab.intern)
+        _append_paragraph(buffers, text, {}, SHARED_STEM_CACHE, vocab.intern)
         return cls(text, 0, buffers.t_offsets[1], _TermViews(buffers, vocab))
 
     @property
@@ -309,74 +322,123 @@ def _new_buffers() -> IndexBuffers:
     )
 
 
+#: A surface form's resolution: its term id, and whether it is indexed.
+_Resolved = tuple[int, bool]
+_tid, _keep = itemgetter(0), itemgetter(1)
+
+
 def _append_paragraph(
     buffers: IndexBuffers,
     text: str,
+    memo: dict[str, _Resolved],
     stem_fn: StemCache,
     intern: t.Callable[[str], int],
 ) -> list[int]:
     """Tokenize, stem and intern one paragraph onto the term layer of
     ``buffers`` (the one place a paragraph is tokenized).
 
-    Returns the ids of its indexed tokens — words and numbers that are
-    not stopwords — in token order, repeats kept.
+    ``memo`` maps each surface form already seen under ``intern`` to its
+    term id — the stem's for a word, the raw form's otherwise — and
+    whether it is indexed: a word or number that is not a stopword.  A
+    form is resolved once, when it first occurs; new forms are resolved
+    in first-occurrence order, so ids are interned in the order a
+    token-by-token pass interns them.  Everything per token is a C-level
+    ``map`` / ``compress`` / ``extend``.
+
+    Returns the ids of its indexed tokens in token order, repeats kept.
     """
-    ids: list[int] = []
-    indexed: list[int] = []
-    starts, lengths = buffers.starts, buffers.lengths
-    for tok in tokenize(text):
-        word = tok.text
-        tid = intern(stem_fn(word) if tok.is_word else word)
-        ids.append(tid)
-        starts.append(tok.start)
-        lengths.append(tok.end - tok.start)
-        if (tok.is_word or word[0].isdigit()) and not is_stopword(word):
-            indexed.append(tid)
-    buffers.stem_ids.extend(ids)
+    forms, starts, lengths = split_tokens(text)
+    for form in filterfalse(memo.__contains__, dict.fromkeys(forms)):
+        is_word = form[0].isalpha()
+        memo[form] = (
+            intern(stem_fn(form) if is_word else form),
+            (is_word or form[0].isdigit()) and not is_stopword(form),
+        )
+    resolved = list(map(memo.__getitem__, forms))
+    ids = list(map(_tid, resolved))
+    buffers.starts.fromlist(starts)
+    buffers.lengths.fromlist(lengths)
+    buffers.stem_ids.fromlist(ids)
     # Stable sort by id keeps equal-id positions ascending, so a stem's
     # position run is sorted — the invariant keyword_positions relies on.
     loc = sorted(range(len(ids)), key=ids.__getitem__)
-    buffers.order.extend(loc)
-    buffers.sorted_ids.extend(ids[j] for j in loc)
+    buffers.order.fromlist(loc)
+    buffers.sorted_ids.fromlist(list(map(ids.__getitem__, loc)))
     buffers.t_offsets.append(len(buffers.stem_ids))
-    return indexed
+    return list(compress(ids, map(_keep, resolved)))
+
+
+def _split_documents(collection: SubCollection) -> list[list[Paragraph]]:
+    """Each document's paragraphs, in document order."""
+    cid = collection.collection_id
+    return [
+        split_paragraphs(doc.doc_id, cid, doc.text) for doc in collection.documents
+    ]
+
+
+def _u32(values: np.ndarray) -> array:
+    """``values`` as an ``array("I")`` (C unsigned int, as ``np.uintc``)."""
+    return array("I", values.astype(np.uintc).tobytes())
+
+
+def _group_by_slot(
+    tids: list[int], slot_of: dict[int, int], *columns: list[int]
+) -> tuple[array, list[array]]:
+    """Group rows ``(tids[r], columns[0][r], ...)`` by the posting slot of
+    their term: the slot offsets, and each column in slot order.  The
+    sort is stable, so a slot's rows keep the order they were added in."""
+    slots = np.fromiter(map(slot_of.__getitem__, tids), np.intp, len(tids))
+    perm = np.argsort(slots, kind="stable")
+    offsets = np.zeros(len(slot_of) + 1, np.intp)
+    np.cumsum(np.bincount(slots, minlength=len(slot_of)), out=offsets[1:])
+    return _u32(offsets), [
+        _u32(np.array(col, np.intp)[perm]) for col in columns
+    ]
 
 
 def _build_buffers(
-    collection: SubCollection, stem_fn: StemCache, vocab: Vocabulary
+    collection: SubCollection,
+    doc_paragraphs: list[list[Paragraph]],
+    stem_fn: StemCache,
+    vocab: Vocabulary,
 ) -> IndexBuffers:
     """Tokenize, stem, and intern one sub-collection into flat buffers."""
     buffers = _new_buffers()
-    #: term id -> ([doc ids], [tfs]); docs arrive in ascending id order.
-    postings: dict[int, tuple[list[int], list[int]]] = {}
-    #: term id -> [paragraph ordinals], ascending by construction.
-    para_postings: defaultdict[int, list[int]] = defaultdict(list)
+    memo: dict[str, _Resolved] = {}
     intern = vocab.intern
+    #: One row per distinct indexed term of each document (term id, doc
+    #: id, tf) and of each paragraph (term id, ordinal), in corpus order:
+    #: docs and ordinals ascend, so each slot's rows come out sorted.
+    d_tids: list[int] = []
+    d_docs: list[int] = []
+    d_tfs: list[int] = []
+    pp_tids: list[int] = []
+    pp_ords: list[int] = []
     ordinal = 0
-    for doc in collection.documents:
-        doc_counts: dict[int, int] = {}
-        for para in split_paragraphs(doc.doc_id, collection.collection_id, doc.text):
-            indexed = _append_paragraph(buffers, para.text, stem_fn, intern)
-            for tid in indexed:
-                doc_counts[tid] = doc_counts.get(tid, 0) + 1
-            for tid in set(indexed):
-                para_postings[tid].append(ordinal)
+    for doc, paragraphs in zip(collection.documents, doc_paragraphs):
+        # Counter keeps first-occurrence order, the order of the slots.
+        doc_counts: Counter[int] = Counter()
+        for para in paragraphs:
+            indexed = _append_paragraph(buffers, para.text, memo, stem_fn, intern)
+            doc_counts.update(indexed)
+            distinct = dict.fromkeys(indexed)
+            pp_tids.extend(distinct)
+            pp_ords.extend(repeat(ordinal, len(distinct)))
             ordinal += 1
-        for tid, tf in doc_counts.items():
-            slot = postings.get(tid)
-            if slot is None:
-                slot = postings[tid] = ([], [])
-            slot[0].append(doc.doc_id)
-            slot[1].append(tf)
-    # Every stem with paragraph postings has document postings too: both
-    # are fed from the same indexed tokens.
-    for tid, (docs, tfs) in postings.items():
-        buffers.p_terms.append(tid)
-        buffers.p_docs.extend(docs)
-        buffers.p_tfs.extend(tfs)
-        buffers.p_offsets.append(len(buffers.p_docs))
-        buffers.pp_ords.extend(para_postings[tid])
-        buffers.pp_offsets.append(len(buffers.pp_ords))
+        d_tids.extend(doc_counts)
+        d_docs.extend(repeat(doc.doc_id, len(doc_counts)))
+        d_tfs.extend(doc_counts.values())
+    # A term's slot is its first occurrence in the collection.  Every term
+    # with paragraph postings has document postings too: both are fed
+    # from the same indexed tokens.
+    slot_of = {tid: slot for slot, tid in enumerate(dict.fromkeys(d_tids))}
+    buffers.p_terms.fromlist(list(slot_of))
+    buffers.p_offsets, (buffers.p_docs, buffers.p_tfs) = _group_by_slot(
+        d_tids, slot_of, d_docs, d_tfs
+    )
+    buffers.pp_offsets, (buffers.pp_ords,) = _group_by_slot(
+        pp_tids, slot_of, pp_ords
+    )
     return buffers
 
 
@@ -392,7 +454,9 @@ class CollectionIndex:
         self.collection_id = collection.collection_id
         self._stem = SHARED_STEM_CACHE if stemmer is None else stemmer
         self.vocab = SHARED_VOCABULARY if vocabulary is None else vocabulary
-        self._attach(collection, _build_buffers(collection, self._stem, self.vocab))
+        doc_paragraphs = _split_documents(collection)
+        buffers = _build_buffers(collection, doc_paragraphs, self._stem, self.vocab)
+        self._attach(collection, buffers, doc_paragraphs)
 
     @classmethod
     def from_buffers(
@@ -413,11 +477,17 @@ class CollectionIndex:
         self.collection_id = collection.collection_id
         self._stem = SHARED_STEM_CACHE if stemmer is None else stemmer
         self.vocab = SHARED_VOCABULARY if vocabulary is None else vocabulary
-        self._attach(collection, buffers)
+        self._attach(collection, buffers, _split_documents(collection))
         return self
 
-    def _attach(self, collection: SubCollection, buffers: IndexBuffers) -> None:
-        """Derive all runtime views and lookup tables from ``buffers``."""
+    def _attach(
+        self,
+        collection: SubCollection,
+        buffers: IndexBuffers,
+        doc_paragraphs: list[list[Paragraph]],
+    ) -> None:
+        """Derive all runtime views and lookup tables from ``buffers``
+        (``doc_paragraphs`` is :func:`_split_documents` of ``collection``)."""
         self.buffers = buffers
         self._views = _TermViews(buffers, self.vocab)
         self._p_docs = memoryview(buffers.p_docs).toreadonly()
@@ -444,7 +514,7 @@ class CollectionIndex:
         n_paras = len(t_offsets) - 1
         text_bytes = 0
         last_doc = -1
-        for doc in collection.documents:
+        for doc, doc_paras in zip(collection.documents, doc_paragraphs):
             # Ordinal order must be doc-id order: PR returns paragraph
             # postings as they stand, and its contract is ascending doc id.
             if doc.doc_id <= last_doc:
@@ -452,7 +522,7 @@ class CollectionIndex:
             last_doc = doc.doc_id
             self._documents[doc.doc_id] = doc
             text_bytes += doc.size_bytes
-            for para in split_paragraphs(doc.doc_id, self.collection_id, doc.text):
+            for para in doc_paras:
                 ordinal = len(paragraphs)
                 if ordinal >= n_paras:
                     raise ValueError(

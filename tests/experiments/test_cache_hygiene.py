@@ -1,15 +1,18 @@
 """Cache-plane hygiene: stale-sandbox sweeping and attach contention.
 
-Two failure modes the serving layer must survive:
+Three failure modes the serving layer must survive:
 
 * pytest sessions killed mid-run leak their per-process
   ``REPRO_CACHE_DIR`` sandboxes into the tempdir —
   :func:`sweep_stale_cache_dirs` reaps exactly the dead-owner ones;
 * N worker processes attach to one v2 packed-index artifact while a
   writer deletes and regenerates it — every reader must come back with
-  consistent indexes (attached or rebuilt), never a torn/corrupt read.
+  consistent indexes (attached or rebuilt), never a torn/corrupt read;
+* an artifact write that fails part-way (a full disk) must remove its
+  per-pid temp file, not leave it in the cache directory for good.
 """
 
+import errno
 import multiprocessing
 import os
 import pickle
@@ -172,3 +175,37 @@ def test_corrupt_artifact_self_heals(tmp_path):
             os.environ.pop("REPRO_CACHE_DIR", None)
         else:
             os.environ["REPRO_CACHE_DIR"] = old_env
+
+
+def _short_write(obj, fh, *args, **kwargs):
+    """A ``pickle.dump`` that runs out of disk after a few bytes."""
+    fh.write(b"\x80partial")
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _refuse_replace(src, dst):
+    raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+
+@pytest.mark.parametrize("fail", ["dump", "replace"])
+@pytest.mark.parametrize("artifact", ["corpus", "index"])
+def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch, artifact, fail):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    corpus = load_or_generate_corpus(CORPUS)
+    expected = sorted(p.name for p in tmp_path.iterdir())
+    if artifact == "corpus":
+        (tmp_path / f"corpus-{corpus_cache_key(CORPUS)}.pkl").unlink()
+        expected = []
+    with monkeypatch.context() as patch:
+        if fail == "dump":
+            patch.setattr(pickle, "dump", _short_write)
+        else:
+            patch.setattr(os, "replace", _refuse_replace)
+        if artifact == "corpus":
+            regenerated = load_or_generate_corpus(CORPUS)
+            assert regenerated.n_documents == corpus.n_documents
+        else:
+            indexes, source, _ = load_or_build_indexes(corpus, CORPUS)
+            assert source == "built"
+            assert sum(len(ix.doc_ids) for ix in indexes) == corpus.n_documents
+    assert sorted(p.name for p in tmp_path.iterdir()) == expected

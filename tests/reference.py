@@ -16,19 +16,35 @@ simpler paths they replaced live here, used by tests only:
 
 :func:`reference_pipeline` wires all three into a :class:`QAPipeline`,
 the whole-pipeline oracle.
+
+The indexer's token-by-token build lives here too:
+:func:`append_paragraph_by_token` makes a :class:`Token` per token and
+stems, interns and classifies each one as it comes, and
+:func:`build_buffers_by_token` counts terms and gathers postings one
+token at a time; :func:`paragraph_terms_by_token` is
+``ParagraphTerms.from_text`` over the former.
 """
 
 from __future__ import annotations
 
 import types
 import typing as t
+from collections import defaultdict
 
+from repro.nlp.stemming import SHARED_STEM_CACHE, StemCache
 from repro.nlp.stemming import cached_stem as stem
+from repro.nlp.stopwords import is_stopword
 from repro.nlp.tokenizer import tokenize
 from repro.nlp.vocabulary import Vocabulary
 from repro.qa import QAPipeline
 from repro.qa.answer_processing import _W, _WINDOW_RADIUS
-from repro.retrieval import Paragraph
+from repro.retrieval import Paragraph, split_paragraphs
+from repro.retrieval.inverted_index import (
+    IndexBuffers,
+    ParagraphTerms,
+    _new_buffers,
+    _TermViews,
+)
 
 
 def keyword_positions(
@@ -205,3 +221,71 @@ def reference_pipeline(indexed, recognizer) -> QAPipeline:
         use_set_evaluator(retriever)
     pipeline.ps.term_lookup = pipeline.ap.term_lookup = text_terms
     return pipeline
+
+
+def append_paragraph_by_token(
+    buffers: IndexBuffers,
+    text: str,
+    stem_fn: StemCache,
+    intern: t.Callable[[str], int],
+) -> list[int]:
+    """Tokenize, stem and intern one paragraph onto ``buffers``, one
+    token at a time; the ids of its indexed tokens, in token order."""
+    ids: list[int] = []
+    indexed: list[int] = []
+    starts, lengths = buffers.starts, buffers.lengths
+    for tok in tokenize(text):
+        word = tok.text
+        tid = intern(stem_fn(word) if tok.is_word else word)
+        ids.append(tid)
+        starts.append(tok.start)
+        lengths.append(tok.end - tok.start)
+        if (tok.is_word or word[0].isdigit()) and not is_stopword(word):
+            indexed.append(tid)
+    buffers.stem_ids.extend(ids)
+    loc = sorted(range(len(ids)), key=ids.__getitem__)
+    buffers.order.extend(loc)
+    buffers.sorted_ids.extend(ids[j] for j in loc)
+    buffers.t_offsets.append(len(buffers.stem_ids))
+    return indexed
+
+
+def paragraph_terms_by_token(text: str) -> ParagraphTerms:
+    """``ParagraphTerms.from_text`` built by :func:`append_paragraph_by_token`."""
+    buffers, vocab = _new_buffers(), Vocabulary()
+    append_paragraph_by_token(buffers, text, SHARED_STEM_CACHE, vocab.intern)
+    return ParagraphTerms(text, 0, buffers.t_offsets[1], _TermViews(buffers, vocab))
+
+
+def build_buffers_by_token(
+    collection, stem_fn: StemCache, vocab: Vocabulary
+) -> IndexBuffers:
+    """One sub-collection's buffers, term counts and postings gathered one
+    token at a time, slots in first-occurrence order."""
+    buffers = _new_buffers()
+    postings: dict[int, tuple[list[int], list[int]]] = {}
+    para_postings: defaultdict[int, list[int]] = defaultdict(list)
+    ordinal = 0
+    for doc in collection.documents:
+        doc_counts: dict[int, int] = {}
+        for para in split_paragraphs(doc.doc_id, collection.collection_id, doc.text):
+            indexed = append_paragraph_by_token(
+                buffers, para.text, stem_fn, vocab.intern
+            )
+            for tid in indexed:
+                doc_counts[tid] = doc_counts.get(tid, 0) + 1
+            for tid in set(indexed):
+                para_postings[tid].append(ordinal)
+            ordinal += 1
+        for tid, tf in doc_counts.items():
+            slot = postings.setdefault(tid, ([], []))
+            slot[0].append(doc.doc_id)
+            slot[1].append(tf)
+    for tid, (docs, tfs) in postings.items():
+        buffers.p_terms.append(tid)
+        buffers.p_docs.extend(docs)
+        buffers.p_tfs.extend(tfs)
+        buffers.p_offsets.append(len(buffers.p_docs))
+        buffers.pp_ords.extend(para_postings[tid])
+        buffers.pp_offsets.append(len(buffers.pp_ords))
+    return buffers
