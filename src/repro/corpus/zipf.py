@@ -84,8 +84,8 @@ class ZipfSampler:
     Draws are made in blocks of at least ``_BLOCK`` uniforms, each mapped
     to word indices with one ``searchsorted``, and handed out in order.
     PCG64 doubles are sequential, so any split of the draws yields the
-    same values: ``sample(a)`` then ``sample(b)`` is ``rng.random(a)``
-    then ``rng.random(b)`` mapped per value, as it was before blocks.
+    same values: ``sample(a)`` then ``sample(b)`` returns what
+    ``rng.random(a)`` then ``rng.random(b)`` map to.
     """
 
     def __init__(
