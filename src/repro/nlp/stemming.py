@@ -23,8 +23,7 @@ for its own-words filter, and keeps the stems beside its entity layer; it
 calls :func:`repro.nlp.porter.stem` directly, not this cache, so that
 whether a text was seen before cannot change the cache's traffic.  A
 question's lookups here are then QP's alone — a function of the
-question, which the batch executor's trace replay
-(:mod:`repro.qa.batch`) relies on.
+question, so asking it again issues the same lookups again.
 
 The cache is a bounded LRU so that adversarial or very large vocabularies
 cannot grow memory without limit.  ``stem()`` lower-cases its input, so
@@ -33,7 +32,6 @@ caching on the lower-cased key loses nothing.
 
 from __future__ import annotations
 
-import typing as t
 from collections import OrderedDict
 
 from .porter import stem
@@ -54,11 +52,8 @@ class StemCache:
         self._cache: OrderedDict[str, str] = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self._trace: list[str] | None = None
 
     def __call__(self, word: str) -> str:
-        if self._trace is not None:
-            self._trace.append(word)
         key = word.lower()
         cached = self._cache.get(key)
         if cached is not None:
@@ -79,29 +74,6 @@ class StemCache:
         self._cache.clear()
         self.hits = 0
         self.misses = 0
-
-    # -- lookup tracing (the batched-execution replay hook) ----------------------
-    def start_trace(self) -> None:
-        """Begin recording every raw word passed to :meth:`__call__`.
-
-        The batch execution engine (:mod:`repro.qa.batch`) records the
-        lookup sequence of a question's first execution; replaying the
-        trace for a duplicate question touches this cache — hit/miss
-        counters and LRU order included — exactly as re-running the
-        question would, without re-deriving any stems downstream.
-        """
-        self._trace = []
-
-    def stop_trace(self) -> list[str]:
-        """Stop recording and return the captured lookup sequence."""
-        trace = self._trace if self._trace is not None else []
-        self._trace = None
-        return trace
-
-    def replay(self, trace: t.Sequence[str]) -> None:
-        """Re-issue a recorded lookup sequence against the cache."""
-        for word in trace:
-            self(word)
 
 
 #: Process-wide cache shared by QP, indexing, PS and AP.

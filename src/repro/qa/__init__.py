@@ -1,7 +1,6 @@
 """The sequential Falcon-like Q/A system (Figure 1) and its cost model."""
 
 from .answer_processing import AnswerProcessor, merge_answers
-from .batch import BatchStats, execute_batch
 from .costs import CostModel, ModuleCost, ReferenceHardware
 from .evaluation import EvaluationReport, QuestionOutcome, evaluate, score_result
 from .paragraph_ordering import ParagraphOrderer
@@ -19,6 +18,7 @@ from .profiles import (
 )
 from .question import (
     Answer,
+    BatchStats,
     ModuleTimings,
     ProcessedQuestion,
     QAResult,
@@ -53,7 +53,6 @@ __all__ = [
     "ScoredParagraph",
     "SyntheticProfileGenerator",
     "SyntheticProfileParams",
-    "execute_batch",
     "load_profiles",
     "merge_answers",
     "profile_question",

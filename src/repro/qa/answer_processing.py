@@ -118,7 +118,7 @@ class AnswerProcessor:
     processor keeps, from lower-cased candidate text to the stems of its
     words, filled on first sight with the pure Porter function — not the
     shared stem cache, so a question's stem-cache traffic stays QP's and
-    a function of the question alone, which the batch replay relies on.
+    a function of the question alone.
     What each step saves is measured in EXPERIMENTS.md, under "Paragraph
     entity layer", "AP by the ledger", "PS and AP by the occurrence" and
     "AP by the span".

@@ -67,7 +67,6 @@ class ParagraphRetriever:
         self,
         processed: ProcessedQuestion,
         collection_ids: t.Sequence[int] | None = None,
-        round_trace: list[list[tuple[str, ...]]] | None = None,
     ) -> PRResult:
         """Retrieve paragraphs from the given sub-collections (default all).
 
@@ -75,12 +74,6 @@ class ParagraphRetriever:
         the RECV partitioner exploits by letting under-loaded processors
         pull one collection at a time (Fig 7a) — all off one
         :class:`~repro.retrieval.boolean.RetrievalPlan` of the question.
-
-        ``round_trace``, when given, holds one list per collection (by
-        collection id); each visited collection appends the conjunction
-        key of every relaxation round it ran to its list — the batch
-        executor's conjunction-cache replay script.  Unvisited
-        collections' lists stay empty.
         """
         plan = RetrievalPlan(processed.keywords)
         if collection_ids is None:
@@ -88,9 +81,7 @@ class ParagraphRetriever:
         retrievers = self.indexed.retrievers
         result = PRResult(paragraphs=[])
         for cid in collection_ids:
-            r = retrievers[cid].run(
-                plan, None if round_trace is None else round_trace[cid]
-            )
+            r = retrievers[cid].run(plan)
             result.paragraphs.extend(r.paragraphs)
             result.per_collection.append(
                 CollectionWork(

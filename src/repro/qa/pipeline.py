@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 import typing as t
+from dataclasses import replace
 
 from ..nlp.entities import EntityRecognizer
 from ..observability.names import (
@@ -23,11 +24,10 @@ from ..observability.names import (
 )
 from ..retrieval.collection import IndexedCorpus
 from .answer_processing import AnswerProcessor
-from .batch import BatchStats, execute_batch
 from .paragraph_ordering import ParagraphOrderer
 from .paragraph_retrieval import ParagraphRetriever
 from .paragraph_scoring import KeywordIdResolver, ParagraphScorer
-from .question import ModuleTimings, QAResult, Question
+from .question import BatchStats, ModuleTimings, QAResult, Question
 from .question_processing import QuestionProcessor
 
 __all__ = ["QAPipeline", "result_fingerprint"]
@@ -93,18 +93,11 @@ class QAPipeline:
         #: Sharing/amortization stats of the most recent ``answer_batch``.
         self.last_batch_stats: BatchStats | None = None
 
-    def answer(
-        self,
-        question: Question | str,
-        qid: int = 0,
-        round_trace: list[list[tuple[str, ...]]] | None = None,
-    ) -> QAResult:
+    def answer(self, question: Question | str, qid: int = 0) -> QAResult:
         """Answer one question, timing each module.
 
-        This is the only QP -> PR -> PS -> PO -> AP pass: the batch
-        executor runs it too, handing in ``round_trace`` (one empty list
-        per collection, see :meth:`ParagraphRetriever.retrieve`) to
-        collect the conjunction-cache replay script for duplicates.
+        This is the only QP -> PR -> PS -> PO -> AP pass:
+        :meth:`answer_batch` runs it once per distinct question.
         """
         if isinstance(question, str):
             question = Question(qid=qid, text=question)
@@ -116,7 +109,7 @@ class QAPipeline:
         timings.qp = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        pr_result = self.pr.retrieve(processed, round_trace=round_trace)
+        pr_result = self.pr.retrieve(processed)
         timings.pr = time.perf_counter() - t0
         work[POSTINGS_SCANNED] = float(pr_result.postings_scanned)
         work[DOC_BYTES_READ] = float(pr_result.doc_bytes_read)
@@ -161,21 +154,37 @@ class QAPipeline:
         questions: t.Sequence[Question | str],
         qids: t.Sequence[int] | None = None,
     ) -> list[QAResult]:
-        """Answer a batch of questions with cross-question amortization.
+        """Answer a batch: one :meth:`answer` per distinct question text,
+        in first-occurrence order, one result per question in order.
 
-        Bit-identical to ``[self.answer(q) for q in questions]`` — same
-        answers, paragraph ranks, work counters and cache statistics —
-        because a first occurrence *is* one :meth:`answer` walk; what the
-        batch adds is that duplicates replay their first execution
-        instead of re-running it and posting lists are fetched once per
-        distinct stem per collection (see :mod:`repro.qa.batch`).  Sharing
+        A repeated question gets its first occurrence's result under its
+        own qid, with zero module timings: nothing ran for it.  Results
+        are those of ``[self.answer(q) for q in questions]``; the caches
+        see a serial pass over the distinct questions only.  Sharing
         accounting lands in :attr:`last_batch_stats`.
         """
-        items: list[Question] = []
+        firsts: dict[str, QAResult] = {}
+        results: list[QAResult] = []
         for i, q in enumerate(questions):
             if isinstance(q, str):
                 q = Question(qid=qids[i] if qids is not None else 0, text=q)
-            items.append(q)
-        results, stats = execute_batch(self, items)
-        self.last_batch_stats = stats
+            first = firsts.get(q.text)
+            if first is None:
+                first = firsts[q.text] = self.answer(q)
+                results.append(first)
+            else:
+                results.append(
+                    replace(
+                        first,
+                        processed=replace(first.processed, question=q),
+                        answers=list(first.answers),
+                        timings=ModuleTimings(),
+                        work=dict(first.work),
+                    )
+                )
+        self.last_batch_stats = BatchStats(
+            n_questions=len(results),
+            n_distinct=len(firsts),
+            postings_scanned=sum(r.work[POSTINGS_SCANNED] for r in results),
+        )
         return results

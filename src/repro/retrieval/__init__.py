@@ -1,6 +1,6 @@
 """Boolean information-retrieval substrate (the Zprise stand-in)."""
 
-from .boolean import BooleanRetriever, RetrievalResult, SharedPostings
+from .boolean import BooleanRetriever, RetrievalResult
 from .collection import IndexedCorpus
 from .inverted_index import (
     CollectionIndex,
@@ -21,7 +21,6 @@ __all__ = [
     "Paragraph",
     "ParagraphTerms",
     "RetrievalResult",
-    "SharedPostings",
     "StemCache",
     "attach_payload",
     "indexes_to_payload",

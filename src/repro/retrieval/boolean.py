@@ -23,7 +23,9 @@ loop needs of a question's keywords — their priority order, each round's
 conjunction key, each keyword's distinct stems and every stem's
 vocabulary id — is a :class:`RetrievalPlan`, worked out once per
 question and read by the retriever of every sub-collection, each of
-which turns an id into its posting slot with one array read.  The
+which turns an id into its posting slot with one array read.  Nothing
+here lives for a batch: a batch of questions runs this loop once per
+distinct question (:meth:`repro.qa.QAPipeline.answer_batch`).  The
 paragraph keyword-quorum filter — Falcon's "post-processing phase to
 extract paragraphs from documents" — is posting-list arithmetic too: a
 keyword's paragraphs are the intersection of its stems' *paragraph*
@@ -50,27 +52,7 @@ from ..nlp.keywords import Keyword
 from .inverted_index import CollectionIndex
 from .paragraphs import Paragraph
 
-__all__ = ["BooleanRetriever", "RetrievalPlan", "RetrievalResult", "SharedPostings"]
-
-
-class SharedPostings:
-    """Batch-scoped posting-list fetch sharing for one sub-collection.
-
-    While a batch is active (:meth:`BooleanRetriever.begin_batch`), every
-    posting-list resolution goes through this map, so distinct questions
-    sharing a stem — the common case under a Zipf question stream —
-    resolve each stem's postings against the index once per batch.  The
-    views themselves are the index's read-only memoryview slices; sharing
-    them is free and cannot change results.  ``fetches``/``shared`` feed
-    the batch's :class:`~repro.qa.batch.BatchStats`.
-    """
-
-    __slots__ = ("views", "fetches", "shared")
-
-    def __init__(self) -> None:
-        self.views: dict[str, memoryview] = {}
-        self.fetches = 0
-        self.shared = 0
+__all__ = ["BooleanRetriever", "RetrievalPlan", "RetrievalResult"]
 
 
 @dataclass(slots=True)
@@ -221,7 +203,6 @@ class BooleanRetriever:
         self._cache = (
             _ConjunctionCache(conjunction_cache) if conjunction_cache else None
         )
-        self._shared: SharedPostings | None = None
 
     @property
     def cache_stats(self) -> dict[str, int]:
@@ -234,57 +215,12 @@ class BooleanRetriever:
             "size": len(self._cache),
         }
 
-    # -- batch hooks --------------------------------------------------------------
-    def begin_batch(self, shared: SharedPostings) -> None:
-        """Route posting-list fetches through a batch-scoped shared map."""
-        self._shared = shared
-
-    def end_batch(self) -> None:
-        """Detach the batch-scoped postings map (serial behaviour resumes)."""
-        self._shared = None
-
-    def replay_rounds(self, rounds: t.Sequence[tuple[str, ...]]) -> None:
-        """Re-touch the conjunction cache as a serial re-run would.
-
-        ``rounds`` is the per-relaxation-round stem-key sequence recorded
-        by :meth:`retrieve` (``round_trace``) during a question's first
-        execution.  Replaying a duplicate question issues the same cache
-        gets — recomputing and re-inserting on a miss, exactly like
-        :meth:`_conjunction` — so hit/miss counters, LRU order and
-        eviction behaviour stay bit-identical to serial execution while
-        the (deterministic) results themselves are reused.
-        """
-        cache = self._cache
-        if cache is None:
-            return
-        cid = self.index.collection_id
-        lookup = self.index.vocab.lookup
-        for stems in rounds:
-            if not stems:
-                continue
-            if cache.get((cid, stems)) is None:
-                docs, charged = self._evaluate(stems, [lookup(s) for s in stems])
-                cache.put((cid, stems), docs, charged)
-
     # -- public API ---------------------------------------------------------------
-    def retrieve(
-        self,
-        keywords: t.Sequence[Keyword],
-        round_trace: list[tuple[str, ...]] | None = None,
-    ) -> RetrievalResult:
-        """Run the retrieval loop for ``keywords`` against this collection.
+    def retrieve(self, keywords: t.Sequence[Keyword]) -> RetrievalResult:
+        """Run the retrieval loop for ``keywords`` against this collection."""
+        return self.run(RetrievalPlan(keywords))
 
-        ``round_trace``, when given, collects the conjunction stem key of
-        every relaxation round — the batch engine's replay script for
-        duplicate questions (:meth:`replay_rounds`).
-        """
-        return self.run(RetrievalPlan(keywords), round_trace)
-
-    def run(
-        self,
-        plan: RetrievalPlan,
-        round_trace: list[tuple[str, ...]] | None = None,
-    ) -> RetrievalResult:
+    def run(self, plan: RetrievalPlan) -> RetrievalResult:
         """:meth:`retrieve` for keywords already planned — the loop every
         sub-collection of one question runs off the same plan."""
         result = RetrievalResult(
@@ -303,7 +239,7 @@ class BooleanRetriever:
         ids, per_keyword_ids = plan.ids(index.vocab)
         keys = plan.keys
         while True:
-            docs = self._conjunction(keys[m], ids, result, round_trace)
+            docs = self._conjunction(keys[m], ids, result)
             result.relaxation_rounds += 1
             if len(docs) >= self.min_docs or m == 1:
                 break
@@ -357,7 +293,6 @@ class BooleanRetriever:
         stems: tuple[str, ...],
         ids: t.Sequence[int],
         result: RetrievalResult,
-        round_trace: list[tuple[str, ...]] | None = None,
     ) -> t.AbstractSet[int]:
         """Docs containing *every* stem of *every* active keyword.
 
@@ -367,8 +302,6 @@ class BooleanRetriever:
         stopping at the first empty one — depends neither on the order
         the lists are intersected in nor on the cache.
         """
-        if round_trace is not None:
-            round_trace.append(stems)
         if not stems:
             return set()
 
@@ -386,26 +319,6 @@ class BooleanRetriever:
             self._cache.put((self.index.collection_id, stems), docs, charged)
         return docs
 
-    def _fetch_postings(self, stem: str, tid: int) -> memoryview:
-        """The sorted posting view of ``stem`` (whose id is ``tid``),
-        shared across a batch if one is active.
-
-        The views are read-only slices of the index's flat posting
-        buffer, so serving a repeat fetch from the batch map is pure
-        amortization — same object, same contents, same charge.
-        """
-        shared = self._shared
-        if shared is None:
-            return self.index.id_postings(tid)
-        view = shared.views.get(stem)
-        if view is not None:
-            shared.shared += 1
-            return view
-        view = self.index.id_postings(tid)
-        shared.views[stem] = view
-        shared.fetches += 1
-        return view
-
     def _evaluate(
         self, stems: tuple[str, ...], ids: t.Sequence[int]
     ) -> tuple[frozenset[int], int]:
@@ -414,8 +327,9 @@ class BooleanRetriever:
         and the postings a cold evaluation charges."""
         charged = 0
         arrays: list[memoryview] = []
-        for s, tid in zip(stems, ids):
-            postings = self._fetch_postings(s, tid)
+        id_postings = self.index.id_postings
+        for tid in ids[: len(stems)]:
+            postings = id_postings(tid)
             n = len(postings)
             charged += n
             if n == 0:

@@ -6,7 +6,7 @@ indexed", Section 6) and offers corpus-level retrieval that iterates over
 sub-collections — the iterative structure (granularity: Collection, Table
 2) that both intra-question partitioning strategies exploit.
 
-Indexing stems through the process-wide shared cache by default
+Indexing stems through the process-wide shared cache
 (:data:`repro.nlp.stemming.SHARED_STEM_CACHE`), so building several
 corpora — common in experiments and tests — reuses stems across
 collections *and* across corpora instead of re-deriving them per
@@ -19,7 +19,6 @@ import typing as t
 
 from ..corpus.generator import Corpus
 from ..nlp.keywords import Keyword
-from ..nlp.stemming import SHARED_STEM_CACHE, StemCache
 from .boolean import BooleanRetriever, RetrievalResult
 from .inverted_index import CollectionIndex, ParagraphTerms
 from .paragraphs import Paragraph
@@ -34,12 +33,6 @@ class IndexedCorpus:
     ----------
     corpus:
         The corpus to index.
-    min_docs / paragraph_quorum:
-        Relaxation floor and paragraph-extraction quorum, passed to every
-        :class:`BooleanRetriever`.
-    stemmer:
-        Stem cache shared by all sub-collection indexes (defaults to the
-        process-wide shared cache).
     conjunction_cache:
         Capacity of each retriever's conjunction cache (see
         :class:`BooleanRetriever`).
@@ -52,31 +45,17 @@ class IndexedCorpus:
     def __init__(
         self,
         corpus: Corpus,
-        min_docs: int = 3,
-        paragraph_quorum: float = 0.5,
-        stemmer: StemCache | None = None,
         conjunction_cache: int = 256,
         indexes: list[CollectionIndex] | None = None,
     ) -> None:
         self.corpus = corpus
-        self.min_docs = min_docs
-        self.paragraph_quorum = paragraph_quorum
-        stemmer = SHARED_STEM_CACHE if stemmer is None else stemmer
         self.indexes: list[CollectionIndex] = (
             indexes
             if indexes is not None
-            else [
-                CollectionIndex(coll, stemmer=stemmer)
-                for coll in corpus.collections
-            ]
+            else [CollectionIndex(coll) for coll in corpus.collections]
         )
         self.retrievers: list[BooleanRetriever] = [
-            BooleanRetriever(
-                ix,
-                min_docs=min_docs,
-                paragraph_quorum=paragraph_quorum,
-                conjunction_cache=conjunction_cache,
-            )
+            BooleanRetriever(ix, conjunction_cache=conjunction_cache)
             for ix in self.indexes
         ]
 
@@ -87,11 +66,7 @@ class IndexedCorpus:
         is cheap — only the retrievers (and their caches) are new.
         """
         return IndexedCorpus(
-            self.corpus,
-            min_docs=self.min_docs,
-            paragraph_quorum=self.paragraph_quorum,
-            conjunction_cache=conjunction_cache,
-            indexes=self.indexes,
+            self.corpus, conjunction_cache=conjunction_cache, indexes=self.indexes
         )
 
     @property

@@ -18,10 +18,11 @@ folds into ledger + metrics + spans, and both run a dispatched unit
 through the same :func:`_execute`.  The wire has one shape per hop: a
 **request** is ``(seq, qid, text, submit_wall)``, a **unit** — what one
 worker takes in one piece — is a list of requests, and ``submit(unit)``
-is the only way to dispatch.  A unit of one runs through
-``QAPipeline.answer``; a longer one through ``QAPipeline.answer_batch``,
-so duplicate questions replay and posting fetches are shared.  Every
-reply record carries the five module timings the worker measured; what
+is the only way to dispatch.  Every unit, of one question or of
+eight, runs through one ``QAPipeline.answer_batch`` call, which answers
+each distinct question once; a repeat in the unit gets its first
+occurrence's answers and zero module timings.  Every reply record
+carries the five module timings the worker measured; what
 the server draws from them (see ``server.py``) is none of the worker's
 business, so nothing about tracing travels on the wire.
 
@@ -99,9 +100,10 @@ class ExecutionResult:
     worker_pid: int
     error: str = ""
     #: Measured module seconds ``(qp, pr, ps, po, ap)`` inside
-    #: ``service_s``; all zero when the pipeline raised.
+    #: ``service_s``; all zero when the pipeline raised, and for a repeat
+    #: of a question earlier in its unit.
     timings: tuple[float, float, float, float, float] = _NO_TIMINGS
-    #: When executed as part of a micro-batch: (batch_size, n_distinct,
+    #: For a member of a unit longer than one: (batch_size, n_distinct,
     #: sharing_factor, amortized_postings_scanned); ``None`` otherwise.
     batch: tuple[int, int, float, float] | None = None
 
@@ -114,7 +116,7 @@ def _digest_answers(answers: t.Sequence[t.Any]) -> tuple[tuple[str, float], ...]
 def _execute(
     pipeline: "QAPipeline", unit: t.Sequence[_Request], pid: int
 ) -> list[tuple[t.Any, ...]]:
-    """Run one dispatched unit: ``answer`` for one request, else ``answer_batch``.
+    """Run one dispatched unit through ``QAPipeline.answer_batch``.
 
     Returns one record per question, in :class:`ExecutionResult` field
     order (the reply wire format).  A pipeline exception is caught here —
@@ -126,12 +128,10 @@ def _execute(
     binfo = None
     error = ""
     try:
-        if len(unit) == 1:
-            results = [pipeline.answer(unit[0][2], qid=unit[0][1])]
-        else:
-            results = pipeline.answer_batch(
-                [req[2] for req in unit], [req[1] for req in unit]
-            )
+        results = pipeline.answer_batch(
+            [req[2] for req in unit], [req[1] for req in unit]
+        )
+        if len(unit) > 1:
             stats = pipeline.last_batch_stats
             binfo = (
                 len(unit),
@@ -153,7 +153,7 @@ def _execute(
             answers = _digest_answers(r.answers)
             timings = (tm.qp, tm.pr, tm.ps, tm.po, tm.ap)
             # A lone question is charged the whole measured call, a batch
-            # member its own module time (the planner pass is the unit's).
+            # member its own module time (zero for a repeat: nothing ran).
             service_s = share_s if binfo is None else tm.total
         wait_s = max(0.0, picked_wall - submit_wall) + ahead_s
         records.append(

@@ -19,6 +19,7 @@ import pytest
 
 from repro.corpus import CorpusConfig, generate_corpus, generate_questions
 from repro.nlp import EntityRecognizer
+from repro.nlp.stemming import SHARED_STEM_CACHE, StemCache
 from repro.qa import QAPipeline
 from repro.retrieval import IndexedCorpus
 
@@ -96,3 +97,19 @@ def shared_pipeline(shared_corpus, shared_indexed_corpus):
 def shared_questions(shared_corpus):
     """Generated questions for the shared corpus."""
     return generate_questions(shared_corpus)
+
+
+@pytest.fixture()
+def stem_lookups(monkeypatch):
+    """Every word passed to the shared stem cache while the test runs, in
+    order; clear the list to start a new recording."""
+    words: list[str] = []
+    real = StemCache.__call__
+
+    def recording(self, word):
+        if self is SHARED_STEM_CACHE:
+            words.append(word)
+        return real(self, word)
+
+    monkeypatch.setattr(StemCache, "__call__", recording)
+    return words

@@ -18,7 +18,6 @@ import dataclasses
 import pytest
 
 from repro.nlp import EntityRecognizer, EntityType, Gazetteer
-from repro.nlp.stemming import SHARED_STEM_CACHE
 from repro.nlp.tokenizer import tokenize
 from repro.qa import (
     AnswerProcessor,
@@ -205,7 +204,7 @@ def test_matched_unmatched_and_mixed_accepted_lists_agree(stack):
     assert checked > 40
 
 
-def test_own_words_memo_lives_for_one_call(stack):
+def test_own_words_memo_lives_for_one_call(stack, stem_lookups):
     """The stem-cache traffic of a question is a function of the question
     alone: asking it again issues the same lookups again.  They are QP's:
     AP stems each candidate text once per processor, with the pure Porter
@@ -214,12 +213,10 @@ def test_own_words_memo_lives_for_one_call(stack):
     pipeline = _fresh(indexed, recognizer)
     traces = []
     for _ in range(2):
-        SHARED_STEM_CACHE.start_trace()
-        try:
-            for text in texts[:20]:
-                pipeline.answer(text)
-        finally:
-            traces.append(SHARED_STEM_CACHE.stop_trace())
+        stem_lookups.clear()
+        for text in texts[:20]:
+            pipeline.answer(text)
+        traces.append(list(stem_lookups))
     assert traces[0] == traces[1] and traces[0]
 
 

@@ -227,7 +227,7 @@ def test_inline_score_equals_the_general_loop(recognizer, candidate, flanks, sid
 
 # -- stem-cache traffic is QP's alone ----------------------------------------------------
 def test_ap_issues_no_stem_cache_lookups_cold_or_warm(
-    corpus_stack, shared_questions
+    corpus_stack, shared_questions, stem_lookups
 ):
     indexed, recognizer, _ = corpus_stack
     pipeline = QAPipeline(indexed.reconfigured(), recognizer)
@@ -240,16 +240,15 @@ def test_ap_issues_no_stem_cache_lookups_cold_or_warm(
         )
     assert sum(len(accepted) for _, accepted in staged) > 40
     ap = AnswerProcessor(recognizer, term_lookup=indexed.term_lookup)
+    # Staging went through QP: the recording is not vacuous.
+    assert stem_lookups
     for _ in ("cold", "warm"):
-        SHARED_STEM_CACHE.start_trace()
-        try:
-            for processed, accepted in staged:
-                ap.extract(processed, accepted)
-                for sp in accepted[:2]:
-                    ap.candidates(processed, sp.paragraph)
-        finally:
-            trace = SHARED_STEM_CACHE.stop_trace()
-        assert trace == []
+        stem_lookups.clear()
+        for processed, accepted in staged:
+            ap.extract(processed, accepted)
+            for sp in accepted[:2]:
+                ap.candidates(processed, sp.paragraph)
+        assert stem_lookups == []
     assert ap._own_words
 
 

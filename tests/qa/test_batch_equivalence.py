@@ -1,15 +1,15 @@
-"""Batched execution (PR 7) must be bit-identical to serial execution.
+"""Batched execution must give serial execution's results.
 
-``QAPipeline.answer_batch`` amortizes work across a batch — duplicate
-questions replay their first execution, posting fetches are shared
-through a batch-scoped map, PS/AP keyword ids resolve once per question
-— but the contract is strict equivalence: answers, paragraph ranks,
-work counters, *and* the conjunction/stem cache statistics afterwards
-must equal ``[pipeline.answer(q) for q in batch]`` run from the same
+``QAPipeline.answer_batch`` runs ``answer`` once per distinct question
+text and hands a repeat its first occurrence's result under its own
+qid.  The contract: answers, paragraph ranks and work counters equal
+``[pipeline.answer(q) for q in batch]``, and the conjunction/stem cache
+statistics afterwards equal a serial pass over ``dict.fromkeys(batch)``
+— the distinct questions, in first-occurrence order — run from the same
 starting state.  The Hypothesis properties drive random batches
-(duplicates included) through both paths on fresh retriever stacks; the
-regression tests pin the cache-statistics replay and the sharing
-accounting.
+(repeats included, and a capacity-2 conjunction cache that evicts
+between a question and its repeat) through both paths on fresh
+retriever stacks; the regression tests pin the sharing accounting.
 """
 
 from __future__ import annotations
@@ -46,39 +46,44 @@ def _fresh(indexed, recognizer, cache=64):
     return QAPipeline(indexed.reconfigured(conjunction_cache=cache), recognizer)
 
 
-def _stem_counters() -> tuple[int, int]:
-    return SHARED_STEM_CACHE.hits, SHARED_STEM_CACHE.misses
+def _cache_counters(pipeline, ask):
+    """Stem-cache deltas and conjunction-cache stats of ``ask(pipeline)``."""
+    h0, m0 = SHARED_STEM_CACHE.hits, SHARED_STEM_CACHE.misses
+    results = ask(pipeline)
+    stems = (SHARED_STEM_CACHE.hits - h0, SHARED_STEM_CACHE.misses - m0)
+    return results, stems, [r.cache_stats for r in pipeline.indexed.retrievers]
+
+
+def _assert_batch_matches_serial(stack, batch, cache):
+    indexed, recognizer, _ = stack
+    expected = [
+        result_fingerprint(r)
+        for r in map(_fresh(indexed, recognizer, cache).answer, batch)
+    ]
+    _, *serial = _cache_counters(
+        _fresh(indexed, recognizer, cache),
+        lambda p: [p.answer(q) for q in dict.fromkeys(batch)],
+    )
+    results, *batched = _cache_counters(
+        _fresh(indexed, recognizer, cache), lambda p: p.answer_batch(batch)
+    )
+    assert [result_fingerprint(r) for r in results] == expected
+    assert batched == serial
 
 
 class TestBatchProperty:
     @settings(max_examples=15, deadline=None)
-    @given(picks=st.lists(st.integers(0, 7), min_size=1, max_size=10))
-    def test_answer_batch_matches_serial(self, stack, picks):
-        """Random batches — duplicates likely — fingerprint-match serial."""
-        indexed, recognizer, pool = stack
-        batch = [pool[i] for i in picks]
-
-        serial = _fresh(indexed, recognizer)
-        h0, m0 = _stem_counters()
-        expected = [result_fingerprint(serial.answer(q)) for q in batch]
-        serial_stems = (
-            SHARED_STEM_CACHE.hits - h0,
-            SHARED_STEM_CACHE.misses - m0,
-        )
-
-        batched = _fresh(indexed, recognizer)
-        h0, m0 = _stem_counters()
-        results = batched.answer_batch(batch)
-        batched_stems = (
-            SHARED_STEM_CACHE.hits - h0,
-            SHARED_STEM_CACHE.misses - m0,
-        )
-
-        assert [result_fingerprint(r) for r in results] == expected
-        assert batched_stems == serial_stems
-        assert [
-            r.cache_stats for r in serial.indexed.retrievers
-        ] == [r.cache_stats for r in batched.indexed.retrievers]
+    @given(
+        picks=st.lists(st.integers(0, 7), min_size=1, max_size=10),
+        cache=st.sampled_from([2, 64]),
+    )
+    def test_answer_batch_matches_serial(self, stack, picks, cache):
+        """Random batches — repeats likely — fingerprint-match serial, and
+        leave the caches of a serial pass over their distinct questions.
+        A capacity-2 conjunction cache evicts between a question and its
+        repeat."""
+        _, _, pool = stack
+        _assert_batch_matches_serial(stack, [pool[i] for i in picks], cache)
 
     @settings(max_examples=10, deadline=None)
     @given(i=st.integers(0, 7))
@@ -101,36 +106,12 @@ class TestBatchRegression:
         assert pipeline.last_batch_stats.n_questions == 0
 
     def test_cache_stats_survive_eviction_pressure(self, stack):
-        """Replay must equal serial even when the conjunction LRU evicts.
-
-        A capacity-2 cache forces evictions between the duplicate's first
-        execution and its replay; the replay recomputes evicted entries
-        exactly as serial re-execution would, so hit/miss counters match.
-        """
-        indexed, recognizer, pool = stack
+        """Capacity 2 evicts between a question and its repeat: serial
+        re-execution would miss on entries the first run inserted; the
+        batch asks the repeat nothing, like the distinct-question pass."""
+        _, _, pool = stack
         workload = [pool[0], pool[1], pool[2], pool[0], pool[3], pool[0]]
-
-        serial = _fresh(indexed, recognizer, cache=2)
-        h0, m0 = _stem_counters()
-        expected = [result_fingerprint(serial.answer(q)) for q in workload]
-        serial_stems = (
-            SHARED_STEM_CACHE.hits - h0,
-            SHARED_STEM_CACHE.misses - m0,
-        )
-
-        batched = _fresh(indexed, recognizer, cache=2)
-        h0, m0 = _stem_counters()
-        results = batched.answer_batch(workload)
-        batched_stems = (
-            SHARED_STEM_CACHE.hits - h0,
-            SHARED_STEM_CACHE.misses - m0,
-        )
-
-        assert [result_fingerprint(r) for r in results] == expected
-        assert batched_stems == serial_stems
-        assert [
-            r.cache_stats for r in serial.indexed.retrievers
-        ] == [r.cache_stats for r in batched.indexed.retrievers]
+        _assert_batch_matches_serial(stack, workload, cache=2)
 
     def test_sharing_stats_account_duplicates(self, stack):
         indexed, recognizer, pool = stack
@@ -142,26 +123,32 @@ class TestBatchRegression:
         assert stats.n_questions == 6
         assert stats.n_distinct == 3
         assert stats.sharing_factor == pytest.approx(2.0)
-        # Duplicates carry the same logical work charge as serial runs,
-        # so the amortized charge is below the per-question mean of the
-        # distinct executions only through batching of *fetches*; the
-        # scanned total itself equals the serial total.
+        # Repeats carry the same logical work charge as serial runs, so
+        # the scanned total equals the serial total.
         serial = _fresh(indexed, recognizer)
         serial_scanned = sum(
             serial.answer(q).work["retrieval.postings_scanned"]
             for q in workload
         )
         assert stats.postings_scanned == pytest.approx(serial_scanned)
-        assert stats.postings_fetches > 0
-        assert stats.postings_shared > 0
+        assert stats.amortized_postings_scanned == pytest.approx(
+            serial_scanned / 6
+        )
 
     def test_batch_metrics_recorded(self, stack):
+        """A repeat reuses its first result, with zero module timings:
+        nothing ran for it."""
         indexed, recognizer, pool = stack
         pipeline = _fresh(indexed, recognizer)
-        pipeline.answer_batch([pool[0], pool[0], pool[1]])
+        first, repeat, other = pipeline.answer_batch([pool[0], pool[0], pool[1]])
         stats = pipeline.last_batch_stats
-        assert stats.n_questions == 3
-        assert stats.postings_shared > 0
+        assert (stats.n_questions, stats.n_distinct) == (3, 2)
+        assert stats.sharing_factor == pytest.approx(1.5)
+        assert first.timings.total > 0 and other.timings.total > 0
+        assert repeat.timings.total == 0.0
+        assert repeat.answers == first.answers
+        assert repeat.answers is not first.answers
+        assert repeat.work == first.work and repeat.work is not first.work
 
     def test_qids_propagate(self, stack):
         indexed, recognizer, pool = stack

@@ -189,8 +189,8 @@ def evaluate_sets(
     """Reference implementation: per-stem doc sets, smallest-first."""
     charged = 0
     doc_sets: list[set[int]] = []
-    for s, tid in zip(stems, ids):
-        postings = self._fetch_postings(s, tid)
+    for tid in ids[: len(stems)]:
+        postings = self.index.id_postings(tid)
         charged += len(postings)
         if not len(postings):
             return frozenset(), charged

@@ -22,7 +22,6 @@ from repro.nlp.keywords import Keyword
 from repro.nlp.stemming import cached_stem
 from repro.nlp.tokenizer import tokenize
 from repro.nlp.vocabulary import Vocabulary
-from repro.retrieval.collection import IndexedCorpus
 from repro.retrieval.boolean import BooleanRetriever
 from repro.retrieval.inverted_index import CollectionIndex, StemCache
 from repro.retrieval.packing import (
@@ -161,8 +160,6 @@ def test_fresh_vocabulary_and_stem_cache_are_kept(small_stack):
     cache = StemCache()
     collection = _corpus_of(index, texts).collections[0]
     assert CollectionIndex(collection, stemmer=cache)._stem is cache
-    corpus = _corpus_of(index, texts)
-    assert IndexedCorpus(corpus, stemmer=cache).indexes[0]._stem is cache
 
 
 def test_attach_ignores_extra_collection_entry_keys(small_stack):

@@ -156,7 +156,7 @@ class TestServerSurface:
         class Broken:
             metrics = None
 
-            def answer(self, text, qid=0):
+            def answer_batch(self, texts, qids=None):
                 raise ValueError("poisoned question")
 
         server = QAServer(
@@ -184,11 +184,11 @@ class TestServerSurface:
             def __init__(self):
                 self.results = []
 
-            def answer(self, text, qid=0):
-                if not text:
+            def answer_batch(self, texts, qids=None):
+                if not all(texts):
                     raise ValueError("empty question")
-                self.results.append(shared_pipeline.answer(text, qid=qid))
-                return self.results[-1]
+                self.results += shared_pipeline.answer_batch(texts, qids)
+                return self.results[-len(texts):]
 
         pipeline = Recording()
         pool = InlineExecutor(pipeline)
@@ -200,6 +200,39 @@ class TestServerSurface:
         assert not served.error and sum(served.timings) > 0
         assert failed.error == "ValueError: empty question"
         assert failed.timings == (0.0,) * 5 and failed.answers == ()
+
+    def test_a_repeat_in_a_unit_claims_no_module_time(
+        self, shared_pipeline, shared_questions
+    ):
+        """The real pipeline on the unit ``[q0, q1, q0]``: one record per
+        request, in order; the repeat has q0's answers, zero module
+        timings and no service charge, since nothing ran for it; every
+        member carries the unit's sharing stats, a unit of one none."""
+        from repro.observability.names import POSTINGS_SCANNED
+        from repro.serving.workers import InlineExecutor
+
+        q0, q1 = (q.text for q in shared_questions[:2])
+        assert q0 != q1
+        pool = InlineExecutor(shared_pipeline)
+        now = time.time()
+        pool.submit([(0, 10, q0, now), (1, 11, q1, now), (2, 12, q0, now)])
+        records = pool.poll()
+        assert [(r.seq, r.qid) for r in records] == [(0, 10), (1, 11), (2, 12)]
+        first, other, repeat = records
+        assert not any(r.error for r in records)
+        assert repeat.answers == first.answers
+        assert sum(first.timings) > 0 and sum(other.timings) > 0
+        assert repeat.timings == (0.0,) * 5 and repeat.service_s == 0.0
+        scanned = [
+            shared_pipeline.answer(q).work[POSTINGS_SCANNED] for q in (q0, q1, q0)
+        ]
+        amortized = sum(scanned) / 3
+        assert all(r.batch == (3, 2, 1.5, amortized) for r in records)
+
+        pool.submit([(3, 13, q1, time.time())])
+        (single,) = pool.poll()
+        assert single.batch is None and single.answers == other.answers
+        assert sum(single.timings) > 0
 
 
 class TestLostWorker:

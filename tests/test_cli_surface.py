@@ -105,6 +105,28 @@ def test_selector_has_one_mode(shared_indexed_corpus, shared_pipeline):
         assert set(entry) == {"collection_id", "buffers"}
 
 
+def test_a_batch_is_a_loop_over_answer():
+    """``answer_batch`` runs ``answer`` per distinct question: no cache
+    trace, no replay, no batch-scoped posting map, no second call path
+    in the worker, and no pass-through knobs on ``IndexedCorpus``."""
+    import inspect
+
+    from repro.retrieval import IndexedCorpus
+
+    source = "".join(p.read_text() for p in (ROOT / "src").rglob("*.py"))
+    for retired in (
+        "Shared" "Postings", "begin" "_batch", "end" "_batch",
+        "replay" "_rounds", "_fetch" "_postings", "round" "_trace",
+        "start" "_trace", "stop" "_trace", "def replay" "(",
+        "execute" "_batch", "_Question" "Record", "postings" "_fetches",
+        "postings" "_shared", "pr_wall" "_s", "len(unit) == " "1",
+    ):
+        assert retired not in source, retired
+    assert not (ROOT / "src" / "repro" / "qa" / "batch.py").exists()
+    params = inspect.signature(IndexedCorpus).parameters
+    assert list(params) == ["corpus", "conjunction_cache", "indexes"]
+
+
 def test_simulated_routing_is_an_input_not_a_switch():
     """The simulator routes PR only by the explicit collection ids its
     partitioners hand out: no routed profiles, probe cost or section."""
