@@ -56,12 +56,15 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
     from . import workload as w
     from .core import DistributedQASystem, Strategy, SystemConfig
 
-    config = SystemConfig(
-        n_nodes=args.nodes, strategy=Strategy[args.strategy], seed=args.seed
-    )
-    report = w.run_high_load(
-        DistributedQASystem(config), args.seed, args.questions, args.stagger
-    )
+    try:
+        config = SystemConfig(
+            n_nodes=args.nodes, strategy=Strategy[args.strategy], seed=args.seed
+        )
+        report = w.run_high_load(
+            DistributedQASystem(config), args.seed, args.questions, args.stagger
+        )
+    except ValueError as exc:  # bad input: usage error, not a traceback
+        raise SystemExit(f"simulate: invalid configuration: {exc}") from exc
     print(
         f"{args.strategy} on {args.nodes} nodes, {report.n_admitted} questions "
         f"(seed {args.seed}):"

@@ -77,7 +77,6 @@ EXPERIMENTS: dict[str, t.Callable[[], str]] = {
     "ext-chaos": lambda: _ext_chaos(),
     "ext-heterogeneous": lambda: _ext_heterogeneous(),
     "ext-churn": lambda: _ext_churn(),
-    "ext-model-validation": lambda: _ext_model_validation(),
     "ext-scale": lambda: _ext_scale(),
     "ext-event-census": lambda: _ext_event_census(),
 }
@@ -102,12 +101,6 @@ def _ext_event_census() -> str:
     return "\n\n".join(
         format_census(n, 128, 101, census(n, 128, 101)) for n in (16, 128)
     )
-
-
-def _ext_model_validation() -> str:
-    from .scale import format_inter_validation, run_inter_validation
-
-    return format_inter_validation(run_inter_validation())
 
 
 def _ext_heterogeneous() -> str:

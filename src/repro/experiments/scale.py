@@ -1,22 +1,20 @@
-"""Simulated system speedup against Eq 23: the two weak-scaling checks.
+"""Simulated system speedup against Eq 23 (``ext-scale``).
 
-The paper's Figure 8 is Eq 23 alone; both sections here measure the same
-ratio on the simulator instead, running ``q`` questions per processor
-(the regime Eq 23 assumes) through the Section 6.1 recipe,
-:func:`~repro.workload.run_high_load`:
+The paper's Figure 8 is Eq 23 alone: ``S(N) = N / (1 + T_dist(N)/T̄)``,
+the speedup of N processors each kept busy with ``q`` questions.  This
+section measures the same ratio on the simulator, in that regime: every
+cell runs the Section 6.1 recipe, :func:`~repro.workload.run_high_load`,
+with its 8 questions per node on the default cluster (DQA, RECV, the
+broadcast monitor plane Eq 14 models), and staggers arrivals by
+``2 s / N`` so that each node is offered the N = 1 anchor's rate at
+every N.
 
-* ``ext-scale`` (:func:`run_scale`) — Section 5 stops at the
-  12-processor testbed and *extrapolates* Eq 9-23 to 1000 processors
-  (Figures 8-9).  With sharded load monitoring
-  (``SystemConfig.monitor_shards``, ~sqrt(N) shards) the simulator
-  executes those sizes directly, under each AP partitioning strategy
-  (SEND / ISEND / RECV; PR always uses RECV, as in the paper).  The
-  section sweeps 16 -> 128 nodes;
-  ``run_scale(node_counts=DEFAULT_NODE_COUNTS)`` climbs to the paper's
-  1000 (minutes of host time per strategy).
-* ``ext-model-validation`` (:func:`run_inter_validation`) — the testbed's
-  own range, 1 -> 16 nodes on the broadcast monitor plane, averaged over
-  two seeds.
+Throughput is the middle-half completion rate (:func:`_middle_half_rate`),
+the rate at saturation: completions divided by a makespan would also
+count the warm-up and the drain tail.  Measured speedup is
+``rate(N, seed) / rate(1, seed)``, and the table reports it, its ratio
+to Eq 23 and the busiest node's hosted-question count over the per-node
+mean, each across seeds.
 
 How fast the simulator gets through a cell is the benchmark's business
 (``bench/run.py``, ``sim_scale128``), not this experiment's.
@@ -24,200 +22,118 @@ How fast the simulator gets through a cell is the benchmark's business
 
 from __future__ import annotations
 
+import statistics
 import typing as t
+from collections import Counter
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from ..core import (
-    DistributedQASystem,
-    PartitioningStrategy,
-    Strategy,
-    SystemConfig,
-    TaskPolicy,
-)
-from ..core.monitor import auto_shard_count
+from ..core import DistributedQASystem, SystemConfig
 from ..model import ModelParameters, system_speedup
 from ..workload import run_high_load
 from .parallel import run_cells
 from .report import TextTable
 
-__all__ = [
-    "ScaleCell",
-    "SpeedupPoint",
-    "run_scale",
-    "format_scale",
-    "run_inter_validation",
-    "format_inter_validation",
-    "DEFAULT_NODE_COUNTS",
-]
-
-#: The full weak-scaling ladder: every doubling from 16, plus the paper's 1000.
-DEFAULT_NODE_COUNTS = (16, 32, 64, 128, 256, 512, 1000)
+__all__ = ["ScaleCell", "run_scale", "format_scale"]
 
 
 @dataclass(frozen=True, slots=True)
 class ScaleCell:
-    """One simulated (N, strategy) cell."""
+    """One simulated (N, seed) cell."""
 
     n_nodes: int
-    ap_strategy: str
-    monitor_shards: int
-    n_questions: int
-    events: int
-    throughput_qpm: float
-    mean_response_s: float
+    seed: int
+    #: Middle-half completion rate, questions per minute.
+    rate_qpm: float
+    #: Busiest node's hosted-question count over the per-node mean.
+    busiest_over_mean: float
 
 
-def _scale_cell(spec: tuple[int, str, int, int]) -> ScaleCell:
+def _middle_half_rate(completion_times: t.Sequence[float]) -> float:
+    """Completions per minute between the k/4-th and 3k/4-th completion.
+
+    Sorts the ``k`` completion times and divides the completions between
+    the ``⌊k/4⌋``-th and ``⌊3k/4⌋``-th (0-based) by the time between
+    them, which leaves out both the warm-up and the drain tail.
+    """
+    times = sorted(completion_times)
+    k = len(times)
+    if k < 4:
+        raise ValueError(f"middle-half rate needs >= 4 completions, got {k}")
+    lo, hi = k // 4, 3 * k // 4
+    width = times[hi] - times[lo]
+    if width <= 0:
+        raise ValueError("middle-half window has zero width")
+    return 60.0 * (hi - lo) / width
+
+
+def _scale_cell(spec: tuple[int, int]) -> ScaleCell:
     """Pool worker: simulate one cell."""
-    n_nodes, ap_strategy, seed, qpn = spec
-    n_q = qpn * n_nodes
-    shards = auto_shard_count(n_nodes)
+    n_nodes, seed = spec
     system = DistributedQASystem(
-        SystemConfig(
-            n_nodes=n_nodes,
-            strategy=Strategy.DQA,
-            seed=seed,
-            monitor_shards=shards,
-            policy=TaskPolicy(
-                ap_strategy=PartitioningStrategy[ap_strategy]
-            ),
-            collect_metrics=False,
-        )
+        SystemConfig(n_nodes=n_nodes, collect_metrics=False)
     )
-    report = run_high_load(system, seed, n_questions=n_q)
+    completed = run_high_load(system, seed, stagger_s=2.0 / n_nodes).completed
+    hosted = Counter(r.host_node for r in completed)
     return ScaleCell(
         n_nodes=n_nodes,
-        ap_strategy=ap_strategy,
-        monitor_shards=shards,
-        n_questions=n_q,
-        events=next(system.env._seq),
-        throughput_qpm=report.throughput_qpm,
-        mean_response_s=report.mean_response_s,
+        seed=seed,
+        rate_qpm=_middle_half_rate([r.end_time for r in completed]),
+        busiest_over_mean=max(hosted.values()) * n_nodes / len(completed),
     )
 
 
 def run_scale(
-    node_counts: t.Sequence[int] = (16, 32, 64, 128),
-    strategies: t.Sequence[str] = ("SEND", "ISEND", "RECV"),
-    questions_per_node: int = 4,
-    seed: int = 11,
-    params: ModelParameters | None = None,
+    node_counts: t.Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128),
+    seeds: t.Sequence[int] = (11, 23, 37),
     jobs: int | str | None = None,
 ) -> dict[str, t.Any]:
-    """Run the sweep; N=1 anchors each strategy's speedup ratio."""
-    params = params or ModelParameters()
-    node_counts = tuple(sorted(set(node_counts)))
-    specs = [
-        (n, strategy, seed, questions_per_node)
-        for strategy in strategies
-        for n in (1,) + node_counts
-    ]
+    """Run the ladder; N = 1, added if missing, anchors each seed's speedup."""
+    params = ModelParameters()
+    node_counts = tuple(sorted(set(node_counts) | {1}))
+    specs = [(n, seed) for n in node_counts for seed in seeds]
     cells = run_cells(_scale_cell, specs, jobs=jobs)
-    by_key = {(c.n_nodes, c.ap_strategy): c for c in cells}
+    by_key = {(c.n_nodes, c.seed): c for c in cells}
 
-    crosscheck = []
-    for strategy in strategies:
-        base = by_key[(1, strategy)]
-        for n in node_counts:
-            measured = (
-                by_key[(n, strategy)].throughput_qpm / base.throughput_qpm
-                if base.throughput_qpm
-                else 0.0
-            )
-            analytical = system_speedup(params, n)
-            crosscheck.append(
-                {
-                    "n_nodes": n,
-                    "ap_strategy": strategy,
-                    "measured_speedup": measured,
-                    "analytical_speedup": analytical,
-                    "rel_err": abs(measured - analytical) / analytical,
-                }
-            )
-
+    rows = []
+    for n in node_counts:
+        analytical = system_speedup(params, n)
+        speedups = [
+            by_key[(n, s)].rate_qpm / by_key[(1, s)].rate_qpm for s in seeds
+        ]
+        rows.append(
+            {
+                "n_nodes": n,
+                "analytical_speedup": analytical,
+                "speedups": speedups,
+                "ratios": [x / analytical for x in speedups],
+                "busiest_over_mean": [
+                    by_key[(n, s)].busiest_over_mean for s in seeds
+                ],
+            }
+        )
     return {
-        "seed": seed,
-        "questions_per_node": questions_per_node,
-        "node_counts": list(node_counts),
-        "strategies": list(strategies),
+        "seeds": list(seeds),
         "cells": [asdict(c) for c in cells],
-        "crosscheck": crosscheck,
+        "rows": rows,
     }
 
 
 def format_scale(summary: dict[str, t.Any]) -> str:
-    """Human-readable report of a scale sweep."""
+    """Human-readable report of the ladder (medians over seeds)."""
+    seeds = ", ".join(str(s) for s in summary["seeds"])
     table = TextTable(
-        "Eq 23 cross-check: measured vs analytical system speedup "
-        f"(q/node={summary['questions_per_node']}, seed={summary['seed']})",
-        ["N", "Strategy", "Measured", "Eq 23", "rel err"],
+        "Eq 23 vs simulated speedup at steady state "
+        f"(8 q/node, stagger 2 s / N, seeds {seeds})",
+        ["N", "Eq 23", "Measured", "ratio [min, max]", "busiest/mean"],
     )
-    for row in summary["crosscheck"]:
+    for row in summary["rows"]:
+        ratios = row["ratios"]
         table.add_row(
             row["n_nodes"],
-            row["ap_strategy"],
-            row["measured_speedup"],
             row["analytical_speedup"],
-            f"{row['rel_err'] * 100:.1f} %",
-        )
-    return table.render()
-
-
-# -- ext-model-validation: the same ratio on the 1-16 node testbed ------------------
-
-
-@dataclass(frozen=True, slots=True)
-class SpeedupPoint:
-    n_nodes: int
-    measured_speedup: float
-    analytical_speedup: float
-
-
-def run_inter_validation(
-    node_counts: t.Sequence[int] = (1, 2, 4, 8, 12, 16),
-    questions_per_node: int = 6,
-    seeds: t.Sequence[int] = (11, 23),
-    params: ModelParameters | None = None,
-) -> list[SpeedupPoint]:
-    """Measured vs Eq-23 system speedup over cluster sizes.
-
-    Speedup is throughput per unit of work relative to the 1-node system
-    on a proportionally scaled workload (weak scaling, as Eq 23 assumes:
-    q questions per processor).
-    """
-    params = params or ModelParameters()
-    throughput: dict[int, float] = {}
-    for n in node_counts:
-        config = SystemConfig(n_nodes=n, strategy=Strategy.DQA)
-        acc = [
-            run_high_load(
-                DistributedQASystem(config), seed, n_questions=questions_per_node * n
-            ).throughput_qpm
-            for seed in seeds
-        ]
-        throughput[n] = float(np.mean(acc))
-    base = throughput[node_counts[0]] / node_counts[0]
-    return [
-        SpeedupPoint(
-            n_nodes=n,
-            measured_speedup=throughput[n] / base,
-            analytical_speedup=system_speedup(params, n),
-        )
-        for n in node_counts
-    ]
-
-
-def format_inter_validation(points: t.Sequence[SpeedupPoint]) -> str:
-    """Render the Eq-23-vs-simulation speedup comparison."""
-    table = TextTable(
-        "Extension: inter-question model (Eq 23) vs simulation",
-        ["Procs", "Measured speedup", "Analytical speedup", "ratio"],
-    )
-    for p in points:
-        ratio = p.measured_speedup / p.analytical_speedup
-        table.add_row(
-            p.n_nodes, p.measured_speedup, p.analytical_speedup, f"{ratio:.2f}"
+            statistics.median(row["speedups"]),
+            f"{statistics.median(ratios):.2f} "
+            f"[{min(ratios):.2f}, {max(ratios):.2f}]",
+            statistics.median(row["busiest_over_mean"]),
         )
     return table.render()

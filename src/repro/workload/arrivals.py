@@ -59,6 +59,8 @@ def staggered_arrivals(
     """
     if n_questions < 0:
         raise ValueError("n_questions must be non-negative")
+    if stagger_s < 0:
+        raise ValueError("stagger_s must be non-negative")
     rng = np.random.default_rng(seed)
     gaps = rng.uniform(0.0, stagger_s, size=n_questions)
     times = np.concatenate([[0.0], np.cumsum(gaps[:-1])]) if n_questions else []

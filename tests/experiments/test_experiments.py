@@ -164,7 +164,7 @@ class TestRegistry:
             "ablation-dispatchers", "ablation-concurrency",
             "ablation-threshold", "ablation-margin",
             "ext-chaos", "ext-heterogeneous", "ext-churn",
-            "ext-model-validation", "ext-scale", "ext-event-census",
+            "ext-scale", "ext-event-census",
         }
         assert set(EXPERIMENTS) == expected
 

@@ -10,10 +10,6 @@ from repro.experiments.robustness_exp import (
     run_churn,
     run_heterogeneous,
 )
-from repro.experiments.scale import (
-    format_inter_validation,
-    run_inter_validation,
-)
 
 
 class TestHeterogeneous:
@@ -37,12 +33,3 @@ class TestChurn:
         assert result.throughput_qpm > 0.8 * result.baseline_throughput_qpm
         assert "churn" in format_churn(result).lower()
 
-
-class TestModelValidation:
-    def test_measured_below_analytical_with_stable_ratio(self):
-        points = run_inter_validation(node_counts=(1, 4, 8), seeds=(11,))
-        assert points[0].measured_speedup == pytest.approx(1.0)
-        ratios = [p.measured_speedup / p.analytical_speedup for p in points[1:]]
-        assert all(0.5 < r <= 1.05 for r in ratios)
-        assert max(ratios) - min(ratios) < 0.25
-        assert "Eq 23" in format_inter_validation(points)

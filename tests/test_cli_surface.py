@@ -10,7 +10,8 @@ pre-record extension experiments took their switches with them, the
 server-to-worker wire has one request, one unit and one reply shape, each
 of the paper's two evaluation protocols is written once, workers keep no
 metrics registry of their own, the serving front door makes one latency
-promise (the admission deadline), and every CLI flag and serving option is
+promise (the admission deadline), Eq 23 is checked by one section, ``simulate``
+reports bad input as a usage error, and every CLI flag and serving option is
 declared in one place — which the command lines CI and the verify skill
 run must still parse against.
 """
@@ -143,6 +144,42 @@ def test_simulated_routing_is_an_input_not_a_switch():
     with pytest.raises(TypeError):
         SyntheticProfileParams(**{"selected_" "fraction": 0.5})
     assert "ext-" "selection" not in EXPERIMENTS
+
+
+def test_one_eq23_section():
+    """``ext-scale`` is the one Eq 23 section: one ladder on the default
+    plane, whose only knobs are the sizes, the seeds and the pool."""
+    import inspect
+
+    from repro.experiments import scale
+    from repro.experiments.runner import EXPERIMENTS
+
+    assert "ext-model" "-validation" not in EXPERIMENTS
+    source = "".join(p.read_text() for p in (ROOT / "src").rglob("*.py"))
+    for retired in (
+        "run_inter" "_validation", "format_inter" "_validation", "Speedup" "Point",
+        "DEFAULT_NODE" "_COUNTS", "_ext_model" "_validation",
+    ):
+        assert retired not in source, retired
+    assert list(inspect.signature(scale.run_scale).parameters) == [
+        "node_counts", "seeds", "jobs",
+    ]
+    fields = {f.name for f in dataclasses.fields(scale.ScaleCell)}
+    assert not fields & {"ap_strategy", "monitor_shards", "events"}
+    assert "auto_shard_count" not in inspect.getsource(scale)
+
+
+@pytest.mark.parametrize(
+    "bad, reason",
+    [
+        (["--nodes", "0"], "need at least one node"),
+        (["--nodes", "2", "--stagger", "-1"], "stagger_s must be non-negative"),
+    ],
+)
+def test_simulate_rejects_bad_input_as_a_usage_error(bad, reason):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", *bad])
+    assert str(exc.value) == f"simulate: invalid configuration: {reason}"
 
 
 def test_retired_extension_switches_are_not_configurable():

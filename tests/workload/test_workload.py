@@ -34,6 +34,8 @@ class TestArrivals:
     def test_staggered_negative_rejected(self):
         with pytest.raises(ValueError):
             staggered_arrivals(-1)
+        with pytest.raises(ValueError, match="stagger_s must be non-negative"):
+            staggered_arrivals(4, stagger_s=-1.0)
 
     def test_poisson_positive_increasing(self):
         times = poisson_arrivals(20, rate_per_s=2.0, seed=1)
