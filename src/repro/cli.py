@@ -284,7 +284,7 @@ def _cmd_top(args: argparse.Namespace) -> None:
 
     try:
         run_top(args.telemetry, follow=args.follow, interval_s=args.interval)
-    except ValueError as exc:  # e.g. a telemetry/v1 header: no SLO target
+    except ValueError as exc:  # an old schema, or a header with no SLO target
         raise SystemExit(f"top: {exc}") from exc
     except BrokenPipeError:
         # `repro top | head` closing the pipe is a normal way to stop.
@@ -316,7 +316,7 @@ _QUESTIONS = _flag("--questions", type=int,
 _JOBS = _flag("-j", "--jobs", default=None,
               help="parallel workers, N or 'auto' (output is byte-identical to serial)")
 _TELEMETRY = _flag("--telemetry", default=None,
-                   help="telemetry/v2 JSONL path: serve streams to it, loadgen to "
+                   help="telemetry/v3 JSONL path: serve streams to it, loadgen to "
                    "one <stem>-<label><suffix> per run next to it, top reads it")
 #: The simulated cluster, as ``chaos`` and ``observe`` take it.
 _CLUSTER = [

@@ -1,4 +1,4 @@
-"""Unified observability layer: spans, metrics, exporters, attribution.
+"""Unified observability layer: spans, metrics, telemetry, attribution.
 
 Four pieces, deliberately free of runtime dependencies on the
 simulation core (so ``repro.core`` modules can import this package
@@ -11,9 +11,12 @@ without cycles):
 * :mod:`~repro.observability.metrics` — counters, gauges and bounded
   histograms (p50/p95/p99) behind a :class:`MetricsRegistry`, with the
   canonical metric names in :mod:`~repro.observability.names`.
-* :mod:`~repro.observability.exporters` — JSONL event logs and Chrome
-  ``trace_event`` JSON (chrome://tracing / Perfetto), plus the schema
-  validators the CI smoke job uses.
+* :mod:`~repro.observability.telemetry` — the one JSONL envelope
+  (``telemetry/v3``): one writer, one record validator, one file
+  validator and one reader for every span, sample, SLO and metrics
+  record the repo writes, plus deterministic head sampling;
+  :mod:`~repro.observability.exporters` renders the Chrome
+  ``trace_event`` JSON (chrome://tracing / Perfetto).
 * :mod:`~repro.observability.attribution` — folds each span tree into
   the paper's analytical overhead categories (compute, queueing,
   dispatch, migration, partition comms, monitoring) and cross-checks
@@ -31,14 +34,7 @@ from .attribution import (
     attribute_workload,
     format_attribution,
 )
-from .exporters import (
-    chrome_trace,
-    span_to_json,
-    validate_chrome_trace,
-    validate_jsonl_line,
-    write_chrome_trace,
-    write_jsonl,
-)
+from .exporters import chrome_trace, validate_chrome_trace, write_chrome_trace
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .observe import ObserveConfig, format_observe, run_observe
 from .spans import Span, SpanCategory, SpanStream
@@ -47,6 +43,7 @@ from .telemetry import (
     HeadSampler,
     TelemetryWriter,
     read_telemetry,
+    span_to_json,
     validate_telemetry_file,
     validate_telemetry_line,
 )
@@ -75,9 +72,7 @@ __all__ = [
     "run_observe",
     "span_to_json",
     "validate_chrome_trace",
-    "validate_jsonl_line",
     "validate_telemetry_file",
     "validate_telemetry_line",
     "write_chrome_trace",
-    "write_jsonl",
 ]

@@ -1,22 +1,16 @@
-"""Span/metric exporters: JSONL event log and Chrome ``trace_event``.
+"""The Chrome ``trace_event`` exporter.
 
-Two output formats, both consumed by the ``repro observe`` CLI and the CI
-observe-smoke job:
+:func:`chrome_trace` renders a span stream as the
+``{"traceEvents": [...]}`` JSON the ``chrome://tracing`` /
+`Perfetto <https://ui.perfetto.dev>`_ viewers open directly.  Durational
+spans become complete (``"ph": "X"``) events, Fig 7 instants become
+instant (``"ph": "i"``) events; nodes map to ``pid`` rows and questions
+to ``tid`` tracks, so the viewer shows one swim-lane per node with its
+questions stacked — the paper's Fig 7 as an interactive timeline.
+:func:`validate_chrome_trace` is its schema check.
 
-* **JSONL** — one JSON object per line; span lines carry
-  ``{"record": "span", ...}``, the final line carries the metrics registry
-  (``{"record": "metrics", ...}``).  Greppable, diffable, streams.
-* **Chrome trace_event** — the ``{"traceEvents": [...]}`` JSON the
-  ``chrome://tracing`` / `Perfetto <https://ui.perfetto.dev>`_ viewers
-  open directly.  Durational spans become complete (``"ph": "X"``) events,
-  Fig 7 instants become instant (``"ph": "i"``) events; nodes map to
-  ``pid`` rows and questions to ``tid`` tracks, so the viewer shows one
-  swim-lane per node with its questions stacked — the paper's Fig 7 as an
-  interactive timeline.
-
-``validate_jsonl_line`` / ``validate_chrome_trace`` are the schema checks
-the smoke job runs against the emitted files; they raise ``ValueError``
-with a precise message on the first violation.
+JSONL (span, sample, SLO and metrics records) has one home,
+:mod:`repro.observability.telemetry`.
 """
 
 from __future__ import annotations
@@ -26,66 +20,15 @@ import math
 import pathlib
 import typing as t
 
-from .metrics import MetricsRegistry
-from .spans import Span, SpanStream
+from .spans import SpanStream
 
 __all__ = [
-    "span_to_json",
-    "write_jsonl",
     "chrome_trace",
     "write_chrome_trace",
-    "validate_jsonl_line",
     "validate_chrome_trace",
 ]
 
 _MICRO = 1e6  # trace_event timestamps are microseconds
-
-
-def span_to_json(span: Span) -> dict[str, t.Any]:
-    """One span as a flat JSON-friendly dict (the JSONL span record)."""
-    out: dict[str, t.Any] = {
-        "record": "span",
-        "sid": span.sid,
-        "parent": span.parent_id,
-        "name": span.name,
-        "cat": span.cat,
-        "qid": span.qid,
-        "node": span.node_id,
-        "t0": span.t0,
-        "t1": span.t1,
-    }
-    if span.detail:
-        out["detail"] = span.detail
-    if span.attrs:
-        out["attrs"] = span.attrs
-    return out
-
-
-def write_jsonl(
-    stream: SpanStream,
-    path: str | pathlib.Path,
-    metrics: MetricsRegistry | None = None,
-    header: dict[str, t.Any] | None = None,
-) -> pathlib.Path:
-    """Write the span stream (and optional metrics/header) as JSONL."""
-    out = pathlib.Path(path)
-    with out.open("w") as fh:
-        if header is not None:
-            fh.write(
-                json.dumps({"record": "header", **header}, allow_nan=False)
-                + "\n"
-            )
-        for span in stream.spans:
-            fh.write(json.dumps(span_to_json(span), allow_nan=False) + "\n")
-        if metrics is not None:
-            fh.write(
-                json.dumps(
-                    {"record": "metrics", "metrics": metrics.to_dict()},
-                    allow_nan=False,
-                )
-                + "\n"
-            )
-    return out
 
 
 def chrome_trace(
@@ -184,53 +127,7 @@ def write_chrome_trace(
     return out
 
 
-# -- schema validation (used by tests and the CI observe-smoke job) -----------
-
-_JSONL_RECORDS = {"header", "span", "metrics"}
-_SPAN_REQUIRED = {
-    "sid": int,
-    "parent": int,
-    "name": str,
-    "cat": str,
-    "qid": int,
-    "node": int,
-    "t0": (int, float),
-    "t1": (int, float),
-}
-
-
-def validate_jsonl_line(obj: dict[str, t.Any]) -> None:
-    """Validate one parsed JSONL record; raises ValueError on violation."""
-    record = obj.get("record")
-    if record not in _JSONL_RECORDS:
-        raise ValueError(f"unknown record type {record!r}")
-    if record == "span":
-        for key, types in _SPAN_REQUIRED.items():
-            if key not in obj:
-                raise ValueError(f"span record missing {key!r}: {obj}")
-            if not isinstance(obj[key], types):  # type: ignore[arg-type]
-                raise ValueError(
-                    f"span field {key!r} has wrong type: {obj[key]!r}"
-                )
-        if not (math.isfinite(obj["t0"]) and math.isfinite(obj["t1"])):
-            raise ValueError(f"span has non-finite timestamps: {obj}")
-        if obj["t1"] < obj["t0"]:
-            raise ValueError(f"span ends before it starts: {obj}")
-    elif record == "metrics":
-        metrics = obj.get("metrics")
-        if not isinstance(metrics, dict):
-            raise ValueError("metrics record missing 'metrics' mapping")
-        for name, body in metrics.items():
-            if body.get("type") not in {"counter", "gauge", "histogram"}:
-                raise ValueError(f"metric {name!r} has bad type: {body!r}")
-            for key, value in body.items():
-                if isinstance(value, float) and not math.isfinite(value):
-                    raise ValueError(
-                        f"metric {name!r} field {key!r} is non-finite "
-                        f"(zero-sample histograms must serialize 0/None)"
-                    )
-
-
+# -- schema validation --------------------------------------------------------
 _PHASES_WITH_DUR = {"X"}
 _VALID_PHASES = {"X", "i", "M", "B", "E"}
 

@@ -40,19 +40,14 @@ __all__ = [
     "RELAXATION_ROUNDS",
     "PS_PARAGRAPH_BYTES",
     "SERVING_ADMISSION_WAIT_S",
-    "SERVING_ANSWERED",
     "SERVING_BATCH_BUFFER_WAIT_S",
     "SERVING_BATCH_SIZE",
     "SERVING_DEADLINE_VIOLATIONS",
-    "SERVING_DRAINED",
     "SERVING_LATENCY_S",
     "SERVING_QUEUE_DEPTH",
     "SERVING_SERVICE_S",
-    "SERVING_SHED",
-    "SERVING_SHED_PREFIX",
     "SERVING_SLO_STATE",
     "SERVING_SLO_TRANSITIONS",
-    "SERVING_SUBMITTED",
     "SERVING_TRACES_SAMPLED",
     "SERVING_TRACE_SPANS",
     "SERVING_WORKER_ERRORS",
@@ -98,15 +93,10 @@ MONITOR_SHARD_PUBLISHES = "monitor.shard_publishes"
 NODE_QUEUE_WAIT_S = "node.queue_wait_s"
 
 # -- serving layer (the real-pipeline server, PR 7) ---------------------------
-#: Terminal-outcome counters; conservation requires
-#: ``answered + shed + drained == submitted`` exactly.
-SERVING_SUBMITTED = "serving.submitted"
-SERVING_ANSWERED = "serving.answered"
-SERVING_SHED = "serving.shed"
-SERVING_DRAINED = "serving.drained"
-#: Per-reason shed counters: ``serving.shed.<reason>`` (queue_full,
-#: deadline, draining — the ShedReason values).
-SERVING_SHED_PREFIX = "serving.shed."
+#: Terminal outcomes get no counter: the server's ConservationLedger
+#: counts them once, and the drain-time ``metrics`` telemetry record
+#: carries it beside the registry.
+
 #: Accepted questions not yet completed (gauge).
 SERVING_QUEUE_DEPTH = "serving.queue_depth"
 #: Measured wait between submit and worker pickup (histogram, seconds)
@@ -117,8 +107,8 @@ SERVING_ADMISSION_WAIT_S = "serving.admission_wait_s"
 SERVING_LATENCY_S = "serving.latency_s"
 #: Pipeline execution time inside the worker (histogram, seconds).
 SERVING_SERVICE_S = "serving.service_s"
-#: Answered questions whose worker pipeline raised (counted inside
-#: ``serving.answered``; the error text is on the ``ServeResponse``).
+#: Answered questions whose worker pipeline raised (counted inside the
+#: ledger's ``answered``; the error text is on the ``ServeResponse``).
 SERVING_WORKER_ERRORS = "serving.worker_errors"
 #: The micro-batcher's line in the ledger, observed once per flushed
 #: unit: questions in the unit, and how long its oldest request sat in

@@ -4,9 +4,11 @@ Runs a traced DQA workload on a simulated cluster once per AP
 partitioning strategy (SEND / ISEND / RECV, with RECV for PR as the
 paper prescribes), then for each run:
 
-* exports the span stream as JSONL and Chrome ``trace_event`` JSON
-  (open the latter in chrome://tracing or https://ui.perfetto.dev);
-* validates both files against the exporter schemas;
+* exports the span stream as ``telemetry/v3`` JSONL and Chrome
+  ``trace_event`` JSON (open the latter in chrome://tracing or
+  https://ui.perfetto.dev);
+* validates both files as written, through the telemetry file
+  validator and the trace_event checker;
 * produces the overhead-attribution report and checks its sum
   invariant (categories total the traced wall time).
 
@@ -27,12 +29,8 @@ import typing as t
 from dataclasses import dataclass
 
 from .attribution import AttributionReport, attribute_workload, format_attribution
-from .exporters import (
-    validate_chrome_trace,
-    validate_jsonl_line,
-    write_chrome_trace,
-    write_jsonl,
-)
+from .exporters import validate_chrome_trace, write_chrome_trace
+from .telemetry import TelemetryWriter, validate_telemetry_file
 
 __all__ = ["ObserveConfig", "run_observe", "format_observe"]
 
@@ -89,17 +87,16 @@ def _run_one(
     system = DistributedQASystem(sys_config)
     report = run_high_load(system, config.seed, n_questions=n_questions)
 
-    jsonl_path = write_jsonl(
-        system.spans,
-        out / f"spans_{ap_strategy}.jsonl",
-        metrics=system.metrics,
-        header={
-            "n_nodes": config.n_nodes,
-            "n_questions": n_questions,
-            "ap_strategy": ap_strategy,
-            "seed": config.seed,
-        },
-    )
+    jsonl_path = out / f"spans_{ap_strategy}.jsonl"
+    header = {
+        "n_nodes": config.n_nodes,
+        "n_questions": n_questions,
+        "ap_strategy": ap_strategy,
+        "seed": config.seed,
+    }
+    with TelemetryWriter(jsonl_path, header=header) as writer:
+        writer.write_spans(system.spans.spans)
+        writer.write_metrics(system.metrics)
     trace_path = write_chrome_trace(
         system.spans,
         out / f"trace_{ap_strategy}.json",
@@ -107,11 +104,7 @@ def _run_one(
     )
 
     # Validate what was actually written, not the in-memory objects.
-    n_jsonl = 0
-    with jsonl_path.open() as fh:
-        for line in fh:
-            validate_jsonl_line(json.loads(line))
-            n_jsonl += 1
+    n_jsonl = validate_telemetry_file(jsonl_path)
     n_trace = validate_chrome_trace(json.loads(trace_path.read_text()))
 
     attribution = attribute_workload(

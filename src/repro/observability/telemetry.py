@@ -1,45 +1,54 @@
-"""Cross-process telemetry: head sampling and the ``telemetry.jsonl`` stream.
+"""Head sampling and the one JSONL envelope (``telemetry/v3``).
 
-The serving stack spans a front-end process plus N worker processes.  A
-question's span tree is nevertheless built in one place: every worker
-reply carries the five measured module timings, and the server writes
-the ``service`` subtree from them into its own ``SpanStream`` (see
-``serving/server.py``) — no span, and no trace context, crosses the
-process boundary.  What lives here:
+Every JSONL file the repo writes — the serving stack's
+``telemetry.jsonl`` and ``repro observe``'s ``spans_*.jsonl`` — is one
+record per line, a ``header`` first, written by :class:`TelemetryWriter`,
+checked by :func:`validate_telemetry_line` (one record) and
+:func:`validate_telemetry_file` (a whole file), and parsed by
+:func:`read_telemetry`.  Record types:
 
-* :class:`HeadSampler` — deterministic seed-keyed head sampling, decided
-  per submission *after* admission (a pure function of ``seed:seq``), so
-  enabling tracing can never perturb the accept/shed decision digest;
-* :class:`TelemetryWriter` / :func:`validate_telemetry_line` — the
-  ``telemetry.jsonl`` exporter (sample / SLO / metrics records) and its
-  schema validator, consumed by ``repro top`` and the CI smoke job.
+* ``header`` — the schema (:data:`TELEMETRY_SCHEMA`) and run metadata;
+  a serving file also names ``p99_target_s``, the one latency promise
+  the server judged its SLO against (the admission deadline);
+* ``span`` — one :class:`~repro.observability.spans.Span`;
+* ``sample`` — one question outcome, as the server built it for its SLO
+  monitor (head-sampled, or forced on shed, deadline violation or
+  drain);
+* ``slo`` — one SLO evaluation, on a transition and at drain;
+* ``metrics`` — the metrics registry (and, from a server, its
+  conservation ledger), last.
 
-The header of every ``telemetry/v2`` file records ``p99_target_s``, the
-one latency promise the server judged its SLO against (the admission
-deadline); the validator refuses a ``telemetry/v1`` header, which has
-none, rather than let ``repro top`` misjudge its samples.
+:class:`HeadSampler` decides per submission, *after* admission (a pure
+function of ``seed:seq``), which questions are head-sampled, so enabling
+tracing can never perturb the accept/shed decision digest.  The span
+tree itself never crosses the process boundary: every worker reply
+carries the five measured module timings, and the server writes the
+``service`` subtree from them (see ``serving/server.py``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import pathlib
 import typing as t
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from .metrics import MetricsRegistry
+    from .spans import Span
 
 __all__ = [
     "TELEMETRY_SCHEMA",
     "HeadSampler",
     "TelemetryWriter",
     "read_telemetry",
+    "span_to_json",
     "validate_telemetry_file",
     "validate_telemetry_line",
 ]
 
-TELEMETRY_SCHEMA = "telemetry/v2"
+TELEMETRY_SCHEMA = "telemetry/v3"
 
 
 class HeadSampler:
@@ -77,84 +86,79 @@ class HeadSampler:
         return f"{self._hash64(seq):016x}-{seq:x}"
 
 
-# -- telemetry.jsonl exporter --------------------------------------------------
-class TelemetryWriter:
-    """Streaming ``telemetry.jsonl`` writer (one JSON object per line).
+def span_to_json(span: "Span") -> dict[str, t.Any]:
+    """One span as a flat JSON-friendly dict (the ``span`` record)."""
+    out: dict[str, t.Any] = {
+        "record": "span",
+        "sid": span.sid,
+        "parent": span.parent_id,
+        "name": span.name,
+        "cat": span.cat,
+        "qid": span.qid,
+        "node": span.node_id,
+        "t0": span.t0,
+        "t1": span.t1,
+    }
+    if span.detail:
+        out["detail"] = span.detail
+    if span.attrs:
+        out["attrs"] = span.attrs
+    return out
 
-    Record types: ``header`` (schema, the SLO's ``p99_target_s`` and run
-    metadata, always first), ``sample`` (one per sampled or forced
-    question outcome), ``slo`` (SLO
-    monitor state, emitted on transitions and at drain), ``metrics`` (the
-    server's registry, emitted at drain).  Every write flushes so
-    ``repro top --follow`` can tail the live file.
+
+# -- the writer ----------------------------------------------------------------
+class TelemetryWriter:
+    """Streaming JSONL writer: the header on open, then one record a line.
+
+    Every record but a span batch is flushed as it is written, so
+    ``repro top --follow`` can tail a live file.
     """
 
     def __init__(
         self,
         path: str | pathlib.Path,
-        p99_target_s: float,
+        p99_target_s: float | None = None,
         header: dict[str, t.Any] | None = None,
     ) -> None:
         self.path = pathlib.Path(path)
         self.records = 0
         self._fh: t.IO[str] | None = self.path.open("w")
-        self._write(
-            {
-                "record": "header",
-                "schema": TELEMETRY_SCHEMA,
-                "p99_target_s": p99_target_s,
-                **(header or {}),
-            }
-        )
+        first: dict[str, t.Any] = {"record": "header", "schema": TELEMETRY_SCHEMA}
+        if p99_target_s is not None:
+            first["p99_target_s"] = p99_target_s
+        self._write({**first, **(header or {})})
 
-    def _write(self, obj: dict[str, t.Any]) -> None:
+    def _write(self, obj: dict[str, t.Any], flush: bool = True) -> None:
         if self._fh is None:
             raise RuntimeError("TelemetryWriter is closed")
         self._fh.write(json.dumps(obj, allow_nan=False) + "\n")
-        self._fh.flush()
         self.records += 1
+        if flush:
+            self._fh.flush()
 
-    def write_sample(
-        self,
-        *,
-        t_s: float,
-        seq: int,
-        qid: int,
-        outcome: str,
-        latency_s: float = 0.0,
-        wait_s: float = 0.0,
-        service_s: float = 0.0,
-        worker: int = 0,
-        sampled: bool = False,
-        forced: bool = False,
-        reason: str | None = None,
-    ) -> None:
-        """One question outcome (head-sampled, or force-sampled on shed,
-        deadline violation or drain)."""
-        rec: dict[str, t.Any] = {
-            "record": "sample",
-            "t": t_s,
-            "seq": seq,
-            "qid": qid,
-            "outcome": outcome,
-            "latency_s": latency_s,
-            "wait_s": wait_s,
-            "service_s": service_s,
-            "worker": worker,
-            "sampled": sampled,
-            "forced": forced,
-        }
-        if reason is not None:
-            rec["reason"] = reason
-        self._write(rec)
+    def write_spans(self, spans: t.Iterable["Span"]) -> None:
+        """One ``span`` record per span, flushed once after the last."""
+        for span in spans:
+            self._write(span_to_json(span), flush=False)
+        if self._fh is not None:
+            self._fh.flush()
+
+    def write_sample(self, sample: dict[str, t.Any]) -> None:
+        """One question outcome (the dict the SLO monitor was fed)."""
+        self._write({"record": "sample", **sample})
 
     def write_slo(self, report: dict[str, t.Any]) -> None:
         """One SLO monitor evaluation (``SLOReport.to_dict()``)."""
         self._write({"record": "slo", **report})
 
-    def write_metrics(self, metrics: "MetricsRegistry") -> None:
-        """The final aggregated metrics registry."""
-        self._write({"record": "metrics", "metrics": metrics.to_dict()})
+    def write_metrics(
+        self, metrics: "MetricsRegistry", ledger: dict[str, t.Any] | None = None
+    ) -> None:
+        """The final metrics registry, and the conservation ledger if any."""
+        rec: dict[str, t.Any] = {"record": "metrics", "metrics": metrics.to_dict()}
+        if ledger is not None:
+            rec["ledger"] = ledger
+        self._write(rec)
 
     def close(self) -> None:
         if self._fh is not None:
@@ -168,53 +172,64 @@ class TelemetryWriter:
         self.close()
 
 
-# -- schema validation ---------------------------------------------------------
+# -- the validator and the reader ----------------------------------------------
+_NUM = (int, float)
 _OUTCOMES = {"answered", "shed", "drained"}
 _SLO_STATES = {"ok", "warn", "breach"}
-_SAMPLE_REQUIRED: dict[str, type | tuple[type, ...]] = {
-    "t": (int, float),
-    "seq": int,
-    "qid": int,
-    "outcome": str,
-    "latency_s": (int, float),
-    "wait_s": (int, float),
-    "service_s": (int, float),
-    "worker": int,
-    "sampled": bool,
-    "forced": bool,
+_METRIC_TYPES = {"counter", "gauge", "histogram"}
+#: Required fields and their types, per record type.
+_REQUIRED: dict[str, dict[str, type | tuple[type, ...]]] = {
+    "header": {"schema": str},
+    "span": {
+        "sid": int, "parent": int, "name": str, "cat": str, "qid": int,
+        "node": int, "t0": _NUM, "t1": _NUM,
+    },
+    "sample": {
+        "t": _NUM, "seq": int, "qid": int, "outcome": str, "latency_s": _NUM,
+        "wait_s": _NUM, "service_s": _NUM, "worker": int, "sampled": bool,
+        "forced": bool,
+    },
+    "slo": {
+        "t": _NUM, "state": str, "n_answered": int, "n_shed": int,
+        "shed_rate": _NUM, "p50_s": _NUM, "p95_s": _NUM, "p99_s": _NUM,
+        "deadline_violations": int, "transition": bool,
+    },
+    "metrics": {"metrics": dict},
 }
-_SLO_REQUIRED: dict[str, type | tuple[type, ...]] = {
-    "t": (int, float),
-    "state": str,
-    "n_answered": int,
-    "n_shed": int,
-    "shed_rate": (int, float),
-    "p50_s": (int, float),
-    "p95_s": (int, float),
-    "p99_s": (int, float),
-    "deadline_violations": int,
-    "transition": bool,
-}
+
+
+def _require(
+    record: str, obj: dict[str, t.Any], fields: dict[str, t.Any]
+) -> None:
+    """Each field present, of its type, and finite when a float."""
+    for key, types in fields.items():
+        if key not in obj:
+            raise ValueError(f"{record} record missing {key!r}: {obj}")
+        value = obj[key]
+        if not isinstance(value, types):
+            raise ValueError(f"{record} field {key!r} has wrong type: {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{record} field {key!r} is non-finite: {obj}")
 
 
 def validate_telemetry_line(obj: dict[str, t.Any]) -> None:
-    """Validate one parsed telemetry record; raises ValueError on violation."""
+    """Validate one parsed record; raises ValueError on the first violation."""
     record = obj.get("record")
+    fields = _REQUIRED.get(record) if isinstance(record, str) else None
+    if fields is None:
+        raise ValueError(f"unknown record type {record!r}")
+    _require(record, obj, fields)
     if record == "header":
-        if obj.get("schema") != TELEMETRY_SCHEMA:
-            raise ValueError(f"unknown telemetry schema {obj.get('schema')!r}")
-        target = obj.get("p99_target_s")
-        if not isinstance(target, (int, float)) or target <= 0:
-            raise ValueError(f"header p99_target_s must be positive: {target!r}")
-        return
-    if record == "sample":
-        for key, types in _SAMPLE_REQUIRED.items():
-            if key not in obj:
-                raise ValueError(f"sample record missing {key!r}: {obj}")
-            if not isinstance(obj[key], types):  # type: ignore[arg-type]
-                raise ValueError(
-                    f"sample field {key!r} has wrong type: {obj[key]!r}"
-                )
+        if obj["schema"] != TELEMETRY_SCHEMA:
+            raise ValueError(f"unknown telemetry schema {obj['schema']!r}")
+        if "p99_target_s" in obj:
+            _require(record, obj, {"p99_target_s": _NUM})
+            if obj["p99_target_s"] <= 0:
+                raise ValueError(f"header p99_target_s must be positive: {obj}")
+    elif record == "span":
+        if obj["t1"] < obj["t0"]:
+            raise ValueError(f"span ends before it starts: {obj}")
+    elif record == "sample":
         if obj["outcome"] not in _OUTCOMES:
             raise ValueError(f"unknown outcome {obj['outcome']!r}")
         for key in ("latency_s", "wait_s", "service_s"):
@@ -222,33 +237,25 @@ def validate_telemetry_line(obj: dict[str, t.Any]) -> None:
                 raise ValueError(f"sample field {key!r} is negative: {obj}")
         if not (obj["sampled"] or obj["forced"]):
             raise ValueError(f"sample record neither sampled nor forced: {obj}")
-        return
-    if record == "slo":
-        for key, types in _SLO_REQUIRED.items():
-            if key not in obj:
-                raise ValueError(f"slo record missing {key!r}: {obj}")
-            if not isinstance(obj[key], types):  # type: ignore[arg-type]
-                raise ValueError(
-                    f"slo field {key!r} has wrong type: {obj[key]!r}"
-                )
+    elif record == "slo":
         if obj["state"] not in _SLO_STATES:
             raise ValueError(f"unknown SLO state {obj['state']!r}")
         if not 0.0 <= obj["shed_rate"] <= 1.0:
             raise ValueError(f"shed_rate out of [0, 1]: {obj['shed_rate']!r}")
-        return
-    if record == "metrics":
-        metrics = obj.get("metrics")
-        if not isinstance(metrics, dict):
-            raise ValueError("metrics record missing 'metrics' mapping")
-        for name, body in metrics.items():
-            if body.get("type") not in {"counter", "gauge", "histogram"}:
+    else:
+        for name, body in obj["metrics"].items():
+            if body.get("type") not in _METRIC_TYPES:
                 raise ValueError(f"metric {name!r} has bad type: {body!r}")
-        return
-    raise ValueError(f"unknown telemetry record type {record!r}")
+            for key, value in body.items():
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError(
+                        f"metric {name!r} field {key!r} is non-finite "
+                        f"(zero-sample histograms must serialize 0/None)"
+                    )
 
 
 def read_telemetry(path: str | pathlib.Path) -> list[dict[str, t.Any]]:
-    """Parse a telemetry.jsonl file (no validation; see validate_*)."""
+    """Parse a JSONL file, one record a line (no validation)."""
     out: list[dict[str, t.Any]] = []
     with pathlib.Path(path).open() as fh:
         for line in fh:
@@ -259,7 +266,7 @@ def read_telemetry(path: str | pathlib.Path) -> list[dict[str, t.Any]]:
 
 
 def validate_telemetry_file(path: str | pathlib.Path) -> int:
-    """Validate every record in a telemetry.jsonl file; returns the count.
+    """Validate every record of a JSONL file; returns the count.
 
     The first line must be a valid header; an empty file is invalid (a
     writer that opened the file always wrote its header).

@@ -183,8 +183,6 @@ class QAPipeline:
                     )
                 )
         self.last_batch_stats = BatchStats(
-            n_questions=len(results),
-            n_distinct=len(firsts),
-            postings_scanned=sum(r.work[POSTINGS_SCANNED] for r in results),
+            n_questions=len(results), n_distinct=len(firsts)
         )
         return results

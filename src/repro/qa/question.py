@@ -140,22 +140,13 @@ class QAResult:
 
 @dataclass(slots=True)
 class BatchStats:
-    """What one ``answer_batch`` call shared: its questions, the distinct
-    question texts among them (each answered once) and the logical
-    postings charge summed over every question, repeats included."""
+    """What one ``answer_batch`` call shared: its questions and the
+    distinct question texts among them (each answered once)."""
 
     n_questions: int = 0
     n_distinct: int = 0
-    postings_scanned: float = 0.0
 
     @property
     def sharing_factor(self) -> float:
         """Questions per distinct execution (1.0 = no sharing)."""
         return self.n_questions / self.n_distinct if self.n_distinct else 1.0
-
-    @property
-    def amortized_postings_scanned(self) -> float:
-        """Logical postings charge per batched question."""
-        return (
-            self.postings_scanned / self.n_questions if self.n_questions else 0.0
-        )

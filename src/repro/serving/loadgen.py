@@ -309,9 +309,6 @@ def _run_once(
             run["batch"]["sharing_factor_mean"] = sum(
                 s.attrs["sharing_factor"] for s in batch_spans
             ) / len(batch_spans)
-            run["batch"]["amortized_postings_scanned_mean"] = sum(
-                s.attrs["amortized_postings_scanned"] for s in batch_spans
-            ) / len(batch_spans)
         # Stitched-trace sampling accounting (telemetry plane, PR 8).
         run["sampling"] = {
             "rate": base.trace_sample_rate,

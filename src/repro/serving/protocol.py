@@ -14,6 +14,8 @@ finishes in **exactly one** of three terminal outcomes —
 :class:`ConservationLedger` is the running proof of that invariant:
 ``answered + shed + drained == submitted`` must hold exactly at drain
 time, and the CI serve-smoke job fails the build if it ever does not.
+The server books each outcome once, as one :class:`ServeResponse`,
+and the ledger is the only count of outcomes it keeps.
 """
 
 from __future__ import annotations
@@ -61,7 +63,8 @@ class ServeResponse:
     shed_reason: ShedReason | None = None
     #: Top extracted answers as (text, score) pairs (empty unless ANSWERED).
     answers: tuple[tuple[str, float], ...] = ()
-    #: Measured seconds from submit to completion (ANSWERED only).
+    #: Measured seconds from submit to completion (ANSWERED), or to the
+    #: drain (DRAINED); 0 for SHED.
     latency_s: float = 0.0
     #: Measured seconds the request waited before a worker started on it:
     #: the micro-batch buffer, the request queue and, for a batch member,
@@ -71,8 +74,9 @@ class ServeResponse:
     service_s: float = 0.0
     #: Pid of the worker that answered (0 for inline execution).
     worker_pid: int = 0
-    #: True when this question's worker-side trace was head-sampled and
-    #: its span subtree stitched into the server's stream.
+    #: True when this question was head-sampled (the telemetry sample's
+    #: ``sampled`` too); with spans on, its stitched tree's root carries
+    #: a ``trace_id``.
     sampled: bool = False
     #: True when the measured latency exceeded the admission deadline
     #: (judged retrospectively): the one latency promise was broken.

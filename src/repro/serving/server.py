@@ -25,10 +25,11 @@ server alone builds the question's tree (:func:`_service_subtree`).
 When a question is **head-sampled** (a deterministic function of
 ``trace_seed`` and the submission sequence number, decided *after*
 admission so the accept/shed digest is unchanged, and remembered in
-``_Pending`` — the worker never hears of it), its ``service`` span gets
-a ``worker`` subtree of module spans — one stitched tree per question
-whose attribution fold still sums exactly to the end-to-end wall
-latency.
+``_Pending`` — the worker never hears of it), its response and sample
+say ``sampled``, and with spans on its ``service`` span gets a
+``worker`` subtree of module spans and its root a ``trace_id`` — one
+stitched tree per question whose attribution fold still sums exactly
+to the end-to-end wall latency.
 
 The server makes one latency promise, the admission deadline
 (:attr:`~repro.serving.admission.AdmissionConfig.effective_deadline_s`):
@@ -36,9 +37,10 @@ admission sheds what would miss it, a completion that missed it anyway
 is a deadline violation, and when ``telemetry_path`` is set a
 rolling-window :class:`~repro.serving.slo.SLOMonitor` judges its p99
 against it while a
-:class:`~repro.observability.telemetry.TelemetryWriter` streams
-sampled/forced per-question records plus SLO transitions to a
-``telemetry.jsonl`` file whose header names the target.
+:class:`~repro.observability.telemetry.TelemetryWriter` streams the
+sampled/forced outcome records plus SLO transitions to a
+``telemetry.jsonl`` file whose header names the target, and ends it
+with the metrics registry and the ledger.
 
 Dispatch is **work-conserving**: an accepted request joins one buffer,
 which goes to the pool as one unit at once whenever a worker is idle
@@ -66,19 +68,14 @@ from ..observability.attribution import attribute_question
 from ..observability.metrics import MetricsRegistry
 from ..observability.names import (
     SERVING_ADMISSION_WAIT_S,
-    SERVING_ANSWERED,
     SERVING_BATCH_BUFFER_WAIT_S,
     SERVING_BATCH_SIZE,
     SERVING_DEADLINE_VIOLATIONS,
-    SERVING_DRAINED,
     SERVING_LATENCY_S,
     SERVING_QUEUE_DEPTH,
     SERVING_SERVICE_S,
-    SERVING_SHED,
-    SERVING_SHED_PREFIX,
     SERVING_SLO_STATE,
     SERVING_SLO_TRANSITIONS,
-    SERVING_SUBMITTED,
     SERVING_TRACES_SAMPLED,
     SERVING_TRACE_SPANS,
     SERVING_WORKER_ERRORS,
@@ -127,7 +124,7 @@ class ServerConfig:
     #: the accept/shed sequence or its digest.  0 disables stitching.
     trace_sample_rate: float = 0.0
     trace_seed: int = 0
-    #: When set, stream ``telemetry/v2`` JSONL records here and judge an
+    #: When set, stream ``telemetry/v3`` JSONL records here and judge an
     #: SLO whose p99 target is the admission deadline.
     telemetry_path: str | None = None
 
@@ -154,7 +151,7 @@ def _service_subtree(
     service: Span | None,
     timings: tuple[float, float, float, float, float],
     service_s: float,
-    batch: tuple[int, int, float, float] | None,
+    batch: tuple[int, int] | None,
     sampled: bool,
 ) -> int:
     """Write ``service``'s children from a reply's measured module timings.
@@ -163,7 +160,8 @@ def _service_subtree(
     with the pipeline modules as sequential children, each clipped so it
     nests inside the root — the attribution fold's sum-to-wall invariant
     holds for any timings.  Batched: the PR phase sits in a
-    ``stage:PR-batch`` partition span carrying the unit's sharing stats;
+    ``stage:PR-batch`` partition span carrying the unit's size, distinct
+    questions and sharing factor;
     an unsampled batch member gets that pair alone (critical-path compute
     == pr, so the categories still sum exactly).  Returns the number of
     spans written.
@@ -195,14 +193,13 @@ def _service_subtree(
         )
         spans.end(span, t0 + (cursor + dur))
         if stage is not None:
-            batch_size, n_distinct, sharing, amortized = batch
+            batch_size, n_distinct = batch
             spans.end(
                 stage,
                 t0 + (cursor + dur),
                 batch_size=batch_size,
                 n_distinct=n_distinct,
-                sharing_factor=sharing,
-                amortized_postings_scanned=amortized,
+                sharing_factor=batch_size / n_distinct,
             )
         cursor += dur
     if sampled:
@@ -244,8 +241,6 @@ class QAServer:
                 },
             )
         self.responses: list[ServeResponse] = []
-        #: Latest logical timestamp fed to the SLO monitor (drain reuses it).
-        self._slo_last_t = 0.0
         self._pending: dict[int, _Pending] = {}
         #: Accepted-but-unsent requests ``(seq, qid, text, submit_wall)``:
         #: the next unit.
@@ -308,7 +303,6 @@ class QAServer:
         seq = self._next_seq
         self._next_seq += 1
         self.ledger.submitted += 1
-        self.metrics.inc(SERVING_SUBMITTED)
         decision = self.admission.submit(seq, qid, arrival_s)
         if decision.accepted:
             # Head-sampling is decided only now, from (seed, seq) — the
@@ -344,30 +338,18 @@ class QAServer:
             self._pump_batch()
         else:
             reason = decision.shed_reason or ShedReason.QUEUE_FULL
-            self.ledger.record(Outcome.SHED, reason)
-            self.metrics.inc(SERVING_SHED)
-            self.metrics.inc(SERVING_SHED_PREFIX + reason.value)
             self.spans.instant(
                 f"shed:{reason.value}", qid, node_id=-1, time=submit_wall
             )
-            self.responses.append(
+            # Sheds are always forced into the telemetry stream — they
+            # are exactly the events an operator pages on.
+            self._finish(
                 ServeResponse(
-                    seq=seq,
-                    qid=qid,
-                    outcome=Outcome.SHED,
-                    shed_reason=reason,
-                )
+                    seq=seq, qid=qid, outcome=Outcome.SHED, shed_reason=reason
+                ),
+                arrival_s,
+                f"shed:{reason.value}",
             )
-            if self.slo is not None:
-                self.slo.record_shed(arrival_s, reason=reason.value)
-                self._emit_slo(arrival_s)
-            if self.telemetry is not None:
-                # Sheds are always forced into the telemetry stream —
-                # they are exactly the events an operator pages on.
-                self.telemetry.write_sample(
-                    t_s=arrival_s, seq=seq, qid=qid, outcome="shed",
-                    worker=-1, forced=True, reason=f"shed:{reason.value}",
-                )
         return decision
 
     # -- micro-batching ----------------------------------------------------------
@@ -406,23 +388,6 @@ class QAServer:
         end_wall = time.time()
         latency = max(0.0, end_wall - pending.submit_wall)
         violated = latency > self._deadline_s
-        stitched = bool(pending.trace_id)
-        response = ServeResponse(
-            seq=res.seq,
-            qid=res.qid,
-            outcome=Outcome.ANSWERED,
-            answers=res.answers,
-            latency_s=latency,
-            admission_wait_s=res.wait_s,
-            service_s=res.service_s,
-            worker_pid=res.worker_pid,
-            sampled=stitched,
-            deadline_violated=violated,
-            error=res.error,
-        )
-        self.responses.append(response)
-        self.ledger.record(Outcome.ANSWERED)
-        self.metrics.inc(SERVING_ANSWERED)
         if res.error:
             self.metrics.inc(SERVING_WORKER_ERRORS)
         self.metrics.observe(SERVING_LATENCY_S, latency)
@@ -435,6 +400,7 @@ class QAServer:
                 float(len(self._pending))
             )
         if self.spans.enabled and pending.root is not None:
+            stitched = bool(pending.trace_id)
             root = pending.root
             root.node_id = res.worker_pid
             t0 = pending.submit_wall
@@ -453,42 +419,69 @@ class QAServer:
                 self.metrics.inc(SERVING_TRACE_SPANS, written)
             self.spans.end(service, wait_end + res.service_s)
             attrs: dict[str, t.Any] = {"outcome": "answered"}
-            if pending.trace_id:
+            if stitched:
                 attrs["trace_id"] = pending.trace_id
             self.spans.end(
                 root, max(end_wall, wait_end + res.service_s), **attrs
             )
-        t_logical = pending.arrival_s + latency
-        if self.slo is not None:
-            self.slo.record_answered(
-                t_logical, latency, service_s=res.service_s,
-                worker_pid=res.worker_pid, deadline_violated=violated,
-            )
-            self._emit_slo(t_logical)
-        if self.telemetry is not None and (pending.sampled or violated):
-            self.telemetry.write_sample(
-                t_s=t_logical, seq=res.seq, qid=res.qid,
-                outcome="answered", latency_s=latency,
-                wait_s=res.wait_s, service_s=res.service_s,
-                worker=res.worker_pid, sampled=pending.sampled,
-                forced=violated,
-                reason="deadline_violated" if violated else None,
-            )
+        self._finish(
+            ServeResponse(
+                seq=res.seq,
+                qid=res.qid,
+                outcome=Outcome.ANSWERED,
+                answers=res.answers,
+                latency_s=latency,
+                admission_wait_s=res.wait_s,
+                service_s=res.service_s,
+                worker_pid=res.worker_pid,
+                sampled=pending.sampled,
+                deadline_violated=violated,
+                error=res.error,
+            ),
+            pending.arrival_s + latency,
+            "deadline_violated" if violated else None,
+        )
 
-    def _emit_slo(self, t_s: float) -> None:
-        """Evaluate the SLO monitor and export any state transition."""
-        if self.slo is None:
+    def _finish(
+        self, response: ServeResponse, t_s: float, reason: str | None = None
+    ) -> None:
+        """Book one terminal outcome: the one place each question is recorded.
+
+        ``t_s`` is the outcome's logical time (an answer's arrival plus
+        its latency; a shed's or a drained question's arrival), and
+        ``reason`` is why the outcome is forced into telemetry (a shed, a
+        deadline violation, the drain), or ``None``.  Without a
+        telemetry sink nothing is built beyond the response itself.
+        """
+        self.responses.append(response)
+        self.ledger.record(response.outcome, response.shed_reason)
+        if self.slo is None or self.telemetry is None:
             return
-        self._slo_last_t = max(self._slo_last_t, t_s)
-        report = self.slo.evaluate(t_s)
-        if self.metrics.enabled:
-            self.metrics.gauge(SERVING_SLO_STATE).set(
-                _SLO_STATE_VALUE[report.state.value]
-            )
-        if report.transition:
-            self.metrics.inc(SERVING_SLO_TRANSITIONS)
-            if self.telemetry is not None:
+        sample: dict[str, t.Any] = {
+            "t": t_s,
+            "seq": response.seq,
+            "qid": response.qid,
+            "outcome": response.outcome.value,
+            "latency_s": response.latency_s,
+            "wait_s": response.admission_wait_s,
+            "service_s": response.service_s,
+            "worker": response.worker_pid if response.answered else -1,
+            "sampled": response.sampled,
+            "forced": reason is not None,
+        }
+        if reason is not None:
+            sample["reason"] = reason
+        report = self.slo.record(sample)
+        if report is not None:
+            if self.metrics.enabled:
+                self.metrics.gauge(SERVING_SLO_STATE).set(
+                    _SLO_STATE_VALUE[report.state.value]
+                )
+            if report.transition:
+                self.metrics.inc(SERVING_SLO_TRANSITIONS)
                 self.telemetry.write_slo(report.to_dict())
+        if response.sampled or reason is not None:
+            self.telemetry.write_sample(sample)
 
     def poll(self) -> int:
         """Fold any finished questions into the ledger; returns the count."""
@@ -518,8 +511,6 @@ class QAServer:
         drain_wall = time.time()
         for seq in sorted(self._pending):
             pending = self._pending.pop(seq)
-            self.ledger.record(Outcome.DRAINED)
-            self.metrics.inc(SERVING_DRAINED)
             if pending.root is not None:
                 # End the pre-opened tree at the drain instant: the
                 # whole sojourn was queueing, and the fold still sums
@@ -527,28 +518,22 @@ class QAServer:
                 if pending.admission_span is not None:
                     self.spans.end(pending.admission_span, drain_wall)
                 self.spans.end(pending.root, drain_wall, outcome="drained")
-            self.responses.append(
+            self._finish(
                 ServeResponse(
-                    seq=seq, qid=pending.qid, outcome=Outcome.DRAINED
-                )
-            )
-            if self.telemetry is not None:
-                self.telemetry.write_sample(
-                    t_s=pending.arrival_s,
                     seq=seq,
                     qid=pending.qid,
-                    outcome="drained",
+                    outcome=Outcome.DRAINED,
                     latency_s=max(0.0, drain_wall - pending.submit_wall),
-                    worker=-1,
                     sampled=pending.sampled,
-                    forced=True,
-                    reason="drained",
-                )
+                ),
+                pending.arrival_s,
+                "drained",
+            )
         if self.metrics.enabled:
             self.metrics.gauge(SERVING_QUEUE_DEPTH).set(0.0)
         if self.telemetry is not None and self.slo is not None:
-            self.telemetry.write_slo(self.slo.evaluate(self._slo_last_t).to_dict())
-            self.telemetry.write_metrics(self.metrics)
+            self.telemetry.write_slo(self.slo.evaluate(self.slo.t_last).to_dict())
+            self.telemetry.write_metrics(self.metrics, self.ledger.to_dict())
             self.telemetry.close()
         self._drained = True
         return self.ledger

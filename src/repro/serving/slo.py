@@ -17,10 +17,13 @@ So every transition means one thing: the admission promise was broken
 (or kept again).  All evaluation is driven by *caller-supplied* logical
 time — the monitor never reads the wall clock — so unit tests replay
 outcome sequences deterministically, exactly like the admission
-controller.  State transitions are recorded with their reasons; the
-server emits them as ``slo`` records into ``telemetry.jsonl``, whose
-header names the target, and that is what ``repro top`` renders (a
-periodic text dashboard over a live or finished file).
+controller.  The monitor is fed the very ``sample`` records the server
+writes into ``telemetry.jsonl`` (:meth:`SLOMonitor.record`), and
+``repro top`` replays a file's samples through the same call
+(:func:`replay_telemetry`).  State transitions are recorded with their
+reasons; the server emits them as ``slo`` records, beside a header that
+names the target, and that is what ``repro top`` renders (a periodic
+text dashboard over a live or finished file).
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ __all__ = [
     "SLOReport",
     "SLOState",
     "format_top",
+    "replay_telemetry",
     "run_top",
 ]
 
@@ -106,10 +110,11 @@ class SLOReport:
 class SLOMonitor:
     """Deterministic rolling-window SLO state machine.
 
-    ``p99_target_s`` is the admission deadline.  Feed it outcomes with
-    :meth:`record_answered` / :meth:`record_shed` (timestamps must be
-    non-decreasing — a real clock qualifies, and so does a test script),
-    then :meth:`evaluate` judges the window at a given instant.
+    ``p99_target_s`` is the admission deadline.  Feed it outcome records
+    with :meth:`record` — the ``sample`` dicts the server builds and
+    writes to ``telemetry.jsonl``, in the order the server finished
+    them.  Each answered or shed record is judged at once;
+    :meth:`evaluate` judges the window at any other instant.
     Transitions accumulate in :attr:`transitions` as
     ``(t, old_state, new_state, reasons)``.
     """
@@ -120,39 +125,45 @@ class SLOMonitor:
         self.p99_target_s = p99_target_s
         self.state = SLOState.OK
         self.transitions: list[tuple[float, SLOState, SLOState, tuple[str, ...]]] = []
+        #: Latest outcome time judged (drain evaluates the final window here).
+        self.t_last = 0.0
         #: (t, latency_s, service_s, worker_pid, deadline_violated)
         self._answered: deque[tuple[float, float, float, int, bool]] = deque()
-        #: (t, reason)
-        self._shed: deque[tuple[float, str]] = deque()
+        #: Shed times.
+        self._shed: deque[float] = deque()
         self._t_first: float | None = None
 
     # -- feeding -----------------------------------------------------------------
-    def record_answered(
-        self,
-        t_s: float,
-        latency_s: float,
-        service_s: float = 0.0,
-        worker_pid: int = 0,
-        deadline_violated: bool = False,
-    ) -> None:
-        """One answered question completing at logical time ``t_s``."""
-        if self._t_first is None:
-            self._t_first = t_s
-        self._answered.append(
-            (t_s, latency_s, service_s, worker_pid, deadline_violated)
-        )
+    def record(self, sample: t.Mapping[str, t.Any]) -> SLOReport | None:
+        """Add one outcome at its logical time ``sample["t"]`` and judge.
 
-    def record_shed(self, t_s: float, reason: str = "") -> None:
-        """One question shed at logical time ``t_s``."""
+        An answered question counts toward the latency percentiles, the
+        per-worker utilization and — when ``latency_s`` exceeds the
+        target — the deadline violations; a shed one toward the shed
+        rate.  A drained question is not judged: returns ``None``.
+        """
+        outcome = sample["outcome"]
+        if outcome not in ("answered", "shed"):
+            return None
+        t_s = sample["t"]
         if self._t_first is None:
             self._t_first = t_s
-        self._shed.append((t_s, reason))
+        self.t_last = max(self.t_last, t_s)
+        if outcome == "answered":
+            latency = sample["latency_s"]
+            self._answered.append(
+                (t_s, latency, sample["service_s"], sample["worker"],
+                 latency > self.p99_target_s)
+            )
+        else:
+            self._shed.append(t_s)
+        return self.evaluate(t_s)
 
     def _trim(self, now_s: float) -> None:
         horizon = now_s - WINDOW_S
         while self._answered and self._answered[0][0] < horizon:
             self._answered.popleft()
-        while self._shed and self._shed[0][0] < horizon:
+        while self._shed and self._shed[0] < horizon:
             self._shed.popleft()
 
     # -- judging -----------------------------------------------------------------
@@ -283,19 +294,38 @@ def format_top(
     return "\n".join(lines)
 
 
+def replay_telemetry(records: t.Sequence[dict[str, t.Any]]) -> SLOMonitor:
+    """A fresh monitor fed a telemetry file's ``sample`` records in order.
+
+    It is judged against the header's ``p99_target_s`` through the
+    server's own :meth:`SLOMonitor.record` calls, so on a file that holds
+    every answered and shed outcome (head-sampling rate 1) it ends in the
+    live monitor's state.  A header that is not ``telemetry/v3``, or that
+    names no target, raises ``ValueError``.
+    """
+    header = records[0]
+    validate_telemetry_line(header)
+    if "p99_target_s" not in header:
+        raise ValueError(
+            "header names no p99_target_s: not a serving telemetry file"
+        )
+    monitor = SLOMonitor(float(header["p99_target_s"]))
+    for rec in records:
+        if rec.get("record") == "sample":
+            monitor.record(rec)
+    return monitor
+
+
 def _frame_from_records(
     records: t.Sequence[dict[str, t.Any]], source: str, tail: int = 10
 ) -> str:
     """Build one dashboard frame from parsed telemetry records.
 
-    Prefers the last emitted ``slo`` record; when the server never
-    emitted one (no transitions before drain), the sample records are
-    replayed through a fresh :class:`SLOMonitor` against the header's
-    ``p99_target_s``, so the dashboard always has a judgement to show.
-    A header that is not ``telemetry/v2`` raises ``ValueError``.
+    Shows the last emitted ``slo`` record; when the server never
+    emitted one (no transitions before drain), the
+    :func:`replay_telemetry` of the samples, judged at the latest outcome.
     """
-    header = records[0]
-    validate_telemetry_line(header)
+    monitor = replay_telemetry(records)
     samples = [r for r in records if r.get("record") == "sample"]
     slo_recs = [r for r in records if r.get("record") == "slo"]
     totals: dict[str, int] = {}
@@ -305,23 +335,7 @@ def _frame_from_records(
     if slo_recs:
         slo = slo_recs[-1]
     else:
-        target = float(header["p99_target_s"])
-        monitor = SLOMonitor(target)
-        last_t = 0.0
-        for s in samples:
-            last_t = float(s.get("t", last_t))
-            if s.get("outcome") == "answered":
-                latency = float(s.get("latency_s", 0.0))
-                monitor.record_answered(
-                    last_t,
-                    latency,
-                    service_s=float(s.get("service_s", 0.0)),
-                    worker_pid=int(s.get("worker", 0)),
-                    deadline_violated=latency > target,
-                )
-            elif s.get("outcome") == "shed":
-                monitor.record_shed(last_t, str(s.get("reason", "")))
-        slo = monitor.evaluate(last_t).to_dict()
+        slo = monitor.evaluate(monitor.t_last).to_dict()
     return format_top(slo, samples[-tail:], totals=totals, source=source)
 
 

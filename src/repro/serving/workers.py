@@ -103,9 +103,9 @@ class ExecutionResult:
     #: ``service_s``; all zero when the pipeline raised, and for a repeat
     #: of a question earlier in its unit.
     timings: tuple[float, float, float, float, float] = _NO_TIMINGS
-    #: For a member of a unit longer than one: (batch_size, n_distinct,
-    #: sharing_factor, amortized_postings_scanned); ``None`` otherwise.
-    batch: tuple[int, int, float, float] | None = None
+    #: For a member of a unit longer than one: (batch_size, n_distinct);
+    #: ``None`` otherwise.
+    batch: tuple[int, int] | None = None
 
 
 def _digest_answers(answers: t.Sequence[t.Any]) -> tuple[tuple[str, float], ...]:
@@ -132,13 +132,7 @@ def _execute(
             [req[2] for req in unit], [req[1] for req in unit]
         )
         if len(unit) > 1:
-            stats = pipeline.last_batch_stats
-            binfo = (
-                len(unit),
-                stats.n_distinct,
-                stats.sharing_factor,
-                stats.amortized_postings_scanned,
-            )
+            binfo = (len(unit), pipeline.last_batch_stats.n_distinct)
     except Exception as exc:
         error = f"{type(exc).__name__}: {exc}"
         results = [None] * len(unit)

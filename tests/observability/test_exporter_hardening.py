@@ -7,12 +7,15 @@ import pytest
 from repro.observability.exporters import (
     chrome_trace,
     validate_chrome_trace,
-    validate_jsonl_line,
     write_chrome_trace,
-    write_jsonl,
 )
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.spans import SpanCategory, SpanStream
+from repro.observability.telemetry import (
+    TelemetryWriter,
+    validate_telemetry_file,
+    validate_telemetry_line,
+)
 
 
 def _serving_stream():
@@ -32,14 +35,11 @@ class TestEmptyInputs:
     def test_empty_stream_jsonl_round_trip(self, tmp_path):
         reg = MetricsRegistry()
         reg.histogram("zero.samples")  # never observed
-        path = write_jsonl(
-            SpanStream(), tmp_path / "empty.jsonl", metrics=reg,
-            header={"label": "empty"},
-        )
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2  # header + metrics, no spans
-        for line in lines:
-            validate_jsonl_line(json.loads(line))
+        path = tmp_path / "empty.jsonl"
+        with TelemetryWriter(path, header={"label": "empty"}) as w:
+            w.write_spans(SpanStream().spans)
+            w.write_metrics(reg)
+        assert validate_telemetry_file(path) == 2  # header + metrics, no spans
 
     def test_empty_stream_chrome_trace_validates(self):
         trace = chrome_trace(SpanStream())
@@ -50,11 +50,11 @@ class TestEmptyInputs:
         reg.histogram("h")
         body = reg.to_dict()["h"]
         assert body["min"] == 0.0 and body["max"] == 0.0
-        validate_jsonl_line({"record": "metrics", "metrics": reg.to_dict()})
+        validate_telemetry_line({"record": "metrics", "metrics": reg.to_dict()})
 
     def test_non_finite_metric_rejected_by_validator(self):
         with pytest.raises(ValueError, match="non-finite"):
-            validate_jsonl_line(
+            validate_telemetry_line(
                 {
                     "record": "metrics",
                     "metrics": {
@@ -70,7 +70,7 @@ class TestEmptyInputs:
             "t0": float("nan"), "t1": 1.0,
         }
         with pytest.raises(ValueError, match="non-finite"):
-            validate_jsonl_line(span)
+            validate_telemetry_line(span)
 
 
 class TestStablePids:

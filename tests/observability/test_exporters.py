@@ -8,12 +8,14 @@ from repro.observability import (
     MetricsRegistry,
     SpanCategory,
     SpanStream,
+    TelemetryWriter,
     chrome_trace,
+    read_telemetry,
     span_to_json,
     validate_chrome_trace,
-    validate_jsonl_line,
+    validate_telemetry_file,
+    validate_telemetry_line,
     write_chrome_trace,
-    write_jsonl,
 )
 
 
@@ -35,11 +37,12 @@ class TestJsonl:
         m = MetricsRegistry()
         m.inc("x")
         m.observe("y", 2.0)
-        path = write_jsonl(s, tmp_path / "spans.jsonl", metrics=m,
-                           header={"n_nodes": 4})
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        for obj in lines:
-            validate_jsonl_line(obj)
+        path = tmp_path / "spans.jsonl"
+        with TelemetryWriter(path, header={"n_nodes": 4}) as w:
+            w.write_spans(s.spans)
+            w.write_metrics(m)
+        assert validate_telemetry_file(path) == len(s.spans) + 2
+        lines = read_telemetry(path)
         assert lines[0]["record"] == "header"
         assert lines[-1]["record"] == "metrics"
         assert sum(1 for o in lines if o["record"] == "span") == len(s.spans)
@@ -54,23 +57,23 @@ class TestJsonl:
 
     def test_rejects_unknown_record(self):
         with pytest.raises(ValueError):
-            validate_jsonl_line({"record": "bogus"})
+            validate_telemetry_line({"record": "bogus"})
 
     def test_rejects_missing_field(self):
         obj = span_to_json(_sample_stream().spans[0])
         del obj["qid"]
         with pytest.raises(ValueError):
-            validate_jsonl_line(obj)
+            validate_telemetry_line(obj)
 
     def test_rejects_inverted_interval(self):
         obj = span_to_json(_sample_stream().spans[0])
         obj["t1"] = obj["t0"] - 1.0
         with pytest.raises(ValueError):
-            validate_jsonl_line(obj)
+            validate_telemetry_line(obj)
 
     def test_rejects_bad_metric_type(self):
         with pytest.raises(ValueError):
-            validate_jsonl_line(
+            validate_telemetry_line(
                 {"record": "metrics", "metrics": {"m": {"type": "exotic"}}}
             )
 

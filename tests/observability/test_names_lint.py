@@ -4,9 +4,8 @@ are the same set.
 Walks every module under ``src/repro`` with :mod:`ast` and checks that
 the first argument of each ``counter()/gauge()/histogram()/inc()/
 observe()`` call resolves to a canonical name declared in
-:mod:`repro.observability.names`.  Declared values ending in ``.`` (for
-example ``SERVING_SHED_PREFIX``) act as prefixes: a call site may build
-``PREFIX + suffix`` dynamically.  In the other direction, every declared
+:mod:`repro.observability.names`; no name is built by concatenation,
+so no declared value is a prefix.  In the other direction, every declared
 name must be written somewhere: by such a call, or as the key of a
 subscript store (``work[POSTINGS_SCANNED] = ...``, the pipeline's work
 dict).
@@ -40,8 +39,6 @@ _EXEMPT = {"observability/names.py"}
 _FORWARDED = object()
 
 DECLARED = {getattr(names_module, n) for n in names_module.__all__}
-PREFIXES = {v for v in DECLARED if v.endswith(".")}
-EXACT = DECLARED - PREFIXES
 
 #: Names importable from the names module (``from ..names import X``).
 _CANONICAL_CONSTANTS = {n: getattr(names_module, n) for n in names_module.__all__}
@@ -147,8 +144,6 @@ def _written_names(path: Path) -> set[object]:
     resolver.visit(tree)
     out: set[object] = set()
     for _, arg in _metric_name_args(tree):
-        if isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Add):
-            arg = arg.left
         out |= resolver._values_of(arg)
     for node in ast.walk(tree):
         if isinstance(node, (ast.Assign, ast.AugAssign)):
@@ -167,19 +162,6 @@ def _check_file(path: Path) -> list[str]:
     rel = path.relative_to(SRC)
     for lineno, arg in _metric_name_args(tree):
         where = f"{rel}:{lineno}"
-        if isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Add):
-            # ``PREFIX + suffix``: the left side must be a declared
-            # prefix (a value ending in ".").
-            lefts = resolver._values_of(arg.left)
-            if not lefts:
-                problems.append(f"{where}: opaque left side of name concat")
-            for value in lefts:
-                if value not in PREFIXES:
-                    problems.append(
-                        f"{where}: concat base {value!r} is not a "
-                        "declared prefix"
-                    )
-            continue
         values = resolver._values_of(arg)
         if values == {_FORWARDED}:
             continue
@@ -192,9 +174,7 @@ def _check_file(path: Path) -> list[str]:
         for value in values:
             if not isinstance(value, str):
                 problems.append(f"{where}: non-string metric name {value!r}")
-            elif value not in EXACT and not any(
-                value.startswith(p) for p in PREFIXES
-            ):
+            elif value not in DECLARED:
                 problems.append(
                     f"{where}: metric name {value!r} is not declared in "
                     "repro/observability/names.py"
@@ -217,15 +197,13 @@ class TestDeclarations:
         assert len(set(values)) == len(values), "duplicate metric values"
 
     def test_naming_convention(self):
-        for value in EXACT:
+        for value in DECLARED:
             assert value == value.lower()
             assert " " not in value
             assert "." in value, f"{value!r} has no subsystem prefix"
 
-    def test_prefixes_end_with_dot(self):
-        assert PREFIXES, "expected at least one declared prefix"
-        for p in PREFIXES:
-            assert p.endswith(".")
+    def test_no_declared_name_is_a_prefix(self):
+        assert not [v for v in DECLARED if v.endswith(".")]
 
 
 class TestCallSites:
@@ -272,9 +250,7 @@ class TestCallSites:
             and arg.value == "serving.typo_name"
         ]
         assert hits
-        value = hits[0][1].value
-        assert value not in EXACT
-        assert not any(value.startswith(p) for p in PREFIXES)
+        assert hits[0][1].value not in DECLARED
 
 
 if __name__ == "__main__":  # pragma: no cover

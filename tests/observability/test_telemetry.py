@@ -16,6 +16,15 @@ from repro.observability.telemetry import (
 from repro.serving.server import _service_subtree
 
 
+def _sample(**fields):
+    """A sample record body: the server's defaults, overridden by ``fields``."""
+    return {
+        "t": 0.0, "seq": 0, "qid": 0, "outcome": "answered", "latency_s": 0.0,
+        "wait_s": 0.0, "service_s": 0.0, "worker": 0, "sampled": False,
+        "forced": False, **fields,
+    }
+
+
 class TestHeadSampler:
     def test_rate_extremes(self):
         assert not any(HeadSampler(0.0).sample(i) for i in range(50))
@@ -76,7 +85,7 @@ class TestWorkerSpanRecords:
     def test_batched_pr_wrapped_in_stage_span(self):
         stream, root, qa = self._fold(
             (0.1, 0.2, 0.1, 0.05, 0.05), service_s=0.5,
-            batch=(4, 2, 2.0, 123.0),
+            batch=(4, 2),
         )
         names = [s.name for s in stream.spans]
         assert "stage:PR-batch" in names
@@ -94,15 +103,14 @@ class TestWorkerSpanRecords:
 class TestTelemetryFile:
     def _write(self, path):
         with TelemetryWriter(path, 0.3, header={"workers": 2}) as w:
-            w.write_sample(
-                t_s=1.0, seq=0, qid=7, outcome="answered",
-                latency_s=0.2, wait_s=0.05, service_s=0.15,
-                worker=4242, sampled=True,
-            )
-            w.write_sample(
-                t_s=1.5, seq=1, qid=8, outcome="shed",
-                worker=-1, forced=True, reason="shed:queue_full",
-            )
+            w.write_sample(_sample(
+                t=1.0, seq=0, qid=7, outcome="answered", latency_s=0.2,
+                wait_s=0.05, service_s=0.15, worker=4242, sampled=True,
+            ))
+            w.write_sample(_sample(
+                t=1.5, seq=1, qid=8, outcome="shed", worker=-1,
+                forced=True, reason="shed:queue_full",
+            ))
             w.write_slo(
                 {
                     "t": 2.0, "state": "warn", "prev_state": "ok",
@@ -115,20 +123,21 @@ class TestTelemetryFile:
             from repro.observability.metrics import MetricsRegistry
 
             reg = MetricsRegistry()
-            reg.inc("serving.answered")
+            reg.inc("serving.worker_errors")
             reg.histogram("empty.hist")
-            w.write_metrics(reg)
+            w.write_metrics(reg, {"submitted": 2, "balanced": True})
         return path
 
     def test_file_validates_end_to_end(self, tmp_path):
         path = self._write(tmp_path / "telemetry.jsonl")
         assert validate_telemetry_file(path) == 5  # header + 4 records
         records = read_telemetry(path)
-        assert records[0]["schema"] == "telemetry/v2"
+        assert records[0]["schema"] == "telemetry/v3"
         assert records[0]["p99_target_s"] == 0.3
         assert [r["record"] for r in records] == [
             "header", "sample", "sample", "slo", "metrics",
         ]
+        assert records[-1]["ledger"] == {"submitted": 2, "balanced": True}
 
     def test_every_line_is_strict_json(self, tmp_path):
         path = self._write(tmp_path / "t.jsonl")
@@ -175,17 +184,20 @@ class TestTelemetryFile:
             validate_telemetry_line({"record": "header", "schema": "v999"})
 
     def test_header_needs_the_slo_target_and_v1_is_refused(self):
+        # The target is checked when present; only ``repro top`` needs it.
+        validate_telemetry_line({"record": "header", "schema": "telemetry/v3"})
         with pytest.raises(ValueError, match="p99_target_s"):
-            validate_telemetry_line({"record": "header", "schema": "telemetry/v2"})
-        with pytest.raises(ValueError, match="unknown telemetry schema"):
             validate_telemetry_line(
-                {"record": "header", "schema": "telemetry/v1", "p99_target_s": 1.0}
+                {"record": "header", "schema": "telemetry/v3", "p99_target_s": 0}
             )
+        for old in ("telemetry/v1", "telemetry/v2"):
+            with pytest.raises(ValueError, match="unknown telemetry schema"):
+                validate_telemetry_line(
+                    {"record": "header", "schema": old, "p99_target_s": 1.0}
+                )
 
     def test_closed_writer_refuses_writes(self, tmp_path):
         w = TelemetryWriter(tmp_path / "x.jsonl", 0.3)
         w.close()
         with pytest.raises(RuntimeError):
-            w.write_sample(
-                t_s=0.0, seq=0, qid=0, outcome="shed", forced=True
-            )
+            w.write_sample(_sample(outcome="shed", forced=True))

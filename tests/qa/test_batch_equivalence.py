@@ -123,17 +123,11 @@ class TestBatchRegression:
         assert stats.n_questions == 6
         assert stats.n_distinct == 3
         assert stats.sharing_factor == pytest.approx(2.0)
-        # Repeats carry the same logical work charge as serial runs, so
-        # the scanned total equals the serial total.
+        # Repeats carry the same logical work charge as serial runs.
         serial = _fresh(indexed, recognizer)
-        serial_scanned = sum(
-            serial.answer(q).work["retrieval.postings_scanned"]
-            for q in workload
-        )
-        assert stats.postings_scanned == pytest.approx(serial_scanned)
-        assert stats.amortized_postings_scanned == pytest.approx(
-            serial_scanned / 6
-        )
+        assert [r.work["retrieval.postings_scanned"] for r in results] == [
+            serial.answer(q).work["retrieval.postings_scanned"] for q in workload
+        ]
 
     def test_batch_metrics_recorded(self, stack):
         """A repeat reuses its first result, with zero module timings:

@@ -123,11 +123,7 @@ class TestServerSurface:
             server.submit("who?", qid=0)
 
     def test_metrics_registry_sees_serving_names(self):
-        from repro.observability.names import (
-            SERVING_ANSWERED,
-            SERVING_SHED,
-            SERVING_SUBMITTED,
-        )
+        from repro.observability.names import SERVING_LATENCY_S
 
         server = self._server(
             max_concurrent=1, max_queue_depth=0, est_service_s=10.0
@@ -137,9 +133,12 @@ class TestServerSurface:
             server.submit("q1", qid=1, arrival_s=0.0)  # shed
             server.poll()
         snapshot = server.metrics.to_dict()
-        assert snapshot[SERVING_SUBMITTED]["value"] == 2
-        assert snapshot[SERVING_ANSWERED]["value"] == 1
-        assert snapshot[SERVING_SHED]["value"] == 1
+        assert snapshot[SERVING_LATENCY_S]["count"] == 1
+        # Outcomes are counted once, by the ledger, not again as metrics.
+        led = server.ledger
+        assert (led.submitted, led.answered, led.shed) == (2, 1, 1)
+        retired = {f"serving.{k}" for k in ("submitted", "answered", "shed", "drained")}
+        assert not retired & set(snapshot)
 
     def test_context_manager_drains_on_exit(self):
         server = self._server()
@@ -207,8 +206,8 @@ class TestServerSurface:
         """The real pipeline on the unit ``[q0, q1, q0]``: one record per
         request, in order; the repeat has q0's answers, zero module
         timings and no service charge, since nothing ran for it; every
-        member carries the unit's sharing stats, a unit of one none."""
-        from repro.observability.names import POSTINGS_SCANNED
+        member carries the unit's size and distinct count, a unit of one
+        none."""
         from repro.serving.workers import InlineExecutor
 
         q0, q1 = (q.text for q in shared_questions[:2])
@@ -223,11 +222,7 @@ class TestServerSurface:
         assert repeat.answers == first.answers
         assert sum(first.timings) > 0 and sum(other.timings) > 0
         assert repeat.timings == (0.0,) * 5 and repeat.service_s == 0.0
-        scanned = [
-            shared_pipeline.answer(q).work[POSTINGS_SCANNED] for q in (q0, q1, q0)
-        ]
-        amortized = sum(scanned) / 3
-        assert all(r.batch == (3, 2, 1.5, amortized) for r in records)
+        assert all(r.batch == (3, 2) for r in records)
 
         pool.submit([(3, 13, q1, time.time())])
         (single,) = pool.poll()

@@ -6,13 +6,18 @@ import pytest
 
 import repro.serving.server as server_module
 from repro import cli
-from repro.observability.telemetry import TelemetryWriter, read_telemetry
-from repro.serving import QAServer
+from repro.observability.telemetry import (
+    TelemetryWriter,
+    read_telemetry,
+    validate_telemetry_file,
+)
+from repro.serving import AdmissionConfig, QAServer, ServerConfig
 from repro.serving.slo import (
     WINDOW_S,
     SLOMonitor,
     SLOState,
     format_top,
+    replay_telemetry,
     run_top,
 )
 from repro.serving.workers import ExecutionResult
@@ -21,9 +26,26 @@ from repro.serving.workers import ExecutionResult
 TARGET = 0.5
 
 
+def _answered(t, latency, service_s=0.0, worker=0):
+    """A sample record body of one answered question, as the server builds it."""
+    return {
+        "t": t, "seq": 0, "qid": 0, "outcome": "answered",
+        "latency_s": latency, "wait_s": 0.0, "service_s": service_s,
+        "worker": worker, "sampled": True, "forced": False,
+    }
+
+
+def _shed(t):
+    return {
+        "t": t, "seq": 0, "qid": 0, "outcome": "shed", "latency_s": 0.0,
+        "wait_s": 0.0, "service_s": 0.0, "worker": -1, "sampled": False,
+        "forced": True, "reason": "shed:queue_full",
+    }
+
+
 def _feed_answered(monitor, t0, n, latency, dt=0.1, **kw):
     for i in range(n):
-        monitor.record_answered(t0 + i * dt, latency, **kw)
+        monitor.record(_answered(t0 + i * dt, latency, **kw))
     return t0 + (n - 1) * dt
 
 
@@ -42,9 +64,11 @@ class TestStateMachine:
 
     def test_min_samples_gate_suppresses_early_judgement(self):
         m = SLOMonitor(TARGET)
-        m.record_answered(0.0, latency_s=100.0)  # horribly slow, but alone
+        m.record(_answered(0.0, latency=100.0))  # horribly slow, but alone
         report = m.evaluate(0.0)
-        assert report.state is SLOState.OK
+        # No p99 judgement on one answer; only its deadline violation warns.
+        assert report.state is SLOState.WARN
+        assert report.reasons == ("1 deadline violation(s) in window",)
         assert report.n_answered == 1
 
     def test_ok_warn_breach_ok_cycle(self):
@@ -52,12 +76,13 @@ class TestStateMachine:
         # Healthy.
         t = _feed_answered(m, 0.0, 5, latency=0.1)
         assert m.evaluate(t).state is SLOState.OK
-        # p99 above target but below breach_factor x target -> WARN.
-        t = _feed_answered(m, t + 0.1, 5, latency=0.7)
-        report = m.evaluate(t)
+        # p99 above target but below breach_factor x target -> WARN,
+        # judged by the record that crossed the line.
+        report = m.record(_answered(t + 0.1, 0.7))
         assert report.state is SLOState.WARN
         assert report.transition and report.prev_state is SLOState.OK
         assert any("p99" in r for r in report.reasons)
+        t = _feed_answered(m, t + 0.2, 4, latency=0.7)
         # p99 above 2x target -> BREACH.
         t = _feed_answered(m, t + 0.1, 10, latency=1.5)
         report = m.evaluate(t)
@@ -72,23 +97,24 @@ class TestStateMachine:
     def test_shed_rate_lines(self):
         m = SLOMonitor(TARGET)
         t = _feed_answered(m, 0.0, 8, latency=0.1)
-        m.record_shed(t, reason="queue_full")  # 1/9 ~ 11% >= warn 5%
-        report = m.evaluate(t)
+        report = m.record(_shed(t))  # 1/9 ~ 11% >= warn 5%
         assert report.state is SLOState.WARN
         assert any("shed rate" in r for r in report.reasons)
         for i in range(8):
-            m.record_shed(t + 0.01 * (i + 1), reason="queue_full")
+            m.record(_shed(t + 0.01 * (i + 1)))
         report = m.evaluate(t + 0.1)  # 9/17 = 52.9% >= breach 25%
         assert report.state is SLOState.BREACH
 
     def test_deadline_violations_warn_even_when_fast(self):
+        # One answer over the target among 101: the windowed p99 stays
+        # within it, and the violation alone warns.
         m = SLOMonitor(TARGET)
-        t = _feed_answered(m, 0.0, 5, latency=0.1)
-        m.record_answered(t + 0.1, 0.1, deadline_violated=True)
-        report = m.evaluate(t + 0.1)
+        t = _feed_answered(m, 0.0, 100, latency=0.1, dt=0.01)
+        report = m.record(_answered(t + 0.01, TARGET + 0.1))
+        assert report.p99_s <= TARGET
         assert report.state is SLOState.WARN
         assert report.deadline_violations == 1
-        assert any("deadline" in r for r in report.reasons)
+        assert [r for r in report.reasons if "deadline" in r] == list(report.reasons)
 
     def test_window_expiry_trims_outcomes(self):
         m = SLOMonitor(TARGET)
@@ -100,9 +126,7 @@ class TestStateMachine:
     def test_utilization_per_worker(self):
         m = SLOMonitor(TARGET)
         for i in range(4):
-            m.record_answered(
-                float(i), 0.1, service_s=0.5, worker_pid=100 + (i % 2)
-            )
+            m.record(_answered(float(i), 0.1, service_s=0.5, worker=100 + (i % 2)))
         report = m.evaluate(3.0)
         assert set(report.utilization) == {100, 101}
         # 2 x 0.5s service over a 3s observed span.
@@ -111,7 +135,7 @@ class TestStateMachine:
 
     def test_report_to_dict_is_json_and_stringifies_pids(self):
         m = SLOMonitor(TARGET)
-        _feed_answered(m, 0.0, 5, latency=0.1, service_s=0.05, worker_pid=7)
+        _feed_answered(m, 0.0, 5, latency=0.1, service_s=0.05, worker=7)
         body = m.evaluate(0.5).to_dict()
         text = json.dumps(body, allow_nan=False)
         assert '"7"' in text
@@ -121,26 +145,21 @@ class TestStateMachine:
 class TestTopDashboard:
     def _telemetry(self, path, with_slo=True, target=0.05):
         with TelemetryWriter(path, target, header={"workers": 2}) as w:
+            m = SLOMonitor(target)
             for i in range(6):
-                w.write_sample(
-                    t_s=float(i), seq=i, qid=i, outcome="answered",
-                    latency_s=0.1 + 0.01 * i, wait_s=0.01,
-                    service_s=0.08, worker=4000 + (i % 2), sampled=True,
+                sample = _answered(
+                    float(i), 0.1 + 0.01 * i, service_s=0.08, worker=4000 + (i % 2)
                 )
-            w.write_sample(
-                t_s=6.0, seq=6, qid=6, outcome="shed",
-                worker=-1, forced=True, reason="shed:queue_full",
-            )
+                m.record(sample)
+                w.write_sample(sample)
+            w.write_sample(_shed(6.0))
             if with_slo:
-                m = SLOMonitor(target)
-                for i in range(6):
-                    m.record_answered(float(i), 0.1 + 0.01 * i)
                 w.write_slo(m.evaluate(6.0).to_dict())
         return path
 
     def test_format_top_renders_state_and_workers(self):
         m = SLOMonitor(TARGET)
-        _feed_answered(m, 0.0, 5, latency=0.7, service_s=0.3, worker_pid=9)
+        _feed_answered(m, 0.0, 5, latency=0.7, service_s=0.3, worker=9)
         text = format_top(
             m.evaluate(0.5).to_dict(),
             samples=[{"qid": 3, "outcome": "answered", "latency_s": 0.7,
@@ -286,3 +305,73 @@ class TestOnePromise:
         assert "SLO WARN" in frames[0]
         assert "! p99 0.500s > target 0.300s" in frames[0]
         assert "8 deadline violation(s)" in frames[0]
+
+
+class TestOneRecord:
+    """Each outcome is one record: the response, the sample the live
+    monitor judges and the sample the file holds say the same thing."""
+
+    def _serve(self, monkeypatch, path, spans_enabled=True):
+        """20 arrivals 3 s apart; the first 6 bring a second question that
+        is shed, and every 4th answer misses the 0.3 s deadline."""
+        clock = _Clock()
+        monkeypatch.setattr(server_module, "time", clock)
+        config = ServerConfig(
+            admission=AdmissionConfig(
+                max_concurrent=1, max_queue_depth=0, est_service_s=0.05
+            ),
+            spans_enabled=spans_enabled,
+            trace_sample_rate=1.0,
+            telemetry_path=str(path),
+        )
+        server = QAServer(config, pool=_ReplyPool())
+        with server:
+            for i in range(20):
+                clock.now = 3.0 * i
+                server.submit(f"q{i}", qid=i, arrival_s=clock.now)
+                if i < 6:
+                    server.submit("again", qid=100 + i, arrival_s=clock.now)
+                clock.now += 0.5 if i % 4 == 0 else 0.1
+                server.poll()
+        return server
+
+    def test_sampled_means_head_sampled(self, monkeypatch, tmp_path):
+        path = tmp_path / "telemetry.jsonl"
+        server = self._serve(monkeypatch, path, spans_enabled=False)
+        answered = [r for r in server.responses if r.answered]
+        assert len(answered) == 20 and all(r.sampled for r in answered)
+        samples = {
+            r["seq"]: r for r in read_telemetry(path) if r["record"] == "sample"
+        }
+        assert {r.seq: r.sampled for r in server.responses} == {
+            seq: s["sampled"] for seq, s in samples.items()
+        }
+
+    def test_live_monitor_equals_the_top_replay(self, monkeypatch, tmp_path):
+        path = tmp_path / "telemetry.jsonl"
+        server = self._serve(monkeypatch, path)
+        records = read_telemetry(path)
+        assert validate_telemetry_file(path) == len(records)
+        assert records[-1]["ledger"] == server.ledger.to_dict()
+        live_final = [r for r in records if r["record"] == "slo"][-1]
+        assert len(server.slo.transitions) >= 2
+
+        monitor = replay_telemetry([r for r in records if r["record"] != "slo"])
+        report = monitor.evaluate(monitor.t_last).to_dict()
+        assert {"record": "slo", **report} == live_final
+        assert monitor.state is server.slo.state
+        assert monitor.transitions == server.slo.transitions
+
+    def test_top_refuses_an_observe_spans_file(self, tmp_path):
+        from repro.observability import ObserveConfig, run_observe
+
+        run_observe(
+            ObserveConfig(
+                n_nodes=2, questions_per_node=1, strategies=("RECV",),
+                output_dir=str(tmp_path),
+            )
+        )
+        spans = tmp_path / "spans_RECV.jsonl"
+        assert validate_telemetry_file(spans) > 2
+        with pytest.raises(SystemExit, match="^top: .*p99_target_s"):
+            cli.main(["top", "--telemetry", str(spans)])

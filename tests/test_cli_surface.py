@@ -273,6 +273,26 @@ def test_workers_keep_no_metrics_plane():
         assert retired not in source, retired
 
 
+def test_each_outcome_is_recorded_once_in_one_envelope():
+    """One outcome record and one JSONL envelope: the second writer, the
+    second validator, the per-outcome monitor calls, the counters that
+    restated the ledger and the amortized batch charge are gone."""
+    from repro.qa.question import BatchStats
+    from repro.serving.slo import SLOMonitor
+
+    source = "".join(p.read_text() for p in (ROOT / "src").rglob("*.py"))
+    for retired in (
+        "write_" "jsonl", "validate_" "jsonl_line", "record_" "answered",
+        "record_" "shed", "SERVING_" "SUBMITTED", "SERVING_" "ANSWERED",
+        "SERVING_" "SHED", "SERVING_" "DRAINED", "amortized_" "postings",
+        '"serving.' 'submitted"', '"serving.' 'answered"', '"serving.' 'shed',
+        '"serving.' 'drained"',
+    ):
+        assert retired not in source, retired
+    assert not hasattr(SLOMonitor, "record_" "answered")
+    assert not hasattr(BatchStats, "postings_" "scanned")
+
+
 # -- declared once: CLI flags and serving options ------------------------------------
 def _subparsers() -> dict[str, argparse.ArgumentParser]:
     (action,) = [
