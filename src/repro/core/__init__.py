@@ -19,7 +19,7 @@ from .load import (
     single_task_load,
 )
 from .meta_scheduler import Assignment, meta_schedule
-from .monitor import LoadMonitor, MonitoringSystem
+from .monitor import MonitoringSystem
 from .node import ClusterNode, NodeConfig
 from .partitioning import (
     PartitionAbort,
@@ -42,7 +42,6 @@ __all__ = [
     "DNSFrontend",
     "DistributedQASystem",
     "DistributedQATask",
-    "LoadMonitor",
     "LoadSnapshot",
     "MonitoringSystem",
     "NodeConfig",

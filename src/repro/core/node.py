@@ -61,6 +61,8 @@ class ClusterNode:
         self.env = env
         self.node_id = node_id
         self.config = config or NodeConfig()
+        #: Standing fraction of the CPU held back (see ``reserve_cpu``).
+        self.cpu_reserved = 0.0
         self.cpu = FairShareResource(
             env, capacity=self.config.cpu_speed, name=f"cpu[{node_id}]"
         )
@@ -115,9 +117,21 @@ class ClusterNode:
         for event in waiters:
             event.fail(NodeDown(self.node_id))
 
-    # -- memory-pressure -> CPU thrash -------------------------------------------
+    # -- CPU capacity: reservation and memory-pressure thrash -------------------
+    def reserve_cpu(self, fraction: float) -> None:
+        """Hold back a standing ``fraction`` of the CPU.
+
+        Periodic work whose cost is known in closed form (the load
+        monitor's ``t_load`` per interval, Eq 14) is charged this way
+        rather than as jobs; it composes with the thrash slowdown.
+        """
+        if not 0.0 <= fraction < 1.0:
+            raise ValueError(f"CPU reservation must be in [0, 1), got {fraction}")
+        self.cpu_reserved = fraction
+        self._on_memory_pressure(self.memory.overcommit)
+
     def _on_memory_pressure(self, overcommit: float) -> None:
-        effective = self.config.cpu_speed / (
+        effective = self.config.cpu_speed * (1.0 - self.cpu_reserved) / (
             1.0 + self.config.thrash_factor * overcommit
         )
         self.cpu.set_capacity(max(effective, 1e-6))

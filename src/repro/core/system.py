@@ -68,10 +68,11 @@ class SystemConfig:
     monitor_interval_s: float = 1.0
     monitor_packet_bytes: float = 512.0
     membership_timeout_s: float = 3.0
-    #: Load-monitoring topology: 0 = every node broadcasts its full table
-    #: (the paper's protocol, O(N^2) table writes per interval); k >= 1 =
-    #: nodes upload deltas to k shard-local aggregators that publish
-    #: merged tables (O(N) per interval; use ~sqrt(N) for large clusters).
+    #: Load-monitor groups: each group's live members are written into
+    #: the shared load table by one event per interval.  0 = one group at
+    #: phase 0 (the paper's all-to-all broadcast); k >= 1 = k groups
+    #: staggered by interval/k (``auto_shard_count`` gives ~sqrt(N)).
+    #: N table writes per interval either way.
     monitor_shards: int = 0
     policy: TaskPolicy = field(default_factory=TaskPolicy)
     trace: bool = False

@@ -1,26 +1,25 @@
 """Simulator event census: fired events per question by callback kind.
 
 Wraps ``Event._run_callbacks`` from outside (nothing in the simulator is
-instrumented) around one sub-run of the benchmark's simulator workloads.
-Counts only, so the tables are deterministic for a given seed.
+instrumented) around one Section 6.1 run (:func:`run_high_load`) on the
+default cluster.  Counts only, so the tables are deterministic for a
+given seed.
 """
 
 import collections
 
-import numpy as np
-
-from ..core import DistributedQASystem, PartitioningStrategy, Strategy, SystemConfig, TaskPolicy
-from ..core.monitor import auto_shard_count
+from ..core import DistributedQASystem, SystemConfig
+from ..core.monitor import ROUND_EVENT
 from ..simulation.engine import Process
 from ..simulation.events import Event
 from ..simulation.resources import FairShareResource
-from ..workload import staggered_arrivals, trec_mix_profiles
+from ..workload import run_high_load
 
 __all__ = ["census", "format_census"]
 
 
 def census(n_nodes: int, questions: int, seed: int) -> collections.Counter:
-    """Counts per kind for sub-run 0 of ``bench/sim.py``'s input recipe."""
+    """Counts per kind for ``questions`` high-load questions on ``n_nodes``."""
     counts: collections.Counter = collections.Counter()
     job_events, depth = set(), [0]
     run_callbacks, use = Event._run_callbacks, FairShareResource.use
@@ -31,6 +30,8 @@ def census(n_nodes: int, questions: int, seed: int) -> collections.Counter:
         return job
 
     def kind_of(event: Event) -> tuple[str, FairShareResource | None]:
+        if event.name == ROUND_EVENT:
+            return ROUND_EVENT, None
         if event in job_events:
             return "completion hop " + ("(inline)" if depth[0] else "(queued)"), None
         owner = getattr((event.callbacks or [None])[0], "__self__", None)
@@ -39,10 +40,7 @@ def census(n_nodes: int, questions: int, seed: int) -> collections.Counter:
         if isinstance(owner, Process):
             if type(event) is Event and owner._waiting_on is None:
                 return "process bootstrap", None
-            role = owner.name.split("[")[0]
-            return {"load-monitor": "monitor resume", "monitor-shard": "shard publisher"}.get(
-                role, "task/puller resume"
-            ), None
+            return "task/puller resume", None
         return "other (conditions, sentinels)", None
 
     def counting_run_callbacks(event: Event) -> None:
@@ -55,18 +53,10 @@ def census(n_nodes: int, questions: int, seed: int) -> collections.Counter:
             kind += " (live)" if resource.completed_units != before else " (stale)"
         counts[kind] += 1
 
-    order = np.random.default_rng([seed, 0]).permutation(questions)
-    profiles = trec_mix_profiles(questions, seed=0)
-    system = DistributedQASystem(
-        SystemConfig(
-            n_nodes=n_nodes, strategy=Strategy.DQA, seed=seed * 1000,
-            monitor_shards=auto_shard_count(n_nodes), collect_metrics=False,
-            policy=TaskPolicy(ap_strategy=PartitioningStrategy.RECV),
-        )
-    )
+    system = DistributedQASystem(SystemConfig(n_nodes=n_nodes, collect_metrics=False))
     Event._run_callbacks, FairShareResource.use = counting_run_callbacks, counting_use
     try:
-        system.run_workload([profiles[i] for i in order], staggered_arrivals(questions, 2.0, seed=0))
+        run_high_load(system, seed, n_questions=questions)
     finally:
         Event._run_callbacks, FairShareResource.use = run_callbacks, use
     return counts

@@ -4,8 +4,8 @@ The paper's Figure 8 is Eq 23 alone: ``S(N) = N / (1 + T_dist(N)/T̄)``,
 the speedup of N processors each kept busy with ``q`` questions.  This
 section measures the same ratio on the simulator, in that regime: every
 cell runs the Section 6.1 recipe, :func:`~repro.workload.run_high_load`,
-with its 8 questions per node on the default cluster (DQA, RECV, the
-broadcast monitor plane Eq 14 models), and staggers arrivals by
+with its 8 questions per node on the default cluster (DQA, RECV, one
+monitor group, Eq 14 charged as a reservation), and staggers arrivals by
 ``2 s / N`` so that each node is offered the N = 1 anchor's rate at
 every N.
 

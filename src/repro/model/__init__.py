@@ -11,6 +11,7 @@ from .inter_question import (
     distribution_overhead,
     migration_overhead,
     monitoring_overhead,
+    monitoring_round_s,
     system_efficiency,
     system_speedup,
 )
@@ -37,6 +38,7 @@ __all__ = [
     "grid_error",
     "migration_overhead",
     "monitoring_overhead",
+    "monitoring_round_s",
     "parallel_time",
     "practical_processor_limit",
     "question_speedup",

@@ -25,6 +25,7 @@ from .parameters import ModelParameters
 
 __all__ = [
     "monitoring_overhead",
+    "monitoring_round_s",
     "dispatch_overhead",
     "migration_overhead",
     "distribution_overhead",
@@ -33,14 +34,18 @@ __all__ = [
 ]
 
 
-def monitoring_overhead(p: ModelParameters, n: float) -> float:
-    """Eq 14: load-monitoring overhead over one question's lifetime."""
-    per_second = (
+def monitoring_round_s(p: ModelParameters, n: float) -> float:
+    """Eq 14's cost of one 1 s monitoring interval on one node."""
+    return (
         p.t_load
         + n * p.s_load / (p.b_net / 8.0)
         + n * p.s_load / (p.b_mem / 8.0)
     )
-    return p.t_question * per_second
+
+
+def monitoring_overhead(p: ModelParameters, n: float) -> float:
+    """Eq 14: load-monitoring overhead over one question's lifetime."""
+    return p.t_question * monitoring_round_s(p, n)
 
 
 def dispatch_overhead(p: ModelParameters, n: float) -> float:

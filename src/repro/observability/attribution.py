@@ -24,8 +24,9 @@ remaining stage wall, and whatever is left is ``other`` (resource
 queueing inside nodes).
 
 Monitoring is not a per-question activity, so it is attributed at the
-aggregate level: the monitors' total busy seconds amortized over
-``n_nodes x makespan`` give a busy *fraction*, whose share of the total
+aggregate level: the monitors' total busy seconds amortized over the
+node-time they monitored (``snapshots written x interval``) give a busy
+*fraction*, whose share of the total
 question wall is carved out of ``other`` (monitoring overhead manifests
 as slowdown of everything else).  The same report compares the measured
 monitoring/dispatch/migration overheads side by side with the Eq 14/15/20
@@ -44,7 +45,7 @@ from ..model.inter_question import (
 )
 from ..model.parameters import ModelParameters
 from .metrics import MetricsRegistry
-from .names import MONITOR_BUSY_S
+from .names import MONITOR_BROADCASTS, MONITOR_BUSY_S
 from .spans import Span, SpanCategory, SpanStream
 
 if t.TYPE_CHECKING:  # pragma: no cover
@@ -259,11 +260,12 @@ def attribute_workload(
     total_wall = sum(q.wall_s for q in questions)
     mean_wall = total_wall / n_questions if n_questions else 0.0
 
-    # Monitoring: amortize the monitors' busy seconds over the cluster's
-    # total node-time, then carve that share of the question wall out of
-    # ``other`` (clipped so the sum invariant survives).
-    makespan = max(report.makespan_s, 1e-12)
-    busy_frac = metrics.value(MONITOR_BUSY_S) / (config.n_nodes * makespan)
+    # Monitoring: amortize the monitors' busy seconds over the node-time
+    # they monitored (one interval per snapshot written), then carve that
+    # share of the question wall out of ``other`` (clipped so the sum
+    # invariant survives).
+    monitored_s = metrics.value(MONITOR_BROADCASTS) * config.monitor_interval_s
+    busy_frac = metrics.value(MONITOR_BUSY_S) / monitored_s if monitored_s else 0.0
     monitoring_total = min(busy_frac * total_wall, totals["other"])
     totals["monitoring"] += monitoring_total
     totals["other"] -= monitoring_total

@@ -29,7 +29,6 @@ __all__ = [
     "DOC_BYTES_READ",
     "MONITOR_BROADCASTS",
     "MONITOR_BUSY_S",
-    "MONITOR_SHARD_PUBLISHES",
     "N_KEYWORDS",
     "NODE_QUEUE_WAIT_S",
     "POSTINGS_SCANNED",
@@ -84,11 +83,10 @@ PARTITION_CHUNKS = "partition.chunks"
 PARTITION_RETRY_ROUNDS = "partition.retry_rounds"
 #: Front-end re-admissions of questions whose host died (PR 1 retry path).
 TASK_RETRIES = "task.frontend_retries"
-#: Load-monitor broadcasts and total monitoring busy time (CPU + network).
+#: Load-monitor snapshots written (one per live node and interval) and
+#: their monitoring busy time, Eq 14 per write.
 MONITOR_BROADCASTS = "monitor.broadcasts"
 MONITOR_BUSY_S = "monitor.busy_s"
-#: Sharded monitoring (PR 9): merged-table broadcasts by shard aggregators.
-MONITOR_SHARD_PUBLISHES = "monitor.shard_publishes"
 #: Admission-queue wait per question hop (histogram, seconds).
 NODE_QUEUE_WAIT_S = "node.queue_wait_s"
 

@@ -317,10 +317,7 @@ class SyntheticProfileGenerator:
         ap_each = ap_total * weights / weights.sum()
         sizes = rng.uniform(*p.paragraph_bytes_range, size=n_accepted)
 
-        paragraphs = [
-            ParagraphProfile(size_bytes=float(s), ap_cpu_s=float(c))
-            for s, c in zip(sizes, ap_each)
-        ]
+        paragraphs = list(map(ParagraphProfile, sizes.tolist(), ap_each.tolist()))
 
         # --- collections carry PR cost + their slice of PS work -------------------
         ps_total = ap_total * p.ps_fraction_of_ap

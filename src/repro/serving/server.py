@@ -328,7 +328,8 @@ class QAServer:
                 )
                 if sampled and pending.root is not None:
                     pending.trace_id = self.sampler.trace_id(seq)
-                    self.metrics.inc(SERVING_TRACES_SAMPLED)
+            if sampled:
+                self.metrics.inc(SERVING_TRACES_SAMPLED)
             self._pending[seq] = pending
             if self.metrics.enabled:
                 self.metrics.gauge(SERVING_QUEUE_DEPTH).set(

@@ -95,6 +95,24 @@ class Network:
     def is_up(self, node_id: object) -> bool:
         return node_id not in self._down
 
+    # -- standing reservations -------------------------------------------------
+    def reserve(self, fraction: float) -> None:
+        """Hold back a standing ``fraction`` of the medium's bandwidth.
+
+        Periodic traffic whose cost is known in closed form (the load
+        monitor's ``N·S_load`` bytes per interval, Eq 14) is charged this
+        way rather than as messages; :meth:`book_broadcasts` keeps it in
+        the accounting.
+        """
+        if not 0.0 <= fraction < 1.0:
+            raise ValueError(f"network reservation must be in [0, 1), got {fraction}")
+        self.medium.set_capacity(self.bandwidth_bps / 8.0 * (1.0 - fraction))
+
+    def book_broadcasts(self, count: int, nbytes: float) -> None:
+        """Account ``count`` broadcasts, ``nbytes`` in all, carried by a reservation."""
+        self.broadcasts_sent += count
+        self.bytes_transferred += nbytes
+
     # -- transfers ---------------------------------------------------------------
     def transfer(
         self,

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import typing as t
 from heapq import heappop
+from math import ulp
 
 from .engine import Environment
 from .events import _PENDING, Event, SimulationError
@@ -134,10 +135,13 @@ class FairShareResource:
         """Change the service rate (e.g. memory-thrash slowdown).
 
         In-flight jobs keep their already-received service; remaining work
-        proceeds at the new rate.
+        proceeds at the new rate.  Setting the current rate again is a
+        no-op: recomputing the due instant would only move it by rounding.
         """
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
+        if capacity == self._capacity:
+            return
         self._advance()
         self._capacity = float(capacity)
         self._arm()
@@ -244,8 +248,14 @@ class FairShareResource:
             return
         self._advance()
         # Complete every job whose virtual target has been reached (ties
-        # complete together, e.g. equal demands started together).
-        limit = self._vtime + 1e-9 * max(1.0, abs(self._vtime))
+        # complete together, e.g. equal demands started together), and
+        # every job due within one step of the clock's float resolution:
+        # its due instant rounds to ``now``, so no later wakeup could
+        # advance virtual time far enough to reach it.
+        limit = self._vtime + max(
+            1e-9 * max(1.0, abs(self._vtime)),
+            ulp(now) * self._capacity / self._weight_sum,
+        )
         entries = self._sched.entries
         done: list[Job] = []
         while entries:

@@ -1,12 +1,15 @@
-"""Tests for sharded load monitoring (aggregator plane, ISSUE 9)."""
+"""Tests for the load-monitor plane: groups, the shared table, bumps and
+the Eq 14 charge."""
 
 import pytest
 
-from repro.core import ClusterNode, MonitoringSystem
+from repro.core import ClusterNode, DistributedQASystem, MonitoringSystem, NodeConfig, SystemConfig
 from repro.core.monitor import auto_shard_count
+from repro.model import ModelParameters, monitoring_round_s
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.names import MONITOR_SHARD_PUBLISHES
+from repro.observability.names import MONITOR_BROADCASTS, MONITOR_BUSY_S
 from repro.simulation import Environment, Network
+from repro.workload import run_high_load
 
 
 @pytest.fixture()
@@ -14,9 +17,9 @@ def env():
     return Environment()
 
 
-def build(env, n=6, shards=2, interval=1.0, metrics=None):
+def build(env, n=6, shards=2, interval=1.0, metrics=None, node_config=None):
     net = Network(env, bandwidth_bps=100e6)
-    nodes = [ClusterNode(env, i) for i in range(n)]
+    nodes = [ClusterNode(env, i, node_config) for i in range(n)]
     mon = MonitoringSystem(
         env, net, nodes, interval_s=interval, shards=shards, metrics=metrics
     )
@@ -30,23 +33,21 @@ class TestShardLayout:
         assert auto_shard_count(1000) == 32
 
     def test_legacy_mode_by_default(self, env):
+        """``shards=0`` is the paper's broadcast: one group at phase 0."""
         net = Network(env, bandwidth_bps=100e6)
         nodes = [ClusterNode(env, i) for i in range(3)]
         mon = MonitoringSystem(env, net, nodes)
-        assert mon.sharded is False
-        assert mon.n_shards == 0
+        assert [(g.phase_s, g.members) for g in mon.groups] == [(0.0, (0, 1, 2))]
 
     def test_members_partition_the_cluster(self, env):
         _, _, mon = build(env, n=7, shards=3)
-        all_members = [nid for members in mon._members for nid in members]
-        assert sorted(all_members) == list(range(7))
-        assert all(mon._shard_of[nid] == s
-                   for s, members in enumerate(mon._members)
-                   for nid in members)
+        all_members = [nid for g in mon.groups for nid in g.members]
+        assert all_members == list(range(7))
+        assert [g.phase_s for g in mon.groups] == pytest.approx([0, 1 / 3, 2 / 3])
 
     def test_shards_clamped_to_node_count(self, env):
         _, _, mon = build(env, n=3, shards=10)
-        assert mon.n_shards == 3
+        assert len(mon.groups) == 3
 
 
 class TestShardedView:
@@ -62,10 +63,10 @@ class TestShardedView:
 
         env.process(burn())
         env.run(until=2.5)
-        # By 2.5 s every shard has published at least once, carrying the
-        # monitors' 1 s-interval measurements of the busy node.
+        # Node 1's group wrote at 1.0 and 2.0: the view carries the 2.0
+        # snapshot of the busy node, not its state at 2.5.
         snap = mon.view(0)[1]
-        assert snap.timestamp > 0
+        assert snap.timestamp == 2.0
         assert snap.cpu_load > 0.4
 
     def test_observer_sees_itself_live(self, env):
@@ -74,10 +75,11 @@ class TestShardedView:
         assert mon.view(0)[0].n_questions == 9
 
     def test_local_snapshot_tracks_self_report(self, env):
+        """A node's own table entry is its last write, like any peer's."""
         _, _, mon = build(env, n=4, shards=2)
-        assert mon.local_snapshot(2).node_id == 2
+        assert mon.table[2].node_id == 2
         env.run(until=2.5)
-        assert mon.local_snapshot(2).timestamp > 0
+        assert mon.table[2].timestamp == 2.5  # group 1 writes at k + 0.5
 
     def test_dead_node_leaves_view_after_timeout(self, env):
         _, nodes, mon = build(env, n=4, shards=2)
@@ -114,14 +116,14 @@ class TestOptimisticBumps:
 
     def test_bump_expires_once_fresher_measurement_publishes(self, env):
         _, _, mon = build(env, n=6, shards=2)
+        env.run(until=2.2)
+        mon.note_question_assignment(0, 3)  # node 3 is in group 1 (phase 0.5)
+        env.run(until=2.4)
+        assert mon.view(0)[3].n_questions == 1
+        # Node 3's next write lands at 2.5 and supersedes the guess.
         env.run(until=2.5)
-        mon.note_question_assignment(0, 3)
-        assert mon.view(0)[3].n_questions >= 1
-        # Two more monitor rounds + publishes: the target's own report
-        # (measured after the bump) supersedes the optimistic guess.
-        env.run(until=6.0)
         assert mon.view(0)[3].n_questions == 0
-        assert 3 not in mon._overlays[0]
+        assert 3 not in mon._bumps
 
 
 class TestUploadPlane:
@@ -129,32 +131,88 @@ class TestUploadPlane:
         reg = MetricsRegistry()
         _, _, mon = build(env, n=6, shards=2, metrics=reg)
         env.run(until=3.4)
-        # Each of the 2 shards publishes once per second after its
-        # phase-staggered start; by 3.4 s that is 3-4 publishes each.
-        assert 6 <= reg.value(MONITOR_SHARD_PUBLISHES) <= 8
-
-    def test_delta_uploads_shrink_when_nothing_changes(self, env):
-        net, _, mon = build(env, n=4, shards=2)
-        env.run(until=1.5)  # first round: full packets
-        first = net.bytes_transferred
-        env.run(until=2.5)  # idle cluster: "no change" deltas
-        second = net.bytes_transferred - first
-        assert second < first
+        # Group 0 wrote at 1, 2, 3 and group 1 at 1.5, 2.5: five rounds of
+        # three members each.
+        assert mon.rounds == 5
+        assert reg.value(MONITOR_BROADCASTS) == 15
 
     def test_publish_traffic_scales_with_members_not_cluster(self, env):
         _, _, mon = build(env, n=6, shards=3)
-        # A shard broadcast carries members * packet_bytes — the explicit
-        # per-shard N_k * S_load term of Eq 14.
-        assert len(mon._members[0]) * mon.packet_bytes == 2 * 512.0
+        # A group's round carries members * packet_bytes — the per-group
+        # N_k * S_load term of Eq 14.
+        assert [g.nbytes for g in mon.groups] == [2 * 512.0] * 3
 
 
 class TestLegacyUnchanged:
     def test_legacy_note_methods_mutate_observer_table(self, env):
+        """Bumps live in the observer's view; the shared table is untouched."""
         net = Network(env, bandwidth_bps=100e6)
         nodes = [ClusterNode(env, i) for i in range(3)]
         mon = MonitoringSystem(env, net, nodes)
         mon.note_question_assignment(0, 1)
-        assert mon.tables[0][1].n_questions == 1
-        assert mon.tables[1][1].n_questions == 0
+        assert mon.view(0)[1].n_questions == 1
+        assert mon.view(2)[1].n_questions == 0
+        assert mon.table[1].n_questions == 0
         mon.note_load_share(0, 2, cpu=0.3, disk=0.1)
-        assert mon.tables[0][2].cpu_load == pytest.approx(0.3)
+        assert mon.view(0)[2].cpu_load == pytest.approx(0.3)
+
+
+class TestChargedPlane:
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("shards", [0, 4])
+    def test_one_event_per_group_per_interval(self, env, n, shards):
+        """Events per interval depend on the group count, not on N."""
+        _, _, mon = build(env, n=n, shards=shards)
+        env.run(until=5.9)
+        before = next(env._seq)
+        env.run(until=15.9)
+        fired = next(env._seq) - before - 1
+        # Ten intervals: one round per group plus the membership sentinel.
+        assert fired == 10 * (max(1, shards) + 1)
+        assert mon.rounds == 15 * max(1, shards)
+
+    def test_booked_busy_time_is_eq14_and_fold_matches_model(self):
+        system = DistributedQASystem(SystemConfig(n_nodes=4, trace=True, seed=3))
+        report = run_high_load(system, 3, n_questions=8)
+        writes = system.metrics.value(MONITOR_BROADCASTS)
+        per_round = monitoring_round_s(ModelParameters(s_load=512.0, b_net=100e6), 4)
+        assert writes > 0
+        assert system.metrics.value(MONITOR_BUSY_S) == pytest.approx(
+            writes * per_round, rel=1e-12
+        )
+        from repro.observability import attribute_workload
+
+        fold = attribute_workload(system.spans, system.metrics, report, system.config)
+        assert fold.model_comparison["monitoring"]["rel_err"] <= 1e-9
+
+    def test_killed_node_leaves_and_rejoins_on_first_write(self, env):
+        net, nodes, mon = build(env, n=4, shards=0)
+        env.run(until=2.3)
+        nodes[2].up = False
+        net.set_node_up(2, False)
+        env.run(until=2.3 + mon.membership_timeout_s + mon.interval_s)
+        assert 2 not in mon.view(0)
+        (left,) = [w for w, nid, live in mon.membership_log if nid == 2 and not live]
+        assert left <= 2.3 + mon.membership_timeout_s + mon.interval_s
+        env.run(until=10.2)
+        nodes[2].up = True
+        net.set_node_up(2, True)
+        env.run(until=10.9)
+        assert 2 not in mon.view(0)
+        env.run(until=11.0)  # the group's first round after recovery
+        assert 2 in mon.view(0)
+        assert mon.table[2].timestamp == 11.0
+
+    def test_cpu_reservation_composes_with_thrash(self, env):
+        cfg = NodeConfig(memory_bytes=200e6, baseline_memory_bytes=100e6, thrash_factor=4.0)
+        net, nodes, mon = build(env, n=2, shards=0, interval=0.5, node_config=cfg)
+        assert nodes[0].cpu.capacity == 1.0  # nothing measured before round one
+        env.run(until=0.5)
+        reserved = 1e-3 / 0.5
+        assert nodes[0].cpu.capacity == pytest.approx(1.0 - reserved)
+        nodes[0].memory.allocate(150e6)  # overcommit 0.25
+        assert nodes[0].cpu.capacity == pytest.approx((1.0 - reserved) / (1 + 4.0 * 0.25))
+        nodes[0].memory.release(150e6)
+        assert nodes[0].cpu.capacity == pytest.approx(1.0 - reserved)
+        # The medium holds back the N * S_load bytes of every interval.
+        assert net.medium.capacity == pytest.approx(100e6 / 8 - 2 * 512.0 / 0.5)

@@ -126,3 +126,25 @@ class TestSyntheticProfiles:
     def test_qids_assigned(self):
         profs = SyntheticProfileGenerator(seed=1).generate_many(3, start_qid=10)
         assert [p.qid for p in profs] == [10, 11, 12]
+
+
+def _profiles_digest(profiles) -> str:
+    import dataclasses
+    import hashlib
+
+    h = hashlib.sha256()
+    for profile in profiles:
+        h.update(repr(dataclasses.astuple(profile)).encode())
+    return h.hexdigest()
+
+
+#: sha256 over every field of ``trec_mix_profiles(128, seed=0)`` (the
+#: simulator workloads' first sub-run); a host-only change to profile
+#: generation must reproduce it.
+TREC_MIX_128_DIGEST = "0049bbaa8794dbcb0db5380af06a62bfd8bdd55019d7754f0bb032971d75ec68"
+
+
+def test_trec_mix_profiles_are_frozen():
+    from repro.workload import trec_mix_profiles
+
+    assert _profiles_digest(trec_mix_profiles(128, seed=0)) == TREC_MIX_128_DIGEST

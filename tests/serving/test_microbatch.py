@@ -34,6 +34,7 @@ from repro.corpus import CorpusConfig
 from repro.observability.names import (
     SERVING_BATCH_BUFFER_WAIT_S,
     SERVING_BATCH_SIZE,
+    SERVING_TRACES_SAMPLED,
 )
 from repro.serving import (
     AdmissionConfig,
@@ -130,6 +131,7 @@ def _fake_server(
     batch_wait_s: float = 1e9,
     admission: AdmissionConfig | None = None,
     metrics_enabled: bool = False,
+    trace_sample_rate: float = 0.0,
 ) -> tuple[QAServer, FakePool]:
     pool = FakePool(workers)
     server = QAServer(
@@ -141,6 +143,7 @@ def _fake_server(
             batch_wait_s=batch_wait_s,
             metrics_enabled=metrics_enabled,
             spans_enabled=False,
+            trace_sample_rate=trace_sample_rate,
         ),
         pool=pool,
     )
@@ -268,6 +271,19 @@ class TestFlushBehavior:
         assert metrics[SERVING_BATCH_SIZE]["count"] == 2
         assert metrics[SERVING_BATCH_SIZE]["sum"] == 4.0
         assert metrics[SERVING_BATCH_BUFFER_WAIT_S]["count"] == 2
+
+    def test_head_sampled_questions_are_counted_with_spans_off(self):
+        """``serving.traces_sampled`` counts head-sampled questions, not
+        stitched trees: with spans off every accepted question still counts."""
+        server, pool = _fake_server(
+            workers=1, batch_max=3, metrics_enabled=True, trace_sample_rate=1.0
+        )
+        for i in range(5):
+            server.submit(f"q{i}", qid=i, arrival_s=float(i))
+        ledger = server.drain()
+        assert ledger.answered == 5
+        assert server.metrics.value(SERVING_TRACES_SAMPLED) == 5
+        assert all(r.sampled for r in server.responses)
 
     def test_batched_attribution_still_sums(
         self, inline_server_parts, shared_questions

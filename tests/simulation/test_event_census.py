@@ -1,4 +1,4 @@
-"""The simulator's event mix, counted at the benchmark's smallest shape."""
+"""The simulator's event mix, counted on a small Section 6.1 run."""
 
 from repro.experiments.event_census import census
 from repro.simulation.events import Event
@@ -7,8 +7,7 @@ from repro.simulation.resources import FairShareResource
 KINDS = {
     "completion hop (inline)",
     "completion hop (queued)",
-    "monitor resume",
-    "shard publisher",
+    "monitor round",
     "task/puller resume",
     "process bootstrap",
     "other (conditions, sentinels)",
@@ -27,5 +26,10 @@ def test_stale_wakeups_stay_rare_and_every_kind_is_accounted():
     total = sum(counts.values())
     stale = sum(n for kind, n in counts.items() if kind.endswith("(stale)"))
     # Lazy fair-share timers (PR 15): a wakeup that completes nothing is
-    # wasted work, and more than 5 % of them means a timer went eager again.
-    assert stale <= 0.05 * total
+    # wasted work.  Here 8.2 per question, 6.8 % of fired events; an eager
+    # timer (one pushed at every membership change) makes them about 77 %.
+    # The share was bounded at 5 % while the load monitor's own 1 ms jobs
+    # and broadcasts, all live, were two fifths of the events; the plane
+    # charges them now, so the count is bounded as well as the share.
+    assert stale <= 0.10 * total
+    assert stale <= 10 * 32

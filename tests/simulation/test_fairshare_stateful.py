@@ -273,7 +273,10 @@ def reference_completions(capacity, script):
             if instant == now:
                 raise _Tie
             advance(instant)
-            limit = state["vtime"] + 1e-9 * max(1.0, abs(state["vtime"]))
+            limit = state["vtime"] + max(
+                1e-9 * max(1.0, abs(state["vtime"])),
+                math.ulp(instant) * state["cap"] / state["wsum"],
+            )
             for index in sorted(active, key=lambda i: (active[i][0], i)):
                 if active[index][0] <= limit:
                     remove(index)
@@ -286,7 +289,8 @@ def reference_completions(capacity, script):
             continue
         run_to(now)
         # Virtual time steps only when a call takes effect: cancelling a
-        # finished job is a no-op, and an extra step would round differently.
+        # finished job or setting the current capacity is a no-op, and an
+        # extra step would round differently.
         if op == "use":
             advance(now)
             demand, weight = args[0], args[1]
@@ -294,8 +298,9 @@ def reference_completions(capacity, script):
             state["wsum"] += weight
             order.append(index)
         elif op == "capacity":
-            advance(now)
-            state["cap"] = args[0]
+            if args[0] != state["cap"]:
+                advance(now)
+                state["cap"] = args[0]
         elif order and (victim := order[args[0] % len(order)]) in active:
             advance(now)
             remove(victim)

@@ -4,10 +4,10 @@ ROADMAP's rule for kernel changes is one code path checked against frozen
 outputs, not a legacy path kept beside the new one.  Each case below is a
 seeded Section 6.1 run (``run_high_load``) whose every simulated number —
 makespan, migrations, each question's response time, bytes on the wire,
-monitor rounds, the membership log — is hashed into one sha256.  The digests were
-recorded on the commit *before* PR 15 reworked the fair-share kernel (lazy
-timers, inline completions); a host-only optimisation must reproduce all
-of them.
+monitor rounds, the membership log — is hashed into one sha256.  The
+digests were recorded when the load monitor became one charged plane
+(Eq 14 as a standing reservation, one table write per group and
+interval); a host-only optimisation must reproduce all of them.
 
 To re-record after a change that is *meant* to move simulated numbers::
 
@@ -88,16 +88,16 @@ CASES = {
     "overcommit8-ISEND": _overcommit8,
 }
 
-#: Recorded on the parent of PR 15 (commit 934bf60).
+#: Recorded with the charged monitor plane.
 GOLDEN = {
-    "dqa16-SEND-sharded": "370a5316c57ea868b0f9ef969838485492129ba245c5caf21b1f16a6619073d7",
-    "dqa16-ISEND-sharded": "1dfdf1799775a1e422f2c4c2b31b84a50a3df3bd7ff06af6fd3e2a997672b62b",
-    "dqa16-RECV-sharded": "11deb5e03f42cae34365661daedcd0977e5ae240fcd81eaadb9fc261045a54b8",
-    "dqa16-SEND-broadcast": "6fa8c1d62d87fe362cbd0717dfb9ec06889116b68fe6fb77e00157f98bd7bef9",
-    "dqa16-ISEND-broadcast": "6c89d265402fe631792d6aa6fd6696749c51091b9d2c05f082d81215a4e4eb8d",
-    "dqa16-RECV-broadcast": "9e69910b8a4003ebd98a4909a9dfeaf66489ffe9745629b64656eaff03d1b816",
-    "failure4-RECV": "53bcf2ef7be14135a0dff9bffa6b6e326af533602909309cdb3d66e1e4d57529",
-    "overcommit8-ISEND": "a1eacab21c297c4c4d0c56791505032180c08887dbb8a18387136dc68fc8c093",
+    "dqa16-SEND-sharded": "61003140c36c04eb4d9a93da8581c3bc95aad5eb3bc0be09e448333d31f60760",
+    "dqa16-ISEND-sharded": "66587fd1ff45c9dc2519f65daaf5836e3ae19f4dc10d8a2a90d82740ee9efa97",
+    "dqa16-RECV-sharded": "f94975237b46f515b67e7da6a78bb07120baa485ccba999179b19d46dfa8b0b7",
+    "dqa16-SEND-broadcast": "a6e34953cb4e8ea23f1519c9f2839c57301cfc2e5b7454e29910c5c88e894f09",
+    "dqa16-ISEND-broadcast": "8ca23e451b803f4b494f715e6bac811b1cc0cf62c5a861303acb661275e860a2",
+    "dqa16-RECV-broadcast": "7826b53548ae9c2357b21812fd7ef53368d11c94ebcbbdd68d178fdd8ae606f0",
+    "failure4-RECV": "7ec99b890571b54923b3316fbb367511985fc01fe4bf474c394cf4666b34b27f",
+    "overcommit8-ISEND": "54da228b0bb83d7a605dbff0aba3558a6cc8126c7f08d84bccc5ff427b7c4710",
 }
 
 
@@ -121,7 +121,7 @@ def run_digest(case: str) -> str:
     )
     floats(*(r.response_time for r in report.results))
     floats(system.network.bytes_transferred)
-    h.update(repr(sum(m.broadcasts for m in system.monitoring.monitors)).encode())
+    h.update(repr(system.monitoring.rounds).encode())
     for when, nid, live in system.monitoring.membership_log:
         floats(when)
         h.update(repr((nid, live)).encode())

@@ -293,6 +293,20 @@ class TestFairShare:
         finish = [done[i] for i in order]
         assert finish == sorted(finish)
 
+    def test_job_due_within_clock_resolution_completes(self):
+        """A remainder whose time to finish rounds to zero at ``now`` must
+        complete then: no later wakeup could advance virtual time to it,
+        so waiting for one would spin at the same instant forever."""
+        env = Environment(initial_time=275.218083481521)
+        r = FairShareResource(env, 12497952.0)
+        r._vtime = 208.99999987310457  # idle: virtual time at rest
+        job = r.use(209.00000016957256 - r._vtime)
+        for _ in range(10):
+            if job.done:
+                break
+            env.step()
+        assert job.done and env.now == 275.218083481521
+
 
 class TestMemory:
     def test_allocate_release_cycle(self, env):

@@ -224,15 +224,14 @@ def test_one_wire_shape_per_hop():
 
 def test_each_evaluation_protocol_is_written_once():
     """Section 6.1 is ``run_high_load`` and Section 6.2 ``run_one_at_a_time``:
-    only the census, which mirrors the benchmark's input recipe, draws the
-    high-load ingredients itself."""
+    nothing outside ``workload/`` draws the high-load ingredients itself."""
     from repro.core import ClusterNode, MonitoringSystem, QuestionDispatcher
     from repro.simulation import Environment, Network
 
     src = ROOT / "src" / "repro"
     for path in src.rglob("*.py"):
         rel = path.relative_to(src).as_posix()
-        if rel.startswith("workload/") or rel == "experiments/event_census.py":
+        if rel.startswith("workload/"):
             continue
         text = path.read_text()
         for call in ("trec_mix_profiles(", "staggered_arrivals("):
