@@ -107,14 +107,17 @@ class TestPartitioningShapes:
 class TestLoadBalancingShapes:
     @pytest.fixture(scope="class")
     def high_load(self):
+        """Mean throughput over 40 seeds at 8 nodes.
+
+        DQA - INTER is 0.36 +- 0.23 q/min from seed to seed, so a mean of
+        a few draws judges the draws rather than the strategies.
+        """
         out = {}
         for strategy in (Strategy.DNS, Strategy.INTER, Strategy.DQA):
+            config = SystemConfig(n_nodes=8, strategy=strategy, collect_metrics=False)
             thr = [
-                run_high_load(
-                    DistributedQASystem(SystemConfig(n_nodes=8, strategy=strategy)),
-                    seed,
-                ).throughput_qpm
-                for seed in (11, 23, 37)
+                run_high_load(DistributedQASystem(config), seed).throughput_qpm
+                for seed in range(100, 140)
             ]
             out[strategy.value] = float(np.mean(thr))
         return out
