@@ -9,10 +9,11 @@ difference between the load of the source node and the load of the
 destination node is greater than the average workload of a single
 question."
 
-The dispatcher sees only its node's (stale) load table.  After deciding,
-it optimistically bumps the local table entry for the chosen node so that
-several questions dispatched from the same node within one broadcast
-interval do not all stampede to the same target.
+The dispatcher decides on the shared load table, whose peer entries are
+up to one broadcast interval old.  After a migration it announces the
+question on the chosen node's entry, which every node sees at once, so
+that questions dispatched from any node within one interval do not all
+stampede to the same target.
 """
 
 from __future__ import annotations
@@ -111,5 +112,5 @@ class QuestionDispatcher:
         self.migrations += 1
         if self.metrics is not None:
             self.metrics.inc(QA_MIGRATIONS)
-        self.monitoring.note_question_assignment(host_id, best)
+        self.monitoring.announce(best, questions=1)
         return best

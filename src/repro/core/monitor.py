@@ -18,9 +18,12 @@ What is simulated is the information.  The cluster is split into
 and one event per group and interval writes every live member's
 snapshot into one shared table and stamps its heartbeat.
 
-An observer sees the table minus entries older than the membership
-timeout, itself live, and its own optimistic bumps (``note_*``); a bump
-lasts until its target's next write, which already counts the bumped work.
+Every observer sees the same table, minus entries older than the
+membership timeout, with itself live.  A dispatcher that sends work to a
+node announces it (:meth:`MonitoringSystem.announce`): the target's entry
+is bumped in that one table, for every observer at once, and charged as
+one ``S_load`` broadcast.  The target's next round write, which already
+counts the announced work, replaces it.
 """
 
 from __future__ import annotations
@@ -106,9 +109,6 @@ class MonitoringSystem:
             nid: LoadSnapshot(nid, cpu_load=0.0, disk_load=0.0, n_questions=0, timestamp=0.0)
             for nid in ids
         }
-        #: target -> {observer: bumped snapshot}, dropped at the target's
-        #: next write (which already counts the bumped work).
-        self._bumps: dict[int, dict[int, LoadSnapshot]] = {}
         self._checkpoints = {nid: node.load_checkpoints() for nid, node in self.nodes.items()}
         self.last_heartbeat = dict.fromkeys(ids, 0.0)
         #: (time, node_id, live) as the protocol observes it: a node leaves
@@ -154,7 +154,6 @@ class MonitoringSystem:
                 n_waiting=node.waiting_questions,
             )
             self.last_heartbeat[nid] = now
-            self._bumps.pop(nid, None)
             written += 1
         if written:
             self.network.book_broadcasts(written, written * self.packet_bytes)
@@ -178,31 +177,30 @@ class MonitoringSystem:
                     self._live[nid] = live
                     self.membership_log.append((now, nid, live))
 
-    def note_question_assignment(self, observer: int, target: int) -> None:
-        """Bump ``target``'s question counters in ``observer``'s view, so
-        same-interval dispatches don't dog-pile one node."""
-        by = self._bumps.setdefault(target, {})
-        s = by.get(observer, self.table[target])
-        by[observer] = replace(s, n_questions=s.n_questions + 1, n_waiting=s.n_waiting + 1)
-
-    def note_load_share(self, observer: int, target: int, cpu: float, disk: float) -> None:
-        """Add expected cpu/disk load to ``observer``'s view of ``target``
-        (work fanned out to peers)."""
-        by = self._bumps.setdefault(target, {})
-        s = by.get(observer, self.table[target])
-        by[observer] = replace(s, cpu_load=s.cpu_load + cpu, disk_load=s.disk_load + disk)
+    def announce(
+        self, target: int, questions: int = 0, cpu: float = 0.0, disk: float = 0.0
+    ) -> None:
+        """Add work just sent to ``target`` to its shared entry, for every
+        observer at once, until the target's next round write.  The entry
+        keeps its timestamp; the broadcast books one ``S_load`` but nothing
+        under ``MONITOR_*``, which counts round writes (Eq 14) only."""
+        s = self.table[target]
+        self.table[target] = replace(
+            s,
+            n_questions=s.n_questions + questions,
+            n_waiting=s.n_waiting + questions,
+            cpu_load=s.cpu_load + cpu,
+            disk_load=s.disk_load + disk,
+        )
+        self.network.book_broadcasts(1, self.packet_bytes)
 
     def view(self, observer: int) -> dict[int, LoadSnapshot]:
         """The live-membership load table as seen by ``observer``: peers
-        through their last write (dropped once older than the membership
-        timeout) with ``observer``'s bumps on top, and itself live."""
+        through their last write or announcement (dropped once the write
+        is older than the membership timeout), and itself live."""
         now = self.env.now
         timeout = self.membership_timeout_s
         fresh = {nid: s for nid, s in self.table.items() if now - s.timestamp <= timeout}
-        for target, by in self._bumps.items():
-            bumped = by.get(observer)
-            if bumped is not None and target in fresh:
-                fresh[target] = bumped
         fresh[observer] = self.live_snapshot(observer)
         return fresh
 

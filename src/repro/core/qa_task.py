@@ -683,13 +683,11 @@ class DistributedQATask:
             stay_threshold=single_task_load(weights),
             registry=self.system.metrics,
         )
-        # Optimistically account the dispatched work on the chosen nodes in
-        # this host's view, damping same-interval herding.
+        # Announce the work on each chosen node's shared entry (the host's
+        # too), so that no node herds onto the same targets this interval.
         monitoring = self.system.monitoring
         for nid, share in assignment.shares:
-            monitoring.note_load_share(
-                self.host, nid, weights.cpu * share, weights.disk * share
-            )
+            monitoring.announce(nid, cpu=weights.cpu * share, disk=weights.disk * share)
         return assignment
 
     def _distribute(

@@ -72,7 +72,8 @@ class SystemConfig:
     #: the shared load table by one event per interval.  0 = one group at
     #: phase 0 (the paper's all-to-all broadcast); k >= 1 = k groups
     #: staggered by interval/k (``auto_shard_count`` gives ~sqrt(N)).
-    #: N table writes per interval either way.
+    #: N round writes per interval either way, plus one announcement per
+    #: migrated question and per PR/AP share dispatched.
     monitor_shards: int = 0
     policy: TaskPolicy = field(default_factory=TaskPolicy)
     trace: bool = False

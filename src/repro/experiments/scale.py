@@ -83,7 +83,7 @@ def _scale_cell(spec: tuple[int, int]) -> ScaleCell:
 
 
 def run_scale(
-    node_counts: t.Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128),
+    node_counts: t.Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128, 256),
     seeds: t.Sequence[int] = (11, 23, 37),
     jobs: int | str | None = None,
 ) -> dict[str, t.Any]:

@@ -53,6 +53,18 @@ class TestChoose:
         second = dispatcher.choose(0)
         assert first != second
 
+    def test_different_hosts_spread_within_one_interval(self):
+        """A migration is announced in the shared table, so a second host
+        deciding before the next round does not pick the same target."""
+        env = Environment()
+        nodes, mon, dispatcher = build(env, n=4)
+        nodes[0].active_questions = 8
+        nodes[1].active_questions = 8
+        env.run(until=1.5)  # the round at 1.0 writes both busy hosts
+        first = dispatcher.choose(0)
+        second = dispatcher.choose(1)
+        assert {first, second} == {2, 3}
+
     def test_custom_threshold(self):
         env = Environment()
         nodes, mon, dispatcher = build(env)

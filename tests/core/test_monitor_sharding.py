@@ -1,5 +1,5 @@
-"""Tests for the load-monitor plane: groups, the shared table, bumps and
-the Eq 14 charge."""
+"""Tests for the load-monitor plane: groups, the shared table,
+announcements and the Eq 14 charge."""
 
 import pytest
 
@@ -93,37 +93,69 @@ class TestShardedView:
 
 
 class TestOptimisticBumps:
-    def test_assignment_bump_visible_to_observer_only(self, env):
+    """A bump is an announced write into the one shared table."""
+
+    def test_bump_seen_by_every_observer_at_once(self, env):
         _, _, mon = build(env, n=6, shards=2)
         env.run(until=2.5)
-        before = mon.view(0)[3].n_questions
-        mon.note_question_assignment(0, 3)
-        after = mon.view(0)[3]
-        assert after.n_questions == before + 1
-        assert after.n_waiting >= 1
-        # Another observer's view is untouched.
-        assert mon.view(1)[3].n_questions == before
+        before = mon.table[3]
+        mon.announce(3, questions=1)
+        for observer in (0, 1, 2, 4, 5):
+            snap = mon.view(observer)[3]
+            assert snap.n_questions == before.n_questions + 1
+            assert snap.n_waiting == before.n_waiting + 1
+        # The target itself still sees its live state.
+        assert mon.view(3)[3].n_questions == 0
 
     def test_load_share_bump_accumulates(self, env):
         _, _, mon = build(env, n=6, shards=2)
         env.run(until=2.5)
-        base = mon.view(0)[4]
-        mon.note_load_share(0, 4, cpu=0.5, disk=0.25)
-        mon.note_load_share(0, 4, cpu=0.5, disk=0.25)
+        base = mon.table[4]
+        mon.announce(4, cpu=0.5, disk=0.25)
+        mon.announce(4, cpu=0.5, disk=0.25)
+        mon.announce(4, questions=1)
         snap = mon.view(0)[4]
         assert snap.cpu_load == pytest.approx(base.cpu_load + 1.0)
         assert snap.disk_load == pytest.approx(base.disk_load + 0.5)
+        assert snap.n_questions == base.n_questions + 1
+
+    def test_bump_keeps_timestamp_and_leaves_membership_alone(self, env):
+        _, nodes, mon = build(env, n=4, shards=0)
+        env.run(until=2.3)
+        nodes[2].up = False
+        heartbeat = mon.last_heartbeat[2]
+        env.run(until=4.5)
+        mon.announce(2, questions=1, cpu=0.3)
+        assert mon.table[2].timestamp == 2.0
+        assert mon.last_heartbeat[2] == heartbeat
+        env.run(until=9.0)
+        # A dead node's announced entry ages out like any other.
+        assert 2 not in mon.view(0)
+        assert [(nid, live) for _, nid, live in mon.membership_log] == [(2, False)]
 
     def test_bump_expires_once_fresher_measurement_publishes(self, env):
         _, _, mon = build(env, n=6, shards=2)
         env.run(until=2.2)
-        mon.note_question_assignment(0, 3)  # node 3 is in group 1 (phase 0.5)
+        mon.announce(3, questions=1)  # node 3 is in group 1 (phase 0.5)
         env.run(until=2.4)
         assert mon.view(0)[3].n_questions == 1
-        # Node 3's next write lands at 2.5 and supersedes the guess.
+        # Node 3's next write lands at 2.5 and supersedes the announcement.
         env.run(until=2.5)
         assert mon.view(0)[3].n_questions == 0
-        assert 3 not in mon._bumps
+        assert mon.table[3].timestamp == 2.5
+
+    def test_bump_books_one_s_load_and_nothing_under_monitor(self, env):
+        reg = MetricsRegistry()
+        net, _, mon = build(env, n=6, shards=2, metrics=reg)
+        env.run(until=1.7)
+        sent, nbytes = net.broadcasts_sent, net.bytes_transferred
+        busy = reg.value(MONITOR_BUSY_S)
+        mon.announce(1, questions=1)
+        mon.announce(5, cpu=0.4, disk=0.1)
+        assert net.broadcasts_sent == sent + 2
+        assert net.bytes_transferred == pytest.approx(nbytes + 2 * 512.0)
+        assert reg.value(MONITOR_BROADCASTS) == 6  # rounds at 1.0 and 1.5
+        assert reg.value(MONITOR_BUSY_S) == busy
 
 
 class TestUploadPlane:
@@ -141,20 +173,6 @@ class TestUploadPlane:
         # A group's round carries members * packet_bytes — the per-group
         # N_k * S_load term of Eq 14.
         assert [g.nbytes for g in mon.groups] == [2 * 512.0] * 3
-
-
-class TestLegacyUnchanged:
-    def test_legacy_note_methods_mutate_observer_table(self, env):
-        """Bumps live in the observer's view; the shared table is untouched."""
-        net = Network(env, bandwidth_bps=100e6)
-        nodes = [ClusterNode(env, i) for i in range(3)]
-        mon = MonitoringSystem(env, net, nodes)
-        mon.note_question_assignment(0, 1)
-        assert mon.view(0)[1].n_questions == 1
-        assert mon.view(2)[1].n_questions == 0
-        assert mon.table[1].n_questions == 0
-        mon.note_load_share(0, 2, cpu=0.3, disk=0.1)
-        assert mon.view(0)[2].cpu_load == pytest.approx(0.3)
 
 
 class TestChargedPlane:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments import runner, scale
 from repro.experiments.scale import _middle_half_rate, format_scale, run_scale
+from repro.model import ModelParameters, system_speedup
 
 SEEDS = (11, 23)
 
@@ -36,6 +37,15 @@ class TestCrossCheck:
     def test_parallel_render_is_byte_identical(self, summary):
         parallel = run_scale(node_counts=(1, 2, 4), seeds=SEEDS, jobs=2)
         assert format_scale(parallel) == format_scale(summary)
+
+
+def test_no_dispatcher_pile_up_at_64_nodes():
+    """Dispatchers on 64 nodes share one load table, so migrated questions
+    spread instead of piling onto the few nodes idle at the last round."""
+    one, cell = scale._scale_cell((1, 11)), scale._scale_cell((64, 11))
+    assert cell.busiest_over_mean <= 2.0
+    eq23 = system_speedup(ModelParameters(), 64)
+    assert cell.rate_qpm / one.rate_qpm >= 0.65 * eq23
 
 
 class TestMiddleHalfRate:

@@ -88,16 +88,16 @@ CASES = {
     "overcommit8-ISEND": _overcommit8,
 }
 
-#: Recorded with the charged monitor plane.
+#: Recorded with the charged monitor plane and announced dispatch bumps.
 GOLDEN = {
-    "dqa16-SEND-sharded": "61003140c36c04eb4d9a93da8581c3bc95aad5eb3bc0be09e448333d31f60760",
-    "dqa16-ISEND-sharded": "66587fd1ff45c9dc2519f65daaf5836e3ae19f4dc10d8a2a90d82740ee9efa97",
-    "dqa16-RECV-sharded": "f94975237b46f515b67e7da6a78bb07120baa485ccba999179b19d46dfa8b0b7",
-    "dqa16-SEND-broadcast": "a6e34953cb4e8ea23f1519c9f2839c57301cfc2e5b7454e29910c5c88e894f09",
-    "dqa16-ISEND-broadcast": "8ca23e451b803f4b494f715e6bac811b1cc0cf62c5a861303acb661275e860a2",
-    "dqa16-RECV-broadcast": "7826b53548ae9c2357b21812fd7ef53368d11c94ebcbbdd68d178fdd8ae606f0",
-    "failure4-RECV": "7ec99b890571b54923b3316fbb367511985fc01fe4bf474c394cf4666b34b27f",
-    "overcommit8-ISEND": "54da228b0bb83d7a605dbff0aba3558a6cc8126c7f08d84bccc5ff427b7c4710",
+    "dqa16-SEND-sharded": "4261ad4319f03dc7aab911dc383cb4de991852347a3544b91a388e2bd21cca33",
+    "dqa16-ISEND-sharded": "251c62dff41af2f90e781cfa2b359fe13fbd08db07ae9f28cc41e31654930a9e",
+    "dqa16-RECV-sharded": "06e4af50c2949749d6ca0686e248bd4619843837250772c4e9c51bc7dd355036",
+    "dqa16-SEND-broadcast": "7b3a1a6ffcb1c06b6b1d46738be719060c4060a7bc977d8d924bdcd4ddad4590",
+    "dqa16-ISEND-broadcast": "fdfb076a78ccf7e21411169db9641df1031b0223ab10318e10abcffc524328f4",
+    "dqa16-RECV-broadcast": "1a1ff31a675bcf4c43a123f1e895d1904b7d20638fa7d4182ca9c6d1732f20f0",
+    "failure4-RECV": "75ce9a1176cde7a2c15cda93316daf39212371b3902401bab3687215700902ba",
+    "overcommit8-ISEND": "32127b8af657f47f565f3ff8dfccd7476db55aafd0de52af5886037448dc67e4",
 }
 
 
