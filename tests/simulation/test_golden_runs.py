@@ -77,6 +77,20 @@ def _overcommit8():
     return config, 40, None
 
 
+def _scale128():
+    """128 nodes, ~sqrt(N) monitor groups, RECV: questions split into fewer
+    PR/AP chunks than there are selected nodes, so idle pullers would start."""
+    config = SystemConfig(
+        n_nodes=128,
+        strategy=Strategy.DQA,
+        seed=128,
+        monitor_shards=auto_shard_count(128),
+        policy=TaskPolicy(ap_strategy=PartitioningStrategy.RECV),
+        collect_metrics=False,
+    )
+    return config, 96, None
+
+
 CASES = {
     "dqa16-SEND-sharded": lambda: _cluster16("SEND", auto_shard_count(16)),
     "dqa16-ISEND-sharded": lambda: _cluster16("ISEND", auto_shard_count(16)),
@@ -86,6 +100,7 @@ CASES = {
     "dqa16-RECV-broadcast": lambda: _cluster16("RECV", 0),
     "failure4-RECV": _failure4,
     "overcommit8-ISEND": _overcommit8,
+    "scale128-RECV-sharded": _scale128,
 }
 
 #: Recorded with the charged monitor plane and announced dispatch bumps.
@@ -98,6 +113,7 @@ GOLDEN = {
     "dqa16-RECV-broadcast": "1a1ff31a675bcf4c43a123f1e895d1904b7d20638fa7d4182ca9c6d1732f20f0",
     "failure4-RECV": "75ce9a1176cde7a2c15cda93316daf39212371b3902401bab3687215700902ba",
     "overcommit8-ISEND": "32127b8af657f47f565f3ff8dfccd7476db55aafd0de52af5886037448dc67e4",
+    "scale128-RECV-sharded": "b64da58a532a52572867c2664ec6df46e51ea8cc82689305fe07caea4bdb6618",
 }
 
 
