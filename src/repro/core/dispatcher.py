@@ -39,6 +39,8 @@ __all__ = ["QuestionDispatcher"]
 _MAX_ATTEMPTS = 3
 #: Backoff between those attempts.
 _BACKOFF = RetryPolicy(backoff_base_s=0.05, backoff_max_s=5.0)
+#: The load one lone average Q/A task produces.
+_QUESTION_LOAD = single_task_load(QA_WEIGHTS)
 
 
 class QuestionDispatcher:
@@ -55,7 +57,7 @@ class QuestionDispatcher:
         self.metrics = metrics
         #: The "average workload of a single question" in load-function
         #: units: the load a lone average Q/A task produces.
-        self.migration_threshold = single_task_load(QA_WEIGHTS)
+        self.migration_threshold = _QUESTION_LOAD
         self.decisions = 0
         self.migrations = 0
         #: Migration transfers that failed mid-hand-off (chaos visibility).
@@ -73,7 +75,7 @@ class QuestionDispatcher:
         phase noise (a question momentarily in its disk phase) does not
         trigger migrations.
         """
-        commitment = snap.n_questions * single_task_load(QA_WEIGHTS)
+        commitment = snap.n_questions * _QUESTION_LOAD
         measured = load_function(QA_WEIGHTS, snap)
         return commitment + 0.01 * measured
 
@@ -104,7 +106,7 @@ class QuestionDispatcher:
             for nid, snap in table.items()
             if nid == host_id or nid not in exclude
         }
-        best = min(loads, key=lambda nid: (loads[nid], nid))
+        _, best = min(zip(loads.values(), loads))
         if best == host_id:
             return host_id
         if loads[host_id] - loads[best] <= self.migration_threshold:

@@ -55,9 +55,14 @@ PR_WEIGHTS = ResourceWeights(cpu=0.20, disk=0.80)
 AP_WEIGHTS = ResourceWeights(cpu=1.00, disk=0.00)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class LoadSnapshot:
-    """One node's load report, as carried by the monitoring broadcast."""
+    """One node's load report, as carried by the monitoring broadcast.
+
+    Not frozen, because the monitor writes one per member and round and a
+    frozen constructor costs four times as much; no code mutates one: a
+    new report replaces the old one in the table.
+    """
 
     node_id: int
     cpu_load: float

@@ -32,7 +32,7 @@ from ..observability.names import (
     DISPATCH_FORCED_SINGLE,
     DISPATCH_PARTITION_WIDTH,
 )
-from .load import LoadSnapshot, ResourceWeights, is_underloaded, load_function
+from .load import LoadSnapshot, ResourceWeights, load_function, single_task_load
 
 __all__ = ["Assignment", "meta_schedule"]
 
@@ -109,18 +109,17 @@ def meta_schedule(
         return assignment
 
     loads = {nid: load_function(weights, snap) for nid, snap in table.items()}
+    # The Eq 7/8 threshold (``is_underloaded``), and the capacity of one
+    # sub-task that steps 3-4 weigh availability against.
+    capacity = underload_margin * single_task_load(weights)
 
     # Step 1: all under-loaded processors.
-    selected = [
-        nid
-        for nid, snap in table.items()
-        if is_underloaded(weights, snap, margin=underload_margin)
-    ]
+    selected = [nid for nid, load in loads.items() if load < capacity]
     forced_single = False
     if not selected:
         # Step 2: the least-loaded processor alone — unless moving off the
         # current host is not worth a sub-task's own load.
-        best = min(loads, key=lambda nid: (loads[nid], nid))
+        _, best = min(zip(loads.values(), loads))
         if (
             stay_on is not None
             and stay_on in loads
@@ -153,7 +152,6 @@ def meta_schedule(
     # equal weights, while genuinely uneven loads yield proportionally
     # uneven shares.  (The literal `maxLoad - load_i` formula degenerates
     # when all loads are small-but-unequal — DESIGN.md §4.)
-    capacity = underload_margin * (weights.cpu**2 + weights.disk**2)
     raw = {
         nid: max(_EPSILON * capacity, capacity - loads[nid]) for nid in selected
     }

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import typing as t
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 from ..model import ModelParameters, monitoring_round_s
@@ -109,7 +109,13 @@ class MonitoringSystem:
             nid: LoadSnapshot(nid, cpu_load=0.0, disk_load=0.0, n_questions=0, timestamp=0.0)
             for nid in ids
         }
-        self._checkpoints = {nid: node.load_checkpoints() for nid, node in self.nodes.items()}
+        #: Per member, (time, cpu integral, disk integral) at its last
+        #: write: the start of the window its next write averages over.
+        now = env.now
+        self._since = {
+            nid: (now, node.cpu.active_jobs.integral(now), node.disk.active_jobs.integral(now))
+            for nid, node in self.nodes.items()
+        }
         self.last_heartbeat = dict.fromkeys(ids, 0.0)
         #: (time, node_id, live) as the protocol observes it: a node leaves
         #: when its heartbeat is staler than the timeout and joins when it
@@ -138,22 +144,34 @@ class MonitoringSystem:
         idle (or just got busy) is not misjudged for a whole interval.
         """
         now = self.env.now
+        nodes, table, since, heartbeat = self.nodes, self.table, self._since, self.last_heartbeat
         written = 0
         for nid in group.members:
-            node = self.nodes[nid]
+            node = nodes[nid]
             if not node.up:
                 continue
-            cpu_win, disk_win = node.loads_since(self._checkpoints[nid])
-            self._checkpoints[nid] = node.load_checkpoints()
-            self.table[nid] = LoadSnapshot(
-                node_id=nid,
-                cpu_load=0.5 * cpu_win + 0.5 * node.cpu.active_jobs.value,
-                disk_load=0.5 * disk_win + 0.5 * node.disk.active_jobs.value,
-                n_questions=node.active_questions,
-                timestamp=now,
-                n_waiting=node.waiting_questions,
+            # TimeWeightedSignal.checkpoint and .average, inline and with
+            # the same float operations: one write per member and round
+            # is the monitor's whole host cost.
+            cpu, disk = node.cpu.active_jobs, node.disk.active_jobs
+            t0, cpu_i0, disk_i0 = since[nid]
+            cpu_i = cpu._integral + cpu._value * (now - cpu._t_last)
+            disk_i = disk._integral + disk._value * (now - disk._t_last)
+            if now <= t0:
+                cpu_win, disk_win = cpu._value, disk._value
+            else:
+                cpu_win = (cpu_i - cpu_i0) / (now - t0)
+                disk_win = (disk_i - disk_i0) / (now - t0)
+            since[nid] = (now, cpu_i, disk_i)
+            table[nid] = LoadSnapshot(
+                nid,
+                0.5 * cpu_win + 0.5 * cpu._value,
+                0.5 * disk_win + 0.5 * disk._value,
+                node.active_questions,
+                now,
+                node.waiting_questions,
             )
-            self.last_heartbeat[nid] = now
+            heartbeat[nid] = now
             written += 1
         if written:
             self.network.book_broadcasts(written, written * self.packet_bytes)
@@ -183,14 +201,17 @@ class MonitoringSystem:
         """Add work just sent to ``target`` to its shared entry, for every
         observer at once, until the target's next round write.  The entry
         keeps its timestamp; the broadcast books one ``S_load`` but nothing
-        under ``MONITOR_*``, which counts round writes (Eq 14) only."""
+        under ``MONITOR_*``, which counts round writes (Eq 14) only.  The
+        bumped entry is a new snapshot: one already handed out by
+        :meth:`view` is never changed."""
         s = self.table[target]
-        self.table[target] = replace(
-            s,
-            n_questions=s.n_questions + questions,
-            n_waiting=s.n_waiting + questions,
-            cpu_load=s.cpu_load + cpu,
-            disk_load=s.disk_load + disk,
+        self.table[target] = LoadSnapshot(
+            target,
+            s.cpu_load + cpu,
+            s.disk_load + disk,
+            s.n_questions + questions,
+            s.timestamp,
+            s.n_waiting + questions,
         )
         self.network.book_broadcasts(1, self.packet_bytes)
 

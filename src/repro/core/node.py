@@ -159,23 +159,3 @@ class ClusterNode:
         """
         yield from self.run_disk(cost.disk_bytes)
         yield from self.run_cpu(cost.cpu_s)
-
-    # -- load sampling ------------------------------------------------------------
-    def load_checkpoints(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        """Snapshot (cpu, disk) activity integrals for windowed averages."""
-        now = self.env.now
-        return (
-            self.cpu.active_jobs.checkpoint(now),
-            self.disk.active_jobs.checkpoint(now),
-        )
-
-    def loads_since(
-        self, checkpoints: tuple[tuple[float, float], tuple[float, float]]
-    ) -> tuple[float, float]:
-        """Average (cpu_load, disk_load) since ``checkpoints``."""
-        cpu_cp, disk_cp = checkpoints
-        now = self.env.now
-        return (
-            self.cpu.active_jobs.average(cpu_cp, now),
-            self.disk.active_jobs.average(disk_cp, now),
-        )

@@ -312,12 +312,16 @@ def run_receiver_controlled(
 ) -> t.Generator[Event, object, list[object]]:
     """Fig 6(b): the receiver-controlled distribution loop (RECV).
 
-    Chunks ``items``; each selected node runs a *puller* that repeatedly
-    takes the next available chunk and processes it, until the chunk set
-    is empty.  A failed chunk goes back to the set and its node leaves
-    the worker pool.  ``policy`` bounds the re-pull rounds (spawned when
-    a worker fails after its peers already drained the visible chunk set)
-    and inserts backoff before each one.
+    Chunks ``items``; selected nodes run *pullers* that repeatedly take
+    the next available chunk and process it, until the chunk set is
+    empty.  A round starts at most one puller per chunk, on the first
+    nodes of the pool (like SEND, which skips empty parts): every puller
+    takes its first chunk before any chunk runs, so one started beyond
+    the chunk count would find the set empty and exit.  A failed chunk
+    goes back to the set and its node leaves the worker pool.
+    ``policy`` bounds the re-pull rounds (started when a worker fails
+    after its peers already drained the visible chunk set) and inserts
+    backoff before each one.
 
     ``spans``/``span_parent``/``qid`` attach re-pull retry spans to the
     caller's span tree; ``metrics`` counts the rounds under the
@@ -358,7 +362,7 @@ def run_receiver_controlled(
             )
         procs = [
             env.process(puller(nid), name=f"chunk-puller[{nid}]")
-            for nid in pool
+            for nid in pool[: len(available)]
         ]
         done = yield env.all_of(procs)
         failed = {done[p] for p in procs if done[p] is not None}

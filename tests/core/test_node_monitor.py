@@ -81,17 +81,15 @@ class TestNode:
 
     def test_load_checkpoints_measure_activity(self, env):
         node = ClusterNode(env, 0)
-
-        def p():
-            cp = node.load_checkpoints()
-            yield from node.run_cpu(2.0)
-            yield env.timeout(2.0)
-            cpu_load, disk_load = node.loads_since(cp)
-            # CPU active half of the 4-second window.
-            assert cpu_load == pytest.approx(0.5)
-            assert disk_load == pytest.approx(0.0)
-
-        env.run(until=env.process(p()))
+        mon = MonitoringSystem(env, Network(env, bandwidth_bps=100e6), [node], interval_s=4.0)
+        node.cpu.use(2.0)
+        env.run(until=4.5)
+        snap = mon.table[0]
+        assert snap.timestamp == 4.0
+        # CPU active half of the 4-second window and idle at the write,
+        # which blends the two half and half.
+        assert snap.cpu_load == pytest.approx(0.25)
+        assert snap.disk_load == pytest.approx(0.0)
 
 
 class TestMonitoring:
@@ -149,6 +147,45 @@ class TestMonitoring:
         env.run(until=5.5)
         assert net.broadcasts_sent >= 3 * 5
         assert net.bytes_transferred > 0
+
+    def test_round_writes_match_time_weighted_averages(self, env):
+        """Each written entry is ``0.5 * TimeWeightedSignal.average`` over
+        the window since the member's last write ``+ 0.5 *`` its value,
+        to the last bit: idle, busy all window, busy part of it."""
+        _, nodes, mon = self._build(env, n=4)
+        nodes[1].cpu.use(100.0)  # busy every window
+        nodes[1].disk.use(1e9)
+        nodes[2].cpu.use(1.5)  # busy all of the first window, part of the second
+        nodes[3].disk.use(10e6)  # busy part of the first window
+        signals = [(n.cpu.active_jobs, n.disk.active_jobs) for n in nodes]
+        checks = []
+
+        def expected(checkpoints, now):
+            return [
+                tuple(0.5 * s.average(cp, now) + 0.5 * s.value for s, cp in zip(sigs, cps))
+                for sigs, cps in zip(signals, checkpoints)
+            ]
+
+        def oracle():
+            checkpoints = [tuple(s.checkpoint(0.0) for s in sigs) for sigs in signals]
+            for _ in range(2):
+                # Wakes just after the round write at the same instant.
+                yield env.timeout(1.0)
+                now = env.now
+                written = [(mon.table[n].cpu_load, mon.table[n].disk_load) for n in range(4)]
+                checks.append((written, expected(checkpoints, now)))
+                checkpoints = [tuple(s.checkpoint(now) for s in sigs) for sigs in signals]
+            # A second write at the same instant: an empty window, so the
+            # instantaneous value stands in for the average.
+            mon._round(mon.groups[0], None)
+            written = [(mon.table[n].cpu_load, mon.table[n].disk_load) for n in range(4)]
+            checks.append((written, expected(checkpoints, env.now)))
+
+        env.run(until=env.process(oracle()))
+        assert [entry[0] for entry in checks[0][0]] == [0.0, 1.0, 1.0, 0.0]
+        assert 0.0 < checks[0][0][3][1] < 0.5 and 0.0 < checks[1][0][2][0] < 0.5
+        for written, want in checks:
+            assert written == want
 
     def test_live_snapshot_reflects_instant_state(self, env):
         _, nodes, mon = self._build(env)

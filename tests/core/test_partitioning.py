@@ -290,3 +290,135 @@ class TestReceiverControlledLoop:
             return result
 
         assert env.run(until=env.process(main())) == []
+
+
+class _CountingEnv(Environment):
+    """An environment that records the name of every process it starts."""
+
+    __slots__ = ("started",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.started: list[str] = []
+
+    def process(self, generator, name=None):
+        proc = super().process(generator, name)
+        self.started.append(proc.name)
+        return proc
+
+
+def _pull_on_every_node(env, items, node_ids, executor, chunk_size):
+    """The RECV loop as it was written first: every round starts a puller
+    on every pool node, and pullers past the chunk count exit empty."""
+    available = list(reversed(make_chunks(items, chunk_size)))
+    results, pool = [], list(node_ids)
+
+    def puller(nid):
+        while available:
+            chunk = available.pop()
+            try:
+                outcome = yield env.process(executor(nid, chunk))
+            except WorkerFailed as failure:
+                available.append(failure.unprocessed)
+                return nid
+            results.append(outcome)
+        return None
+
+    while available:
+        if not pool:
+            raise RuntimeError("all workers failed")
+        procs = [env.process(puller(nid)) for nid in pool]
+        done = yield env.all_of(procs)
+        failed = {done[p] for p in procs if done[p] is not None}
+        pool = [nid for nid in pool if nid not in failed]
+    return results
+
+
+def _recv_run(loop, env_cls, items, node_ids, speeds, fail_after, chunk_size):
+    """Run one RECV loop; return (env, chunk starts, results, end time).
+
+    Node ``n`` takes ``item / speeds[n]`` per item and dies once it has
+    processed ``fail_after[n]`` items (if listed)."""
+    env = env_cls()
+    starts: list[tuple[int, tuple]] = []
+    processed = dict.fromkeys(node_ids, 0)
+
+    def executor(nid, chunk):
+        starts.append((nid, tuple(chunk)))
+        for i, item in enumerate(chunk):
+            if nid in fail_after and processed[nid] >= fail_after[nid]:
+                raise WorkerFailed(nid, chunk[i:])
+            yield env.timeout(item / speeds[nid])
+            processed[nid] += 1
+        return (nid, tuple(chunk), env.now)
+
+    def main():
+        return (yield from loop(env, items, node_ids, executor, chunk_size))
+
+    results = env.run(until=env.process(main()))
+    return env, starts, results, env.now
+
+
+class TestReceiverControlledPullers:
+    def test_one_puller_per_chunk(self):
+        # 3 chunks on 8 nodes: only the first three pool nodes pull.
+        env, starts, results, _ = _recv_run(
+            run_receiver_controlled, _CountingEnv, [1.0] * 6,
+            [7, 2, 5, 0, 1, 3, 4, 6], dict.fromkeys(range(8), 1.0), {}, 2,
+        )
+        pullers = [n for n in env.started if n.startswith("chunk-puller")]
+        assert pullers == ["chunk-puller[7]", "chunk-puller[2]", "chunk-puller[5]"]
+        assert [nid for nid, _ in starts] == [7, 2, 5]
+        assert len(results) == 3
+
+    def test_more_chunks_than_nodes_starts_every_node(self):
+        env, _, results, _ = _recv_run(
+            run_receiver_controlled, _CountingEnv, [1.0] * 10, [0, 1, 2],
+            dict.fromkeys(range(3), 1.0), {}, 2,
+        )
+        assert sum(n.startswith("chunk-puller") for n in env.started) == 3
+        assert len(results) == 5
+
+    def test_repull_round_starts_from_surviving_pool_in_order(self):
+        # Nodes 3 and 7 die one item into their chunk, after 5 and 1 have
+        # drained the chunk set and exited; the two returned remainders
+        # are re-pulled by the first two survivors in pool order, 5 and 1
+        # (9 never pulled anything).
+        pool = [5, 3, 7, 1, 9]
+        speeds = {5: 4.0, 3: 0.5, 7: 0.5, 1: 4.0, 9: 1.0}
+        env, starts, results, _ = _recv_run(
+            run_receiver_controlled, _CountingEnv, [1.0] * 8, pool, speeds,
+            {3: 1, 7: 1}, 2,
+        )
+        pullers = [n for n in env.started if n.startswith("chunk-puller")]
+        assert pullers == [f"chunk-puller[{n}]" for n in (5, 3, 7, 1, 5, 1)]
+        assert [nid for nid, _ in starts] == [5, 3, 7, 1, 5, 1]
+        assert sorted(len(chunk) for _, chunk, _ in results) == [1, 1, 2, 2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_items=st.integers(0, 24),
+        chunk_size=st.integers(1, 5),
+        speeds=st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=1, max_size=9),
+        fail_after=st.dictionaries(st.integers(0, 8), st.integers(0, 4), max_size=3),
+        order_seed=st.randoms(use_true_random=False),
+    )
+    def test_same_assignment_and_completion_order_as_every_node_pulling(
+        self, n_items, chunk_size, speeds, fail_after, order_seed
+    ):
+        items = [float(1 + i % 3) for i in range(n_items)]
+        node_ids = list(range(len(speeds)))
+        order_seed.shuffle(node_ids)
+        speeds = dict(enumerate(speeds))
+        fail_after = {n: k for n, k in fail_after.items() if n in speeds}
+        runs = []
+        for loop in (run_receiver_controlled, _pull_on_every_node):
+            try:
+                runs.append(
+                    _recv_run(loop, Environment, items, node_ids, speeds,
+                              fail_after, chunk_size)[1:]
+                )
+            except RuntimeError as exc:  # every worker failed
+                runs.append(("all workers failed" in str(exc),))
+        assert runs[0] == runs[1]
+

@@ -33,3 +33,12 @@ def test_stale_wakeups_stay_rare_and_every_kind_is_accounted():
     # charges them now, so the count is bounded as well as the share.
     assert stale <= 0.10 * total
     assert stale <= 10 * 32
+
+
+def test_process_bootstraps_follow_chunks_not_nodes():
+    # A question starts one task, one executor per PR/AP chunk and at
+    # most one RECV puller per chunk: 25 bootstraps per question here.
+    # One puller on every selected node, most of them exiting without a
+    # chunk, made it 44 on 32 nodes and 80 on 64.
+    counts = census(32, 16, 101)
+    assert counts["process bootstrap"] <= 30 * 16
