@@ -91,6 +91,21 @@ def _scale128():
     return config, 96, None
 
 
+def _scale256():
+    """256 nodes, ~sqrt(N) monitor groups, RECV: AP's meta-scheduler
+    selects almost every node, so a decision's wide-selection path (many
+    shares, one announcement each) runs on every question."""
+    config = SystemConfig(
+        n_nodes=256,
+        strategy=Strategy.DQA,
+        seed=256,
+        monitor_shards=auto_shard_count(256),
+        policy=TaskPolicy(ap_strategy=PartitioningStrategy.RECV),
+        collect_metrics=False,
+    )
+    return config, 128, None
+
+
 CASES = {
     "dqa16-SEND-sharded": lambda: _cluster16("SEND", auto_shard_count(16)),
     "dqa16-ISEND-sharded": lambda: _cluster16("ISEND", auto_shard_count(16)),
@@ -101,6 +116,7 @@ CASES = {
     "failure4-RECV": _failure4,
     "overcommit8-ISEND": _overcommit8,
     "scale128-RECV-sharded": _scale128,
+    "scale256-RECV-sharded": _scale256,
 }
 
 #: Recorded with the charged monitor plane and announced dispatch bumps.
@@ -114,6 +130,7 @@ GOLDEN = {
     "failure4-RECV": "75ce9a1176cde7a2c15cda93316daf39212371b3902401bab3687215700902ba",
     "overcommit8-ISEND": "32127b8af657f47f565f3ff8dfccd7476db55aafd0de52af5886037448dc67e4",
     "scale128-RECV-sharded": "b64da58a532a52572867c2664ec6df46e51ea8cc82689305fe07caea4bdb6618",
+    "scale256-RECV-sharded": "0d63679255447794ac27de694a8d19ab34f92f095b16a1375fe190b9bc034603",
 }
 
 
