@@ -12,9 +12,7 @@ from .load import (
     AP_WEIGHTS,
     PR_WEIGHTS,
     QA_WEIGHTS,
-    LoadSnapshot,
     ResourceWeights,
-    is_underloaded,
     load_function,
     single_task_load,
 )
@@ -42,7 +40,6 @@ __all__ = [
     "DNSFrontend",
     "DistributedQASystem",
     "DistributedQATask",
-    "LoadSnapshot",
     "MonitoringSystem",
     "NodeConfig",
     "PR_WEIGHTS",
@@ -58,7 +55,6 @@ __all__ = [
     "TaskResult",
     "WorkerFailed",
     "WorkloadReport",
-    "is_underloaded",
     "load_function",
     "make_chunks",
     "meta_schedule",

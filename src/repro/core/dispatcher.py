@@ -20,13 +20,15 @@ from __future__ import annotations
 
 import typing as t
 
+import numpy as np
+
 from ..observability.metrics import MetricsRegistry
 from ..observability.names import (
     DISPATCH_DECISIONS,
     QA_MIGRATION_FAILURES,
     QA_MIGRATIONS,
 )
-from .load import QA_WEIGHTS, LoadSnapshot, load_function, single_task_load
+from .load import QA_WEIGHTS, single_task_load
 from .monitor import MonitoringSystem
 from .partitioning import RetryPolicy
 
@@ -63,9 +65,9 @@ class QuestionDispatcher:
         #: Migration transfers that failed mid-hand-off (chaos visibility).
         self.migration_failures = 0
 
-    @staticmethod
-    def qa_load(snap: LoadSnapshot) -> float:
-        """The dispatcher's Eq-1 load for a node.
+    def qa_loads(self, host_id: int) -> np.ndarray:
+        """The dispatcher's Eq-1 load for every row of the table, as
+        ``host_id`` sees it (itself live).  A new array.
 
         Every *hosted* question (running or queued) contributes one
         average-question load — on the paper's system all of them are live
@@ -75,9 +77,12 @@ class QuestionDispatcher:
         phase noise (a question momentarily in its disk phase) does not
         trigger migrations.
         """
-        commitment = snap.n_questions * _QUESTION_LOAD
-        measured = load_function(QA_WEIGHTS, snap)
-        return commitment + 0.01 * measured
+        monitoring = self.monitoring
+        measured = monitoring.loads(QA_WEIGHTS, host_id)
+        loads = monitoring.table.questions * _QUESTION_LOAD + 0.01 * measured
+        hosted = monitoring.live_entry(host_id)[2]
+        loads[host_id] = hosted * _QUESTION_LOAD + 0.01 * measured[host_id]
+        return loads
 
     def note_migration_failure(self) -> None:
         """Count one failed migration hand-off (target died mid-transfer)."""
@@ -97,19 +102,18 @@ class QuestionDispatcher:
         self.decisions += 1
         if self.metrics is not None:
             self.metrics.inc(DISPATCH_DECISIONS)
-        table = self.monitoring.view(host_id)
-        host_snap = table.get(host_id)
-        if host_snap is None:  # pragma: no cover - host always sees itself
-            return host_id
-        loads = {
-            nid: self.qa_load(snap)
-            for nid, snap in table.items()
-            if nid == host_id or nid not in exclude
-        }
-        _, best = min(zip(loads.values(), loads))
+        loads = self.qa_loads(host_id)
+        host_load = loads[host_id]
+        fresh = self.monitoring.fresh()
+        if fresh is not None:
+            loads[~fresh] = np.inf  # out of the pool
+        if exclude:
+            loads[list(exclude)] = np.inf
+        loads[host_id] = host_load
+        best = int(loads.argmin())  # the lowest id on a tie
         if best == host_id:
             return host_id
-        if loads[host_id] - loads[best] <= self.migration_threshold:
+        if host_load - loads[best] <= self.migration_threshold:
             return host_id
         self.migrations += 1
         if self.metrics is not None:

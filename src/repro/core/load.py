@@ -28,7 +28,6 @@ __all__ = [
     "QA_WEIGHTS",
     "PR_WEIGHTS",
     "AP_WEIGHTS",
-    "LoadSnapshot",
     "load_function",
     "single_task_load",
 ]
@@ -55,40 +54,26 @@ PR_WEIGHTS = ResourceWeights(cpu=0.20, disk=0.80)
 AP_WEIGHTS = ResourceWeights(cpu=1.00, disk=0.00)
 
 
-@dataclass(slots=True)
-class LoadSnapshot:
-    """One node's load report, as carried by the monitoring broadcast.
-
-    Not frozen, because the monitor writes one per member and round and a
-    frozen constructor costs four times as much; no code mutates one: a
-    new report replaces the old one in the table.
-    """
-
-    node_id: int
-    cpu_load: float
-    disk_load: float
-    #: Number of Q/A tasks currently hosted (running + queued).
-    n_questions: int
-    timestamp: float
-    #: Hosted questions waiting for an execution slot.  On the real system
-    #: these would be runnable processes counted by the Unix load average;
-    #: under admission control they must be reported explicitly.
-    n_waiting: int = 0
-
-
-def load_function(weights: ResourceWeights, snapshot: LoadSnapshot) -> float:
+def load_function(weights: ResourceWeights, cpu, disk, waiting):
     """Eq 1/2/3: the weighted resource load of a node for a module.
+
+    ``cpu``, ``disk`` and ``waiting`` are one node's table entry or whole
+    columns of the load table (floats or NumPy arrays alike): the
+    expression is the same element-wise float arithmetic either way, so a
+    node's load computed alone equals its element of the column.
 
     Queued (admitted-but-waiting) questions contribute one average-question
     load each — they are work the node has committed to, exactly as
-    runnable processes inflate a Unix load average.
+    runnable processes inflate a Unix load average.  An average question
+    spends 79 % of its time on CPU and 21 % on disk (Table 3's QA row), so
+    each waiting question will add that much to the node's resource
+    occupancy once admitted.
     """
-    measured = weights.cpu * snapshot.cpu_load + weights.disk * snapshot.disk_load
-    # An average question spends 79 % of its time on CPU and 21 % on disk
-    # (Table 3's QA row), so each waiting question will add that much to
-    # the node's resource occupancy once admitted.
-    queued = snapshot.n_waiting * (weights.cpu * 0.79 + weights.disk * 0.21)
-    return measured + queued
+    return (
+        weights.cpu * cpu
+        + weights.disk * disk
+        + waiting * (weights.cpu * 0.79 + weights.disk * 0.21)
+    )
 
 
 def single_task_load(weights: ResourceWeights) -> float:
@@ -97,21 +82,10 @@ def single_task_load(weights: ResourceWeights) -> float:
     Running alone, the sub-task occupies the CPU a fraction ``w_cpu`` of
     the time (contributing ``w_cpu`` to the average cpu job count) and the
     disk ``w_disk`` — the load function of that state is
-    ``w_cpu^2 + w_disk^2``.
+    ``w_cpu^2 + w_disk^2``.  A node is under-loaded for the module when its
+    load is below ``margin`` times this (the meta-scheduler's step 1); the
+    paper notes the condition "can be set either to minimize the question
+    response time [larger margin: partition more eagerly], or to maximize
+    the throughput [smaller margin]" (Section 4.2).
     """
     return weights.cpu**2 + weights.disk**2
-
-
-def is_underloaded(
-    weights: ResourceWeights,
-    snapshot: LoadSnapshot,
-    margin: float = 1.0,
-) -> bool:
-    """Eq 7/8: under-load test with an optional tuning ``margin``.
-
-    ``margin`` scales the single-task threshold; the paper notes the
-    conditions "can be set either to minimize the question response time
-    [larger margin: partition more eagerly], or to maximize the throughput
-    [smaller margin]" (Section 4.2).
-    """
-    return load_function(weights, snapshot) < margin * single_task_load(weights)

@@ -15,6 +15,10 @@ sub-tasks and distribute them on the processors best fit for the task" and
 the current system state" — no under-loaded processors means no forced
 partitioning.
 
+The algorithm runs on the load table's columns (DESIGN.md §4): step 1 is
+one mask, step 2 one ``argmin``, and steps 3-4 one ``lexsort`` on
+(load, node id) and one element-wise division.
+
 Reconstruction note (DESIGN.md §4): with the literal step-3 formula the
 most-loaded selected processor always gets weight 0 and a single-processor
 selection is degenerate; we add a small epsilon share so every *selected*
@@ -24,15 +28,16 @@ loads are equal.
 
 from __future__ import annotations
 
-import typing as t
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from ..observability.metrics import MetricsRegistry
 from ..observability.names import (
     DISPATCH_FORCED_SINGLE,
     DISPATCH_PARTITION_WIDTH,
 )
-from .load import LoadSnapshot, ResourceWeights, load_function, single_task_load
+from .load import ResourceWeights, single_task_load
 
 __all__ = ["Assignment", "meta_schedule"]
 
@@ -48,10 +53,17 @@ class Assignment:
     shares: tuple[tuple[int, float], ...]
     #: True when step 2 fired (no under-loaded processor existed).
     forced_single: bool
+    #: The shares' node ids and weights as two arrays, in share order,
+    #: when the decision computed them (a partitioned selection): what
+    #: announcing a wide assignment adds to the table in one step.
+    columns: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, compare=False, repr=False
+    )
+    #: The shares' node ids, in share order (read several times per stage).
+    node_ids: list[int] = field(init=False, compare=False, repr=False)
 
-    @property
-    def node_ids(self) -> list[int]:
-        return [nid for nid, _ in self.shares]
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "node_ids", [nid for nid, _ in self.shares])
 
     @property
     def partitioned(self) -> bool:
@@ -59,8 +71,10 @@ class Assignment:
 
 
 def meta_schedule(
-    table: t.Mapping[int, LoadSnapshot],
+    loads: np.ndarray,
     weights: ResourceWeights,
+    observer: int,
+    fresh: np.ndarray | None = None,
     underload_margin: float = 1.0,
     max_parts: int | None = None,
     include: int | None = None,
@@ -68,14 +82,21 @@ def meta_schedule(
     stay_threshold: float = 0.0,
     registry: MetricsRegistry | None = None,
 ) -> Assignment:
-    """Run the Figure 4 algorithm against a load table.
+    """Run the Figure 4 algorithm against one observer's view of the table.
 
     Parameters
     ----------
-    table:
-        node_id -> load snapshot (one observer's current view).
+    loads:
+        The module's Eq 1-3 load per table row (node id), the observer's
+        own row live (:meth:`MonitoringSystem.loads`).  Overwritten.
     weights:
         The module's resource weights (selects the load function).
+    observer:
+        The deciding node, which always sees itself.
+    fresh:
+        Rows in the live pool (:meth:`MonitoringSystem.fresh`), or
+        ``None`` when every row is.  A stale observer's own row stays in
+        the view, ordered after the fresh rows.  Overwritten.
     underload_margin:
         Scales the Eq 7/8 under-load threshold (Section 4.2 trade-off).
     max_parts:
@@ -96,55 +117,55 @@ def meta_schedule(
         (forced-single count, partition-width histogram) under the
         canonical ``scheduler.*`` names.
     """
-    if not table:
+    n = len(loads)
+    if not n:
         raise ValueError("empty load table: no live processors")
-
-    def recorded(assignment: Assignment) -> Assignment:
-        if registry is not None:
-            if assignment.forced_single:
-                registry.inc(DISPATCH_FORCED_SINGLE)
-            registry.observe(
-                DISPATCH_PARTITION_WIDTH, float(len(assignment.shares))
-            )
-        return assignment
-
-    loads = {nid: load_function(weights, snap) for nid, snap in table.items()}
-    # The Eq 7/8 threshold (``is_underloaded``), and the capacity of one
-    # sub-task that steps 3-4 weigh availability against.
+    # The Eq 7/8 threshold, and the capacity of one sub-task that steps
+    # 3-4 weigh availability against.
     capacity = underload_margin * single_task_load(weights)
+    stale_observer = fresh is not None and not fresh[observer]
+    if fresh is not None:
+        fresh[observer] = True
+        loads[~fresh] = np.inf  # out of the pool: never selected
+
+    def in_view(nid: int | None) -> bool:
+        return nid is not None and 0 <= nid < n and (fresh is None or bool(fresh[nid]))
 
     # Step 1: all under-loaded processors.
-    selected = [nid for nid, load in loads.items() if load < capacity]
-    forced_single = False
-    if not selected:
-        # Step 2: the least-loaded processor alone — unless moving off the
-        # current host is not worth a sub-task's own load.
-        _, best = min(zip(loads.values(), loads))
+    under = loads < capacity
+    selected = under.nonzero()[0]
+    if not len(selected):
+        # Step 2: the least-loaded processor alone (lowest id on a tie) —
+        # unless moving off the current host is not worth a sub-task's
+        # own load.
+        best = int(loads.argmin())
         if (
             stay_on is not None
-            and stay_on in loads
             and best != stay_on
+            and in_view(stay_on)
             and loads[stay_on] - loads[best] <= stay_threshold
         ):
             best = stay_on
-        selected = [best]
-        forced_single = True
-    elif include is not None and include in table and include not in selected:
-        selected.append(include)
+        return _recorded(Assignment(((best, 1.0),), forced_single=True), registry)
+    # The selection's order is table order, except that a stale
+    # observer's own row comes after the fresh ones and the forced-in
+    # host after both: that is the order steps 3-4 sum in.
+    tail = [observer] if stale_observer and under[observer] else []
+    if in_view(include) and not under[include]:
+        under[include] = True
+        tail.append(include)
+        selected = under.nonzero()[0]
 
     if max_parts is not None and len(selected) > max_parts:
         # Keep the least-loaded processors within the width cap (the
-        # forced-in host, holding the data, is never trimmed).
-        ordered = sorted(
-            selected,
-            key=lambda nid: (nid != include, loads[nid], nid),
-        )
-        selected = ordered[:max_parts]
+        # forced-in host, holding the data, is never trimmed); the
+        # selection is in that order from here on.
+        order = np.lexsort((selected, loads[selected], selected != include))
+        selected = selected[order[:max_parts]]
+        tail = []
 
     if len(selected) == 1:
-        return recorded(
-            Assignment(shares=((selected[0], 1.0),), forced_single=forced_single)
-        )
+        return _recorded(Assignment(((int(selected[0]), 1.0),), False), registry)
 
     # Steps 3-4: availability-proportional weights.  Availability is
     # measured against the capacity one sub-task of this module would use
@@ -152,11 +173,37 @@ def meta_schedule(
     # equal weights, while genuinely uneven loads yield proportionally
     # uneven shares.  (The literal `maxLoad - load_i` formula degenerates
     # when all loads are small-but-unequal — DESIGN.md §4.)
-    raw = {
-        nid: max(_EPSILON * capacity, capacity - loads[nid]) for nid in selected
-    }
-    total = sum(raw.values())
-    shares = tuple(
-        (nid, raw[nid] / total) for nid in sorted(selected, key=lambda n: (loads[n], n))
-    )
-    return recorded(Assignment(shares=shares, forced_single=forced_single))
+    selected_loads = loads[selected]
+    raw = np.maximum(_EPSILON * capacity, capacity - selected_loads)
+    total = _ordered_sum(raw.tolist(), selected, tail)
+    order = np.lexsort((selected, selected_loads))
+    nids, fractions = selected[order], raw[order] / total
+    shares = tuple(zip(nids.tolist(), fractions.tolist()))
+    return _recorded(Assignment(shares, False, (nids, fractions)), registry)
+
+
+def _ordered_sum(values: list[float], selected: np.ndarray, tail: list[int]) -> float:
+    """Python's ``sum`` of ``values`` (one per ``selected`` node, in the
+    selection's order) with the ``tail`` nodes' values moved last, in tail
+    order (``selected`` is in id order whenever ``tail`` is not empty).
+
+    Python's ``sum`` is what the weights have always been normalised by;
+    it is compensated from Python 3.12 on and NumPy's pairwise ``sum`` is
+    not, so only the same builtin over the same order gives the same
+    float on every supported version.
+    """
+    if tail:
+        positions = selected.searchsorted(tail).tolist()
+        moved = [values[p] for p in positions]
+        for p in sorted(positions, reverse=True):
+            del values[p]
+        values += moved
+    return sum(values)
+
+
+def _recorded(assignment: Assignment, registry: MetricsRegistry | None) -> Assignment:
+    if registry is not None:
+        if assignment.forced_single:
+            registry.inc(DISPATCH_FORCED_SINGLE)
+        registry.observe(DISPATCH_PARTITION_WIDTH, float(len(assignment.shares)))
+    return assignment

@@ -670,12 +670,14 @@ class DistributedQATask:
         """Run a module dispatcher, or stay on the host when disabled."""
         if not enabled:
             return Assignment(shares=((self.host, 1.0),), forced_single=True)
-        table = self.system.monitoring.view(self.host)
+        monitoring = self.system.monitoring
         if not self.policy.enable_partitioning:
             max_parts = 1
         assignment = meta_schedule(
-            table,
+            monitoring.loads(weights, self.host),
             weights,
+            self.host,
+            monitoring.fresh(),
             underload_margin=margin,
             max_parts=max_parts,
             include=self.host,
@@ -685,9 +687,7 @@ class DistributedQATask:
         )
         # Announce the work on each chosen node's shared entry (the host's
         # too), so that no node herds onto the same targets this interval.
-        monitoring = self.system.monitoring
-        for nid, share in assignment.shares:
-            monitoring.announce(nid, cpu=weights.cpu * share, disk=weights.disk * share)
+        monitoring.announce_shares(assignment, weights)
         return assignment
 
     def _distribute(

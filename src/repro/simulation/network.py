@@ -13,9 +13,12 @@ to the nominal bandwidth in **bytes/second**.  A message additionally pays:
   strategy pays one TCP connection per chunk, which is what makes very
   small chunks unprofitable (Fig 10).
 
-Broadcasts occupy the medium once (a hub repeats the frame to every port),
-matching the analytical model's ``S_load·N/B`` total monitoring traffic —
-the N factor comes from N nodes each broadcasting, not from N copies.
+Broadcasts would occupy the medium once (a hub repeats the frame to every
+port), matching the analytical model's ``S_load·N/B`` total monitoring
+traffic — the N factor comes from N nodes each broadcasting, not from N
+copies.  The only broadcasts, the load monitor's, are charged that way as
+a standing reservation (:meth:`Network.reserve`) and counted with
+:meth:`Network.book_broadcasts`.
 """
 
 from __future__ import annotations
@@ -143,27 +146,4 @@ class Network:
             raise TransferFailed(src, dst, nbytes, "endpoint failed mid-transfer")
         self.bytes_transferred += nbytes
         self.messages_sent += 1
-        return self.env.now - start
-
-    def broadcast(
-        self, src: object, nbytes: float
-    ) -> t.Generator[Event, object, float]:
-        """Process body: broadcast ``nbytes`` from ``src`` to all nodes.
-
-        On the shared medium a broadcast frame is transmitted once.  Returns
-        elapsed time.  A broadcast from a down node silently vanishes
-        (returns after the latency, transferring nothing) — the failure is
-        then *observed* by peers through missing heartbeats, which is how
-        the paper's membership protocol works.
-        """
-        start = self.env.now
-        if self.latency_s > 0:
-            yield self.env.timeout(self.latency_s)
-        if not self.is_up(src):
-            return self.env.now - start
-        if nbytes > 0:
-            job = self.medium.use(nbytes, tag=(src, "*"))
-            yield job.event
-        self.bytes_transferred += nbytes
-        self.broadcasts_sent += 1
         return self.env.now - start

@@ -192,10 +192,6 @@ class FairShareResource:
         self._arm()
         return remaining
 
-    def utilization(self, checkpoint: tuple[float, float]) -> float:
-        """Fraction of time busy since a ``busy.checkpoint()`` snapshot."""
-        return self.busy.average(checkpoint, self.env.now)
-
     # -- internals -------------------------------------------------------------
     def _advance(self) -> None:
         now = self.env._now

@@ -3,9 +3,10 @@
 The paper's load-balancing heuristics consume *loads* — time-averaged
 resource occupancies reported by each node's load monitor (Section 3.1).
 :class:`TimeWeightedSignal` records a piecewise-constant signal (e.g. the
-number of active jobs on a CPU) and answers windowed averages without
-storing the full history: each observer keeps an independent checkpoint of
-the running integral.
+number of active jobs on a CPU) and its running time-integral without
+storing the full history: the mean over a window is the difference of two
+integral readings over the window's length, which is how the monitor
+computes each write.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ __all__ = ["TimeWeightedSignal"]
 
 
 class TimeWeightedSignal:
-    """A piecewise-constant signal with O(1) windowed-average queries.
+    """A piecewise-constant signal with an O(1) running integral.
 
     The signal is advanced by calling :meth:`set` (or :meth:`add`) whenever
-    its value changes.  The running time-integral is maintained
-    incrementally; :meth:`average` returns the mean value over an arbitrary
-    past window by comparing against a caller-kept checkpoint.
+    its value changes; :meth:`integral` reads the time-integral up to any
+    instant since the last change.
     """
 
     __slots__ = ("_value", "_t_last", "_integral")
@@ -57,18 +57,3 @@ class TimeWeightedSignal:
     def integral(self, now: float) -> float:
         """Integral of the signal from t0 up to ``now``."""
         return self._integral + self._value * (now - self._t_last)
-
-    def checkpoint(self, now: float) -> tuple[float, float]:
-        """Snapshot ``(now, integral)`` for later use with :meth:`average`."""
-        return (now, self._integral + self._value * (now - self._t_last))
-
-    def average(self, checkpoint: tuple[float, float], now: float) -> float:
-        """Mean signal value between ``checkpoint`` time and ``now``.
-
-        Returns the instantaneous value when the window is empty.
-        """
-        t0, i0 = checkpoint
-        if now <= t0:
-            return self._value
-        integral = self._integral + self._value * (now - self._t_last)
-        return (integral - i0) / (now - t0)

@@ -4,27 +4,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from repro.core import (
     AP_WEIGHTS,
     PR_WEIGHTS,
     QA_WEIGHTS,
-    LoadSnapshot,
     ResourceWeights,
-    is_underloaded,
     load_function,
     single_task_load,
 )
 
 
-def snap(cpu=0.0, disk=0.0, n_questions=0, n_waiting=0, node_id=0, ts=0.0):
-    return LoadSnapshot(
-        node_id=node_id,
-        cpu_load=cpu,
-        disk_load=disk,
-        n_questions=n_questions,
-        timestamp=ts,
-        n_waiting=n_waiting,
-    )
+def load(weights, cpu=0.0, disk=0.0, n_waiting=0):
+    return load_function(weights, cpu, disk, n_waiting)
+
+
+def is_underloaded(weights, cpu=0.0, disk=0.0, margin=1.0):
+    """Eq 7/8, the meta-scheduler's step-1 test."""
+    return load(weights, cpu, disk) < margin * single_task_load(weights)
 
 
 class TestWeights:
@@ -44,19 +42,36 @@ class TestWeights:
 
 class TestLoadFunction:
     def test_eq1_weighted_combination(self):
-        s = snap(cpu=1.0, disk=0.5)
-        assert load_function(QA_WEIGHTS, s) == pytest.approx(
+        assert load(QA_WEIGHTS, cpu=1.0, disk=0.5) == pytest.approx(
             0.79 * 1.0 + 0.21 * 0.5
         )
 
     def test_ap_ignores_disk(self):
-        assert load_function(AP_WEIGHTS, snap(cpu=0.3, disk=5.0)) == pytest.approx(0.3)
+        assert load(AP_WEIGHTS, cpu=0.3, disk=5.0) == pytest.approx(0.3)
 
     def test_waiting_questions_add_average_load(self):
-        idle = snap()
-        queued = snap(n_waiting=2)
-        delta = load_function(QA_WEIGHTS, queued) - load_function(QA_WEIGHTS, idle)
+        delta = load(QA_WEIGHTS, n_waiting=2) - load(QA_WEIGHTS)
         assert delta == pytest.approx(2 * (0.79 * 0.79 + 0.21 * 0.21))
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.floats(min_value=0, max_value=50),
+                st.floats(min_value=0, max_value=50),
+                st.integers(min_value=0, max_value=40),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_columns_equal_rows_bit_for_bit(self, rows):
+        """One expression serves a table column and a single row: every
+        element of the column is the row's own load, to the last bit."""
+        cpu, disk, waiting = (np.array(c, dtype=float) for c in zip(*rows))
+        for weights in (QA_WEIGHTS, PR_WEIGHTS, AP_WEIGHTS):
+            column = load_function(weights, cpu, disk, waiting)
+            assert column.tolist() == [load_function(weights, *row) for row in rows]
 
     @given(
         cpu=st.floats(min_value=0, max_value=10),
@@ -64,9 +79,9 @@ class TestLoadFunction:
     )
     @settings(max_examples=50, deadline=None)
     def test_monotone_in_both_resources(self, cpu, disk):
-        base = load_function(PR_WEIGHTS, snap(cpu=cpu, disk=disk))
-        more_cpu = load_function(PR_WEIGHTS, snap(cpu=cpu + 1, disk=disk))
-        more_disk = load_function(PR_WEIGHTS, snap(cpu=cpu, disk=disk + 1))
+        base = load(PR_WEIGHTS, cpu=cpu, disk=disk)
+        more_cpu = load(PR_WEIGHTS, cpu=cpu + 1, disk=disk)
+        more_disk = load(PR_WEIGHTS, cpu=cpu, disk=disk + 1)
         assert more_cpu >= base
         assert more_disk > base
 
@@ -80,28 +95,23 @@ class TestSingleTaskLoad:
 
 class TestUnderload:
     def test_idle_node_underloaded_for_everything(self):
-        s = snap()
         for w in (QA_WEIGHTS, PR_WEIGHTS, AP_WEIGHTS):
-            assert is_underloaded(w, s)
+            assert is_underloaded(w)
 
     def test_busy_node_not_underloaded(self):
-        s = snap(cpu=3.0, disk=2.0)
         for w in (QA_WEIGHTS, PR_WEIGHTS, AP_WEIGHTS):
-            assert not is_underloaded(w, s)
+            assert not is_underloaded(w, cpu=3.0, disk=2.0)
 
     def test_cpu_busy_disk_idle_is_pr_underloaded(self):
         """The paper's key insight: a node saturated on CPU (running AP)
         still has its disk available for a PR sub-task."""
-        s = snap(cpu=1.0, disk=0.0)
-        assert is_underloaded(PR_WEIGHTS, s, margin=1.0)
-        assert not is_underloaded(AP_WEIGHTS, s, margin=1.0)
+        assert is_underloaded(PR_WEIGHTS, cpu=1.0, disk=0.0, margin=1.0)
+        assert not is_underloaded(AP_WEIGHTS, cpu=1.0, disk=0.0, margin=1.0)
 
     def test_disk_busy_cpu_idle_is_ap_underloaded(self):
-        s = snap(cpu=0.0, disk=1.0)
-        assert is_underloaded(AP_WEIGHTS, s, margin=1.0)
-        assert not is_underloaded(PR_WEIGHTS, s, margin=1.0)
+        assert is_underloaded(AP_WEIGHTS, cpu=0.0, disk=1.0, margin=1.0)
+        assert not is_underloaded(PR_WEIGHTS, cpu=0.0, disk=1.0, margin=1.0)
 
     def test_margin_scales_threshold(self):
-        s = snap(cpu=0.9)
-        assert not is_underloaded(AP_WEIGHTS, s, margin=0.5)
-        assert is_underloaded(AP_WEIGHTS, s, margin=1.5)
+        assert not is_underloaded(AP_WEIGHTS, cpu=0.9, margin=0.5)
+        assert is_underloaded(AP_WEIGHTS, cpu=0.9, margin=1.5)

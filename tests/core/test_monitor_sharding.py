@@ -3,7 +3,15 @@ announcements and the Eq 14 charge."""
 
 import pytest
 
-from repro.core import ClusterNode, DistributedQASystem, MonitoringSystem, NodeConfig, SystemConfig
+from repro.core import (
+    AP_WEIGHTS,
+    PR_WEIGHTS,
+    ClusterNode,
+    DistributedQASystem,
+    MonitoringSystem,
+    NodeConfig,
+    SystemConfig,
+)
 from repro.core.monitor import auto_shard_count
 from repro.model import ModelParameters, monitoring_round_s
 from repro.observability.metrics import MetricsRegistry
@@ -53,7 +61,9 @@ class TestShardLayout:
 class TestShardedView:
     def test_seeded_view_covers_all_nodes_before_first_publish(self, env):
         _, _, mon = build(env, n=6, shards=2)
-        assert set(mon.view(0)) == set(range(6))
+        assert mon.fresh() is None  # every row in the pool
+        assert mon.table.written.tolist() == [0.0] * 6
+        assert len(mon.loads(AP_WEIGHTS, 0)) == 6
 
     def test_view_reflects_published_not_working_state(self, env):
         _, nodes, mon = build(env, n=4, shards=2)
@@ -63,30 +73,34 @@ class TestShardedView:
 
         env.process(burn())
         env.run(until=2.5)
-        # Node 1's group wrote at 1.0 and 2.0: the view carries the 2.0
-        # snapshot of the busy node, not its state at 2.5.
-        snap = mon.view(0)[1]
-        assert snap.timestamp == 2.0
-        assert snap.cpu_load > 0.4
+        # Node 1's group wrote at 1.0 and 2.0: the table carries the 2.0
+        # write of the busy node, not its state at 2.5.
+        assert mon.table.written[1] == 2.0
+        assert mon.table.cpu[1] > 0.4
+        assert mon.loads(AP_WEIGHTS, 0)[1] == mon.table.cpu[1]
 
     def test_observer_sees_itself_live(self, env):
         _, nodes, mon = build(env, n=4, shards=2)
         nodes[0].active_questions = 9
-        assert mon.view(0)[0].n_questions == 9
+        nodes[0].cpu.use(5.0)
+        assert mon.live_entry(0) == (1.0, 0.0, 9, 0)
+        assert mon.table.questions[0] == 0  # the written row is older
+        assert mon.loads(AP_WEIGHTS, 0)[0] == 1.0
+        assert mon.loads(AP_WEIGHTS, 1)[0] == 0.0
 
     def test_local_snapshot_tracks_self_report(self, env):
         """A node's own table entry is its last write, like any peer's."""
         _, _, mon = build(env, n=4, shards=2)
-        assert mon.table[2].node_id == 2
+        assert len(mon.table.written) == 4
         env.run(until=2.5)
-        assert mon.table[2].timestamp == 2.5  # group 1 writes at k + 0.5
+        assert mon.table.written[2] == 2.5  # group 1 writes at k + 0.5
 
     def test_dead_node_leaves_view_after_timeout(self, env):
         _, nodes, mon = build(env, n=4, shards=2)
         env.run(until=2.5)
         nodes[3].up = False
         env.run(until=9.0)
-        assert 3 not in mon.view(0)
+        assert mon.fresh().tolist() == [True, True, True, False]
         assert (9.0, 3, False) not in mon.membership_log  # logged earlier
         assert any(nid == 3 and not live
                    for _, nid, live in mon.membership_log)
@@ -98,39 +112,37 @@ class TestOptimisticBumps:
     def test_bump_seen_by_every_observer_at_once(self, env):
         _, _, mon = build(env, n=6, shards=2)
         env.run(until=2.5)
-        before = mon.table[3]
+        before = (mon.table.questions[3], mon.table.waiting[3])
+        unbumped = mon.loads(PR_WEIGHTS, 0)[3]
         mon.announce(3, questions=1)
+        assert (mon.table.questions[3], mon.table.waiting[3]) == (before[0] + 1, before[1] + 1)
         for observer in (0, 1, 2, 4, 5):
-            snap = mon.view(observer)[3]
-            assert snap.n_questions == before.n_questions + 1
-            assert snap.n_waiting == before.n_waiting + 1
+            assert mon.loads(PR_WEIGHTS, observer)[3] > unbumped
         # The target itself still sees its live state.
-        assert mon.view(3)[3].n_questions == 0
+        assert mon.loads(PR_WEIGHTS, 3)[3] == unbumped
 
     def test_load_share_bump_accumulates(self, env):
         _, _, mon = build(env, n=6, shards=2)
         env.run(until=2.5)
-        base = mon.table[4]
+        table = mon.table
+        base = (table.cpu[4], table.disk[4], table.questions[4])
         mon.announce(4, cpu=0.5, disk=0.25)
         mon.announce(4, cpu=0.5, disk=0.25)
         mon.announce(4, questions=1)
-        snap = mon.view(0)[4]
-        assert snap.cpu_load == pytest.approx(base.cpu_load + 1.0)
-        assert snap.disk_load == pytest.approx(base.disk_load + 0.5)
-        assert snap.n_questions == base.n_questions + 1
+        assert table.cpu[4] == pytest.approx(base[0] + 1.0)
+        assert table.disk[4] == pytest.approx(base[1] + 0.5)
+        assert table.questions[4] == base[2] + 1
 
     def test_bump_keeps_timestamp_and_leaves_membership_alone(self, env):
         _, nodes, mon = build(env, n=4, shards=0)
         env.run(until=2.3)
         nodes[2].up = False
-        heartbeat = mon.last_heartbeat[2]
         env.run(until=4.5)
         mon.announce(2, questions=1, cpu=0.3)
-        assert mon.table[2].timestamp == 2.0
-        assert mon.last_heartbeat[2] == heartbeat
+        assert mon.table.written[2] == 2.0
         env.run(until=9.0)
         # A dead node's announced entry ages out like any other.
-        assert 2 not in mon.view(0)
+        assert not mon.fresh()[2]
         assert [(nid, live) for _, nid, live in mon.membership_log] == [(2, False)]
 
     def test_bump_expires_once_fresher_measurement_publishes(self, env):
@@ -138,11 +150,11 @@ class TestOptimisticBumps:
         env.run(until=2.2)
         mon.announce(3, questions=1)  # node 3 is in group 1 (phase 0.5)
         env.run(until=2.4)
-        assert mon.view(0)[3].n_questions == 1
+        assert mon.table.questions[3] == 1
         # Node 3's next write lands at 2.5 and supersedes the announcement.
         env.run(until=2.5)
-        assert mon.view(0)[3].n_questions == 0
-        assert mon.table[3].timestamp == 2.5
+        assert mon.table.questions[3] == 0
+        assert mon.table.written[3] == 2.5
 
     def test_bump_books_one_s_load_and_nothing_under_monitor(self, env):
         reg = MetricsRegistry()
@@ -209,17 +221,17 @@ class TestChargedPlane:
         nodes[2].up = False
         net.set_node_up(2, False)
         env.run(until=2.3 + mon.membership_timeout_s + mon.interval_s)
-        assert 2 not in mon.view(0)
+        assert not mon.fresh()[2]
         (left,) = [w for w, nid, live in mon.membership_log if nid == 2 and not live]
         assert left <= 2.3 + mon.membership_timeout_s + mon.interval_s
         env.run(until=10.2)
         nodes[2].up = True
         net.set_node_up(2, True)
         env.run(until=10.9)
-        assert 2 not in mon.view(0)
+        assert not mon.fresh()[2]
         env.run(until=11.0)  # the group's first round after recovery
-        assert 2 in mon.view(0)
-        assert mon.table[2].timestamp == 11.0
+        assert mon.fresh() is None
+        assert mon.table.written[2] == 11.0
 
     def test_cpu_reservation_composes_with_thrash(self, env):
         cfg = NodeConfig(memory_bytes=200e6, baseline_memory_bytes=100e6, thrash_factor=4.0)

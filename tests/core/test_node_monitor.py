@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.core import ClusterNode, MonitoringSystem, NodeConfig
+from repro.core import (
+    AP_WEIGHTS,
+    QA_WEIGHTS,
+    ClusterNode,
+    MonitoringSystem,
+    NodeConfig,
+    QuestionDispatcher,
+    meta_schedule,
+)
 from repro.simulation import Environment, Network
 
 
@@ -84,12 +92,11 @@ class TestNode:
         mon = MonitoringSystem(env, Network(env, bandwidth_bps=100e6), [node], interval_s=4.0)
         node.cpu.use(2.0)
         env.run(until=4.5)
-        snap = mon.table[0]
-        assert snap.timestamp == 4.0
+        assert mon.table.written[0] == 4.0
         # CPU active half of the 4-second window and idle at the write,
         # which blends the two half and half.
-        assert snap.cpu_load == pytest.approx(0.25)
-        assert snap.disk_load == pytest.approx(0.0)
+        assert mon.table.cpu[0] == pytest.approx(0.25)
+        assert mon.table.disk[0] == pytest.approx(0.0)
 
 
 class TestMonitoring:
@@ -101,8 +108,8 @@ class TestMonitoring:
 
     def test_tables_seeded_for_instant_dispatch(self, env):
         _, _, mon = self._build(env)
-        view = mon.view(0)
-        assert set(view) == {0, 1, 2}
+        assert mon.fresh() is None
+        assert mon.loads(QA_WEIGHTS, 0).tolist() == [0.0, 0.0, 0.0]
 
     def test_broadcasts_update_peer_tables(self, env):
         _, nodes, mon = self._build(env)
@@ -112,15 +119,16 @@ class TestMonitoring:
 
         env.process(burn())
         env.run(until=2.5)
-        snap = mon.view(0)[1]
-        assert snap.timestamp > 0
-        assert snap.cpu_load > 0.5
+        assert mon.table.written[1] > 0
+        assert mon.table.cpu[1] > 0.5
+        assert mon.loads(AP_WEIGHTS, 0)[1] == mon.table.cpu[1]
 
     def test_observer_sees_itself_live(self, env):
         _, nodes, mon = self._build(env)
         nodes[0].active_questions = 7
-        snap = mon.view(0)[0]
-        assert snap.n_questions == 7  # not waiting for a broadcast
+        assert mon.live_entry(0)[2] == 7  # not waiting for a broadcast
+        dispatcher = QuestionDispatcher(mon)
+        assert dispatcher.qa_loads(0)[0] > dispatcher.qa_loads(1)[0]
 
     def test_dead_node_leaves_membership(self, env):
         net, nodes, mon = self._build(env)
@@ -128,19 +136,22 @@ class TestMonitoring:
         nodes[2].up = False
         net.set_node_up(2, False)
         env.run(until=6.0)  # beyond the membership timeout
-        assert 2 not in mon.view(0)
-        assert 2 in mon.view(2)  # a node always sees itself
+        assert mon.fresh().tolist() == [True, True, False]
+        # A node always sees itself: node 2's own decision can pick it.
+        loads = mon.loads(AP_WEIGHTS, 2)
+        assert meta_schedule(loads, AP_WEIGHTS, 2, mon.fresh()).node_ids == [0, 1, 2]
+        assert meta_schedule(mon.loads(AP_WEIGHTS, 0), AP_WEIGHTS, 0, mon.fresh()).node_ids == [0, 1]
 
     def test_recovered_node_rejoins(self, env):
         net, nodes, mon = self._build(env)
         nodes[1].up = False
         net.set_node_up(1, False)
         env.run(until=6.0)
-        assert 1 not in mon.view(0)
+        assert not mon.fresh()[1]
         nodes[1].up = True
         net.set_node_up(1, True)
         env.run(until=8.0)
-        assert 1 in mon.view(0)
+        assert mon.fresh() is None
 
     def test_monitoring_consumes_network(self, env):
         net, _, mon = self._build(env)
@@ -160,26 +171,39 @@ class TestMonitoring:
         signals = [(n.cpu.active_jobs, n.disk.active_jobs) for n in nodes]
         checks = []
 
+        def checkpoint(signal, now):
+            """``(now, integral)``: the start of a window."""
+            return (now, signal.integral(now))
+
+        def average(signal, checkpoint, now):
+            """The signal's mean since ``checkpoint``; its value when the
+            window is empty."""
+            t0, i0 = checkpoint
+            if now <= t0:
+                return signal.value
+            return (signal.integral(now) - i0) / (now - t0)
+
         def expected(checkpoints, now):
             return [
-                tuple(0.5 * s.average(cp, now) + 0.5 * s.value for s, cp in zip(sigs, cps))
+                tuple(0.5 * average(s, cp, now) + 0.5 * s.value for s, cp in zip(sigs, cps))
                 for sigs, cps in zip(signals, checkpoints)
             ]
 
+        def table_rows():
+            return [(mon.table.cpu[n], mon.table.disk[n]) for n in range(4)]
+
         def oracle():
-            checkpoints = [tuple(s.checkpoint(0.0) for s in sigs) for sigs in signals]
+            checkpoints = [tuple(checkpoint(s, 0.0) for s in sigs) for sigs in signals]
             for _ in range(2):
                 # Wakes just after the round write at the same instant.
                 yield env.timeout(1.0)
                 now = env.now
-                written = [(mon.table[n].cpu_load, mon.table[n].disk_load) for n in range(4)]
-                checks.append((written, expected(checkpoints, now)))
-                checkpoints = [tuple(s.checkpoint(now) for s in sigs) for sigs in signals]
+                checks.append((table_rows(), expected(checkpoints, now)))
+                checkpoints = [tuple(checkpoint(s, now) for s in sigs) for sigs in signals]
             # A second write at the same instant: an empty window, so the
             # instantaneous value stands in for the average.
             mon._round(mon.groups[0], None)
-            written = [(mon.table[n].cpu_load, mon.table[n].disk_load) for n in range(4)]
-            checks.append((written, expected(checkpoints, env.now)))
+            checks.append((table_rows(), expected(checkpoints, env.now)))
 
         env.run(until=env.process(oracle()))
         assert [entry[0] for entry in checks[0][0]] == [0.0, 1.0, 1.0, 0.0]
@@ -193,7 +217,7 @@ class TestMonitoring:
         def p():
             nodes[0].cpu.use(100.0)
             yield env.timeout(0.1)
-            snap = mon.live_snapshot(0)
-            assert snap.cpu_load == pytest.approx(1.0)
+            assert mon.live_entry(0)[0] == pytest.approx(1.0)
+            assert mon.table.cpu[0] == 0.0  # no round has written it yet
 
         env.run(until=env.process(p()))

@@ -83,19 +83,6 @@ class TestTransfers:
         # Two 5 MB transfers at shared 10 MB/s: both complete at t=1.0.
         assert [t for _, t in done] == [pytest.approx(1.0)] * 2
 
-    def test_broadcast_occupies_medium_once(self, env):
-        net = make_net(env, bw=8e6)  # 1 MB/s
-        out = []
-
-        def p():
-            dt = yield from net.broadcast("a", 1e6)
-            out.append(dt)
-
-        env.process(p())
-        env.run()
-        assert out == [pytest.approx(1.0)]
-        assert net.broadcasts_sent == 1
-
     def test_zero_byte_transfer(self, env):
         net = make_net(env)
         out = []
@@ -123,13 +110,13 @@ class TestTransfers:
 
         def p():
             yield from net.transfer("a", "b", 1e6)
-            yield from net.broadcast("a", 2e6)
+            net.book_broadcasts(4, 2e6)
 
         env.process(p())
         env.run()
         assert net.bytes_transferred == pytest.approx(3e6)
         assert net.messages_sent == 1
-        assert net.broadcasts_sent == 1
+        assert net.broadcasts_sent == 4
 
 
 class TestFailureSemantics:
@@ -166,18 +153,6 @@ class TestFailureSemantics:
         env.process(killer())
         env.run()
         assert caught == [("endpoint failed mid-transfer", pytest.approx(2.0))]
-
-    def test_broadcast_from_down_node_vanishes(self, env):
-        net = make_net(env)
-        net.set_node_up("a", False)
-
-        def p():
-            yield from net.broadcast("a", 1e6)
-
-        env.process(p())
-        env.run()
-        assert net.broadcasts_sent == 0
-        assert net.bytes_transferred == 0.0
 
     def test_recovery_restores_reachability(self, env):
         net = make_net(env)

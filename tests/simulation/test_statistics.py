@@ -7,19 +7,23 @@ from hypothesis import strategies as st
 from repro.simulation import TimeWeightedSignal
 
 
+def window_average(signal, t0, i0, now):
+    """The mean over ``[t0, now]`` from two integral readings, as the load
+    monitor computes each write."""
+    return (signal.integral(now) - i0) / (now - t0)
+
+
 class TestTimeWeightedSignal:
     def test_constant_signal_average(self):
         s = TimeWeightedSignal(3.0)
-        cp = s.checkpoint(0.0)
-        assert s.average(cp, 10.0) == pytest.approx(3.0)
+        assert window_average(s, 0.0, s.integral(0.0), 10.0) == pytest.approx(3.0)
 
     def test_step_signal_average(self):
         s = TimeWeightedSignal(0.0)
         s.set(0.0, 1.0)
         s.set(5.0, 3.0)
-        cp0 = (0.0, 0.0)
         # 0..5 at 1, 5..10 at 3 -> mean 2.
-        assert s.average(cp0, 10.0) == pytest.approx(2.0)
+        assert window_average(s, 0.0, 0.0, 10.0) == pytest.approx(2.0)
 
     def test_add_increments(self):
         s = TimeWeightedSignal(0.0)
@@ -31,15 +35,10 @@ class TestTimeWeightedSignal:
     def test_windowed_average_with_checkpoint(self):
         s = TimeWeightedSignal(0.0)
         s.set(0.0, 10.0)
-        cp = s.checkpoint(4.0)
+        i4 = s.integral(4.0)  # read before the next change
         s.set(6.0, 0.0)
         # Window 4..8: 10 for 2s, 0 for 2s -> 5.
-        assert s.average(cp, 8.0) == pytest.approx(5.0)
-
-    def test_empty_window_returns_instant_value(self):
-        s = TimeWeightedSignal(7.0)
-        cp = s.checkpoint(3.0)
-        assert s.average(cp, 3.0) == 7.0
+        assert window_average(s, 4.0, i4, 8.0) == pytest.approx(5.0)
 
     def test_time_backwards_rejected(self):
         s = TimeWeightedSignal(0.0)
