@@ -109,7 +109,7 @@ class QuestionDispatcher:
             loads[~fresh] = np.inf  # out of the pool
         if exclude:
             loads[list(exclude)] = np.inf
-        loads[host_id] = host_load
+        loads[host_id] = host_load  # the host is always a candidate
         best = int(loads.argmin())  # the lowest id on a tie
         if best == host_id:
             return host_id
