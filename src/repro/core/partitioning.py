@@ -342,7 +342,7 @@ def run_receiver_controlled(
         while available:
             chunk = available.pop()
             try:
-                outcome = yield env.process(_plain(executor, nid, chunk))
+                outcome = yield env.process(executor(nid, chunk))
             except WorkerFailed as failure:
                 available.append(t.cast(list[T], failure.unprocessed))
                 return nid  # node leaves the worker pool
@@ -422,11 +422,4 @@ def _guarded(
         result = yield from executor(nid, part)
     except WorkerFailed as failure:
         return failure
-    return result
-
-
-def _plain(
-    executor: Executor, nid: int, part: list[T]
-) -> t.Generator[Event, object, object]:
-    result = yield from executor(nid, part)
     return result

@@ -145,10 +145,6 @@ class TaskResult:
     def queue_wait(self) -> float:
         return self.start_time - self.arrival_time
 
-    @property
-    def total_overhead(self) -> float:
-        return sum(self.overhead.values())
-
 
 class DistributedQATask:
     """One question's journey through the distributed system."""

@@ -201,12 +201,6 @@ class WorkloadReport:
             for k in ("QP", "PR", "PS", "PO", "AP")
         }
 
-    def mean_overhead(self) -> dict[str, float]:
-        """Average distribution-overhead components (Table 9)."""
-        done = self.completed
-        keys = done[0].overhead if done else ()
-        return {k: _mean([r.overhead[k] for r in done]) for k in keys}
-
 
 def _mean(values: list[float]) -> float:
     return float(np.mean(values)) if values else 0.0

@@ -108,14 +108,6 @@ class Corpus:
         for coll in self.collections:
             yield from coll.documents
 
-    def fact_locations(self, fact: Fact) -> list[int]:
-        """Doc ids where ``fact`` was planted."""
-        return [
-            d.doc_id
-            for d in self.all_documents()
-            if any(f.key() == fact.key() for f in d.planted)
-        ]
-
 
 def _render_sentence(
     rng: np.random.Generator,

@@ -7,6 +7,7 @@ given seed.
 """
 
 import collections
+import inspect
 
 from ..core import DistributedQASystem, SystemConfig
 from ..core.monitor import ROUND_EVENT
@@ -38,7 +39,7 @@ def census(n_nodes: int, questions: int, seed: int) -> collections.Counter:
         if isinstance(owner, FairShareResource):
             return "wakeup " + owner.name.split("[")[0], owner
         if isinstance(owner, Process):
-            if type(event) is Event and owner._waiting_on is None:
+            if inspect.getgeneratorstate(owner._generator) == inspect.GEN_CREATED:
                 return "process bootstrap", None
             return "task/puller resume", None
         return "other (conditions, sentinels)", None

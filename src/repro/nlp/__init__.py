@@ -11,7 +11,7 @@ from .keywords import Keyword, select_keywords
 from .porter import stem
 from .stemming import SHARED_STEM_CACHE, StemCache, cached_stem
 from .stopwords import STOPWORDS, is_stopword
-from .tokenizer import Token, is_capitalized, is_number_token, sentences, tokenize
+from .tokenizer import Token, is_capitalized, sentences, tokenize
 from .vocabulary import MISSING_ID, SHARED_VOCABULARY, Vocabulary
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "cached_stem",
     "classify_question",
     "is_capitalized",
-    "is_number_token",
     "is_stopword",
     "select_keywords",
     "sentences",

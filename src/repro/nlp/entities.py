@@ -161,10 +161,6 @@ class Gazetteer:
         self._max_len = max(self._max_len, len(words))
         self._starts.add(words[0])
 
-    def add_many(self, phrases: t.Iterable[str], etype: EntityType) -> None:
-        for p in phrases:
-            self.add(p, etype)
-
     def lookup(self, words: t.Sequence[str]) -> EntityType | None:
         return self._entries.get(tuple(w.lower() for w in words))
 
@@ -185,10 +181,6 @@ class Gazetteer:
             if etype is not None:
                 return j, etype
         return None
-
-    @property
-    def max_phrase_len(self) -> int:
-        return self._max_len
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -248,14 +240,6 @@ class EntityRecognizer:
             Entity.from_tokens(text, tokens, i, j, etype)
             for i, j, etype in self.spans([tok.text for tok in tokens])
         ]
-
-    def recognize_typed(
-        self, text: str, etype: EntityType, tokens: t.Sequence[Token] | None = None
-    ) -> list[Entity]:
-        """Entities qualifying as ``etype`` — what AP candidate detection
-        needs (see :func:`matching_types`)."""
-        wanted = matching_types(etype)
-        return [ent for ent in self.recognize(text, tokens) if ent.type in wanted]
 
     # -- matching internals -------------------------------------------------------
     def _match_at(

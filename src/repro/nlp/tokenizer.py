@@ -28,7 +28,6 @@ __all__ = [
     "sentences",
     "is_capitalized",
     "is_capitalized_text",
-    "is_number_token",
     "is_number_text",
 ]
 
@@ -62,10 +61,6 @@ class Token:
     @property
     def is_word(self) -> bool:
         return self.text[0].isalpha()
-
-    @property
-    def is_punct(self) -> bool:
-        return not (self.text[0].isalnum() or self.text[0] == "$")
 
     def __len__(self) -> int:
         return self.end - self.start
@@ -124,8 +119,3 @@ def is_number_text(text: str) -> bool:
 def is_capitalized(token: Token) -> bool:
     """True for word tokens beginning with an upper-case letter."""
     return is_capitalized_text(token.text)
-
-
-def is_number_token(token: Token) -> bool:
-    """True for numeric tokens (possibly with $, %, separators)."""
-    return is_number_text(token.text)

@@ -5,7 +5,8 @@ Pentium III machines) with a deterministic discrete-event simulator:
 
 * :class:`~repro.simulation.engine.Environment` /
   :class:`~repro.simulation.engine.Process` — event loop and
-  generator-based processes;
+  generator-based processes that wait on one-shot events, timeouts, other
+  processes and the :class:`~repro.simulation.events.AllOf` join;
 * :class:`~repro.simulation.resources.FairShareResource` — processor-sharing
   CPU and disk models;
 * :class:`~repro.simulation.resources.MemoryResource` — memory with
@@ -16,16 +17,14 @@ Pentium III machines) with a deterministic discrete-event simulator:
 
 from .chaos import ChaosConfig, FaultInterval, generate_chaos_schedule
 from .engine import EmptySchedule, Environment, Process
-from .events import AllOf, AnyOf, Event, Interrupt, SimulationError, Timeout
+from .events import AllOf, Event, SimulationError, Timeout
 from .failures import FailureInjector, FailureSchedule
 from .network import Network, TransferFailed
 from .resources import FairShareResource, Job, MemoryResource
-from .schedkey import SeqHeap
 from .statistics import TimeWeightedSignal
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "ChaosConfig",
     "EmptySchedule",
     "Environment",
@@ -34,12 +33,10 @@ __all__ = [
     "FailureSchedule",
     "FairShareResource",
     "FaultInterval",
-    "Interrupt",
     "Job",
     "MemoryResource",
     "Network",
     "Process",
-    "SeqHeap",
     "SimulationError",
     "TimeWeightedSignal",
     "Timeout",

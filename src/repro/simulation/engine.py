@@ -8,14 +8,15 @@ distributed Q/A cluster of the paper is reproduced.
 
 Design notes
 ------------
-* The event queue orders events by ``(time, priority, seq)``.  ``seq`` is a
-  monotonically increasing counter, so simulations are fully deterministic —
-  two events scheduled for the same instant fire in the order they were
-  scheduled.  The queue is a binary heap
-  (:class:`~repro.simulation.schedkey.SeqHeap`).
+* The event queue is a plain ``heapq`` list of ``(time, priority, seq,
+  event)`` entries.  ``seq`` comes from one ``itertools.count``, so
+  simulations are fully deterministic — two events scheduled for the same
+  instant and priority fire in the order they were scheduled — and
+  ``next(env._seq)`` is the number of events scheduled so far.
 * Processes are plain Python generators.  ``yield event`` suspends the
   process until the event fires; the event's value is returned by the
-  ``yield`` expression (or its exception raised).
+  ``yield`` expression (or its exception raised).  A process waits on one
+  event at a time and nothing else can resume it.
 * A process is itself an :class:`~repro.simulation.events.Event` that fires
   when the generator returns, enabling fork/join patterns
   (``yield env.all_of([env.process(worker(i)) for i in ...])``) — the same
@@ -26,22 +27,16 @@ Design notes
 from __future__ import annotations
 
 import heapq
+import itertools
 import typing as t
 
-from .schedkey import SeqHeap
-from .events import (
-    _PENDING,
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    SimulationError,
-    Timeout,
-)
+from .events import _PENDING, AllOf, Event, SimulationError, Timeout
 
 __all__ = ["Environment", "Process", "EmptySchedule"]
 
-#: Default priority for scheduled events; urgent (interrupt) events use 0.
+#: Default priority for scheduled events.  A process's first step and its
+#: resume on an already-processed event use 0, ahead of whatever else is
+#: due at the same instant.
 _NORMAL = 1
 _URGENT = 0
 
@@ -60,7 +55,7 @@ class Process(Event):
     :meth:`Environment.run` to avoid silently swallowed bugs.
     """
 
-    __slots__ = ("_generator", "_waiting_on")
+    __slots__ = ("_generator",)
 
     def __init__(
         self,
@@ -72,7 +67,6 @@ class Process(Event):
             raise TypeError(f"process body must be a generator, got {generator!r}")
         super().__init__(env, name=name or getattr(generator, "__name__", "process"))
         self._generator = generator
-        self._waiting_on: Event | None = None
         # Kick-start on the next queue iteration at the current time.
         # The bootstrap hub is anonymous: per-process f-string labels are
         # measurable overhead and the process itself carries the name.
@@ -82,47 +76,9 @@ class Process(Event):
         bootstrap._value = None
         env._schedule(bootstrap, delay=0.0, priority=_URGENT)
 
-    # -- public API ---------------------------------------------------------
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return self._value is _PENDING
-
-    def interrupt(self, cause: object = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a process
-        that is waiting on an event detaches it from that event first.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"cannot interrupt finished {self!r}")
-        if self.env.active_process is self:
-            raise SimulationError("a process cannot interrupt itself")
-        hub = Event(self.env)
-        hub._ok = False
-        hub._value = Interrupt(cause)
-        hub.callbacks.append(self._resume)  # type: ignore[union-attr]
-        self.env._schedule(hub, delay=0.0, priority=_URGENT)
-
-    # -- engine internals -----------------------------------------------------
     def _resume(self, trigger: Event) -> None:
         """Advance the generator with the trigger event's outcome."""
-        if self._value is not _PENDING:
-            return  # e.g. interrupted after normal completion scheduling
-        # Detach from the event we were waiting on (interrupt case).
-        waiting = self._waiting_on
-        if waiting is not None and waiting is not trigger:
-            if waiting.callbacks is not None:
-                try:
-                    waiting.callbacks.remove(self._resume)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-        self._waiting_on = None
-
-        # Every exit below clears the active process itself; a
-        # try/finally here is paid on each of the simulator's resumes.
         env = self.env
-        env._active_process = self
         try:
             if trigger._ok:
                 target = self._generator.send(trigger._value)
@@ -131,11 +87,9 @@ class Process(Event):
                     t.cast(BaseException, trigger._value)
                 )
         except StopIteration as stop:
-            env._active_process = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            env._active_process = None
             if self.callbacks:
                 self.fail(exc)
                 return
@@ -145,7 +99,6 @@ class Process(Event):
             env._schedule(self, delay=0.0)
             env._crashed = (self, exc)
             return
-        env._active_process = None
 
         if not isinstance(target, Event):
             raise TypeError(
@@ -160,10 +113,8 @@ class Process(Event):
             hub._value = target._value
             hub.callbacks.append(self._resume)  # type: ignore[union-attr]
             env._schedule(hub, delay=0.0, priority=_URGENT)
-            self._waiting_on = hub
         else:
             target.callbacks.append(self._resume)
-            self._waiting_on = target
 
 
 class Environment:
@@ -175,12 +126,12 @@ class Environment:
         Starting value of :attr:`now` (seconds).
     """
 
-    __slots__ = ("_now", "_queue", "_active_process", "_crashed")
+    __slots__ = ("_now", "_queue", "_seq", "_crashed")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        self._queue = SeqHeap()
-        self._active_process: Process | None = None
+        self._queue: list[tuple[float, int, int, Event]] = []
+        self._seq = itertools.count()
         self._crashed: tuple[Process, BaseException] | None = None
 
     # -- clock ---------------------------------------------------------------
@@ -188,16 +139,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def _seq(self):
-        """The queue's event counter (``next()`` count == events scheduled)."""
-        return self._queue._seq
-
-    @property
-    def active_process(self) -> Process | None:
-        """The process currently executing, if any."""
-        return self._active_process
 
     # -- event construction ---------------------------------------------------
     def event(self, name: str | None = None) -> Event:
@@ -220,18 +161,12 @@ class Environment:
         """Event firing when all ``events`` have fired."""
         return AllOf(self, events)
 
-    def any_of(self, events: t.Sequence[Event]) -> AnyOf:
-        """Event firing when any of ``events`` has fired."""
-        return AnyOf(self, events)
-
     # -- scheduling / running ---------------------------------------------------
     def _schedule(
         self, event: Event, delay: float, priority: int = _NORMAL
     ) -> None:
-        # SeqHeap.push inlined: one C call on the simulator's hottest path.
-        q = self._queue
         heapq.heappush(
-            q.entries, (self._now + delay, priority, next(q._seq), event)
+            self._queue, (self._now + delay, priority, next(self._seq), event)
         )
 
     def schedule_at(self, event: Event, when: float) -> None:
@@ -246,19 +181,18 @@ class Environment:
         if event._value is not _PENDING:
             raise SimulationError(f"{event!r} has already been triggered")
         event._value = None
-        q = self._queue
-        heapq.heappush(q.entries, (when, _NORMAL, next(q._seq), event))
+        heapq.heappush(self._queue, (when, _NORMAL, next(self._seq), event))
 
     def peek(self) -> float:
         """Time of the next scheduled event (``inf`` when queue is empty)."""
-        return self._queue.peek_when()
+        queue = self._queue
+        return queue[0][0] if queue else float("inf")
 
     def step(self) -> None:
         """Process exactly one event."""
-        queue = self._queue
-        if not queue:
+        if not self._queue:
             raise EmptySchedule()
-        when, _prio, _seq, event = queue.pop()
+        when, _prio, _seq, event = heapq.heappop(self._queue)
         self._now = when
         event._run_callbacks()
         if self._crashed is not None:
@@ -280,7 +214,7 @@ class Environment:
         callback sequence as :meth:`step`; event firing order is
         identical to stepping manually.
         """
-        queue = self._queue.entries
+        queue = self._queue
         heappop = heapq.heappop
         if until is None:
             while queue:

@@ -4,12 +4,12 @@ The engine follows the classic process-interaction style (as popularised by
 SimPy): simulation *processes* are Python generators that ``yield`` event
 objects; the engine resumes the generator when the yielded event fires.
 
-Only the primitives actually needed by the distributed Q/A simulation are
-implemented: plain one-shot events, timeouts, process-completion events and
-AND/OR condition composites.  Everything is deterministic: events scheduled
-at the same timestamp fire in scheduling order (a monotonically increasing
-sequence number breaks ties), which keeps whole simulations reproducible
-from a seed.
+Only the primitives the distributed Q/A simulation runs are implemented:
+plain one-shot events, timeouts, process-completion events and the
+all-of join (:class:`AllOf`) the partitioning loops wait on.  Everything is
+deterministic: events scheduled at the same timestamp fire in scheduling
+order (a monotonically increasing sequence number breaks ties), which keeps
+whole simulations reproducible from a seed.
 """
 
 from __future__ import annotations
@@ -19,14 +19,7 @@ import typing as t
 if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from .engine import Environment
 
-__all__ = [
-    "Event",
-    "Timeout",
-    "AllOf",
-    "AnyOf",
-    "Interrupt",
-    "SimulationError",
-]
+__all__ = ["Event", "Timeout", "AllOf", "SimulationError"]
 
 #: Sentinel for "event has not produced a value yet".
 _PENDING = object()
@@ -34,17 +27,6 @@ _PENDING = object()
 
 class SimulationError(RuntimeError):
     """Raised for illegal engine operations (double-trigger, etc.)."""
-
-
-class Interrupt(Exception):
-    """Thrown *into* a process generator by :meth:`Process.interrupt`.
-
-    The ``cause`` attribute carries the value given by the interrupter.
-    """
-
-    def __init__(self, cause: object = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Event:
@@ -167,13 +149,14 @@ class Timeout(Event):
         return f"<{self.name or f'Timeout({self.delay:.6g})'} {state}>"
 
 
-class _Condition(Event):
-    """Base for AND/OR composition of events."""
+class AllOf(Event):
+    """Fires once *all* component events have fired, with a dict of their
+    values; fails as soon as one of them fails."""
 
     __slots__ = ("events", "_n_fired")
 
     def __init__(self, env: "Environment", events: t.Sequence[Event]) -> None:
-        super().__init__(env, name=self.__class__.__name__)
+        super().__init__(env, name="AllOf")
         self.events = tuple(events)
         self._n_fired = 0
         if any(e.env is not env for e in self.events):
@@ -198,26 +181,5 @@ class _Condition(Event):
             self.fail(t.cast(BaseException, event.value))
             return
         self._n_fired += 1
-        if self._satisfied():
+        if self._n_fired == len(self.events):
             self.succeed(self._collect())
-
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Fires once *all* component events have fired."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._n_fired == len(self.events)
-
-
-class AnyOf(_Condition):
-    """Fires once *any* component event has fired."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._n_fired >= 1

@@ -73,9 +73,6 @@ class FailureInjector:
         """Spawn a process executing the schedule."""
         self.env.process(self._run(schedule), name="failure-injector")
 
-    def kill_now(self, node_id: object) -> None:
-        self._transition(node_id, up=False)
-
     def _transition(self, node_id: object, up: bool) -> None:
         self._set_node_up(node_id, up)
         if self._on_transition is not None:

@@ -140,7 +140,7 @@ class Network:
         if setup + self.latency_s > 0:
             yield self.env.timeout(setup + self.latency_s)
         if nbytes > 0:
-            job = self.medium.use(nbytes, tag=(src, dst))
+            job = self.medium.use(nbytes)
             yield job.event
         if not self.is_up(src) or not self.is_up(dst):
             raise TransferFailed(src, dst, nbytes, "endpoint failed mid-transfer")

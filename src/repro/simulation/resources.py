@@ -42,13 +42,13 @@ the queue a second time:
 
 from __future__ import annotations
 
+import itertools
 import typing as t
-from heapq import heappop
+from heapq import heappop, heappush
 from math import ulp
 
 from .engine import Environment
-from .events import _PENDING, Event, SimulationError
-from .schedkey import SeqHeap
+from .events import Event, SimulationError
 from .statistics import TimeWeightedSignal
 
 __all__ = ["FairShareResource", "Job", "MemoryResource"]
@@ -59,23 +59,17 @@ _INF = float("inf")
 class Job:
     """Handle for one in-flight demand on a :class:`FairShareResource`."""
 
-    __slots__ = ("event", "demand", "weight", "_target_v", "_cancelled", "tag")
+    __slots__ = ("event", "demand", "weight", "_target_v")
 
-    def __init__(self, event: Event, demand: float, weight: float, tag: object) -> None:
+    def __init__(self, event: Event, demand: float, weight: float) -> None:
         self.event = event
         self.demand = demand
         self.weight = weight
         self._target_v = 0.0
-        self._cancelled = False
-        self.tag = tag
 
     @property
     def done(self) -> bool:
         return self.event.triggered
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
 
 
 class FairShareResource:
@@ -102,8 +96,10 @@ class FairShareResource:
         #: resync in ``_remove`` sums over it, and a float sum must not
         #: depend on object addresses).
         self._jobs: dict[Job, None] = {}
-        #: Completion order: (target_v, seq, job) via the shared tiebreak.
-        self._sched = SeqHeap()
+        #: Completion order: a heap of (target_v, seq, job), one entry per
+        #: active job; ``seq`` keeps equal targets in submission order.
+        self._heap: list[tuple[float, int, Job]] = []
+        self._seq = itertools.count()
         self._vtime = 0.0
         self._t_last = env.now
         self._weight_sum = 0.0
@@ -118,9 +114,6 @@ class FairShareResource:
         self.busy = TimeWeightedSignal(0.0, env.now)
         #: Total demand completed, for accounting.
         self.completed_units = 0.0
-        #: Service already delivered to jobs that were later cancelled —
-        #: without this the books would leak a cancelled job's progress.
-        self.cancelled_units = 0.0
 
     # -- public API ----------------------------------------------------------
     @property
@@ -146,7 +139,7 @@ class FairShareResource:
         self._capacity = float(capacity)
         self._arm()
 
-    def use(self, demand: float, weight: float = 1.0, tag: object = None) -> Job:
+    def use(self, demand: float, weight: float = 1.0) -> Job:
         """Submit a demand; the returned job's ``event`` fires on completion.
 
         A zero demand completes immediately (still passing through the event
@@ -160,7 +153,7 @@ class FairShareResource:
         # constructor after Timeout, and a per-use f-string label costs
         # more than the heap push that schedules it.
         event = Event(self.env)
-        job = Job(event, float(demand), float(weight), tag)
+        job = Job(event, float(demand), float(weight))
         if demand == 0.0:
             event.succeed(0.0)
             return job
@@ -168,29 +161,13 @@ class FairShareResource:
         job._target_v = self._vtime + demand / weight
         self._jobs[job] = None
         self._weight_sum += weight
-        self._sched.push(job, job._target_v)
+        heappush(self._heap, (job._target_v, next(self._seq), job))
         now = self._t_last
         self.active_jobs.add(now, 1.0)
         if len(self._jobs) == 1:
             self.busy.set(now, 1.0)
         self._arm()
         return job
-
-    def cancel(self, job: Job) -> float:
-        """Abort an in-flight job, returning its unserved demand.
-
-        The job's event is *not* triggered.  Cancelling a finished or
-        already-cancelled job returns 0.
-        """
-        if job.cancelled or job.done or job not in self._jobs:
-            return 0.0
-        self._advance()
-        remaining = max(0.0, (job._target_v - self._vtime) * job.weight)
-        self.cancelled_units += job.demand - remaining
-        job._cancelled = True
-        self._remove(job)
-        self._arm()
-        return remaining
 
     # -- internals -------------------------------------------------------------
     def _advance(self) -> None:
@@ -214,16 +191,11 @@ class FairShareResource:
     def _arm(self) -> None:
         """Recompute when the earliest-finishing job is due and push a timer
         unless a pending one fires by then (virtual time already at now)."""
-        # Drop cancelled/stale heap entries.
-        entries = self._sched.entries
-        while entries and (
-            entries[0][-1]._cancelled or entries[0][-1].event._value is not _PENDING
-        ):
-            heappop(entries)
-        if not entries:
+        heap = self._heap
+        if not heap:
             self._wake_at = _INF
             return
-        dt = max(0.0, (entries[0][0] - self._vtime) * self._weight_sum / self._capacity)
+        dt = max(0.0, (heap[0][0] - self._vtime) * self._weight_sum / self._capacity)
         self._wake_at = wake_at = self._t_last + dt
         timers = self._timers
         if not timers or timers[-1] > wake_at:
@@ -252,17 +224,13 @@ class FairShareResource:
             1e-9 * max(1.0, abs(self._vtime)),
             ulp(now) * self._capacity / self._weight_sum,
         )
-        entries = self._sched.entries
+        heap = self._heap
         done: list[Job] = []
-        while entries:
-            job = entries[0][-1]
-            if not (job._cancelled or job.event._value is not _PENDING):
-                if entries[0][0] > limit:
-                    break
-                self._remove(job)
-                self.completed_units += job.demand
-                done.append(job)
-            heappop(entries)
+        while heap and heap[0][0] <= limit:
+            job = heappop(heap)[-1]
+            self._remove(job)
+            self.completed_units += job.demand
+            done.append(job)
         if len(done) == 1 and env.peek() > now:
             # Nothing queued is due at this instant: the lone completion is
             # the event the loop would pop next (see "Inline completion").

@@ -13,7 +13,6 @@ from .metrics import (
     LatencySummary,
     failure_accounting,
     percentile,
-    speedup_table,
     summarize_latencies,
     summarize_samples,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "poisson_arrivals",
     "run_high_load",
     "run_one_at_a_time",
-    "speedup_table",
     "staggered_arrivals",
     "summarize_latencies",
     "summarize_samples",

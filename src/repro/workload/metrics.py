@@ -17,7 +17,6 @@ __all__ = [
     "percentile",
     "summarize_latencies",
     "summarize_samples",
-    "speedup_table",
 ]
 
 
@@ -111,10 +110,6 @@ class FailureAccounting:
     def balanced(self) -> bool:
         return self.completed + self.lost + self.in_flight == self.admitted
 
-    @property
-    def loss_rate(self) -> float:
-        return self.lost / self.admitted if self.admitted else 0.0
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"admitted={self.admitted} completed={self.completed} "
@@ -135,13 +130,3 @@ def failure_accounting(report: "WorkloadReport") -> FailureAccounting:
         mean_recovery_latency_s=report.mean_recovery_latency_s,
     )
 
-
-def speedup_table(
-    baseline: t.Mapping[str, float], parallel: t.Mapping[str, float]
-) -> dict[str, float]:
-    """Per-key speedup of ``baseline`` over ``parallel`` (0 when undefined)."""
-    out: dict[str, float] = {}
-    for key, base in baseline.items():
-        par = parallel.get(key, 0.0)
-        out[key] = base / par if par > 0 else 0.0
-    return out

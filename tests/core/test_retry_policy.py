@@ -16,7 +16,7 @@ from repro.core import (
     run_receiver_controlled,
     run_sender_controlled,
 )
-from repro.simulation import Environment
+from repro.simulation import Environment, FailureSchedule
 
 
 class TestRetryPolicyObject:
@@ -314,8 +314,7 @@ class TestDispatcherRetry:
         # migrate away; every peer is already dead, which the (stale)
         # peer tables cannot know.
         system.monitoring.nodes[0].active_questions = 8
-        system.failures.kill_now(1)
-        system.failures.kill_now(2)
+        system.failures.apply(FailureSchedule().kill_at(0.0, 1).kill_at(0.0, 2))
         profile = trec_mix_profiles(1, seed=4)[0]
         report = system.run_workload([profile])
         dispatcher = system.question_dispatcher

@@ -165,7 +165,7 @@ class TestGracefulDegradation:
         assert report.accounted
         acc = failure_accounting(report)
         assert acc.balanced
-        assert acc.loss_rate == pytest.approx(1.0)
+        assert acc.lost == acc.admitted
 
     def test_lost_questions_are_neither_throughput_nor_response(self):
         """Every report aggregate is over the answered questions only."""

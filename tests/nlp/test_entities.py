@@ -3,6 +3,7 @@
 import pytest
 
 from repro.nlp import Entity, EntityRecognizer, EntityType, Gazetteer, tokenize
+from repro.nlp.entities import matching_types
 
 
 @pytest.fixture()
@@ -33,9 +34,11 @@ class TestGazetteer:
 
     def test_max_phrase_len_tracks_longest(self):
         g = Gazetteer()
-        g.add("A", EntityType.PERSON)
         g.add("One Two Three Four", EntityType.ORGANIZATION)
-        assert g.max_phrase_len == 4
+        g.add("A", EntityType.PERSON)
+        lowered = ["one", "two", "three", "four", "a"]
+        assert g.longest_match(lowered, 0) == (4, EntityType.ORGANIZATION)
+        assert g.longest_match(lowered, 4) == (5, EntityType.PERSON)
 
     def test_longest_match_prefers_the_longer_phrase(self):
         g = Gazetteer()
@@ -50,11 +53,6 @@ class TestGazetteer:
     def test_empty_phrase_rejected(self):
         with pytest.raises(ValueError):
             Gazetteer().add("   ", EntityType.PERSON)
-
-    def test_add_many(self):
-        g = Gazetteer()
-        g.add_many(["a b", "c"], EntityType.PRODUCT)
-        assert len(g) == 2
 
 
 class TestRecognizer:
@@ -133,20 +131,26 @@ class TestRecognizer:
         ents = recognizer.recognize("The weather was fine.")
         assert not any(e.text == "The" for e in ents)
 
-    def test_recognize_typed_filters(self, recognizer):
+    @staticmethod
+    def typed(recognizer, text, etype):
+        """Entities qualifying as ``etype``: AP's candidate filter."""
+        wanted = matching_types(etype)
+        return [e for e in recognizer.recognize(text) if e.type in wanted]
+
+    def test_matching_types_filters(self, recognizer):
         text = "Pope John Paul II visited the Taj Mahal in 1987"
-        only_loc = recognizer.recognize_typed(text, EntityType.LOCATION)
+        only_loc = self.typed(recognizer, text, EntityType.LOCATION)
         assert {e.type for e in only_loc} <= {EntityType.LOCATION, EntityType.UNKNOWN}
         assert any(e.text == "Taj Mahal" for e in only_loc)
 
-    def test_recognize_typed_includes_unknown_for_person(self, recognizer):
+    def test_matching_types_includes_unknown_for_person(self, recognizer):
         text = "Smithers Malone walked in"
-        persons = recognizer.recognize_typed(text, EntityType.PERSON)
+        persons = self.typed(recognizer, text, EntityType.PERSON)
         assert persons  # unknown capitalized run accepted as weak candidate
 
-    def test_recognize_typed_excludes_unknown_for_date(self, recognizer):
+    def test_matching_types_excludes_unknown_for_date(self, recognizer):
         text = "Smithers Malone walked in"
-        dates = recognizer.recognize_typed(text, EntityType.DATE)
+        dates = self.typed(recognizer, text, EntityType.DATE)
         assert dates == []
 
     def test_spans_are_recognize_without_the_text(self, recognizer):

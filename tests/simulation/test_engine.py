@@ -6,7 +6,6 @@ from repro.simulation import (
     EmptySchedule,
     Environment,
     Event,
-    Interrupt,
     SimulationError,
 )
 
@@ -212,115 +211,13 @@ class TestProcess:
         with pytest.raises(TypeError):
             env.run()
 
-    def test_is_alive_lifecycle(self, env):
-        def p():
-            yield env.timeout(2.0)
-
-        proc = env.process(p())
-        assert proc.is_alive
-        env.run()
-        assert not proc.is_alive
-
     def test_run_until_event_never_firing_raises(self, env):
         evt = env.event()
         with pytest.raises(SimulationError):
             env.run(until=evt)
 
 
-class TestInterrupt:
-    def test_interrupt_wakes_sleeping_process(self, env):
-        log = []
-
-        def sleeper():
-            try:
-                yield env.timeout(100.0)
-                log.append("slept full")
-            except Interrupt as i:
-                log.append(("interrupted", env.now, i.cause))
-
-        def interrupter(target):
-            yield env.timeout(1.0)
-            target.interrupt(cause="wake up")
-
-        target = env.process(sleeper())
-        env.process(interrupter(target))
-        env.run()
-        assert log == [("interrupted", 1.0, "wake up")]
-
-    def test_interrupted_process_can_continue(self, env):
-        log = []
-
-        def sleeper():
-            try:
-                yield env.timeout(100.0)
-            except Interrupt:
-                pass
-            yield env.timeout(1.0)
-            log.append(env.now)
-
-        def interrupter(target):
-            yield env.timeout(2.0)
-            target.interrupt()
-
-        target = env.process(sleeper())
-        env.process(interrupter(target))
-        env.run()
-        assert log == [3.0]
-
-    def test_interrupt_finished_process_raises(self, env):
-        def quick():
-            yield env.timeout(0.5)
-
-        def late(target):
-            yield env.timeout(1.0)
-            with pytest.raises(SimulationError):
-                target.interrupt()
-
-        target = env.process(quick())
-        env.process(late(target))
-        env.run()
-
-    def test_self_interrupt_rejected(self, env):
-        def p():
-            with pytest.raises(SimulationError):
-                env.active_process.interrupt()
-            yield env.timeout(0)
-
-        env.process(p())
-        env.run()
-
-    def test_stale_event_after_interrupt_does_not_resume(self, env):
-        """The abandoned timeout must not re-wake the process later."""
-        log = []
-
-        def sleeper():
-            try:
-                yield env.timeout(10.0)
-            except Interrupt:
-                log.append(("intr", env.now))
-            yield env.timeout(50.0)
-            log.append(("woke", env.now))
-
-        def interrupter(target):
-            yield env.timeout(1.0)
-            target.interrupt()
-
-        target = env.process(sleeper())
-        env.process(interrupter(target))
-        env.run()
-        assert log == [("intr", 1.0), ("woke", 51.0)]
-
-
 class TestConditions:
-    def test_any_of_returns_on_first(self, env):
-        def p():
-            result = yield env.any_of([env.timeout(5, "slow"), env.timeout(1, "fast")])
-            return (env.now, list(result.values()))
-
-        now, values = env.run(until=env.process(p()))
-        assert now == 1.0
-        assert values == ["fast"]
-
     def test_all_of_waits_for_all(self, env):
         def p():
             result = yield env.all_of([env.timeout(5, "a"), env.timeout(1, "b")])

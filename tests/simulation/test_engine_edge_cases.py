@@ -1,5 +1,5 @@
-"""Edge-case tests: engine/resource interactions under interruption,
-cancellation and heavy concurrency."""
+"""Edge-case tests: engine/resource/network interactions under heavy
+concurrency."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,66 +8,9 @@ from hypothesis import strategies as st
 from repro.simulation import (
     Environment,
     FairShareResource,
-    Interrupt,
     Network,
     TransferFailed,
 )
-
-
-class TestInterruptResourceInteraction:
-    def test_interrupted_waiter_cancels_its_job(self):
-        """A process interrupted while waiting on a resource should be able
-        to cancel the job so capacity returns to others."""
-        env = Environment()
-        r = FairShareResource(env, 1.0)
-        finish = []
-
-        def victim():
-            job = r.use(100.0)
-            try:
-                yield job.event
-            except Interrupt:
-                r.cancel(job)
-
-        def bystander():
-            job = r.use(2.0)
-            yield job.event
-            finish.append(env.now)
-
-        v = env.process(victim())
-        env.process(bystander())
-
-        def killer():
-            yield env.timeout(1.0)
-            v.interrupt()
-
-        env.process(killer())
-        env.run()
-        # Bystander: 0.5 done at t=1 (shared), then full speed: 1.5 more.
-        assert finish == [pytest.approx(2.5)]
-
-    def test_uncancelled_job_of_dead_process_still_completes(self):
-        """If the interrupted process does NOT cancel, the job keeps
-        consuming capacity — a deliberate leak the caller owns."""
-        env = Environment()
-        r = FairShareResource(env, 1.0)
-
-        def victim():
-            r.use(3.0)
-            try:
-                yield env.timeout(100.0)
-            except Interrupt:
-                pass
-
-        v = env.process(victim())
-
-        def killer():
-            yield env.timeout(0.5)
-            v.interrupt()
-
-        env.process(killer())
-        env.run()
-        assert r.completed_units == pytest.approx(3.0)
 
 
 class TestNetworkEdgeCases:

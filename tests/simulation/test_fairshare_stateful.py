@@ -1,13 +1,14 @@
 """Stateful property testing of the fair-share resource.
 
-Drives random sequences of job submissions, cancellations, capacity
-changes and time advances against :class:`FairShareResource`, checking
-the conservation laws a processor-sharing server must satisfy regardless
-of operation order — and, since the resource keeps its timers lazily and
-fires lone completions without a queue round trip, that neither shortcut
-is observable: completion instants equal a queue-less reference exactly,
-same-instant firing order is the queue's own, and the timer count stays
-within its budget.
+Drives random sequences of job submissions, capacity changes and time
+advances against :class:`FairShareResource`, checking the conservation
+laws a processor-sharing server must satisfy regardless of operation
+order, and that its completion heap holds exactly the active jobs (so no
+stale entry is ever left for a sweep to skip) — and, since the resource
+keeps its timers lazily and fires lone completions without a queue round
+trip, that neither shortcut is observable: completion instants equal a
+queue-less reference exactly, same-instant firing order is the queue's
+own, and the timer count stays within its budget.
 """
 
 import math
@@ -69,7 +70,6 @@ class FairShareMachine(RuleBasedStateMachine):
         self.fired = count_wakeups(self.resource)
         self.calls = 0
         self.submitted = 0.0
-        self.cancelled_remaining = 0.0
         self.jobs = []  # live handles
 
     def call(self, operation, *args):
@@ -90,14 +90,6 @@ class FairShareMachine(RuleBasedStateMachine):
     def advance(self, dt):
         self.env.run(until=self.env.now + dt)
 
-    @rule(index=st.integers(min_value=0, max_value=10**6))
-    def cancel_one(self, index):
-        live = [j for j in self.jobs if not j.done and not j.cancelled]
-        if not live:
-            return
-        job = live[index % len(live)]
-        self.cancelled_remaining += self.call(self.resource.cancel, job)
-
     @rule(capacity=st.floats(min_value=0.5, max_value=8.0))
     def change_capacity(self, capacity):
         self.call(self.resource.set_capacity, capacity)
@@ -115,17 +107,13 @@ class FairShareMachine(RuleBasedStateMachine):
         remaining_sum = 0.0
         demand_sum = 0.0
         for job in self.jobs:
-            if job.done or job.cancelled:
+            if job.done:
                 continue
             remaining = (job._target_v - self.resource._vtime) * job.weight
             assert -1e-6 <= remaining <= job.demand + 1e-6
             remaining_sum += max(0.0, remaining)
             demand_sum += job.demand
-        booked = (
-            self.resource.completed_units
-            + self.resource.cancelled_units
-            + self.cancelled_remaining
-        )
+        booked = self.resource.completed_units
         accounted_low = booked + remaining_sum
         accounted_high = booked + demand_sum
         assert accounted_low <= self.submitted + 1e-6
@@ -133,21 +121,26 @@ class FairShareMachine(RuleBasedStateMachine):
 
     @invariant()
     def active_count_matches_live_jobs(self):
-        live = sum(1 for j in self.jobs if not j.done and not j.cancelled)
+        live = sum(1 for j in self.jobs if not j.done)
         assert self.resource.n_active == live
+
+    @invariant()
+    def heap_holds_exactly_the_active_jobs(self):
+        """One completion-heap entry per active job and none for a job that
+        has left: a completion pops its own entry, so nothing is stale."""
+        heap = self.resource._heap
+        assert len(heap) == len(self.resource._jobs)
+        assert all(job in self.resource._jobs for *_, job in heap)
 
     def teardown(self):
         # Draining the queue must complete every remaining job, and the
-        # final books must balance exactly: everything submitted was
-        # either served or returned by a cancellation.
+        # final books must balance exactly: everything submitted was served.
         self.env.run()
         for job in self.jobs:
-            assert job.done or job.cancelled
-        assert (
-            self.resource.completed_units
-            + self.resource.cancelled_units
-            + self.cancelled_remaining
-            == pytest.approx(self.submitted, rel=1e-6, abs=1e-6)
+            assert job.done
+        assert not self.resource._heap
+        assert self.resource.completed_units == pytest.approx(
+            self.submitted, rel=1e-6, abs=1e-6
         )
 
 
@@ -184,7 +177,6 @@ def scripts(follow_ups, waits=_WAITS):
             use,
             use,
             st.tuples(st.just("wait"), waits),
-            st.tuples(st.just("cancel"), st.integers(0, 10**6)),
             st.tuples(st.just("capacity"), st.floats(0.5, 8.0)),
         ),
         min_size=1,
@@ -196,7 +188,6 @@ def play(env, capacity, script):
     """Run ``script`` against a fresh resource; return the firing log."""
     resource = FairShareResource(env, capacity)
     log = []
-    jobs = []
 
     def chain(label, hops):
         for hop in range(hops):
@@ -205,7 +196,6 @@ def play(env, capacity, script):
 
     def submit(label, demand, weight, hops, follow_up):
         job = resource.use(demand, weight=weight)
-        jobs.append(job)
 
         def completed(_event):
             log.append(("done", label, env.now))
@@ -223,10 +213,8 @@ def play(env, capacity, script):
                 submit((index,), *args)
             elif op == "wait":
                 yield env.timeout(args[0])
-            elif op == "capacity":
+            else:
                 resource.set_capacity(args[0])
-            elif jobs:
-                resource.cancel(jobs[args[0] % len(jobs)])
 
     env.process(driver())
     env.run()
@@ -247,7 +235,6 @@ def reference_completions(capacity, script):
     """
     state = {"vtime": 0.0, "t_last": 0.0, "wsum": 0.0, "cap": capacity}
     active = {}  # job index -> (target_v, weight), in submission order
-    order = []  # job indices by submission, cancelled ones included
     done = {}
 
     def advance(now):
@@ -288,22 +275,17 @@ def reference_completions(capacity, script):
             now = now + args[0]
             continue
         run_to(now)
-        # Virtual time steps only when a call takes effect: cancelling a
-        # finished job or setting the current capacity is a no-op, and an
-        # extra step would round differently.
+        # Virtual time steps only when a call takes effect: setting the
+        # current capacity is a no-op, and an extra step would round
+        # differently.
         if op == "use":
             advance(now)
             demand, weight = args[0], args[1]
             active[index] = (state["vtime"] + demand / weight, weight)
             state["wsum"] += weight
-            order.append(index)
-        elif op == "capacity":
-            if args[0] != state["cap"]:
-                advance(now)
-                state["cap"] = args[0]
-        elif order and (victim := order[args[0] % len(order)]) in active:
+        elif args[0] != state["cap"]:
             advance(now)
-            remove(victim)
+            state["cap"] = args[0]
     run_to(math.inf)
     return done
 

@@ -1,6 +1,6 @@
-"""Event-queue edge cases: the observable engine behavior (exceptions,
-peek values, interrupt semantics, firing order) at the queue's corners —
-drained, far-future, exact instants, interrupts with a timer still queued.
+"""Event-heap edge cases: the observable engine behavior (exceptions,
+peek values, firing order) at the heap's corners — drained, far-future
+and exact instants.
 """
 
 import pytest
@@ -8,9 +8,9 @@ import pytest
 from repro.simulation import (
     EmptySchedule,
     Environment,
-    Interrupt,
     SimulationError,
 )
+
 
 @pytest.fixture
 def env():
@@ -48,7 +48,7 @@ class TestDrainedQueue:
 
 
 class TestFarFutureTimeouts:
-    def test_bucket_wraparound_fires_in_order(self, env):
+    def test_timeouts_orders_of_magnitude_apart_fire_in_order(self, env):
         """Timeouts orders of magnitude apart must fire in order."""
         fired = []
 
@@ -126,53 +126,3 @@ class TestScheduleAt:
         event = env.event().succeed()
         with pytest.raises(SimulationError):
             env.schedule_at(event, 1.0)
-
-
-class TestInterruptWhileScheduled:
-    def test_interrupting_a_sleeping_process(self, env):
-        """An interrupt delivered while the victim's timeout is still in
-        the queue: the victim wakes early and the stale timeout firing
-        must be a harmless no-op."""
-        story = []
-
-        def victim():
-            try:
-                yield env.timeout(100.0)
-                story.append("slept-through")
-            except Interrupt as exc:
-                story.append(("interrupted", env.now, exc.cause))
-            yield env.timeout(1.0)
-            story.append(("resumed", env.now))
-
-        v = env.process(victim())
-
-        def killer():
-            yield env.timeout(5.0)
-            v.interrupt("wake up")
-
-        env.process(killer())
-        env.run()
-        assert story == [("interrupted", 5.0, "wake up"), ("resumed", 6.0)]
-        assert env.now == 100.0  # the stale timeout still fired (no-op)
-
-    def test_interrupt_then_far_future_reschedule(self, env):
-        """The interrupted process immediately re-sleeps far in the
-        future while the orphaned timeout is still pending."""
-        fired = []
-
-        def victim():
-            try:
-                yield env.timeout(10.0)
-            except Interrupt:
-                yield env.timeout(5000.0)
-                fired.append(env.now)
-
-        v = env.process(victim())
-
-        def killer():
-            yield env.timeout(1.0)
-            v.interrupt()
-
-        env.process(killer())
-        env.run()
-        assert fired == [5001.0]

@@ -179,6 +179,7 @@ class TestFailureInjector:
     def test_kill_now_immediate(self, env):
         net = make_net(env)
         inj = FailureInjector(env, set_node_up=net.set_node_up)
-        inj.kill_now("n2")
+        inj.apply(FailureSchedule().kill_at(env.now, "n2"))
+        env.step()  # the injector's first step: nothing to wait for
         assert not net.is_up("n2")
         assert inj.log == [(0.0, "n2", False)]

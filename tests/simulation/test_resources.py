@@ -102,52 +102,6 @@ class TestFairShare:
         env.run()
         assert done == [pytest.approx(3.0)]
 
-    def test_cancel_returns_remaining_demand(self, env):
-        r = FairShareResource(env, 1.0)
-        remaining = []
-
-        def controller():
-            job = r.use(10.0)
-            yield env.timeout(3.0)
-            remaining.append(r.cancel(job))
-
-        env.process(controller())
-        env.run()
-        assert remaining == [pytest.approx(7.0)]
-
-    def test_cancel_frees_capacity_for_others(self, env):
-        r = FairShareResource(env, 1.0)
-        done = []
-
-        def victim():
-            job = r.use(100.0)
-            yield env.timeout(2.0)
-            r.cancel(job)
-
-        def beneficiary():
-            job = r.use(3.0)
-            yield job.event
-            done.append(env.now)
-
-        env.process(victim())
-        env.process(beneficiary())
-        env.run()
-        # beneficiary: 1 unit by t=2 (rate 1/2), 2 left alone -> t=4
-        assert done == [pytest.approx(4.0)]
-
-    def test_cancel_finished_job_returns_zero(self, env):
-        r = FairShareResource(env, 1.0)
-        out = []
-
-        def p():
-            job = r.use(1.0)
-            yield job.event
-            out.append(r.cancel(job))
-
-        env.process(p())
-        env.run()
-        assert out == [0.0]
-
     def test_invalid_arguments(self, env):
         with pytest.raises(ValueError):
             FairShareResource(env, 0.0)

@@ -6,7 +6,6 @@ import pytest
 from repro.workload import (
     high_load_count,
     poisson_arrivals,
-    speedup_table,
     staggered_arrivals,
     summarize_latencies,
     trec_mix_profiles,
@@ -104,11 +103,3 @@ class TestMetrics:
     def test_throughput(self):
         report = self._report([30.0, 60.0])
         assert report.throughput_qpm == pytest.approx(2.0)
-
-    def test_speedup_table(self):
-        out = speedup_table({"PR": 40.0, "AP": 120.0}, {"PR": 10.0, "AP": 30.0})
-        assert out == {"PR": 4.0, "AP": 4.0}
-
-    def test_speedup_table_zero_guard(self):
-        out = speedup_table({"PR": 40.0}, {"PR": 0.0})
-        assert out["PR"] == 0.0
