@@ -64,6 +64,7 @@ from ..retrieval import (
     CollectionIndex,
     IndexedCorpus,
     attach_payload,
+    build_indexes,
     indexes_to_payload,
 )
 
@@ -218,7 +219,7 @@ def load_or_build_indexes(
             except OSError:
                 pass
     start = time.perf_counter()
-    indexes = [CollectionIndex(coll) for coll in corpus.collections]
+    indexes = build_indexes(corpus.collections)
     elapsed = time.perf_counter() - start
     if path is not None:
         _write_artifact(path, indexes_to_payload(indexes))
@@ -350,7 +351,7 @@ def index_cache_selftest(
         n_collections=2, docs_per_collection=20, vocab_size=500, seed=17
     )
     corpus = load_or_generate_corpus(config)
-    built = [CollectionIndex(coll) for coll in corpus.collections]
+    built = build_indexes(corpus.collections)
     blob = pickle.dumps(
         indexes_to_payload(built), protocol=pickle.HIGHEST_PROTOCOL
     )

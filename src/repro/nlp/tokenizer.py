@@ -10,16 +10,17 @@ Two front ends share the one token pattern.  :func:`tokenize` makes a
 :class:`Token` per token, for the per-question callers (QP, the entity
 recognizer).  :func:`split_tokens` is the indexer's: building an index
 touches every token of the corpus (574 k on the benchmark tier), so it
-gets the same surface forms and spans as three plain lists from a
-single ``re.split`` call, with no Python object or method call per
-token.
+gets the same surface forms, with starts and lengths as integer arrays,
+from a single ``re.split`` call over a whole collection, with no Python
+object or method call per token.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import accumulate
+
+import numpy as np
 
 __all__ = [
     "Token",
@@ -73,18 +74,19 @@ def tokenize(text: str) -> list[Token]:
     ]
 
 
-def split_tokens(text: str) -> tuple[list[str], list[int], list[int]]:
-    """The surface forms, character starts and lengths of ``text``'s
-    tokens — :func:`tokenize` as three parallel lists.
+def split_tokens(text: str) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The surface forms of ``text``'s tokens, and their character starts
+    and lengths as integer arrays — :func:`tokenize` as three parallel
+    sequences.
 
     ``re.split`` on the capturing pattern returns ``[gap, token, gap,
     token, ..., gap]``; the running sum of the part lengths puts token
     ``k``'s start at the end of the gap before it, part ``2k``.
     """
     parts = _SPLIT_RE.split(text)
-    forms = parts[1::2]
-    ends = list(accumulate(map(len, parts)))
-    return forms, ends[0:-1:2], list(map(len, forms))
+    lengths = np.fromiter(map(len, parts), np.intp, len(parts))
+    ends = np.cumsum(lengths)
+    return parts[1::2], ends[0:-1:2], lengths[1::2]
 
 
 def sentences(text: str) -> list[tuple[int, int]]:

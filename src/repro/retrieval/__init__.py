@@ -8,6 +8,7 @@ from .inverted_index import (
     IndexStats,
     ParagraphTerms,
     StemCache,
+    build_indexes,
 )
 from .packing import attach_payload, indexes_to_payload
 from .paragraphs import Paragraph, split_paragraphs
@@ -23,6 +24,7 @@ __all__ = [
     "RetrievalResult",
     "StemCache",
     "attach_payload",
+    "build_indexes",
     "indexes_to_payload",
     "split_paragraphs",
 ]

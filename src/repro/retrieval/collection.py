@@ -20,7 +20,7 @@ import typing as t
 from ..corpus.generator import Corpus
 from ..nlp.keywords import Keyword
 from .boolean import BooleanRetriever, RetrievalResult
-from .inverted_index import CollectionIndex, ParagraphTerms
+from .inverted_index import CollectionIndex, ParagraphTerms, build_indexes
 from .paragraphs import Paragraph
 
 __all__ = ["IndexedCorpus"]
@@ -50,9 +50,7 @@ class IndexedCorpus:
     ) -> None:
         self.corpus = corpus
         self.indexes: list[CollectionIndex] = (
-            indexes
-            if indexes is not None
-            else [CollectionIndex(coll) for coll in corpus.collections]
+            indexes if indexes is not None else build_indexes(corpus.collections)
         )
         self.retrievers: list[BooleanRetriever] = [
             BooleanRetriever(ix, conjunction_cache=conjunction_cache)

@@ -35,14 +35,21 @@ rebuild (see :mod:`repro.retrieval.packing`), which is what lets
 parallel experiment workers attach to a prebuilt index instead of
 re-paying the build per process.
 
-The build itself does per-token work in C and per-distinct-value work
-in Python, the way integer-coded indexes are built in bulk rather than
-token by token (cs/0407053): one ``re.split`` per paragraph gives its
-surface forms and spans (:func:`~repro.nlp.tokenizer.split_tokens`),
-each distinct surface form is stemmed, interned and classified once per
-collection, and the postings rows are grouped into their slots by one
-stable sort per collection.  Its output is byte-identical to the
-token-by-token build it replaced (kept in ``tests/reference.py``).
+The build itself is a fixed number of whole-collection array passes,
+the way integer-coded indexes are built in bulk rather than token by
+token (cs/0407053): one ``re.split`` over a collection's paragraphs
+joined by newlines gives every surface form and span
+(:func:`~repro.nlp.tokenizer.split_tokens`) and one ``searchsorted``
+cuts them into paragraphs; each distinct surface form is stemmed,
+interned and classified once per build (:func:`build_indexes` shares
+one surface-form table across collections) and every token's id is one
+take from that table; one stable sort orders each paragraph's ids, and
+one sort of (slot, document) and of (slot, paragraph) keys gives the
+postings.  The same term-layer kernel builds
+:meth:`ParagraphTerms.from_text` and re-sorts the ids a payload remap
+renumbers (:mod:`repro.retrieval.packing`).  Its output is
+byte-identical to the token-by-token build it replaced (kept in
+``tests/reference.py``).
 
 The index also exposes the *cost accounting* hooks the simulation's PR
 cost model consumes: posting-list sizes and candidate-document byte counts
@@ -56,10 +63,8 @@ import sys
 import typing as t
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, filterfalse, repeat
-from operator import itemgetter
+from itertools import filterfalse
 
 import numpy as np
 
@@ -76,6 +81,7 @@ __all__ = [
     "IndexBuffers",
     "IndexStats",
     "ParagraphTerms",
+    "build_indexes",
 ]
 
 #: Read-only empty doc-id / paragraph-ordinal view, returned for unknown stems.
@@ -185,8 +191,8 @@ class ParagraphTerms:
         shared one in the middle of a question would leave every
         resolver's memo of that vocabulary stale.
         """
-        buffers, vocab = _new_buffers(), Vocabulary()
-        _append_paragraph(buffers, text, {}, SHARED_STEM_CACHE, vocab.intern)
+        vocab = Vocabulary()
+        buffers, _, _ = _term_layer([text], _SurfaceForms(None, vocab))
         return cls(text, 0, buffers.t_offsets[1], _TermViews(buffers, vocab))
 
     @property
@@ -312,60 +318,119 @@ class IndexStats:
         return 8 * self.n_postings
 
 
-def _new_buffers() -> IndexBuffers:
-    """Empty buffers, ready to be appended to."""
-    return IndexBuffers(
-        t_offsets=array("I", (0,)), starts=array("I"), lengths=array("H"),
-        stem_ids=array("i"), order=array("H"), sorted_ids=array("i"),
+#: NumPy dtype of each ``array`` typecode the buffers use.
+_DTYPES = {"H": np.ushort, "i": np.intc, "I": np.uintc}
+
+
+def _typed(typecode: str, values: np.ndarray) -> array:
+    """``values`` as an ``array(typecode)``.  An ``"H"`` buffer (a token's
+    length, its position in its paragraph) raises :class:`OverflowError`
+    on a value above 65535, as ``array`` does; the others hold ids,
+    offsets and character starts, far below 2**31."""
+    if typecode == "H" and values.size and values.max() > 0xFFFF:
+        raise OverflowError("value out of range for array('H')")
+    return array(typecode, values.astype(_DTYPES[typecode]).tobytes())
+
+
+def _offsets(groups: np.ndarray, n: int) -> np.ndarray:
+    """Offsets of ``n`` consecutive groups, from each row's (sorted) group."""
+    out = np.zeros(n + 1, np.intp)
+    np.cumsum(np.bincount(groups, minlength=n), out=out[1:])
+    return out
+
+
+def _token_paragraphs(t_offsets: np.ndarray) -> np.ndarray:
+    """The paragraph of each token of a term layer."""
+    counts = np.diff(t_offsets.astype(np.intp))
+    return np.repeat(np.arange(len(counts)), counts)
+
+
+def _id_order(ids: np.ndarray, t_offsets: np.ndarray) -> tuple[array, array]:
+    """The ``order`` and ``sorted_ids`` buffers of the term layer whose
+    paragraph ``p`` holds ids ``ids[t_offsets[p]:t_offsets[p+1]]``.
+
+    One stable sort by (paragraph, id) for all paragraphs at once: ties
+    keep position order, so a stem's position run is ascending — the
+    invariant ``keyword_positions`` relies on.  Ids are non-negative
+    32-bit values, so the pair packs into one int64 key, whose stable
+    argsort is ``np.lexsort((ids, para))`` at a fifth of the cost.
+    """
+    para = _token_paragraphs(t_offsets)
+    key = (para.astype(np.int64) << 32) | ids.astype(np.int64)
+    perm = np.argsort(key, kind="stable")
+    return _typed("H", perm - t_offsets[para]), _typed("i", ids[perm])
+
+
+class _SurfaceForms:
+    """The surface-form table of one build: each distinct surface form's
+    term id — the stem's for a word, the raw form's otherwise — and
+    whether it is indexed: a word or number that is not a stopword.
+
+    A form is stemmed, classified and interned once per table, when it
+    first occurs; new forms are resolved in first-occurrence order, so
+    ids are interned in the order a token-by-token pass interns them.
+    Every collection of one build shares one table.  ``None`` stands for
+    the process-wide stem cache and vocabulary.
+    """
+
+    __slots__ = ("stem", "vocab", "_row", "_tids", "_keep")
+
+    def __init__(
+        self, stemmer: StemCache | None, vocab: Vocabulary | None
+    ) -> None:
+        self.stem = SHARED_STEM_CACHE if stemmer is None else stemmer
+        self.vocab = SHARED_VOCABULARY if vocab is None else vocab
+        self._row: dict[str, int] = {}
+        self._tids: list[int] = []
+        self._keep: list[bool] = []
+
+    def resolve(self, forms: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Term id and indexed flag of each of ``forms``: one C-level
+        ``map`` of form to row, then a take per column."""
+        row, stem, intern = self._row, self.stem, self.vocab.intern
+        for form in filterfalse(row.__contains__, dict.fromkeys(forms)):
+            is_word = form[0].isalpha()
+            row[form] = len(self._tids)
+            self._tids.append(intern(stem(form) if is_word else form))
+            self._keep.append(
+                (is_word or form[0].isdigit()) and not is_stopword(form)
+            )
+        rows = np.fromiter(map(row.__getitem__, forms), np.intp, len(forms))
+        return (
+            np.array(self._tids, np.intc)[rows],
+            np.array(self._keep, bool)[rows],
+        )
+
+
+def _term_layer(
+    texts: list[str], table: _SurfaceForms
+) -> tuple[IndexBuffers, np.ndarray, np.ndarray]:
+    """Tokenize, stem and intern paragraphs ``texts`` into the term layer
+    of fresh buffers (whose postings are empty): the one place paragraphs
+    are tokenized.  Also returns each token's id and indexed flag.
+
+    One ``re.split`` runs over the paragraphs joined by ``"\\n"``, which
+    no token holds or crosses, so each paragraph's tokens are the ones it
+    has alone; one ``searchsorted`` of the token starts against the
+    paragraph starts cuts them into paragraphs.
+    """
+    forms, starts, lengths = split_tokens("\n".join(texts))
+    p_starts = np.zeros(len(texts) + 1, np.intp)
+    np.cumsum(
+        np.fromiter(map(len, texts), np.intp, len(texts)) + 1, out=p_starts[1:]
+    )
+    t_offsets = np.searchsorted(starts, p_starts)
+    ids, keep = table.resolve(forms)
+    order, sorted_ids = _id_order(ids, t_offsets)
+    buffers = IndexBuffers(
+        t_offsets=_typed("I", t_offsets),
+        starts=_typed("I", starts - p_starts[_token_paragraphs(t_offsets)]),
+        lengths=_typed("H", lengths),
+        stem_ids=_typed("i", ids), order=order, sorted_ids=sorted_ids,
         p_terms=array("i"), p_offsets=array("I", (0,)), p_docs=array("I"),
         p_tfs=array("I"), pp_offsets=array("I", (0,)), pp_ords=array("I"),
     )
-
-
-#: A surface form's resolution: its term id, and whether it is indexed.
-_Resolved = tuple[int, bool]
-_tid, _keep = itemgetter(0), itemgetter(1)
-
-
-def _append_paragraph(
-    buffers: IndexBuffers,
-    text: str,
-    memo: dict[str, _Resolved],
-    stem_fn: StemCache,
-    intern: t.Callable[[str], int],
-) -> list[int]:
-    """Tokenize, stem and intern one paragraph onto the term layer of
-    ``buffers`` (the one place a paragraph is tokenized).
-
-    ``memo`` maps each surface form already seen under ``intern`` to its
-    term id — the stem's for a word, the raw form's otherwise — and
-    whether it is indexed: a word or number that is not a stopword.  A
-    form is resolved once, when it first occurs; new forms are resolved
-    in first-occurrence order, so ids are interned in the order a
-    token-by-token pass interns them.  Everything per token is a C-level
-    ``map`` / ``compress`` / ``extend``.
-
-    Returns the ids of its indexed tokens in token order, repeats kept.
-    """
-    forms, starts, lengths = split_tokens(text)
-    for form in filterfalse(memo.__contains__, dict.fromkeys(forms)):
-        is_word = form[0].isalpha()
-        memo[form] = (
-            intern(stem_fn(form) if is_word else form),
-            (is_word or form[0].isdigit()) and not is_stopword(form),
-        )
-    resolved = list(map(memo.__getitem__, forms))
-    ids = list(map(_tid, resolved))
-    buffers.starts.fromlist(starts)
-    buffers.lengths.fromlist(lengths)
-    buffers.stem_ids.fromlist(ids)
-    # Stable sort by id keeps equal-id positions ascending, so a stem's
-    # position run is sorted — the invariant keyword_positions relies on.
-    loc = sorted(range(len(ids)), key=ids.__getitem__)
-    buffers.order.fromlist(loc)
-    buffers.sorted_ids.fromlist(list(map(ids.__getitem__, loc)))
-    buffers.t_offsets.append(len(buffers.stem_ids))
-    return list(compress(ids, map(_keep, resolved)))
+    return buffers, ids, keep
 
 
 def _split_documents(collection: SubCollection) -> list[list[Paragraph]]:
@@ -376,70 +441,58 @@ def _split_documents(collection: SubCollection) -> list[list[Paragraph]]:
     ]
 
 
-def _u32(values: np.ndarray) -> array:
-    """``values`` as an ``array("I")`` (C unsigned int, as ``np.uintc``)."""
-    return array("I", values.astype(np.uintc).tobytes())
-
-
-def _group_by_slot(
-    tids: list[int], slot_of: dict[int, int], *columns: list[int]
-) -> tuple[array, list[array]]:
-    """Group rows ``(tids[r], columns[0][r], ...)`` by the posting slot of
-    their term: the slot offsets, and each column in slot order.  The
-    sort is stable, so a slot's rows keep the order they were added in."""
-    slots = np.fromiter(map(slot_of.__getitem__, tids), np.intp, len(tids))
-    perm = np.argsort(slots, kind="stable")
-    offsets = np.zeros(len(slot_of) + 1, np.intp)
-    np.cumsum(np.bincount(slots, minlength=len(slot_of)), out=offsets[1:])
-    return _u32(offsets), [
-        _u32(np.array(col, np.intp)[perm]) for col in columns
-    ]
-
-
 def _build_buffers(
     collection: SubCollection,
     doc_paragraphs: list[list[Paragraph]],
-    stem_fn: StemCache,
-    vocab: Vocabulary,
+    table: _SurfaceForms,
 ) -> IndexBuffers:
-    """Tokenize, stem, and intern one sub-collection into flat buffers."""
-    buffers = _new_buffers()
-    memo: dict[str, _Resolved] = {}
-    intern = vocab.intern
-    #: One row per distinct indexed term of each document (term id, doc
-    #: id, tf) and of each paragraph (term id, ordinal), in corpus order:
-    #: docs and ordinals ascend, so each slot's rows come out sorted.
-    d_tids: list[int] = []
-    d_docs: list[int] = []
-    d_tfs: list[int] = []
-    pp_tids: list[int] = []
-    pp_ords: list[int] = []
-    ordinal = 0
-    for doc, paragraphs in zip(collection.documents, doc_paragraphs):
-        # Counter keeps first-occurrence order, the order of the slots.
-        doc_counts: Counter[int] = Counter()
-        for para in paragraphs:
-            indexed = _append_paragraph(buffers, para.text, memo, stem_fn, intern)
-            doc_counts.update(indexed)
-            distinct = dict.fromkeys(indexed)
-            pp_tids.extend(distinct)
-            pp_ords.extend(repeat(ordinal, len(distinct)))
-            ordinal += 1
-        d_tids.extend(doc_counts)
-        d_docs.extend(repeat(doc.doc_id, len(doc_counts)))
-        d_tfs.extend(doc_counts.values())
-    # A term's slot is its first occurrence in the collection.  Every term
-    # with paragraph postings has document postings too: both are fed
-    # from the same indexed tokens.
-    slot_of = {tid: slot for slot, tid in enumerate(dict.fromkeys(d_tids))}
-    buffers.p_terms.fromlist(list(slot_of))
-    buffers.p_offsets, (buffers.p_docs, buffers.p_tfs) = _group_by_slot(
-        d_tids, slot_of, d_docs, d_tfs
+    """Tokenize, stem, and intern one sub-collection into flat buffers, in
+    a fixed number of whole-collection array passes."""
+    buffers, ids, keep = _term_layer(
+        [para.text for paras in doc_paragraphs for para in paras], table
     )
-    buffers.pp_offsets, (buffers.pp_ords,) = _group_by_slot(
-        pp_tids, slot_of, pp_ords
+    n_docs, n_paras = len(doc_paragraphs), len(buffers.t_offsets) - 1
+    para = _token_paragraphs(np.frombuffer(buffers.t_offsets, np.uintc))
+    ids, para = ids[keep], para[keep]
+    # A term's slot is its first indexed occurrence in the collection.
+    terms, first, slot = np.unique(ids, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    slot = np.argsort(by_first)[slot]  # the inverse permutation's take
+    buffers.p_terms = _typed("i", terms[by_first])
+    # Postings rows as (slot, doc) and (slot, paragraph) keys: one sort
+    # each groups them into slots, with docs and ordinals ascending.
+    doc_ids = np.fromiter(
+        (doc.doc_id for doc in collection.documents), np.intp, n_docs
     )
+    para_doc = np.repeat(
+        np.arange(n_docs), np.fromiter(map(len, doc_paragraphs), np.intp, n_docs)
+    )
+    keys, tfs = np.unique(slot * n_docs + para_doc[para], return_counts=True)
+    buffers.p_offsets = _typed("I", _offsets(keys // n_docs, len(terms)))
+    buffers.p_docs = _typed("I", doc_ids[keys % n_docs])
+    buffers.p_tfs = _typed("I", tfs)
+    # (The counting variant of ``unique`` sorts; the plain one hashes,
+    # which is an order of magnitude slower on these keys.)
+    keys, _ = np.unique(slot * n_paras + para, return_counts=True)
+    buffers.pp_offsets = _typed("I", _offsets(keys // n_paras, len(terms)))
+    buffers.pp_ords = _typed("I", keys % n_paras)
     return buffers
+
+
+def build_indexes(
+    collections: t.Iterable[SubCollection],
+    stemmer: StemCache | None = None,
+    vocabulary: Vocabulary | None = None,
+) -> list[CollectionIndex]:
+    """Index every collection of ``collections`` through one surface-form
+    table: a form is stemmed, classified and interned once per build."""
+    table = _SurfaceForms(stemmer, vocabulary)
+    indexes = []
+    for collection in collections:
+        index = CollectionIndex.__new__(CollectionIndex)
+        index._build(collection, table)
+        indexes.append(index)
+    return indexes
 
 
 class CollectionIndex:
@@ -451,11 +504,14 @@ class CollectionIndex:
         stemmer: StemCache | None = None,
         vocabulary: Vocabulary | None = None,
     ) -> None:
+        self._build(collection, _SurfaceForms(stemmer, vocabulary))
+
+    def _build(self, collection: SubCollection, table: _SurfaceForms) -> None:
+        """Index ``collection`` through the surface-form table ``table``."""
         self.collection_id = collection.collection_id
-        self._stem = SHARED_STEM_CACHE if stemmer is None else stemmer
-        self.vocab = SHARED_VOCABULARY if vocabulary is None else vocabulary
+        self._stem, self.vocab = table.stem, table.vocab
         doc_paragraphs = _split_documents(collection)
-        buffers = _build_buffers(collection, doc_paragraphs, self._stem, self.vocab)
+        buffers = _build_buffers(collection, doc_paragraphs, table)
         self._attach(collection, buffers, doc_paragraphs)
 
     @classmethod

@@ -28,9 +28,11 @@ from __future__ import annotations
 import typing as t
 from array import array
 
+import numpy as np
+
 from ..corpus.generator import Corpus
 from ..nlp.vocabulary import SHARED_VOCABULARY, Vocabulary
-from .inverted_index import CollectionIndex, IndexBuffers
+from .inverted_index import CollectionIndex, IndexBuffers, _id_order, _typed
 
 __all__ = [
     "PAYLOAD_SCHEMA",
@@ -81,25 +83,18 @@ def _remap_buffers(buffers: IndexBuffers, mapping: t.Sequence[int]) -> None:
     """Rewrite every id array through ``mapping`` (old id -> new id).
 
     New ids order differently than old ones, so the per-paragraph
-    ``order``/``sorted_ids`` runs are re-sorted.  Posting slots need no
-    re-sort: they are keyed, not ordered, and the doc ids and paragraph
-    ordinals they hold do not depend on term ids.
+    ``order``/``sorted_ids`` runs are re-sorted, by the build's one
+    stable sort.  Posting slots need no re-sort: they are keyed, not
+    ordered, and the doc ids and paragraph ordinals they hold do not
+    depend on term ids.
     """
-    get = mapping.__getitem__
-    buffers.stem_ids = array("i", map(get, buffers.stem_ids))
-    buffers.p_terms = array("i", map(get, buffers.p_terms))
-    stem_ids = buffers.stem_ids
-    t_offsets = buffers.t_offsets
-    order = array("H")
-    sorted_ids = array("i")
-    for p in range(len(t_offsets) - 1):
-        lo, hi = t_offsets[p], t_offsets[p + 1]
-        ids = stem_ids[lo:hi]
-        loc = sorted(range(len(ids)), key=ids.__getitem__)
-        order.extend(loc)
-        sorted_ids.extend(ids[j] for j in loc)
-    buffers.order = order
-    buffers.sorted_ids = sorted_ids
+    table = np.asarray(mapping, np.intc)
+    ids = table[np.frombuffer(buffers.stem_ids, np.intc)]
+    buffers.stem_ids = _typed("i", ids)
+    buffers.p_terms = _typed("i", table[np.frombuffer(buffers.p_terms, np.intc)])
+    buffers.order, buffers.sorted_ids = _id_order(
+        ids, np.frombuffer(buffers.t_offsets, np.uintc)
+    )
 
 
 def attach_payload(

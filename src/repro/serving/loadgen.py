@@ -266,6 +266,9 @@ def _run_once(
         latencies = [r.latency_s for r in answered]
         waits = [r.admission_wait_s for r in answered]
         services = [r.service_s for r in answered]
+        by_qid: dict[int, list[float]] = {}
+        for r in answered:
+            by_qid.setdefault(r.qid, []).append(r.service_s)
         decision_key = server.admission.decision_key()
         digest = hashlib.sha256(repr(decision_key).encode("utf-8")).hexdigest()
         sources = [src for src, _ in server.pool.attach_report.values()]
@@ -280,6 +283,11 @@ def _run_once(
             "latency_s": summarize_samples(latencies).to_dict(),
             "admission_wait_s": summarize_samples(waits).to_dict(),
             "service_s": summarize_samples(services).to_dict(),
+            #: Mean service of each answered question, by qid: the overload
+            #: check compares runs on the questions both answered.
+            "service_by_qid_s": {
+                qid: sum(v) / len(v) for qid, v in sorted(by_qid.items())
+            },
             "attribution": server.attribution_summary(),
             "decision_digest": digest,
             "n_decisions": len(decision_key),
@@ -346,10 +354,14 @@ def _overload_check(
     before the two are compared, so a host that slows down during one run
     only (other load on a shared machine) moves both numbers of that run
     together and not the ratio; queueing that shedding failed to bound
-    still raises the overload p99 alone.  The at-saturation p99 is floored
-    at one calibrated mean service time first — it cannot meaningfully be
-    smaller, and the floor keeps the ratio from exploding on timer noise
-    when the pipeline is fast.
+    still raises the overload p99 alone.  Both means are taken over the
+    same questions — unweighted over the qids that both runs answered
+    (``service_by_qid_s``) — because a run that sheds answers a different
+    mix, and a mix of faster questions would otherwise read as a slower
+    host.  The at-saturation p99 is floored at one calibrated mean
+    service time first — it cannot meaningfully be smaller, and the floor
+    keeps the ratio from exploding on timer noise when the pipeline is
+    fast.
     """
     conservation_ok = all(r["conservation_ok"] for r in runs)
     factored = [r for r in runs if r["load_factor"] is not None]
@@ -369,8 +381,10 @@ def _overload_check(
         return out
     p99_sat = max(at_sat["latency_s"]["p99_s"], service_floor_s)
     p99_over = over["latency_s"]["p99_s"]
-    service_sat = at_sat["service_s"]["mean_s"]
-    service_over = over["service_s"]["mean_s"]
+    by_sat, by_over = at_sat["service_by_qid_s"], over["service_by_qid_s"]
+    common = by_sat.keys() & by_over.keys()
+    service_sat = sum(by_sat[q] for q in common) / max(len(common), 1)
+    service_over = sum(by_over[q] for q in common) / max(len(common), 1)
     if p99_sat > 0 and service_sat > 0 and service_over > 0:
         ratio = (p99_over / service_over) / (p99_sat / service_sat)
     else:
@@ -383,6 +397,7 @@ def _overload_check(
             "p99_overload_s": p99_over,
             "service_mean_at_saturation_s": service_sat,
             "service_mean_overload_s": service_over,
+            "service_qids_compared": len(common),
             "p99_ratio": ratio,
             "p99_within_limit": ratio <= ratio_limit,
             "shed_nonzero_at_overload": shed_nonzero,
@@ -563,7 +578,8 @@ def format_serving(summary: dict[str, t.Any]) -> str:
         lines.append(
             f"overload p99 ratio {over['p99_ratio']:.2f} "
             f"(limit {over['ratio_limit']:.1f}x of at-saturation, "
-            f"in service times), "
+            f"in service times of {over['service_qids_compared']} "
+            f"questions both answered), "
             f"shed at overload: "
             f"{'yes' if over['shed_nonzero_at_overload'] else 'NO'}"
         )

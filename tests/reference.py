@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import types
 import typing as t
+from array import array
 from collections import defaultdict
 
 from repro.nlp.stemming import SHARED_STEM_CACHE, StemCache
@@ -39,12 +40,7 @@ from repro.nlp.vocabulary import Vocabulary
 from repro.qa import QAPipeline
 from repro.qa.answer_processing import _W, _WINDOW_RADIUS
 from repro.retrieval import Paragraph, split_paragraphs
-from repro.retrieval.inverted_index import (
-    IndexBuffers,
-    ParagraphTerms,
-    _new_buffers,
-    _TermViews,
-)
+from repro.retrieval.inverted_index import IndexBuffers, ParagraphTerms, _TermViews
 
 
 def keyword_positions(
@@ -221,6 +217,16 @@ def reference_pipeline(indexed, recognizer) -> QAPipeline:
         use_set_evaluator(retriever)
     pipeline.ps.term_lookup = pipeline.ap.term_lookup = text_terms
     return pipeline
+
+
+def _new_buffers() -> IndexBuffers:
+    """Empty buffers, ready to be appended to."""
+    return IndexBuffers(
+        t_offsets=array("I", (0,)), starts=array("I"), lengths=array("H"),
+        stem_ids=array("i"), order=array("H"), sorted_ids=array("i"),
+        p_terms=array("i"), p_offsets=array("I", (0,)), p_docs=array("I"),
+        p_tfs=array("I"), pp_offsets=array("I", (0,)), pp_ords=array("I"),
+    )
 
 
 def append_paragraph_by_token(

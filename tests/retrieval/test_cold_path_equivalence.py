@@ -2,18 +2,19 @@
 
 A cold server generates the corpus and indexes it.  Both layers now do
 per-token work in C and per-distinct-value work in Python: the Zipf
-sampler draws its uniforms in blocks, the tokenizer splits a paragraph
-with one ``re.split``, and the indexer resolves each distinct surface
-form once per collection.  Each kernel is checked here against the path
+sampler draws its uniforms in blocks, the tokenizer splits a whole
+collection with one ``re.split``, and the indexer resolves each distinct
+surface form once per build.  Each kernel is checked here against the path
 it replaced, on open inputs (Hypothesis) and on hand-built edge cases:
 
 * :func:`~repro.nlp.tokenizer.split_tokens` gives :func:`tokenize`'s
   ``(text, start, end)`` triples;
 * block :class:`~repro.corpus.ZipfSampler` draws equal per-call
   ``rng.random(n)`` draws, for any sequence of ``n``;
-* ``ParagraphTerms.from_text`` and a collection build match the
-  token-by-token builds in ``tests/reference.py``, byte for byte, ids in
-  first-occurrence order.
+* ``ParagraphTerms.from_text``, a collection build and a whole-corpus
+  build through one surface-form table match the token-by-token builds
+  in ``tests/reference.py``, byte for byte, ids in first-occurrence
+  order.
 
 The byte-level oracles over whole generated corpora are in
 ``tests/corpus/test_golden_corpus.py``.
@@ -29,7 +30,11 @@ from repro.corpus import generate_corpus
 from repro.nlp.stemming import StemCache
 from repro.nlp.tokenizer import split_tokens, tokenize
 from repro.nlp.vocabulary import Vocabulary
-from repro.retrieval.inverted_index import CollectionIndex, ParagraphTerms
+from repro.retrieval.inverted_index import (
+    CollectionIndex,
+    ParagraphTerms,
+    build_indexes,
+)
 from repro.retrieval.packing import _BUFFER_FIELDS
 from tests.reference import build_buffers_by_token, paragraph_terms_by_token
 
@@ -80,7 +85,8 @@ class TestSplitTokens:
         assert triples(text) == [(t.text, t.start, t.end) for t in tokenize(text)]
 
     def test_three_parallel_lists(self):
-        assert split_tokens("  $5 don't-x ") == (
+        forms, starts, lengths = split_tokens("  $5 don't-x ")
+        assert (forms, starts.tolist(), lengths.tolist()) == (
             ["$5", "don't", "-", "x"], [2, 5, 10, 11], [2, 5, 1, 1]
         )
 
@@ -171,6 +177,12 @@ def collection_of(doc_texts, cid=0):
     )
 
 
+def assert_same_buffers(got, want):
+    for name in _BUFFER_FIELDS:
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g.typecode, g.tobytes()) == (w.typecode, w.tobytes()), name
+
+
 def assert_same_build(collection):
     """The bulk build and the token-by-token build, into fresh
     vocabularies and stem caches: same buffers, term table and stem-cache
@@ -178,10 +190,9 @@ def assert_same_build(collection):
     bulk_stems, ref_stems = StemCache(), StemCache()
     bulk_vocab, ref_vocab = Vocabulary(), Vocabulary()
     got = CollectionIndex(collection, stemmer=bulk_stems, vocabulary=bulk_vocab)
-    want = build_buffers_by_token(collection, ref_stems, ref_vocab)
-    for name in _BUFFER_FIELDS:
-        g, w = getattr(got.buffers, name), getattr(want, name)
-        assert (g.typecode, g.tolist()) == (w.typecode, w.tolist()), name
+    assert_same_buffers(
+        got.buffers, build_buffers_by_token(collection, ref_stems, ref_vocab)
+    )
     assert bulk_vocab.table() == ref_vocab.table()
     assert dict(bulk_stems._cache) == dict(ref_stems._cache)
     assert bulk_stems.misses == ref_stems.misses
@@ -216,3 +227,37 @@ class TestCollectionBuild:
         collection = collection_of(["Run run RUN.\n\nrun Run.", "RUN the run"])
         CollectionIndex(collection, stemmer=stems, vocabulary=Vocabulary())
         assert stems.hits + stems.misses == len({"Run", "run", "RUN", "the"})
+
+    def test_whole_corpus_through_one_surface_form_table(self):
+        """All collections of one build share one table: the buffers are
+        the token-by-token build's, collection by collection into one
+        vocabulary, and each distinct word form is looked up in the stem
+        cache once per build, not once per collection."""
+        corpus = generate_corpus(CorpusConfig(
+            n_collections=3, docs_per_collection=20, vocab_size=600, seed=23
+        ))
+        bulk_stems, ref_stems = StemCache(), StemCache()
+        bulk_vocab, ref_vocab = Vocabulary(), Vocabulary()
+        built = build_indexes(corpus.collections, bulk_stems, bulk_vocab)
+        for index, collection in zip(built, corpus.collections, strict=True):
+            assert index._stem is bulk_stems and index.vocab is bulk_vocab
+            assert_same_buffers(
+                index.buffers,
+                build_buffers_by_token(collection, ref_stems, ref_vocab),
+            )
+        assert bulk_vocab.table() == ref_vocab.table()
+        assert dict(bulk_stems._cache) == dict(ref_stems._cache)
+        assert bulk_stems.misses == ref_stems.misses
+        forms = [word_forms(c.documents) for c in corpus.collections]
+        assert bulk_stems.hits + bulk_stems.misses == len(set().union(*forms))
+        assert len(set().union(*forms)) < sum(map(len, forms))  # lookups saved
+
+
+def word_forms(documents):
+    """The distinct surface forms of the word tokens of ``documents``."""
+    return {
+        form
+        for doc in documents
+        for form in split_tokens(doc.text)[0]
+        if form[0].isalpha()
+    }

@@ -25,6 +25,7 @@ from repro.nlp.vocabulary import Vocabulary
 from repro.retrieval.boolean import BooleanRetriever
 from repro.retrieval.inverted_index import CollectionIndex, StemCache
 from repro.retrieval.packing import (
+    _BUFFER_FIELDS,
     PAYLOAD_SCHEMA,
     attach_payload,
     indexes_to_payload,
@@ -189,6 +190,15 @@ def test_attach_remaps_under_non_prefix_vocabulary(small_stack):
     warm = Vocabulary(["zz_unrelated", "yy_other"])  # ids 0,1 already taken
     assert not warm.matches_prefix(payload["vocab_table"])
     (attached,) = attach_payload(_corpus_of(index, texts), payload, vocabulary=warm)
+    # Every remapped buffer is the one a fresh build into ``warm`` makes:
+    # the per-paragraph id order is re-sorted by the build's own kernel.
+    fresh = CollectionIndex(
+        _corpus_of(index, texts).collections[0], vocabulary=warm
+    )
+    for name in _BUFFER_FIELDS:
+        got, want = getattr(attached.buffers, name), getattr(fresh.buffers, name)
+        assert (got.typecode, got.tobytes()) == (want.typecode, want.tobytes()), name
+    assert attached.buffers.stem_ids != index.buffers.stem_ids  # ids did move
     for stem_, df in index.iter_terms():
         assert attached.document_frequency(stem_) == df
         assert list(attached.sorted_postings(stem_)) == list(

@@ -1,7 +1,9 @@
-"""The overload verdict on synthetic runs: a host slowdown is not queueing.
+"""The overload verdict on synthetic runs: a host slowdown is not queueing,
+and neither is a shift in which questions were answered.
 
 ``_overload_check`` compares the overload run's accepted p99 with the
-at-saturation one, each in units of its own run's mean service time.
+at-saturation one, each in units of its own run's mean service time over
+the questions both runs answered.
 """
 
 import pytest
@@ -11,13 +13,18 @@ from repro.serving.loadgen import _overload_check
 SERVICE_S = 0.010  # calibrated mean service time
 
 
-def run(label, load_factor, p99_s, service_mean_s, shed=0):
+def run(label, load_factor, p99_s, service_mean_s=SERVICE_S, shed=0, by_qid=None):
+    """A run record; every one of four questions takes ``service_mean_s``
+    unless ``by_qid`` gives each answered question's mean service."""
+    if by_qid is None:
+        by_qid = dict.fromkeys(range(4), service_mean_s)
     return {
         "label": label,
         "load_factor": load_factor,
         "conservation_ok": True,
         "latency_s": {"p99_s": p99_s},
-        "service_s": {"mean_s": service_mean_s},
+        "service_s": {"mean_s": sum(by_qid.values()) / len(by_qid)},
+        "service_by_qid_s": by_qid,
         "ledger": {"shed": shed, "drained": 0},
     }
 
@@ -67,3 +74,26 @@ def test_at_saturation_p99_is_floored_at_one_service_time():
     ]
     out = _overload_check(runs, service_floor_s=SERVICE_S)
     assert out["p99_ratio"] == pytest.approx(2.0)
+
+
+def test_overload_run_answering_only_fast_questions_is_not_inflated():
+    """The 2x run shed the slow questions and answered only the fast ones,
+    at twice the at-saturation p99.  Its mean over what it answered is a
+    third of the 1x run's; compared on the questions both answered, the
+    ratio is the queueing alone."""
+    fast, slow = 0.5 * SERVICE_S, 2.5 * SERVICE_S
+    every = {0: fast, 1: fast, 2: slow, 3: slow}
+    runs = [
+        run("1x", 1.0, 3.0 * SERVICE_S, by_qid=every),
+        run("2x", 2.0, 6.0 * SERVICE_S, shed=40, by_qid={0: fast, 1: fast}),
+    ]
+    out = _overload_check(runs, service_floor_s=SERVICE_S)
+    assert out["service_qids_compared"] == 2
+    assert out["service_mean_at_saturation_s"] == pytest.approx(fast)
+    assert out["service_mean_overload_s"] == pytest.approx(fast)
+    assert out["p99_ratio"] == pytest.approx(2.0)
+    assert out["ok"] is True
+    # Each run's own answered mean would have read 6.0 / 0.5 against
+    # 3.0 / 1.5: a ratio of 6, failing the 3x limit.
+    own = [r["service_s"]["mean_s"] for r in runs]
+    assert (6.0 * SERVICE_S / own[1]) / (3.0 * SERVICE_S / own[0]) > 3.0
