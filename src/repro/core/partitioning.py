@@ -25,6 +25,7 @@ tests.
 from __future__ import annotations
 
 import enum
+import heapq
 import typing as t
 from dataclasses import dataclass
 
@@ -157,16 +158,18 @@ def partition_isend(
     sizes = _apportion(len(items), weights)
     out: list[list[T]] = [[] for _ in weights]
     # Weighted round-robin deal: repeatedly give the next item to the
-    # processor whose filled fraction is lowest.
-    remaining = list(sizes)
+    # processor whose filled fraction is lowest (ties to the lower
+    # index).  Only the chosen processor's key changes per item, so the
+    # open processors' (filled fraction, index) keys live in a heap.
+    heap = [(0.0, k) for k, size in enumerate(sizes) if size > 0]
     for item in items:
-        candidates = [k for k in range(len(weights)) if remaining[k] > 0]
-        k = min(
-            candidates,
-            key=lambda j: (len(out[j]) / sizes[j] if sizes[j] else 1.0, j),
-        )
-        out[k].append(item)
-        remaining[k] -= 1
+        _, k = heap[0]
+        part = out[k]
+        part.append(item)
+        if len(part) < sizes[k]:
+            heapq.heapreplace(heap, (len(part) / sizes[k], k))
+        else:
+            heapq.heappop(heap)
     return out
 
 

@@ -15,14 +15,16 @@ per-overhead-component accounting (Tables 8 and 9).
 from __future__ import annotations
 
 import typing as t
+from array import array
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from ..observability.names import (
     NODE_QUEUE_WAIT_S,
     PARTITION_CHUNKS,
 )
 from ..observability.spans import Span, SpanCategory
-from ..qa.profiles import CollectionProfile, ParagraphProfile, QuestionProfile
+from ..qa.profiles import CollectionProfile, QuestionProfile
 from ..simulation.events import Event
 from ..simulation.network import TransferFailed
 from .dispatcher import _BACKOFF, _MAX_ATTEMPTS
@@ -48,6 +50,21 @@ _STAGE_NAMES = {
     "PR": ("stage:PR", "dispatch:pr", "pr-dispatch"),
     "AP": ("stage:AP", "dispatch:ap", "ap-dispatch"),
 }
+
+
+def _take(items: list[int]) -> t.Callable[[array], t.Iterable[float]]:
+    """A getter of a paragraph column's entries at indices ``items``, in
+    the order of ``items``, for the builtin ``sum`` to add.
+
+    One ascending run (a RECV chunk, a SEND part, the whole column on one
+    node) is read as a slice; any other order (an ISEND part, a recovery
+    round's concatenated leftovers) through ``itemgetter``, which then
+    always gets two or more indices and so returns a tuple.
+    """
+    first, n = items[0], len(items)
+    if items[-1] - first == n - 1 and items == list(range(first, first + n)):
+        return itemgetter(slice(first, first + n))
+    return itemgetter(*items)
 
 
 @dataclass(frozen=True, slots=True)
@@ -552,14 +569,16 @@ class DistributedQATask:
         result.migrated_ap = assignment.node_ids != [self.host]
 
         def executor(
-            nid: int, items: list[ParagraphProfile]
+            nid: int, items: list[int]
         ) -> t.Generator[Event, object, None]:
             yield from self._ap_executor(nid, items, ap_compute)
 
         self._stage = stage
         try:
+            # The partitioners deal paragraph indices into the profile's
+            # columns, in PO rank order.
             yield from self._distribute(
-                items=self.profile.paragraphs,
+                items=range(self.profile.n_accepted),
                 assignment=assignment,
                 executor=executor,
                 strategy=policy.ap_strategy,
@@ -575,17 +594,19 @@ class DistributedQATask:
     def _ap_executor(
         self,
         nid: int,
-        items: list[ParagraphProfile],
+        items: list[int],
         ap_compute: dict[int, float],
     ) -> t.Generator[Event, object, None]:
         env = self.system.env
         node = self._node(nid)
         remote = nid != self.host
-        nbytes = sum(p.size_bytes for p in items)
-        ap_mem_total = self.profile.memory_bytes * (
+        profile = self.profile
+        take = _take(items)
+        nbytes = sum(take(profile.paragraph_bytes))
+        ap_mem_total = profile.memory_bytes * (
             1.0 - self.policy.host_memory_fraction
         )
-        mem_share = ap_mem_total * len(items) / max(1, self.profile.n_accepted)
+        mem_share = ap_mem_total * len(items) / max(1, profile.n_accepted)
         allocated = False
         chunk = self._span(
             "ap-chunk", SpanCategory.PARTITION, nid, self._stage,
@@ -604,7 +625,10 @@ class DistributedQATask:
                 raise WorkerFailed(nid, items)
             cspan = self._span("ap", SpanCategory.COMPUTE, nid, chunk)
             t0 = env.now
-            cpu = sum(p.ap_cpu_s for p in items) + self.policy.ap_per_partition_cpu_s
+            cpu = (
+                sum(take(profile.paragraph_ap_cpu_s))
+                + self.policy.ap_per_partition_cpu_s
+            )
             yield from node.run_cpu(cpu)
             ap_compute[nid] = ap_compute.get(nid, 0.0) + (env.now - t0)
             self._spans.end(cspan, env.now)
@@ -612,7 +636,7 @@ class DistributedQATask:
             if not node.up:
                 raise WorkerFailed(nid, items)
             if remote:
-                answer_bytes = self.profile.n_answers * self.profile.answer_bytes
+                answer_bytes = profile.n_answers * profile.answer_bytes
                 yield from self._transfer(
                     nid, self.host, answer_bytes, "answer_recv", parent=chunk
                 )

@@ -10,7 +10,6 @@ from .pipeline import QAPipeline, result_fingerprint
 from .profile_io import load_profiles, save_profiles
 from .profiles import (
     CollectionProfile,
-    ParagraphProfile,
     QuestionProfile,
     SyntheticProfileGenerator,
     SyntheticProfileParams,
@@ -39,7 +38,6 @@ __all__ = [
     "ModuleTimings",
     "PRResult",
     "ParagraphOrderer",
-    "ParagraphProfile",
     "ParagraphRetriever",
     "ParagraphScorer",
     "ProcessedQuestion",

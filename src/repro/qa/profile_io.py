@@ -11,9 +11,10 @@ import gzip
 import json
 import pathlib
 import typing as t
+from array import array
 
 from .costs import ModuleCost
-from .profiles import CollectionProfile, ParagraphProfile, QuestionProfile
+from .profiles import CollectionProfile, QuestionProfile
 
 __all__ = ["save_profiles", "load_profiles"]
 
@@ -48,9 +49,9 @@ def _profile_to_dict(p: QuestionProfile) -> dict:
             }
             for c in p.collections
         ],
-        # Stored as flat parallel arrays: paragraphs dominate the payload.
-        "paragraph_sizes": [pp.size_bytes for pp in p.paragraphs],
-        "paragraph_ap_cpu": [pp.ap_cpu_s for pp in p.paragraphs],
+        # The profile's paragraph columns: paragraphs dominate the payload.
+        "paragraph_sizes": p.paragraph_bytes.tolist(),
+        "paragraph_ap_cpu": p.paragraph_ap_cpu_s.tolist(),
     }
 
 
@@ -72,10 +73,8 @@ def _profile_from_dict(d: dict) -> QuestionProfile:
             for c in d["collections"]
         ],
         po_cpu_s=d["po_cpu_s"],
-        paragraphs=[
-            ParagraphProfile(size_bytes=s, ap_cpu_s=c)
-            for s, c in zip(d["paragraph_sizes"], d["paragraph_ap_cpu"])
-        ],
+        paragraph_bytes=array("d", d["paragraph_sizes"]),
+        paragraph_ap_cpu_s=array("d", d["paragraph_ap_cpu"]),
         n_answers=d["n_answers"],
         answer_bytes=d["answer_bytes"],
         memory_bytes=d["memory_bytes"],

@@ -3,7 +3,10 @@
 A :class:`QuestionProfile` captures everything the distributed simulation
 needs to execute one Q/A task: per-module simulated resource demands, the
 iterative structure (per-collection PR sub-tasks, per-paragraph AP
-sub-tasks), message sizes, and memory footprint.
+sub-tasks), message sizes, and memory footprint.  The accepted paragraphs
+are two ``array('d')`` columns in PO rank order — sizes and AP CPU
+seconds — not an object per paragraph: a profile costs what its numbers
+cost, and ``profile_io`` writes the same columns to disk.
 
 Two construction paths:
 
@@ -24,6 +27,7 @@ Two construction paths:
 from __future__ import annotations
 
 import typing as t
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +40,6 @@ if t.TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "CollectionProfile",
-    "ParagraphProfile",
     "QuestionProfile",
     "profile_question",
     "SyntheticProfileGenerator",
@@ -57,14 +60,6 @@ class CollectionProfile:
     ps_cpu_s: float
 
 
-@dataclass(frozen=True, slots=True)
-class ParagraphProfile:
-    """One AP sub-task unit: one accepted paragraph, in PO rank order."""
-
-    size_bytes: float
-    ap_cpu_s: float
-
-
 @dataclass(slots=True)
 class QuestionProfile:
     """Complete simulated workload of one Q/A task."""
@@ -76,8 +71,12 @@ class QuestionProfile:
     qp_cpu_s: float
     collections: list[CollectionProfile]
     po_cpu_s: float
-    #: Accepted paragraphs in PO rank order (the paper's n_pa items).
-    paragraphs: list[ParagraphProfile]
+    #: The accepted paragraphs (the paper's n_pa AP sub-task units) in PO
+    #: rank order, as parallel columns: paragraph ``i`` holds
+    #: ``paragraph_bytes[i]`` bytes and costs ``paragraph_ap_cpu_s[i]``
+    #: AP CPU seconds on the reference node.
+    paragraph_bytes: array
+    paragraph_ap_cpu_s: array
     n_answers: int
     answer_bytes: float
     memory_bytes: float
@@ -85,7 +84,7 @@ class QuestionProfile:
     # -- aggregates used all over the experiments -------------------------------
     @property
     def n_accepted(self) -> int:
-        return len(self.paragraphs)
+        return len(self.paragraph_bytes)
 
     @property
     def n_retrieved(self) -> int:
@@ -104,7 +103,7 @@ class QuestionProfile:
 
     @property
     def ap_cpu_s(self) -> float:
-        return sum(p.ap_cpu_s for p in self.paragraphs)
+        return sum(self.paragraph_ap_cpu_s)
 
     def sequential_module_seconds(self, model: CostModel) -> dict[str, float]:
         """Uncontended per-module durations on the reference node."""
@@ -162,16 +161,13 @@ def profile_question(
     accepted = pipeline.po.order(all_scored)
     po_cost = model.po_cost(len(all_scored))
 
-    paragraphs: list[ParagraphProfile] = []
+    paragraph_bytes = array("d")
+    paragraph_ap_cpu_s = array("d")
     for sp in accepted:
         n_cands = len(pipeline.ap.candidates(processed, sp.paragraph))
         cost = model.ap_paragraph_cost(sp.paragraph.size_bytes, n_cands)
-        paragraphs.append(
-            ParagraphProfile(
-                size_bytes=float(sp.paragraph.size_bytes),
-                ap_cpu_s=cost.cpu_s,
-            )
-        )
+        paragraph_bytes.append(sp.paragraph.size_bytes)
+        paragraph_ap_cpu_s.append(cost.cpu_s)
 
     rng = np.random.default_rng(qid + 12345)
     mem_lo, mem_hi = model.memory_per_question
@@ -186,7 +182,8 @@ def profile_question(
         qp_cpu_s=qp_cost.cpu_s,
         collections=collections,
         po_cpu_s=po_cost.cpu_s,
-        paragraphs=paragraphs,
+        paragraph_bytes=paragraph_bytes,
+        paragraph_ap_cpu_s=paragraph_ap_cpu_s,
         n_answers=pipeline.ap.n_answers,
         answer_bytes=model.answer_bytes,
         memory_bytes=float(rng.uniform(mem_lo, mem_hi)),
@@ -268,9 +265,20 @@ class SyntheticProfileGenerator:
         model: CostModel | None = None,
         seed: int = 0,
     ) -> None:
-        self.params = params or SyntheticProfileParams()
+        self.params = p = params or SyntheticProfileParams()
         self.model = model or CostModel.default()
         self.rng = np.random.default_rng(seed)
+        # Per-generator constants of the laws ``generate`` samples: each
+        # lognormal's log-mean (so that its mean is the parameter's) and
+        # the Dirichlet alpha vector.
+        self._pr_disk_mu = (
+            np.log(p.pr_disk_seconds_mean) - p.pr_disk_seconds_sigma**2 / 2
+        )
+        self._n_accepted_mu = (
+            np.log(p.n_accepted_mean) - p.n_accepted_sigma**2 / 2
+        )
+        self._ap_mu = np.log(p.ap_seconds_mean) - p.ap_seconds_sigma**2 / 2
+        self._alpha = [p.pr_collection_alpha] * p.n_collections
 
     def generate(self, qid: int) -> QuestionProfile:
         p = self.params
@@ -282,32 +290,19 @@ class SyntheticProfileGenerator:
 
         # --- PR: total disk seconds split over collections with skew ------
         pr_disk_total = float(
-            rng.lognormal(
-                np.log(p.pr_disk_seconds_mean) - p.pr_disk_seconds_sigma**2 / 2,
-                p.pr_disk_seconds_sigma,
-            )
+            rng.lognormal(self._pr_disk_mu, p.pr_disk_seconds_sigma)
         )
-        shares = rng.dirichlet([p.pr_collection_alpha] * p.n_collections)
+        shares = rng.dirichlet(self._alpha)
 
         # --- acceptance counts --------------------------------------------------
+        lo, hi = p.n_accepted_range
         n_accepted = int(
-            np.clip(
-                rng.lognormal(
-                    np.log(p.n_accepted_mean) - p.n_accepted_sigma**2 / 2,
-                    p.n_accepted_sigma,
-                ),
-                *p.n_accepted_range,
-            )
+            min(max(rng.lognormal(self._n_accepted_mu, p.n_accepted_sigma), lo), hi)
         )
         n_retrieved = int(n_accepted * p.retrieved_per_accepted)
 
         # --- AP: rank-decayed per-paragraph costs ---------------------------------
-        ap_total = float(
-            rng.lognormal(
-                np.log(p.ap_seconds_mean) - p.ap_seconds_sigma**2 / 2,
-                p.ap_seconds_sigma,
-            )
-        )
+        ap_total = float(rng.lognormal(self._ap_mu, p.ap_seconds_sigma))
         ranks = np.arange(n_accepted)
         decay = 1.0 + (p.ap_rank_decay - 1.0) * np.exp(
             -3.0 * ranks / max(1, n_accepted)
@@ -317,15 +312,13 @@ class SyntheticProfileGenerator:
         ap_each = ap_total * weights / weights.sum()
         sizes = rng.uniform(*p.paragraph_bytes_range, size=n_accepted)
 
-        paragraphs = list(map(ParagraphProfile, sizes.tolist(), ap_each.tolist()))
-
         # --- collections carry PR cost + their slice of PS work -------------------
         ps_total = ap_total * p.ps_fraction_of_ap
         retrieved_bytes_total = float(np.mean(sizes)) * n_retrieved
         collections = []
-        para_per_coll = np.floor(shares * n_retrieved).astype(int)
-        for cid in range(p.n_collections):
-            disk_s = pr_disk_total * float(shares[cid])
+        para_per_coll = np.floor(shares * n_retrieved).astype(int).tolist()
+        for cid, share in enumerate(shares.tolist()):
+            disk_s = pr_disk_total * share
             collections.append(
                 CollectionProfile(
                     collection_id=cid,
@@ -333,9 +326,9 @@ class SyntheticProfileGenerator:
                         cpu_s=p.pr_cpu_per_disk_s * disk_s,
                         disk_bytes=disk_s * hw.disk_bandwidth,
                     ),
-                    n_paragraphs=int(para_per_coll[cid]),
-                    paragraph_bytes=retrieved_bytes_total * float(shares[cid]),
-                    ps_cpu_s=ps_total * float(shares[cid]),
+                    n_paragraphs=para_per_coll[cid],
+                    paragraph_bytes=retrieved_bytes_total * share,
+                    ps_cpu_s=ps_total * share,
                 )
             )
 
@@ -348,7 +341,8 @@ class SyntheticProfileGenerator:
             qp_cpu_s=qp_cpu,
             collections=collections,
             po_cpu_s=p.po_cpu_s,
-            paragraphs=paragraphs,
+            paragraph_bytes=array("d", sizes.tobytes()),
+            paragraph_ap_cpu_s=array("d", ap_each.tobytes()),
             n_answers=p.n_answers,
             answer_bytes=self.model.answer_bytes,
             memory_bytes=float(rng.uniform(mem_lo, mem_hi)),

@@ -16,6 +16,8 @@ distribution loops rely on:
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import make_chunks, partition_isend, partition_send
 from repro.core.partitioning import _apportion
@@ -96,6 +98,41 @@ class TestIsendInvariants:
             parts = partition_isend(list(range(n)), [1.0] * k)
             firsts = sorted(p[0] for p in parts)
             assert firsts == list(range(k))
+
+
+def isend_by_scan(items, weights):
+    """ISEND's weighted round-robin deal as a scan over every candidate
+    per item (O(n k)): the oracle for ``partition_isend``'s heap."""
+    sizes = _apportion(len(items), weights)
+    out = [[] for _ in weights]
+    remaining = list(sizes)
+    for item in items:
+        candidates = [k for k in range(len(weights)) if remaining[k] > 0]
+        k = min(
+            candidates,
+            key=lambda j: (len(out[j]) / sizes[j] if sizes[j] else 1.0, j),
+        )
+        out[k].append(item)
+        remaining[k] -= 1
+    return out
+
+
+_weights = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.sampled_from([1.0, 2.0, 0.5, 1.0 / 3.0]),
+    ),
+    min_size=1,
+    max_size=16,
+).filter(lambda ws: sum(ws) > 0)
+
+
+@given(n=st.integers(min_value=0, max_value=1000), weights=_weights)
+@settings(max_examples=300, deadline=None)
+def test_isend_heap_deals_as_the_scan(n, weights):
+    items = list(range(n))
+    assert partition_isend(items, weights) == isend_by_scan(items, weights)
 
 
 @pytest.mark.parametrize("seed", range(10))

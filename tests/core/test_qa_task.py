@@ -125,6 +125,7 @@ class TestScaleInvariance:
     def test_times_scale_with_cpu_work(self):
         """Metamorphic: doubling every CPU demand roughly doubles the
         CPU-bound module times on an uncontended single node."""
+        from array import array
         from dataclasses import replace
 
         prof = profile()
@@ -132,9 +133,9 @@ class TestScaleInvariance:
             prof,
             qp_cpu_s=prof.qp_cpu_s * 2,
             po_cpu_s=prof.po_cpu_s * 2,
-            paragraphs=[
-                replace(p, ap_cpu_s=p.ap_cpu_s * 2) for p in prof.paragraphs
-            ],
+            paragraph_ap_cpu_s=array(
+                "d", (2 * c for c in prof.paragraph_ap_cpu_s)
+            ),
         )
         _, base = run_one(n_nodes=1, prof=prof)
         _, double = run_one(n_nodes=1, prof=doubled)
@@ -166,3 +167,22 @@ class TestTraceConsistency:
         system, _ = run_one(n_nodes=4, prof=prof, trace=True)
         traced = sum(e.name == "pr-collection" for e in system.spans.instants())
         assert traced == len(prof.collections)
+
+
+class TestParagraphColumns:
+    @pytest.mark.parametrize(
+        "items",
+        [[5], [3, 4, 5], [0, 12, 24], [7, 3], [0, 2, 1, 3], [2, 3, 0, 1]],
+    )
+    def test_take_reads_entries_in_item_order(self, items):
+        """An AP chunk adds its paragraphs' entries in the order it holds
+        them, whether they form one ascending run or not (a recovery
+        round may concatenate leftovers out of order)."""
+        from array import array
+
+        from repro.core.qa_task import _take
+
+        column = array("d", (0.1 * (i + 1) for i in range(30)))
+        taken = _take(items)(column)
+        assert list(taken) == [column[i] for i in items]
+        assert sum(taken) == sum(column[i] for i in items)

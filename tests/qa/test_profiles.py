@@ -36,7 +36,8 @@ class TestRealProfiles:
         assert len(prof.collections) == 3
         assert prof.qid == questions[0].qid
         assert prof.qp_cpu_s > 0
-        assert prof.n_accepted == len(prof.paragraphs)
+        assert prof.n_accepted == len(prof.paragraph_bytes)
+        assert len(prof.paragraph_ap_cpu_s) == prof.n_accepted
         assert prof.n_retrieved >= prof.n_accepted
 
     def test_memory_in_paper_range(self, pipeline):
@@ -51,9 +52,7 @@ class TestRealProfiles:
         prof = profile_question(pipe, questions[2].text, model)
         secs = prof.sequential_module_seconds(model)
         assert prof.sequential_seconds(model) == pytest.approx(sum(secs.values()))
-        assert prof.ap_cpu_s == pytest.approx(
-            sum(p.ap_cpu_s for p in prof.paragraphs)
-        )
+        assert prof.ap_cpu_s == sum(prof.paragraph_ap_cpu_s)
 
     def test_deterministic(self, pipeline):
         pipe, questions = pipeline
@@ -93,8 +92,8 @@ class TestSyntheticProfiles:
         )
         prof = gen.generate(0)
         n = prof.n_accepted
-        head = np.mean([p.ap_cpu_s for p in prof.paragraphs[: n // 4]])
-        tail = np.mean([p.ap_cpu_s for p in prof.paragraphs[-n // 4 :]])
+        head = np.mean(prof.paragraph_ap_cpu_s[: n // 4])
+        tail = np.mean(prof.paragraph_ap_cpu_s[-n // 4 :])
         assert head > 1.3 * tail
 
     def test_collection_skew_present(self):
@@ -128,23 +127,67 @@ class TestSyntheticProfiles:
         assert [p.qid for p in profs] == [10, 11, 12]
 
 
+def _profile_numbers(profile):
+    """Every number of ``profile``: its scalars, each collection's fields,
+    then the paragraph columns flattened in PO rank order."""
+    yield from (
+        profile.qid, profile.question_bytes, profile.keyword_bytes,
+        profile.n_keywords, profile.qp_cpu_s, profile.po_cpu_s,
+        profile.n_answers, profile.answer_bytes, profile.memory_bytes,
+        len(profile.collections),
+    )
+    for c in profile.collections:
+        yield from (
+            c.collection_id, c.cost.cpu_s, c.cost.disk_bytes,
+            c.n_paragraphs, c.paragraph_bytes, c.ps_cpu_s,
+        )
+    yield profile.n_accepted
+    yield from profile.paragraph_bytes
+    yield from profile.paragraph_ap_cpu_s
+
+
 def _profiles_digest(profiles) -> str:
-    import dataclasses
+    """sha256 over every number of ``profiles``, each packed as a
+    little-endian float64: the digest reads values, not how a profile
+    holds them."""
     import hashlib
+    import struct
 
     h = hashlib.sha256()
     for profile in profiles:
-        h.update(repr(dataclasses.astuple(profile)).encode())
+        numbers = list(_profile_numbers(profile))
+        h.update(struct.pack(f"<{len(numbers)}d", *numbers))
     return h.hexdigest()
 
 
-#: sha256 over every field of ``trec_mix_profiles(128, seed=0)`` (the
-#: simulator workloads' first sub-run); a host-only change to profile
-#: generation must reproduce it.
-TREC_MIX_128_DIGEST = "0049bbaa8794dbcb0db5380af06a62bfd8bdd55019d7754f0bb032971d75ec68"
+#: Value digests of three profile sets; a host-only change to how
+#: profiles are built or held must reproduce them.
+#: ``trec_mix_profiles(128, seed=0)``: the simulator workloads' first sub-run.
+TREC_MIX_128_DIGEST = "707c64cc46290df795b2b6a9e4510d2e17dcb5c72b99a1e3e7b12c8f010e936d"
+#: 30 ``SyntheticProfileParams.complex()`` profiles, generator seed 4.
+COMPLEX_30_DIGEST = "a433aa370c0413bdd993f10b3df97d7ba55e05b9e75a1b3f1cb58639817e5628"
+#: The real-pipeline profiles behind ``table2`` (the default experiment
+#: context's first 60 questions through ``profile_question``).
+TABLE2_PROFILES_DIGEST = "51d4083af89152e7eeb2e752a5762ac6c9d107c8e674fadf0c657259cf49be0a"
 
 
 def test_trec_mix_profiles_are_frozen():
     from repro.workload import trec_mix_profiles
 
     assert _profiles_digest(trec_mix_profiles(128, seed=0)) == TREC_MIX_128_DIGEST
+
+
+def test_complex_profiles_are_frozen():
+    gen = SyntheticProfileGenerator(SyntheticProfileParams.complex(), seed=4)
+    assert _profiles_digest(gen.generate_many(30)) == COMPLEX_30_DIGEST
+
+
+def test_table2_profiles_are_frozen():
+    import inspect
+
+    from repro.experiments import default_context
+    from repro.experiments.table2_module_analysis import run_table2
+
+    n_questions = inspect.signature(run_table2).parameters["n_questions"].default
+    profiles = default_context().profiles(n_questions)
+    assert _profiles_digest(profiles) == TABLE2_PROFILES_DIGEST

@@ -6,7 +6,8 @@ own, the simulator's queue is not configurable, PS, AP and PR each have
 one path in src (their oracles live in tests), collection selection is
 gone and PR
 visits every collection, the span stream is the only trace store, the
-pre-record extension experiments took their switches with them, the
+pre-record extension experiments took their switches with them, a
+question profile holds its accepted paragraphs as columns only, the
 server-to-worker wire has one request, one unit and one reply shape, each
 of the paper's two evaluation protocols is written once, workers keep no
 metrics registry of their own, the serving front door makes one latency
@@ -196,6 +197,19 @@ def test_span_stream_is_the_only_trace_store():
 
     for retired in ("Tra" "cer", "Trace" "Event", "Gradient" "Balancer"):
         assert not hasattr(repro.core, retired)
+
+
+def test_accepted_paragraphs_are_columns_only():
+    import repro.qa
+
+    retired = "Paragraph" "Profile"
+    assert retired not in repro.qa.__all__
+    assert not hasattr(repro.qa, retired)
+    holders = [
+        path for path in (ROOT / "src").rglob("*.py")
+        if retired in path.read_text(encoding="utf-8")
+    ]
+    assert holders == []
 
 
 def test_no_second_way_to_regenerate_a_paper_table():
