@@ -28,10 +28,19 @@ the corpus silently falls back to regeneration, and writes are atomic
 cold cache cannot observe torn files.  Set the ``REPRO_CACHE_DIR``
 environment variable to relocate it, or to the empty string to disable
 it.
+
+Serving workers start together on a possibly cold cache, so
+:func:`build_serving_context` first tries to attach to both artifacts
+with no lock at all.  Only on a miss does it take an exclusive
+``fcntl.flock`` on the cache directory itself and look again: exactly
+one of the racing processes generates, builds and writes, and the others
+wait and then attach.  The lock is held on the directory's own file
+descriptor, so it adds no file to the cache.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import os
@@ -41,6 +50,11 @@ import time
 import typing as t
 from dataclasses import dataclass, field
 from pathlib import Path
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX: no lock, each may build
+    fcntl = None
 
 from ..corpus import (
     Corpus,
@@ -161,6 +175,63 @@ def _write_artifact(path: Path, obj: t.Any) -> None:
         pass  # cache is best-effort; the caller's object is still good
 
 
+@contextlib.contextmanager
+def _directory_lock(directory: Path | None) -> t.Iterator[None]:
+    """Hold an exclusive ``flock`` on ``directory`` itself.
+
+    Best-effort like the cache: with no directory, no ``fcntl``, or a
+    directory that cannot be created or opened, it locks nothing.
+    """
+    fd = None
+    if directory is not None and fcntl is not None:
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            fd = os.open(directory, os.O_RDONLY)
+        except OSError:
+            pass
+    try:
+        if fd is not None:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        if fd is not None:
+            os.close(fd)  # releases the lock
+
+
+def _read_corpus(path: Path) -> Corpus:
+    with open(path, "rb") as fh:
+        cached = pickle.load(fh)
+    if not isinstance(cached, Corpus):
+        raise TypeError(f"{path.name} holds no corpus")
+    return cached
+
+
+def _attach_indexes(
+    corpus: Corpus, path: Path
+) -> tuple[list[CollectionIndex], float]:
+    start = time.perf_counter()
+    with open(path, "rb") as fh:
+        payload = pickle.load(fh)
+    indexes = attach_payload(corpus, payload)
+    return indexes, time.perf_counter() - start
+
+
+def _attach_cached(
+    config: CorpusConfig, directory: Path
+) -> tuple[Corpus, list[CollectionIndex], float] | None:
+    """Both cached artifacts of ``config``, or None on any miss.
+
+    Reads only: a bad entry is left for the locked path to heal.
+    """
+    key = corpus_cache_key(config)
+    try:
+        corpus = _read_corpus(directory / f"corpus-{key}.pkl")
+        indexes, seconds = _attach_indexes(corpus, directory / f"index-{key}.pkl")
+    except Exception:
+        return None
+    return corpus, indexes, seconds
+
+
 def load_or_generate_corpus(config: CorpusConfig) -> Corpus:
     """Return the corpus for ``config``, via the disk cache when possible."""
     directory = corpus_cache_dir()
@@ -168,10 +239,7 @@ def load_or_generate_corpus(config: CorpusConfig) -> Corpus:
         return generate_corpus(config)
     path = directory / f"corpus-{corpus_cache_key(config)}.pkl"
     try:
-        with open(path, "rb") as fh:
-            cached = pickle.load(fh)
-        if isinstance(cached, Corpus):
-            return cached
+        return _read_corpus(path)
     except FileNotFoundError:
         pass
     except Exception:
@@ -204,12 +272,9 @@ def load_or_build_indexes(
         else directory / f"index-{corpus_cache_key(config)}.pkl"
     )
     if path is not None:
-        start = time.perf_counter()
         try:
-            with open(path, "rb") as fh:
-                payload = pickle.load(fh)
-            indexes = attach_payload(corpus, payload)
-            return indexes, "cache", time.perf_counter() - start
+            indexes, seconds = _attach_indexes(corpus, path)
+            return indexes, "cache", seconds
         except FileNotFoundError:
             pass
         except Exception:
@@ -249,12 +314,24 @@ def build_serving_context(config: CorpusConfig) -> ExperimentContext:
     Serving workers receive question *text* over the request queue, so
     unlike :func:`build_context` they never need the generated question
     set — only a queryable pipeline.  A worker on a warm machine pays
-    one corpus unpickle plus one packed-payload attach (both from the
-    disk artifact its parent wrote), no tokenize/stem/intern rebuild.
-    Not memoized: each worker process calls it exactly once.
+    one corpus unpickle plus one packed-payload attach, no
+    tokenize/stem/intern rebuild.  On a miss it locks the cache
+    directory and looks again, so of the workers starting together on a
+    cold cache exactly one generates, builds and writes both artifacts
+    and the rest attach to them.  Not memoized: each worker process
+    calls it exactly once.
     """
-    corpus = load_or_generate_corpus(config)
-    indexes, index_source, index_seconds = load_or_build_indexes(corpus, config)
+    directory = corpus_cache_dir()
+    attached = None if directory is None else _attach_cached(config, directory)
+    if attached is not None:
+        corpus, indexes, index_seconds = attached
+        index_source = "cache"
+    else:
+        with _directory_lock(directory):
+            corpus = load_or_generate_corpus(config)
+            indexes, index_source, index_seconds = load_or_build_indexes(
+                corpus, config
+            )
     indexed = IndexedCorpus(corpus, indexes=indexes)
     recognizer = EntityRecognizer(
         corpus.knowledge.gazetteer(),

@@ -6,10 +6,13 @@ Two interchangeable executors sit behind
 * :class:`ProcessWorkerPool` — the production shape: N OS processes,
   each running :func:`_worker_main`, which **attaches** to the shared
   packed-index artifact (:mod:`repro.experiments.context`) instead of
-  rebuilding tokenize + stem + intern per process.  The parent warms the
-  on-disk artifact once before spawning, so worker start-up is one
-  unpickle + id remap (~1/40th of a rebuild); each worker reports
-  whether it attached (``"cache"``) or had to build (``"built"``).
+  rebuilding tokenize + stem + intern per process.  The parent loads
+  nothing: it forks the workers at once, so none inherits a corpus or
+  index heap it did not ask for.  On a cold cache the first worker to
+  take the cache directory's lock generates, builds and writes the
+  artifact, and the others wait for it and attach (one unpickle + id
+  remap, ~1/40th of a rebuild); each worker reports whether it attached
+  (``"cache"``) or had to build (``"built"``).
 * :class:`InlineExecutor` — single-process synchronous execution for
   tests and the ``workers=0`` debug mode; same result surface, no IPC.
 
@@ -33,8 +36,12 @@ attributes ``idle_workers``, ``workers`` and ``attach_report``.
 IPC: requests go out on one shared ``multiprocessing.Queue`` (FIFO
 hand-off to whichever worker is free); replies come back on one
 ``Pipe(duplex=False)`` per worker, written synchronously by that worker
-— no feeder thread has to win the GIL from the pipeline — and collected
-in the parent with ``multiprocessing.connection.wait``.  A worker sends
+— no feeder thread has to win the GIL from the pipeline.  The parent
+registers each reply pipe once, at spawn, with one standing
+``selectors.DefaultSelector``; ``start``, ``poll`` and ``drain`` all wait
+on it with one ``select`` per call and read one message from each ready
+pipe (a reply pipe has no user-space buffer, so a second message makes
+the pipe ready again).  A worker sends
 three kinds of message: ``ready`` once attached, ``done`` per unit and
 ``bye`` on the sentinel.  Each unit is answered by exactly one
 ``("done", [records...])`` message, a record being a plain tuple in
@@ -56,10 +63,10 @@ from __future__ import annotations
 import gc
 import multiprocessing
 import os
+import selectors
 import time
 import typing as t
 from dataclasses import dataclass
-from multiprocessing import connection
 from multiprocessing.connection import Connection
 
 from ..corpus import CorpusConfig
@@ -207,6 +214,8 @@ class ProcessWorkerPool:
         #: Read end of each live worker's reply pipe -> its pid.  A worker
         #: leaves on ``bye`` or on EOF (a closed pipe is always "ready").
         self._readers: dict[Connection, int] = {}
+        #: Every live reader, registered once at spawn.
+        self._selector = selectors.DefaultSelector()
         #: Units dispatched and not yet replied to.
         self._outstanding = 0
         #: Pids whose reply pipe hit EOF before ``bye``: the worker died.
@@ -217,16 +226,7 @@ class ProcessWorkerPool:
         self.attach_report: dict[int, tuple[str, float]] = {}
 
     def start(self) -> None:
-        """Warm the shared artifact, spawn workers, await readiness."""
-        from ..experiments.context import (
-            load_or_build_indexes,
-            load_or_generate_corpus,
-        )
-
-        # One build in the parent populates the disk artifact; every
-        # worker then attaches instead of rebuilding.
-        corpus = load_or_generate_corpus(self.config)
-        load_or_build_indexes(corpus, self.config)
+        """Spawn the workers and await readiness; the parent loads nothing."""
         for _ in range(self.workers):
             reader, writer = self._ctx.Pipe(duplex=False)
             p = self._ctx.Process(
@@ -239,6 +239,7 @@ class ProcessWorkerPool:
             writer.close()
             self._procs.append(p)
             self._readers[reader] = p.pid
+            self._selector.register(reader, selectors.EVENT_READ)
         deadline = time.monotonic() + _START_TIMEOUT_S
         while len(self.attach_report) < self.workers:
             remaining = deadline - time.monotonic()
@@ -260,25 +261,33 @@ class ProcessWorkerPool:
         # Copied: the queue's feeder thread pickles it after we return.
         self._requests.put(list(unit))
 
+    def _leave(self, conn: Connection) -> int:
+        """Forget a reader; returns its worker's pid.
+
+        Unregistered before it is closed: epoll watches the open file,
+        which a later-forked worker's inherited copy keeps alive.
+        """
+        self._selector.unregister(conn)
+        conn.close()
+        return self._readers.pop(conn)
+
     def _receive(self, timeout_s: float) -> list[ExecutionResult]:
-        """Read every reply pipe that becomes readable within ``timeout_s``."""
+        """One message from each reply pipe readable within ``timeout_s``."""
         out: list[ExecutionResult] = []
-        for conn in connection.wait(list(self._readers), timeout_s):
+        for key, _ in self._selector.select(timeout_s):
+            conn = key.fileobj
             try:
-                while conn.poll():
-                    msg = conn.recv()
-                    if msg[0] == "done":
-                        self._outstanding -= 1
-                        out.extend(ExecutionResult(*rec) for rec in msg[1])
-                    elif msg[0] == "ready":
-                        self.attach_report[msg[1]] = (msg[2], msg[3])
-                    elif msg[0] == "bye":
-                        del self._readers[conn]
-                        conn.close()
-                        break
+                msg = conn.recv()
             except (EOFError, OSError):
-                self.lost_workers.append(self._readers.pop(conn))
-                conn.close()
+                self.lost_workers.append(self._leave(conn))
+                continue
+            if msg[0] == "done":
+                self._outstanding -= 1
+                out.extend(ExecutionResult(*rec) for rec in msg[1])
+            elif msg[0] == "ready":
+                self.attach_report[msg[1]] = (msg[2], msg[3])
+            elif msg[0] == "bye":
+                self._leave(conn)
         return out
 
     def poll(self) -> list[ExecutionResult]:
@@ -312,9 +321,9 @@ class ProcessWorkerPool:
         for p in self._procs:
             p.join(timeout=5.0)
         self._procs.clear()
-        for conn in self._readers:
-            conn.close()
-        self._readers.clear()
+        for conn in list(self._readers):
+            self._leave(conn)
+        self._selector.close()
 
 
 class InlineExecutor:

@@ -85,8 +85,8 @@ class TestOverloadProtocol:
         for run in overload_summary["runs"]:
             w = run["workers"]
             assert w["n"] == 2
-            # The parent warms the artifact before spawning, so every
-            # worker should attach from cache.
+            # Calibration's pool warms the artifact before these runs
+            # spawn theirs, so every worker should attach from cache.
             assert w["attached_from_cache"] == 2, w
             assert w["built"] == 0
 
