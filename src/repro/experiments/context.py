@@ -421,7 +421,8 @@ def index_cache_selftest(
     * ``roundtrip_identical`` — re-serializing the attached indexes under
       their own vocabulary reproduces the original payload byte for byte;
     * ``queries_identical`` — built and attached indexes return identical
-      matched docs, paragraph keys, and work counters for the first
+      matched docs, paragraph keys, keywords used after relaxation, and
+      work counters (relaxation rounds included) for the first
       ``n_questions`` generated questions.
     """
     config = config or CorpusConfig(
@@ -461,8 +462,10 @@ def index_cache_selftest(
             if (
                 a.matched_docs != b.matched_docs
                 or [p.key for p in a.paragraphs] != [p.key for p in b.paragraphs]
+                or a.used_keywords != b.used_keywords
                 or a.postings_scanned != b.postings_scanned
                 or a.doc_bytes_read != b.doc_bytes_read
+                or a.relaxation_rounds != b.relaxation_rounds
             ):
                 queries_identical = False
     return {

@@ -1,7 +1,7 @@
 """Metrics registry: counters, gauges, and percentile histograms.
 
 Replaces the ad-hoc counters scattered across the codebase (dispatcher
-``decisions``/``migrations`` attributes, retriever ``cache_stats`` dicts,
+``decisions``/``migrations`` attributes, the retriever memo's ``cache_stats``,
 monitor ``broadcasts``) with one named registry per system, so reports and
 exporters can enumerate everything that was measured without knowing which
 object owns which attribute.

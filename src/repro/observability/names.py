@@ -12,7 +12,8 @@ lower case.  Histograms carry a unit suffix (``_s`` seconds, ``_bytes``).
 
 Every name here is written by some call site in ``src/`` (the tier-1
 names lint checks both directions).  Numbers that live where they are
-counted — ``BooleanRetriever.cache_stats``, ``SHARED_STEM_CACHE``,
+counted — ``BooleanRetriever.cache_stats`` (the stem bitset memo's
+hits and misses), ``SHARED_STEM_CACHE``,
 ``AnswerProcessor.entity_layer_stats``, ``QAPipeline.last_batch_stats``
 — get no registry name: workers keep no registry, and the reply record
 is all the server hears.

@@ -14,7 +14,7 @@ from __future__ import annotations
 import typing as t
 from dataclasses import dataclass, field
 
-from ..retrieval.boolean import RetrievalPlan
+from ..retrieval.boolean import relax
 from ..retrieval.collection import IndexedCorpus
 from ..retrieval.paragraphs import Paragraph
 from .question import ProcessedQuestion
@@ -26,9 +26,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class CollectionWork:
-    """Work performed retrieving from one sub-collection."""
+class CollectionWork(t.NamedTuple):
+    """Work performed retrieving from one sub-collection (a tuple: PR
+    builds one per collection per question)."""
 
     collection_id: int
     n_paragraphs: int
@@ -72,24 +72,19 @@ class ParagraphRetriever:
 
         Collections are processed one at a time — the iterative structure
         the RECV partitioner exploits by letting under-loaded processors
-        pull one collection at a time (Fig 7a) — all off one
-        :class:`~repro.retrieval.boolean.RetrievalPlan` of the question.
+        pull one collection at a time (Fig 7a) — by one
+        :func:`~repro.retrieval.boolean.relax` loop over the question's
+        keywords.
         """
-        plan = RetrievalPlan(processed.keywords)
         if collection_ids is None:
             collection_ids = range(self.indexed.n_collections)
-        retrievers = self.indexed.retrievers
-        result = PRResult(paragraphs=[])
-        for cid in collection_ids:
-            r = retrievers[cid].run(plan)
-            result.paragraphs.extend(r.paragraphs)
-            result.per_collection.append(
-                CollectionWork(
-                    collection_id=cid,
-                    n_paragraphs=len(r.paragraphs),
-                    postings_scanned=r.postings_scanned,
-                    doc_bytes_read=r.doc_bytes_read,
-                    relaxation_rounds=r.relaxation_rounds,
-                )
+        paragraphs: list[Paragraph] = []
+        per_collection: list[CollectionWork] = []
+        for cid, found, _, _, scanned, doc_bytes, rounds in relax(
+            self.indexed.retrievers, processed.keywords, collection_ids
+        ):
+            paragraphs += found
+            per_collection.append(
+                CollectionWork(cid, len(found), scanned, doc_bytes, rounds)
             )
-        return result
+        return PRResult(paragraphs, per_collection)

@@ -19,7 +19,7 @@ import typing as t
 
 from ..corpus.generator import Corpus
 from ..nlp.keywords import Keyword
-from .boolean import BooleanRetriever, RetrievalResult
+from .boolean import BooleanRetriever, RetrievalResult, relax
 from .inverted_index import CollectionIndex, ParagraphTerms, build_indexes
 from .paragraphs import Paragraph
 
@@ -33,19 +33,15 @@ class IndexedCorpus:
     ----------
     corpus:
         The corpus to index.
-    conjunction_cache:
-        Capacity of each retriever's conjunction cache (see
-        :class:`BooleanRetriever`).
     indexes:
         Pre-built sub-collection indexes to adopt instead of indexing
         ``corpus`` again — used by :meth:`reconfigured` so retriever
-        stacks with their own caches can share one (expensive) index build.
+        stacks with their own memos can share one (expensive) index build.
     """
 
     def __init__(
         self,
         corpus: Corpus,
-        conjunction_cache: int = 256,
         indexes: list[CollectionIndex] | None = None,
     ) -> None:
         self.corpus = corpus
@@ -53,19 +49,16 @@ class IndexedCorpus:
             indexes if indexes is not None else build_indexes(corpus.collections)
         )
         self.retrievers: list[BooleanRetriever] = [
-            BooleanRetriever(ix, conjunction_cache=conjunction_cache)
-            for ix in self.indexes
+            BooleanRetriever(ix) for ix in self.indexes
         ]
 
-    def reconfigured(self, conjunction_cache: int = 256) -> IndexedCorpus:
-        """A retriever stack with its own conjunction caches, same indexes.
+    def reconfigured(self) -> IndexedCorpus:
+        """A retriever stack with its own (empty) stem memos, same indexes.
 
         Shares the already-built :class:`CollectionIndex` objects, so this
-        is cheap — only the retrievers (and their caches) are new.
+        is cheap — only the retrievers are new.
         """
-        return IndexedCorpus(
-            self.corpus, conjunction_cache=conjunction_cache, indexes=self.indexes
-        )
+        return IndexedCorpus(self.corpus, indexes=self.indexes)
 
     @property
     def n_collections(self) -> int:
@@ -75,15 +68,16 @@ class IndexedCorpus:
         self, collection_id: int, keywords: t.Sequence[Keyword]
     ) -> RetrievalResult:
         """Retrieve from one sub-collection (the PR sub-task unit)."""
-        return self.retrievers[collection_id].retrieve(keywords)
+        outcome = next(relax(self.retrievers, keywords, (collection_id,)))
+        return RetrievalResult(*outcome)
 
     def retrieve_all(
         self, keywords: t.Sequence[Keyword]
     ) -> list[RetrievalResult]:
         """Retrieve from every sub-collection, in collection order."""
         return [
-            self.retrieve_collection(cid, keywords)
-            for cid in range(self.n_collections)
+            RetrievalResult(*outcome)
+            for outcome in relax(self.retrievers, keywords, range(self.n_collections))
         ]
 
     def term_lookup(self, paragraph: Paragraph) -> ParagraphTerms:

@@ -137,7 +137,7 @@ def _warm(
     """Ask every distinct question once per worker, outside every ledger.
 
     A worker's first visit to a paragraph runs the entity recognizer over
-    it and later visits do not, and its conjunction caches start empty;
+    it and later visits do not, and its stem bitset memos start empty;
     on a run of a few dozen questions that lazy set-up, not queueing,
     would set p99.  Each worker gets the distinct questions as one unit
     (a worker serves a unit whole, so while it is busy the next unit

@@ -3,13 +3,12 @@
 ``QAPipeline.answer_batch`` runs ``answer`` once per distinct question
 text and hands a repeat its first occurrence's result under its own
 qid.  The contract: answers, paragraph ranks and work counters equal
-``[pipeline.answer(q) for q in batch]``, and the conjunction/stem cache
+``[pipeline.answer(q) for q in batch]``, and the stem-memo/stem cache
 statistics afterwards equal a serial pass over ``dict.fromkeys(batch)``
 — the distinct questions, in first-occurrence order — run from the same
 starting state.  The Hypothesis properties drive random batches
-(repeats included, and a capacity-2 conjunction cache that evicts
-between a question and its repeat) through both paths on fresh
-retriever stacks; the regression tests pin the sharing accounting.
+(repeats included) through both paths on fresh retriever stacks; the
+regression tests pin the sharing accounting.
 """
 
 from __future__ import annotations
@@ -33,39 +32,35 @@ def stack(shared_corpus, shared_indexed_corpus, shared_questions):
     pool = [q.text for q in shared_questions[:8]]
     # Warm the (global) shared stem cache with every pool question once,
     # so serial and batched runs below start from the same cache state.
-    warm = QAPipeline(
-        shared_indexed_corpus.reconfigured(conjunction_cache=64),
-        recognizer,
-    )
+    warm = QAPipeline(shared_indexed_corpus.reconfigured(), recognizer)
     for text in pool:
         warm.answer(text)
     return shared_indexed_corpus, recognizer, pool
 
 
-def _fresh(indexed, recognizer, cache=64):
-    return QAPipeline(indexed.reconfigured(conjunction_cache=cache), recognizer)
+def _fresh(indexed, recognizer):
+    return QAPipeline(indexed.reconfigured(), recognizer)
 
 
 def _cache_counters(pipeline, ask):
-    """Stem-cache deltas and conjunction-cache stats of ``ask(pipeline)``."""
+    """Stem-cache deltas and stem-memo stats of ``ask(pipeline)``."""
     h0, m0 = SHARED_STEM_CACHE.hits, SHARED_STEM_CACHE.misses
     results = ask(pipeline)
     stems = (SHARED_STEM_CACHE.hits - h0, SHARED_STEM_CACHE.misses - m0)
     return results, stems, [r.cache_stats for r in pipeline.indexed.retrievers]
 
 
-def _assert_batch_matches_serial(stack, batch, cache):
+def _assert_batch_matches_serial(stack, batch):
     indexed, recognizer, _ = stack
     expected = [
-        result_fingerprint(r)
-        for r in map(_fresh(indexed, recognizer, cache).answer, batch)
+        result_fingerprint(r) for r in map(_fresh(indexed, recognizer).answer, batch)
     ]
     _, *serial = _cache_counters(
-        _fresh(indexed, recognizer, cache),
+        _fresh(indexed, recognizer),
         lambda p: [p.answer(q) for q in dict.fromkeys(batch)],
     )
     results, *batched = _cache_counters(
-        _fresh(indexed, recognizer, cache), lambda p: p.answer_batch(batch)
+        _fresh(indexed, recognizer), lambda p: p.answer_batch(batch)
     )
     assert [result_fingerprint(r) for r in results] == expected
     assert batched == serial
@@ -73,17 +68,12 @@ def _assert_batch_matches_serial(stack, batch, cache):
 
 class TestBatchProperty:
     @settings(max_examples=15, deadline=None)
-    @given(
-        picks=st.lists(st.integers(0, 7), min_size=1, max_size=10),
-        cache=st.sampled_from([2, 64]),
-    )
-    def test_answer_batch_matches_serial(self, stack, picks, cache):
+    @given(picks=st.lists(st.integers(0, 7), min_size=1, max_size=10))
+    def test_answer_batch_matches_serial(self, stack, picks):
         """Random batches — repeats likely — fingerprint-match serial, and
-        leave the caches of a serial pass over their distinct questions.
-        A capacity-2 conjunction cache evicts between a question and its
-        repeat."""
+        leave the caches of a serial pass over their distinct questions."""
         _, _, pool = stack
-        _assert_batch_matches_serial(stack, [pool[i] for i in picks], cache)
+        _assert_batch_matches_serial(stack, [pool[i] for i in picks])
 
     @settings(max_examples=10, deadline=None)
     @given(i=st.integers(0, 7))
@@ -105,13 +95,12 @@ class TestBatchRegression:
         assert pipeline.answer_batch([]) == []
         assert pipeline.last_batch_stats.n_questions == 0
 
-    def test_cache_stats_survive_eviction_pressure(self, stack):
-        """Capacity 2 evicts between a question and its repeat: serial
-        re-execution would miss on entries the first run inserted; the
+    def test_cache_stats_match_the_distinct_question_pass(self, stack):
+        """Serial re-execution would hit the memo again for a repeat; the
         batch asks the repeat nothing, like the distinct-question pass."""
         _, _, pool = stack
         workload = [pool[0], pool[1], pool[2], pool[0], pool[3], pool[0]]
-        _assert_batch_matches_serial(stack, workload, cache=2)
+        _assert_batch_matches_serial(stack, workload)
 
     def test_sharing_stats_account_duplicates(self, stack):
         indexed, recognizer, pool = stack

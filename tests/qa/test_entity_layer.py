@@ -7,7 +7,7 @@ whole corpus — the question must come out exactly as from a fresh
 pipeline and from the oracle of ``tests/reference.py``, which re-tokenizes
 and re-recognizes every paragraph: same answers, scores, ``short`` /
 ``long`` clips, paragraph ranks and work counters, and the same touches
-on the stem and conjunction caches.
+on the stem cache and the stem bitset memos.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def _asks_for(atype):
 
 
 def _cache_touches(pipeline, workload):
-    """(stem hits, stem misses, per-collection conjunction stats) of a run."""
+    """(stem hits, stem misses, per-collection stem-memo stats) of a run."""
     h0, m0 = SHARED_STEM_CACHE.hits, SHARED_STEM_CACHE.misses
     for text in workload:
         pipeline.answer(text)
@@ -104,7 +104,7 @@ class TestLayerIsInvisible:
 
     def test_full_layer_leaves_stem_and_conjunction_caches_alone(self, stack):
         """A cold layer and one holding the whole corpus touch the stem
-        and conjunction caches alike, and a full layer stops growing."""
+        cache and the stem bitset memos alike, and a full layer stops growing."""
         indexed, recognizer, pool, _ = stack
         paragraphs = _all_paragraphs(indexed)
         n_paragraphs = indexed.total_stats()["n_paragraphs"]

@@ -8,17 +8,19 @@ generated question of ``CorpusConfig(docs_per_collection=240)`` through a
 fresh pipeline, over indexes built from the corpus or attached to their
 packed payload under a cold vocabulary (a serving worker's view), and
 hashes the ``repr`` of the ``result_fingerprint`` list into one sha256.
-The conjunction-cache and entity-layer counters after the stream are
-pinned beside it.
+The stem-memo and entity-layer counters after the stream are pinned
+beside it.
 
 Two streams: ``serial`` asks each question once through
 ``QAPipeline.answer``; ``batched`` asks every question, every fourth one
 twice in a row, in chunks of 8 through ``QAPipeline.answer_batch``.  The
 digests were recorded on commit ``dd90f4e``.  ``answer_batch`` answers a
 repeat within its chunk from the first occurrence and asks the caches
-nothing for it, so the batched conjunction-cache hits are those of a
-serial ``answer`` pass over the stream with in-chunk repeats dropped
-(459 of 559 asked): 2820, not the 4508 of a stream that re-asked them.
+nothing for it, so the batched stem-memo hits are those of a serial
+``answer`` pass over the stream with in-chunk repeats dropped (459 of
+559 asked): 16005, not the 19870 of a stream that re-asked them.  The
+memo misses once per (stem, sub-collection) pair the stream looks up,
+2049 in either stream.
 
 Nothing here may depend on the interpreter's string-hash seed; CI runs
 this file again under two fixed ``PYTHONHASHSEED`` values.
@@ -45,16 +47,18 @@ pytestmark = pytest.mark.slow
 
 CONFIG = CorpusConfig(docs_per_collection=240)
 
-#: Recorded on commit dd90f4e; built and attached indexes agree.
+#: Digests recorded on commit dd90f4e; built and attached indexes agree.
+#: ``stem_memo`` is ``(hits, misses)`` of PR's stem bitset memos, summed
+#: over the sub-collections.
 GOLDEN = {
     "serial": {
         "digest": "edb94ca3f7f5c4a25518f00b43d68472eb373236ce31ef7f5da9dd8f44803177",
-        "conjunction_cache": (2640, 4930),
+        "stem_memo": (15554, 2049),
         "entity_layer": {"hits": 10806, "misses": 4578, "paragraphs": 4578},
     },
     "batched": {
         "digest": "ca632ffd37bbe0d2c260253122cb8b78bb282a19ff577e73fa2f5ad25f11bde8",
-        "conjunction_cache": (2820, 4930),
+        "stem_memo": (16005, 2049),
         "entity_layer": {"hits": 11271, "misses": 4578, "paragraphs": 4578},
     },
 }
@@ -92,7 +96,7 @@ def run_stream(indexed, recognizer, texts, stream):
     cache = [r.cache_stats for r in pipeline.indexed.retrievers]
     return {
         "digest": hashlib.sha256(fingerprints.encode()).hexdigest(),
-        "conjunction_cache": (
+        "stem_memo": (
             sum(c["hits"] for c in cache),
             sum(c["misses"] for c in cache),
         ),

@@ -2,14 +2,16 @@
 
 src has one path per question stage: PS and AP read every paragraph
 through a packed :class:`~repro.retrieval.inverted_index.ParagraphTerms`
-and its bisect kernel, and PR intersects sorted posting arrays.  The
+and its bisect kernel, and PR ANDs per-stem bitsets.  The
 simpler paths they replaced live here, used by tests only:
 
 * :func:`keyword_positions` re-tokenizes and re-stems a paragraph's text
   and scans it linearly for each keyword;
 * :class:`TextTerms` is a term view with the interface PS and AP read,
   built the same way, with no packed arrays and no bisect;
-* :func:`evaluate_sets` is the per-stem set intersection PR once ran;
+* :func:`retrieve_sets` is PR's relaxation loop over per-stem Python
+  sets, the one the bitset loop replaced (:func:`retrieve_pr_sets` runs
+  it for a whole question);
 * :func:`window_score` is AP's seven-heuristic window score, the general
   loop over every keyword occurrence, with the apposition read off the
   neighbouring token texts.
@@ -30,16 +32,17 @@ from __future__ import annotations
 import types
 import typing as t
 from array import array
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 from repro.nlp.stemming import SHARED_STEM_CACHE, StemCache
 from repro.nlp.stemming import cached_stem as stem
 from repro.nlp.stopwords import is_stopword
 from repro.nlp.tokenizer import tokenize
 from repro.nlp.vocabulary import Vocabulary
-from repro.qa import QAPipeline
+from repro.nlp.keywords import Keyword
+from repro.qa import CollectionWork, PRResult, QAPipeline
 from repro.qa.answer_processing import _W, _WINDOW_RADIUS
-from repro.retrieval import Paragraph, split_paragraphs
+from repro.retrieval import Paragraph, RetrievalResult, split_paragraphs
 from repro.retrieval.inverted_index import IndexBuffers, ParagraphTerms, _TermViews
 
 
@@ -179,42 +182,83 @@ def window_score(
     )
 
 
-def evaluate_sets(
-    self, stems: tuple[str, ...], ids: t.Sequence[int]
-) -> tuple[frozenset[int], int]:
-    """Reference implementation: per-stem doc sets, smallest-first."""
-    charged = 0
-    doc_sets: list[set[int]] = []
-    for tid in ids[: len(stems)]:
-        postings = self.index.id_postings(tid)
-        charged += len(postings)
-        if not len(postings):
-            return frozenset(), charged
-        doc_sets.append(set(postings))
-    if not doc_sets:
-        return frozenset(), charged
-    doc_sets.sort(key=len)
-    docs = doc_sets[0]
-    for ds in doc_sets[1:]:
-        docs = docs & ds
-        if not docs:
+def retrieve_sets(retriever, keywords: t.Sequence[Keyword]) -> RetrievalResult:
+    """PR's relaxation loop on ``retriever``'s collection, over per-stem
+    Python sets looked up by stem text.
+
+    A round's docs are the intersection of its stems' posting sets,
+    smallest first, charging every stem's postings up to the first empty
+    one; a keyword's paragraphs are the intersection of its stems'
+    paragraph-posting sets, and the quorum is a :class:`Counter` over
+    them, kept to the matched documents.
+    """
+    index = retriever.index
+    result = RetrievalResult(index.collection_id, [], [], [])
+    active = sorted(keywords, key=lambda k: k.priority)
+    m = len(active)
+    if not m:
+        return result
+    while True:
+        sets: list[set[int]] = []
+        for s in (s for kw in active[:m] for s in kw.stems):
+            postings = index.sorted_postings(s)
+            result.postings_scanned += len(postings)
+            if not len(postings):
+                sets = []
+                break
+            sets.append(set(postings))
+        docs = set.intersection(*sorted(sets, key=len)) if sets else set()
+        result.relaxation_rounds += 1
+        if len(docs) >= retriever.min_docs or m == 1:
             break
-    return frozenset(docs), charged
+        m -= 1
+    result.used_keywords = active[:m]
+    result.matched_docs = sorted(docs)
+    if not docs:
+        return result
+    result.doc_bytes_read = sum(index.doc_bytes(d) for d in result.matched_docs)
+    needed = max(1, int(round(retriever.paragraph_quorum * m)))
+    counts: Counter[int] = Counter()
+    for kw in active[:m]:
+        counts.update(
+            set.intersection(*(set(index.paragraph_postings(s)) for s in kw.stems))
+        )
+    paragraphs = index.paragraphs
+    result.paragraphs = [
+        paragraphs[o]
+        for o in sorted(counts)
+        if counts[o] >= needed and paragraphs[o].doc_id in docs
+    ]
+    return result
 
 
-def use_set_evaluator(retriever) -> None:
-    """Route one :class:`~repro.retrieval.boolean.BooleanRetriever`'s
-    conjunctions through :func:`evaluate_sets`."""
-    retriever._evaluate = types.MethodType(evaluate_sets, retriever)
+def retrieve_pr_sets(pr, processed, collection_ids=None) -> PRResult:
+    """``ParagraphRetriever.retrieve`` through :func:`retrieve_sets`, one
+    collection at a time."""
+    if collection_ids is None:
+        collection_ids = range(pr.n_collections)
+    result = PRResult(paragraphs=[])
+    for cid in collection_ids:
+        r = retrieve_sets(pr.indexed.retrievers[cid], processed.keywords)
+        result.paragraphs += r.paragraphs
+        result.per_collection.append(
+            CollectionWork(
+                cid,
+                len(r.paragraphs),
+                r.postings_scanned,
+                r.doc_bytes_read,
+                r.relaxation_rounds,
+            )
+        )
+    return result
 
 
 def reference_pipeline(indexed, recognizer) -> QAPipeline:
-    """The whole-pipeline oracle over ``indexed``'s indexes: no
-    conjunction cache, per-stem set intersection in PR, and every
-    paragraph re-tokenized and re-recognized in PS and AP."""
-    pipeline = QAPipeline(indexed.reconfigured(conjunction_cache=0), recognizer)
-    for retriever in pipeline.indexed.retrievers:
-        use_set_evaluator(retriever)
+    """The whole-pipeline oracle over ``indexed``'s indexes: per-stem set
+    intersection in PR, and every paragraph re-tokenized and
+    re-recognized in PS and AP."""
+    pipeline = QAPipeline(indexed.reconfigured(), recognizer)
+    pipeline.pr.retrieve = types.MethodType(retrieve_pr_sets, pipeline.pr)
     pipeline.ps.term_lookup = pipeline.ap.term_lookup = text_terms
     return pipeline
 

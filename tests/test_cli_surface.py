@@ -76,13 +76,17 @@ def test_one_keyword_position_kernel_per_side_of_the_oracle():
     for retired in ("keyword_positions_from_" "terms", "keyword_positions_from_" "ids"):
         assert not hasattr(paragraph_scoring, retired)
         assert retired not in source, retired
-    for retired in ("positions" "_of", "def ids" "_at", "_evaluate" "_sets"):
+    for retired in (
+        "positions" "_of", "def ids" "_at", "_evaluate" "_sets",
+        "_Conjunction" "Cache", "_intersect" "_sorted", "Retrieval" "Plan",
+        "_keyword" "_paragraphs", "def _conjunction", "def _evaluate",
+    ):
         assert retired not in source, retired
     for api in (
         QAPipeline, IndexedCorpus, IndexedCorpus.reconfigured, BooleanRetriever
     ):
         params = inspect.signature(api).parameters
-        for switch in ("use_term" "_index", "gallop" "ing"):
+        for switch in ("use_term" "_index", "gallop" "ing", "conjunction" "_cache"):
             assert switch not in params, (api, switch)
 
 
@@ -126,7 +130,7 @@ def test_a_batch_is_a_loop_over_answer():
         assert retired not in source, retired
     assert not (ROOT / "src" / "repro" / "qa" / "batch.py").exists()
     params = inspect.signature(IndexedCorpus).parameters
-    assert list(params) == ["corpus", "conjunction_cache", "indexes"]
+    assert list(params) == ["corpus", "indexes"]
 
 
 def test_simulated_routing_is_an_input_not_a_switch():
